@@ -2,6 +2,8 @@
 """Run the 10-trader batch and print the relative-return curve.
 
 Writes runs.csv / jcurve.csv / pvalues.csv into --out (default out/jcurve10).
+Seed, batch size and worker count default to the jcurve10 preset's; only the
+flags given here are passed on.
 """
 
 import argparse
@@ -13,21 +15,15 @@ from infomarket.cli import main as cli_main
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sessions", type=int, default=100)
-    ap.add_argument("--runs", type=int, default=100)
-    ap.add_argument("--jobs", type=int, default=None)
+    for flag in ("--seed", "--sessions", "--runs", "--jobs"):
+        ap.add_argument(flag, type=int, default=None)
     ap.add_argument("--out", default="out/jcurve10")
     args = ap.parse_args()
-    argv = [
-        "batch", "--preset", "jcurve10",
-        "--seed", str(args.seed),
-        "--sessions", str(args.sessions),
-        "--runs", str(args.runs),
-        "--out", args.out,
-    ]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
+    argv = ["batch", "--preset", "jcurve10", "--out", args.out]
+    for flag in ("seed", "sessions", "runs", "jobs"):
+        value = getattr(args, flag)
+        if value is not None:
+            argv += [f"--{flag}", str(value)]
     rc = cli_main(argv)
     if rc == 0:
         print(Path(args.out, "jcurve.csv").read_text())

@@ -13,8 +13,7 @@ import numpy as np
 
 from infomarket.analytics import acf, jarque_bera, log_returns, moments
 from infomarket.dividends import generate_dividend_path
-from infomarket.engine import run_session
-from infomarket.presets import reference_session
+from infomarket.engine import SessionConfig, run_session
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
 
 
@@ -24,7 +23,7 @@ def main() -> int:
     ap.add_argument("--max-lag", type=int, default=20)
     args = ap.parse_args()
 
-    cfg = reference_session(record_series=True)
+    cfg = SessionConfig()
     path = generate_dividend_path(cfg.dividends, stream(args.seed, PATH_DOMAIN, 0))
     result = run_session(cfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
     returns = log_returns(result.trade_prices)

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .csvout import fmt, write_csv
 from .dividends import RateParams
 from .engine import SessionResult, session_net_returns
 
@@ -323,84 +324,44 @@ def load_ticks(file) -> TickSeries:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _open_for_write(file):
-    if hasattr(file, "write"):
-        return file, False
-    return open(file, "w", newline=""), True
-
-
 def write_jcurve_csv(table: JCurveTable, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["level", "mean_relative_return_pp", "stderr_pp"])
-        for lvl, m, se in zip(table.levels, table.means, table.stderrs):
-            w.writerow([lvl, _fmt(m), _fmt(se)])
-    finally:
-        if close:
-            f.close()
+    write_csv(file, ["level", "mean_relative_return_pp", "stderr_pp"],
+              ((lvl, fmt(m), fmt(se)) for lvl, m, se in zip(table.levels, table.means, table.stderrs)))
 
 
 def write_pvalues_csv(table: JCurveTable, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["level_a", "level_b", "p_value"])
-        for i, a in enumerate(table.levels):
-            for j, b in enumerate(table.levels):
-                if i < j:
-                    w.writerow([a, b, _fmt(table.p_matrix[i, j])])
-    finally:
-        if close:
-            f.close()
+    levels = table.levels
+    write_csv(
+        file,
+        ["level_a", "level_b", "p_value"],
+        ((levels[i], levels[j], fmt(table.p_matrix[i, j]))
+         for i in range(len(levels)) for j in range(i + 1, len(levels))),
+    )
 
 
 def write_acf_csv(returns_acf: AcfResult, abs_acf: AcfResult, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["lag", "acf_ret", "acf_absret", "band"])
-        for lag in range(len(returns_acf.values)):
-            w.writerow([lag, _fmt(returns_acf.values[lag]), _fmt(abs_acf.values[lag]), _fmt(returns_acf.band)])
-    finally:
-        if close:
-            f.close()
+    band = fmt(returns_acf.band)
+    write_csv(
+        file,
+        ["lag", "acf_ret", "acf_absret", "band"],
+        ((lag, fmt(returns_acf.values[lag]), fmt(abs_acf.values[lag]), band)
+         for lag in range(len(returns_acf.values))),
+    )
 
 
 def write_moments_csv(mom: Moments, jb: tuple[float, float], n: int, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["n", "mean", "std", "skewness", "kurtosis", "jarque_bera", "jb_pvalue"])
-        w.writerow([n, _fmt(mom.mean), _fmt(mom.std), _fmt(mom.skewness), _fmt(mom.kurtosis), _fmt(jb[0]), _fmt(jb[1])])
-    finally:
-        if close:
-            f.close()
+    write_csv(
+        file,
+        ["n", "mean", "std", "skewness", "kurtosis", "jarque_bera", "jb_pvalue"],
+        [[n, fmt(mom.mean), fmt(mom.std), fmt(mom.skewness), fmt(mom.kurtosis), fmt(jb[0]), fmt(jb[1])]],
+    )
 
 
 def write_efficiency_summary_csv(report: EfficiencyReport, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["period", "net_simple_return"])
-        for k, r in enumerate(report.returns.tolist(), start=1):
-            w.writerow([k, _fmt(r)])
-    finally:
-        if close:
-            f.close()
+    write_csv(file, ["period", "net_simple_return"],
+              ((k, fmt(r)) for k, r in enumerate(report.returns.tolist(), start=1)))
 
 
 def write_sweep_csv(rows: list[tuple[int, float, float]], file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["n_traders", "random_trader_mean_pp", "stderr_pp"])
-        for n, m, se in rows:
-            w.writerow([n, _fmt(m), _fmt(se)])
-    finally:
-        if close:
-            f.close()
+    write_csv(file, ["n_traders", "random_trader_mean_pp", "stderr_pp"],
+              ((n, fmt(m), fmt(se)) for n, m, se in rows))

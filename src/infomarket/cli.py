@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +42,17 @@ from .analytics import (
     write_sweep_csv,
 )
 from .dividends import generate_dividend_path
-from .engine import export_session_csv, run_session
-from .montecarlo import run_batch, write_efficiency_csv, write_runs_csv
+from .engine import SessionConfig, default_market, export_session_csv, run_session
+from .montecarlo import BatchConfig, run_batch, write_efficiency_csv, write_runs_csv
 from .presets import (
     PRESETS,
     SWEEP_TRADER_COUNTS,
     batch_for_preset,
-    reference_session,
     sweep_batch,
     switching_for_preset,
 )
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
 from .switching import (
-    SwitchingConfig,
     aggregate_runs,
     run_switching_ensemble,
     write_freqs_csv,
@@ -63,6 +62,8 @@ from .switching import (
 
 MANIFEST_SCHEMA = 1
 CONFIG_SCHEMA = 1
+
+DEFAULT_MAX_LAG = 20
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,14 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--out", default=None,
                        help="output directory (default: $INFOMARKET_OUT)")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes")
         if preset:
+            p.add_argument("--jobs", type=int, default=None, help="worker processes")
             p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-        p.add_argument("--agents", type=int, default=None, help="number of traders")
+        if not markov:
+            p.add_argument("--agents", type=int, default=None, help="number of traders")
         p.add_argument("--periods", type=int, default=None, help="trading periods")
         p.add_argument("--steps", type=int, default=None, help="steps per period")
-        p.add_argument("--no-clearing", action="store_true",
-                       help="keep the book across period boundaries")
+        if not markov:
+            p.add_argument("--no-clearing", action="store_true",
+                           help="keep the book across period boundaries")
         if batch:
             p.add_argument("--sessions", type=int, default=None, help="dividend paths")
             p.add_argument("--runs", type=int, default=None, help="runs per session")
@@ -122,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="analytics over a simulated run or tick CSV")
     common(p)
     p.add_argument("--ticks", default=None, help="external time,price CSV to analyse")
-    p.add_argument("--max-lag", type=int, default=20, help="autocorrelation horizon")
+    p.add_argument("--max-lag", type=int, default=None,
+                   help=f"autocorrelation horizon (default {DEFAULT_MAX_LAG})")
     p.add_argument("--per-step", action="store_true",
                    help="use per-step prices instead of per-trade prices")
     p = sub.add_parser("markov", help="strategy-switching experiments",
@@ -194,17 +198,29 @@ def _write_manifest(out: Path, command: str, eff: dict) -> None:
         f.write("\n")
 
 
-def _session_overrides(args) -> dict:
+def _override_session(session: SessionConfig, args) -> SessionConfig:
+    """The session flags applied to a preset's session config."""
     kw = {}
     if args.agents is not None:
-        kw["n_agents"] = args.agents
+        kw["agents"] = default_market(args.agents)
     if args.periods is not None:
         kw["n_periods"] = args.periods
+        kw["dividends"] = replace(session.dividends, n_periods=args.periods)
     if args.steps is not None:
         kw["steps_per_period"] = args.steps
-    if getattr(args, "no_clearing", False):
-        kw["clear_book"] = False
-    return kw
+    if args.no_clearing:
+        kw["clear_book_each_period"] = False
+    return replace(session, **kw)
+
+
+def _override_batch(cfg: BatchConfig, args) -> BatchConfig:
+    """The session and batch-size flags applied to a preset's batch config."""
+    kw = {}
+    if args.sessions is not None:
+        kw["n_sessions"] = args.sessions
+    if args.runs is not None:
+        kw["runs_per_session"] = args.runs
+    return replace(cfg, session=_override_session(cfg.session, args), **kw)
 
 
 def cmd_simulate(args) -> int:
@@ -212,7 +228,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     eff = _effective(args, seed=seed)
     _announce("simulate", eff, out)
-    scfg = reference_session(record_series=True, **_session_overrides(args))
+    scfg = _override_session(SessionConfig(), args)
     path = generate_dividend_path(scfg.dividends, stream(seed, PATH_DOMAIN, 0))
     result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
     export_session_csv(result, out)
@@ -239,54 +255,39 @@ def cmd_batch(args) -> int:
     eff = _effective(args, seed=seed, preset=preset)
     _announce("batch", eff, out)
     if preset == "tradercount_sweep":
+        if args.agents is not None:
+            raise ConfigError("--agents does not apply to tradercount_sweep, which sets its own trader counts")
         samples = {}
         for n in SWEEP_TRADER_COUNTS:
-            cfg = sweep_batch(n, seed, jobs=args.jobs)
-            if args.sessions is not None or args.runs is not None:
-                cfg = sweep_batch(n, seed,
-                                  n_sessions=args.sessions or cfg.n_sessions,
-                                  runs_per_session=args.runs or cfg.runs_per_session,
-                                  jobs=args.jobs)
-            batch = run_batch(cfg)
+            batch = run_batch(_override_batch(sweep_batch(n, seed, jobs=args.jobs), args))
             write_runs_csv(batch, out / f"runs_{n}.csv")
             samples[n] = batch.samples_by_level()[0]
         write_sweep_csv(random_trader_sweep(samples), out / "sweep.csv")
         _write_manifest(out, "batch", eff)
         return EXIT_OK
-    cfg = batch_for_preset(preset, seed, jobs=args.jobs)
-    session = cfg.session
-    overrides = _session_overrides(args)
-    if overrides:
-        session = reference_session(
-            overrides.get("n_agents", len(session.agents)),
-            n_periods=overrides.get("n_periods", session.n_periods),
-            steps_per_period=overrides.get("steps_per_period", session.steps_per_period),
-            clear_book=overrides.get("clear_book", session.clear_book_each_period),
-        )
-    from dataclasses import replace
-
-    cfg = replace(
-        cfg,
-        session=session,
-        n_sessions=args.sessions if args.sessions is not None else cfg.n_sessions,
-        runs_per_session=args.runs if args.runs is not None else cfg.runs_per_session,
-    )
-    batch = run_batch(cfg)
+    batch = run_batch(_override_batch(batch_for_preset(preset, seed, jobs=args.jobs), args))
     _emit_batch_outputs(batch, out)
     _write_manifest(out, "batch", eff)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
+    if args.ticks:
+        simulation_flags = {"--agents": args.agents, "--periods": args.periods, "--steps": args.steps,
+                            "--no-clearing": args.no_clearing, "--per-step": args.per_step}
+        given = [flag for flag, value in simulation_flags.items() if value is not None and value is not False]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be used with --ticks: they set up a simulated run")
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
-    eff = _effective(args, seed=seed)
+    max_lag = args.max_lag if args.max_lag is not None else DEFAULT_MAX_LAG
+    eff = _effective(args, seed=seed, max_lag=max_lag)
     _announce("stats", eff, out)
     if args.ticks:
         series = load_ticks(args.ticks)
         returns = series.log_returns()
     else:
-        scfg = reference_session(record_series=True, **_session_overrides(args))
+        scfg = _override_session(SessionConfig(), args)
         path = generate_dividend_path(scfg.dividends, stream(seed, PATH_DOMAIN, 0))
         result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
         prices = result.prices if args.per_step else result.trade_prices
@@ -294,8 +295,8 @@ def cmd_stats(args) -> int:
         report = efficiency_report(result)
         write_efficiency_summary_csv(report, out / "efficiency.csv")
         print(f"mean net simple return: {report.mean:.6f} (r_e = {report.r_e}, r_f = {report.r_f})")
-    ret_acf = acf(returns, args.max_lag)
-    abs_acf = acf(np.abs(returns), args.max_lag)
+    ret_acf = acf(returns, max_lag)
+    abs_acf = acf(np.abs(returns), max_lag)
     write_acf_csv(ret_acf, abs_acf, out / "acf.csv")
     mom = moments(returns)
     jb = jarque_bera(returns)
@@ -312,17 +313,17 @@ def cmd_markov(args) -> int:
     eff = _effective(args, seed=seed, preset=preset)
     _announce("markov", eff, out)
     cfg, codes = switching_for_preset(preset)
-    from dataclasses import replace
-
+    kw = {}
     if args.traders is not None:
-        cfg = replace(cfg, n_traders=args.traders)
+        kw["n_traders"] = args.traders
         codes = tuple(range(1, (1 << args.traders) + 1))
     if args.periods is not None:
-        cfg = replace(cfg, n_periods=args.periods)
+        kw["n_periods"] = args.periods
+    if args.steps is not None:
+        kw["steps_per_period"] = args.steps
     if args.interval is not None:
-        cfg = replace(cfg, interval=args.interval)
-    if getattr(args, "no_clearing", False):
-        cfg = replace(cfg, clear_book_each_period=False)
+        kw["interval"] = args.interval
+    cfg = replace(cfg, **kw)
     if args.states:
         codes = tuple(int(c) for c in str(args.states).split(","))
     runs = run_switching_ensemble(cfg, codes, seed, jobs=args.jobs)

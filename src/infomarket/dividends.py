@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_csv
+
 
 @dataclass(frozen=True)
 class DividendParams:
-    """Parameters of the dividend random walk.
+    """Parameters of the dividend random walk; the defaults are the reference market's.
 
     d0: first dividend (currency per share per period)
     sigma: scale of the Gaussian steps
@@ -26,7 +28,7 @@ class DividendParams:
     """
 
     d0: float = 0.2
-    sigma: float = 0.1
+    sigma: float = 0.01
     n_periods: int = 30
     horizon_pad: int = 9
 
@@ -47,7 +49,7 @@ class DividendParams:
 class RateParams:
     """Per-period interest rates: r_f paid on cash, r_e used for discounting."""
 
-    r_f: float = 0.01
+    r_f: float = 0.001
     r_e: float = 0.005
 
     def __post_init__(self) -> None:
@@ -122,18 +124,8 @@ def conditional_present_value(path: DividendPath, level: int, period: int, r_e: 
 
 def write_dividends_csv(path: DividendPath, file) -> None:
     """Write a path as `period,dividend` rows (file: path or open handle)."""
-    close = False
-    if not hasattr(file, "write"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
-        w.writerow(["period", "dividend"])
-        for i, d in enumerate(path.values.tolist(), start=1):
-            w.writerow([i, repr(d)])
-    finally:
-        if close:
-            file.close()
+    write_csv(file, ["period", "dividend"],
+              ((i, repr(d)) for i, d in enumerate(path.values.tolist(), start=1)))
 
 
 def read_dividends_csv(file) -> DividendPath:

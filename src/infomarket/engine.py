@@ -1,16 +1,19 @@
 """One market session: random serial trader activation over fixed-length periods.
 
 Each period starts with an information delivery (fresh present values for the
-informed traders) and a seeding pass in which every trader acts once in a
-shuffled order, repopulating the book after a clearing. The period body is a
-fixed number of steps; in each step one uniformly chosen trader acts. At the
-period end, cash earns the risk-free rate, shares pay the period's dividend,
-and the book is cleared (unless configured otherwise).
+informed traders) and a seeding pass in which every informed trader acts once
+in a shuffled order, repopulating the book after a clearing. The period body
+is a fixed number of steps; in each step one uniformly chosen trader acts. At
+the period end, cash earns the risk-free rate, shares pay the period's
+dividend, and the book is cleared (unless configured otherwise).
+
+Traders can neither short nor buy on credit: an order is refused when the
+trader's free shares or free cash (net of what its resting orders commit)
+do not cover it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from .agents import (
     decide_fundamentalist,
     decide_random,
 )
+from .csvout import fmt, write_csv
 from .dividends import DividendParams, DividendPath, RateParams, conditional_present_value, write_dividends_csv
 from .orderbook import Book
 
@@ -51,6 +55,8 @@ def default_market(n_agents: int = 10) -> tuple[AgentSpec, ...]:
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """One market session; the defaults are the reference market."""
+
     agents: tuple[AgentSpec, ...] = field(default_factory=default_market)
     dividends: DividendParams = DividendParams()
     rates: RateParams = RateParams()
@@ -60,21 +66,6 @@ class SessionConfig:
     initial_shares: int = 40
     initial_price: float = 40.0
     clear_book_each_period: bool = True
-    seed_each_period: bool = True
-    # The period-start pass covers traders with a value estimate; the
-    # uninformed trader quotes off the last price only during the steps.
-    seed_informed_only: bool = True
-    seed_passes: int = 1
-    # Optional: traders quote at the period start before the period's
-    # information arrives, so the seeded book reflects stale valuations.
-    seed_on_stale_values: bool = False
-    # Optional: buying on credit (cash may go negative, at the same r_f);
-    # holdings still cannot go short.
-    allow_margin: bool = False
-    # Optional: placing a new limit order cancels the trader's previous
-    # resting order; market orders leave the resting quote alone.
-    single_live_order: bool = False
-    allow_short: bool = False
     # Mark final shares at the going-forward perpetuity value of the next
     # dividend instead of the last trade price (sensitivity check).
     mark_final_wealth_to_value: bool = False
@@ -180,13 +171,8 @@ class MarketSession:
         self.cash_hist = [self.cash.copy()]
         self.shares_hist = [self.shares.copy()]
         self._pv: list[float | None] = [None] * n
-        self._resting = [None] * n  # each trader's live order under single_live_order
         self._time = 0  # completed global steps
         self.periods_done = 0
-
-    def current_wealth(self) -> np.ndarray:
-        """Cash plus shares marked at the last trade price."""
-        return np.asarray(self.cash) + np.asarray(self.shares, dtype=float) * self.last_price
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
         if strategy is Strategy.RANDOM:
@@ -206,19 +192,13 @@ class MarketSession:
         if self.periods_done >= self.config.n_periods:
             raise RuntimeError("session already complete")
         k = self.periods_done + 1
-        if k == 1 or not self.config.seed_on_stale_values:
-            self._deliver_information(k)
+        self._deliver_information(k)
         rng = self.rng
         activate = self._activate
-        if self.config.seed_each_period:
-            informed_only = self.config.seed_informed_only
-            for _ in range(self.config.seed_passes):
-                for i in rng.permutation(self.n_agents).tolist():
-                    if informed_only and self.levels[i] == 0:
-                        continue
-                    activate(i)
-        if k > 1 and self.config.seed_on_stale_values:
-            self._deliver_information(k)
+        # The uninformed trader quotes off the last price only during the steps.
+        for i in rng.permutation(self.n_agents).tolist():
+            if self.levels[i] > 0:
+                activate(i)
         prices = self.prices
         recent = self._recent
         for i in rng.integers(0, self.n_agents, size=self.config.steps_per_period).tolist():
@@ -243,7 +223,6 @@ class MarketSession:
             for i in range(self.n_agents):
                 self._held_cash[i] = 0.0
                 self._held_shares[i] = 0
-                self._resting[i] = None
         self.periods_done += 1
 
     def _activate(self, i: int) -> None:
@@ -260,66 +239,41 @@ class MarketSession:
         kind = intent.kind
         if kind == "none":
             return
-        allow_short = self.config.allow_short
-        cash_free = allow_short or self.config.allow_margin
         step = self._time + 1
         if kind == "market_sell":
-            if not allow_short and self.shares[i] - self._held_shares[i] < 1:
+            if self.shares[i] - self._held_shares[i] < 1:
                 return
             trade = book.execute_marketable("sell", i, step)
             if trade is not None:
                 self._settle(trade, maker_side="bid")
         elif kind == "market_buy":
             ask = book.best_ask()
-            if ask is None:
-                return
-            if not cash_free and self.cash[i] - self._held_cash[i] < ask:
+            if ask is None or self.cash[i] - self._held_cash[i] < ask:
                 return
             self._settle(book.execute_marketable("buy", i, step), maker_side="ask")
         elif kind == "limit_ask":
+            if self.shares[i] - self._held_shares[i] < 1:
+                return
             price = float(intent.price)
             bid = book.best_bid()
             if bid is not None and price < bid:
                 # Crossing limit: marketable, fills at the resting bid's price.
-                if not allow_short and self.shares[i] - self._held_shares[i] < 1:
-                    return
                 self._settle(book.execute_marketable("sell", i, step), maker_side="bid")
             else:
-                old = self._resting[i] if self.config.single_live_order else None
-                if not allow_short:
-                    held = self._held_shares[i] - (1 if old is not None and old.side == "ask" else 0)
-                    if self.shares[i] - held < 1:
-                        return
-                self._place(i, "ask", price, old)
+                book.place_limit(i, "ask", price)
+                self._held_shares[i] += 1
         else:  # limit_bid
             price = float(intent.price)
             ask = book.best_ask()
             if ask is not None and price > ask:
-                if not cash_free and self.cash[i] - self._held_cash[i] < ask:
+                if self.cash[i] - self._held_cash[i] < ask:
                     return
                 self._settle(book.execute_marketable("buy", i, step), maker_side="ask")
             else:
-                old = self._resting[i] if self.config.single_live_order else None
-                if not cash_free:
-                    held = self._held_cash[i] - (old.price if old is not None and old.side == "bid" else 0.0)
-                    if self.cash[i] - held < price:
-                        return
-                self._place(i, "bid", price, old)
-
-    def _place(self, i: int, side: str, price: float, old) -> None:
-        if old is not None:
-            self.book.cancel(old)
-            if old.side == "bid":
-                self._held_cash[i] -= old.price
-            else:
-                self._held_shares[i] -= 1
-        order = self.book.place_limit(i, side, price)
-        if self.config.single_live_order:
-            self._resting[i] = order
-        if side == "bid":
-            self._held_cash[i] += price
-        else:
-            self._held_shares[i] += 1
+                if self.cash[i] - self._held_cash[i] < price:
+                    return
+                book.place_limit(i, "bid", price)
+                self._held_cash[i] += price
 
     def _settle(self, trade, maker_side: str) -> None:
         price = float(trade.price)
@@ -331,10 +285,8 @@ class MarketSession:
         shares[seller] -= 1
         if maker_side == "bid":
             self._held_cash[buyer] -= price
-            self._resting[buyer] = None
         else:
             self._held_shares[seller] -= 1
-            self._resting[seller] = None
         self.last_price = price
         self._trade_steps.append(trade.step)
         self._trade_prices.append(price)
@@ -383,43 +335,32 @@ def session_net_returns(result: SessionResult) -> np.ndarray:
     return (p[1:] + d - p[:-1]) / p[:-1]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def export_session_csv(result: SessionResult, outdir) -> None:
     """Write the CSV bundle for one session: prices, trades, wealth, dividends."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     if result.prices is not None:
-        with open(out / "prices.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "price"])
-            for t, price in enumerate(result.prices.tolist(), start=1):
-                w.writerow([t, _fmt(price)])
-    with open(out / "trades.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "price", "buyer", "seller"])
-        for row in zip(
+        write_csv(out / "prices.csv", ["step", "price"],
+                  ((t, fmt(price)) for t, price in enumerate(result.prices.tolist(), start=1)))
+    write_csv(
+        out / "trades.csv",
+        ["step", "price", "buyer", "seller"],
+        ((step, fmt(price), buyer, seller) for step, price, buyer, seller in zip(
             result.trade_steps.tolist(),
             result.trade_prices.tolist(),
             result.trade_buyers.tolist(),
             result.trade_sellers.tolist(),
-        ):
-            w.writerow([row[0], _fmt(row[1]), row[2], row[3]])
+        )),
+    )
     wealth = result.wealth_history()
-    with open(out / "wealth.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["agent", "period", "cash", "shares", "wealth"])
-        for period in range(wealth.shape[0]):
-            for agent in range(result.n_agents):
-                w.writerow(
-                    [
-                        agent,
-                        period,
-                        _fmt(result.cash_hist[period, agent]),
-                        int(result.shares_hist[period, agent]),
-                        _fmt(wealth[period, agent]),
-                    ]
-                )
+    write_csv(
+        out / "wealth.csv",
+        ["agent", "period", "cash", "shares", "wealth"],
+        (
+            (agent, period, fmt(result.cash_hist[period, agent]),
+             int(result.shares_hist[period, agent]), fmt(wealth[period, agent]))
+            for period in range(wealth.shape[0])
+            for agent in range(result.n_agents)
+        ),
+    )
     write_dividends_csv(result.path, out / "dividends.csv")

@@ -8,7 +8,6 @@ count or scheduling order.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvout import fmt, write_csv
 from .dividends import generate_dividend_path
 from .engine import SessionConfig, relative_returns, run_session, session_net_returns
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
@@ -50,7 +50,6 @@ class BatchResult:
     rel_returns: np.ndarray  # (n_sessions * runs, n_agents) percentage points
     asset_mean_returns: np.ndarray  # (n_sessions * runs,) mean per-period net simple return
     period_returns: np.ndarray | None  # (n_runs, n_periods - 1) when collected
-    path_keys: tuple[tuple[int, int, int], ...]  # per-session dividend stream key
 
     def session_run_index(self) -> np.ndarray:
         """(n_runs, 2) array of (session, run) labels aligned with the rows."""
@@ -110,56 +109,34 @@ def run_batch(config: BatchConfig) -> BatchResult:
     net = np.concatenate([b[2] for b in blocks])
     per = np.concatenate([b[3] for b in blocks]) if config.collect_period_returns else None
     levels = tuple(a.info_level for a in config.session.agents)
-    keys = tuple((config.master_seed, PATH_DOMAIN, s) for s in range(config.n_sessions))
     return BatchResult(
         config=config,
         levels=levels,
         rel_returns=rel,
         asset_mean_returns=net,
         period_returns=per,
-        path_keys=keys,
     )
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _per_run_rows(batch: BatchResult, per_run, labels):
+    """Rows (session, run, label, value) for a (n_runs, k) array and its k column labels."""
+    runs = batch.config.runs_per_session
+    for row, values in enumerate(per_run):
+        s, r = divmod(row, runs)
+        for label, value in zip(labels, values):
+            yield s, r, label, fmt(value)
 
 
 def write_runs_csv(batch: BatchResult, file) -> None:
     """One row per (session, run, trader): session,run,agent_level,relative_return_pp."""
-    close = False
-    if not hasattr(file, "write"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
-        w.writerow(["session", "run", "agent_level", "relative_return_pp"])
-        runs = batch.config.runs_per_session
-        for row, rr in enumerate(batch.rel_returns):
-            s, r = divmod(row, runs)
-            for lvl, value in zip(batch.levels, rr):
-                w.writerow([s, r, lvl, _fmt(value)])
-    finally:
-        if close:
-            file.close()
+    write_csv(file, ["session", "run", "agent_level", "relative_return_pp"],
+              _per_run_rows(batch, batch.rel_returns, batch.levels))
 
 
 def write_efficiency_csv(batch: BatchResult, file) -> None:
     """Per-period net simple returns: session,run,period,net_simple_return."""
     if batch.period_returns is None:
         raise ValueError("batch was run without collect_period_returns")
-    close = False
-    if not hasattr(file, "write"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
-        w.writerow(["session", "run", "period", "net_simple_return"])
-        runs = batch.config.runs_per_session
-        for row, rets in enumerate(batch.period_returns):
-            s, r = divmod(row, runs)
-            for k, value in enumerate(rets, start=1):
-                w.writerow([s, r, k, _fmt(value)])
-    finally:
-        if close:
-            file.close()
+    periods = range(1, batch.period_returns.shape[1] + 1)
+    write_csv(file, ["session", "run", "period", "net_simple_return"],
+              _per_run_rows(batch, batch.period_returns, periods))

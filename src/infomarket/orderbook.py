@@ -8,9 +8,10 @@ when an order is marketable.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from typing import NamedTuple
+
+from .csvout import write_csv
 
 
 class Order(NamedTuple):
@@ -28,19 +29,14 @@ class Trade(NamedTuple):
 
 
 class Book:
-    """Two-sided book: asks ranked (price asc, seq asc), bids (price desc, seq asc).
+    """Two-sided book: asks ranked (price asc, seq asc), bids (price desc, seq asc)."""
 
-    Cancellation is lazy: a cancelled entry stays in its heap and is skipped
-    when it surfaces; the set of open seq numbers is the source of truth.
-    """
-
-    __slots__ = ("_asks", "_bids", "_seq", "_open")
+    __slots__ = ("_asks", "_bids", "_seq")
 
     def __init__(self) -> None:
         self._asks: list[tuple[float, int, int]] = []  # (price, seq, trader_id)
         self._bids: list[tuple[float, int, int]] = []  # (-price, seq, trader_id)
         self._seq = 0
-        self._open: set[int] = set()
 
     def place_limit(self, trader_id: int, side: str, price: float) -> Order:
         """Rest a one-share limit order; priority is price first, then arrival."""
@@ -54,24 +50,12 @@ class Book:
             heapq.heappush(self._bids, (-price, seq, trader_id))
         else:
             raise ValueError(f"side must be 'bid' or 'ask', got {side!r}")
-        self._open.add(seq)
         return Order(trader_id, side, price, seq)
 
-    def cancel(self, order: Order) -> None:
-        """Remove a resting order; a no-op if it already traded or was cleared."""
-        self._open.discard(order.seq)
-
-    def _prune(self, heap: list[tuple[float, int, int]]) -> None:
-        open_ = self._open
-        while heap and heap[0][1] not in open_:
-            heapq.heappop(heap)
-
     def best_bid(self) -> float | None:
-        self._prune(self._bids)
         return -self._bids[0][0] if self._bids else None
 
     def best_ask(self) -> float | None:
-        self._prune(self._asks)
         return self._asks[0][0] if self._asks else None
 
     def execute_marketable(self, side: str, trader_id: int, step: int) -> Trade | None:
@@ -83,57 +67,34 @@ class Book:
         the resting order's own submitter.
         """
         if side == "buy":
-            self._prune(self._asks)
             if not self._asks:
                 return None
-            price, seq, maker = heapq.heappop(self._asks)
-            self._open.discard(seq)
+            price, _, maker = heapq.heappop(self._asks)
             return Trade(step, price, trader_id, maker)
         if side == "sell":
-            self._prune(self._bids)
             if not self._bids:
                 return None
-            neg_price, seq, maker = heapq.heappop(self._bids)
-            self._open.discard(seq)
+            neg_price, _, maker = heapq.heappop(self._bids)
             return Trade(step, -neg_price, maker, trader_id)
         raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
 
     def clear(self) -> None:
         self._asks.clear()
         self._bids.clear()
-        self._open.clear()
 
     def __len__(self) -> int:
-        return len(self._open)
-
-    def _live_entries(self, heap: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
-        return sorted(e for e in heap if e[1] in self._open)
+        return len(self._asks) + len(self._bids)
 
     def iter_asks(self) -> list[Order]:
         """Resting asks in execution-priority order."""
-        return [Order(tid, "ask", p, seq) for p, seq, tid in self._live_entries(self._asks)]
+        return [Order(tid, "ask", p, seq) for p, seq, tid in sorted(self._asks)]
 
     def iter_bids(self) -> list[Order]:
         """Resting bids in execution-priority order."""
-        return [Order(tid, "bid", -negp, seq) for negp, seq, tid in self._live_entries(self._bids)]
-
-    def snapshot_rows(self) -> list[tuple[str, float, int]]:
-        rows = [(o.side, o.price, o.seq) for o in self.iter_bids()]
-        rows += [(o.side, o.price, o.seq) for o in self.iter_asks()]
-        return rows
+        return [Order(tid, "bid", -negp, seq) for negp, seq, tid in sorted(self._bids)]
 
 
 def write_book_csv(book: Book, file) -> None:
     """Dump a book snapshot as `side,price,seq` rows for debugging/replay."""
-    close = False
-    if not hasattr(file, "write"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
-        w.writerow(["side", "price", "seq"])
-        for side, price, seq in book.snapshot_rows():
-            w.writerow([side, repr(price), seq])
-    finally:
-        if close:
-            file.close()
+    orders = book.iter_bids() + book.iter_asks()
+    write_csv(file, ["side", "price", "seq"], ((o.side, repr(o.price), o.seq) for o in orders))

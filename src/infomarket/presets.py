@@ -1,43 +1,29 @@
 """Named experiment presets binding the standard parameter sets.
 
 Every preset fixes the market and batch parameters for one of the packaged
-experiments; command-line flags can override individual fields.
+experiments on top of the reference market, which is `SessionConfig()`;
+command-line flags can override individual fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dividends import DividendParams, RateParams
 from .engine import SessionConfig, default_market, market_with_levels
 from .montecarlo import BatchConfig
 from .switching import SwitchingConfig
 
-# The reference market: ten traders, one per information level, dividend
-# steps of 0.01 around d0 = 0.2, r_f = 0.001 and r_e = 0.005 per period.
-REFERENCE_RATES = RateParams(r_f=0.001, r_e=0.005)
-REFERENCE_DIVIDENDS = DividendParams(d0=0.2, sigma=0.01, n_periods=30, horizon_pad=9)
 
-
-def reference_session(n_agents: int = 10, *, levels=None, n_periods: int = 30,
-                      steps_per_period: int = 100, clear_book: bool = True,
-                      record_series: bool = False) -> SessionConfig:
+def reference_session(n_agents: int = 10, *, levels=None) -> SessionConfig:
+    """The reference market for a batch: one trader per listed level (default
+    0..n_agents-1), no per-step price series."""
     agents = default_market(n_agents) if levels is None else market_with_levels(levels)
-    return SessionConfig(
-        agents=agents,
-        dividends=DividendParams(d0=0.2, sigma=0.01, n_periods=n_periods, horizon_pad=9),
-        rates=REFERENCE_RATES,
-        n_periods=n_periods,
-        steps_per_period=steps_per_period,
-        clear_book_each_period=clear_book,
-        record_series=record_series,
-    )
+    return replace(SessionConfig(), agents=agents, record_series=False)
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
-    kind: str  # "batch" | "sweep" | "single" | "switching"
     description: str
 
 
@@ -46,43 +32,36 @@ PRESETS: dict[str, ExperimentPreset] = {
     for p in (
         ExperimentPreset(
             "jcurve10",
-            "batch",
             "10-trader batch (100 sessions x 100 runs): relative-return curve "
             "across information levels with the pairwise rank-sum matrix",
         ),
         ExperimentPreset(
             "jcurve3",
-            "batch",
             "3-trader market (levels 0, 4, 9; 100 runs): the same curve with "
             "only an uninformed, a mid-informed and a well-informed trader",
         ),
         ExperimentPreset(
             "tradercount_sweep",
-            "sweep",
             "markets with 3/5/7/9/10 traders (least-informed always present): "
             "how the uninformed trader's relative return approaches zero",
         ),
         ExperimentPreset(
             "efficiency",
-            "batch",
             "default batch collecting every per-period net simple return on "
             "the asset for the efficiency histogram against r_e",
         ),
         ExperimentPreset(
             "stylized",
-            "single",
             "one full session recording the trade-by-trade price series for "
             "autocorrelation/moment/normality analysis of its log-returns",
         ),
         ExperimentPreset(
             "markov3",
-            "switching",
             "3 informed traders switching value/trend rules every period for "
             "100000 periods from all 8 initial profiles; chain estimates",
         ),
         ExperimentPreset(
             "markov5",
-            "switching",
             "5 informed traders, 600000 periods, all 32 initial profiles; "
             "structural check that the best informed stays on the value rule",
         ),
@@ -106,10 +85,9 @@ def batch_for_preset(name: str, master_seed: int, jobs: int | None = None) -> Ba
     raise KeyError(f"not a batch preset: {name}")
 
 
-def sweep_batch(n_traders: int, master_seed: int, n_sessions: int = 40,
-                runs_per_session: int = 50, jobs: int | None = None) -> BatchConfig:
-    return BatchConfig(session=reference_session(n_traders), n_sessions=n_sessions,
-                       runs_per_session=runs_per_session, master_seed=master_seed, jobs=jobs)
+def sweep_batch(n_traders: int, master_seed: int, jobs: int | None = None) -> BatchConfig:
+    return BatchConfig(session=reference_session(n_traders), n_sessions=40,
+                       runs_per_session=50, master_seed=master_seed, jobs=jobs)
 
 
 def switching_for_preset(name: str) -> tuple[SwitchingConfig, tuple[int, ...]]:

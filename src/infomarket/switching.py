@@ -8,15 +8,15 @@ whose transition matrix and state frequencies are estimated from the run.
 
 from __future__ import annotations
 
-import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import numpy as np
 
 from .agents import Strategy
-from .dividends import DividendParams, RateParams, conditional_present_value, generate_dividend_path
+from .csvout import fmt, write_csv
+from .dividends import conditional_present_value, generate_dividend_path
 from .engine import MarketSession, SessionConfig, market_with_levels
 from .rng import SWITCH_DOMAIN, stream
 
@@ -44,30 +44,16 @@ def decode_state(code: int, n_traders: int) -> tuple[Strategy, ...]:
 
 @dataclass(frozen=True)
 class SwitchingConfig:
-    """Market and updating parameters for one switching experiment.
+    """Market size and updating parameters for one switching experiment.
 
-    Defaults follow the small-market setup: dividend steps of 0.01 and a
-    0.001 risk-free rate, with strategy updating at the end of every period.
+    Every other market parameter is the reference market's (`SessionConfig`
+    defaults). Strategies update at the end of every `interval` periods.
     """
 
     n_traders: int = 3
     n_periods: int = 100_000
     interval: int = 1
-    dividend_step: float = 0.01
-    d0: float = 0.2
-    rates: RateParams = RateParams(r_f=0.001, r_e=0.005)
     steps_per_period: int = 100
-    initial_cash: float = 1600.0
-    initial_shares: int = 40
-    initial_price: float = 40.0
-    clear_book_each_period: bool = True
-    # Restore every trader's endowment after each evaluation, so the interval
-    # comparison always measures trading skill from a level start; the price
-    # and the dividend walk continue across intervals.
-    reset_endowments: bool = True
-    # Evaluate wealth with shares marked at the most informed trader's
-    # conditional value instead of the last trade price.
-    mark_to_value: bool = True
     # Run the long experiment as a chain of standard markets of this many
     # periods: each segment restarts the dividend walk, the price and the
     # endowments, while strategies carry over. None disables chaining.
@@ -80,8 +66,6 @@ class SwitchingConfig:
             raise ValueError("n_periods must be >= 1")
         if self.interval < 1 or self.n_periods % self.interval:
             raise ValueError("interval must divide n_periods")
-        if self.reset_endowments and not self.clear_book_each_period:
-            raise ValueError("endowment resets require clearing the book each period")
         if self.session_length is not None:
             if self.session_length < 1 or self.session_length % self.interval:
                 raise ValueError("session_length must be a positive multiple of interval")
@@ -97,17 +81,13 @@ class SwitchingConfig:
             if s is Strategy.CHARTIST
         )
         periods = self.n_periods if n_periods is None else n_periods
-        return SessionConfig(
+        reference = SessionConfig()
+        return replace(
+            reference,
             agents=market_with_levels(range(1, self.n_traders + 1), chartist_levels),
-            dividends=DividendParams(d0=self.d0, sigma=self.dividend_step,
-                                     n_periods=periods, horizon_pad=max(9, self.n_traders)),
-            rates=self.rates,
+            dividends=replace(reference.dividends, n_periods=periods, horizon_pad=max(9, self.n_traders)),
             n_periods=periods,
             steps_per_period=self.steps_per_period,
-            initial_cash=self.initial_cash,
-            initial_shares=self.initial_shares,
-            initial_price=self.initial_price,
-            clear_book_each_period=self.clear_book_each_period,
             record_series=False,
         )
 
@@ -127,6 +107,10 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 
     Each trader compares its wealth return over the elapsed interval to the
     plain mean across traders and flips strategy iff strictly below it.
+    Wealth marks shares at the most informed trader's conditional value, and
+    every trader's endowment is restored after each evaluation, so the
+    comparison always measures trading skill from a level start; the price
+    and the dividend walk continue across intervals.
     """
     n = config.n_traders
     codes = np.empty(config.n_periods // config.interval + 1, dtype=np.int64)
@@ -136,7 +120,6 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     all_equal = 0
     out = 1
     seg_len = config.session_length or config.n_periods
-    r_e = config.rates.r_e
     done = 0
     while done < config.n_periods:
         length = min(seg_len, config.n_periods - done)
@@ -146,9 +129,7 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 
         def mark(k: int) -> float:
             # share value at the end of period k of this segment
-            if config.mark_to_value:
-                return conditional_present_value(path, n, k + 1, r_e)
-            return session.last_price
+            return conditional_present_value(path, n, k + 1, scfg.rates.r_e)
 
         wealth_prev = np.asarray(session.cash) + np.asarray(session.shares, float) * mark(0)
         for k in range(1, length + 1):
@@ -175,13 +156,10 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
                     session.set_strategy(i, strategies[i])
             codes[out] = encode_state(strategies)
             out += 1
-            if config.reset_endowments:
-                for i in range(n):
-                    session.cash[i] = float(config.initial_cash)
-                    session.shares[i] = int(config.initial_shares)
-                wealth_prev = np.asarray(session.cash) + np.asarray(session.shares, float) * m
-            else:
-                wealth_prev = wealth_now
+            for i in range(n):
+                session.cash[i] = float(scfg.initial_cash)
+                session.shares[i] = int(scfg.initial_shares)
+            wealth_prev = np.asarray(session.cash) + np.asarray(session.shares, float) * m
     return SwitchingRun(initial_code, codes, tie_events, all_equal)
 
 
@@ -315,53 +293,21 @@ def run_switching_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _open_for_write(file):
-    if hasattr(file, "write"):
-        return file, False
-    return open(file, "w", newline=""), True
-
-
 def write_states_csv(runs: list[SwitchingRun], file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["initial", "interval", "code"])
-        for run in runs:
-            for idx, code in enumerate(run.codes.tolist()):
-                w.writerow([run.initial_code, idx, code])
-    finally:
-        if close:
-            f.close()
+    write_csv(file, ["initial", "interval", "code"],
+              ((run.initial_code, idx, code) for run in runs for idx, code in enumerate(run.codes.tolist())))
 
 
 def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["from", "to", "prob", "stderr"])
-        n = est.mean_probs.shape[0]
-        for a in range(n):
-            for b in range(n):
-                p = est.mean_probs[a, b]
-                se = est.stderr_probs[a, b]
-                w.writerow([a + 1, b + 1, _fmt(0.0 if np.isnan(p) else p), _fmt(0.0 if np.isnan(se) else se)])
-    finally:
-        if close:
-            f.close()
+    # Rows never visited are NaN in the estimate and written as 0.
+    probs = np.where(np.isnan(est.mean_probs), 0.0, est.mean_probs)
+    stderrs = np.where(np.isnan(est.stderr_probs), 0.0, est.stderr_probs)
+    n = probs.shape[0]
+    write_csv(file, ["from", "to", "prob", "stderr"],
+              ((a + 1, b + 1, fmt(probs[a, b]), fmt(stderrs[a, b])) for a in range(n) for b in range(n)))
 
 
 def write_freqs_csv(est: EnsembleEstimate, file) -> None:
     pi_t, _, _ = stationarity_gap(est.mean_pi, est.mean_probs)
-    f, close = _open_for_write(file)
-    try:
-        w = csv.writer(f)
-        w.writerow(["code", "pi", "pi_T"])
-        for code, (p, pt) in enumerate(zip(est.mean_pi, pi_t), start=1):
-            w.writerow([code, _fmt(p), _fmt(pt)])
-    finally:
-        if close:
-            f.close()
+    write_csv(file, ["code", "pi", "pi_T"],
+              ((code, fmt(p), fmt(pt)) for code, (p, pt) in enumerate(zip(est.mean_pi, pi_t), start=1)))

@@ -148,3 +148,62 @@ def test_help_lists_presets(capsys):
     for preset in ("jcurve10", "jcurve3", "tradercount_sweep", "efficiency",
                    "stylized", "markov3", "markov5"):
         assert preset in text
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects unknown flags by exiting
+        return e.code
+
+
+def test_jcurve3_keeps_its_levels_under_session_flags(tmp_path):
+    out = tmp_path / "j3"
+    assert run_cli("batch", "--preset", "jcurve3", "--seed", "2", "--runs", "3",
+                   "--periods", "4", "--steps", "10", "--out", str(out)) == 0
+    rows = (out / "jcurve.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "4", "9"]
+
+
+SWEEP = ["batch", "--preset", "tradercount_sweep", "--seed", "1", "--sessions", "1",
+         "--runs", "2", "--periods", "3", "--steps", "10", "--jobs", "1"]
+MARKOV = ["markov", "--seed", "1", "--periods", "20", "--steps", "20", "--jobs", "1"]
+TICKS = ["stats", "--ticks", "{ticks}"]
+SIMULATE = ["simulate", "--seed", "1", "--periods", "3", "--steps", "10"]
+STATS = ["stats", "--seed", "1", "--periods", "3", "--steps", "10"]
+
+
+@pytest.mark.parametrize(
+    "base, flag, expected_rc, output",
+    [
+        pytest.param(SWEEP, ["--periods", "4"], 0, "runs_3.csv", id="sweep --periods"),
+        pytest.param(SWEEP, ["--steps", "12"], 0, "runs_3.csv", id="sweep --steps"),
+        pytest.param(SWEEP, ["--no-clearing"], 0, "runs_3.csv", id="sweep --no-clearing"),
+        pytest.param(SWEEP, ["--agents", "4"], 2, None, id="sweep --agents"),
+        pytest.param(MARKOV, ["--steps", "100"], 0, "states.csv", id="markov --steps"),
+        pytest.param(MARKOV, ["--agents", "3"], 2, None, id="markov --agents"),
+        pytest.param(MARKOV, ["--no-clearing"], 2, None, id="markov --no-clearing"),
+        pytest.param(TICKS, ["--agents", "4"], 2, None, id="stats --ticks --agents"),
+        pytest.param(TICKS, ["--periods", "5"], 2, None, id="stats --ticks --periods"),
+        pytest.param(TICKS, ["--steps", "5"], 2, None, id="stats --ticks --steps"),
+        pytest.param(TICKS, ["--no-clearing"], 2, None, id="stats --ticks --no-clearing"),
+        pytest.param(TICKS, ["--per-step"], 2, None, id="stats --ticks --per-step"),
+        pytest.param(TICKS, ["--config", "{config}"], 0, "acf.csv", id="stats --ticks --config"),
+        pytest.param(SIMULATE, ["--jobs", "2"], 2, None, id="simulate --jobs"),
+        pytest.param(STATS, ["--jobs", "2"], 2, None, id="stats --jobs"),
+    ],
+)
+def test_cli_never_silently_drops_a_flag(tmp_path, base, flag, expected_rc, output):
+    """Adding the flag either changes the output or is rejected with exit 2."""
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("time,price\n" + "".join(f"{t},{40 + (t * 7 % 11) * 0.1}\n" for t in range(1, 200)))
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"max_lag": 5}))
+
+    def argv(args, out):
+        return [a.format(ticks=ticks, config=config) for a in args] + ["--out", str(tmp_path / out)]
+
+    assert exit_code(argv(base, "without")) == 0
+    assert exit_code(argv(base + flag, "with")) == expected_rc
+    if output is not None:
+        assert read(tmp_path / "without" / output) != read(tmp_path / "with" / output)

@@ -219,3 +219,12 @@ def test_mark_to_value_flag():
     r_e = b.config.rates.r_e
     mark = b.path.dividend(b.config.n_periods + 1) * (1 + r_e) / r_e
     assert b.final_mark() == pytest.approx(mark)
+
+
+def test_default_config_is_the_reference_market():
+    cfg = SessionConfig()
+    assert [a.info_level for a in cfg.agents] == list(range(10))
+    assert (cfg.dividends.d0, cfg.dividends.sigma) == (0.2, 0.01)
+    assert (cfg.rates.r_f, cfg.rates.r_e) == (0.001, 0.005)
+    assert (cfg.n_periods, cfg.steps_per_period) == (30, 100)
+    assert cfg.clear_book_each_period

@@ -94,27 +94,6 @@ def test_rejects_bad_inputs():
         book.execute_marketable("hold", 1, step=1)
 
 
-def test_cancel_removes_resting_order():
-    book = Book()
-    order = book.place_limit(1, "ask", 41.0)
-    book.place_limit(2, "ask", 42.0)
-    book.cancel(order)
-    assert len(book) == 1
-    assert book.best_ask() == 42.0
-    book.cancel(order)  # no-op
-    assert len(book) == 1
-
-
-def test_cancelled_order_never_fills():
-    book = Book()
-    order = book.place_limit(1, "bid", 40.0)
-    book.place_limit(2, "bid", 39.0)
-    book.cancel(order)
-    trade = book.execute_marketable("sell", 5, step=1)
-    assert trade.buyer_id == 2
-    assert trade.price == 39.0
-
-
 @given(
     st.lists(
         st.tuples(
