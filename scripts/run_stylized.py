@@ -24,7 +24,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = SessionConfig()
-    path = generate_dividend_path(cfg.dividends, stream(args.seed, PATH_DOMAIN, 0))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
     result = run_session(cfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
     returns = log_returns(result.trade_prices)
     ret = acf(returns, args.max_lag)

@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvout import fmt, write_csv
-from .dividends import RateParams
+from .csvout import fmt, text_file, write_csv
 from .engine import SessionResult, session_net_returns
 
 
@@ -196,18 +195,14 @@ class EfficiencyReport:
     r_e: float
     r_f: float
 
-    @property
-    def gap(self) -> float:
-        return self.mean - self.r_e
 
-
-def efficiency_report(result: SessionResult, r_e: float | None = None) -> EfficiencyReport:
-    rates: RateParams = result.config.rates
+def efficiency_report(result: SessionResult) -> EfficiencyReport:
+    rates = result.config.rates
     returns = session_net_returns(result)
     return EfficiencyReport(
         returns=returns,
         mean=float(returns.mean()),
-        r_e=rates.r_e if r_e is None else r_e,
+        r_e=rates.r_e,
         r_f=rates.r_f,
     )
 
@@ -274,18 +269,11 @@ class TickSeries:
     def log_returns(self) -> np.ndarray:
         return log_returns(self.prices)
 
-    def simple_returns(self) -> np.ndarray:
-        return np.diff(self.prices) / self.prices[:-1]
-
 
 def load_ticks(file) -> TickSeries:
     """Read a `time,price` CSV; any malformed row is rejected with its line number."""
-    close = False
-    if not hasattr(file, "read"):
-        file = open(file, newline="")
-        close = True
-    try:
-        reader = csv.reader(file)
+    with text_file(file) as f:
+        reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
@@ -311,9 +299,6 @@ def load_ticks(file) -> TickSeries:
                 raise TickDataError(f"line {lineno}: time {t} not increasing (previous {times[-1]})")
             times.append(t)
             prices.append(p)
-    finally:
-        if close:
-            file.close()
     if len(times) < 2:
         raise TickDataError("need at least two ticks")
     return TickSeries(np.asarray(times), np.asarray(prices))

@@ -205,7 +205,6 @@ def _override_session(session: SessionConfig, args) -> SessionConfig:
         kw["agents"] = default_market(args.agents)
     if args.periods is not None:
         kw["n_periods"] = args.periods
-        kw["dividends"] = replace(session.dividends, n_periods=args.periods)
     if args.steps is not None:
         kw["steps_per_period"] = args.steps
     if args.no_clearing:
@@ -229,7 +228,7 @@ def cmd_simulate(args) -> int:
     eff = _effective(args, seed=seed)
     _announce("simulate", eff, out)
     scfg = _override_session(SessionConfig(), args)
-    path = generate_dividend_path(scfg.dividends, stream(seed, PATH_DOMAIN, 0))
+    path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(seed, PATH_DOMAIN, 0))
     result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
     export_session_csv(result, out)
     _write_manifest(out, "simulate", eff)
@@ -288,7 +287,7 @@ def cmd_stats(args) -> int:
         returns = series.log_returns()
     else:
         scfg = _override_session(SessionConfig(), args)
-        path = generate_dividend_path(scfg.dividends, stream(seed, PATH_DOMAIN, 0))
+        path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(seed, PATH_DOMAIN, 0))
         result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
         prices = result.prices if args.per_step else result.trade_prices
         returns = log_returns(prices)
@@ -321,9 +320,12 @@ def cmd_markov(args) -> int:
         kw["n_periods"] = args.periods
     if args.steps is not None:
         kw["steps_per_period"] = args.steps
-    if args.interval is not None:
-        kw["interval"] = args.interval
     cfg = replace(cfg, **kw)
+    if args.interval is not None:
+        try:
+            cfg = replace(cfg, interval=args.interval)
+        except ValueError as e:
+            raise ConfigError(f"--interval {args.interval}: {e}") from None
     if args.states:
         codes = tuple(int(c) for c in str(args.states).split(","))
     runs = run_switching_ensemble(cfg, codes, seed, jobs=args.jobs)

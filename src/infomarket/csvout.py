@@ -1,8 +1,11 @@
-"""The one CSV writer behind every `write_*_csv` function in the package."""
+"""The one CSV writer behind every `write_*_csv` function, and the path-or-handle
+opener it shares with the tick reader."""
 
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 
 
 def fmt(x) -> str:
@@ -10,19 +13,23 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def write_csv(file, header, rows) -> None:
-    """Write a header and then `rows`, consumed lazily, to a path or an open text handle.
+@contextmanager
+def text_file(file, mode: str = "r"):
+    """Yield a text handle for `file`: a path or an already open handle.
 
-    A handle is left open for its owner; a path is opened, written and closed.
+    A path is opened in `mode` and closed on exit; a handle is passed through
+    and left open for its owner.
     """
-    if hasattr(file, "write"):
-        _write(file, header, rows)
-        return
-    with open(file, "w", newline="") as f:
-        _write(f, header, rows)
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, mode, newline="") as f:
+            yield f
+    else:
+        yield file
 
 
-def _write(f, header, rows) -> None:
-    w = csv.writer(f)
-    w.writerow(header)
-    w.writerows(rows)
+def write_csv(file, header, rows) -> None:
+    """Write a header and then `rows`, consumed lazily, to a path or an open text handle."""
+    with text_file(file, "w") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

@@ -9,7 +9,6 @@ value of the asset, treating the last known one as a perpetuity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,26 +22,17 @@ class DividendParams:
 
     d0: first dividend (currency per share per period)
     sigma: scale of the Gaussian steps
-    n_periods: trading periods the path must cover
-    horizon_pad: extra periods generated so lookahead never runs off the end
+
+    How many dividends a path holds is the session's to decide
+    (`SessionConfig.path_length`), not the walk's.
     """
 
     d0: float = 0.2
     sigma: float = 0.01
-    n_periods: int = 30
-    horizon_pad: int = 9
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.n_periods < 1:
-            raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
-        if self.horizon_pad < 0:
-            raise ValueError(f"horizon_pad must be >= 0, got {self.horizon_pad}")
-
-    @property
-    def length(self) -> int:
-        return self.n_periods + self.horizon_pad
 
 
 @dataclass(frozen=True)
@@ -82,13 +72,16 @@ class DividendPath:
         return float(self.values[period - 1])
 
 
-def generate_dividend_path(params: DividendParams, rng: np.random.Generator) -> DividendPath:
-    """Draw the dividend walk: D(1) = d0, D(i) = |D(i-1) + sigma * z_i|.
+def generate_dividend_path(params: DividendParams, n: int, rng: np.random.Generator) -> DividendPath:
+    """Draw `n` dividends of the walk: D(1) = d0, D(i) = |D(i-1) + sigma * z_i|.
 
     The absolute value is applied at every step, so the walk reflects off
-    zero instead of going negative.
+    zero instead of going negative. The path consumes n - 1 normal draws
+    from `rng`, and a longer path extends a shorter one drawn from the same
+    stream.
     """
-    n = params.length
+    if n < 1:
+        raise ValueError(f"a dividend path needs at least one period, got {n}")
     values = np.empty(n)
     values[0] = params.d0
     d = params.d0
@@ -126,27 +119,3 @@ def write_dividends_csv(path: DividendPath, file) -> None:
     """Write a path as `period,dividend` rows (file: path or open handle)."""
     write_csv(file, ["period", "dividend"],
               ((i, repr(d)) for i, d in enumerate(path.values.tolist(), start=1)))
-
-
-def read_dividends_csv(file) -> DividendPath:
-    """Read a path written by write_dividends_csv; periods must be 1..N in order."""
-    close = False
-    if not hasattr(file, "read"):
-        file = open(file, newline="")
-        close = True
-    try:
-        rows = list(csv.reader(file))
-    finally:
-        if close:
-            file.close()
-    if not rows or rows[0][:2] != ["period", "dividend"]:
-        raise ValueError("expected header 'period,dividend'")
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        period, dividend = int(row[0]), float(row[1])
-        if period != lineno - 1:
-            raise ValueError(f"line {lineno}: periods must run 1..N, got {period}")
-        values.append(dividend)
-    return DividendPath(values)

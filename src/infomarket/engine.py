@@ -21,7 +21,6 @@ import numpy as np
 
 from .agents import (
     AgentSpec,
-    Intent,
     MarketView,
     Strategy,
     decide_chartist,
@@ -66,9 +65,6 @@ class SessionConfig:
     initial_shares: int = 40
     initial_price: float = 40.0
     clear_book_each_period: bool = True
-    # Mark final shares at the going-forward perpetuity value of the next
-    # dividend instead of the last trade price (sensitivity check).
-    mark_final_wealth_to_value: bool = False
     record_series: bool = True
 
     def __post_init__(self) -> None:
@@ -86,11 +82,6 @@ class SessionConfig:
             raise ValueError("initial_price must be positive")
         if self.initial_cash < 0 or self.initial_shares < 0:
             raise ValueError("initial endowments must be non-negative")
-        if self.dividends.length < self.required_path_length:
-            raise ValueError(
-                f"dividend params cover {self.dividends.length} periods, "
-                f"session needs {self.required_path_length}"
-            )
 
     @property
     def max_level(self) -> int:
@@ -100,6 +91,16 @@ class SessionConfig:
     def required_path_length(self) -> int:
         # The most informed trader reads up to D(n_periods + max_level - 1).
         return self.n_periods + max(self.max_level, 1) - 1
+
+    @property
+    def path_length(self) -> int:
+        """Dividends to draw for this session: its periods plus the top level.
+
+        The top level is floored at the reference market's 9, so a market of
+        up to 10 traders draws what the reference market draws and every
+        existing random stream keeps its layout.
+        """
+        return self.n_periods + max(9, self.max_level)
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,9 @@ class SessionResult:
     def initial_wealth(self) -> np.ndarray:
         return self.cash_hist[0] + self.shares_hist[0] * self.config.initial_price
 
-    def final_mark(self) -> float:
-        if self.config.mark_final_wealth_to_value:
-            return conditional_present_value(
-                self.path, 1, self.config.n_periods + 1, self.config.rates.r_e
-            )
-        return float(self.period_end_prices[-1])
-
     def final_wealth(self) -> np.ndarray:
-        return self.cash_hist[-1] + self.shares_hist[-1] * self.final_mark()
+        """Final cash plus shares marked at the last trade price."""
+        return self.cash_hist[-1] + self.shares_hist[-1] * self.period_end_prices[-1]
 
     def wealth_history(self) -> np.ndarray:
         """(n_periods + 1, n_agents) wealth, shares marked at each period's last price."""

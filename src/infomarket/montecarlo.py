@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from pathlib import Path
 
 import numpy as np
 
@@ -63,20 +62,33 @@ class BatchResult:
     def level_means(self) -> dict[int, float]:
         return {lvl: float(self.rel_returns[:, i].mean()) for i, lvl in enumerate(self.levels)}
 
-    def level_stderrs(self) -> dict[int, float]:
-        n = len(self.rel_returns)
-        return {
-            lvl: float(self.rel_returns[:, i].std(ddof=1) / np.sqrt(n))
-            for i, lvl in enumerate(self.levels)
-        }
-
     def mean_net_return(self) -> float:
         return float(self.asset_mean_returns.mean())
 
 
+def parallel_map(task, items, jobs: int | None, key) -> list:
+    """`task` applied to every item, returned sorted by `key`.
+
+    Runs in this process when one worker suffices, else on a pool of forked
+    workers (jobs None: one per CPU, never more than there are items).
+    `task` must be a module-level function so the pool can pickle it.
+    """
+    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+    jobs = max(1, min(jobs, len(items)))
+    if jobs == 1:
+        results = [task(item) for item in items]
+    else:
+        with get_context("fork").Pool(jobs) as pool:
+            results = list(pool.imap_unordered(task, items, chunksize=1))
+    results.sort(key=key)
+    return results
+
+
 def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
     master, s, session_config, runs, collect = args
-    path = generate_dividend_path(session_config.dividends, stream(master, PATH_DOMAIN, s))
+    path = generate_dividend_path(
+        session_config.dividends, session_config.path_length, stream(master, PATH_DOMAIN, s)
+    )
     n_agents = len(session_config.agents)
     rel = np.empty((runs, n_agents))
     net = np.empty(runs)
@@ -97,14 +109,7 @@ def run_batch(config: BatchConfig) -> BatchResult:
         (config.master_seed, s, config.session, config.runs_per_session, config.collect_period_returns)
         for s in range(config.n_sessions)
     ]
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, config.n_sessions))
-    if jobs == 1:
-        blocks = [_run_session_block(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            blocks = list(pool.imap_unordered(_run_session_block, tasks, chunksize=1))
-    blocks.sort(key=lambda b: b[0])
+    blocks = parallel_map(_run_session_block, tasks, config.jobs, key=lambda b: b[0])
     rel = np.concatenate([b[1] for b in blocks])
     net = np.concatenate([b[2] for b in blocks])
     per = np.concatenate([b[3] for b in blocks]) if config.collect_period_returns else None

@@ -8,9 +8,7 @@ whose transition matrix and state frequencies are estimated from the run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -18,7 +16,11 @@ from .agents import Strategy
 from .csvout import fmt, write_csv
 from .dividends import conditional_present_value, generate_dividend_path
 from .engine import MarketSession, SessionConfig, market_with_levels
+from .montecarlo import parallel_map
 from .rng import SWITCH_DOMAIN, stream
+
+# Periods per segment: the long experiment runs as a chain of reference markets.
+SEGMENT_PERIODS = SessionConfig().n_periods
 
 
 def encode_state(strategies) -> int:
@@ -46,47 +48,46 @@ def decode_state(code: int, n_traders: int) -> tuple[Strategy, ...]:
 class SwitchingConfig:
     """Market size and updating parameters for one switching experiment.
 
-    Every other market parameter is the reference market's (`SessionConfig`
-    defaults). Strategies update at the end of every `interval` periods.
+    The `n_periods` run as a chain of segments of `SEGMENT_PERIODS` periods
+    (the last one shorter when they do not divide evenly). Each segment is a
+    fresh reference market (`SessionConfig` defaults apart from the traders
+    and `steps_per_period`): it draws a new dividend walk and restarts the
+    price and the endowments, while the strategies carry over. Strategies
+    update at the end of every `interval` periods, so the interval must
+    divide both the segment and `n_periods`.
     """
 
     n_traders: int = 3
     n_periods: int = 100_000
     interval: int = 1
     steps_per_period: int = 100
-    # Run the long experiment as a chain of standard markets of this many
-    # periods: each segment restarts the dividend walk, the price and the
-    # endowments, while strategies carry over. None disables chaining.
-    session_length: int | None = 30
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_traders <= 16:
             raise ValueError(f"n_traders must be in 1..16, got {self.n_traders}")
         if self.n_periods < 1:
             raise ValueError("n_periods must be >= 1")
-        if self.interval < 1 or self.n_periods % self.interval:
-            raise ValueError("interval must divide n_periods")
-        if self.session_length is not None:
-            if self.session_length < 1 or self.session_length % self.interval:
-                raise ValueError("session_length must be a positive multiple of interval")
+        if self.interval < 1 or self.n_periods % self.interval or SEGMENT_PERIODS % self.interval:
+            raise ValueError(
+                f"interval must divide both the {SEGMENT_PERIODS}-period segment "
+                f"and the run's {self.n_periods} periods"
+            )
 
     @property
     def n_states(self) -> int:
         return 1 << self.n_traders
 
-    def session_config(self, initial_code: int, n_periods: int | None = None) -> SessionConfig:
+    def session_config(self, initial_code: int, n_periods: int) -> SessionConfig:
+        """The market for one segment of `n_periods` periods starting from profile `initial_code`."""
         strategies = decode_state(initial_code, self.n_traders)
         chartist_levels = tuple(
             lvl for lvl, s in zip(range(1, self.n_traders + 1), strategies)
             if s is Strategy.CHARTIST
         )
-        periods = self.n_periods if n_periods is None else n_periods
-        reference = SessionConfig()
         return replace(
-            reference,
+            SessionConfig(),
             agents=market_with_levels(range(1, self.n_traders + 1), chartist_levels),
-            dividends=replace(reference.dividends, n_periods=periods, horizon_pad=max(9, self.n_traders)),
-            n_periods=periods,
+            n_periods=n_periods,
             steps_per_period=self.steps_per_period,
             record_series=False,
         )
@@ -107,10 +108,12 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 
     Each trader compares its wealth return over the elapsed interval to the
     plain mean across traders and flips strategy iff strictly below it.
-    Wealth marks shares at the most informed trader's conditional value, and
-    every trader's endowment is restored after each evaluation, so the
-    comparison always measures trading skill from a level start; the price
-    and the dividend walk continue across intervals.
+    Wealth marks shares at the most informed trader's conditional value.
+    Every trader's endowment is restored after each evaluation, so the
+    comparison always measures trading skill from a level start. The run is
+    a chain of `SEGMENT_PERIODS`-period segments: each one draws a new
+    dividend walk from `rng` and restarts the price and the endowments;
+    only the strategies carry over from one segment to the next.
     """
     n = config.n_traders
     codes = np.empty(config.n_periods // config.interval + 1, dtype=np.int64)
@@ -119,12 +122,11 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     tie_events = 0
     all_equal = 0
     out = 1
-    seg_len = config.session_length or config.n_periods
     done = 0
     while done < config.n_periods:
-        length = min(seg_len, config.n_periods - done)
-        scfg = config.session_config(encode_state(strategies), n_periods=length)
-        path = generate_dividend_path(scfg.dividends, rng)
+        length = min(SEGMENT_PERIODS, config.n_periods - done)
+        scfg = config.session_config(encode_state(strategies), length)
+        path = generate_dividend_path(scfg.dividends, scfg.path_length, rng)
         session = MarketSession(scfg, path, rng)
 
         def mark(k: int) -> float:
@@ -277,15 +279,7 @@ def run_switching_ensemble(
 ) -> list[SwitchingRun]:
     """Independent runs from several initial states, reproducible for any job count."""
     tasks = [(config, code, master_seed) for code in initial_codes]
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(tasks)))
-    if jobs == 1:
-        runs = [_one_switching_run(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(jobs) as pool:
-            runs = list(pool.imap_unordered(_one_switching_run, tasks, chunksize=1))
-    runs.sort(key=lambda r: r.initial_code)
-    return runs
+    return parallel_map(_one_switching_run, tasks, jobs, key=lambda r: r.initial_code)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_load_ticks_happy_path():
     series = load_ticks(buf)
     assert series.times.tolist() == [1.0, 2.0, 4.0]
     assert len(series.log_returns()) == 2
-    assert series.simple_returns()[0] == pytest.approx(0.5 / 40.0)
+    assert series.prices.tolist() == [40.0, 40.5, 39.9]
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,8 @@ MARKOV = ["markov", "--seed", "1", "--periods", "20", "--steps", "20", "--jobs",
 TICKS = ["stats", "--ticks", "{ticks}"]
 SIMULATE = ["simulate", "--seed", "1", "--periods", "3", "--steps", "10"]
 STATS = ["stats", "--seed", "1", "--periods", "3", "--steps", "10"]
+BATCH = ["batch", "--seed", "1", "--sessions", "1", "--runs", "2", "--periods", "3",
+         "--steps", "10", "--jobs", "1"]
 
 
 @pytest.mark.parametrize(
@@ -183,6 +185,7 @@ STATS = ["stats", "--seed", "1", "--periods", "3", "--steps", "10"]
         pytest.param(MARKOV, ["--steps", "100"], 0, "states.csv", id="markov --steps"),
         pytest.param(MARKOV, ["--agents", "3"], 2, None, id="markov --agents"),
         pytest.param(MARKOV, ["--no-clearing"], 2, None, id="markov --no-clearing"),
+        pytest.param(MARKOV, ["--interval", "5"], 0, "states.csv", id="markov --interval"),
         pytest.param(TICKS, ["--agents", "4"], 2, None, id="stats --ticks --agents"),
         pytest.param(TICKS, ["--periods", "5"], 2, None, id="stats --ticks --periods"),
         pytest.param(TICKS, ["--steps", "5"], 2, None, id="stats --ticks --steps"),
@@ -191,6 +194,9 @@ STATS = ["stats", "--seed", "1", "--periods", "3", "--steps", "10"]
         pytest.param(TICKS, ["--config", "{config}"], 0, "acf.csv", id="stats --ticks --config"),
         pytest.param(SIMULATE, ["--jobs", "2"], 2, None, id="simulate --jobs"),
         pytest.param(STATS, ["--jobs", "2"], 2, None, id="stats --jobs"),
+        pytest.param(SIMULATE, ["--agents", "12"], 0, "dividends.csv", id="simulate --agents 12"),
+        pytest.param(BATCH, ["--agents", "12"], 0, "runs.csv", id="batch --agents 12"),
+        pytest.param(STATS, ["--agents", "12"], 0, "moments.csv", id="stats --agents 12"),
     ],
 )
 def test_cli_never_silently_drops_a_flag(tmp_path, base, flag, expected_rc, output):
@@ -207,3 +213,17 @@ def test_cli_never_silently_drops_a_flag(tmp_path, base, flag, expected_rc, outp
     assert exit_code(argv(base + flag, "with")) == expected_rc
     if output is not None:
         assert read(tmp_path / "without" / output) != read(tmp_path / "with" / output)
+
+
+def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
+    assert run_cli(*MARKOV, "--interval", "4", "--out", str(tmp_path / "mk")) == 2
+    err = capsys.readouterr().err
+    assert "--interval" in err and "30-period segment" in err
+
+
+def test_simulate_path_runs_past_the_top_reader(tmp_path):
+    # 11 traders: the level-10 trader reads D(k)..D(k+9) in period k = 1..30
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--agents", "11", "--seed", "2", "--steps", "10", "--out", str(out)) == 0
+    rows = (out / "dividends.csv").read_text().splitlines()
+    assert len(rows) == 1 + 30 + 10

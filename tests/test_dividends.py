@@ -1,6 +1,3 @@
-import io
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +9,6 @@ from infomarket.dividends import (
     RateParams,
     conditional_present_value,
     generate_dividend_path,
-    read_dividends_csv,
-    write_dividends_csv,
 )
 from infomarket.rng import stream
 
@@ -33,40 +28,43 @@ class FakeRng:
 
 
 def test_zero_noise_path_is_constant():
-    params = DividendParams(d0=0.2, sigma=0.0, n_periods=5, horizon_pad=0)
-    path = generate_dividend_path(params, stream(1, 0, 0))
+    params = DividendParams(d0=0.2, sigma=0.0)
+    path = generate_dividend_path(params, 5, stream(1, 0, 0))
     assert np.allclose(path.values, 0.2)
 
 
 def test_single_step_arithmetic():
-    params = DividendParams(d0=0.2, sigma=0.1, n_periods=2, horizon_pad=0)
-    path = generate_dividend_path(params, FakeRng([-0.5]))
+    params = DividendParams(d0=0.2, sigma=0.1)
+    path = generate_dividend_path(params, 2, FakeRng([-0.5]))
     assert path.dividend(1) == 0.2
     assert path.dividend(2) == pytest.approx(0.15)
 
 
 def test_reflection_applied_per_step():
-    params = DividendParams(d0=0.02, sigma=0.1, n_periods=2, horizon_pad=0)
-    path = generate_dividend_path(params, FakeRng([-1.0]))
+    params = DividendParams(d0=0.02, sigma=0.1)
+    path = generate_dividend_path(params, 2, FakeRng([-1.0]))
     assert path.dividend(2) == pytest.approx(0.08)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_paths_never_negative(seed, sigma):
-    params = DividendParams(d0=0.2, sigma=sigma, n_periods=40, horizon_pad=9)
-    path = generate_dividend_path(params, stream(seed))
+    params = DividendParams(d0=0.2, sigma=sigma)
+    path = generate_dividend_path(params, 49, stream(seed))
     assert (path.values >= 0).all()
     assert len(path) == 49
 
 
 def test_seed_determinism():
     params = DividendParams()
-    a = generate_dividend_path(params, stream(7, 0, 3))
-    b = generate_dividend_path(params, stream(7, 0, 3))
+    a = generate_dividend_path(params, 39, stream(7, 0, 3))
+    b = generate_dividend_path(params, 39, stream(7, 0, 3))
     assert np.array_equal(a.values, b.values)
-    c = generate_dividend_path(params, stream(7, 0, 4))
+    c = generate_dividend_path(params, 39, stream(7, 0, 4))
     assert not np.array_equal(a.values, c.values)
+    # a longer path from the same stream extends the shorter one
+    longer = generate_dividend_path(params, 45, stream(7, 0, 3))
+    assert np.array_equal(longer.values[:39], a.values)
 
 
 def test_pv_level_one_direct_value():
@@ -89,7 +87,7 @@ def test_constant_path_pv_independent_of_level(level):
 @given(st.floats(0.1, 10.0), st.integers(1, 9), st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_pv_scales_linearly(scale, level, period):
-    base = generate_dividend_path(DividendParams(n_periods=20, horizon_pad=9), stream(3))
+    base = generate_dividend_path(DividendParams(), 29, stream(3))
     scaled = DividendPath(base.values * scale)
     pv1 = conditional_present_value(base, level, period, 0.005)
     pv2 = conditional_present_value(scaled, level, period, 0.005)
@@ -99,7 +97,7 @@ def test_pv_scales_linearly(scale, level, period):
 def test_pv_oracle_brute_force():
     # independent recomputation: perpetuity of the last known dividend plus
     # individually discounted known dividends
-    path = generate_dividend_path(DividendParams(n_periods=12, horizon_pad=9), stream(11))
+    path = generate_dividend_path(DividendParams(), 21, stream(11))
     r_e = 0.005
     for level in (1, 3, 9):
         for period in (1, 5, 12):
@@ -122,23 +120,9 @@ def test_param_validation():
     with pytest.raises(ValueError):
         DividendParams(sigma=-0.1)
     with pytest.raises(ValueError):
-        DividendParams(n_periods=0)
+        generate_dividend_path(DividendParams(), 0, stream(1))
     with pytest.raises(ValueError):
         RateParams(r_e=0.0)
     with pytest.raises(ValueError):
         DividendPath([0.1, -0.2])
 
-
-def test_csv_roundtrip():
-    path = generate_dividend_path(DividendParams(n_periods=6, horizon_pad=2), stream(5))
-    buf = io.StringIO()
-    write_dividends_csv(path, buf)
-    buf.seek(0)
-    back = read_dividends_csv(buf)
-    assert np.array_equal(path.values, back.values)
-
-
-def test_csv_rejects_bad_period_order():
-    buf = io.StringIO("period,dividend\n1,0.2\n3,0.3\n")
-    with pytest.raises(ValueError, match="line 3"):
-        read_dividends_csv(buf)

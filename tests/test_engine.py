@@ -19,7 +19,7 @@ from infomarket.rng import stream
 def small_config(**kw):
     defaults = dict(
         agents=default_market(4),
-        dividends=DividendParams(sigma=0.01, n_periods=6, horizon_pad=9),
+        dividends=DividendParams(sigma=0.01),
         rates=RateParams(r_f=0.001, r_e=0.005),
         n_periods=6,
         steps_per_period=30,
@@ -30,7 +30,7 @@ def small_config(**kw):
 
 def run_small(seed=3, **kw):
     cfg = small_config(**kw)
-    path = generate_dividend_path(cfg.dividends, stream(seed, 0, 0))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(seed, 0, 0))
     return run_session(cfg, path, stream(seed, 1, 0, 0))
 
 
@@ -138,11 +138,11 @@ def test_all_random_market_is_symmetric():
     # mean relative returns must be statistically indistinguishable from zero
     cfg = small_config(
         agents=market_with_levels([0, 0, 0, 0]),
-        dividends=DividendParams(sigma=0.0, n_periods=5, horizon_pad=9),
+        dividends=DividendParams(sigma=0.0),
         n_periods=5,
         steps_per_period=25,
     )
-    path = generate_dividend_path(cfg.dividends, stream(0, 0, 0))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(0, 0, 0))
     rels = np.array(
         [relative_returns(run_session(cfg, path, stream(0, 1, 0, r))) for r in range(300)]
     )
@@ -154,7 +154,7 @@ def test_all_random_market_is_symmetric():
 
 def test_clear_book_flag_controls_persistence():
     cfg = small_config(clear_book_each_period=False)
-    path = generate_dividend_path(cfg.dividends, stream(2, 0, 0))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(2, 0, 0))
     session = MarketSession(cfg, path, stream(2, 1, 0, 0))
     session.run_period()
     assert len(session.book) > 0
@@ -166,9 +166,7 @@ def test_clear_book_flag_controls_persistence():
 
 def test_path_too_short_rejected():
     cfg = small_config()
-    short = generate_dividend_path(
-        DividendParams(sigma=0.01, n_periods=3, horizon_pad=0), stream(1)
-    )
+    short = generate_dividend_path(cfg.dividends, cfg.required_path_length - 1, stream(1))
     with pytest.raises(ValueError):
         MarketSession(cfg, short, stream(1))
 
@@ -184,7 +182,7 @@ def test_config_validation():
 
 def test_set_strategy_guards():
     cfg = small_config()
-    path = generate_dividend_path(cfg.dividends, stream(4, 0, 0))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(4, 0, 0))
     session = MarketSession(cfg, path, stream(4, 1, 0, 0))
     session.set_strategy(1, Strategy.CHARTIST)
     assert session.strategies[1] is Strategy.CHARTIST
@@ -211,16 +209,6 @@ def test_export_session_csv(tmp_path):
     assert len(wealth_lines) == 1 + 4 * (6 + 1)
 
 
-def test_mark_to_value_flag():
-    a = run_small(seed=6)
-    b = run_small(seed=6, mark_final_wealth_to_value=True)
-    assert np.array_equal(a.cash_hist, b.cash_hist)
-    # same run, different final mark
-    r_e = b.config.rates.r_e
-    mark = b.path.dividend(b.config.n_periods + 1) * (1 + r_e) / r_e
-    assert b.final_mark() == pytest.approx(mark)
-
-
 def test_default_config_is_the_reference_market():
     cfg = SessionConfig()
     assert [a.info_level for a in cfg.agents] == list(range(10))
@@ -228,3 +216,10 @@ def test_default_config_is_the_reference_market():
     assert (cfg.rates.r_f, cfg.rates.r_e) == (0.001, 0.005)
     assert (cfg.n_periods, cfg.steps_per_period) == (30, 100)
     assert cfg.clear_book_each_period
+
+
+@pytest.mark.parametrize("n_agents, n_periods, length", [(10, 30, 39), (4, 6, 15), (11, 30, 40), (16, 5, 20)])
+def test_path_length_is_periods_plus_top_level_floored_at_nine(n_agents, n_periods, length):
+    cfg = SessionConfig(agents=default_market(n_agents), n_periods=n_periods)
+    assert cfg.path_length == length
+    assert cfg.path_length >= cfg.required_path_length

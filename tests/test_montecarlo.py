@@ -12,7 +12,7 @@ from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
 def tiny_session():
     return SessionConfig(
         agents=default_market(4),
-        dividends=DividendParams(sigma=0.01, n_periods=5, horizon_pad=9),
+        dividends=DividendParams(sigma=0.01),
         rates=RateParams(r_f=0.001, r_e=0.005),
         n_periods=5,
         steps_per_period=20,
@@ -29,7 +29,7 @@ def tiny_batch(**kw):
 def test_single_run_batch_equals_direct_call():
     cfg = tiny_batch(n_sessions=1, runs_per_session=1)
     batch = run_batch(cfg)
-    path = generate_dividend_path(cfg.session.dividends, stream(99, PATH_DOMAIN, 0))
+    path = generate_dividend_path(cfg.session.dividends, cfg.session.path_length, stream(99, PATH_DOMAIN, 0))
     direct = relative_returns(run_session(cfg.session, path, stream(99, RUN_DOMAIN, 0, 0)))
     assert np.array_equal(batch.rel_returns[0], direct)
 

@@ -1,0 +1,41 @@
+"""Smoke tests: every experiment script in scripts/ runs at a tiny size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_run_stylized_defaults():
+    proc = run_script("run_stylized.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "kurt=" in proc.stdout
+    assert " lag  acf(ret)  acf(|ret|)" in proc.stdout
+
+
+def test_run_jcurve_tiny(tmp_path):
+    out = tmp_path / "jcurve"
+    proc = run_script("run_jcurve.py", "--sessions", "1", "--runs", "1", "--jobs", "1",
+                      "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("runs.csv", "jcurve.csv", "pvalues.csv", "manifest.json"):
+        assert (out / name).exists()
+    assert proc.stdout.rstrip().endswith((out / "jcurve.csv").read_text().rstrip())
+
+
+def test_run_markov_tiny():
+    proc = run_script("run_markov.py", "--periods", "30", "--jobs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "markov3: 8 runs x 30 periods" in proc.stdout
+    assert "stationarity gap" in proc.stdout

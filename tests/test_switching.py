@@ -95,14 +95,16 @@ def test_switching_sim_records_expected_length_and_codes():
 
 
 def test_switching_sim_interval():
-    cfg = small_switching(n_periods=40, interval=4, session_length=None)
+    cfg = small_switching(n_periods=40, interval=5)
     run = run_switching_sim(cfg, 1, stream(7, 2, 1))
-    assert len(run.codes) == 11
+    assert len(run.codes) == 9
 
 
-def test_interval_must_fit_session_length():
-    with pytest.raises(ValueError):
-        small_switching(n_periods=40, interval=4, session_length=30)
+def test_interval_must_divide_the_segment_and_the_run():
+    with pytest.raises(ValueError, match="30-period segment"):
+        small_switching(n_periods=40, interval=4)  # divides 40, not 30
+    with pytest.raises(ValueError, match="30-period segment"):
+        small_switching(n_periods=50, interval=3)  # divides 30, not 50
 
 
 def test_switching_determinism():
