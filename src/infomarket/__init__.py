@@ -18,7 +18,7 @@ from .engine import (
     run_session,
     session_net_returns,
 )
-from .orderbook import Book, Order, Trade
+from .orderbook import Book, Trade
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "Intent",
     "MarketSession",
     "MarketView",
-    "Order",
     "RateParams",
     "SessionConfig",
     "SessionResult",

@@ -1,8 +1,10 @@
-"""Order-placement rules for the three trader types.
+"""Trading rules for the three trader types.
 
 Each rule is a pure function from the trader's view of the market (plus its
-own valuation, for fundamentalists) to an action intent. Portfolio state,
-feasibility checks and order routing live in the engine.
+own valuation, for fundamentalists) to an action intent, and it alone decides
+whether the order trades now: every priced order ends in `_order`, which
+turns a quote that crosses the opposite real best into a market order. The
+engine only checks that the trader can afford the intent and carries it out.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ class AgentSpec:
 class MarketView(NamedTuple):
     """What a trader sees when activated.
 
-    price_history holds the per-step last-price series, most recent entry
-    last and equal to p; only the trailing four entries are ever read.
-    time is the 1-based global step index.
+    price_history holds the last price of up to three completed steps,
+    oldest first, followed by p. time is the 1-based global step index.
     """
 
     p: float
@@ -68,15 +69,21 @@ def decide_random(view: MarketView, rng: np.random.Generator) -> Intent:
     market order only if it crosses the existing opposite best; a missing
     quote on the comparison side means no cross.
     """
-    if rng.random() < 0.5:
-        ask = view.p + 2.0 * rng.standard_normal()
-        if view.best_bid is not None and ask < view.best_bid:
+    side = "sell" if rng.random() < 0.5 else "buy"
+    return _order(side, view.p + 2.0 * rng.standard_normal(), view)
+
+
+def _order(side: str, price: float, view: MarketView) -> Intent:
+    """The intent for an order at `price`: a market order when it crosses the
+    opposite real best (and fills at that quote), a resting limit order when
+    the price is positive, otherwise nothing."""
+    if side == "sell":
+        if view.best_bid is not None and price < view.best_bid:
             return Intent("market_sell", None)
-        return Intent("limit_ask", ask) if ask > 0 else NO_ACTION
-    bid = view.p + 2.0 * rng.standard_normal()
-    if view.best_ask is not None and bid > view.best_ask:
+        return Intent("limit_ask", price) if price > 0 else NO_ACTION
+    if view.best_ask is not None and price > view.best_ask:
         return Intent("market_buy", None)
-    return Intent("limit_bid", bid) if bid > 0 else NO_ACTION
+    return Intent("limit_bid", price) if price > 0 else NO_ACTION
 
 
 def _effective_quotes(view: MarketView, anchor: float) -> tuple[float, float]:
@@ -93,10 +100,12 @@ def _inside_limit(anchor: float, view: MarketView, rng: np.random.Generator) -> 
     # at the anchor plus noise proportional to the distance on the other side.
     bid, ask = _effective_quotes(view, anchor)
     if (ask - anchor) > (anchor - bid):
-        price = anchor + 0.25 * rng.standard_normal() * (anchor - bid)
-        return Intent("limit_ask", price) if price > 0 else NO_ACTION
-    price = anchor + 0.25 * rng.standard_normal() * (ask - anchor)
-    return Intent("limit_bid", price) if price > 0 else NO_ACTION
+        side, price = "sell", anchor + 0.25 * rng.standard_normal() * (anchor - bid)
+    else:
+        side, price = "buy", anchor + 0.25 * rng.standard_normal() * (ask - anchor)
+    # A non-positive quote is dropped before the crossing test, so it never
+    # becomes a market order even under a real opposite quote.
+    return _order(side, price, view) if price > 0 else NO_ACTION
 
 
 def decide_fundamentalist(pv: float, view: MarketView, rng: np.random.Generator) -> Intent:
@@ -109,18 +118,6 @@ def decide_fundamentalist(pv: float, view: MarketView, rng: np.random.Generator)
     return _inside_limit(pv, view, rng)
 
 
-def _aggressive(side: str, price: float, view: MarketView) -> Intent:
-    # An order meant to trade now: fill at the opposite best if it crosses,
-    # otherwise rest at the stated price.
-    if side == "sell":
-        if view.best_bid is not None and price < view.best_bid:
-            return Intent("market_sell", None)
-        return Intent("limit_ask", price) if price > 0 else NO_ACTION
-    if view.best_ask is not None and price > view.best_ask:
-        return Intent("market_buy", None)
-    return Intent("limit_bid", price) if price > 0 else NO_ACTION
-
-
 def decide_chartist(view: MarketView, rng: np.random.Generator) -> Intent:
     """Trend rule: sell into three strictly falling steps, buy into three rising.
 
@@ -131,11 +128,11 @@ def decide_chartist(view: MarketView, rng: np.random.Generator) -> Intent:
     h = view.price_history
     if view.time > 4 and len(h) >= 4:
         if h[-1] < h[-2] < h[-3] < h[-4]:
-            return _aggressive("sell", h[-1] - abs(rng.standard_normal()), view)
+            return _order("sell", h[-1] - abs(rng.standard_normal()), view)
         if h[-1] > h[-2] > h[-3] > h[-4]:
-            return _aggressive("buy", h[-1] + abs(rng.standard_normal()), view)
+            return _order("buy", h[-1] + abs(rng.standard_normal()), view)
     if view.time < 4:
         if rng.random() < 0.5:
-            return _aggressive("sell", view.p - abs(rng.standard_normal()), view)
-        return _aggressive("buy", view.p + abs(rng.standard_normal()), view)
+            return _order("sell", view.p - abs(rng.standard_normal()), view)
+        return _order("buy", view.p + abs(rng.standard_normal()), view)
     return _inside_limit(view.p, view, rng)

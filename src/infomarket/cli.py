@@ -48,6 +48,7 @@ from .presets import (
     PRESETS,
     SWEEP_TRADER_COUNTS,
     batch_for_preset,
+    presets_for,
     sweep_batch,
     switching_for_preset,
 )
@@ -74,10 +75,12 @@ class ConfigError(Exception):
     pass
 
 
-def _preset_help() -> str:
+def _preset_help(command: str | None = None) -> str:
+    """The preset list for `command`'s help, or every preset for the top level."""
     lines = ["presets:"]
     for p in PRESETS.values():
-        lines.append(f"  {p.name:<18} {p.description}")
+        if command in (None, p.command):
+            lines.append(f"  {p.name:<18} {p.description}")
     return "\n".join(lines)
 
 
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
             p.add_argument("--jobs", type=int, default=None, help="worker processes")
-            p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+            p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"), default=None)
         if not markov:
             p.add_argument("--agents", type=int, default=None, help="number of traders")
         p.add_argument("--periods", type=int, default=None, help="trading periods")
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one session and export its CSV bundle")
     common(p)
     p = sub.add_parser("batch", help="run a Monte Carlo batch or sweep",
-                       epilog=_preset_help(),
+                       epilog=_preset_help("batch"),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     common(p, preset=True, batch=True)
     p = sub.add_parser("stats", help="analytics over a simulated run or tick CSV")
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-step", action="store_true",
                    help="use per-step prices instead of per-trade prices")
     p = sub.add_parser("markov", help="strategy-switching experiments",
-                       epilog=_preset_help(),
+                       epilog=_preset_help("markov"),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     common(p, preset=True, markov=True)
     p = sub.add_parser("replay", help="re-run a stored manifest bit-exactly")

@@ -7,9 +7,11 @@ is a fixed number of steps; in each step one uniformly chosen trader acts. At
 the period end, cash earns the risk-free rate, shares pay the period's
 dividend, and the book is cleared (unless configured otherwise).
 
-Traders can neither short nor buy on credit: an order is refused when the
-trader's free shares or free cash (net of what its resting orders commit)
-do not cover it.
+The trading rules decide whether an order trades now or rests; the session
+only checks that the trader can afford it and places or executes it. Traders
+can neither short nor buy on credit: an order is refused when the trader's
+free shares or free cash (net of what its resting orders commit) do not
+cover it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class SessionConfig:
     initial_shares: int = 40
     initial_price: float = 40.0
     clear_book_each_period: bool = True
-    record_series: bool = True
 
     def __post_init__(self) -> None:
         if not self.agents:
@@ -109,7 +110,7 @@ class SessionResult:
 
     config: SessionConfig
     path: DividendPath
-    prices: np.ndarray | None  # per-step last trade price, None when not recorded
+    prices: np.ndarray  # per-step last trade price
     trade_steps: np.ndarray
     trade_prices: np.ndarray
     trade_buyers: np.ndarray
@@ -156,8 +157,7 @@ class MarketSession:
         self._held_cash = [0.0] * n  # committed to resting bids
         self._held_shares = [0] * n  # committed to resting asks
         self.last_price = float(config.initial_price)
-        self._recent: list[float] = []  # trailing 3 recorded step prices
-        self.prices: list[float] | None = [] if config.record_series else None
+        self.prices: list[float] = []  # last price after each completed step
         self.period_end_prices: list[float] = []
         self._trade_steps: list[int] = []
         self._trade_prices: list[float] = []
@@ -166,7 +166,6 @@ class MarketSession:
         self.cash_hist = [self.cash.copy()]
         self.shares_hist = [self.shares.copy()]
         self._pv: list[float | None] = [None] * n
-        self._time = 0  # completed global steps
         self.periods_done = 0
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
@@ -195,16 +194,9 @@ class MarketSession:
             if self.levels[i] > 0:
                 activate(i)
         prices = self.prices
-        recent = self._recent
         for i in rng.integers(0, self.n_agents, size=self.config.steps_per_period).tolist():
             activate(i)
-            price = self.last_price
-            if prices is not None:
-                prices.append(price)
-            recent.append(price)
-            if len(recent) > 3:
-                del recent[0]
-            self._time += 1
+            prices.append(self.last_price)
         d = self.path.dividend(k)
         growth = 1.0 + self.config.rates.r_f
         cash, shares = self.cash, self.shares
@@ -223,7 +215,9 @@ class MarketSession:
     def _activate(self, i: int) -> None:
         book = self.book
         p = self.last_price
-        view = MarketView(p, book.best_bid(), book.best_ask(), tuple(self._recent) + (p,), self._time + 1)
+        prices = self.prices
+        step = len(prices) + 1
+        view = MarketView(p, book.best_bid(), book.best_ask(), (*prices[-3:], p), step)
         strat = self.strategies[i]
         if strat is Strategy.RANDOM:
             intent = decide_random(view, self.rng)
@@ -234,7 +228,6 @@ class MarketSession:
         kind = intent.kind
         if kind == "none":
             return
-        step = self._time + 1
         if kind == "market_sell":
             if self.shares[i] - self._held_shares[i] < 1:
                 return
@@ -242,33 +235,21 @@ class MarketSession:
             if trade is not None:
                 self._settle(trade, maker_side="bid")
         elif kind == "market_buy":
-            ask = book.best_ask()
+            ask = view.best_ask
             if ask is None or self.cash[i] - self._held_cash[i] < ask:
                 return
             self._settle(book.execute_marketable("buy", i, step), maker_side="ask")
         elif kind == "limit_ask":
             if self.shares[i] - self._held_shares[i] < 1:
                 return
-            price = float(intent.price)
-            bid = book.best_bid()
-            if bid is not None and price < bid:
-                # Crossing limit: marketable, fills at the resting bid's price.
-                self._settle(book.execute_marketable("sell", i, step), maker_side="bid")
-            else:
-                book.place_limit(i, "ask", price)
-                self._held_shares[i] += 1
+            book.place_limit(i, "ask", float(intent.price))
+            self._held_shares[i] += 1
         else:  # limit_bid
             price = float(intent.price)
-            ask = book.best_ask()
-            if ask is not None and price > ask:
-                if self.cash[i] - self._held_cash[i] < ask:
-                    return
-                self._settle(book.execute_marketable("buy", i, step), maker_side="ask")
-            else:
-                if self.cash[i] - self._held_cash[i] < price:
-                    return
-                book.place_limit(i, "bid", price)
-                self._held_cash[i] += price
+            if self.cash[i] - self._held_cash[i] < price:
+                return
+            book.place_limit(i, "bid", price)
+            self._held_cash[i] += price
 
     def _settle(self, trade, maker_side: str) -> None:
         price = float(trade.price)
@@ -297,7 +278,7 @@ class MarketSession:
         return SessionResult(
             config=self.config,
             path=self.path,
-            prices=None if self.prices is None else np.asarray(self.prices),
+            prices=np.asarray(self.prices),
             trade_steps=np.asarray(self._trade_steps, dtype=np.int64),
             trade_prices=np.asarray(self._trade_prices),
             trade_buyers=np.asarray(self._trade_buyers, dtype=np.int64),
@@ -334,9 +315,8 @@ def export_session_csv(result: SessionResult, outdir) -> None:
     """Write the CSV bundle for one session: prices, trades, wealth, dividends."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    if result.prices is not None:
-        write_csv(out / "prices.csv", ["step", "price"],
-                  ((t, fmt(price)) for t, price in enumerate(result.prices.tolist(), start=1)))
+    write_csv(out / "prices.csv", ["step", "price"],
+              ((t, fmt(price)) for t, price in enumerate(result.prices.tolist(), start=1)))
     write_csv(
         out / "trades.csv",
         ["step", "price", "buyer", "seller"],

@@ -2,7 +2,7 @@
 
 Every order is for exactly one share. Marketable executions fill against the
 best resting order on the opposite side at that order's limit price (maker
-price). The book itself never matches on insert; the session engine decides
+price). The book itself never matches on insert; the trading rules decide
 when an order is marketable.
 """
 
@@ -10,15 +10,6 @@ from __future__ import annotations
 
 import heapq
 from typing import NamedTuple
-
-from .csvout import write_csv
-
-
-class Order(NamedTuple):
-    trader_id: int
-    side: str  # "bid" | "ask"
-    price: float
-    seq: int
 
 
 class Trade(NamedTuple):
@@ -38,7 +29,7 @@ class Book:
         self._bids: list[tuple[float, int, int]] = []  # (-price, seq, trader_id)
         self._seq = 0
 
-    def place_limit(self, trader_id: int, side: str, price: float) -> Order:
+    def place_limit(self, trader_id: int, side: str, price: float) -> None:
         """Rest a one-share limit order; priority is price first, then arrival."""
         if price <= 0:
             raise ValueError(f"limit price must be positive, got {price}")
@@ -50,7 +41,6 @@ class Book:
             heapq.heappush(self._bids, (-price, seq, trader_id))
         else:
             raise ValueError(f"side must be 'bid' or 'ask', got {side!r}")
-        return Order(trader_id, side, price, seq)
 
     def best_bid(self) -> float | None:
         return -self._bids[0][0] if self._bids else None
@@ -84,17 +74,3 @@ class Book:
 
     def __len__(self) -> int:
         return len(self._asks) + len(self._bids)
-
-    def iter_asks(self) -> list[Order]:
-        """Resting asks in execution-priority order."""
-        return [Order(tid, "ask", p, seq) for p, seq, tid in sorted(self._asks)]
-
-    def iter_bids(self) -> list[Order]:
-        """Resting bids in execution-priority order."""
-        return [Order(tid, "bid", -negp, seq) for negp, seq, tid in sorted(self._bids)]
-
-
-def write_book_csv(book: Book, file) -> None:
-    """Dump a book snapshot as `side,price,seq` rows for debugging/replay."""
-    orders = book.iter_bids() + book.iter_asks()
-    write_csv(file, ["side", "price", "seq"], ((o.side, repr(o.price), o.seq) for o in orders))

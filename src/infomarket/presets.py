@@ -16,14 +16,15 @@ from .switching import SwitchingConfig
 
 def reference_session(n_agents: int = 10, *, levels=None) -> SessionConfig:
     """The reference market for a batch: one trader per listed level (default
-    0..n_agents-1), no per-step price series."""
+    0..n_agents-1)."""
     agents = default_market(n_agents) if levels is None else market_with_levels(levels)
-    return replace(SessionConfig(), agents=agents, record_series=False)
+    return replace(SessionConfig(), agents=agents)
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
+    command: str  # the subcommand that runs it
     description: str
 
 
@@ -31,37 +32,37 @@ PRESETS: dict[str, ExperimentPreset] = {
     p.name: p
     for p in (
         ExperimentPreset(
-            "jcurve10",
+            "jcurve10", "batch",
             "10-trader batch (100 sessions x 100 runs): relative-return curve "
             "across information levels with the pairwise rank-sum matrix",
         ),
         ExperimentPreset(
-            "jcurve3",
+            "jcurve3", "batch",
             "3-trader market (levels 0, 4, 9; 100 runs): the same curve with "
             "only an uninformed, a mid-informed and a well-informed trader",
         ),
         ExperimentPreset(
-            "tradercount_sweep",
+            "tradercount_sweep", "batch",
             "markets with 3/5/7/9/10 traders (least-informed always present): "
             "how the uninformed trader's relative return approaches zero",
         ),
         ExperimentPreset(
-            "efficiency",
+            "efficiency", "batch",
             "default batch collecting every per-period net simple return on "
             "the asset for the efficiency histogram against r_e",
         ),
         ExperimentPreset(
-            "stylized",
+            "stylized", "stats",
             "one full session recording the trade-by-trade price series for "
             "autocorrelation/moment/normality analysis of its log-returns",
         ),
         ExperimentPreset(
-            "markov3",
+            "markov3", "markov",
             "3 informed traders switching value/trend rules every period for "
             "100000 periods from all 8 initial profiles; chain estimates",
         ),
         ExperimentPreset(
-            "markov5",
+            "markov5", "markov",
             "5 informed traders, 600000 periods, all 32 initial profiles; "
             "structural check that the best informed stays on the value rule",
         ),
@@ -69,6 +70,11 @@ PRESETS: dict[str, ExperimentPreset] = {
 }
 
 SWEEP_TRADER_COUNTS = (3, 5, 7, 9, 10)
+
+
+def presets_for(command: str) -> list[str]:
+    """Names of the presets `command` runs, sorted."""
+    return sorted(p.name for p in PRESETS.values() if p.command == command)
 
 
 def batch_for_preset(name: str, master_seed: int, jobs: int | None = None) -> BatchConfig:

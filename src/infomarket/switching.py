@@ -89,7 +89,6 @@ class SwitchingConfig:
             agents=market_with_levels(range(1, self.n_traders + 1), chartist_levels),
             n_periods=n_periods,
             steps_per_period=self.steps_per_period,
-            record_series=False,
         )
 
 
@@ -231,10 +230,15 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
     mats = np.array(mats)
     pis = np.array(pis)
     m = len(runs)
-    with np.errstate(invalid="ignore"):
-        mean_probs = np.nanmean(mats, axis=0)
-        spread = np.nanstd(mats, axis=0, ddof=1 if m > 1 else 0)
-    stderr_probs = spread / np.sqrt(m)
+    # A cell's estimate averages the runs that visited its row (NaN where
+    # none did); its spread needs two of them, so fewer leave the stderr NaN.
+    seen = ~np.isnan(mats)
+    contributing = seen.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_probs = np.where(seen, mats, 0.0).sum(axis=0) / contributing
+        dev = np.where(seen, mats - mean_probs, 0.0)
+        spread = np.sqrt((dev * dev).sum(axis=0) / (contributing - 1))
+    stderr_probs = np.where(contributing > 1, spread / np.sqrt(m), np.nan)
     row_totals = total_counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         pooled_probs = total_counts / row_totals[:, None]
@@ -243,7 +247,7 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
         mean_probs=mean_probs,
         stderr_probs=stderr_probs,
         mean_pi=pis.mean(axis=0),
-        stderr_pi=pis.std(axis=0, ddof=1 if m > 1 else 0) / np.sqrt(m),
+        stderr_pi=pis.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(n_states, np.nan),
         pooled=pooled,
         runs=tuple(runs),
     )
@@ -293,9 +297,10 @@ def write_states_csv(runs: list[SwitchingRun], file) -> None:
 
 
 def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
-    # Rows never visited are NaN in the estimate and written as 0.
+    # Rows never visited are NaN in the estimate and written as prob 0; a
+    # stderr that fewer than two runs support is written as nan.
     probs = np.where(np.isnan(est.mean_probs), 0.0, est.mean_probs)
-    stderrs = np.where(np.isnan(est.stderr_probs), 0.0, est.stderr_probs)
+    stderrs = est.stderr_probs
     n = probs.shape[0]
     write_csv(file, ["from", "to", "prob", "stderr"],
               ((a + 1, b + 1, fmt(probs[a, b]), fmt(stderrs[a, b])) for a in range(n) for b in range(n)))

@@ -115,6 +115,31 @@ def test_fundamentalist_empty_book_uses_synthetic_quotes():
     assert intent.price == pytest.approx(50.0)
 
 
+def test_inside_quote_that_crosses_the_real_best_is_a_market_order():
+    # value 50 between the quotes; noise pushes the inside quote past the
+    # opposite real best, so the rule itself returns a market order
+    sell = decide_fundamentalist(50.0, view(best_bid=48.0, best_ask=60.0), ScriptedRng(normals=[-5.0]))
+    assert sell.kind == "market_sell"
+    buy = decide_fundamentalist(50.0, view(best_bid=45.0, best_ask=52.0), ScriptedRng(normals=[5.0]))
+    assert buy.kind == "market_buy"
+    # no trend: the chartist quotes inside around the last price 42
+    flat = (42.0, 42.0, 42.0, 42.0)
+    sell = decide_chartist(view(p=42.0, best_bid=41.0, best_ask=50.0, history=flat),
+                           ScriptedRng(normals=[-8.0]))
+    assert sell.kind == "market_sell"
+    buy = decide_chartist(view(p=42.0, best_bid=34.0, best_ask=43.0, history=flat),
+                          ScriptedRng(normals=[8.0]))
+    assert buy.kind == "market_buy"
+
+
+def test_nonpositive_inside_quote_is_dropped_before_the_crossing_test():
+    # the ask-side quote 1 + 0.25 * -10 * 0.5 = -0.25 lies below the real bid
+    # of 0.5 but is not positive, so it is dropped rather than sold at market
+    intent = decide_fundamentalist(1.0, view(p=1.0, best_bid=0.5, best_ask=100.0),
+                                   ScriptedRng(normals=[-10.0]))
+    assert intent.kind == "none"
+
+
 # --- chartist ----------------------------------------------------------------
 
 

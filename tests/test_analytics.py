@@ -146,6 +146,29 @@ def test_large_sample_approximation_reasonable():
 # --- acf ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 5), (3, 4), (5, 5), (6, 10), (8, 8)])
+def test_exact_branch_matches_scipy(nx, ny):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(nx * 100 + ny)
+    for _ in range(20):
+        x = rng.normal(0.0, 1.0, nx)
+        y = rng.normal(0.7, 1.0, ny)
+        expected = stats.mannwhitneyu(x, y, alternative="two-sided", method="exact").pvalue
+        assert wilcoxon_rank_sum(x, y) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 8), (12, 20), (40, 35), (100, 100)])
+def test_asymptotic_branch_with_ties_matches_scipy(nx, ny):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(nx * 1000 + ny)
+    for _ in range(20):
+        x = rng.integers(0, 6, nx).astype(float)
+        y = rng.integers(1, 7, ny).astype(float)
+        expected = stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic",
+                                      use_continuity=True).pvalue
+        assert wilcoxon_rank_sum(x, y) == pytest.approx(expected, rel=1e-9)
+
+
 def test_acf_lag_zero_is_one():
     out = acf(np.sin(np.arange(50)), max_lag=5)
     assert out.values[0] == 1.0

@@ -106,6 +106,15 @@ def test_markov_jobs_determinism(tmp_path):
         assert read(a / name) == read(b / name)
 
 
+def test_markov_single_run_stderr_is_nan(tmp_path):
+    out = tmp_path / "mk"
+    assert run_cli("markov", "--periods", "20", "--steps", "20", "--interval", "5",
+                   "--seed", "1", "--states", "3", "--jobs", "1", "--out", str(out)) == 0
+    rows = [line.split(",") for line in (out / "tmatrix.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 64
+    assert {row[3] for row in rows} == {"nan"}
+
+
 def test_missing_out_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("INFOMARKET_OUT", raising=False)
     assert run_cli("simulate", "--seed", "1") == 2
@@ -155,6 +164,15 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as e:  # argparse rejects unknown flags by exiting
         return e.code
+
+
+@pytest.mark.parametrize("command, preset", [("batch", "stylized"), ("batch", "markov3"),
+                                             ("markov", "jcurve10")])
+def test_preset_must_be_one_the_subcommand_runs(tmp_path, capsys, command, preset):
+    out = tmp_path / "o"
+    assert exit_code([command, "--preset", preset, "--out", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_jcurve3_keeps_its_levels_under_session_flags(tmp_path):

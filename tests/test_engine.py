@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import (
@@ -54,6 +56,36 @@ def test_no_negative_holdings_without_short():
     result = run_small(seed=9)
     assert (result.cash_hist >= 0).all()
     assert (result.shares_hist >= 0).all()
+
+
+@st.composite
+def strategy_mixes(draw):
+    """2-6 traders: some uninformed, the rest on distinct levels, any of them chartists."""
+    n = draw(st.integers(2, 6))
+    n_random = draw(st.integers(0, n))
+    informed = draw(st.lists(st.integers(1, 9), min_size=n - n_random, max_size=n - n_random, unique=True))
+    chartists = draw(st.lists(st.sampled_from(informed), unique=True)) if informed else []
+    levels = draw(st.permutations([0] * n_random + informed))
+    return market_with_levels(levels, tuple(chartists))
+
+
+@given(agents=strategy_mixes(), clear=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       cash=st.floats(0.0, 400.0), shares=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_accounting_invariants_for_any_strategy_mix(agents, clear, seed, cash, shares):
+    # Small endowments make the no-margin and no-short checks bind.
+    result = run_small(seed=seed, agents=agents, n_periods=5, steps_per_period=25,
+                       clear_book_each_period=clear, initial_cash=cash, initial_shares=shares)
+    n = len(agents)
+    assert (result.shares_hist.sum(axis=1) == n * shares).all()
+    totals = result.cash_hist.sum(axis=1)
+    r_f = result.config.rates.r_f
+    for k in range(1, len(totals)):
+        expected = totals[k - 1] * (1 + r_f) + n * shares * result.path.dividend(k)
+        assert totals[k] == pytest.approx(expected, rel=1e-9)
+    assert (result.cash_hist >= 0).all()
+    assert (result.shares_hist >= 0).all()
+    assert len(result.prices) == 5 * 25
 
 
 def test_price_series_shape_and_carryover():

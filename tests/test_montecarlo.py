@@ -16,7 +16,6 @@ def tiny_session():
         rates=RateParams(r_f=0.001, r_e=0.005),
         n_periods=5,
         steps_per_period=20,
-        record_series=False,
     )
 
 

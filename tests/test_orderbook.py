@@ -1,10 +1,8 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infomarket.orderbook import Book, write_book_csv
+from infomarket.orderbook import Book
 
 
 def test_empty_book():
@@ -31,9 +29,8 @@ def test_price_priority_on_asks():
 
 def test_time_priority_at_same_price():
     book = Book()
-    first = book.place_limit(5, "ask", 42.0)
-    second = book.place_limit(9, "ask", 42.0)
-    assert first.seq < second.seq
+    book.place_limit(5, "ask", 42.0)
+    book.place_limit(9, "ask", 42.0)
     trade = book.execute_marketable("buy", 7, step=1)
     assert trade.seller_id == 5
     assert trade.price == 42.0
@@ -108,31 +105,24 @@ def test_rejects_bad_inputs():
 @settings(max_examples=80, deadline=None)
 def test_book_ordering_and_conservation(placements, executions):
     book = Book()
-    placed = 0
     for side, price, trader in placements:
         book.place_limit(trader, side, price)
-        placed += 1
-    executed = 0
+    fills = []
     for side in executions:
-        if book.execute_marketable(side, 99, step=1) is not None:
-            executed += 1
-    bids = book.iter_bids()
-    asks = book.iter_asks()
-    bid_prices = [o.price for o in bids]
-    ask_prices = [o.price for o in asks]
-    assert bid_prices == sorted(bid_prices, reverse=True)
-    assert ask_prices == sorted(ask_prices)
-    assert len(book) == placed - executed
-    assert len(bids) + len(asks) == len(book)
-
-
-def test_snapshot_csv():
-    book = Book()
-    book.place_limit(1, "bid", 39.5)
-    book.place_limit(2, "ask", 40.5)
-    buf = io.StringIO()
-    write_book_csv(book, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "side,price,seq"
-    assert lines[1].startswith("bid,39.5")
-    assert lines[2].startswith("ask,40.5")
+        trade = book.execute_marketable(side, 99, step=1)
+        if trade is not None:
+            fills.append(trade.price)
+    assert len(book) == len(placements) - len(fills)
+    # Draining each side fills in priority order: bids from the highest
+    # price down, asks from the lowest up.
+    bid_fills = []
+    while (trade := book.execute_marketable("sell", 99, step=2)) is not None:
+        bid_fills.append(trade.price)
+    ask_fills = []
+    while (trade := book.execute_marketable("buy", 99, step=2)) is not None:
+        ask_fills.append(trade.price)
+    assert bid_fills == sorted(bid_fills, reverse=True)
+    assert ask_fills == sorted(ask_fills)
+    assert len(book) == 0
+    # every placed order filled exactly once, at its own price
+    assert sorted(fills + bid_fills + ask_fills) == sorted(price for _, price, _ in placements)

@@ -7,6 +7,7 @@ from infomarket.agents import Strategy
 from infomarket.rng import stream
 from infomarket.switching import (
     SwitchingConfig,
+    SwitchingRun,
     aggregate_runs,
     decode_state,
     encode_state,
@@ -175,6 +176,24 @@ def test_aggregate_runs_and_ensemble():
     est = aggregate_runs(runs, cfg.n_states)
     assert est.mean_pi.sum() == pytest.approx(1.0)
     assert est.pooled.counts.sum() == sum(len(r.codes) - 1 for r in runs)
+
+
+def test_stderr_needs_two_contributing_runs():
+    # row 1 and row 2 are visited by both runs, row 3 by the first only,
+    # row 4 by neither
+    a = SwitchingRun(1, np.array([1, 2, 3, 1]), 0, 0)
+    b = SwitchingRun(1, np.array([1, 2, 1, 2]), 0, 0)
+    est = aggregate_runs([a, b], 4)
+    assert est.mean_probs[1].tolist() == [0.5, 0.0, 0.5, 0.0]
+    assert est.stderr_probs[1].tolist() == pytest.approx([0.5, 0.0, 0.5, 0.0])
+    assert est.stderr_probs[0].tolist() == [0.0] * 4
+    assert est.mean_probs[2].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert np.isnan(est.stderr_probs[2]).all()
+    assert np.isnan(est.mean_probs[3]).all() and np.isnan(est.stderr_probs[3]).all()
+    assert np.isfinite(est.stderr_pi).all()
+    single = aggregate_runs([a], 4)
+    assert np.isnan(single.stderr_probs).all()
+    assert np.isnan(single.stderr_pi).all()
 
 
 def test_diagonal_zero_unless_all_equal_logged():
