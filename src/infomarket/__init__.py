@@ -1,6 +1,6 @@
 """Agent-based double-auction stock market with heterogeneously informed traders."""
 
-from .agents import AgentSpec, Intent, MarketView, Strategy
+from .agents import AgentSpec, Intent, Strategy
 from .dividends import (
     DividendParams,
     DividendPath,
@@ -29,7 +29,6 @@ __all__ = [
     "DividendPath",
     "Intent",
     "MarketSession",
-    "MarketView",
     "RateParams",
     "SessionConfig",
     "SessionResult",

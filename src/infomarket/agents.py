@@ -1,10 +1,12 @@
 """Trading rules for the three trader types.
 
-Each rule is a pure function from the trader's view of the market (plus its
-own valuation, for fundamentalists) to an action intent, and it alone decides
-whether the order trades now: every priced order ends in `_order`, which
-turns a quote that crosses the opposite real best into a market order. The
-engine only checks that the trader can afford the intent and carries it out.
+Each rule is a pure function of plain arguments (the last trade price p,
+the best bid and ask, None for an empty side, plus the trader's valuation or
+the session's price series where the rule needs them) to an action intent,
+and it alone decides whether the order trades now: every priced order ends
+in `_sell` or `_buy`, which turn a quote that crosses the opposite real best
+into a market order. The engine only checks that the trader can afford the
+intent and carries it out.
 """
 
 from __future__ import annotations
@@ -40,99 +42,97 @@ class AgentSpec:
             )
 
 
-class MarketView(NamedTuple):
-    """What a trader sees when activated.
-
-    price_history holds the last price of up to three completed steps,
-    oldest first, followed by p. time is the 1-based global step index.
-    """
-
-    p: float
-    best_bid: float | None
-    best_ask: float | None
-    price_history: tuple
-    time: int
-
-
 class Intent(NamedTuple):
     kind: str  # "market_sell" | "market_buy" | "limit_ask" | "limit_bid" | "none"
     price: float | None
 
 
+MARKET_SELL = Intent("market_sell", None)
+MARKET_BUY = Intent("market_buy", None)
 NO_ACTION = Intent("none", None)
 
 
-def decide_random(view: MarketView, rng: np.random.Generator) -> Intent:
-    """Uninformed rule: quote around the last price with Gaussian noise.
+def decide_random(p: float, bid: float | None, ask: float | None, rng: np.random.Generator) -> Intent:
+    """Uninformed rule: quote around the last price p with Gaussian noise.
 
     A coin flip picks the side; the candidate price is p + 2z. It becomes a
     market order only if it crosses the existing opposite best; a missing
     quote on the comparison side means no cross.
     """
-    side = "sell" if rng.random() < 0.5 else "buy"
-    return _order(side, view.p + 2.0 * rng.standard_normal(), view)
+    if rng.random() < 0.5:
+        return _sell(p + 2.0 * rng.standard_normal(), bid)
+    return _buy(p + 2.0 * rng.standard_normal(), ask)
 
 
-def _order(side: str, price: float, view: MarketView) -> Intent:
-    """The intent for an order at `price`: a market order when it crosses the
-    opposite real best (and fills at that quote), a resting limit order when
-    the price is positive, otherwise nothing."""
-    if side == "sell":
-        if view.best_bid is not None and price < view.best_bid:
-            return Intent("market_sell", None)
-        return Intent("limit_ask", price) if price > 0 else NO_ACTION
-    if view.best_ask is not None and price > view.best_ask:
-        return Intent("market_buy", None)
+# Every priced order ends in _sell or _buy: a market order when its price
+# crosses the opposite real best (it fills at that quote), a resting limit
+# order when the price is positive, otherwise nothing.
+
+
+def _sell(price: float, bid: float | None) -> Intent:
+    if bid is not None and price < bid:
+        return MARKET_SELL
+    return Intent("limit_ask", price) if price > 0 else NO_ACTION
+
+
+def _buy(price: float, ask: float | None) -> Intent:
+    if ask is not None and price > ask:
+        return MARKET_BUY
     return Intent("limit_bid", price) if price > 0 else NO_ACTION
 
 
-def _effective_quotes(view: MarketView, anchor: float) -> tuple[float, float]:
+def _effective_quotes(p: float, bid: float | None, ask: float | None, anchor: float) -> tuple[float, float]:
     # Synthetic stand-ins keep the distance formulas defined right after a
     # clearing: an absent bid acts as 0, an absent ask as twice the larger of
     # the last price and the anchor value. Neither can trigger a crossing.
-    bid = view.best_bid if view.best_bid is not None else 0.0
-    ask = view.best_ask if view.best_ask is not None else 2.0 * max(view.p, anchor)
-    return bid, ask
+    return (bid if bid is not None else 0.0,
+            ask if ask is not None else 2.0 * max(p, anchor))
 
 
-def _inside_limit(anchor: float, view: MarketView, rng: np.random.Generator) -> Intent:
-    # Quote on the side whose best quote sits farther from the anchor value,
-    # at the anchor plus noise proportional to the distance on the other side.
-    bid, ask = _effective_quotes(view, anchor)
-    if (ask - anchor) > (anchor - bid):
-        side, price = "sell", anchor + 0.25 * rng.standard_normal() * (anchor - bid)
-    else:
-        side, price = "buy", anchor + 0.25 * rng.standard_normal() * (ask - anchor)
-    # A non-positive quote is dropped before the crossing test, so it never
-    # becomes a market order even under a real opposite quote.
-    return _order(side, price, view) if price > 0 else NO_ACTION
+def _inside_limit(anchor: float, eff_bid: float, eff_ask: float, bid: float | None, ask: float | None,
+                  rng: np.random.Generator) -> Intent:
+    # Quote on the side whose (effective) best quote sits farther from the
+    # anchor value, at the anchor plus noise proportional to the distance on
+    # the other side. A non-positive quote is dropped before the crossing
+    # test, so it never becomes a market order even under a real opposite quote.
+    if (eff_ask - anchor) > (anchor - eff_bid):
+        price = anchor + 0.25 * rng.standard_normal() * (anchor - eff_bid)
+        return _sell(price, bid) if price > 0 else NO_ACTION
+    price = anchor + 0.25 * rng.standard_normal() * (eff_ask - anchor)
+    return _buy(price, ask) if price > 0 else NO_ACTION
 
 
-def decide_fundamentalist(pv: float, view: MarketView, rng: np.random.Generator) -> Intent:
+def decide_fundamentalist(pv: float, p: float, bid: float | None, ask: float | None,
+                          rng: np.random.Generator) -> Intent:
     """Value rule: take any quote priced on the wrong side of pv, else quote inside."""
-    bid, ask = _effective_quotes(view, pv)
-    if pv < bid:
-        return Intent("market_sell", None)
-    if pv > ask:
-        return Intent("market_buy", None)
-    return _inside_limit(pv, view, rng)
+    eff_bid, eff_ask = _effective_quotes(p, bid, ask, pv)
+    if pv < eff_bid:
+        return MARKET_SELL
+    if pv > eff_ask:
+        return MARKET_BUY
+    return _inside_limit(pv, eff_bid, eff_ask, bid, ask, rng)
 
 
-def decide_chartist(view: MarketView, rng: np.random.Generator) -> Intent:
+def decide_chartist(p: float, bid: float | None, ask: float | None, prices: list[float],
+                    rng: np.random.Generator) -> Intent:
     """Trend rule: sell into three strictly falling steps, buy into three rising.
 
-    Before step 4 the trader has no usable history and flips a coin for an
-    aggressive order near the last price; with no trend it quotes inside the
-    spread exactly like a fundamentalist whose value equals the last price.
+    prices is the session's per-step price series so far, so the trader is
+    at step len(prices) + 1 and its history is the last three step prices
+    followed by p. Before step 4 it has no usable history and flips a coin
+    for an aggressive order near p; with no trend it quotes inside the
+    spread exactly like a fundamentalist whose value equals p.
     """
-    h = view.price_history
-    if view.time > 4 and len(h) >= 4:
-        if h[-1] < h[-2] < h[-3] < h[-4]:
-            return _order("sell", h[-1] - abs(rng.standard_normal()), view)
-        if h[-1] > h[-2] > h[-3] > h[-4]:
-            return _order("buy", h[-1] + abs(rng.standard_normal()), view)
-    if view.time < 4:
+    n = len(prices)
+    if n >= 4:
+        last, before, earlier = prices[-1], prices[-2], prices[-3]
+        if p < last < before < earlier:
+            return _sell(p - abs(rng.standard_normal()), bid)
+        if p > last > before > earlier:
+            return _buy(p + abs(rng.standard_normal()), ask)
+    if n < 3:
         if rng.random() < 0.5:
-            return _order("sell", view.p - abs(rng.standard_normal()), view)
-        return _order("buy", view.p + abs(rng.standard_normal()), view)
-    return _inside_limit(view.p, view, rng)
+            return _sell(p - abs(rng.standard_normal()), bid)
+        return _buy(p + abs(rng.standard_normal()), ask)
+    eff_bid, eff_ask = _effective_quotes(p, bid, ask, p)
+    return _inside_limit(p, eff_bid, eff_ask, bid, ask, rng)

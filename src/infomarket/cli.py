@@ -142,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The `--config` file's values as flag tokens, for argparse to check."""
     try:
         with open(args.config) as f:
             data = json.load(f)
@@ -157,15 +156,24 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     version = data.pop("schema_version", CONFIG_SCHEMA)
     if version != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema_version {version}")
-    known = {k for k in vars(args) if k not in ("command", "config")}
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr not in known:
+    known = vars(args).keys() - {"command", "config"}
+    for key in data:
+        if key.replace("-", "_") not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        # command line wins; config fills unset values only
-        current = getattr(args, attr)
-        if current is None or current is False:
-            setattr(args, attr, value)
+    return _flag_tokens(data)
+
+
+def _flag_tokens(params: dict) -> list[str]:
+    """`{"no_clearing": True, "seed": 3}` -> `["--no-clearing", "--seed=3"]`."""
+    argv = []
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            if value:
+                argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def _outdir(args) -> Path:
@@ -360,14 +368,7 @@ def cmd_replay(args) -> int:
     params = manifest.get("params", {})
     if command not in ("simulate", "batch", "stats", "markov"):
         raise ConfigError(f"manifest has unknown command {command!r}")
-    argv = [command]
-    for key, value in params.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
+    argv = [command, *_flag_tokens(params)]
     if args.out:
         argv.extend(["--out", args.out])
     print(f"replaying {command} from {manifest_path}")
@@ -376,6 +377,7 @@ def cmd_replay(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
@@ -385,7 +387,11 @@ def main(argv=None) -> int:
         "replay": cmd_replay,
     }
     try:
-        _apply_config_file(args, parser)
+        if getattr(args, "config", None) is not None:
+            # The file's values go before the command line's, so argparse
+            # checks them like flags and the command line wins.
+            i = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:i], *_config_argv(args), *argv[i:]])
         return handlers[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -50,7 +50,11 @@ class RateParams:
 
 
 class DividendPath:
-    """Non-negative dividends indexed by 1-based period."""
+    """Non-negative dividends indexed by 1-based period.
+
+    `values` is a list of Python floats: a lookup in it is much cheaper than
+    indexing a NumPy array, and `conditional_present_value` makes many.
+    """
 
     __slots__ = ("values",)
 
@@ -60,7 +64,7 @@ class DividendPath:
             raise ValueError("a dividend path needs at least one period")
         if (arr < 0).any():
             raise ValueError("dividends must be non-negative")
-        self.values = arr
+        self.values: list[float] = arr.tolist()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -69,7 +73,7 @@ class DividendPath:
         """Dividend paid at the end of `period` (1-based)."""
         if not 1 <= period <= len(self.values):
             raise IndexError(f"period {period} outside path of length {len(self.values)}")
-        return float(self.values[period - 1])
+        return self.values[period - 1]
 
 
 def generate_dividend_path(params: DividendParams, n: int, rng: np.random.Generator) -> DividendPath:
@@ -118,4 +122,4 @@ def conditional_present_value(path: DividendPath, level: int, period: int, r_e: 
 def write_dividends_csv(path: DividendPath, file) -> None:
     """Write a path as `period,dividend` rows (file: path or open handle)."""
     write_csv(file, ["period", "dividend"],
-              ((i, repr(d)) for i, d in enumerate(path.values.tolist(), start=1)))
+              ((i, repr(d)) for i, d in enumerate(path.values, start=1)))

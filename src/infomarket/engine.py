@@ -12,6 +12,14 @@ only checks that the trader can afford it and places or executes it. Traders
 can neither short nor buy on credit: an order is refused when the trader's
 free shares or free cash (net of what its resting orders commit) do not
 cover it.
+
+`MarketSession.run_period` is the hot path: one activation loop on locals
+bound once per period. It asks the `Book` for the best quotes, calls the
+rules in `agents` with plain arguments, places or executes through the
+`Book` methods, and settles fills in place. The rules and the
+book methods are looked up by name once per period, so patching
+`engine.decide_*` or a `Book` method (as the benchmark's tracer does)
+reaches every activation.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import numpy as np
 
 from .agents import (
     AgentSpec,
-    MarketView,
     Strategy,
     decide_chartist,
     decide_fundamentalist,
@@ -183,91 +190,101 @@ class MarketSession:
                 self._pv[i] = conditional_present_value(path, lvl, k, r_e)
 
     def run_period(self) -> None:
-        if self.periods_done >= self.config.n_periods:
+        config = self.config
+        if self.periods_done >= config.n_periods:
             raise RuntimeError("session already complete")
         k = self.periods_done + 1
         self._deliver_information(k)
+        # Everything the activation loop touches, bound once per period.
         rng = self.rng
-        activate = self._activate
-        # The uninformed trader quotes off the last price only during the steps.
-        for i in rng.permutation(self.n_agents).tolist():
-            if self.levels[i] > 0:
-                activate(i)
-        prices = self.prices
-        for i in rng.integers(0, self.n_agents, size=self.config.steps_per_period).tolist():
-            activate(i)
-            prices.append(self.last_price)
-        d = self.path.dividend(k)
-        growth = 1.0 + self.config.rates.r_f
+        n = self.n_agents
+        levels, strategies, pv = self.levels, self.strategies, self._pv
         cash, shares = self.cash, self.shares
-        for i in range(self.n_agents):
+        held_cash, held_shares = self._held_cash, self._held_shares
+        prices = self.prices
+        book = self.book
+        best_bid, best_ask = book.best_bid, book.best_ask
+        place_limit, execute_marketable = book.place_limit, book.execute_marketable
+        random_rule, value_rule, trend_rule = decide_random, decide_fundamentalist, decide_chartist
+        RANDOM, FUNDAMENTALIST = Strategy.RANDOM, Strategy.FUNDAMENTALIST
+        trade_steps, trade_prices = self._trade_steps, self._trade_prices
+        trade_buyers, trade_sellers = self._trade_buyers, self._trade_sellers
+        p = self.last_price
+        # The seeding pass (each informed trader once, shuffled; the
+        # uninformed trader quotes off the last price only during the steps)
+        # records no price; each step records the last price after it.
+        for stepping in (False, True):
+            if stepping:
+                order = rng.integers(0, n, size=config.steps_per_period).tolist()
+            else:
+                order = [i for i in rng.permutation(n).tolist() if levels[i] > 0]
+            for i in order:
+                bid = best_bid()
+                ask = best_ask()
+                strat = strategies[i]
+                if strat is RANDOM:
+                    kind, price = random_rule(p, bid, ask, rng)
+                elif strat is FUNDAMENTALIST:
+                    kind, price = value_rule(pv[i], p, bid, ask, rng)
+                else:
+                    kind, price = trend_rule(p, bid, ask, prices, rng)
+                # The trader must afford the intent: no shorting, no credit,
+                # counting what its resting orders already commit.
+                if kind == "limit_bid":
+                    if cash[i] - held_cash[i] >= price:
+                        place_limit(i, "bid", price)
+                        held_cash[i] += price
+                elif kind == "limit_ask":
+                    if shares[i] - held_shares[i] >= 1:
+                        place_limit(i, "ask", price)
+                        held_shares[i] += 1
+                elif kind == "market_sell":
+                    if shares[i] - held_shares[i] >= 1:
+                        step = len(prices) + 1
+                        trade = execute_marketable("sell", i, step)
+                        if trade is not None:
+                            p = trade.price
+                            buyer = trade.buyer_id
+                            cash[buyer] -= p
+                            shares[buyer] += 1
+                            held_cash[buyer] -= p
+                            cash[i] += p
+                            shares[i] -= 1
+                            trade_steps.append(step)
+                            trade_prices.append(p)
+                            trade_buyers.append(buyer)
+                            trade_sellers.append(i)
+                elif kind == "market_buy":
+                    if ask is not None and cash[i] - held_cash[i] >= ask:
+                        step = len(prices) + 1
+                        trade = execute_marketable("buy", i, step)
+                        p = trade.price
+                        seller = trade.seller_id
+                        cash[i] -= p
+                        shares[i] += 1
+                        cash[seller] += p
+                        shares[seller] -= 1
+                        held_shares[seller] -= 1
+                        trade_steps.append(step)
+                        trade_prices.append(p)
+                        trade_buyers.append(i)
+                        trade_sellers.append(seller)
+                if stepping:
+                    prices.append(p)
+        self.last_price = p
+        d = self.path.dividend(k)
+        growth = 1.0 + config.rates.r_f
+        for i in range(n):
             cash[i] = cash[i] * growth + shares[i] * d
-        self.period_end_prices.append(self.last_price)
+        self.period_end_prices.append(p)
         self.cash_hist.append(cash.copy())
         self.shares_hist.append(shares.copy())
-        if self.config.clear_book_each_period:
-            self.book.clear()
-            for i in range(self.n_agents):
-                self._held_cash[i] = 0.0
-                self._held_shares[i] = 0
+        if config.clear_book_each_period:
+            book.clear()
+            for i in range(n):
+                held_cash[i] = 0.0
+                held_shares[i] = 0
         self.periods_done += 1
-
-    def _activate(self, i: int) -> None:
-        book = self.book
-        p = self.last_price
-        prices = self.prices
-        step = len(prices) + 1
-        view = MarketView(p, book.best_bid(), book.best_ask(), (*prices[-3:], p), step)
-        strat = self.strategies[i]
-        if strat is Strategy.RANDOM:
-            intent = decide_random(view, self.rng)
-        elif strat is Strategy.FUNDAMENTALIST:
-            intent = decide_fundamentalist(self._pv[i], view, self.rng)
-        else:
-            intent = decide_chartist(view, self.rng)
-        kind = intent.kind
-        if kind == "none":
-            return
-        if kind == "market_sell":
-            if self.shares[i] - self._held_shares[i] < 1:
-                return
-            trade = book.execute_marketable("sell", i, step)
-            if trade is not None:
-                self._settle(trade, maker_side="bid")
-        elif kind == "market_buy":
-            ask = view.best_ask
-            if ask is None or self.cash[i] - self._held_cash[i] < ask:
-                return
-            self._settle(book.execute_marketable("buy", i, step), maker_side="ask")
-        elif kind == "limit_ask":
-            if self.shares[i] - self._held_shares[i] < 1:
-                return
-            book.place_limit(i, "ask", float(intent.price))
-            self._held_shares[i] += 1
-        else:  # limit_bid
-            price = float(intent.price)
-            if self.cash[i] - self._held_cash[i] < price:
-                return
-            book.place_limit(i, "bid", price)
-            self._held_cash[i] += price
-
-    def _settle(self, trade, maker_side: str) -> None:
-        price = float(trade.price)
-        buyer, seller = trade.buyer_id, trade.seller_id
-        cash, shares = self.cash, self.shares
-        cash[buyer] -= price
-        shares[buyer] += 1
-        cash[seller] += price
-        shares[seller] -= 1
-        if maker_side == "bid":
-            self._held_cash[buyer] -= price
-        else:
-            self._held_shares[seller] -= 1
-        self.last_price = price
-        self._trade_steps.append(trade.step)
-        self._trade_prices.append(price)
-        self._trade_buyers.append(buyer)
-        self._trade_sellers.append(seller)
 
     def run(self) -> SessionResult:
         while self.periods_done < self.config.n_periods:
@@ -307,7 +324,7 @@ def session_net_returns(result: SessionResult) -> np.ndarray:
     price, collect the dividend, mark at period k+1's closing price.
     """
     p = result.period_end_prices
-    d = result.path.values[1 : len(p)]  # D(2)..D(n_periods)
+    d = np.array(result.path.values[1 : len(p)])  # D(2)..D(n_periods)
     return (p[1:] + d - p[:-1]) / p[:-1]
 
 

@@ -231,14 +231,15 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
     pis = np.array(pis)
     m = len(runs)
     # A cell's estimate averages the runs that visited its row (NaN where
-    # none did); its spread needs two of them, so fewer leave the stderr NaN.
+    # none did), so its stderr is their spread over the square root of their
+    # count; the spread needs two of them, so fewer leave the stderr NaN.
     seen = ~np.isnan(mats)
     contributing = seen.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_probs = np.where(seen, mats, 0.0).sum(axis=0) / contributing
         dev = np.where(seen, mats - mean_probs, 0.0)
         spread = np.sqrt((dev * dev).sum(axis=0) / (contributing - 1))
-    stderr_probs = np.where(contributing > 1, spread / np.sqrt(m), np.nan)
+        stderr_probs = np.where(contributing > 1, spread / np.sqrt(contributing), np.nan)
     row_totals = total_counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         pooled_probs = total_counts / row_totals[:, None]

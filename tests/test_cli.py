@@ -1,4 +1,6 @@
 import json
+import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,31 @@ def test_markov_single_run_stderr_is_nan(tmp_path):
     assert {row[3] for row in rows} == {"nan"}
 
 
+def test_markov_stderr_counts_only_the_runs_that_visited_the_row(tmp_path):
+    # 8 runs of 5 codes each; row 5 is visited by one run and row 2 by three,
+    # so their cells' stderr is the spread over those runs / sqrt(1 or 3)
+    out = tmp_path / "mk"
+    assert run_cli("markov", "--periods", "20", "--steps", "20", "--interval", "5",
+                   "--seed", "1", "--jobs", "1", "--out", str(out)) == 0
+    runs = {}
+    for line in (out / "states.csv").read_text().splitlines()[1:]:
+        initial, _, code = map(int, line.split(","))
+        runs.setdefault(initial, []).append(code)
+    stderr = {}
+    for line in (out / "tmatrix.csv").read_text().splitlines()[1:]:
+        a, b, _, err = line.split(",")
+        stderr[int(a), int(b)] = float(err)
+    visitors = {row: [codes for codes in runs.values() if row in codes[:-1]] for row in (2, 5)}
+    assert (len(runs), len(visitors[2]), len(visitors[5])) == (8, 3, 1)
+    for to in range(1, 9):
+        assert math.isnan(stderr[5, to])
+        probs = []
+        for codes in visitors[2]:
+            moves = [nxt for cur, nxt in zip(codes, codes[1:]) if cur == 2]
+            probs.append(moves.count(to) / len(moves))
+        assert stderr[2, to] == pytest.approx(statistics.stdev(probs) / math.sqrt(3), rel=1e-12, abs=1e-15)
+
+
 def test_missing_out_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("INFOMARKET_OUT", raising=False)
     assert run_cli("simulate", "--seed", "1") == 2
@@ -142,6 +169,21 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"sessions_count": 5}))
     assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"preset": "stylized"}, "argument --preset: invalid choice: 'stylized'"),
+    ({"sessions": "abc"}, "argument --sessions: invalid int value: 'abc'"),
+], ids=["bad choice", "bad type"])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, config, message):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("batch", "--config", str(cfg), "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_bad_schema_version(tmp_path):

@@ -51,7 +51,7 @@ def test_reflection_applied_per_step():
 def test_paths_never_negative(seed, sigma):
     params = DividendParams(d0=0.2, sigma=sigma)
     path = generate_dividend_path(params, 49, stream(seed))
-    assert (path.values >= 0).all()
+    assert min(path.values) >= 0
     assert len(path) == 49
 
 
@@ -88,7 +88,7 @@ def test_constant_path_pv_independent_of_level(level):
 @settings(max_examples=60, deadline=None)
 def test_pv_scales_linearly(scale, level, period):
     base = generate_dividend_path(DividendParams(), 29, stream(3))
-    scaled = DividendPath(base.values * scale)
+    scaled = DividendPath(np.array(base.values) * scale)
     pv1 = conditional_present_value(base, level, period, 0.005)
     pv2 = conditional_present_value(scaled, level, period, 0.005)
     assert pv2 == pytest.approx(pv1 * scale, rel=1e-12)

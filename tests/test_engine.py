@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infomarket import engine
+from infomarket.agents import Strategy, decide_chartist, decide_fundamentalist, decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import (
     MarketSession,
@@ -14,7 +18,7 @@ from infomarket.engine import (
     run_session,
     session_net_returns,
 )
-from infomarket.agents import Strategy
+from infomarket.orderbook import Book
 from infomarket.rng import stream
 
 
@@ -255,3 +259,74 @@ def test_path_length_is_periods_plus_top_level_floored_at_nine(n_agents, n_perio
     cfg = SessionConfig(agents=default_market(n_agents), n_periods=n_periods)
     assert cfg.path_length == length
     assert cfg.path_length >= cfg.required_path_length
+
+
+def test_rules_see_the_live_book(monkeypatch):
+    # Every rule call gets the last trade price, the best resting quotes and
+    # (for the trend rule) the session's own price series, and the kernel
+    # reaches the rules and the book through the names a tracer patches.
+    calls = Counter()
+    live = {}
+
+    def check(name, p, bid, ask):
+        calls[name] += 1
+        session = live["session"]
+        assert p == live["last_price"]
+        assert bid == best_bid(session.book)
+        assert ask == best_ask(session.book)
+
+    def random_rule(p, bid, ask, rng):
+        check("decide_random", p, bid, ask)
+        return decide_random(p, bid, ask, rng)
+
+    def value_rule(pv, p, bid, ask, rng):
+        check("decide_fundamentalist", p, bid, ask)
+        return decide_fundamentalist(pv, p, bid, ask, rng)
+
+    def trend_rule(p, bid, ask, prices, rng):
+        check("decide_chartist", p, bid, ask)
+        assert prices is live["session"].prices
+        return decide_chartist(p, bid, ask, prices, rng)
+
+    place_limit, execute_marketable = Book.place_limit, Book.execute_marketable
+    best_bid, best_ask = Book.best_bid, Book.best_ask
+
+    def counted_best_bid(self):
+        calls["best_bid"] += 1
+        return best_bid(self)
+
+    def counted_best_ask(self):
+        calls["best_ask"] += 1
+        return best_ask(self)
+
+    def counted_place(self, *args):
+        calls["place_limit"] += 1
+        return place_limit(self, *args)
+
+    def counted_execute(self, *args):
+        calls["execute_marketable"] += 1
+        trade = execute_marketable(self, *args)
+        if trade is not None:
+            live["last_price"] = trade.price
+        return trade
+
+    monkeypatch.setattr(engine, "decide_random", random_rule)
+    monkeypatch.setattr(engine, "decide_fundamentalist", value_rule)
+    monkeypatch.setattr(engine, "decide_chartist", trend_rule)
+    monkeypatch.setattr(Book, "place_limit", counted_place)
+    monkeypatch.setattr(Book, "execute_marketable", counted_execute)
+    monkeypatch.setattr(Book, "best_bid", counted_best_bid)
+    monkeypatch.setattr(Book, "best_ask", counted_best_ask)
+    for agents in (default_market(), market_with_levels(range(4), chartist_levels=(2, 3))):
+        cfg = SessionConfig(agents=agents, n_periods=4)
+        path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(7, 0, 0))
+        session = live["session"] = MarketSession(cfg, path, stream(7, 1, 0, 0))
+        live["last_price"] = cfg.initial_price
+        for _ in range(cfg.n_periods):
+            session.run_period()
+        assert len(session._trade_prices) > 0
+    assert set(calls) == {"decide_random", "decide_fundamentalist", "decide_chartist",
+                          "place_limit", "execute_marketable", "best_bid", "best_ask"}
+    # one read of each quote per activation
+    activations = calls["decide_random"] + calls["decide_fundamentalist"] + calls["decide_chartist"]
+    assert calls["best_bid"] == calls["best_ask"] == activations

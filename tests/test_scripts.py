@@ -39,3 +39,10 @@ def test_run_markov_tiny():
     assert proc.returncode == 0, proc.stderr
     assert "markov3: 8 runs x 30 periods" in proc.stdout
     assert "stationarity gap" in proc.stdout
+
+
+def test_profile_session_tiny():
+    proc = run_script("profile_session.py", "--repeats", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "= 3270 activations" in proc.stdout
+    assert "ms per session" in proc.stdout and "us per activation" in proc.stdout
