@@ -30,7 +30,7 @@ def main() -> int:
     ret = acf(returns, args.max_lag)
     absret = acf(np.abs(returns), args.max_lag)
     mom = moments(returns)
-    jb, p = jarque_bera(returns)
+    jb, p = jarque_bera(mom, len(returns))
 
     print(f"trades: {len(result.trade_prices)}  returns: {len(returns)}")
     print(f"moments: mean={mom.mean:.3e} std={mom.std:.4f} "

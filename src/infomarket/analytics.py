@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from math import comb, erfc, exp, sqrt
 from typing import NamedTuple
@@ -32,22 +33,20 @@ class TickDataError(ValueError):
 # Wilcoxon rank-sum test
 # ---------------------------------------------------------------------------
 
-# Exact enumeration is affordable (and exercised by the acceptance tests) up
-# to this pooled size; beyond it the normal approximation takes over.
+# Exact enumeration is affordable up to this pooled size (checked against
+# brute-force enumeration and scipy by the exact-branch tests in
+# tests/test_analytics.py); beyond it the normal approximation takes over.
 _EXACT_LIMIT = 16
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled))
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of `pooled` and the size of each tie group, in value order.
+
+    A group of c equal values ending at sorted position e (1-based) ranks
+    e - (c - 1) / 2; midranks are half-integers, so float64 holds them exactly.
+    """
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
 def _exact_two_sided(doubled_ranks: list[int], k: int, w_doubled: int) -> float:
@@ -85,9 +84,9 @@ def wilcoxon_rank_sum(x, y) -> float:
     if len(x) < 1 or len(y) < 1:
         raise ValueError("both samples need at least one observation")
     pooled = np.concatenate([x, y])
-    if np.all(pooled == pooled[0]):
+    ranks, tie_counts = _midranks(pooled)
+    if len(tie_counts) == 1:
         return 1.0
-    ranks = _midranks(pooled)
     n = len(pooled)
     if n <= _EXACT_LIMIT:
         # Enumerate the smaller sample so x,y order cannot matter.
@@ -100,7 +99,6 @@ def wilcoxon_rank_sum(x, y) -> float:
     nx, ny = len(x), len(y)
     w = ranks[:nx].sum()
     mean = nx * (n + 1) / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = (tie_counts.astype(float) ** 3 - tie_counts).sum() / (n * (n - 1))
     var = nx * ny / 12.0 * (n + 1 - tie_term)
     if var <= 0:
@@ -166,11 +164,13 @@ def moments(series) -> Moments:
     )
 
 
-def jarque_bera(series) -> tuple[float, float]:
-    """Jarque-Bera statistic and its chi-square(2df) p-value exp(-JB/2)."""
-    x = np.asarray(series, dtype=float)
-    mom = moments(x)
-    jb = len(x) * (mom.skewness**2 / 6.0 + (mom.kurtosis - 3.0) ** 2 / 24.0)
+def jarque_bera(mom: Moments, n: int) -> tuple[float, float]:
+    """Jarque-Bera statistic and its chi-square(2df) p-value exp(-JB/2).
+
+    Takes the `moments` of a series of `n` observations, so a caller that
+    reports both computes them once.
+    """
+    jb = n * (mom.skewness**2 / 6.0 + (mom.kurtosis - 3.0) ** 2 / 24.0)
     return jb, exp(-jb / 2.0)
 
 
@@ -280,8 +280,12 @@ def load_ticks(file) -> TickSeries:
             raise TickDataError("empty file: expected header 'time,price'") from None
         if [h.strip().lower() for h in header[:2]] != ["time", "price"]:
             raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
-        times: list[float] = []
-        prices: list[float] = []
+        # Typed buffers hold 8 bytes a value where a list of floats holds
+        # about 32, and numpy reads them without a copy. `prev` spares
+        # boxing times[-1] again on every row.
+        times = array("d")
+        prices = array("d")
+        prev = -math.inf
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -295,10 +299,11 @@ def load_ticks(file) -> TickSeries:
                 raise TickDataError(f"line {lineno}: non-finite value")
             if p <= 0:
                 raise TickDataError(f"line {lineno}: price must be positive, got {p}")
-            if times and t <= times[-1]:
-                raise TickDataError(f"line {lineno}: time {t} not increasing (previous {times[-1]})")
+            if t <= prev:
+                raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
             times.append(t)
             prices.append(p)
+            prev = t
     if len(times) < 2:
         raise TickDataError("need at least two ticks")
     return TickSeries(np.asarray(times), np.asarray(prices))

@@ -84,6 +84,18 @@ def _preset_help(command: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def _state_codes(text: str) -> str:
+    """`--states` checked as comma-separated positive ints and kept as given,
+    which is how the manifest records it."""
+    try:
+        codes = [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated state codes, got {text!r}") from None
+    if min(codes) < 1:
+        raise argparse.ArgumentTypeError(f"state codes start at 1, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infomarket",
@@ -116,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--traders", type=int, default=None, help="informed traders")
             p.add_argument("--interval", type=int, default=None,
                            help="periods between strategy updates")
-            p.add_argument("--states", default=None,
+            p.add_argument("--states", type=_state_codes, default=None,
                            help="comma-separated initial state codes (default: all)")
 
     p = sub.add_parser("simulate", help="run one session and export its CSV bundle")
@@ -309,7 +321,7 @@ def cmd_stats(args) -> int:
     abs_acf = acf(np.abs(returns), max_lag)
     write_acf_csv(ret_acf, abs_acf, out / "acf.csv")
     mom = moments(returns)
-    jb = jarque_bera(returns)
+    jb = jarque_bera(mom, len(returns))
     write_moments_csv(mom, jb, len(returns), out / "moments.csv")
     _write_manifest(out, "stats", eff)
     print(f"n={len(returns)} kurtosis={mom.kurtosis:.3f} JB p={jb[1]:.3g}")
@@ -317,11 +329,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
     preset = args.preset or "markov3"
-    eff = _effective(args, seed=seed, preset=preset)
-    _announce("markov", eff, out)
     cfg, codes = switching_for_preset(preset)
     kw = {}
     if args.traders is not None:
@@ -338,7 +347,13 @@ def cmd_markov(args) -> int:
         except ValueError as e:
             raise ConfigError(f"--interval {args.interval}: {e}") from None
     if args.states:
-        codes = tuple(int(c) for c in str(args.states).split(","))
+        codes = tuple(int(c) for c in args.states.split(","))
+        outside = [c for c in codes if c > cfg.n_states]
+        if outside:
+            raise ConfigError(f"--states: code {outside[0]} outside 1..{cfg.n_states}")
+    out = _outdir(args)
+    eff = _effective(args, seed=seed, preset=preset)
+    _announce("markov", eff, out)
     runs = run_switching_ensemble(cfg, codes, seed, jobs=args.jobs)
     est = aggregate_runs(runs, cfg.n_states)
     write_states_csv(runs, out / "states.csv")

@@ -50,17 +50,8 @@ class BatchResult:
     asset_mean_returns: np.ndarray  # (n_sessions * runs,) mean per-period net simple return
     period_returns: np.ndarray | None  # (n_runs, n_periods - 1) when collected
 
-    def session_run_index(self) -> np.ndarray:
-        """(n_runs, 2) array of (session, run) labels aligned with the rows."""
-        runs = self.config.runs_per_session
-        idx = np.arange(self.config.n_runs)
-        return np.column_stack([idx // runs, idx % runs])
-
     def samples_by_level(self) -> dict[int, np.ndarray]:
         return {lvl: self.rel_returns[:, i] for i, lvl in enumerate(self.levels)}
-
-    def level_means(self) -> dict[int, float]:
-        return {lvl: float(self.rel_returns[:, i].mean()) for i, lvl in enumerate(self.levels)}
 
     def mean_net_return(self) -> float:
         return float(self.asset_mean_returns.mean())

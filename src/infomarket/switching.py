@@ -171,15 +171,11 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 
 @dataclass(frozen=True)
 class TransitionEstimate:
-    """Row-normalized transition counts; rows never visited are flagged, not imputed."""
+    """Row-normalized transition counts; rows never visited (row total 0) are NaN, not imputed."""
 
     counts: np.ndarray  # (n_states, n_states) integer counts
     probs: np.ndarray  # rows sum to 1 where visited, NaN otherwise
     row_totals: np.ndarray
-
-    @property
-    def visited(self) -> np.ndarray:
-        return self.row_totals > 0
 
 
 def estimate_transition_matrix(codes, n_states: int) -> TransitionEstimate:
@@ -211,8 +207,6 @@ class EnsembleEstimate:
     stderr_probs: np.ndarray
     mean_pi: np.ndarray
     stderr_pi: np.ndarray
-    pooled: TransitionEstimate
-    runs: tuple[SwitchingRun, ...]
 
 
 def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
@@ -221,12 +215,9 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
         raise ValueError("no runs to aggregate")
     mats = []
     pis = []
-    total_counts = np.zeros((n_states, n_states), dtype=np.int64)
     for run in runs:
-        est = estimate_transition_matrix(run.codes, n_states)
-        mats.append(est.probs)
+        mats.append(estimate_transition_matrix(run.codes, n_states).probs)
         pis.append(frequency_vector(run.codes, n_states))
-        total_counts += est.counts
     mats = np.array(mats)
     pis = np.array(pis)
     m = len(runs)
@@ -240,17 +231,11 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
         dev = np.where(seen, mats - mean_probs, 0.0)
         spread = np.sqrt((dev * dev).sum(axis=0) / (contributing - 1))
         stderr_probs = np.where(contributing > 1, spread / np.sqrt(contributing), np.nan)
-    row_totals = total_counts.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        pooled_probs = total_counts / row_totals[:, None]
-    pooled = TransitionEstimate(total_counts, pooled_probs, row_totals)
     return EnsembleEstimate(
         mean_probs=mean_probs,
         stderr_probs=stderr_probs,
         mean_pi=pis.mean(axis=0),
         stderr_pi=pis.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(n_states, np.nan),
-        pooled=pooled,
-        runs=tuple(runs),
     )
 
 

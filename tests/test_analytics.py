@@ -2,6 +2,8 @@ import io
 import itertools
 import math
 import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from infomarket.analytics import (
     DegenerateSeriesError,
     TickDataError,
+    _midranks,
     acf,
     jarque_bera,
     jcurve_table,
@@ -51,6 +54,48 @@ def rank_sum_p_bruteforce(x, y):
         if w >= w_obs - eps:
             above += 1
     return min(1.0, 2.0 * min(below, above) / total)
+
+
+def midranks_loop(pooled):
+    """Midranks by walking the sorted tie groups one value at a time: the
+    reference that `_midranks` must match bit for bit."""
+    order = np.argsort(pooled, kind="mergesort")
+    ranks = np.empty(len(pooled))
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def rank_sum_p_normal_loop(x, y):
+    """Normal-approximation p with `midranks_loop` ranks and Counter tie groups."""
+    pooled = np.concatenate([x, y])
+    ranks = midranks_loop(pooled)
+    n, nx, ny = len(pooled), len(x), len(y)
+    w = ranks[:nx].sum()
+    tie_term = sum(c**3 - c for c in Counter(pooled.tolist()).values()) / (n * (n - 1))
+    var = nx * ny / 12.0 * (n + 1 - tie_term)
+    z = (abs(w - nx * (n + 1) / 2.0) - 0.5) / math.sqrt(var)
+    return min(1.0, math.erfc(max(z, 0.0) / math.sqrt(2.0)))
+
+
+def tied_samples(seed, count):
+    """Random samples of 1..3000 values with many ties: normal or Student-t
+    draws rounded to 0..3 decimals, and raw Student-t draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(1, 3001))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            yield rng.normal(0.0, 1.0, size).round(int(rng.integers(0, 4)))
+        elif kind == 1:
+            yield rng.standard_t(3, size).round(int(rng.integers(0, 4)))
+        else:
+            yield rng.standard_t(3, size)
 
 
 def acf_bruteforce(series, lag):
@@ -133,6 +178,28 @@ def test_exact_tie_free_property_batch():
         assert wilcoxon_rank_sum(x, y) == pytest.approx(
             rank_sum_p_bruteforce(x, y), abs=1e-10
         )
+
+
+def test_midranks_match_the_loop_bit_for_bit():
+    for pooled in tied_samples(7, 200):
+        ranks, counts = _midranks(pooled)
+        assert np.array_equal(ranks, midranks_loop(pooled))
+        assert counts.tolist() == [c for _, c in sorted(Counter(pooled.tolist()).items())]
+
+
+def test_midranks_match_scipy_rankdata():
+    stats = pytest.importorskip("scipy.stats")
+    for pooled in tied_samples(8, 50):
+        assert np.array_equal(_midranks(pooled)[0], stats.rankdata(pooled))
+
+
+def test_large_tied_sample_p_matches_the_loop_exactly():
+    rng = np.random.default_rng(9)
+    x = rng.normal(0.0, 1.0, 10_000).round(2)
+    y = rng.normal(0.02, 1.0, 10_000).round(2)
+    expected = rank_sum_p_normal_loop(x, y)
+    assert 0.0 < expected < 1.0
+    assert wilcoxon_rank_sum(x, y) == expected
 
 
 def test_large_sample_approximation_reasonable():
@@ -226,14 +293,14 @@ def test_jb_zero_for_skew_zero_kurt_three():
     mom = moments(series)
     assert mom.skewness == pytest.approx(0.0, abs=1e-12)
     assert mom.kurtosis == pytest.approx(3.0, abs=1e-12)
-    jb, p = jarque_bera(series)
+    jb, p = jarque_bera(moments(series), len(series))
     assert jb == pytest.approx(0.0, abs=1e-12)
     assert p == pytest.approx(1.0)
 
 
 def test_jb_two_point_sample_value():
     series = [1.0, -1.0] * 50  # N=100, S=0, K=1
-    jb, p = jarque_bera(series)
+    jb, p = jarque_bera(moments(series), len(series))
     assert jb == pytest.approx(100 * 4 / 24)
     assert p == pytest.approx(math.exp(-jb / 2))
     assert p == pytest.approx(2.4e-4, rel=0.05)
@@ -241,7 +308,8 @@ def test_jb_two_point_sample_value():
 
 def test_jb_large_normal_sample_not_rejected():
     rng = np.random.default_rng(42)
-    _, p = jarque_bera(rng.normal(0, 1, 50_000))
+    series = rng.normal(0, 1, 50_000)
+    _, p = jarque_bera(moments(series), len(series))
     assert p > 0.01
 
 
@@ -253,7 +321,7 @@ def test_moments_jb_acf_fixture_matches_bruteforce():
     assert mom.std == pytest.approx(std, abs=1e-12)
     assert mom.skewness == pytest.approx(skew, abs=1e-12)
     assert mom.kurtosis == pytest.approx(kurt, abs=1e-12)
-    jb, p = jarque_bera(fixture)
+    jb, p = jarque_bera(moments(fixture), len(fixture))
     jb_expected = 10 * (skew**2 / 6 + (kurt - 3) ** 2 / 24)
     assert jb == pytest.approx(jb_expected, abs=1e-12)
     assert p == pytest.approx(math.exp(-jb_expected / 2), abs=1e-12)
@@ -292,6 +360,30 @@ def test_load_ticks_happy_path():
 def test_load_ticks_rejects_bad_rows_with_line_numbers(body, lineno):
     with pytest.raises(TickDataError, match=f"line {lineno}"):
         load_ticks(io.StringIO(body))
+
+
+def test_load_ticks_reads_float64_and_numbers_bad_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    times = np.cumsum(rng.uniform(0.001, 1.0, 2000))
+    prices = rng.uniform(1.0, 100.0, 2000)
+    rows = [f"{t!r},{p!r}" for t, p in zip(times.tolist(), prices.tolist())]
+    stamps = [row.split(",")[0] for row in rows]
+    good = tmp_path / "good.csv"
+    good.write_text("time,price\n" + "\n".join(rows) + "\n")
+    series = load_ticks(good)
+    assert series.times.dtype == np.float64 and series.prices.dtype == np.float64
+    assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+    bad = tmp_path / "bad.csv"
+    negative = rows[:1500] + [f"{stamps[1500]},-1.0"] + rows[1501:]
+    bad.write_text("time,price\n" + "\n".join(negative) + "\n")
+    with pytest.raises(TickDataError, match="line 1502: price must be positive, got -1.0"):
+        load_ticks(bad)
+    t = stamps[1699]
+    repeated = rows[:1700] + [f"{t},50.0"] + rows[1701:]
+    bad.write_text("time,price\n" + "\n".join(repeated) + "\n")
+    message = f"line 1702: time {t} not increasing (previous {t})"
+    with pytest.raises(TickDataError, match=re.escape(message)):
+        load_ticks(bad)
 
 
 def test_load_ticks_bad_header():

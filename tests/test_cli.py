@@ -281,6 +281,19 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     assert "--interval" in err and "30-period segment" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--states", "a,b"], "argument --states: expected comma-separated state codes, got 'a,b'"),
+    (["--states", "0,2"], "argument --states: state codes start at 1, got '0,2'"),
+    (["--states", "99"], "--states: code 99 outside 1..8"),
+    (["--traders", "2", "--states", "1,5"], "--states: code 5 outside 1..4"),
+], ids=["not ints", "zero", "outside markov3", "outside --traders 2"])
+def test_markov_bad_states_exit_2_before_the_output_directory(tmp_path, capsys, flags, message):
+    out = tmp_path / "mk"
+    assert exit_code([*MARKOV, *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_path_runs_past_the_top_reader(tmp_path):
     # 11 traders: the level-10 trader reads D(k)..D(k+9) in period k = 1..30
     out = tmp_path / "sim"

@@ -62,10 +62,9 @@ def test_seed_key_injectivity():
 
 def test_aggregates_match_raw_rows():
     batch = run_batch(tiny_batch())
-    means = batch.level_means()
-    for i, lvl in enumerate(batch.levels):
-        assert means[lvl] == pytest.approx(batch.rel_returns[:, i].mean(), abs=1e-12)
     by_level = batch.samples_by_level()
+    for i, lvl in enumerate(batch.levels):
+        assert by_level[lvl].mean() == pytest.approx(batch.rel_returns[:, i].mean(), abs=1e-12)
     assert set(by_level) == {0, 1, 2, 3}
     assert len(by_level[0]) == batch.config.n_runs
 
@@ -100,9 +99,3 @@ def test_config_validation():
         tiny_batch(n_sessions=0)
     with pytest.raises(ValueError):
         tiny_batch(master_seed=-1)
-
-
-def test_session_run_index():
-    batch = run_batch(tiny_batch(n_sessions=2, runs_per_session=3))
-    idx = batch.session_run_index()
-    assert idx.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]

@@ -24,16 +24,6 @@ def test_run_stylized_defaults():
     assert " lag  acf(ret)  acf(|ret|)" in proc.stdout
 
 
-def test_run_jcurve_tiny(tmp_path):
-    out = tmp_path / "jcurve"
-    proc = run_script("run_jcurve.py", "--sessions", "1", "--runs", "1", "--jobs", "1",
-                      "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    for name in ("runs.csv", "jcurve.csv", "pvalues.csv", "manifest.json"):
-        assert (out / name).exists()
-    assert proc.stdout.rstrip().endswith((out / "jcurve.csv").read_text().rstrip())
-
-
 def test_run_markov_tiny():
     proc = run_script("run_markov.py", "--periods", "30", "--jobs", "1")
     assert proc.returncode == 0, proc.stderr

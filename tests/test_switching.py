@@ -133,14 +133,14 @@ def test_transition_matrix_simple_sequence():
     assert est.probs[2, 1] == 1.0
     assert est.row_totals[0] == 0
     assert np.isnan(est.probs[0]).all()
-    assert est.visited.tolist() == [False, True, True] + [False] * 5
+    assert (est.row_totals > 0).tolist() == [False, True, True] + [False] * 5
 
 
 def test_transition_rows_sum_to_one():
     cfg = small_switching(n_periods=80)
     run = run_switching_sim(cfg, 2, stream(17, 2, 2))
     est = estimate_transition_matrix(run.codes, 8)
-    sums = est.probs[est.visited].sum(axis=1)
+    sums = est.probs[est.row_totals > 0].sum(axis=1)
     assert sums == pytest.approx(np.ones(len(sums)), abs=1e-12)
 
 
@@ -175,7 +175,6 @@ def test_aggregate_runs_and_ensemble():
     assert all(np.array_equal(a.codes, b.codes) for a, b in zip(runs, runs_par))
     est = aggregate_runs(runs, cfg.n_states)
     assert est.mean_pi.sum() == pytest.approx(1.0)
-    assert est.pooled.counts.sum() == sum(len(r.codes) - 1 for r in runs)
 
 
 def test_stderr_needs_two_contributing_runs():
