@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from math import comb, erfc, exp, sqrt
@@ -122,19 +123,24 @@ def acf(series, max_lag: int) -> AcfResult:
 
     Uses the standard biased normalization (covariances divided by the full
     sample variance), which keeps the sequence positive semi-definite.
+
+    The sums of products go through `np.einsum`, not `np.dot`: OpenBLAS
+    splits a long `ddot` across threads, which makes the last bits of the
+    result depend on the thread count and, between other numpy work, can make
+    one call many times slower. einsum sums on the calling thread alone.
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
     if not 0 < max_lag < n:
         raise ValueError(f"max_lag must be in 1..{n - 1}, got {max_lag}")
     xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
+    denom = float(np.einsum("i,i->", xc, xc))
     if denom == 0.0:
         raise DegenerateSeriesError("series has zero variance")
     values = np.empty(max_lag + 1)
     values[0] = 1.0
     for lag in range(1, max_lag + 1):
-        values[lag] = float(np.dot(xc[lag:], xc[:-lag])) / denom
+        values[lag] = float(np.einsum("i,i->", xc[lag:], xc[:-lag])) / denom
     return AcfResult(values, 1.96 / sqrt(n))
 
 
@@ -271,39 +277,86 @@ class TickSeries:
 
 
 def load_ticks(file) -> TickSeries:
-    """Read a `time,price` CSV; any malformed row is rejected with its line number."""
+    """Read a `time,price` CSV; any malformed row is rejected with its line number.
+
+    A well-formed file is parsed in bulk by `np.loadtxt` straight from the
+    handle and checked with numpy reductions. Anything the bulk parse refuses
+    or the checks fail sends the whole input through `_read_tick_rows`, which
+    alone defines what is accepted and words every error. A handle that
+    cannot seek is read by `_read_tick_rows` only, since it cannot be reread.
+    """
     with text_file(file) as f:
-        reader = csv.reader(f)
+        if not f.seekable():
+            return _read_tick_rows(f)
+        start = f.tell()
+        _check_tick_header(csv.reader(f))
+        series = _parse_tick_body(f)
+        if series is not None:
+            return series
+        f.seek(start)
+        return _read_tick_rows(f)
+
+
+def _check_tick_header(reader) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TickDataError("empty file: expected header 'time,price'") from None
+    if [h.strip().lower() for h in header[:2]] != ["time", "price"]:
+        raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
+
+
+def _parse_tick_body(f) -> TickSeries | None:
+    """The rows after the header parsed in bulk, or None if any row needs
+    `_read_tick_rows` to accept it or to word its error.
+
+    `quotechar` makes numpy split quoted fields as `csv` does, so an unclosed
+    quote in an ignored column swallows the same lines in both readers.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty body is an error `_read_tick_rows` words.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2)
+    except ValueError:
+        return None
+    if len(table) < 2 or not np.isfinite(table).all():
+        return None
+    times, prices = np.ascontiguousarray(table.T)
+    if not ((prices > 0).all() and (np.diff(times) > 0).all()):
+        return None
+    return TickSeries(times, prices)
+
+
+def _read_tick_rows(f) -> TickSeries:
+    """Read a `time,price` CSV row by row: the definition of an accepted tick
+    file and of every error message."""
+    reader = csv.reader(f)
+    _check_tick_header(reader)
+    # Typed buffers hold 8 bytes a value where a list of floats holds
+    # about 32, and numpy reads them without a copy. `prev` spares
+    # boxing times[-1] again on every row.
+    times = array("d")
+    prices = array("d")
+    prev = -math.inf
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TickDataError("empty file: expected header 'time,price'") from None
-        if [h.strip().lower() for h in header[:2]] != ["time", "price"]:
-            raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
-        # Typed buffers hold 8 bytes a value where a list of floats holds
-        # about 32, and numpy reads them without a copy. `prev` spares
-        # boxing times[-1] again on every row.
-        times = array("d")
-        prices = array("d")
-        prev = -math.inf
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                t, p = float(row[0]), float(row[1])
-            except ValueError:
-                raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise TickDataError(f"line {lineno}: non-finite value")
-            if p <= 0:
-                raise TickDataError(f"line {lineno}: price must be positive, got {p}")
-            if t <= prev:
-                raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
-            times.append(t)
-            prices.append(p)
-            prev = t
+            t, p = float(row[0]), float(row[1])
+        except ValueError:
+            raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
+        if not (math.isfinite(t) and math.isfinite(p)):
+            raise TickDataError(f"line {lineno}: non-finite value")
+        if p <= 0:
+            raise TickDataError(f"line {lineno}: price must be positive, got {p}")
+        if t <= prev:
+            raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
+        times.append(t)
+        prices.append(p)
+        prev = t
     if len(times) < 2:
         raise TickDataError("need at least two ticks")
     return TickSeries(np.asarray(times), np.asarray(prices))

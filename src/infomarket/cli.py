@@ -300,15 +300,16 @@ def cmd_stats(args) -> int:
         given = [flag for flag, value in simulation_flags.items() if value is not None and value is not False]
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be used with --ticks: they set up a simulated run")
+        try:
+            returns = load_ticks(args.ticks).log_returns()
+        except (OSError, UnicodeDecodeError) as e:
+            raise TickDataError(f"cannot read {args.ticks}: {e}") from None
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
     max_lag = args.max_lag if args.max_lag is not None else DEFAULT_MAX_LAG
     eff = _effective(args, seed=seed, max_lag=max_lag)
     _announce("stats", eff, out)
-    if args.ticks:
-        series = load_ticks(args.ticks)
-        returns = series.log_returns()
-    else:
+    if not args.ticks:
         scfg = _override_session(SessionConfig(), args)
         path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(seed, PATH_DOMAIN, 0))
         result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))

@@ -17,11 +17,11 @@ def fmt(x) -> str:
 def text_file(file, mode: str = "r"):
     """Yield a text handle for `file`: a path or an already open handle.
 
-    A path is opened in `mode` and closed on exit; a handle is passed through
-    and left open for its owner.
+    A path is opened in `mode` as UTF-8, whatever the locale, and closed on
+    exit; a handle is passed through and left open for its owner.
     """
     if isinstance(file, (str, os.PathLike)):
-        with open(file, mode, newline="") as f:
+        with open(file, mode, newline="", encoding="utf-8") as f:
             yield f
     else:
         yield file

@@ -1,19 +1,28 @@
+import csv
 import io
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infomarket
+from infomarket import analytics
 from infomarket.analytics import (
     DegenerateSeriesError,
     TickDataError,
     _midranks,
+    _read_tick_rows,
     acf,
     jarque_bera,
     jcurve_table,
@@ -100,9 +109,9 @@ def tied_samples(seed, count):
 
 def acf_bruteforce(series, lag):
     x = list(map(float, series))
-    m = sum(x) / len(x)
-    num = sum((x[t] - m) * (x[t - lag] - m) for t in range(lag, len(x)))
-    den = sum((v - m) ** 2 for v in x)
+    m = math.fsum(x) / len(x)
+    num = math.fsum((x[t] - m) * (x[t - lag] - m) for t in range(lag, len(x)))
+    den = math.fsum((v - m) ** 2 for v in x)
     return num / den
 
 
@@ -267,6 +276,36 @@ def test_acf_bad_lag_rejected():
         acf([1.0, 2.0, 3.0], max_lag=3)
 
 
+# 50 000 points: long enough that OpenBLAS splits a dot product across threads.
+_ACF_SCRIPT = """
+import sys
+import numpy as np
+from infomarket.analytics import acf
+x = np.random.default_rng(11).standard_t(3, 50_000)
+sys.stdout.write(acf(x, 20).values.tobytes().hex() + acf(np.abs(x), 20).values.tobytes().hex())
+"""
+
+
+def test_acf_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(infomarket.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", _ACF_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 2 * 21 * 16
+    assert outputs[0] == outputs[1]
+
+
+def test_acf_matches_an_exact_sum_on_a_long_series():
+    series = np.random.default_rng(11).standard_t(3, 50_000)
+    out = acf(series, max_lag=5)
+    for lag in range(1, 6):
+        assert abs(out.values[lag] - acf_bruteforce(series, lag)) <= 1e-12
+
+
 # --- moments and jarque-bera -------------------------------------------------
 
 
@@ -394,6 +433,158 @@ def test_load_ticks_bad_header():
 def test_load_ticks_empty():
     with pytest.raises(TickDataError):
         load_ticks(io.StringIO(""))
+
+
+@pytest.mark.parametrize("body", ["time,price\n", "time,price\n\n\n"], ids=["header only", "header and blank lines"])
+def test_load_ticks_without_ticks_raises_and_warns_nothing(body):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TickDataError, match="need at least two ticks"):
+            load_ticks(io.StringIO(body))
+    assert [str(w.message) for w in caught] == []
+
+
+def _outcome(read, source):
+    """What a tick reader makes of `source`: its arrays, or its error's type and text."""
+    try:
+        series = read(source)
+    except (ValueError, csv.Error) as e:
+        return type(e), str(e)
+    assert series.times.dtype == np.float64 and series.prices.dtype == np.float64
+    return series.times, series.prices
+
+
+def _same_outcome(bulk, rows) -> bool:
+    if isinstance(rows[0], type):
+        return bulk == rows
+    return (not isinstance(bulk[0], type)
+            and np.array_equal(bulk[0], rows[0]) and np.array_equal(bulk[1], rows[1]))
+
+
+def _read_rows_from_path(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return _read_tick_rows(f)
+
+
+# Each file after its header, with the times it yields or a piece of its error.
+TICK_EDGE_CASES = {
+    "blank lines": ("1,40\n\n2,41\n\n", [1, 2]),
+    "whitespace-only line": ("1,40\n   \n2,41\n", "line 3: expected 2 fields, got 1"),
+    "tab-only line": ("1,40\n\t\n2,41\n", "line 3: expected 2 fields, got 1"),
+    "comment line": ("# note\n1,40\n2,41\n", "line 2: expected 2 fields, got 1"),
+    "trailing comment": ("1,40 # note\n2,41\n", "line 2: non-numeric field"),
+    "CRLF": ("1,40\r\n2,41\r\n3,42\r\n", [1, 2, 3]),
+    "bare CR": ("1,40\r2,41\r", [1, 2]),
+    "quoted fields": ('"1","40"\n2,"41"\n', [1, 2]),
+    "quote then text": ('"1"0,40\n20,41\n', [10, 20]),
+    "extra columns": ("1,40,a,b\n2,41,c\n", [1, 2]),
+    "empty extra column": ("1,40,\n2,41,\n", [1, 2]),
+    "quoted newline in extra column": ('1,40,"a\nb"\n2,41\n', [1, 2]),
+    "unclosed quote in extra column": ('1,40,"note\n2,41\n3,42,end"\n4,43\n', [1, 4]),
+    "underscore digits": ("1_0,40\n20,41\n", [10, 20]),
+    "Arabic-Indic digits": ("\u0661,40\n\u0662,41\n", [1, 2]),
+    "padded fields": (" 1 , 40 \n\t2,41\n", [1, 2]),
+    "exponents and signs": ("+1e0,4.0E1\n2.,.41e2\n", [1, 2]),
+    "nan price": ("1,40\n2,nan\n", "line 3: non-finite value"),
+    "inf time": ("1,40\ninf,41\n", "line 3: non-finite value"),
+    "1e999 price": ("1,40\n2,1e999\n", "line 3: non-finite value"),
+    "negative price": ("1,40\n2,-1\n", "line 3: price must be positive, got -1.0"),
+    "zero price": ("1,0\n2,41\n", "line 2: price must be positive, got 0.0"),
+    "repeated time": ("1,40\n1,41\n", "line 3: time 1.0 not increasing (previous 1.0)"),
+    "missing field": ("1,40\n2\n", "line 3: expected 2 fields, got 1"),
+    "empty field": ("1,40\n2,\n", "line 3: non-numeric field in ['2', '']"),
+    "NUL byte": ("1,40\x00\n2,41\n", "line 2: non-numeric field"),
+    "hexadecimal": ("0x1,40\n2,41\n", "line 2: non-numeric field"),
+    "one tick": ("1,40\n", "need at least two ticks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TICK_EDGE_CASES))
+def test_bulk_and_row_readers_agree_on_edge_cases(tmp_path, case):
+    body, expected = TICK_EDGE_CASES[case]
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(("time,price\r\n" if "\r" in body else "time,price\n").encode() + body.encode())
+    bulk, rows = _outcome(load_ticks, path), _outcome(_read_rows_from_path, path)
+    assert _same_outcome(bulk, rows), (bulk, rows)
+    if isinstance(expected, list):
+        assert rows[0].tolist() == expected
+    else:
+        assert rows[0] is TickDataError and expected in rows[1]
+
+
+@pytest.mark.parametrize("text", ["", "t,p\n1,40\n2,41\n", " Time , PRICE \n1,40\n2,41\n",
+                                  "time,price,volume\n1,40,5\n2,41,6\n", '"time","price"\n1,40\n2,41\n'],
+                         ids=["empty", "bad header", "padded header", "header with volume", "quoted header"])
+def test_bulk_and_row_readers_agree_on_headers(text):
+    assert _same_outcome(_outcome(load_ticks, io.StringIO(text, newline="")),
+                         _outcome(_read_tick_rows, io.StringIO(text, newline="")))
+
+
+_ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "1_0", "x", "", " 7 ", '"7"', '"'])
+_LINE_KINDS = st.sampled_from(["row"] * 6 + ["blank", "space", "quoted", "extra", "odd time", "odd price",
+                                               "repeat", "open quote"])
+
+
+@st.composite
+def tick_files(draw):
+    t = 0
+    lines = ["time,price"]
+    for kind in draw(st.lists(_LINE_KINDS, max_size=12)):
+        if kind != "repeat":
+            t += draw(st.integers(1, 3))
+        price = repr(draw(st.floats(0.01, 1000.0)))
+        lines.append({
+            "row": f"{t},{price}",
+            "repeat": f"{t},{price}",
+            "blank": "",
+            "space": draw(st.sampled_from([" ", "  ", "\t"])),
+            "quoted": f'"{t}","{price}"',
+            "extra": f"{t},{price},{draw(st.text(alphabet='ab, ', max_size=4))}",
+            "odd time": f"{draw(_ODD_CELLS)},{price}",
+            "odd price": f"{t},{draw(_ODD_CELLS)}",
+            "open quote": f'{t},{price},"open',
+        }[kind])
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_files())
+def test_bulk_and_row_readers_agree_on_generated_files(text):
+    bulk = _outcome(load_ticks, io.StringIO(text, newline=""))
+    rows = _outcome(_read_tick_rows, io.StringIO(text, newline=""))
+    assert _same_outcome(bulk, rows), (bulk, rows)
+
+
+def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
+    def refuse(f):
+        raise AssertionError("the row reader was called")
+
+    monkeypatch.setattr(analytics, "_read_tick_rows", refuse)
+    times = np.cumsum(np.random.default_rng(8).integers(1, 50, 3000)).astype(float)
+    prices = np.round(np.random.default_rng(9).uniform(10, 90, 3000), 2)
+    text = "time,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(times.tolist(), prices.tolist()))
+    path = tmp_path / "ticks.csv"
+    path.write_text(text)
+    for source in (path, io.StringIO(text)):
+        series = load_ticks(source)
+        assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+
+
+def test_load_ticks_falls_back_from_where_the_handle_started():
+    buf = io.StringIO("preamble\ntime,price\n1,40\n2,x\n")
+    buf.readline()
+    with pytest.raises(TickDataError, match=re.escape("line 3: non-numeric field in ['2', 'x']")):
+        load_ticks(buf)
+
+
+def test_load_ticks_reads_a_handle_that_cannot_seek():
+    class Unseekable(io.StringIO):
+        def seekable(self):
+            return False
+
+    series = load_ticks(Unseekable("time,price\n1,40\n2,41\n"))
+    assert series.times.tolist() == [1.0, 2.0] and series.prices.tolist() == [40.0, 41.0]
 
 
 # --- curve table -------------------------------------------------------------

@@ -80,11 +80,20 @@ def test_stats_on_simulated_run(tmp_path):
     assert (out / "moments.csv").exists()
 
 
-def test_stats_bad_ticks_exit_code(tmp_path, capsys):
-    ticks = tmp_path / "bad.csv"
-    ticks.write_text("time,price\n1,40\n1,41\n")
-    assert run_cli("stats", "--ticks", str(ticks), "--out", str(tmp_path / "o")) == 3
-    assert "line 3" in capsys.readouterr().err
+@pytest.mark.parametrize("make, message", [
+    (lambda p: p.write_text("time,price\n1,40\n1,41\n"), "line 3: time 1.0 not increasing"),
+    (lambda p: None, "No such file or directory"),
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_bytes(b"time,price\n1,40\n2,4\xff1\n"), "codec can't decode byte 0xff"),
+], ids=["bad row", "missing file", "directory", "not UTF-8"])
+def test_stats_tick_errors_exit_3_before_the_output_directory(tmp_path, capsys, make, message):
+    ticks = tmp_path / "ticks.csv"
+    make(ticks)
+    out = tmp_path / "o"
+    assert run_cli("stats", "--ticks", str(ticks), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert not out.exists()
 
 
 def test_markov_outputs(tmp_path):

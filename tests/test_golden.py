@@ -23,6 +23,7 @@ RUNS = {
                 "--jobs", "2"],
     "stats": ["stats", "--seed", "3"],
     "ticks": ["stats", "--ticks", "{ticks}"],
+    "ticks_large": ["stats", "--ticks", "{ticks_large}"],
 }
 
 DIGESTS = {
@@ -44,10 +45,12 @@ DIGESTS = {
     "markov3/tmatrix.csv": "3207e005b73e6b8a79caf5c35b781cd050317585ce09c37c94eec44cf966cabb",
     "markov3/freqs.csv": "81f0a2dd4b9f52b8c3429caef10a655c6a1f1b64c5d10052c8efd2dd5095c1b6",
     "stats/efficiency.csv": "188b82e5c9409feaafbacdf2af1c071e0400051f01e6e501e0608ee286ad4eb0",
-    "stats/acf.csv": "d0f67e1bf91d6b9de8c91cf8e4dec5f1d37948984ecf4080c9939ba7f196f343",
+    "stats/acf.csv": "4be9417c41baab72e7bcc676e08049213d3043ffc04d7ca485ccf2668665e6bc",
     "stats/moments.csv": "db1364931c42e5c2142d39c725365cef87edca0652ecfd4b71a3466749e38489",
-    "ticks/acf.csv": "dee3c73527348038868dedbd708e32de73f9728a082cdc69fd0e6e7ac3b22ec5",
+    "ticks/acf.csv": "762b7671b7886a77102eb520ba36af5b370d0fb9e7c222d97a55d29f7b285671",
     "ticks/moments.csv": "c79948ea4c8b2d8682f3ca99d140c40e6ea9993ccb9c42e409b2972b6ddb8f9e",
+    "ticks_large/acf.csv": "b7be8d51368b3b45946151de9e9a635c138a3b23dd3bd51b9a70bb59f9f26a0c",
+    "ticks_large/moments.csv": "8183f6c29c31b18cfaa2b71ba42113015b1363d2eedfb45367504384b0aa92f8",
 }
 
 
@@ -57,13 +60,29 @@ def _tick_file(path):
     path.write_text("\n".join(rows) + "\n")
 
 
+def _large_tick_file(path):
+    # 20 000 ticks: a walk in cents at irregular times, both driven by a
+    # fixed linear congruential generator. At this length OpenBLAS splits a
+    # dot product across threads, which the ACF must not depend on.
+    state, t, cents = 1, 0, 5000
+    rows = ["time,price"]
+    for _ in range(20_000):
+        state = (1103515245 * state + 12345) % 2**31
+        t += 1 + (state >> 16) % 7
+        cents += (state >> 8) % 5 - 2
+        rows.append(f"{t},{cents // 100}.{cents % 100:02d}")
+    path.write_text("\n".join(rows) + "\n")
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     ticks = root / "ticks.csv"
     _tick_file(ticks)
+    ticks_large = root / "ticks_large.csv"
+    _large_tick_file(ticks_large)
     for name, argv in RUNS.items():
-        argv = [a.format(ticks=ticks) for a in argv]
+        argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
         assert main(argv + ["--out", str(root / name)]) == 0, name
     return root
 
