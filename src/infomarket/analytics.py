@@ -1,9 +1,9 @@
 """Statistical battery for simulated and external price series.
 
 Covers the relative-return curve across information levels with its pairwise
-rank-sum significance matrix, the market-efficiency check on per-period asset
-returns, and the stylized-facts toolkit (autocorrelations, moments,
-normality test) for tick-level return series.
+rank-sum significance matrix, the stylized-facts toolkit (autocorrelations,
+moments, normality test) for tick-level return series, and the CSV writers for
+both and for the per-period asset returns of the market-efficiency check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvout import fmt, text_file, write_csv
-from .engine import SessionResult, session_net_returns
 
 
 class DegenerateSeriesError(ValueError):
@@ -188,32 +187,6 @@ def log_returns(prices) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Efficiency check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Per-period net simple returns on the asset versus the discount rate."""
-
-    returns: np.ndarray  # length n_periods - 1
-    mean: float
-    r_e: float
-    r_f: float
-
-
-def efficiency_report(result: SessionResult) -> EfficiencyReport:
-    rates = result.config.rates
-    returns = session_net_returns(result)
-    return EfficiencyReport(
-        returns=returns,
-        mean=float(returns.mean()),
-        r_e=rates.r_e,
-        r_f=rates.r_f,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Relative-return curve and significance matrix
 # ---------------------------------------------------------------------------
 
@@ -289,12 +262,22 @@ def load_ticks(file) -> TickSeries:
         if not f.seekable():
             return _read_tick_rows(f)
         start = f.tell()
-        _check_tick_header(csv.reader(f))
+        _check_tick_header(_csv_rows(f))
         series = _parse_tick_body(f)
         if series is not None:
             return series
         f.seek(start)
         return _read_tick_rows(f)
+
+
+def _csv_rows(f):
+    """`csv.reader(f)`'s rows; a `csv.Error`, such as a field over `csv`'s
+    size limit, is raised as a `TickDataError` that names the line."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise TickDataError(f"line {reader.line_num}: {e}") from None
 
 
 def _check_tick_header(reader) -> None:
@@ -331,7 +314,7 @@ def _parse_tick_body(f) -> TickSeries | None:
 def _read_tick_rows(f) -> TickSeries:
     """Read a `time,price` CSV row by row: the definition of an accepted tick
     file and of every error message."""
-    reader = csv.reader(f)
+    reader = _csv_rows(f)
     _check_tick_header(reader)
     # Typed buffers hold 8 bytes a value where a list of floats holds
     # about 32, and numpy reads them without a copy. `prev` spares
@@ -400,9 +383,10 @@ def write_moments_csv(mom: Moments, jb: tuple[float, float], n: int, file) -> No
     )
 
 
-def write_efficiency_summary_csv(report: EfficiencyReport, file) -> None:
+def write_efficiency_summary_csv(net_returns: np.ndarray, file) -> None:
+    """Per-period net simple returns on the asset, to set against the discount rate."""
     write_csv(file, ["period", "net_simple_return"],
-              ((k, fmt(r)) for k, r in enumerate(report.returns.tolist(), start=1)))
+              ((k, fmt(r)) for k, r in enumerate(net_returns.tolist(), start=1)))
 
 
 def write_sweep_csv(rows: list[tuple[int, float, float]], file) -> None:

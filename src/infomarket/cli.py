@@ -27,7 +27,6 @@ from . import __version__
 from .analytics import (
     TickDataError,
     acf,
-    efficiency_report,
     jarque_bera,
     jcurve_table,
     load_ticks,
@@ -42,7 +41,7 @@ from .analytics import (
     write_sweep_csv,
 )
 from .dividends import generate_dividend_path
-from .engine import SessionConfig, default_market, export_session_csv, run_session
+from .engine import SessionConfig, default_market, export_session_csv, run_session, session_net_returns
 from .montecarlo import BatchConfig, run_batch, write_efficiency_csv, write_runs_csv
 from .presets import (
     PRESETS,
@@ -63,8 +62,6 @@ from .switching import (
 
 MANIFEST_SCHEMA = 1
 CONFIG_SCHEMA = 1
-
-DEFAULT_MAX_LAG = 20
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,6 +93,17 @@ def _state_codes(text: str) -> str:
     return text
 
 
+def _jobs(text: str) -> int:
+    """`--jobs` checked as a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infomarket",
@@ -108,12 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, preset=False, batch=False, markov=False) -> None:
         p.add_argument("--config", help="JSON file with defaults for these flags (flags win)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
         p.add_argument("--out", default=None,
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
-            p.add_argument("--jobs", type=int, default=None, help="worker processes")
-            p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"), default=None)
+            p.add_argument("--jobs", type=_jobs, default=None, help="worker processes (default: one per CPU)")
+            p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"),
+                           default="jcurve10" if batch else "markov3", help="(default %(default)s)")
         if not markov:
             p.add_argument("--agents", type=int, default=None, help="number of traders")
         p.add_argument("--periods", type=int, default=None, help="trading periods")
@@ -140,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="analytics over a simulated run or tick CSV")
     common(p)
     p.add_argument("--ticks", default=None, help="external time,price CSV to analyse")
-    p.add_argument("--max-lag", type=int, default=None,
-                   help=f"autocorrelation horizon (default {DEFAULT_MAX_LAG})")
+    p.add_argument("--max-lag", type=int, default=20, help="autocorrelation horizon (default %(default)s)")
     p.add_argument("--per-step", action="store_true",
                    help="use per-step prices instead of per-trade prices")
     p = sub.add_parser("markov", help="strategy-switching experiments",
@@ -197,11 +205,9 @@ def _outdir(args) -> Path:
     return path
 
 
-def _effective(args, **extra) -> dict:
+def _effective(args) -> dict:
     skip = {"command", "config", "out"}
-    eff = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    eff.update(extra)
-    return eff
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def _announce(command: str, eff: dict, out: Path) -> None:
@@ -246,13 +252,12 @@ def _override_batch(cfg: BatchConfig, args) -> BatchConfig:
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
-    seed = args.seed if args.seed is not None else 0
-    eff = _effective(args, seed=seed)
-    _announce("simulate", eff, out)
     scfg = _override_session(SessionConfig(), args)
-    path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(seed, PATH_DOMAIN, 0))
-    result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
+    out = _outdir(args)
+    eff = _effective(args)
+    _announce("simulate", eff, out)
+    path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
+    result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
     export_session_csv(result, out)
     _write_manifest(out, "simulate", eff)
     print(f"trades: {len(result.trade_prices)}")
@@ -271,24 +276,24 @@ def _emit_batch_outputs(batch, out: Path) -> None:
 
 
 def cmd_batch(args) -> int:
-    out = _outdir(args)
-    seed = args.seed if args.seed is not None else 0
-    preset = args.preset or "jcurve10"
-    eff = _effective(args, seed=seed, preset=preset)
-    _announce("batch", eff, out)
-    if preset == "tradercount_sweep":
+    if args.preset == "tradercount_sweep":
         if args.agents is not None:
             raise ConfigError("--agents does not apply to tradercount_sweep, which sets its own trader counts")
+        sweep = {n: _override_batch(sweep_batch(n, args.seed, jobs=args.jobs), args) for n in SWEEP_TRADER_COUNTS}
+    else:
+        cfg = _override_batch(batch_for_preset(args.preset, args.seed, jobs=args.jobs), args)
+    out = _outdir(args)
+    eff = _effective(args)
+    _announce("batch", eff, out)
+    if args.preset == "tradercount_sweep":
         samples = {}
-        for n in SWEEP_TRADER_COUNTS:
-            batch = run_batch(_override_batch(sweep_batch(n, seed, jobs=args.jobs), args))
+        for n, cfg in sweep.items():
+            batch = run_batch(cfg)
             write_runs_csv(batch, out / f"runs_{n}.csv")
             samples[n] = batch.samples_by_level()[0]
         write_sweep_csv(random_trader_sweep(samples), out / "sweep.csv")
-        _write_manifest(out, "batch", eff)
-        return EXIT_OK
-    batch = run_batch(_override_batch(batch_for_preset(preset, seed, jobs=args.jobs), args))
-    _emit_batch_outputs(batch, out)
+    else:
+        _emit_batch_outputs(run_batch(cfg), out)
     _write_manifest(out, "batch", eff)
     return EXIT_OK
 
@@ -304,22 +309,20 @@ def cmd_stats(args) -> int:
             returns = load_ticks(args.ticks).log_returns()
         except (OSError, UnicodeDecodeError) as e:
             raise TickDataError(f"cannot read {args.ticks}: {e}") from None
+    else:
+        scfg = _override_session(SessionConfig(), args)
+        path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
+        result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
+        returns = log_returns(result.prices if args.per_step else result.trade_prices)
+        net_returns = session_net_returns(result)
+    ret_acf = acf(returns, args.max_lag)
+    abs_acf = acf(np.abs(returns), args.max_lag)
     out = _outdir(args)
-    seed = args.seed if args.seed is not None else 0
-    max_lag = args.max_lag if args.max_lag is not None else DEFAULT_MAX_LAG
-    eff = _effective(args, seed=seed, max_lag=max_lag)
+    eff = _effective(args)
     _announce("stats", eff, out)
     if not args.ticks:
-        scfg = _override_session(SessionConfig(), args)
-        path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(seed, PATH_DOMAIN, 0))
-        result = run_session(scfg, path, stream(seed, RUN_DOMAIN, 0, 0))
-        prices = result.prices if args.per_step else result.trade_prices
-        returns = log_returns(prices)
-        report = efficiency_report(result)
-        write_efficiency_summary_csv(report, out / "efficiency.csv")
-        print(f"mean net simple return: {report.mean:.6f} (r_e = {report.r_e}, r_f = {report.r_f})")
-    ret_acf = acf(returns, max_lag)
-    abs_acf = acf(np.abs(returns), max_lag)
+        write_efficiency_summary_csv(net_returns, out / "efficiency.csv")
+        print(f"mean net simple return: {net_returns.mean():.6f} (r_e = {scfg.rates.r_e}, r_f = {scfg.rates.r_f})")
     write_acf_csv(ret_acf, abs_acf, out / "acf.csv")
     mom = moments(returns)
     jb = jarque_bera(mom, len(returns))
@@ -330,9 +333,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    preset = args.preset or "markov3"
-    cfg, codes = switching_for_preset(preset)
+    cfg, codes = switching_for_preset(args.preset)
     kw = {}
     if args.traders is not None:
         kw["n_traders"] = args.traders
@@ -353,9 +354,9 @@ def cmd_markov(args) -> int:
         if outside:
             raise ConfigError(f"--states: code {outside[0]} outside 1..{cfg.n_states}")
     out = _outdir(args)
-    eff = _effective(args, seed=seed, preset=preset)
+    eff = _effective(args)
     _announce("markov", eff, out)
-    runs = run_switching_ensemble(cfg, codes, seed, jobs=args.jobs)
+    runs = run_switching_ensemble(cfg, codes, args.seed, jobs=args.jobs)
     est = aggregate_runs(runs, cfg.n_states)
     write_states_csv(runs, out / "states.csv")
     write_tmatrix_csv(est, out / "tmatrix.csv")

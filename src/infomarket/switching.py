@@ -23,17 +23,6 @@ from .rng import SWITCH_DOMAIN, stream
 SEGMENT_PERIODS = SessionConfig().n_periods
 
 
-def encode_state(strategies) -> int:
-    """Profile -> code in 1..2^n; trader 1 is the least significant bit, chartist = 1."""
-    code = 1
-    for i, s in enumerate(strategies):
-        if s is Strategy.CHARTIST:
-            code += 1 << i
-        elif s is not Strategy.FUNDAMENTALIST:
-            raise ValueError(f"trader {i + 1} has non-switchable strategy {s}")
-    return code
-
-
 def decode_state(code: int, n_traders: int) -> tuple[Strategy, ...]:
     if not 1 <= code <= (1 << n_traders):
         raise ValueError(f"code {code} outside 1..{1 << n_traders}")
@@ -115,53 +104,43 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     only the strategies carry over from one segment to the next.
     """
     n = config.n_traders
-    codes = np.empty(config.n_periods // config.interval + 1, dtype=np.int64)
-    codes[0] = initial_code
-    strategies = list(decode_state(initial_code, n))
+    codes = [initial_code]  # codes[-1] is the current profile, laid out as in decode_state
     tie_events = 0
     all_equal = 0
-    out = 1
     done = 0
     while done < config.n_periods:
         length = min(SEGMENT_PERIODS, config.n_periods - done)
-        scfg = config.session_config(encode_state(strategies), length)
+        scfg = config.session_config(codes[-1], length)
         path = generate_dividend_path(scfg.dividends, scfg.path_length, rng)
         session = MarketSession(scfg, path, rng)
-
-        def mark(k: int) -> float:
-            # share value at the end of period k of this segment
-            return conditional_present_value(path, n, k + 1, scfg.rates.r_e)
-
-        wealth_prev = np.asarray(session.cash) + np.asarray(session.shares, float) * mark(0)
+        cash0, shares0, r_e = scfg.initial_cash, scfg.initial_shares, scfg.rates.r_e
+        # Every interval starts from the same endowment for every trader, so
+        # one wealth, with shares marked at the end of the period before it.
+        w = cash0 + shares0 * conditional_present_value(path, n, 1, r_e)
         for k in range(1, length + 1):
             session.run_period()
             done += 1
             if done % config.interval:
                 continue
-            m = mark(k)
-            wealth_now = np.asarray(session.cash) + np.asarray(session.shares, float) * m
-            returns = (wealth_now - wealth_prev) / wealth_prev
-            mean = returns.mean()
-            below = returns < mean
-            if not below.any():
+            m = conditional_present_value(path, n, k + 1, r_e)
+            returns = [(c + s * m - w) / w for c, s in zip(session.cash, session.shares)]
+            # numpy's pairwise order from 8 traders on; neither a left-to-right
+            # sum nor the builtin (compensated since Python 3.12) keeps its bits
+            mean = float(np.mean(returns))
+            below = [i for i, r in enumerate(returns) if r < mean]
+            if not below:
                 all_equal += 1
-            elif (returns == mean).any():
+            elif mean in returns:
                 tie_events += 1
-            for i in range(n):
-                if below[i]:
-                    strategies[i] = (
-                        Strategy.CHARTIST
-                        if strategies[i] is Strategy.FUNDAMENTALIST
-                        else Strategy.FUNDAMENTALIST
-                    )
-                    session.set_strategy(i, strategies[i])
-            codes[out] = encode_state(strategies)
-            out += 1
-            for i in range(n):
-                session.cash[i] = float(scfg.initial_cash)
-                session.shares[i] = int(scfg.initial_shares)
-            wealth_prev = np.asarray(session.cash) + np.asarray(session.shares, float) * m
-    return SwitchingRun(initial_code, codes, tie_events, all_equal)
+            bits = codes[-1] - 1
+            for i in below:
+                bits ^= 1 << i
+                session.set_strategy(i, Strategy.CHARTIST if bits >> i & 1 else Strategy.FUNDAMENTALIST)
+            codes.append(bits + 1)
+            session.cash[:] = [cash0] * n
+            session.shares[:] = [shares0] * n
+            w = cash0 + shares0 * m
+    return SwitchingRun(initial_code, np.array(codes, dtype=np.int64), tie_events, all_equal)
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,8 @@ TICK_EDGE_CASES = {
     "NUL byte": ("1,40\x00\n2,41\n", "line 2: non-numeric field"),
     "hexadecimal": ("0x1,40\n2,41\n", "line 2: non-numeric field"),
     "one tick": ("1,40\n", "need at least two ticks"),
+    "price over the csv field limit": ("1,40\n2,4" + "0" * 200_000 + "\n",
+                                       "line 3: field larger than field limit (131072)"),
 }
 
 

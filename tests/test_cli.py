@@ -85,7 +85,9 @@ def test_stats_on_simulated_run(tmp_path):
     (lambda p: None, "No such file or directory"),
     (lambda p: p.mkdir(), "Is a directory"),
     (lambda p: p.write_bytes(b"time,price\n1,40\n2,4\xff1\n"), "codec can't decode byte 0xff"),
-], ids=["bad row", "missing file", "directory", "not UTF-8"])
+    (lambda p: p.write_text("time,price\n1,40\n2,4" + "0" * 200_000 + "\n"),
+     "line 3: field larger than field limit (131072)"),
+], ids=["bad row", "missing file", "directory", "not UTF-8", "field over the csv limit"])
 def test_stats_tick_errors_exit_3_before_the_output_directory(tmp_path, capsys, make, message):
     ticks = tmp_path / "ticks.csv"
     make(ticks)
@@ -266,6 +268,9 @@ BATCH = ["batch", "--seed", "1", "--sessions", "1", "--runs", "2", "--periods", 
         pytest.param(SIMULATE, ["--agents", "12"], 0, "dividends.csv", id="simulate --agents 12"),
         pytest.param(BATCH, ["--agents", "12"], 0, "runs.csv", id="batch --agents 12"),
         pytest.param(STATS, ["--agents", "12"], 0, "moments.csv", id="stats --agents 12"),
+        pytest.param(BATCH, ["--jobs", "0"], 2, None, id="batch --jobs 0"),
+        pytest.param(SWEEP, ["--jobs", "0"], 2, None, id="sweep --jobs 0"),
+        pytest.param(MARKOV, ["--jobs", "0"], 2, None, id="markov --jobs 0"),
     ],
 )
 def test_cli_never_silently_drops_a_flag(tmp_path, base, flag, expected_rc, output):
@@ -290,16 +295,39 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     assert "--interval" in err and "30-period segment" in err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--states", "a,b"], "argument --states: expected comma-separated state codes, got 'a,b'"),
-    (["--states", "0,2"], "argument --states: state codes start at 1, got '0,2'"),
-    (["--states", "99"], "--states: code 99 outside 1..8"),
-    (["--traders", "2", "--states", "1,5"], "--states: code 5 outside 1..4"),
-], ids=["not ints", "zero", "outside markov3", "outside --traders 2"])
-def test_markov_bad_states_exit_2_before_the_output_directory(tmp_path, capsys, flags, message):
-    out = tmp_path / "mk"
-    assert exit_code([*MARKOV, *flags, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    pytest.param([*MARKOV, "--states", "a,b"],
+                 "argument --states: expected comma-separated state codes, got 'a,b'", id="markov not ints"),
+    pytest.param([*MARKOV, "--states", "0,2"], "argument --states: state codes start at 1, got '0,2'",
+                 id="markov zero"),
+    pytest.param([*MARKOV, "--states", "99"], "--states: code 99 outside 1..8", id="markov outside markov3"),
+    pytest.param([*MARKOV, "--traders", "2", "--states", "1,5"], "--states: code 5 outside 1..4",
+                 id="markov outside --traders 2"),
+    pytest.param([*MARKOV, "--jobs", "0"], "argument --jobs: expected a worker count >= 1, got '0'",
+                 id="markov --jobs 0"),
+    pytest.param([*SIMULATE, "--agents", "0"], "a session needs at least one trader", id="simulate --agents 0"),
+    pytest.param([*SIMULATE, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
+                 id="simulate --periods 0"),
+    pytest.param([*BATCH, "--sessions", "0", "--runs", "1"], "n_sessions and runs_per_session must be >= 1",
+                 id="batch --sessions 0"),
+    pytest.param([*BATCH, "--steps", "0"], "n_periods and steps_per_period must be >= 1", id="batch --steps 0"),
+    pytest.param([*BATCH, "--jobs", "0"], "argument --jobs: expected a worker count >= 1, got '0'",
+                 id="batch --jobs 0"),
+    pytest.param([*SWEEP, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
+                 id="sweep --periods 0"),
+    pytest.param([*SWEEP, "--agents", "4"], "--agents does not apply to tradercount_sweep", id="sweep --agents"),
+    pytest.param([*STATS, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
+                 id="stats --periods 0"),
+    pytest.param([*TICKS, "--max-lag", "5"], "max_lag must be in 1..1, got 5", id="stats --ticks --max-lag 5"),
+])
+def test_bad_flags_exit_2_before_the_output_directory(tmp_path, capsys, argv, message):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("time,price\n1,40\n2,41\n3,40\n")
+    out = tmp_path / "o"
+    assert exit_code([a.format(ticks=ticks) for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

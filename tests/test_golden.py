@@ -1,4 +1,5 @@
-"""Golden digests: the sha256 of every CSV from a fixed set of CLI runs.
+"""Golden digests: the sha256 of every CSV from a fixed set of CLI runs, and
+of the manifests that hold no temporary path.
 
 A refactor that claims to change no simulated number must leave every digest
 here as it is. Regenerate them only in a change that alters the numbers on
@@ -22,6 +23,10 @@ RUNS = {
     "markov3": ["markov", "--preset", "markov3", "--seed", "3", "--periods", "300",
                 "--jobs", "2"],
     "stats": ["stats", "--seed", "3"],
+    "markov5": ["markov", "--preset", "markov5", "--seed", "3", "--periods", "60", "--jobs", "2"],
+    # eight traders take numpy's pairwise order for the cross-trader mean
+    "markov8": ["markov", "--traders", "8", "--interval", "5", "--seed", "3", "--periods", "60",
+                "--steps", "40", "--states", "1,77,200,256", "--jobs", "2"],
     "ticks": ["stats", "--ticks", "{ticks}"],
     "ticks_large": ["stats", "--ticks", "{ticks_large}"],
 }
@@ -51,6 +56,21 @@ DIGESTS = {
     "ticks/moments.csv": "c79948ea4c8b2d8682f3ca99d140c40e6ea9993ccb9c42e409b2972b6ddb8f9e",
     "ticks_large/acf.csv": "b7be8d51368b3b45946151de9e9a635c138a3b23dd3bd51b9a70bb59f9f26a0c",
     "ticks_large/moments.csv": "8183f6c29c31b18cfaa2b71ba42113015b1363d2eedfb45367504384b0aa92f8",
+    # The manifests of the runs whose params hold no temporary path.
+    "efficiency/manifest.json": "7bcbe61b74e9406d69da79b871c94a51c5584c2999fbdff326288d49c8cbaf0e",
+    "jcurve10/manifest.json": "a6755a5e767464ae02643291c94f523a9333b9613c3385d41253bb07a15a46cf",
+    "markov3/manifest.json": "41a7e213273f59337a02da5a7c6306782c61177ed7c87bcfbb674d370dfbac7e",
+    "markov5/freqs.csv": "a51c50c6dde47026be4d6cb54c6f615b416bcb2596bef83787ba53cab9fc5903",
+    "markov5/manifest.json": "559859161cd9c0fc787b50a05b25490341c44be8f2172b3ff50f2c6b6b20bfcb",
+    "markov5/states.csv": "6e2364e2ebd59f884400b3435ec2a2f5d92412ed476f1ddce1c14ab539de240a",
+    "markov5/tmatrix.csv": "f52230ef1773a79edffba8ee758cd596618f045aad529d5033e648f1c091909f",
+    "markov8/freqs.csv": "fb2a5b06db3bdd3494fa2e830836c451bcc2600839b84187c53dc1646c60afae",
+    "markov8/manifest.json": "2bd2cca3c8d68bc67fc7fad902bae7f69a406c691f57a452dd4dd08bb0034a22",
+    "markov8/states.csv": "f2254b2de143f2466ef28b74f178ac4ae51256e5105b5851b80074893c6a130f",
+    "markov8/tmatrix.csv": "a47ca0063ea46b1f4f022d6875ec39b0941303e25e5caaf20a9e90bee5c1af2e",
+    "noclearing/manifest.json": "a681c1eb5af7e16211dabd4fcecd480b0403a882ff3484adacbc1e05f1734bf1",
+    "simulate/manifest.json": "99135d53cbd864f14433e1e467d9ae71a74fad26eacfba83d68d4cefddaa9bef",
+    "stats/manifest.json": "40a186ab900658bbc5213264327114a6698bd858f5e03c64982921354f5cb597",
 }
 
 

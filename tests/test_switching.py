@@ -10,7 +10,6 @@ from infomarket.switching import (
     SwitchingRun,
     aggregate_runs,
     decode_state,
-    encode_state,
     estimate_transition_matrix,
     frequency_vector,
     run_switching_ensemble,
@@ -23,23 +22,26 @@ C = Strategy.CHARTIST
 
 
 def test_reference_codes_three_traders():
-    assert encode_state([F, F, F]) == 1
-    assert encode_state([C, F, F]) == 2
-    assert encode_state([F, C, F]) == 3
-    assert encode_state([C, C, C]) == 8
+    assert decode_state(1, 3) == (F, F, F)
+    assert decode_state(2, 3) == (C, F, F)
+    assert decode_state(3, 3) == (F, C, F)
+    assert decode_state(8, 3) == (C, C, C)
 
 
 def test_reference_codes_five_traders():
-    assert encode_state([C, C, C, C, C]) == 32
-    assert encode_state([F, F, F, F, F]) == 1
+    assert decode_state(32, 5) == (C, C, C, C, C)
+    assert decode_state(1, 5) == (F, F, F, F, F)
     assert decode_state(4, 5) == (C, C, F, F, F)
 
 
 @given(st.integers(1, 10), st.data())
 @settings(max_examples=100, deadline=None)
 def test_encode_decode_roundtrip(n, data):
+    # the encoding is the bit layout itself: trader i + 1 is bit i, chartist = 1
     code = data.draw(st.integers(1, 2**n))
-    assert encode_state(decode_state(code, n)) == code
+    profile = decode_state(code, n)
+    assert set(profile) <= {F, C}
+    assert 1 + sum(1 << i for i, s in enumerate(profile) if s is C) == code
 
 
 def test_decode_rejects_out_of_range():
@@ -47,11 +49,6 @@ def test_decode_rejects_out_of_range():
         decode_state(0, 3)
     with pytest.raises(ValueError):
         decode_state(9, 3)
-
-
-def test_encode_rejects_random_strategy():
-    with pytest.raises(ValueError):
-        encode_state([Strategy.RANDOM, F])
 
 
 def small_switching(n_traders=3, n_periods=40, **kw):
@@ -68,22 +65,18 @@ def test_single_trader_never_switches():
 
 def test_switch_rule_flips_only_below_mean_traders():
     # trace the rule directly: forced returns where only trader 1 underperforms
-    returns = np.array([-0.1, 0.05, 0.05])
-    mean = returns.mean()
-    strategies = [F, F, F]
-    flips = returns < mean
-    new = [
-        (C if s is F else F) if flip else s
-        for s, flip in zip(strategies, flips)
-    ]
-    assert encode_state(new) == 2
+    returns = [-0.1, 0.05, 0.05]
+    mean = float(np.mean(returns))
+    bits = 0
+    for i, r in enumerate(returns):
+        if r < mean:
+            bits ^= 1 << i
+    assert bits + 1 == 2 and decode_state(bits + 1, 3) == (C, F, F)
     # and flipping again returns to state 1
-    strategies = new
-    new = [
-        (C if s is F else F) if flip else s
-        for s, flip in zip(strategies, flips)
-    ]
-    assert encode_state(new) == 1
+    for i, r in enumerate(returns):
+        if r < mean:
+            bits ^= 1 << i
+    assert bits + 1 == 1 and decode_state(bits + 1, 3) == (F, F, F)
 
 
 def test_switching_sim_records_expected_length_and_codes():
