@@ -8,6 +8,7 @@ full-length run.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,11 +24,8 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=None)
     args = ap.parse_args()
 
-    cfg, codes = switching_for_preset(args.preset)
-    from dataclasses import replace
-
-    cfg = replace(cfg, n_periods=args.periods)
-    runs = run_switching_ensemble(cfg, codes, args.seed, jobs=args.jobs)
+    cfg = replace(switching_for_preset(args.preset), n_periods=args.periods)
+    runs = run_switching_ensemble(cfg, range(1, cfg.n_states + 1), args.seed, jobs=args.jobs)
     est = aggregate_runs(runs, cfg.n_states)
     order = np.argsort(-est.mean_pi)
     print(f"{args.preset}: {len(runs)} runs x {args.periods} periods")

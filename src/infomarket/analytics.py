@@ -232,21 +232,12 @@ def random_trader_sweep(samples_by_count: dict[int, np.ndarray]) -> list[tuple[i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TickSeries:
+class TickSeries(NamedTuple):
+    """A tick file's columns: equal lengths, increasing times and positive
+    prices, as both readers guarantee."""
+
     times: np.ndarray
     prices: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.prices):
-            raise ValueError("times and prices must have equal length")
-        if len(self.times) >= 2 and not (np.diff(self.times) > 0).all():
-            raise ValueError("times must be strictly increasing")
-        if (self.prices <= 0).any():
-            raise ValueError("prices must be positive")
-
-    def log_returns(self) -> np.ndarray:
-        return log_returns(self.prices)
 
 
 def load_ticks(file) -> TickSeries:

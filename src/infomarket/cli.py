@@ -48,7 +48,6 @@ from .presets import (
     SWEEP_TRADER_COUNTS,
     batch_for_preset,
     presets_for,
-    sweep_batch,
     switching_for_preset,
 )
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
@@ -75,21 +74,24 @@ class ConfigError(Exception):
 def _preset_help(command: str | None = None) -> str:
     """The preset list for `command`'s help, or every preset for the top level."""
     lines = ["presets:"]
-    for p in PRESETS.values():
+    for name, p in PRESETS.items():
         if command in (None, p.command):
-            lines.append(f"  {p.name:<18} {p.description}")
+            lines.append(f"  {name:<18} {p.description}")
     return "\n".join(lines)
 
 
 def _state_codes(text: str) -> str:
-    """`--states` checked as comma-separated positive ints and kept as given,
-    which is how the manifest records it."""
+    """`--states` checked as comma-separated distinct positive ints and kept
+    as given, which is how the manifest records it. A repeated code would
+    rerun the same chain, since a run's streams are keyed by its code."""
     try:
         codes = [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated state codes, got {text!r}") from None
     if min(codes) < 1:
         raise argparse.ArgumentTypeError(f"state codes start at 1, got {text!r}")
+    if len(set(codes)) < len(codes):
+        raise argparse.ArgumentTypeError(f"state codes must be distinct, got {text!r}")
     return text
 
 
@@ -276,19 +278,18 @@ def _emit_batch_outputs(batch, out: Path) -> None:
 
 
 def cmd_batch(args) -> int:
-    if args.preset == "tradercount_sweep":
-        if args.agents is not None:
-            raise ConfigError("--agents does not apply to tradercount_sweep, which sets its own trader counts")
-        sweep = {n: _override_batch(sweep_batch(n, args.seed, jobs=args.jobs), args) for n in SWEEP_TRADER_COUNTS}
-    else:
-        cfg = _override_batch(batch_for_preset(args.preset, args.seed, jobs=args.jobs), args)
+    counts = SWEEP_TRADER_COUNTS if args.preset == "tradercount_sweep" else ()
+    if counts and args.agents is not None:
+        raise ConfigError("--agents does not apply to tradercount_sweep, which sets its own trader counts")
+    cfg = _override_batch(batch_for_preset(args.preset, args.seed, jobs=args.jobs), args)
+    sweep = {n: replace(cfg, session=replace(cfg.session, agents=default_market(n))) for n in counts}
     out = _outdir(args)
     eff = _effective(args)
     _announce("batch", eff, out)
-    if args.preset == "tradercount_sweep":
+    if sweep:
         samples = {}
-        for n, cfg in sweep.items():
-            batch = run_batch(cfg)
+        for n, n_cfg in sweep.items():
+            batch = run_batch(n_cfg)
             write_runs_csv(batch, out / f"runs_{n}.csv")
             samples[n] = batch.samples_by_level()[0]
         write_sweep_csv(random_trader_sweep(samples), out / "sweep.csv")
@@ -306,7 +307,7 @@ def cmd_stats(args) -> int:
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be used with --ticks: they set up a simulated run")
         try:
-            returns = load_ticks(args.ticks).log_returns()
+            returns = log_returns(load_ticks(args.ticks).prices)
         except (OSError, UnicodeDecodeError) as e:
             raise TickDataError(f"cannot read {args.ticks}: {e}") from None
     else:
@@ -333,11 +334,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    cfg, codes = switching_for_preset(args.preset)
+    cfg = switching_for_preset(args.preset)
     kw = {}
     if args.traders is not None:
         kw["n_traders"] = args.traders
-        codes = tuple(range(1, (1 << args.traders) + 1))
     if args.periods is not None:
         kw["n_periods"] = args.periods
     if args.steps is not None:
@@ -348,8 +348,9 @@ def cmd_markov(args) -> int:
             cfg = replace(cfg, interval=args.interval)
         except ValueError as e:
             raise ConfigError(f"--interval {args.interval}: {e}") from None
+    codes = range(1, cfg.n_states + 1)
     if args.states:
-        codes = tuple(int(c) for c in args.states.split(","))
+        codes = [int(c) for c in args.states.split(",")]
         outside = [c for c in codes if c > cfg.n_states]
         if outside:
             raise ConfigError(f"--states: code {outside[0]} outside 1..{cfg.n_states}")

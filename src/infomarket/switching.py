@@ -52,8 +52,9 @@ class SwitchingConfig:
     steps_per_period: int = 100
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_traders <= 16:
-            raise ValueError(f"n_traders must be in 1..16, got {self.n_traders}")
+        # The estimates hold dense 2^n x 2^n matrices per run.
+        if not 1 <= self.n_traders <= 8:
+            raise ValueError(f"n_traders must be in 1..8, got {self.n_traders}")
         if self.n_periods < 1:
             raise ValueError("n_periods must be >= 1")
         if self.interval < 1 or self.n_periods % self.interval or SEGMENT_PERIODS % self.interval:

@@ -383,7 +383,7 @@ def test_load_ticks_happy_path():
     buf = io.StringIO("time,price\n1,40.0\n2,40.5\n4,39.9\n")
     series = load_ticks(buf)
     assert series.times.tolist() == [1.0, 2.0, 4.0]
-    assert len(series.log_returns()) == 2
+    assert len(log_returns(series.prices)) == 2
     assert series.prices.tolist() == [40.0, 40.5, 39.9]
 
 

@@ -208,8 +208,9 @@ def test_help_lists_presets(capsys):
         main(["--help"])
     text = capsys.readouterr().out
     for preset in ("jcurve10", "jcurve3", "tradercount_sweep", "efficiency",
-                   "stylized", "markov3", "markov5"):
+                   "markov3", "markov5"):
         assert preset in text
+    assert "stylized" not in text  # `stats` takes no preset
 
 
 def exit_code(argv):
@@ -303,6 +304,9 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     pytest.param([*MARKOV, "--states", "99"], "--states: code 99 outside 1..8", id="markov outside markov3"),
     pytest.param([*MARKOV, "--traders", "2", "--states", "1,5"], "--states: code 5 outside 1..4",
                  id="markov outside --traders 2"),
+    pytest.param([*MARKOV, "--states", "2,2"], "argument --states: state codes must be distinct, got '2,2'",
+                 id="markov repeated"),
+    pytest.param([*MARKOV, "--traders", "9"], "n_traders must be in 1..8, got 9", id="markov --traders 9"),
     pytest.param([*MARKOV, "--jobs", "0"], "argument --jobs: expected a worker count >= 1, got '0'",
                  id="markov --jobs 0"),
     pytest.param([*SIMULATE, "--agents", "0"], "a session needs at least one trader", id="simulate --agents 0"),

@@ -18,6 +18,10 @@ RUNS = {
                  "--runs", "4", "--jobs", "2"],
     "efficiency": ["batch", "--preset", "efficiency", "--seed", "3", "--sessions", "2",
                    "--runs", "3", "--jobs", "1"],
+    "jcurve3": ["batch", "--preset", "jcurve3", "--seed", "3", "--runs", "5", "--periods", "6",
+                "--steps", "30", "--jobs", "1"],
+    "sweep": ["batch", "--preset", "tradercount_sweep", "--seed", "3", "--sessions", "2",
+              "--runs", "2", "--periods", "4", "--steps", "20", "--jobs", "2"],
     "noclearing": ["batch", "--preset", "jcurve10", "--seed", "3", "--sessions", "2",
                    "--runs", "3", "--periods", "8", "--no-clearing", "--jobs", "1"],
     "markov3": ["markov", "--preset", "markov3", "--seed", "3", "--periods", "300",
@@ -43,6 +47,15 @@ DIGESTS = {
     "efficiency/jcurve.csv": "4601c2ef427d045711e2ded8638009e7c1e0072f97a6bfbb4a8f954e9f3f66b4",
     "efficiency/pvalues.csv": "26ee46bb5d0c77715c5e1922d9b86d9f5bfe1ceb9dfcabcabf80f1130484eedd",
     "efficiency/efficiency.csv": "08479667b5670c55dd279a2ce5aa9bbe9752b650bd4f274d8b3f5dfb0276241b",
+    "jcurve3/runs.csv": "0081441dcad8916ec5d86760dab9677818ef80259922db90dbc481dd1ed6d0f5",
+    "jcurve3/jcurve.csv": "d74a90ee35b5c95f293f46e0e8f89323c076aa854d0ea21b34b6c0de3e9ee7ab",
+    "jcurve3/pvalues.csv": "7313b15352431b79b6b1510bc607c1416af8b031b1ddce8192a2697f908b604e",
+    "sweep/runs_3.csv": "1376b0eb2a5b3ca38b50adbdd026324152573752104d1c84a675bfa9c344a409",
+    "sweep/runs_5.csv": "29ac323cd71695a3cee2630554cfa6207606c03519cb746fb2ab6d468236e87f",
+    "sweep/runs_7.csv": "c13ed29fdbe189ddfe28075595ef66e123d512b9be7c847c3cf9859c37fae0b7",
+    "sweep/runs_9.csv": "c8ed49c45e441959bfc8d186ac9c85fdd7789d33679fd2fc9828bb13f0f3af47",
+    "sweep/runs_10.csv": "7132648f38abf0890bd896cdbf9c9eff5af57d8565e536111934005c6d48a6f0",
+    "sweep/sweep.csv": "29c5415cd21dbf896eca0eb50264b4c0bd818bcab5a5f43fc5858e7db58438a6",
     "noclearing/runs.csv": "a157ea92d5542c94b2c7a5197579be770f30cc356cab0bb8738bb09d9f92ad5f",
     "noclearing/jcurve.csv": "824071116189e374eadc7fdf5492c4e0b05ac9b42846118c4ed4917aa6ac1c2c",
     "noclearing/pvalues.csv": "d7699e0efc5ef61174dff73165628f7fcdca21ae45e90961e7d259020c0c833b",
@@ -59,6 +72,7 @@ DIGESTS = {
     # The manifests of the runs whose params hold no temporary path.
     "efficiency/manifest.json": "7bcbe61b74e9406d69da79b871c94a51c5584c2999fbdff326288d49c8cbaf0e",
     "jcurve10/manifest.json": "a6755a5e767464ae02643291c94f523a9333b9613c3385d41253bb07a15a46cf",
+    "jcurve3/manifest.json": "cc7de23c4a0b1cf601822e92c6f0c64203856e0476e95663ab21348f0ef1f810",
     "markov3/manifest.json": "41a7e213273f59337a02da5a7c6306782c61177ed7c87bcfbb674d370dfbac7e",
     "markov5/freqs.csv": "a51c50c6dde47026be4d6cb54c6f615b416bcb2596bef83787ba53cab9fc5903",
     "markov5/manifest.json": "559859161cd9c0fc787b50a05b25490341c44be8f2172b3ff50f2c6b6b20bfcb",
@@ -71,6 +85,7 @@ DIGESTS = {
     "noclearing/manifest.json": "a681c1eb5af7e16211dabd4fcecd480b0403a882ff3484adacbc1e05f1734bf1",
     "simulate/manifest.json": "99135d53cbd864f14433e1e467d9ae71a74fad26eacfba83d68d4cefddaa9bef",
     "stats/manifest.json": "40a186ab900658bbc5213264327114a6698bd858f5e03c64982921354f5cb597",
+    "sweep/manifest.json": "4329b9b43a3c9b138ddb67753b3594decd9196d630b8173898f2aeb4b86d3838",
 }
 
 

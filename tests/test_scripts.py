@@ -17,13 +17,6 @@ def run_script(name, *args):
     )
 
 
-def test_run_stylized_defaults():
-    proc = run_script("run_stylized.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "kurt=" in proc.stdout
-    assert " lag  acf(ret)  acf(|ret|)" in proc.stdout
-
-
 def test_run_markov_tiny():
     proc = run_script("run_markov.py", "--periods", "30", "--jobs", "1")
     assert proc.returncode == 0, proc.stderr
