@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, erfc, exp, sqrt
 from typing import NamedTuple
@@ -253,7 +254,8 @@ def load_ticks(file) -> TickSeries:
         if not f.seekable():
             return _read_tick_rows(f)
         start = f.tell()
-        _check_tick_header(_csv_rows(f))
+        with _unlimited_csv_fields():
+            _check_tick_header(_csv_rows(f))
         series = _parse_tick_body(f)
         if series is not None:
             return series
@@ -261,9 +263,21 @@ def load_ticks(file) -> TickSeries:
         return _read_tick_rows(f)
 
 
+@contextmanager
+def _unlimited_csv_fields():
+    """`csv`'s 131072-character field limit lifted for the duration, so the
+    row reader accepts every field the bulk parse accepts (a long field in
+    an ignored column included); the caller's limit is restored on exit."""
+    old = csv.field_size_limit(2**31 - 1)  # the largest C long on every platform
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 def _csv_rows(f):
-    """`csv.reader(f)`'s rows; a `csv.Error`, such as a field over `csv`'s
-    size limit, is raised as a `TickDataError` that names the line."""
+    """`csv.reader(f)`'s rows; a `csv.Error` is raised as a `TickDataError`
+    that names the line."""
     reader = csv.reader(f)
     try:
         yield from reader
@@ -305,35 +319,36 @@ def _parse_tick_body(f) -> TickSeries | None:
 def _read_tick_rows(f) -> TickSeries:
     """Read a `time,price` CSV row by row: the definition of an accepted tick
     file and of every error message."""
-    reader = _csv_rows(f)
-    _check_tick_header(reader)
-    # Typed buffers hold 8 bytes a value where a list of floats holds
-    # about 32, and numpy reads them without a copy. `prev` spares
-    # boxing times[-1] again on every row.
-    times = array("d")
-    prices = array("d")
-    prev = -math.inf
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) < 2:
-            raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            t, p = float(row[0]), float(row[1])
-        except ValueError:
-            raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
-        if not (math.isfinite(t) and math.isfinite(p)):
-            raise TickDataError(f"line {lineno}: non-finite value")
-        if p <= 0:
-            raise TickDataError(f"line {lineno}: price must be positive, got {p}")
-        if t <= prev:
-            raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
-        times.append(t)
-        prices.append(p)
-        prev = t
-    if len(times) < 2:
-        raise TickDataError("need at least two ticks")
-    return TickSeries(np.asarray(times), np.asarray(prices))
+    with _unlimited_csv_fields():
+        reader = _csv_rows(f)
+        _check_tick_header(reader)
+        # Typed buffers hold 8 bytes a value where a list of floats holds
+        # about 32, and numpy reads them without a copy. `prev` spares
+        # boxing times[-1] again on every row.
+        times = array("d")
+        prices = array("d")
+        prev = -math.inf
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                t, p = float(row[0]), float(row[1])
+            except ValueError:
+                raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
+            if not (math.isfinite(t) and math.isfinite(p)):
+                raise TickDataError(f"line {lineno}: non-finite value")
+            if p <= 0:
+                raise TickDataError(f"line {lineno}: price must be positive, got {p}")
+            if t <= prev:
+                raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
+            times.append(t)
+            prices.append(p)
+            prev = t
+        if len(times) < 2:
+            raise TickDataError("need at least two ticks")
+        return TickSeries(np.asarray(times), np.asarray(prices))
 
 
 # ---------------------------------------------------------------------------

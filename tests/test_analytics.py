@@ -496,8 +496,8 @@ TICK_EDGE_CASES = {
     "NUL byte": ("1,40\x00\n2,41\n", "line 2: non-numeric field"),
     "hexadecimal": ("0x1,40\n2,41\n", "line 2: non-numeric field"),
     "one tick": ("1,40\n", "need at least two ticks"),
-    "price over the csv field limit": ("1,40\n2,4" + "0" * 200_000 + "\n",
-                                       "line 3: field larger than field limit (131072)"),
+    "price over the csv field limit": ("1,40\n2,4" + "0" * 200_000 + "\n", "line 3: non-finite value"),
+    "ignored field over the csv field limit": ("1,40," + "x" * 200_000 + "\n2,41\n", [1, 2]),
 }
 
 
@@ -580,13 +580,26 @@ def test_load_ticks_falls_back_from_where_the_handle_started():
         load_ticks(buf)
 
 
-def test_load_ticks_reads_a_handle_that_cannot_seek():
-    class Unseekable(io.StringIO):
-        def seekable(self):
-            return False
+class Unseekable(io.StringIO):
+    def seekable(self):
+        return False
 
+
+def test_load_ticks_reads_a_handle_that_cannot_seek():
     series = load_ticks(Unseekable("time,price\n1,40\n2,41\n"))
     assert series.times.tolist() == [1.0, 2.0] and series.prices.tolist() == [40.0, 41.0]
+
+
+def test_every_reader_accepts_a_field_over_the_csv_limit_in_an_ignored_column(tmp_path):
+    # The bulk parse has no field limit; the row reader lifts csv's for its
+    # read and restores it, so all three routes read the same two ticks.
+    text = "time,price\n1,40," + "x" * 200_000 + "\n2,41\n"
+    path = tmp_path / "ticks.csv"
+    path.write_text(text)
+    limit = csv.field_size_limit()
+    for series in (load_ticks(path), _read_rows_from_path(path), load_ticks(Unseekable(text, newline=""))):
+        assert series.times.tolist() == [1.0, 2.0] and series.prices.tolist() == [40.0, 41.0]
+    assert csv.field_size_limit() == limit
 
 
 # --- curve table -------------------------------------------------------------
