@@ -54,9 +54,15 @@ class DividendPath:
 
     `values` is a list of Python floats: a lookup in it is much cheaper than
     indexing a NumPy array, and `conditional_present_value` makes many.
+
+    `present_values` memoises `conditional_present_value` on this path by
+    (level, period, r_e). Every run of a batch session trades on the same
+    path, so each value is computed once per session, not once per run. The
+    callers fill it: on a miss they call `conditional_present_value` by the
+    name their own module imported.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "present_values")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float)
@@ -65,6 +71,7 @@ class DividendPath:
         if (arr < 0).any():
             raise ValueError("dividends must be non-negative")
         self.values: list[float] = arr.tolist()
+        self.present_values: dict[tuple[int, int, float], float] = {}
 
     def __len__(self) -> int:
         return len(self.values)

@@ -185,9 +185,13 @@ class MarketSession:
     def _deliver_information(self, k: int) -> None:
         r_e = self.config.rates.r_e
         path = self.path
+        memo = path.present_values
         for i, lvl in enumerate(self.levels):
             if lvl > 0:
-                self._pv[i] = conditional_present_value(path, lvl, k, r_e)
+                pv = memo.get((lvl, k, r_e))
+                if pv is None:
+                    pv = memo[lvl, k, r_e] = conditional_present_value(path, lvl, k, r_e)
+                self._pv[i] = pv
 
     def run_period(self) -> None:
         config = self.config

@@ -92,6 +92,16 @@ class SwitchingRun:
     all_equal_events: int  # intervals with all returns equal (no switch at all)
 
 
+def _present_value(path, level: int, period: int, r_e: float) -> float:
+    """`conditional_present_value` read through the path's memo, which the
+    session's information deliveries share."""
+    memo = path.present_values
+    pv = memo.get((level, period, r_e))
+    if pv is None:
+        pv = memo[level, period, r_e] = conditional_present_value(path, level, period, r_e)
+    return pv
+
+
 def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random.Generator) -> SwitchingRun:
     """Run the market with periodic strategy updating; record one code per interval.
 
@@ -117,13 +127,13 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
         cash0, shares0, r_e = scfg.initial_cash, scfg.initial_shares, scfg.rates.r_e
         # Every interval starts from the same endowment for every trader, so
         # one wealth, with shares marked at the end of the period before it.
-        w = cash0 + shares0 * conditional_present_value(path, n, 1, r_e)
+        w = cash0 + shares0 * _present_value(path, n, 1, r_e)
         for k in range(1, length + 1):
             session.run_period()
             done += 1
             if done % config.interval:
                 continue
-            m = conditional_present_value(path, n, k + 1, r_e)
+            m = _present_value(path, n, k + 1, r_e)
             returns = [(c + s * m - w) / w for c, s in zip(session.cash, session.shares)]
             # numpy's pairwise order from 8 traders on; neither a left-to-right
             # sum nor the builtin (compensated since Python 3.12) keeps its bits

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infomarket import engine
+from infomarket import dividends, engine
 from infomarket.agents import Strategy, decide_chartist, decide_fundamentalist, decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
+from infomarket.montecarlo import _run_session_block
 from infomarket.engine import (
     MarketSession,
     SessionConfig,
@@ -330,3 +331,25 @@ def test_rules_see_the_live_book(monkeypatch):
     # one read of each quote per activation
     activations = calls["decide_random"] + calls["decide_fundamentalist"] + calls["decide_chartist"]
     assert calls["best_bid"] == calls["best_ask"] == activations
+
+
+def test_a_session_block_computes_each_present_value_once(monkeypatch):
+    # The runs of a block share their dividend path and so its memo: the
+    # patched engine name sees one real computation per (level, period),
+    # and every memoised value is the direct computation's, bit for bit.
+    calls = Counter()
+    paths = set()
+
+    def counted(path, level, period, r_e):
+        calls[level, period] += 1
+        paths.add(path)
+        return dividends.conditional_present_value(path, level, period, r_e)
+
+    monkeypatch.setattr(engine, "conditional_present_value", counted)
+    cfg = small_config()
+    _run_session_block((3, 0, cfg, 4, False))
+    (path,) = paths
+    assert calls == Counter({(lvl, k): 1 for lvl in range(1, 4) for k in range(1, cfg.n_periods + 1)})
+    assert len(path.present_values) == len(calls)
+    for (lvl, k, r_e), pv in path.present_values.items():
+        assert pv.hex() == dividends.conditional_present_value(path, lvl, k, r_e).hex()

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infomarket import dividends, engine, switching
 from infomarket.agents import Strategy
 from infomarket.rng import stream
 from infomarket.switching import (
@@ -99,6 +102,25 @@ def test_interval_must_divide_the_segment_and_the_run():
         small_switching(n_periods=40, interval=4)  # divides 40, not 30
     with pytest.raises(ValueError, match="30-period segment"):
         small_switching(n_periods=50, interval=3)  # divides 30, not 50
+
+
+def test_marks_and_deliveries_share_one_present_value_memo(monkeypatch):
+    # Each segment's path is computed on once per (level, period), whether
+    # a mark or an information delivery asks first, through the names the
+    # two modules import.
+    calls = Counter()
+
+    def counted(path, level, period, r_e):
+        calls[path, level, period] += 1
+        return dividends.conditional_present_value(path, level, period, r_e)
+
+    monkeypatch.setattr(engine, "conditional_present_value", counted)
+    monkeypatch.setattr(switching, "conditional_present_value", counted)
+    cfg = small_switching(n_periods=60)
+    run_switching_sim(cfg, 3, stream(7, 2, 3))
+    # two segments of 30 periods; the top level is marked up to period 31
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * (3 * 30 + 1)
 
 
 def test_switching_determinism():
