@@ -2,11 +2,13 @@
 
 Each rule is a pure function of plain arguments (the last trade price p,
 the best bid and ask, None for an empty side, plus the trader's valuation or
-the session's price series where the rule needs them) to an action intent,
-and it alone decides whether the order trades now: every priced order ends
-in `_sell` or `_buy`, which turn a quote that crosses the opposite real best
-into a market order. The engine only checks that the trader can afford the
-intent and carries it out.
+the session's price series where the rule needs them, and the variates it
+may use: a uniform u in [0, 1) and a standard normal z, drawn for it by the
+caller) to an action intent. No rule touches a random generator, and each
+uses at most one u and one z. A rule alone decides whether the order trades
+now: every priced order ends in `_sell` or `_buy`, which turn a quote that
+crosses the opposite real best into a market order. The engine only checks
+that the trader can afford the intent and carries it out.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 
 class Strategy(Enum):
@@ -52,16 +52,16 @@ MARKET_BUY = Intent("market_buy", None)
 NO_ACTION = Intent("none", None)
 
 
-def decide_random(p: float, bid: float | None, ask: float | None, rng: np.random.Generator) -> Intent:
+def decide_random(p: float, bid: float | None, ask: float | None, u: float, z: float) -> Intent:
     """Uninformed rule: quote around the last price p with Gaussian noise.
 
-    A coin flip picks the side; the candidate price is p + 2z. It becomes a
-    market order only if it crosses the existing opposite best; a missing
-    quote on the comparison side means no cross.
+    The coin u < 0.5 picks the sell side; the candidate price is p + 2z. It
+    becomes a market order only if it crosses the existing opposite best; a
+    missing quote on the comparison side means no cross.
     """
-    if rng.random() < 0.5:
-        return _sell(p + 2.0 * rng.standard_normal(), bid)
-    return _buy(p + 2.0 * rng.standard_normal(), ask)
+    if u < 0.5:
+        return _sell(p + 2.0 * z, bid)
+    return _buy(p + 2.0 * z, ask)
 
 
 # Every priced order ends in _sell or _buy: a market order when its price
@@ -90,49 +90,48 @@ def _effective_quotes(p: float, bid: float | None, ask: float | None, anchor: fl
 
 
 def _inside_limit(anchor: float, eff_bid: float, eff_ask: float, bid: float | None, ask: float | None,
-                  rng: np.random.Generator) -> Intent:
+                  z: float) -> Intent:
     # Quote on the side whose (effective) best quote sits farther from the
     # anchor value, at the anchor plus noise proportional to the distance on
     # the other side. A non-positive quote is dropped before the crossing
     # test, so it never becomes a market order even under a real opposite quote.
     if (eff_ask - anchor) > (anchor - eff_bid):
-        price = anchor + 0.25 * rng.standard_normal() * (anchor - eff_bid)
+        price = anchor + 0.25 * z * (anchor - eff_bid)
         return _sell(price, bid) if price > 0 else NO_ACTION
-    price = anchor + 0.25 * rng.standard_normal() * (eff_ask - anchor)
+    price = anchor + 0.25 * z * (eff_ask - anchor)
     return _buy(price, ask) if price > 0 else NO_ACTION
 
 
-def decide_fundamentalist(pv: float, p: float, bid: float | None, ask: float | None,
-                          rng: np.random.Generator) -> Intent:
+def decide_fundamentalist(pv: float, p: float, bid: float | None, ask: float | None, z: float) -> Intent:
     """Value rule: take any quote priced on the wrong side of pv, else quote inside."""
     eff_bid, eff_ask = _effective_quotes(p, bid, ask, pv)
     if pv < eff_bid:
         return MARKET_SELL
     if pv > eff_ask:
         return MARKET_BUY
-    return _inside_limit(pv, eff_bid, eff_ask, bid, ask, rng)
+    return _inside_limit(pv, eff_bid, eff_ask, bid, ask, z)
 
 
 def decide_chartist(p: float, bid: float | None, ask: float | None, prices: list[float],
-                    rng: np.random.Generator) -> Intent:
+                    u: float, z: float) -> Intent:
     """Trend rule: sell into three strictly falling steps, buy into three rising.
 
     prices is the session's per-step price series so far, so the trader is
     at step len(prices) + 1 and its history is the last three step prices
     followed by p. Before step 4 it has no usable history and flips a coin
-    for an aggressive order near p; with no trend it quotes inside the
-    spread exactly like a fundamentalist whose value equals p.
+    for an aggressive order near p (u < 0.5 sells); with no trend it quotes
+    inside the spread exactly like a fundamentalist whose value equals p.
     """
     n = len(prices)
     if n >= 4:
         last, before, earlier = prices[-1], prices[-2], prices[-3]
         if p < last < before < earlier:
-            return _sell(p - abs(rng.standard_normal()), bid)
+            return _sell(p - abs(z), bid)
         if p > last > before > earlier:
-            return _buy(p + abs(rng.standard_normal()), ask)
+            return _buy(p + abs(z), ask)
     if n < 3:
-        if rng.random() < 0.5:
-            return _sell(p - abs(rng.standard_normal()), bid)
-        return _buy(p + abs(rng.standard_normal()), ask)
+        if u < 0.5:
+            return _sell(p - abs(z), bid)
+        return _buy(p + abs(z), ask)
     eff_bid, eff_ask = _effective_quotes(p, bid, ask, p)
-    return _inside_limit(p, eff_bid, eff_ask, bid, ask, rng)
+    return _inside_limit(p, eff_bid, eff_ask, bid, ask, z)

@@ -59,7 +59,7 @@ from .switching import (
     write_tmatrix_csv,
 )
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 CONFIG_SCHEMA = 1
 
 EXIT_OK = 0

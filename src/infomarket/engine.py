@@ -20,6 +20,13 @@ rules in `agents` with plain arguments, places or executes through the
 book methods are looked up by name once per period, so patching
 `engine.decide_*` or a `Book` method (as the benchmark's tracer does)
 reaches every activation.
+
+The session's generator is drawn from in bulk, in this order per period:
+`permutation(n)` for the seeding pass, then `random(m)` and
+`standard_normal(m)` for its m informed activations; `integers(0, n,
+size=steps)` for the steps, then `random(steps)` and
+`standard_normal(steps)`. Activation j of a pass gets the j-th uniform and
+normal, whether or not its rule uses them, so no rule touches a generator.
 """
 
 from __future__ import annotations
@@ -217,21 +224,26 @@ class MarketSession:
         # The seeding pass (each informed trader once, shuffled; the
         # uninformed trader quotes off the last price only during the steps)
         # records no price; each step records the last price after it.
+        # Each pass draws its activation order, then one uniform and one
+        # normal per activation, which the rules take as plain floats.
         for stepping in (False, True):
             if stepping:
                 order = rng.integers(0, n, size=config.steps_per_period).tolist()
             else:
                 order = [i for i in rng.permutation(n).tolist() if levels[i] > 0]
-            for i in order:
+            m = len(order)
+            us = rng.random(m).tolist()
+            zs = rng.standard_normal(m).tolist()
+            for i, u, z in zip(order, us, zs):
                 bid = best_bid()
                 ask = best_ask()
                 strat = strategies[i]
                 if strat is RANDOM:
-                    kind, price = random_rule(p, bid, ask, rng)
+                    kind, price = random_rule(p, bid, ask, u, z)
                 elif strat is FUNDAMENTALIST:
-                    kind, price = value_rule(pv[i], p, bid, ask, rng)
+                    kind, price = value_rule(pv[i], p, bid, ask, z)
                 else:
-                    kind, price = trend_rule(p, bid, ask, prices, rng)
+                    kind, price = trend_rule(p, bid, ask, prices, u, z)
                 # The trader must afford the intent: no shorting, no credit,
                 # counting what its resting orders already commit.
                 if kind == "limit_bid":

@@ -51,6 +51,23 @@ def test_replay_reproduces_batch(tmp_path):
         assert read(first / name) == read(again / name)
 
 
+def test_replay_refuses_a_schema_1_manifest(tmp_path, capsys):
+    # Schema 1 manifests were written before the rules took pre-drawn
+    # variates; replaying one now would not reproduce its outputs.
+    first = tmp_path / "first"
+    assert run_cli("simulate", "--seed", "2", "--periods", "4", "--steps", "15",
+                   "--out", str(first)) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["schema_version"] == 2
+    manifest["schema_version"] = 1
+    (first / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert run_cli("replay", "--manifest", str(first), "--out", str(again)) == 2
+    assert "error: unsupported manifest schema_version 1" in capsys.readouterr().err
+    assert not again.exists()
+
+
 def test_replay_accepts_directory(tmp_path):
     first = tmp_path / "first"
     again = tmp_path / "again"
@@ -128,8 +145,9 @@ def test_markov_single_run_stderr_is_nan(tmp_path):
 
 
 def test_markov_stderr_counts_only_the_runs_that_visited_the_row(tmp_path):
-    # 8 runs of 5 codes each; row 5 is visited by one run and row 2 by three,
-    # so their cells' stderr is the spread over those runs / sqrt(1 or 3)
+    # 8 runs of 5 codes each; a cell's stderr is the spread of the per-run
+    # estimates over the runs that visited its row / sqrt(their count), and
+    # nan where only one run did
     out = tmp_path / "mk"
     assert run_cli("markov", "--periods", "20", "--steps", "20", "--interval", "5",
                    "--seed", "1", "--jobs", "1", "--out", str(out)) == 0
@@ -141,15 +159,20 @@ def test_markov_stderr_counts_only_the_runs_that_visited_the_row(tmp_path):
     for line in (out / "tmatrix.csv").read_text().splitlines()[1:]:
         a, b, _, err = line.split(",")
         stderr[int(a), int(b)] = float(err)
-    visitors = {row: [codes for codes in runs.values() if row in codes[:-1]] for row in (2, 5)}
-    assert (len(runs), len(visitors[2]), len(visitors[5])) == (8, 3, 1)
-    for to in range(1, 9):
-        assert math.isnan(stderr[5, to])
-        probs = []
-        for codes in visitors[2]:
-            moves = [nxt for cur, nxt in zip(codes, codes[1:]) if cur == 2]
-            probs.append(moves.count(to) / len(moves))
-        assert stderr[2, to] == pytest.approx(statistics.stdev(probs) / math.sqrt(3), rel=1e-12, abs=1e-15)
+    visitors = {row: [codes for codes in runs.values() if row in codes[:-1]] for row in range(1, 9)}
+    counts = {len(v) for v in visitors.values()}
+    assert len(runs) == 8 and 1 in counts and counts & {2, 3, 4, 5, 6, 7}
+    for row, visiting in visitors.items():
+        for to in range(1, 9):
+            if len(visiting) < 2:
+                assert math.isnan(stderr[row, to])
+                continue
+            probs = []
+            for codes in visiting:
+                moves = [nxt for cur, nxt in zip(codes, codes[1:]) if cur == row]
+                probs.append(moves.count(to) / len(moves))
+            expected = statistics.stdev(probs) / math.sqrt(len(visiting))
+            assert stderr[row, to] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_missing_out_is_config_error(tmp_path, monkeypatch, capsys):

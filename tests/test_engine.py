@@ -276,18 +276,18 @@ def test_rules_see_the_live_book(monkeypatch):
         assert bid == best_bid(session.book)
         assert ask == best_ask(session.book)
 
-    def random_rule(p, bid, ask, rng):
+    def random_rule(p, bid, ask, u, z):
         check("decide_random", p, bid, ask)
-        return decide_random(p, bid, ask, rng)
+        return decide_random(p, bid, ask, u, z)
 
-    def value_rule(pv, p, bid, ask, rng):
+    def value_rule(pv, p, bid, ask, z):
         check("decide_fundamentalist", p, bid, ask)
-        return decide_fundamentalist(pv, p, bid, ask, rng)
+        return decide_fundamentalist(pv, p, bid, ask, z)
 
-    def trend_rule(p, bid, ask, prices, rng):
+    def trend_rule(p, bid, ask, prices, u, z):
         check("decide_chartist", p, bid, ask)
         assert prices is live["session"].prices
-        return decide_chartist(p, bid, ask, prices, rng)
+        return decide_chartist(p, bid, ask, prices, u, z)
 
     place_limit, execute_marketable = Book.place_limit, Book.execute_marketable
     best_bid, best_ask = Book.best_bid, Book.best_ask
@@ -331,6 +331,36 @@ def test_rules_see_the_live_book(monkeypatch):
     # one read of each quote per activation
     activations = calls["decide_random"] + calls["decide_fundamentalist"] + calls["decide_chartist"]
     assert calls["best_bid"] == calls["best_ask"] == activations
+
+
+def test_run_period_draws_in_the_documented_layout(monkeypatch):
+    # Per pass: the order, then random(m) and standard_normal(m) for its m
+    # activations, each handed to the rule as plain floats.
+    agents = market_with_levels((0, 3, 1, 0, 2), chartist_levels=(2,))
+    cfg = small_config(agents=agents, steps_per_period=17)
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(5, 0, 0))
+    session = MarketSession(cfg, path, stream(5, 1, 0, 0))
+    seen = []
+
+    def record(rule):
+        def recorded(*args):
+            seen.append(args[-2:] if rule is not decide_fundamentalist else args[-1:])
+            return rule(*args)
+        return recorded
+
+    for name, rule in (("decide_random", decide_random), ("decide_fundamentalist", decide_fundamentalist),
+                       ("decide_chartist", decide_chartist)):
+        monkeypatch.setattr(engine, name, record(rule))
+    session.run_period()
+    fresh = stream(5, 1, 0, 0)
+    seeding = [i for i in fresh.permutation(5).tolist() if agents[i].info_level > 0]
+    variates = [(seeding, fresh.random(3).tolist(), fresh.standard_normal(3).tolist())]
+    steps = fresh.integers(0, 5, size=17).tolist()
+    variates.append((steps, fresh.random(17).tolist(), fresh.standard_normal(17).tolist()))
+    assert session.rng.bit_generator.state == fresh.bit_generator.state
+    expected = [(z,) if agents[i].strategy is Strategy.FUNDAMENTALIST else (u, z)
+                for order, us, zs in variates for i, u, z in zip(order, us, zs)]
+    assert seen == expected
 
 
 def test_a_session_block_computes_each_present_value_once(monkeypatch):

@@ -36,56 +36,56 @@ RUNS = {
 }
 
 DIGESTS = {
-    "simulate/prices.csv": "38117abad4c1a52a407c6ac46fe268d1823eeadf8945f611c2a54b9eb7a60068",
-    "simulate/trades.csv": "055704c2dbcee766bdd808aa88c8508888dd7e0adead8641fb6ca5bd80440f3f",
-    "simulate/wealth.csv": "a38750819e75e58589324f5cd6f05fd1476b875141f5d96b2402aa73f3c389db",
+    "simulate/prices.csv": "08aebf6982b7e87048cb9cefee19c549814e01581875e54ed445f23240914924",
+    "simulate/trades.csv": "0501227580f22be48f3316f7c2b8fac0829dda0c3b7f2ac0cc580acd683d9e80",
+    "simulate/wealth.csv": "5da845d68baec99816a859c72a080657dbc671d468e03f04cae92555ef742d72",
     "simulate/dividends.csv": "e069ebf6636ff836976d4d7cb38b445324579a1c2ae6a10a9d7781052a113c7d",
-    "jcurve10/runs.csv": "65cd284206da070fee4a80dd4d4f9768b7e47bed0738dcb0365c02cd533777f0",
-    "jcurve10/jcurve.csv": "62f1a4b3718c4514b2fe9b286fe259cd8067e4a873d7b22d5daf12c21f92e5e9",
-    "jcurve10/pvalues.csv": "3a7f957184e4c454d71301078a759c5bcf302f5d2ed10635d0970cb07fc27784",
-    "efficiency/runs.csv": "c6fd53c1bcd0c2d8b4aee3928e2785f3b7f10822fcd92e87bdbf5b05e9f7ca5b",
-    "efficiency/jcurve.csv": "4601c2ef427d045711e2ded8638009e7c1e0072f97a6bfbb4a8f954e9f3f66b4",
-    "efficiency/pvalues.csv": "26ee46bb5d0c77715c5e1922d9b86d9f5bfe1ceb9dfcabcabf80f1130484eedd",
-    "efficiency/efficiency.csv": "08479667b5670c55dd279a2ce5aa9bbe9752b650bd4f274d8b3f5dfb0276241b",
-    "jcurve3/runs.csv": "0081441dcad8916ec5d86760dab9677818ef80259922db90dbc481dd1ed6d0f5",
-    "jcurve3/jcurve.csv": "d74a90ee35b5c95f293f46e0e8f89323c076aa854d0ea21b34b6c0de3e9ee7ab",
-    "jcurve3/pvalues.csv": "7313b15352431b79b6b1510bc607c1416af8b031b1ddce8192a2697f908b604e",
-    "sweep/runs_3.csv": "1376b0eb2a5b3ca38b50adbdd026324152573752104d1c84a675bfa9c344a409",
-    "sweep/runs_5.csv": "29ac323cd71695a3cee2630554cfa6207606c03519cb746fb2ab6d468236e87f",
-    "sweep/runs_7.csv": "c13ed29fdbe189ddfe28075595ef66e123d512b9be7c847c3cf9859c37fae0b7",
-    "sweep/runs_9.csv": "c8ed49c45e441959bfc8d186ac9c85fdd7789d33679fd2fc9828bb13f0f3af47",
-    "sweep/runs_10.csv": "7132648f38abf0890bd896cdbf9c9eff5af57d8565e536111934005c6d48a6f0",
-    "sweep/sweep.csv": "29c5415cd21dbf896eca0eb50264b4c0bd818bcab5a5f43fc5858e7db58438a6",
-    "noclearing/runs.csv": "a157ea92d5542c94b2c7a5197579be770f30cc356cab0bb8738bb09d9f92ad5f",
-    "noclearing/jcurve.csv": "824071116189e374eadc7fdf5492c4e0b05ac9b42846118c4ed4917aa6ac1c2c",
-    "noclearing/pvalues.csv": "d7699e0efc5ef61174dff73165628f7fcdca21ae45e90961e7d259020c0c833b",
-    "markov3/states.csv": "9d2fdbb2c8de64ec073e7a9f69c38b51950a1d066570a35f7c982b1b3e6f155a",
-    "markov3/tmatrix.csv": "3207e005b73e6b8a79caf5c35b781cd050317585ce09c37c94eec44cf966cabb",
-    "markov3/freqs.csv": "81f0a2dd4b9f52b8c3429caef10a655c6a1f1b64c5d10052c8efd2dd5095c1b6",
-    "stats/efficiency.csv": "188b82e5c9409feaafbacdf2af1c071e0400051f01e6e501e0608ee286ad4eb0",
-    "stats/acf.csv": "4be9417c41baab72e7bcc676e08049213d3043ffc04d7ca485ccf2668665e6bc",
-    "stats/moments.csv": "db1364931c42e5c2142d39c725365cef87edca0652ecfd4b71a3466749e38489",
+    "jcurve10/runs.csv": "4489c38280309b6db7cd9eed865bf3042286261bab4e75f4923466877d55eab4",
+    "jcurve10/jcurve.csv": "35ee1ca78ac55fb01aca30f85d4d5d6e810f75e0ef1385896fe6d7ef30401482",
+    "jcurve10/pvalues.csv": "4dc8e8f1f690a485e5f04799a40cb192ae5d4535a08f60e35bfde2abe24f8754",
+    "efficiency/runs.csv": "5434561d4663d8706e61ccb4034288ea241aedea32c8f2e40bfeeed88520bf0a",
+    "efficiency/jcurve.csv": "00d336ad264a7ebb693fee9161a689cc366d9cd5ec46cfe6f031d9730be8a72e",
+    "efficiency/pvalues.csv": "13eb2b20197524d8c4bccfd4f320ac60033e11045cf46a931ae4543fc2b15514",
+    "efficiency/efficiency.csv": "e02df8468128d249dc62c1981fc1f16238280e8fc5e14ab0a391b3f6eb286acf",
+    "jcurve3/runs.csv": "5405c3134a8a764fd91d4d0824d0a42d5676b6bb528c6319696dfc5b596ee3ed",
+    "jcurve3/jcurve.csv": "08176d3be54a48d7c8100aa4c62e286ab65875d1e793d5b5a3a6f0005f953b58",
+    "jcurve3/pvalues.csv": "a4cc8093a7ae284d221a5412f142ad5dbfd216181f61340afdb0612e90452ae4",
+    "sweep/runs_3.csv": "7a4fcb3419b1527affb25a95c1c216b980ebcb178f2114e112e144033e298767",
+    "sweep/runs_5.csv": "f0c056f7732b51771c0748027abe93e33af6df55b87faf8a890546e6f9448dac",
+    "sweep/runs_7.csv": "6f9c9ab370e357e379e594949d3117d1f7124f621d64c16e0bf30cf3e6140cb5",
+    "sweep/runs_9.csv": "103b047dbe028d03e6bd5a517183449af7350c46d1301b4b5ed1945a9898bb3a",
+    "sweep/runs_10.csv": "0738456335673ab4bc5772d3be4aaa4f2ee73c005c1c2ba394ae221f8b38bd62",
+    "sweep/sweep.csv": "6f3a98b16c9cd649cc45738ba382f6dd356caaa93708c31e66f119e3e75a929a",
+    "noclearing/runs.csv": "de959acfea2e22335a028d8759c53f507955088be7e27987669699bf9dfe15d9",
+    "noclearing/jcurve.csv": "c511e90af25c2422245be4dd134743c96d29aefd64b646d54c0c24fe19801fe1",
+    "noclearing/pvalues.csv": "f3ffaad475361c44304a64d30592a0e9a06c1a5ea4d1fe4820fd6280d32fdd2e",
+    "markov3/states.csv": "5253ecfca8bebaae1504e25dae2f07c6649be24b7dfee93f37647f884c1064d5",
+    "markov3/tmatrix.csv": "f4926aeb07685b93069352a53e0d3756254e6f53a2a79ecdc7166915b9e05259",
+    "markov3/freqs.csv": "dac955150b726f4943b6a427dcf8c736e471db6142893ca2b71127d8ab4b477b",
+    "stats/efficiency.csv": "2d941b320bb594e84045fca1f0b57883b1ec6d45719bc087bdbd0ec2ef6b3baa",
+    "stats/acf.csv": "a5be97b1d79c0baec4437a6335d2cbd369a19dbace04b3fab75baa1a636cf87f",
+    "stats/moments.csv": "a08080e036e0eed26c3ded1875a274b870cef1a5e350fc6126b4f752d3391add",
     "ticks/acf.csv": "762b7671b7886a77102eb520ba36af5b370d0fb9e7c222d97a55d29f7b285671",
     "ticks/moments.csv": "c79948ea4c8b2d8682f3ca99d140c40e6ea9993ccb9c42e409b2972b6ddb8f9e",
     "ticks_large/acf.csv": "b7be8d51368b3b45946151de9e9a635c138a3b23dd3bd51b9a70bb59f9f26a0c",
     "ticks_large/moments.csv": "8183f6c29c31b18cfaa2b71ba42113015b1363d2eedfb45367504384b0aa92f8",
     # The manifests of the runs whose params hold no temporary path.
-    "efficiency/manifest.json": "7bcbe61b74e9406d69da79b871c94a51c5584c2999fbdff326288d49c8cbaf0e",
-    "jcurve10/manifest.json": "a6755a5e767464ae02643291c94f523a9333b9613c3385d41253bb07a15a46cf",
-    "jcurve3/manifest.json": "cc7de23c4a0b1cf601822e92c6f0c64203856e0476e95663ab21348f0ef1f810",
-    "markov3/manifest.json": "41a7e213273f59337a02da5a7c6306782c61177ed7c87bcfbb674d370dfbac7e",
-    "markov5/freqs.csv": "a51c50c6dde47026be4d6cb54c6f615b416bcb2596bef83787ba53cab9fc5903",
-    "markov5/manifest.json": "559859161cd9c0fc787b50a05b25490341c44be8f2172b3ff50f2c6b6b20bfcb",
-    "markov5/states.csv": "6e2364e2ebd59f884400b3435ec2a2f5d92412ed476f1ddce1c14ab539de240a",
-    "markov5/tmatrix.csv": "f52230ef1773a79edffba8ee758cd596618f045aad529d5033e648f1c091909f",
-    "markov8/freqs.csv": "fb2a5b06db3bdd3494fa2e830836c451bcc2600839b84187c53dc1646c60afae",
-    "markov8/manifest.json": "2bd2cca3c8d68bc67fc7fad902bae7f69a406c691f57a452dd4dd08bb0034a22",
-    "markov8/states.csv": "f2254b2de143f2466ef28b74f178ac4ae51256e5105b5851b80074893c6a130f",
-    "markov8/tmatrix.csv": "a47ca0063ea46b1f4f022d6875ec39b0941303e25e5caaf20a9e90bee5c1af2e",
-    "noclearing/manifest.json": "a681c1eb5af7e16211dabd4fcecd480b0403a882ff3484adacbc1e05f1734bf1",
-    "simulate/manifest.json": "99135d53cbd864f14433e1e467d9ae71a74fad26eacfba83d68d4cefddaa9bef",
-    "stats/manifest.json": "40a186ab900658bbc5213264327114a6698bd858f5e03c64982921354f5cb597",
-    "sweep/manifest.json": "4329b9b43a3c9b138ddb67753b3594decd9196d630b8173898f2aeb4b86d3838",
+    "efficiency/manifest.json": "8ba472551b4d7a1c8ca77ed254ec56211561e8013a7bf9e99e7577876634d942",
+    "jcurve10/manifest.json": "68eb7e39110efb092f73d47292ac971fa698ef3d7f470f67cc25f029e84f5263",
+    "jcurve3/manifest.json": "57f3c7d34c3898d826a32ba7bed4af3c998f528df29b88ffa25f124aeb0e582a",
+    "markov3/manifest.json": "736df143569041411cc198bc4ce6e0fc0a24513a281cfd4d0a17ea95a63eb138",
+    "markov5/freqs.csv": "a97b8e3b6beb300970ed13bc31a8cc57a2d28333e1b5e42268b4c43fb3c0c5d8",
+    "markov5/manifest.json": "f37fc519682f768622dac0723b3dd8757b45054092cf77fba7c73bf2a9a48402",
+    "markov5/states.csv": "b47e7050f979a1004b76efb2e0375e2ffd41f545c52dd31c40978df7d755226e",
+    "markov5/tmatrix.csv": "db180aae5d287d48326d30da28aea987ccb5ecea0d44417677829a7039c4bace",
+    "markov8/freqs.csv": "13eae537de3ce2bae27b6a95a1ec9fffa03c7f39df4453fea67a9d6fa39dad42",
+    "markov8/manifest.json": "948a5326ed3ccbc87b8550d7fd1f4f5e13f19d01081bc304b3652750e4e299be",
+    "markov8/states.csv": "0fc61f624fc3e8eac2808c3149ddbd34ca860ca74c965c7e7ad988546ff06c7d",
+    "markov8/tmatrix.csv": "37319eb6cc8f20161e4cf604ddfbcdcdfae3484c0f27237fe1b2bf2db89eec39",
+    "noclearing/manifest.json": "582d24e95e4c6651ea23b649e19aaddf6acd9648734c901e83faaca51154bcd9",
+    "simulate/manifest.json": "a9883d96e6d523866fe06bc7d0504bfa9346cb1c9fee457f112af5ce6c3c54bc",
+    "stats/manifest.json": "153fdb4d8e76fb36c283babccab991d586f221836958a206a386b0346ceda218",
+    "sweep/manifest.json": "280392c6d88bee99a52bf1c7dbb556c541a6e07ff287222c064efabe72fc3cea",
 }
 
 
