@@ -316,39 +316,39 @@ def _parse_tick_body(f) -> TickSeries | None:
     return TickSeries(times, prices)
 
 
+@_unlimited_csv_fields()
 def _read_tick_rows(f) -> TickSeries:
     """Read a `time,price` CSV row by row: the definition of an accepted tick
     file and of every error message."""
-    with _unlimited_csv_fields():
-        reader = _csv_rows(f)
-        _check_tick_header(reader)
-        # Typed buffers hold 8 bytes a value where a list of floats holds
-        # about 32, and numpy reads them without a copy. `prev` spares
-        # boxing times[-1] again on every row.
-        times = array("d")
-        prices = array("d")
-        prev = -math.inf
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                t, p = float(row[0]), float(row[1])
-            except ValueError:
-                raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
-            if not (math.isfinite(t) and math.isfinite(p)):
-                raise TickDataError(f"line {lineno}: non-finite value")
-            if p <= 0:
-                raise TickDataError(f"line {lineno}: price must be positive, got {p}")
-            if t <= prev:
-                raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
-            times.append(t)
-            prices.append(p)
-            prev = t
-        if len(times) < 2:
-            raise TickDataError("need at least two ticks")
-        return TickSeries(np.asarray(times), np.asarray(prices))
+    reader = _csv_rows(f)
+    _check_tick_header(reader)
+    # Typed buffers hold 8 bytes a value where a list of floats holds
+    # about 32, and numpy reads them without a copy. `prev` spares
+    # boxing times[-1] again on every row.
+    times = array("d")
+    prices = array("d")
+    prev = -math.inf
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise TickDataError(f"line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            t, p = float(row[0]), float(row[1])
+        except ValueError:
+            raise TickDataError(f"line {lineno}: non-numeric field in {row[:2]}") from None
+        if not (math.isfinite(t) and math.isfinite(p)):
+            raise TickDataError(f"line {lineno}: non-finite value")
+        if p <= 0:
+            raise TickDataError(f"line {lineno}: price must be positive, got {p}")
+        if t <= prev:
+            raise TickDataError(f"line {lineno}: time {t} not increasing (previous {prev})")
+        times.append(t)
+        prices.append(p)
+        prev = t
+    if len(times) < 2:
+        raise TickDataError("need at least two ticks")
+    return TickSeries(np.asarray(times), np.asarray(prices))
 
 
 # ---------------------------------------------------------------------------
