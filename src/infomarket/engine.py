@@ -224,8 +224,6 @@ class MarketSession:
         # The seeding pass (each informed trader once, shuffled; the
         # uninformed trader quotes off the last price only during the steps)
         # records no price; each step records the last price after it.
-        # Each pass draws its activation order, then one uniform and one
-        # normal per activation, which the rules take as plain floats.
         for stepping in (False, True):
             if stepping:
                 order = rng.integers(0, n, size=config.steps_per_period).tolist()
