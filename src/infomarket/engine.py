@@ -13,13 +13,14 @@ can neither short nor buy on credit: an order is refused when the trader's
 free shares or free cash (net of what its resting orders commit) do not
 cover it.
 
-`MarketSession.run_period` is the hot path: one activation loop on locals
-bound once per period. It asks the `Book` for the best quotes, calls the
-rules in `agents` with plain arguments, places or executes through the
-`Book` methods, and settles fills in place. The rules and the
-book methods are looked up by name once per period, so patching
-`engine.decide_*` or a `Book` method (as the benchmark's tracer does)
-reaches every activation.
+`MarketSession.run_period` splits a period in two. `draw_period` makes all
+of its draws; the trading step then runs the activation loop on them and
+draws nothing. The loop runs on locals bound once per period. It asks the
+`Book` for the best quotes, calls the rules in `agents` with plain
+arguments, places or executes through the `Book` methods, and settles fills
+in place. The rules and the book methods are looked up by name once per
+period, so patching `engine.decide_*` or a `Book` method (as the
+benchmark's tracer does) reaches every activation.
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -150,6 +151,36 @@ class SessionResult:
         return self.cash_hist + self.shares_hist * marks[:, None]
 
 
+class PeriodDraws:
+    """One period's variates, in buffers that each period refills.
+
+    `perm` is the seeding pass's permutation of all n traders, of which the
+    m informed ones act; `order` is the steps' traders. `u` and `z` hold the
+    seeding pass's m uniforms and normals, then the steps'.
+    """
+
+    __slots__ = ("m", "perm", "order", "u", "z", "_passes")
+
+    def __init__(self, n: int, m: int, steps: int) -> None:
+        self.m = m
+        self.perm = np.empty(n, dtype=np.int64)
+        self.order = np.empty(steps, dtype=np.int64)
+        self.u = np.empty(m + steps)
+        self.z = np.empty(m + steps)
+        self._passes = (self.u[:m], self.z[:m], self.u[m:], self.z[m:])
+
+
+def draw_period(rng: np.random.Generator, draws: PeriodDraws) -> None:
+    """Fill `draws` from `rng` in the documented layout (see the module docstring)."""
+    seeding_u, seeding_z, steps_u, steps_z = draws._passes
+    draws.perm[:] = rng.permutation(len(draws.perm))
+    rng.random(out=seeding_u)
+    rng.standard_normal(out=seeding_z)
+    draws.order[:] = rng.integers(0, len(draws.perm), size=len(draws.order))
+    rng.random(out=steps_u)
+    rng.standard_normal(out=steps_z)
+
+
 class MarketSession:
     """Mutable session state; drive it period by period or via run()."""
 
@@ -180,6 +211,7 @@ class MarketSession:
         self.cash_hist = [self.cash.copy()]
         self.shares_hist = [self.shares.copy()]
         self._pv: list[float | None] = [None] * n
+        self._draws = PeriodDraws(n, sum(lvl > 0 for lvl in self.levels), config.steps_per_period)
         self.periods_done = 0
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
@@ -206,8 +238,18 @@ class MarketSession:
             raise RuntimeError("session already complete")
         k = self.periods_done + 1
         self._deliver_information(k)
+        draw_period(self.rng, self._draws)
+        self._trade_period(self._draws, self.path.dividend(k))
+        self.periods_done += 1
+
+    def _trade_period(self, draws: PeriodDraws, d: float) -> None:
+        """One period's activations on this period's draws, then its settlement.
+
+        It draws nothing: its inputs are the draws, the strategies, the
+        present values, the dividend d, the rates and the clearing flag.
+        """
+        config = self.config
         # Everything the activation loop touches, bound once per period.
-        rng = self.rng
         n = self.n_agents
         levels, strategies, pv = self.levels, self.strategies, self._pv
         cash, shares = self.cash, self.shares
@@ -221,18 +263,17 @@ class MarketSession:
         trade_steps, trade_prices = self._trade_steps, self._trade_prices
         trade_buyers, trade_sellers = self._trade_buyers, self._trade_sellers
         p = self.last_price
+        m = draws.m
+        us, zs = draws.u.tolist(), draws.z.tolist()
         # The seeding pass (each informed trader once, shuffled; the
         # uninformed trader quotes off the last price only during the steps)
         # records no price; each step records the last price after it.
-        for stepping in (False, True):
-            if stepping:
-                order = rng.integers(0, n, size=config.steps_per_period).tolist()
-            else:
-                order = [i for i in rng.permutation(n).tolist() if levels[i] > 0]
-            m = len(order)
-            us = rng.random(m).tolist()
-            zs = rng.standard_normal(m).tolist()
-            for i, u, z in zip(order, us, zs):
+        passes = (
+            ([i for i in draws.perm.tolist() if levels[i] > 0], us[:m], zs[:m], False),
+            (draws.order.tolist(), us[m:], zs[m:], True),
+        )
+        for order, pass_us, pass_zs, stepping in passes:
+            for i, u, z in zip(order, pass_us, pass_zs):
                 bid = best_bid()
                 ask = best_ask()
                 strat = strategies[i]
@@ -286,7 +327,6 @@ class MarketSession:
                 if stepping:
                     prices.append(p)
         self.last_price = p
-        d = self.path.dividend(k)
         growth = 1.0 + config.rates.r_f
         for i in range(n):
             cash[i] = cash[i] * growth + shares[i] * d
@@ -298,7 +338,6 @@ class MarketSession:
             for i in range(n):
                 held_cash[i] = 0.0
                 held_shares[i] = 0
-        self.periods_done += 1
 
     def run(self) -> SessionResult:
         while self.periods_done < self.config.n_periods:
