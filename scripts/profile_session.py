@@ -1,22 +1,29 @@
 #!/usr/bin/env python3
-"""Time one reference-market session: ms per session and us per activation.
+"""Time one reference-market session under both session kernels.
 
 Runs the same reference session (`SessionConfig()`, dividend path and run
-stream from seed 0) --repeats times after one warm-up run and prints the
-median and the quartiles. An activation is one trader decision: each period
-has its seeding pass (one per informed trader) plus its steps.
+stream from seed 0) --repeats times under each kernel, the Python loop and
+the compiled one, alternating between them in this process after one
+warm-up run of each, so both see the same machine state. Prints each
+kernel's median and quartiles, per session and per activation, and the
+ratio of the medians. An activation is one trader decision: each period has
+its seeding pass (one per informed trader) plus its steps.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
 
 import argparse
+import os
 import statistics
 import sys
 import time
 
+from infomarket._kernel import ENV, KernelUnavailable
 from infomarket.dividends import generate_dividend_path
 from infomarket.engine import SessionConfig, run_session
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
+
+KERNELS = ("python", "c")
 
 
 def main() -> int:
@@ -31,20 +38,36 @@ def main() -> int:
     informed = sum(1 for a in cfg.agents if a.info_level > 0)
     activations = cfg.n_periods * (cfg.steps_per_period + informed)
 
-    def once() -> float:
+    def once(kernel: str) -> float:
+        os.environ[ENV] = kernel
         rng = stream(0, RUN_DOMAIN, 0, 0)
         t0 = time.perf_counter()
         run_session(cfg, path, rng)
         return time.perf_counter() - t0
 
-    once()
-    times_ms = [once() * 1e3 for _ in range(args.repeats)]
-    median = statistics.median(times_ms)
-    q1, q3 = statistics.quantiles(times_ms, n=4)[::2] if args.repeats > 1 else (median, median)
+    kernels = list(KERNELS)
+    try:
+        once("c")
+    except KernelUnavailable as e:
+        print(f"c kernel unavailable: {e}")
+        kernels.remove("c")
+    once("python")
+    times_ms = {kernel: [] for kernel in kernels}
+    for r in range(args.repeats):
+        # Alternate which kernel goes first, so neither always follows the other.
+        for kernel in kernels if r % 2 == 0 else kernels[::-1]:
+            times_ms[kernel].append(once(kernel) * 1e3)
+
     print(f"reference session: {cfg.n_periods} periods x ({cfg.steps_per_period} steps + "
           f"{informed} seeding) = {activations} activations")
-    print(f"median of {args.repeats}: {median:.2f} ms per session (quartiles {q1:.2f}-{q3:.2f}), "
-          f"{median * 1e3 / activations:.2f} us per activation")
+    medians = {}
+    for kernel, samples in times_ms.items():
+        median = medians[kernel] = statistics.median(samples)
+        q1, q3 = statistics.quantiles(samples, n=4)[::2] if len(samples) > 1 else (median, median)
+        print(f"{kernel} kernel, median of {len(samples)}: {median:.3f} ms per session "
+              f"(quartiles {q1:.3f}-{q3:.3f}), {median * 1e3 / activations:.3f} us per activation")
+    if len(medians) == 2:
+        print(f"python / c median ratio: {medians['python'] / medians['c']:.2f}")
     return 0
 
 

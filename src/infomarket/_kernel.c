@@ -1,0 +1,288 @@
+/* One trading period of a market session, on flat buffers.
+ *
+ * This is the compiled twin of `MarketSession._trade_period` in engine.py,
+ * which stays the specification: the same rules, affordability checks,
+ * book and settlement, in the same floating-point operation order, so both
+ * produce the same bits. It draws nothing; the caller fills the period's
+ * variates in and owns every buffer (see _kernel.py, whose ctypes
+ * structure mirrors `im_session`).
+ *
+ * Each side of the book is a binary heap keyed (price, seq), best first.
+ * seq is unique, so the pop order equals that of Python's heapq.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+enum { RANDOM = 0, FUNDAMENTALIST = 1, CHARTIST = 2 };
+enum { NO_ACTION = 0, LIMIT_BID, LIMIT_ASK, MARKET_SELL, MARKET_BUY };
+
+typedef struct {
+    double price;
+    int64_t seq;
+    int64_t trader;
+} im_order;
+
+typedef struct {
+    /* sizes and constants */
+    int64_t n;           /* traders */
+    int64_t steps;       /* steps per period */
+    int64_t clear;       /* clear the book at the period end */
+    double growth;       /* 1 + r_f */
+    /* per trader, length n */
+    const int64_t *level;
+    const int64_t *strategy;
+    const double *pv;
+    double *cash;
+    int64_t *shares;
+    double *held_cash;   /* committed to resting bids */
+    int64_t *held_shares; /* committed to resting asks */
+    /* this period's variates */
+    const int64_t *perm;  /* n: the seeding pass keeps its informed traders */
+    const int64_t *order; /* steps */
+    const double *u;      /* the seeding pass's, then the steps' */
+    const double *z;
+    /* the book: each side holds up to book_cap orders */
+    im_order *asks;
+    im_order *bids;
+    int64_t book_cap;
+    int64_t n_asks;
+    int64_t n_bids;
+    int64_t seq;
+    /* series */
+    double *prices;       /* last price after each step */
+    int64_t n_prices;
+    int64_t *trade_steps;
+    double *trade_prices;
+    int64_t *trade_buyers;
+    int64_t *trade_sellers;
+    int64_t n_trades;
+    double *cash_hist;    /* (n_periods + 1) x n, row 0 the endowment */
+    int64_t *shares_hist;
+    double *period_end_prices;
+    int64_t periods_done;
+    double last_price;
+} im_session;
+
+int64_t im_session_size(void) { return (int64_t)sizeof(im_session); }
+
+/* asks: lower price first; bids: higher price first; then earlier seq */
+static inline int better(const im_order *a, const im_order *b, int is_bid)
+{
+    if (a->price != b->price)
+        return is_bid ? a->price > b->price : a->price < b->price;
+    return a->seq < b->seq;
+}
+
+static void heap_push(im_order *heap, int64_t *len, im_order item, int is_bid)
+{
+    int64_t pos = (*len)++;
+    while (pos > 0) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!better(&item, &heap[parent], is_bid))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+}
+
+static im_order heap_pop(im_order *heap, int64_t *len, int is_bid)
+{
+    im_order top = heap[0];
+    im_order last = heap[--(*len)];
+    int64_t end = *len, pos = 0;
+    if (end == 0)
+        return top;
+    for (;;) {
+        int64_t child = 2 * pos + 1;
+        if (child >= end)
+            break;
+        if (child + 1 < end && better(&heap[child + 1], &heap[child], is_bid))
+            child++;
+        if (!better(&heap[child], &last, is_bid))
+            break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = last;
+    return top;
+}
+
+/* agents._sell and agents._buy: a market order when the price crosses the
+ * opposite real best, a limit order when it is positive, else nothing. */
+static inline int sell(double price, int has_bid, double bid, double *out)
+{
+    if (has_bid && price < bid)
+        return MARKET_SELL;
+    if (price > 0) {
+        *out = price;
+        return LIMIT_ASK;
+    }
+    return NO_ACTION;
+}
+
+static inline int buy(double price, int has_ask, double ask, double *out)
+{
+    if (has_ask && price > ask)
+        return MARKET_BUY;
+    if (price > 0) {
+        *out = price;
+        return LIMIT_BID;
+    }
+    return NO_ACTION;
+}
+
+/* agents._effective_quotes followed by agents._inside_limit */
+static int inside_limit(double anchor, double p, int has_bid, double bid, int has_ask, double ask,
+                        double z, double *out)
+{
+    double eff_bid = has_bid ? bid : 0.0;
+    double eff_ask = has_ask ? ask : 2.0 * (anchor > p ? anchor : p);
+    double price;
+    if ((eff_ask - anchor) > (anchor - eff_bid)) {
+        price = anchor + 0.25 * z * (anchor - eff_bid);
+        return price > 0 ? sell(price, has_bid, bid, out) : NO_ACTION;
+    }
+    price = anchor + 0.25 * z * (eff_ask - anchor);
+    return price > 0 ? buy(price, has_ask, ask, out) : NO_ACTION;
+}
+
+static int decide(const im_session *s, int64_t i, double p, int has_bid, double bid, int has_ask,
+                  double ask, double u, double z, double *out)
+{
+    switch (s->strategy[i]) {
+    case RANDOM:
+        if (u < 0.5)
+            return sell(p + 2.0 * z, has_bid, bid, out);
+        return buy(p + 2.0 * z, has_ask, ask, out);
+    case FUNDAMENTALIST: {
+        double pv = s->pv[i];
+        if (pv < (has_bid ? bid : 0.0))
+            return MARKET_SELL;
+        if (pv > (has_ask ? ask : 2.0 * (pv > p ? pv : p)))
+            return MARKET_BUY;
+        return inside_limit(pv, p, has_bid, bid, has_ask, ask, z, out);
+    }
+    default: { /* CHARTIST */
+        int64_t n = s->n_prices;
+        if (n >= 4) {
+            double last = s->prices[n - 1], before = s->prices[n - 2], earlier = s->prices[n - 3];
+            if (p < last && last < before && before < earlier)
+                return sell(p - fabs(z), has_bid, bid, out);
+            if (p > last && last > before && before > earlier)
+                return buy(p + fabs(z), has_ask, ask, out);
+        }
+        if (n < 3) {
+            if (u < 0.5)
+                return sell(p - fabs(z), has_bid, bid, out);
+            return buy(p + fabs(z), has_ask, ask, out);
+        }
+        return inside_limit(p, p, has_bid, bid, has_ask, ask, z, out);
+    }
+    }
+}
+
+static void record_trade(im_session *s, int64_t step, double price, int64_t buyer, int64_t seller)
+{
+    int64_t t = s->n_trades++;
+    s->trade_steps[t] = step;
+    s->trade_prices[t] = price;
+    s->trade_buyers[t] = buyer;
+    s->trade_sellers[t] = seller;
+}
+
+/* One period: the seeding pass, the steps, then the settlement with
+ * dividend d. Returns 0, or -1 when a side of the book is full. */
+int im_trade_period(im_session *s, double d)
+{
+    const int64_t n = s->n;
+    double *cash = s->cash, *held_cash = s->held_cash;
+    int64_t *shares = s->shares, *held_shares = s->held_shares;
+    double p = s->last_price;
+    int64_t j = 0; /* index of the activation's u and z */
+    for (int64_t a = 0; a < n + s->steps; a++) {
+        int stepping = a >= n;
+        int64_t i;
+        if (stepping) {
+            i = s->order[a - n];
+        } else {
+            i = s->perm[a];
+            if (s->level[i] == 0)
+                continue;
+        }
+        double u = s->u[j], z = s->z[j];
+        j++;
+        int has_bid = s->n_bids > 0, has_ask = s->n_asks > 0;
+        double bid = has_bid ? s->bids[0].price : 0.0;
+        double ask = has_ask ? s->asks[0].price : 0.0;
+        double price = 0.0;
+        int kind = decide(s, i, p, has_bid, bid, has_ask, ask, u, z, &price);
+        /* The trader must afford the intent: no shorting, no credit,
+         * counting what its resting orders already commit. */
+        switch (kind) {
+        case LIMIT_BID:
+            if (cash[i] - held_cash[i] >= price) {
+                if (s->n_bids == s->book_cap)
+                    return -1;
+                im_order o = {price, s->seq++, i};
+                heap_push(s->bids, &s->n_bids, o, 1);
+                held_cash[i] += price;
+            }
+            break;
+        case LIMIT_ASK:
+            if (shares[i] - held_shares[i] >= 1) {
+                if (s->n_asks == s->book_cap)
+                    return -1;
+                im_order o = {price, s->seq++, i};
+                heap_push(s->asks, &s->n_asks, o, 0);
+                held_shares[i] += 1;
+            }
+            break;
+        case MARKET_SELL:
+            if (shares[i] - held_shares[i] >= 1 && s->n_bids > 0) {
+                im_order o = heap_pop(s->bids, &s->n_bids, 1);
+                int64_t buyer = o.trader;
+                p = o.price;
+                cash[buyer] -= p;
+                shares[buyer] += 1;
+                held_cash[buyer] -= p;
+                cash[i] += p;
+                shares[i] -= 1;
+                record_trade(s, s->n_prices + 1, p, buyer, i);
+            }
+            break;
+        case MARKET_BUY:
+            if (has_ask && cash[i] - held_cash[i] >= ask) {
+                im_order o = heap_pop(s->asks, &s->n_asks, 0);
+                int64_t seller = o.trader;
+                p = o.price;
+                cash[i] -= p;
+                shares[i] += 1;
+                cash[seller] += p;
+                shares[seller] -= 1;
+                held_shares[seller] -= 1;
+                record_trade(s, s->n_prices + 1, p, i, seller);
+            }
+            break;
+        }
+        if (stepping)
+            s->prices[s->n_prices++] = p;
+    }
+    s->last_price = p;
+    int64_t k = ++s->periods_done;
+    for (int64_t i = 0; i < n; i++) {
+        cash[i] = cash[i] * s->growth + (double)shares[i] * d;
+        s->cash_hist[k * n + i] = cash[i];
+        s->shares_hist[k * n + i] = shares[i];
+    }
+    s->period_end_prices[k - 1] = p;
+    if (s->clear) {
+        s->n_asks = s->n_bids = 0;
+        for (int64_t i = 0; i < n; i++) {
+            held_cash[i] = 0.0;
+            held_shares[i] = 0;
+        }
+    }
+    return 0;
+}

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._kernel import KernelUnavailable
 from .analytics import (
     TickDataError,
     acf,
@@ -312,6 +313,8 @@ def cmd_stats(args) -> int:
             raise TickDataError(f"cannot read {args.ticks}: {e}") from None
     else:
         scfg = _override_session(SessionConfig(), args)
+        if scfg.n_periods < 2:
+            raise ConfigError("stats needs --periods >= 2: a net return spans two closing prices")
         path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
         result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
         returns = log_returns(result.prices if args.per_step else result.trade_prices)
@@ -417,6 +420,9 @@ def main(argv=None) -> int:
     except TickDataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except KernelUnavailable as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

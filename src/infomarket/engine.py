@@ -15,12 +15,21 @@ cover it.
 
 `MarketSession.run_period` splits a period in two. `draw_period` makes all
 of its draws; the trading step then runs the activation loop on them and
-draws nothing. The loop runs on locals bound once per period. It asks the
-`Book` for the best quotes, calls the rules in `agents` with plain
-arguments, places or executes through the `Book` methods, and settles fills
-in place. The rules and the book methods are looked up by name once per
-period, so patching `engine.decide_*` or a `Book` method (as the
-benchmark's tracer does) reaches every activation.
+draws nothing. There are two trading steps, with the same bits:
+
+- `MarketSession._trade_period`, the Python loop and the specification. It
+  runs on locals bound once per period: it asks the `Book` for the best
+  quotes, calls the rules in `agents` with plain arguments, places or
+  executes through the `Book` methods and settles fills in place. The rules
+  and book methods are looked up by name once per period, so patching
+  `engine.decide_*` or a `Book` method (as the benchmark's tracer does)
+  reaches every activation.
+- `_kernel.CSession.trade_period`, the compiled kernel (`_kernel.c`) on the
+  session's flat buffers.
+
+A session picks one at its first period and keeps it: the compiled kernel,
+unless `INFOMARKET_KERNEL=python` is set, the kernel cannot be built, or a
+rule or book method is patched (see `_kernel`).
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -46,7 +55,14 @@ from .agents import (
 )
 from .csvout import fmt, write_csv
 from .dividends import DividendParams, DividendPath, RateParams, conditional_present_value, write_dividends_csv
+from . import _kernel
 from .orderbook import Book
+
+# The package's own rules and book methods: a session whose names no longer
+# hold them (a tracer or a test patched them) runs the Python loop.
+_SPEC_RULES = (decide_random, decide_fundamentalist, decide_chartist)
+_SPEC_BOOK = {name: vars(Book)[name]
+              for name in ("place_limit", "execute_marketable", "best_bid", "best_ask", "clear")}
 
 
 def market_with_levels(levels, chartist_levels=()) -> tuple[AgentSpec, ...]:
@@ -161,13 +177,14 @@ class PeriodDraws:
 
     __slots__ = ("m", "perm", "order", "u", "z", "_passes")
 
-    def __init__(self, n: int, m: int, steps: int) -> None:
-        self.m = m
-        self.perm = np.empty(n, dtype=np.int64)
-        self.order = np.empty(steps, dtype=np.int64)
-        self.u = np.empty(m + steps)
-        self.z = np.empty(m + steps)
-        self._passes = (self.u[:m], self.z[:m], self.u[m:], self.z[m:])
+    def __init__(self, m: int, perm: np.ndarray, order: np.ndarray, u: np.ndarray, z: np.ndarray) -> None:
+        self.m, self.perm, self.order, self.u, self.z = m, perm, order, u, z
+        self._passes = (u[:m], z[:m], u[m:], z[m:])
+
+    @classmethod
+    def allocate(cls, n: int, m: int, steps: int) -> PeriodDraws:
+        return cls(m, np.empty(n, dtype=np.int64), np.empty(steps, dtype=np.int64),
+                   np.empty(m + steps), np.empty(m + steps))
 
 
 def draw_period(rng: np.random.Generator, draws: PeriodDraws) -> None:
@@ -182,7 +199,13 @@ def draw_period(rng: np.random.Generator, draws: PeriodDraws) -> None:
 
 
 class MarketSession:
-    """Mutable session state; drive it period by period or via run()."""
+    """Mutable session state; drive it period by period or via run().
+
+    Under the compiled kernel, `cash` and `shares` are numpy arrays (still
+    writable between periods), `book` is a read-only `_kernel.BookView` and
+    `prices` a view of the kernel's buffer; `holdings()` gives plain lists
+    under either kernel.
+    """
 
     def __init__(self, config: SessionConfig, path: DividendPath, rng: np.random.Generator) -> None:
         if len(path) < config.required_path_length:
@@ -201,18 +224,31 @@ class MarketSession:
         self.shares = [int(config.initial_shares)] * n
         self._held_cash = [0.0] * n  # committed to resting bids
         self._held_shares = [0] * n  # committed to resting asks
-        self.last_price = float(config.initial_price)
-        self.prices: list[float] = []  # last price after each completed step
-        self.period_end_prices: list[float] = []
+        self._last_price = float(config.initial_price)
+        self._prices: list[float] = []
+        self._period_end_prices: list[float] = []
         self._trade_steps: list[int] = []
         self._trade_prices: list[float] = []
         self._trade_buyers: list[int] = []
         self._trade_sellers: list[int] = []
-        self.cash_hist = [self.cash.copy()]
-        self.shares_hist = [self.shares.copy()]
+        self._cash_hist = [self.cash.copy()]
+        self._shares_hist = [self.shares.copy()]
         self._pv: list[float | None] = [None] * n
-        self._draws = PeriodDraws(n, sum(lvl > 0 for lvl in self.levels), config.steps_per_period)
+        self._draws = PeriodDraws.allocate(n, sum(lvl > 0 for lvl in self.levels), config.steps_per_period)
+        self._trade = None  # the trading step, chosen at the first period
+        self._c: _kernel.CSession | None = None  # the compiled kernel's state, when it runs
         self.periods_done = 0
+
+    @property
+    def prices(self):
+        """The last price after each completed step: the list the trend rule
+        reads, or a view of the compiled kernel's buffer."""
+        c = self._c
+        return self._prices if c is None else c.prices[: c.n_prices]
+
+    @property
+    def last_price(self) -> float:
+        return self._last_price if self._c is None else self._c.last_price
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
         if strategy is Strategy.RANDOM:
@@ -220,6 +256,14 @@ class MarketSession:
         if self.levels[agent_idx] == 0:
             raise ValueError("the uninformed trader keeps the random rule")
         self.strategies[agent_idx] = strategy
+        if self._c is not None:
+            self._c.set_strategy(agent_idx, strategy)
+
+    def holdings(self) -> tuple[list[float], list[int]]:
+        """Every trader's cash and shares now, as plain lists."""
+        if self._c is None:
+            return self.cash, self.shares
+        return self.cash.tolist(), self.shares.tolist()
 
     def _deliver_information(self, k: int) -> None:
         r_e = self.config.rates.r_e
@@ -236,11 +280,28 @@ class MarketSession:
         config = self.config
         if self.periods_done >= config.n_periods:
             raise RuntimeError("session already complete")
+        if self._trade is None:
+            self._trade = self._choose_kernel()
         k = self.periods_done + 1
         self._deliver_information(k)
         draw_period(self.rng, self._draws)
-        self._trade_period(self._draws, self.path.dividend(k))
+        self._trade(self._draws, self.path.dividend(k))
         self.periods_done += 1
+
+    def _choose_kernel(self):
+        """The trading step for the whole session: the compiled kernel's,
+        unless it is unavailable or the rules or book methods are patched."""
+        patched = [f"engine.{spec.__name__}" for spec, live in zip(
+            _SPEC_RULES, (decide_random, decide_fundamentalist, decide_chartist)) if live is not spec]
+        patched += [f"Book.{name}" for name, spec in _SPEC_BOOK.items() if vars(Book)[name] is not spec]
+        lib = _kernel.resolve(patched)
+        if lib is None:
+            return self._trade_period
+        c = self._c = _kernel.CSession(lib, self)
+        self.cash, self.shares, self.book, self._pv = c.cash, c.shares, c.book, c.pv
+        self._held_cash, self._held_shares = c.held_cash, c.held_shares
+        self._draws = PeriodDraws(self._draws.m, c.perm, c.order, c.u, c.z)
+        return c.trade_period
 
     def _trade_period(self, draws: PeriodDraws, d: float) -> None:
         """One period's activations on this period's draws, then its settlement.
@@ -254,7 +315,7 @@ class MarketSession:
         levels, strategies, pv = self.levels, self.strategies, self._pv
         cash, shares = self.cash, self.shares
         held_cash, held_shares = self._held_cash, self._held_shares
-        prices = self.prices
+        prices = self._prices
         book = self.book
         best_bid, best_ask = book.best_bid, book.best_ask
         place_limit, execute_marketable = book.place_limit, book.execute_marketable
@@ -262,7 +323,7 @@ class MarketSession:
         RANDOM, FUNDAMENTALIST = Strategy.RANDOM, Strategy.FUNDAMENTALIST
         trade_steps, trade_prices = self._trade_steps, self._trade_prices
         trade_buyers, trade_sellers = self._trade_buyers, self._trade_sellers
-        p = self.last_price
+        p = self._last_price
         m = draws.m
         us, zs = draws.u.tolist(), draws.z.tolist()
         # The seeding pass (each informed trader once, shuffled; the
@@ -326,13 +387,13 @@ class MarketSession:
                         trade_sellers.append(seller)
                 if stepping:
                     prices.append(p)
-        self.last_price = p
+        self._last_price = p
         growth = 1.0 + config.rates.r_f
         for i in range(n):
             cash[i] = cash[i] * growth + shares[i] * d
-        self.period_end_prices.append(p)
-        self.cash_hist.append(cash.copy())
-        self.shares_hist.append(shares.copy())
+        self._period_end_prices.append(p)
+        self._cash_hist.append(cash.copy())
+        self._shares_hist.append(shares.copy())
         if config.clear_book_each_period:
             book.clear()
             for i in range(n):
@@ -345,17 +406,19 @@ class MarketSession:
         return self.result()
 
     def result(self) -> SessionResult:
+        if self._c is not None:
+            return SessionResult(self.config, self.path, *self._c.result_arrays())
         return SessionResult(
             config=self.config,
             path=self.path,
-            prices=np.asarray(self.prices),
+            prices=np.asarray(self._prices),
             trade_steps=np.asarray(self._trade_steps, dtype=np.int64),
             trade_prices=np.asarray(self._trade_prices),
             trade_buyers=np.asarray(self._trade_buyers, dtype=np.int64),
             trade_sellers=np.asarray(self._trade_sellers, dtype=np.int64),
-            cash_hist=np.asarray(self.cash_hist),
-            shares_hist=np.asarray(self.shares_hist, dtype=np.int64),
-            period_end_prices=np.asarray(self.period_end_prices),
+            cash_hist=np.asarray(self._cash_hist),
+            shares_hist=np.asarray(self._shares_hist, dtype=np.int64),
+            period_end_prices=np.asarray(self._period_end_prices),
         )
 
 

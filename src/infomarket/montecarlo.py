@@ -14,6 +14,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import _kernel
 from .csvout import fmt, write_csv
 from .dividends import generate_dividend_path
 from .engine import SessionConfig, relative_returns, run_session, session_net_returns
@@ -34,6 +35,8 @@ class BatchConfig:
             raise ValueError("n_sessions and runs_per_session must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        if self.collect_period_returns and self.session.n_periods < 2:
+            raise ValueError("collecting net returns needs n_periods >= 2: a net return spans two closing prices")
 
     @property
     def n_runs(self) -> int:
@@ -62,13 +65,16 @@ def parallel_map(task, items, jobs: int | None, key) -> list:
 
     Runs in this process when one worker suffices, else on a pool of forked
     workers (jobs None: one per CPU, never more than there are items).
-    `task` must be a module-level function so the pool can pickle it.
+    `task` must be a module-level function so the pool can pickle it. The
+    session kernel is resolved before the fork, so the workers inherit the
+    loaded library and none of them builds it.
     """
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(items)))
     if jobs == 1:
         results = [task(item) for item in items]
     else:
+        _kernel.resolve()
         with get_context("fork").Pool(jobs) as pool:
             results = list(pool.imap_unordered(task, items, chunksize=1))
     results.sort(key=key)
@@ -88,7 +94,7 @@ def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | 
         result = run_session(session_config, path, stream(master, RUN_DOMAIN, s, r))
         rel[r] = relative_returns(result)
         returns = session_net_returns(result)
-        net[r] = returns.mean()
+        net[r] = returns.mean() if returns.size else np.nan  # one period has no net return
         if per is not None:
             per[r] = returns
     return s, rel, net, per

@@ -134,10 +134,11 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
             if done % config.interval:
                 continue
             m = _present_value(path, n, k + 1, r_e)
-            returns = [(c + s * m - w) / w for c, s in zip(session.cash, session.shares)]
-            # numpy's pairwise order from 8 traders on; neither a left-to-right
-            # sum nor the builtin (compensated since Python 3.12) keeps its bits
-            mean = float(np.mean(returns))
+            returns = [(c + s * m - w) / w for c, s in zip(*session.holdings())]
+            # np.mean's bits: numpy's pairwise order from 8 traders on (neither a
+            # left-to-right sum nor the builtin, compensated since Python 3.12,
+            # keeps them), divided by the count
+            mean = float(np.add.reduce(returns)) / n
             below = [i for i, r in enumerate(returns) if r < mean]
             if not below:
                 all_equal += 1

@@ -345,6 +345,10 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     pytest.param([*STATS, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
                  id="stats --periods 0"),
     pytest.param([*TICKS, "--max-lag", "5"], "max_lag must be in 1..1, got 5", id="stats --ticks --max-lag 5"),
+    # A net return needs two closing prices.
+    pytest.param([*STATS, "--periods", "1"], "stats needs --periods >= 2", id="stats --periods 1"),
+    pytest.param([*BATCH, "--preset", "efficiency", "--periods", "1"],
+                 "collecting net returns needs n_periods >= 2", id="efficiency --periods 1"),
 ])
 def test_bad_flags_exit_2_before_the_output_directory(tmp_path, capsys, argv, message):
     ticks = tmp_path / "ticks.csv"
@@ -363,3 +367,12 @@ def test_simulate_path_runs_past_the_top_reader(tmp_path):
     assert run_cli("simulate", "--agents", "11", "--seed", "2", "--steps", "10", "--out", str(out)) == 0
     rows = (out / "dividends.csv").read_text().splitlines()
     assert len(rows) == 1 + 30 + 10
+
+
+def test_one_period_batch_writes_runs_without_a_warning(tmp_path):
+    # No net return exists, so the run's mean net return is nan, not the
+    # mean of an empty slice.
+    out = tmp_path / "b"
+    assert run_cli(*BATCH, "--periods", "1", "--out", str(out)) == 0
+    rows = (out / "runs.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 10

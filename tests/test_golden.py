@@ -2,7 +2,7 @@
 of the manifests that hold no temporary path.
 
 A refactor that claims to change no simulated number must leave every digest
-here as it is. Regenerate them only in a change that alters the numbers on
+here as it is, under the Python loop and under the compiled kernel. Regenerate them only in a change that alters the numbers on
 purpose, and say so in that change.
 """
 
@@ -109,20 +109,43 @@ def _large_tick_file(path):
     path.write_text("\n".join(rows) + "\n")
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _outputs(tmp_path_factory, kernel):
+    """Every run of RUNS under one session kernel; forked workers inherit
+    the variable that picks it."""
+    root = tmp_path_factory.mktemp(f"golden-{kernel}")
     ticks = root / "ticks.csv"
     _tick_file(ticks)
     ticks_large = root / "ticks_large.csv"
     _large_tick_file(ticks_large)
-    for name, argv in RUNS.items():
-        argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
-        assert main(argv + ["--out", str(root / name)]) == 0, name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("INFOMARKET_KERNEL", kernel)
+        for name, argv in RUNS.items():
+            argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
+            assert main(argv + ["--out", str(root / name)]) == 0, name
     return root
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory, "python")
+
+
+@pytest.fixture(scope="module")
+def compiled_outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory, "c")
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_golden_digest(outputs, name):
-    digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
-    assert digest == DIGESTS[name]
+    # Under the Python loop, the specification.
+    assert _digest(outputs / name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_golden_digest_compiled(compiled_outputs, name):
+    # The same digests under the compiled kernel.
+    assert _digest(compiled_outputs / name) == DIGESTS[name]

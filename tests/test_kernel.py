@@ -1,0 +1,254 @@
+"""The compiled session kernel against the Python loop, and how a session
+picks its kernel.
+
+The Python loop (`MarketSession._trade_period`) is the specification: on the
+same inputs the compiled kernel must leave every array bit for bit equal,
+and the generator in the same state.
+"""
+
+import os
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infomarket import _kernel, engine
+from infomarket.agents import decide_random
+from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
+from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels, run_session
+from infomarket.montecarlo import BatchConfig, run_batch
+from infomarket.rng import stream
+from infomarket.switching import SwitchingConfig, run_switching_sim
+
+needs_compiler = pytest.mark.skipif(_kernel.find_compiler() is None, reason="no C compiler was found")
+
+SERIES = ("prices", "trade_steps", "trade_prices", "trade_buyers", "trade_sellers",
+          "cash_hist", "shares_hist", "period_end_prices")
+
+
+@contextmanager
+def kernel(mode):
+    with mock.patch.dict(os.environ, {_kernel.ENV: mode}):
+        yield
+
+
+def config(**kw):
+    defaults = dict(
+        agents=default_market(4),
+        dividends=DividendParams(sigma=0.01),
+        rates=RateParams(r_f=0.001, r_e=0.005),
+        n_periods=6,
+        steps_per_period=30,
+    )
+    defaults.update(kw)
+    return SessionConfig(**defaults)
+
+
+def run(mode, cfg, seed):
+    """A whole session under one kernel: its result, its generator's final
+    state and its book."""
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(seed, 0, 0))
+    with kernel(mode):
+        session = MarketSession(cfg, path, stream(seed, 1, 0, 0))
+        result = session.run()
+    book = (len(session.book), session.book.best_bid(), session.book.best_ask())
+    return result, session.rng.bit_generator.state, book, session._c is not None
+
+
+def assert_same_session(a, b):
+    (ra, state_a, book_a), (rb, state_b, book_b) = a[:3], b[:3]
+    for name in SERIES:
+        x, y = getattr(ra, name), getattr(rb, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+    assert state_a == state_b
+    assert book_a == book_b
+
+
+@st.composite
+def strategy_mixes(draw):
+    """1-10 traders: some uninformed, the rest on distinct levels, any of them chartists."""
+    n = draw(st.integers(1, 10))
+    n_random = draw(st.integers(0, n))
+    informed = draw(st.lists(st.integers(1, 12), min_size=n - n_random, max_size=n - n_random, unique=True))
+    chartists = draw(st.lists(st.sampled_from(informed), unique=True)) if informed else []
+    levels = draw(st.permutations([0] * n_random + informed))
+    return market_with_levels(levels, tuple(chartists))
+
+
+@needs_compiler
+@given(agents=strategy_mixes(), clear=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       cash=st.floats(0.0, 300.0), shares=st.integers(0, 6), steps=st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shares, steps):
+    # Small endowments make the no-credit and no-short checks bind.
+    cfg = config(agents=agents, n_periods=5, steps_per_period=steps, clear_book_each_period=clear,
+                 initial_cash=cash, initial_shares=shares)
+    spec, compiled = run("python", cfg, seed), run("c", cfg, seed)
+    assert not spec[3] and compiled[3]
+    assert_same_session(spec, compiled)
+
+
+@needs_compiler
+@pytest.mark.parametrize("clear", [True, False])
+def test_reference_market_sessions_match(clear):
+    cfg = SessionConfig(clear_book_each_period=clear)
+    for seed in range(3):
+        assert_same_session(run("python", cfg, seed), run("c", cfg, seed))
+
+
+@needs_compiler
+def test_switching_chains_match():
+    # The kernel serves switching too: strategies flip and endowments reset
+    # between its periods.
+    cfg = SwitchingConfig(n_traders=4, n_periods=90, steps_per_period=20)
+    runs = []
+    for mode in ("python", "c"):
+        with kernel(mode):
+            rng = stream(5, 2, 3)
+            runs.append((run_switching_sim(cfg, 3, rng), rng.bit_generator.state))
+    (a, state_a), (b, state_b) = runs
+    assert np.array_equal(a.codes, b.codes)
+    assert (a.tie_events, a.all_equal_events) == (b.tie_events, b.all_equal_events)
+    assert state_a == state_b
+
+
+@needs_compiler
+def test_compiled_period_draws_in_the_documented_layout():
+    agents = market_with_levels((0, 3, 1, 0, 2), chartist_levels=(2,))
+    cfg = config(agents=agents, steps_per_period=17)
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(5, 0, 0))
+    with kernel("c"):
+        session = MarketSession(cfg, path, stream(5, 1, 0, 0))
+        session.run_period()
+    assert session._c is not None
+    fresh = stream(5, 1, 0, 0)
+    fresh.permutation(5), fresh.random(3), fresh.standard_normal(3)
+    fresh.integers(0, 5, size=17), fresh.random(17), fresh.standard_normal(17)
+    assert session.rng.bit_generator.state == fresh.bit_generator.state
+    assert len(session.prices) == 17 and session.last_price == session.prices[-1]
+
+
+@needs_compiler
+def test_set_strategy_reaches_the_compiled_kernel():
+    cfg = config(agents=market_with_levels((0, 1, 2, 3)))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(8, 0, 0))
+    results = []
+    for mode in ("python", "c"):
+        with kernel(mode):
+            session = MarketSession(cfg, path, stream(8, 1, 0, 0))
+            for k in range(cfg.n_periods):
+                if k == 2:
+                    session.set_strategy(2, engine.Strategy.CHARTIST)
+                session.run_period()
+        results.append((session.result(), session.rng.bit_generator.state, len(session.book)))
+    assert_same_session(*results)
+
+
+# -- choosing the kernel ----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """A process that has not resolved the kernel yet, with an empty cache."""
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.delenv(_kernel.ENV, raising=False)
+    return tmp_path / "cache" / "infomarket"
+
+
+def reference_outputs():
+    """A session under the kernel the environment picks: (result, state, book, compiled)."""
+    cfg = config(clear_book_each_period=False, initial_cash=200.0, initial_shares=3)
+    return run("", cfg, 4)
+
+
+@needs_compiler
+def test_first_use_builds_into_the_cache(fresh_kernel):
+    assert reference_outputs()[3]
+    (built,) = fresh_kernel.iterdir()
+    assert built.name.startswith("kernel-") and built.suffix == ".so"
+
+
+@needs_compiler
+def test_a_cached_kernel_needs_no_compiler(fresh_kernel, monkeypatch):
+    reference_outputs()
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+    assert reference_outputs()[3]
+
+
+@needs_compiler
+def test_no_compiler_falls_back_to_python_with_the_same_outputs(fresh_kernel, monkeypatch):
+    compiled = reference_outputs()
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(fresh_kernel.parent.parent / "other"))
+    fallback = reference_outputs()
+    assert compiled[3] and not fallback[3]
+    assert_same_session(compiled, fallback)
+
+
+@needs_compiler
+def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kernel, monkeypatch, tmp_path):
+    compiled = reference_outputs()
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    fallback = reference_outputs()
+    assert compiled[3] and not fallback[3]
+    assert_same_session(compiled, fallback)
+    assert blocker.read_text() == ""
+
+
+def test_forced_c_without_a_compiler_raises(fresh_kernel, monkeypatch):
+    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+    monkeypatch.setenv(_kernel.ENV, "c")
+    with pytest.raises(_kernel.KernelUnavailable, match="no C compiler"):
+        run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
+
+
+def test_forced_c_refuses_patched_rules(monkeypatch):
+    monkeypatch.setenv(_kernel.ENV, "c")
+    monkeypatch.setattr(engine, "decide_random", lambda *args: decide_random(*args))
+    with pytest.raises(_kernel.KernelUnavailable, match="engine.decide_random"):
+        run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
+
+
+def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
+    monkeypatch.setenv(_kernel.ENV, "python")
+    monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built under INFOMARKET_KERNEL=python"))
+    assert _kernel.resolve() is None
+    run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
+
+
+def test_unknown_kernel_name_is_refused(monkeypatch):
+    monkeypatch.setenv(_kernel.ENV, "fortran")
+    with pytest.raises(ValueError, match="INFOMARKET_KERNEL"):
+        _kernel.resolve()
+
+
+@needs_compiler
+def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
+    # The parent resolves before it forks: the build runs once, in the
+    # parent, and every worker's sessions still run compiled.
+    log = tmp_path / "builds.log"
+    build = _kernel._build
+
+    def logged_build():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return build()
+
+    monkeypatch.setattr(_kernel, "_build", logged_build)
+    cfg = BatchConfig(session=config(), n_sessions=4, runs_per_session=2, master_seed=6, jobs=2)
+    parallel = run_batch(cfg)
+    assert log.read_text().split() == [str(os.getpid())]
+    with kernel("python"):
+        spec = run_batch(cfg)
+    assert np.array_equal(parallel.rel_returns, spec.rel_returns)
+    assert np.array_equal(parallel.asset_mean_returns, spec.asset_mean_returns)

@@ -28,4 +28,7 @@ def test_profile_session_tiny():
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     assert "= 3270 activations" in proc.stdout
-    assert "ms per session" in proc.stdout and "us per activation" in proc.stdout
+    for kernel in ("python", "c"):
+        line = next(line for line in proc.stdout.splitlines() if line.startswith(f"{kernel} kernel, median of 2:"))
+        assert "ms per session" in line and "us per activation" in line
+    assert "python / c median ratio: " in proc.stdout
