@@ -214,7 +214,7 @@ class CSession:
         self.cash_hist[0] = session._cash_hist[0]
         self.shares_hist[0] = session._shares_hist[0]
         self.book = BookView(self.header, self.asks, self.bids)
-        self._arena = arena
+        self._arena = arena  # the kernel holds raw pointers into it
         self._address = base
         self._trade = lib.im_trade_period
 
@@ -227,7 +227,8 @@ class CSession:
         return int(self.header[SLOT["n_prices"]])
 
     def trade_period(self, draws, d: float) -> None:
-        """`MarketSession._trade_period` in C, on the draws in this arena (`draws`)."""
+        """`MarketSession._trade_period`, compiled. `draws` is the session's
+        `PeriodDraws`, whose buffers are the ones in this arena."""
         if self._trade(self._address, d):
             raise RuntimeError("order book capacity exceeded")
 

@@ -46,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
 from .agents import (
     AgentSpec,
     Strategy,
@@ -55,7 +56,6 @@ from .agents import (
 )
 from .csvout import fmt, write_csv
 from .dividends import DividendParams, DividendPath, RateParams, conditional_present_value, write_dividends_csv
-from . import _kernel
 from .orderbook import Book
 
 # The package's own rules and book methods: a session whose names no longer
