@@ -2,8 +2,9 @@
 of the manifests that hold no temporary path.
 
 A refactor that claims to change no simulated number must leave every digest
-here as it is, under the Python loop and under the compiled kernel. Regenerate them only in a change that alters the numbers on
-purpose, and say so in that change.
+here as it is, under the Python loop and under the compiled kernel.
+Regenerate them only in a change that alters the numbers on purpose, and
+say so in that change.
 """
 
 import hashlib

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from infomarket._kernel import find_compiler
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,7 +30,8 @@ def test_profile_session_tiny():
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     assert "= 3270 activations" in proc.stdout
-    for kernel in ("python", "c"):
+    compiled = find_compiler() is not None
+    for kernel in ("python", "c") if compiled else ("python",):
         line = next(line for line in proc.stdout.splitlines() if line.startswith(f"{kernel} kernel, median of 2:"))
         assert "ms per session" in line and "us per activation" in line
-    assert "python / c median ratio: " in proc.stdout
+    assert ("python / c median ratio: " in proc.stdout) == compiled
