@@ -13,17 +13,14 @@ its seeding pass (one per informed trader) plus its steps.
 """
 
 import argparse
-import os
 import statistics
 import sys
 import time
 
-from infomarket._kernel import ENV, KernelUnavailable
+from infomarket import _kernel
 from infomarket.dividends import generate_dividend_path
 from infomarket.engine import SessionConfig, run_session
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
-
-KERNELS = ("python", "c")
 
 
 def main() -> int:
@@ -38,20 +35,25 @@ def main() -> int:
     informed = sum(1 for a in cfg.agents if a.info_level > 0)
     activations = cfg.n_periods * (cfg.steps_per_period + informed)
 
+    # A process whose kernel resolved to nothing runs the Python loop; the
+    # compiled kernel is whatever this process resolves.
+    _kernel.resolve()
+    resolutions = {"python": (None, "the Python loop"), "c": _kernel._resolved}
+
     def once(kernel: str) -> float:
-        os.environ[ENV] = kernel
+        _kernel._resolved = resolutions[kernel]
         rng = stream(0, RUN_DOMAIN, 0, 0)
         t0 = time.perf_counter()
         run_session(cfg, path, rng)
         return time.perf_counter() - t0
 
-    kernels = list(KERNELS)
-    try:
-        once("c")
-    except KernelUnavailable as e:
-        print(f"c kernel unavailable: {e}")
+    lib, reason = resolutions["c"]
+    kernels = ["python", "c"]
+    if lib is None:
+        print(f"c kernel unavailable: {reason}")
         kernels.remove("c")
-    once("python")
+    for kernel in kernels:
+        once(kernel)
     times_ms = {kernel: [] for kernel in kernels}
     for r in range(args.repeats):
         # Alternate which kernel goes first, so neither always follows the other.

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernel import KernelUnavailable
 from .analytics import (
     TickDataError,
     acf,
@@ -420,9 +419,6 @@ def main(argv=None) -> int:
     except TickDataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except KernelUnavailable as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

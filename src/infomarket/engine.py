@@ -13,23 +13,26 @@ can neither short nor buy on credit: an order is refused when the trader's
 free shares or free cash (net of what its resting orders commit) do not
 cover it.
 
-`MarketSession.run_period` splits a period in two. `draw_period` makes all
-of its draws; the trading step then runs the activation loop on them and
-draws nothing. There are two trading steps, with the same bits:
+A session's state is one arena of flat buffers (cash, shares, the holds,
+the present values, the period's draws, the book, the price series, the
+trades and the histories), laid out at construction as the compiled
+kernel's `im_session`. `MarketSession.run_period` splits a period in two:
+`draw_period` fills the draw buffers; the trading step then runs the
+activation loop on them and draws nothing. There are two trading steps on
+that one state, with the same bits:
 
 - `MarketSession._trade_period`, the Python loop and the specification. It
-  runs on locals bound once per period: it asks the `Book` for the best
-  quotes, calls the rules in `agents` with plain arguments, places or
-  executes through the `Book` methods and settles fills in place. The rules
-  and book methods are looked up by name once per period, so patching
-  `engine.decide_*` or a `Book` method (as the benchmark's tracer does)
-  reaches every activation.
-- `_kernel.CSession.trade_period`, the compiled kernel (`_kernel.c`) on the
-  session's flat buffers.
+  binds plain lists from the state once per period, asks the `Book` for the
+  best quotes, calls the rules in `agents` with plain arguments, places or
+  executes through the `Book` methods, and writes the period back into the
+  state at its end. The rules and book methods are looked up by name once
+  per period, so patching `engine.decide_*` or a `Book` method (as the
+  benchmark's tracer does) reaches every activation.
+- `_kernel.c`'s `im_trade_period`, the compiled kernel, on the arena itself.
 
 A session picks one at its first period and keeps it: the compiled kernel,
-unless `INFOMARKET_KERNEL=python` is set, the kernel cannot be built, or a
-rule or book method is patched (see `_kernel`).
+unless it cannot be built and loaded or a rule or book method is patched
+(see `_kernel`).
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -63,6 +66,9 @@ from .orderbook import Book
 _SPEC_RULES = (decide_random, decide_fundamentalist, decide_chartist)
 _SPEC_BOOK = {name: vars(Book)[name]
               for name in ("place_limit", "execute_marketable", "best_bid", "best_ask", "clear")}
+# Slots of the state's `im_session` header: counters as int64, the rest as doubles.
+_N_PRICES, _N_TRADES, _PERIODS_DONE, _GROWTH, _LAST_PRICE = (
+    _kernel.SLOT[name] for name in ("n_prices", "n_trades", "periods_done", "growth", "last_price"))
 
 
 def market_with_levels(levels, chartist_levels=()) -> tuple[AgentSpec, ...]:
@@ -167,33 +173,18 @@ class SessionResult:
         return self.cash_hist + self.shares_hist * marks[:, None]
 
 
-class PeriodDraws:
-    """One period's variates, in buffers that each period refills.
+def draw_period(rng: np.random.Generator, perm: np.ndarray, seeding_u: np.ndarray, seeding_z: np.ndarray,
+                order: np.ndarray, steps_u: np.ndarray, steps_z: np.ndarray) -> None:
+    """Fill one period's variates from `rng`, in the documented layout (see
+    the module docstring) and in the order of the arguments.
 
-    `perm` is the seeding pass's permutation of all n traders, of which the
-    m informed ones act; `order` is the steps' traders. `u` and `z` hold the
-    seeding pass's m uniforms and normals, then the steps'.
+    `perm` takes a permutation of all n traders, of which the m informed ones
+    act in the seeding pass; `order` takes the steps' traders.
     """
-
-    __slots__ = ("m", "perm", "order", "u", "z", "_passes")
-
-    def __init__(self, m: int, perm: np.ndarray, order: np.ndarray, u: np.ndarray, z: np.ndarray) -> None:
-        self.m, self.perm, self.order, self.u, self.z = m, perm, order, u, z
-        self._passes = (u[:m], z[:m], u[m:], z[m:])
-
-    @classmethod
-    def allocate(cls, n: int, m: int, steps: int) -> PeriodDraws:
-        return cls(m, np.empty(n, dtype=np.int64), np.empty(steps, dtype=np.int64),
-                   np.empty(m + steps), np.empty(m + steps))
-
-
-def draw_period(rng: np.random.Generator, draws: PeriodDraws) -> None:
-    """Fill `draws` from `rng` in the documented layout (see the module docstring)."""
-    seeding_u, seeding_z, steps_u, steps_z = draws._passes
-    draws.perm[:] = rng.permutation(len(draws.perm))
+    perm[:] = rng.permutation(len(perm))
     rng.random(out=seeding_u)
     rng.standard_normal(out=seeding_z)
-    draws.order[:] = rng.integers(0, len(draws.perm), size=len(draws.order))
+    order[:] = rng.integers(0, len(perm), size=len(order))
     rng.random(out=steps_u)
     rng.standard_normal(out=steps_z)
 
@@ -201,10 +192,12 @@ def draw_period(rng: np.random.Generator, draws: PeriodDraws) -> None:
 class MarketSession:
     """Mutable session state; drive it period by period or via run().
 
-    Under the compiled kernel, `cash` and `shares` are numpy arrays (still
-    writable between periods), `book` is a read-only `_kernel.BookView` and
-    `prices` a view of the kernel's buffer; `holdings()` gives plain lists
-    under either kernel.
+    The state is one arena of flat buffers, laid out at construction as
+    `_kernel.c`'s `im_session` reads it. `cash` and `shares` are two of its
+    numpy arrays, the same ones for the whole session and writable between
+    periods; `prices` is a view of its price series. `book` is a read-only
+    `_kernel.BookView` of the arena's book under the compiled kernel, and the
+    Python loop's `Book` under the Python loop.
     """
 
     def __init__(self, config: SessionConfig, path: DividendPath, rng: np.random.Generator) -> None:
@@ -219,36 +212,66 @@ class MarketSession:
         self.n_agents = n
         self.levels = [a.info_level for a in config.agents]
         self.strategies = [a.strategy for a in config.agents]
-        self.book = Book()
-        self.cash = [float(config.initial_cash)] * n
-        self.shares = [int(config.initial_shares)] * n
-        self._held_cash = [0.0] * n  # committed to resting bids
-        self._held_shares = [0] * n  # committed to resting asks
-        self._last_price = float(config.initial_price)
-        self._prices: list[float] = []
-        self._period_end_prices: list[float] = []
-        self._trade_steps: list[int] = []
-        self._trade_prices: list[float] = []
-        self._trade_buyers: list[int] = []
-        self._trade_sellers: list[int] = []
-        self._cash_hist = [self.cash.copy()]
-        self._shares_hist = [self.shares.copy()]
-        self._pv: list[float | None] = [None] * n
-        self._draws = PeriodDraws.allocate(n, sum(lvl > 0 for lvl in self.levels), config.steps_per_period)
+        m = sum(lvl > 0 for lvl in self.levels)
+        steps, periods = config.steps_per_period, config.n_periods
+        # Each activation places at most one order, so a side never holds
+        # more than a period's activations, or the session's without clearing.
+        book_cap = (steps + n) * (1 if config.clear_book_each_period else periods)
+        trade_cap = periods * (steps + n)
+        f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+        # (im_session field, dtype, length) after the header; every buffer
+        # but cash and shares is private, under the field's name with a "_".
+        layout = (
+            ("level", i8, n), ("strategy", i8, n), ("pv", f8, n), ("cash", f8, n), ("shares", i8, n),
+            ("held_cash", f8, n), ("held_shares", i8, n),
+            ("perm", i8, n), ("order", i8, steps), ("u", f8, m + steps), ("z", f8, m + steps),
+            ("asks", _kernel.ORDER, book_cap), ("bids", _kernel.ORDER, book_cap), ("prices", f8, periods * steps),
+            ("trade_steps", i8, trade_cap), ("trade_prices", f8, trade_cap),
+            ("trade_buyers", i8, trade_cap), ("trade_sellers", i8, trade_cap),
+            ("cash_hist", f8, (periods + 1) * n), ("shares_hist", i8, (periods + 1) * n),
+            ("period_end_prices", f8, periods),
+        )
+        header_bytes = 8 * len(_kernel.FIELDS)
+        arena = np.empty(header_bytes + sum(dtype.itemsize * count for _, dtype, count in layout), np.uint8)
+        base = arena.ctypes.data
+        fields = dict.fromkeys(_kernel.FIELDS, 0)
+        offset = header_bytes
+        for name, dtype, count in layout:
+            size = dtype.itemsize * count
+            setattr(self, name if name in ("cash", "shares") else f"_{name}", arena[offset: offset + size].view(dtype))
+            fields[name] = base + offset
+            offset += size
+        fields.update(n=n, steps=steps, clear=int(config.clear_book_each_period), book_cap=book_cap)
+        header = self._header = arena[:header_bytes].view(np.int64)
+        header[:] = list(fields.values())
+        doubles = self._doubles = arena[:header_bytes].view(np.float64)
+        doubles[_GROWTH] = 1.0 + config.rates.r_f
+        doubles[_LAST_PRICE] = config.initial_price
+        self._level[:] = self.levels
+        self._strategy[:] = [_kernel.STRATEGY_CODES[s] for s in self.strategies]
+        self._pv[:] = 0.0
+        self.cash[:] = config.initial_cash
+        self.shares[:] = config.initial_shares
+        self._held_cash[:] = 0.0
+        self._held_shares[:] = 0
+        self._cash_hist = self._cash_hist.reshape(periods + 1, n)
+        self._shares_hist = self._shares_hist.reshape(periods + 1, n)
+        self._cash_hist[0] = self.cash
+        self._shares_hist[0] = self.shares
+        self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
+        self.book = _kernel.BookView(header, self._asks, self._bids)
+        self._arena = arena  # the compiled kernel holds raw pointers into it
         self._trade = None  # the trading step, chosen at the first period
-        self._c: _kernel.CSession | None = None  # the compiled kernel's state, when it runs
         self.periods_done = 0
 
     @property
-    def prices(self):
-        """The last price after each completed step: the list the trend rule
-        reads, or a view of the compiled kernel's buffer."""
-        c = self._c
-        return self._prices if c is None else c.prices[: c.n_prices]
+    def prices(self) -> np.ndarray:
+        """The last price after each completed step: a view of the session's buffer."""
+        return self._prices[: self._header[_N_PRICES]]
 
     @property
     def last_price(self) -> float:
-        return self._last_price if self._c is None else self._c.last_price
+        return float(self._doubles[_LAST_PRICE])
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
         if strategy is Strategy.RANDOM:
@@ -256,14 +279,7 @@ class MarketSession:
         if self.levels[agent_idx] == 0:
             raise ValueError("the uninformed trader keeps the random rule")
         self.strategies[agent_idx] = strategy
-        if self._c is not None:
-            self._c.set_strategy(agent_idx, strategy)
-
-    def holdings(self) -> tuple[list[float], list[int]]:
-        """Every trader's cash and shares now, as plain lists."""
-        if self._c is None:
-            return self.cash, self.shares
-        return self.cash.tolist(), self.shares.tolist()
+        self._strategy[agent_idx] = _kernel.STRATEGY_CODES[strategy]
 
     def _deliver_information(self, k: int) -> None:
         r_e = self.config.rates.r_e
@@ -284,57 +300,62 @@ class MarketSession:
             self._trade = self._choose_kernel()
         k = self.periods_done + 1
         self._deliver_information(k)
-        draw_period(self.rng, self._draws)
-        self._trade(self._draws, self.path.dividend(k))
-        self.periods_done += 1
+        draw_period(self.rng, *self._draws)
+        self._trade(self.path.dividend(k))
+        self.periods_done = k
 
     def _choose_kernel(self):
         """The trading step for the whole session: the compiled kernel's,
         unless it is unavailable or the rules or book methods are patched."""
-        patched = [f"engine.{spec.__name__}" for spec, live in zip(
-            _SPEC_RULES, (decide_random, decide_fundamentalist, decide_chartist)) if live is not spec]
-        patched += [f"Book.{name}" for name, spec in _SPEC_BOOK.items() if vars(Book)[name] is not spec]
-        lib = _kernel.resolve(patched)
+        patched = any(live is not spec for spec, live in zip(
+            _SPEC_RULES, (decide_random, decide_fundamentalist, decide_chartist)))
+        patched = patched or any(vars(Book)[name] is not spec for name, spec in _SPEC_BOOK.items())
+        lib = None if patched else _kernel.resolve()
         if lib is None:
+            self.book = Book()
             return self._trade_period
-        c = self._c = _kernel.CSession(lib, self)
-        self.cash, self.shares, self.book, self._pv = c.cash, c.shares, c.book, c.pv
-        self._held_cash, self._held_shares = c.held_cash, c.held_shares
-        self._draws = PeriodDraws(self._draws.m, c.perm, c.order, c.u, c.z)
-        return c.trade_period
+        trade, address = lib.im_trade_period, self._arena.ctypes.data
 
-    def _trade_period(self, draws: PeriodDraws, d: float) -> None:
+        def trade_period(d: float) -> None:
+            if trade(address, d):
+                raise RuntimeError("order book capacity exceeded")
+
+        return trade_period
+
+    def _trade_period(self, d: float) -> None:
         """One period's activations on this period's draws, then its settlement.
 
         It draws nothing: its inputs are the draws, the strategies, the
-        present values, the dividend d, the rates and the clearing flag.
+        present values, the dividend d, the rates and the clearing flag. It
+        trades on plain lists bound from the state and writes the period back
+        into the state as `im_trade_period` leaves it.
         """
         config = self.config
+        header = self._header
         # Everything the activation loop touches, bound once per period.
         n = self.n_agents
-        levels, strategies, pv = self.levels, self.strategies, self._pv
-        cash, shares = self.cash, self.shares
-        held_cash, held_shares = self._held_cash, self._held_shares
+        levels, strategies, pv = self.levels, self.strategies, self._pv.tolist()
+        cash, shares = self.cash.tolist(), self.shares.tolist()
+        held_cash, held_shares = self._held_cash.tolist(), self._held_shares.tolist()
         prices = self._prices
+        t = int(header[_N_PRICES])  # steps so far
         book = self.book
         best_bid, best_ask = book.best_bid, book.best_ask
         place_limit, execute_marketable = book.place_limit, book.execute_marketable
         random_rule, value_rule, trend_rule = decide_random, decide_fundamentalist, decide_chartist
         RANDOM, FUNDAMENTALIST = Strategy.RANDOM, Strategy.FUNDAMENTALIST
-        trade_steps, trade_prices = self._trade_steps, self._trade_prices
-        trade_buyers, trade_sellers = self._trade_buyers, self._trade_sellers
-        p = self._last_price
-        m = draws.m
-        us, zs = draws.u.tolist(), draws.z.tolist()
+        trade_steps, trade_prices, trade_buyers, trade_sellers = [], [], [], []
+        p = self.last_price
+        perm, seeding_u, seeding_z, order, steps_u, steps_z = self._draws
         # The seeding pass (each informed trader once, shuffled; the
         # uninformed trader quotes off the last price only during the steps)
         # records no price; each step records the last price after it.
         passes = (
-            ([i for i in draws.perm.tolist() if levels[i] > 0], us[:m], zs[:m], False),
-            (draws.order.tolist(), us[m:], zs[m:], True),
+            ([i for i in perm.tolist() if levels[i] > 0], seeding_u.tolist(), seeding_z.tolist(), False),
+            (order.tolist(), steps_u.tolist(), steps_z.tolist(), True),
         )
-        for order, pass_us, pass_zs, stepping in passes:
-            for i, u, z in zip(order, pass_us, pass_zs):
+        for traders, pass_us, pass_zs, stepping in passes:
+            for i, u, z in zip(traders, pass_us, pass_zs):
                 bid = best_bid()
                 ask = best_ask()
                 strat = strategies[i]
@@ -343,7 +364,7 @@ class MarketSession:
                 elif strat is FUNDAMENTALIST:
                     kind, price = value_rule(pv[i], p, bid, ask, z)
                 else:
-                    kind, price = trend_rule(p, bid, ask, prices, u, z)
+                    kind, price = trend_rule(p, bid, ask, prices[:t], u, z)
                 # The trader must afford the intent: no shorting, no credit,
                 # counting what its resting orders already commit.
                 if kind == "limit_bid":
@@ -356,8 +377,7 @@ class MarketSession:
                         held_shares[i] += 1
                 elif kind == "market_sell":
                     if shares[i] - held_shares[i] >= 1:
-                        step = len(prices) + 1
-                        trade = execute_marketable("sell", i, step)
+                        trade = execute_marketable("sell", i, t + 1)
                         if trade is not None:
                             p = trade.price
                             buyer = trade.buyer_id
@@ -366,14 +386,13 @@ class MarketSession:
                             held_cash[buyer] -= p
                             cash[i] += p
                             shares[i] -= 1
-                            trade_steps.append(step)
+                            trade_steps.append(t + 1)
                             trade_prices.append(p)
                             trade_buyers.append(buyer)
                             trade_sellers.append(i)
                 elif kind == "market_buy":
                     if ask is not None and cash[i] - held_cash[i] >= ask:
-                        step = len(prices) + 1
-                        trade = execute_marketable("buy", i, step)
+                        trade = execute_marketable("buy", i, t + 1)
                         p = trade.price
                         seller = trade.seller_id
                         cash[i] -= p
@@ -381,24 +400,34 @@ class MarketSession:
                         cash[seller] += p
                         shares[seller] -= 1
                         held_shares[seller] -= 1
-                        trade_steps.append(step)
+                        trade_steps.append(t + 1)
                         trade_prices.append(p)
                         trade_buyers.append(i)
                         trade_sellers.append(seller)
                 if stepping:
-                    prices.append(p)
-        self._last_price = p
+                    prices[t] = p
+                    t += 1
         growth = 1.0 + config.rates.r_f
         for i in range(n):
             cash[i] = cash[i] * growth + shares[i] * d
-        self._period_end_prices.append(p)
-        self._cash_hist.append(cash.copy())
-        self._shares_hist.append(shares.copy())
         if config.clear_book_each_period:
             book.clear()
-            for i in range(n):
-                held_cash[i] = 0.0
-                held_shares[i] = 0
+            held_cash, held_shares = [0.0] * n, [0] * n
+        # The period, written back as im_trade_period leaves it.
+        k = self.periods_done + 1
+        self.cash[:] = self._cash_hist[k] = cash
+        self.shares[:] = self._shares_hist[k] = shares
+        self._held_cash[:] = held_cash
+        self._held_shares[:] = held_shares
+        j = int(header[_N_TRADES])
+        for buffer, values in ((self._trade_steps, trade_steps), (self._trade_prices, trade_prices),
+                               (self._trade_buyers, trade_buyers), (self._trade_sellers, trade_sellers)):
+            buffer[j: j + len(values)] = values
+        header[_N_TRADES] = j + len(trade_steps)
+        header[_N_PRICES] = t
+        header[_PERIODS_DONE] = k
+        self._period_end_prices[k - 1] = p
+        self._doubles[_LAST_PRICE] = p
 
     def run(self) -> SessionResult:
         while self.periods_done < self.config.n_periods:
@@ -406,19 +435,19 @@ class MarketSession:
         return self.result()
 
     def result(self) -> SessionResult:
-        if self._c is not None:
-            return SessionResult(self.config, self.path, *self._c.result_arrays())
+        """Copies of the series so far."""
+        steps, trades, periods = self._header[_N_PRICES], self._header[_N_TRADES], self.periods_done
         return SessionResult(
             config=self.config,
             path=self.path,
-            prices=np.asarray(self._prices),
-            trade_steps=np.asarray(self._trade_steps, dtype=np.int64),
-            trade_prices=np.asarray(self._trade_prices),
-            trade_buyers=np.asarray(self._trade_buyers, dtype=np.int64),
-            trade_sellers=np.asarray(self._trade_sellers, dtype=np.int64),
-            cash_hist=np.asarray(self._cash_hist),
-            shares_hist=np.asarray(self._shares_hist, dtype=np.int64),
-            period_end_prices=np.asarray(self._period_end_prices),
+            prices=self._prices[:steps].copy(),
+            trade_steps=self._trade_steps[:trades].copy(),
+            trade_prices=self._trade_prices[:trades].copy(),
+            trade_buyers=self._trade_buyers[:trades].copy(),
+            trade_sellers=self._trade_sellers[:trades].copy(),
+            cash_hist=self._cash_hist[: periods + 1].copy(),
+            shares_hist=self._shares_hist[: periods + 1].copy(),
+            period_end_prices=self._period_end_prices[:periods].copy(),
         )
 
 

@@ -134,7 +134,7 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
             if done % config.interval:
                 continue
             m = _present_value(path, n, k + 1, r_e)
-            returns = [(c + s * m - w) / w for c, s in zip(*session.holdings())]
+            returns = [(c + s * m - w) / w for c, s in zip(session.cash.tolist(), session.shares.tolist())]
             # np.mean's bits: numpy's pairwise order from 8 traders on (neither a
             # left-to-right sum nor the builtin, compensated since Python 3.12,
             # keeps them), divided by the count

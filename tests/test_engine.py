@@ -264,10 +264,11 @@ def test_path_length_is_periods_plus_top_level_floored_at_nine(n_agents, n_perio
 
 def test_rules_see_the_live_book(monkeypatch):
     # Every rule call gets the last trade price, the best resting quotes and
-    # (for the trend rule) the session's own price series, and the kernel
-    # reaches the rules and the book through the names a tracer patches.
+    # (for the trend rule) a view of the session's own price series, and the
+    # kernel reaches the rules and the book through the names a tracer patches.
     calls = Counter()
     live = {}
+    series_seen = []  # (the trend rule's series, a copy taken then, steps done by then)
 
     def check(name, p, bid, ask):
         calls[name] += 1
@@ -275,6 +276,9 @@ def test_rules_see_the_live_book(monkeypatch):
         assert p == live["last_price"]
         assert bid == best_bid(session.book)
         assert ask == best_ask(session.book)
+        # the period's first m activations are its seeding pass, which records no step
+        live["steps"] = live["period_start"] + max(0, live["activation"] - live["m"])
+        live["activation"] += 1
 
     def random_rule(p, bid, ask, u, z):
         check("decide_random", p, bid, ask)
@@ -286,7 +290,7 @@ def test_rules_see_the_live_book(monkeypatch):
 
     def trend_rule(p, bid, ask, prices, u, z):
         check("decide_chartist", p, bid, ask)
-        assert prices is live["session"].prices
+        series_seen.append((prices, prices.copy(), live["steps"]))
         return decide_chartist(p, bid, ask, prices, u, z)
 
     place_limit, execute_marketable = Book.place_limit, Book.execute_marketable
@@ -323,9 +327,17 @@ def test_rules_see_the_live_book(monkeypatch):
         path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(7, 0, 0))
         session = live["session"] = MarketSession(cfg, path, stream(7, 1, 0, 0))
         live["last_price"] = cfg.initial_price
-        for _ in range(cfg.n_periods):
+        live["m"] = sum(a.info_level > 0 for a in agents)
+        for k in range(cfg.n_periods):
+            live["period_start"], live["activation"] = k * cfg.steps_per_period, 0
             session.run_period()
-        assert len(session._trade_prices) > 0
+        assert len(session.result().trade_prices) > 0
+        # The trend rule reads a view of the session's own price buffer, not
+        # a copy, and it holds exactly the steps done before the call.
+        for series, then, steps in series_seen:
+            assert series.ctypes.data == session.prices.ctypes.data
+            assert np.array_equal(then, session.prices[:steps])
+        series_seen.clear()
     assert set(calls) == {"decide_random", "decide_fundamentalist", "decide_chartist",
                           "place_limit", "execute_marketable", "best_bid", "best_ask"}
     # one read of each quote per activation

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from infomarket import _kernel
 from infomarket.cli import main
 
 RUNS = {
@@ -111,28 +112,31 @@ def _large_tick_file(path):
 
 
 def _outputs(tmp_path_factory, kernel):
-    """Every run of RUNS under one session kernel; forked workers inherit
-    the variable that picks it."""
+    """Every run of RUNS in a fresh directory; the caller picks the kernel."""
     root = tmp_path_factory.mktemp(f"golden-{kernel}")
     ticks = root / "ticks.csv"
     _tick_file(ticks)
     ticks_large = root / "ticks_large.csv"
     _large_tick_file(ticks_large)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("INFOMARKET_KERNEL", kernel)
-        for name, argv in RUNS.items():
-            argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
-            assert main(argv + ["--out", str(root / name)]) == 0, name
+    for name, argv in RUNS.items():
+        argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
+        assert main(argv + ["--out", str(root / name)]) == 0, name
     return root
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    return _outputs(tmp_path_factory, "python")
+    # A process whose kernel resolved to nothing runs the Python loop, and
+    # forked workers inherit that.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
+        return _outputs(tmp_path_factory, "python")
 
 
 @pytest.fixture(scope="module")
 def compiled_outputs(tmp_path_factory):
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
     return _outputs(tmp_path_factory, "c")
 
 

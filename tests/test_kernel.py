@@ -3,11 +3,12 @@ picks its kernel.
 
 The Python loop (`MarketSession._trade_period`) is the specification: on the
 same inputs the compiled kernel must leave every array bit for bit equal,
-and the generator in the same state.
+and the generator in the same state. Both trade on the one state a session
+lays out at construction.
 """
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from infomarket import _kernel, engine
 from infomarket.agents import decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
-from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels, run_session
+from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
 from infomarket.montecarlo import BatchConfig, run_batch
 from infomarket.rng import stream
 from infomarket.switching import SwitchingConfig, run_switching_sim
@@ -30,9 +31,15 @@ SERIES = ("prices", "trade_steps", "trade_prices", "trade_buyers", "trade_seller
 
 
 @contextmanager
-def kernel(mode):
-    with mock.patch.dict(os.environ, {_kernel.ENV: mode}):
+def python_loop():
+    """Sessions started inside run the Python loop, as in a process whose
+    kernel resolved to nothing."""
+    with mock.patch.object(_kernel, "_resolved", (None, "the Python loop, the specification")):
         yield
+
+
+def compiled(session):
+    return isinstance(session.book, _kernel.BookView)
 
 
 def config(**kw):
@@ -47,25 +54,33 @@ def config(**kw):
     return SessionConfig(**defaults)
 
 
-def run(mode, cfg, seed):
-    """A whole session under one kernel: its result, its generator's final
-    state and its book."""
+def ending(session):
+    """What a session leaves besides its series: its book and its state."""
+    book = session.book
+    return (len(book), book.best_bid(), book.best_ask(), session.last_price, session.periods_done,
+            *(buffer.tolist() for buffer in (session.cash, session.shares, session._held_cash,
+                                             session._held_shares, session._pv)))
+
+
+def run(cfg, seed, python=False):
+    """A whole session: its result, its generator's final state, its ending
+    and whether it ran compiled. The compiled kernel runs where it is
+    available unless `python` is set."""
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(seed, 0, 0))
-    with kernel(mode):
+    with python_loop() if python else nullcontext():
         session = MarketSession(cfg, path, stream(seed, 1, 0, 0))
         result = session.run()
-    book = (len(session.book), session.book.best_bid(), session.book.best_ask())
-    return result, session.rng.bit_generator.state, book, session._c is not None
+    return result, session.rng.bit_generator.state, ending(session), compiled(session)
 
 
 def assert_same_session(a, b):
-    (ra, state_a, book_a), (rb, state_b, book_b) = a[:3], b[:3]
+    (ra, state_a, end_a), (rb, state_b, end_b) = a[:3], b[:3]
     for name in SERIES:
         x, y = getattr(ra, name), getattr(rb, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
     assert state_a == state_b
-    assert book_a == book_b
+    assert end_a == end_b
 
 
 @st.composite
@@ -87,9 +102,9 @@ def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shar
     # Small endowments make the no-credit and no-short checks bind.
     cfg = config(agents=agents, n_periods=5, steps_per_period=steps, clear_book_each_period=clear,
                  initial_cash=cash, initial_shares=shares)
-    spec, compiled = run("python", cfg, seed), run("c", cfg, seed)
-    assert not spec[3] and compiled[3]
-    assert_same_session(spec, compiled)
+    spec, fast = run(cfg, seed, python=True), run(cfg, seed)
+    assert not spec[3] and fast[3]
+    assert_same_session(spec, fast)
 
 
 @needs_compiler
@@ -97,7 +112,7 @@ def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shar
 def test_reference_market_sessions_match(clear):
     cfg = SessionConfig(clear_book_each_period=clear)
     for seed in range(3):
-        assert_same_session(run("python", cfg, seed), run("c", cfg, seed))
+        assert_same_session(run(cfg, seed, python=True), run(cfg, seed))
 
 
 @needs_compiler
@@ -106,8 +121,8 @@ def test_switching_chains_match():
     # between its periods.
     cfg = SwitchingConfig(n_traders=4, n_periods=90, steps_per_period=20)
     runs = []
-    for mode in ("python", "c"):
-        with kernel(mode):
+    for python in (True, False):
+        with python_loop() if python else nullcontext():
             rng = stream(5, 2, 3)
             runs.append((run_switching_sim(cfg, 3, rng), rng.bit_generator.state))
     (a, state_a), (b, state_b) = runs
@@ -121,10 +136,9 @@ def test_compiled_period_draws_in_the_documented_layout():
     agents = market_with_levels((0, 3, 1, 0, 2), chartist_levels=(2,))
     cfg = config(agents=agents, steps_per_period=17)
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(5, 0, 0))
-    with kernel("c"):
-        session = MarketSession(cfg, path, stream(5, 1, 0, 0))
-        session.run_period()
-    assert session._c is not None
+    session = MarketSession(cfg, path, stream(5, 1, 0, 0))
+    session.run_period()
+    assert compiled(session)
     fresh = stream(5, 1, 0, 0)
     fresh.permutation(5), fresh.random(3), fresh.standard_normal(3)
     fresh.integers(0, 5, size=17), fresh.random(17), fresh.standard_normal(17)
@@ -137,15 +151,57 @@ def test_set_strategy_reaches_the_compiled_kernel():
     cfg = config(agents=market_with_levels((0, 1, 2, 3)))
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(8, 0, 0))
     results = []
-    for mode in ("python", "c"):
-        with kernel(mode):
+    for python in (True, False):
+        with python_loop() if python else nullcontext():
             session = MarketSession(cfg, path, stream(8, 1, 0, 0))
             for k in range(cfg.n_periods):
                 if k == 2:
                     session.set_strategy(2, engine.Strategy.CHARTIST)
                 session.run_period()
-        results.append((session.result(), session.rng.bit_generator.state, len(session.book)))
+        assert compiled(session) is not python
+        results.append((session.result(), session.rng.bit_generator.state, ending(session)))
     assert_same_session(*results)
+
+
+# -- the one state ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("python", [True, pytest.param(False, marks=needs_compiler)])
+def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
+    cfg = config()
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(3, 0, 0))
+    with python_loop() if python else nullcontext():
+        session = MarketSession(cfg, path, stream(3, 1, 0, 0))
+        cash, shares = session.cash, session.shares
+        session.run_period()
+        assert session.cash is cash and session.shares is shares
+        session.run()
+    assert compiled(session) is not python
+    assert session.cash is cash and session.shares is shares
+    assert cash.tolist() == session.result().cash_hist[-1].tolist()
+
+
+@needs_compiler
+def test_endowments_written_between_periods_reach_both_kernels():
+    # Written before the first period and again between periods, as
+    # switching does after each evaluation.
+    cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(3,)), clear_book_each_period=False)
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(9, 0, 0))
+    outcomes = []
+    for python in (True, False):
+        with python_loop() if python else nullcontext():
+            session = MarketSession(cfg, path, stream(9, 1, 0, 0))
+            for k in range(cfg.n_periods):
+                if k in (0, 3):
+                    session.cash[:] = [50.0 * (i + 1) for i in range(4)]
+                    session.shares[:] = [i + k for i in range(4)]
+                session.run_period()
+        assert compiled(session) is not python
+        outcomes.append((session.result(), session.rng.bit_generator.state, ending(session)))
+    assert_same_session(*outcomes)
+    # Trades conserve shares, so each period's total is the last one written.
+    totals = outcomes[0][0].shares_hist.sum(axis=1).tolist()
+    assert totals == [4 * cfg.initial_shares] + [0 + 1 + 2 + 3] * 3 + [3 + 4 + 5 + 6] * 3
 
 
 # -- choosing the kernel ----------------------------------------------------
@@ -156,14 +212,13 @@ def fresh_kernel(monkeypatch, tmp_path):
     """A process that has not resolved the kernel yet, with an empty cache."""
     monkeypatch.setattr(_kernel, "_resolved", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.delenv(_kernel.ENV, raising=False)
     return tmp_path / "cache" / "infomarket"
 
 
 def reference_outputs():
-    """A session under the kernel the environment picks: (result, state, book, compiled)."""
+    """A session under the kernel this process resolves: (result, state, ending, compiled)."""
     cfg = config(clear_book_each_period=False, initial_cash=200.0, initial_shares=3)
-    return run("", cfg, 4)
+    return run(cfg, 4)
 
 
 @needs_compiler
@@ -205,31 +260,13 @@ def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kerne
     assert blocker.read_text() == ""
 
 
-def test_forced_c_without_a_compiler_raises(fresh_kernel, monkeypatch):
-    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
-    monkeypatch.setenv(_kernel.ENV, "c")
-    with pytest.raises(_kernel.KernelUnavailable, match="no C compiler"):
-        run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
-
-
-def test_forced_c_refuses_patched_rules(monkeypatch):
-    monkeypatch.setenv(_kernel.ENV, "c")
+def test_a_patched_rule_runs_the_python_loop_without_building(fresh_kernel, monkeypatch):
+    # The compiled kernel would not call the patched rule, so the session
+    # never asks for it.
+    monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built the kernel for a patched rule"))
     monkeypatch.setattr(engine, "decide_random", lambda *args: decide_random(*args))
-    with pytest.raises(_kernel.KernelUnavailable, match="engine.decide_random"):
-        run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
-
-
-def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
-    monkeypatch.setenv(_kernel.ENV, "python")
-    monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built under INFOMARKET_KERNEL=python"))
-    assert _kernel.resolve() is None
-    run_session(config(), generate_dividend_path(DividendParams(), 20, stream(1)), stream(2))
-
-
-def test_unknown_kernel_name_is_refused(monkeypatch):
-    monkeypatch.setenv(_kernel.ENV, "fortran")
-    with pytest.raises(ValueError, match="INFOMARKET_KERNEL"):
-        _kernel.resolve()
+    assert not reference_outputs()[3]
+    assert _kernel._resolved is None
 
 
 @needs_compiler
@@ -248,7 +285,7 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
     cfg = BatchConfig(session=config(), n_sessions=4, runs_per_session=2, master_seed=6, jobs=2)
     parallel = run_batch(cfg)
     assert log.read_text().split() == [str(os.getpid())]
-    with kernel("python"):
+    with python_loop():
         spec = run_batch(cfg)
     assert np.array_equal(parallel.rel_returns, spec.rel_returns)
     assert np.array_equal(parallel.asset_mean_returns, spec.asset_mean_returns)
