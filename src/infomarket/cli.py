@@ -54,6 +54,7 @@ from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
 from .switching import (
     aggregate_runs,
     run_switching_ensemble,
+    stationarity_gap,
     write_freqs_csv,
     write_states_csv,
     write_tmatrix_csv,
@@ -367,7 +368,9 @@ def cmd_markov(args) -> int:
     _write_manifest(out, "markov", eff)
     ties = sum(r.tie_events for r in runs)
     all_eq = sum(r.all_equal_events for r in runs)
-    print(f"runs: {len(runs)}  tie intervals: {ties}  all-equal intervals: {all_eq}")
+    _, gap_max, gap_total = stationarity_gap(est.mean_pi, est.mean_probs)
+    print(f"runs: {len(runs)}  tie intervals: {ties}  all-equal intervals: {all_eq}  "
+          f"stationarity gap: max {gap_max:.4f}, total {gap_total:.4f}")
     return EXIT_OK
 
 

@@ -284,6 +284,8 @@ def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
 
 
 def write_freqs_csv(est: EnsembleEstimate, file) -> None:
+    # A one-run ensemble has no spread, so its stderr is written as nan.
     pi_t, _, _ = stationarity_gap(est.mean_pi, est.mean_probs)
-    write_csv(file, ["code", "pi", "pi_T"],
-              ((code, fmt(p), fmt(pt)) for code, (p, pt) in enumerate(zip(est.mean_pi, pi_t), start=1)))
+    write_csv(file, ["code", "pi", "pi_T", "stderr"],
+              ((code, fmt(p), fmt(pt), fmt(se))
+               for code, (p, pt, se) in enumerate(zip(est.mean_pi, pi_t, est.stderr_pi), start=1)))

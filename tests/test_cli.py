@@ -142,6 +142,27 @@ def test_markov_single_run_stderr_is_nan(tmp_path):
     rows = [line.split(",") for line in (out / "tmatrix.csv").read_text().splitlines()[1:]]
     assert len(rows) == 64
     assert {row[3] for row in rows} == {"nan"}
+    freqs = [line.split(",") for line in (out / "freqs.csv").read_text().splitlines()]
+    assert freqs[0] == ["code", "pi", "pi_T", "stderr"]
+    assert {row[3] for row in freqs[1:]} == {"nan"}
+
+
+def test_markov_reports_ties_the_stationarity_gap_and_frequency_stderrs(tmp_path, capsys):
+    out = tmp_path / "mk"
+    assert run_cli("markov", "--periods", "30", "--jobs", "1", "--out", str(out)) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert printed.startswith("runs: 8  tie intervals: ")
+    rows = [[float(v) for v in line.split(",")] for line in (out / "freqs.csv").read_text().splitlines()[1:]]
+    gaps = [abs(pi_t - pi) for _, pi, pi_t, _ in rows]
+    assert printed.endswith(f"stationarity gap: max {max(gaps):.4f}, total {sum(gaps):.4f}")
+    # the spread of each state's frequency over the 8 runs, over sqrt(8)
+    runs = {}
+    for line in (out / "states.csv").read_text().splitlines()[1:]:
+        initial, _, code = map(int, line.split(","))
+        runs.setdefault(initial, []).append(code)
+    for code, _, _, stderr in rows:
+        shares = [codes.count(code) / len(codes) for codes in runs.values()]
+        assert stderr == pytest.approx(statistics.stdev(shares) / math.sqrt(len(shares)), rel=1e-12)
 
 
 def test_markov_stderr_counts_only_the_runs_that_visited_the_row(tmp_path):

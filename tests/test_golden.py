@@ -63,7 +63,7 @@ DIGESTS = {
     "noclearing/pvalues.csv": "f3ffaad475361c44304a64d30592a0e9a06c1a5ea4d1fe4820fd6280d32fdd2e",
     "markov3/states.csv": "5253ecfca8bebaae1504e25dae2f07c6649be24b7dfee93f37647f884c1064d5",
     "markov3/tmatrix.csv": "f4926aeb07685b93069352a53e0d3756254e6f53a2a79ecdc7166915b9e05259",
-    "markov3/freqs.csv": "dac955150b726f4943b6a427dcf8c736e471db6142893ca2b71127d8ab4b477b",
+    "markov3/freqs.csv": "1e24c3fb84ead008f9783cd6122b83cf553146efa0f20d8f5d31279101e2ee01",
     "stats/efficiency.csv": "2d941b320bb594e84045fca1f0b57883b1ec6d45719bc087bdbd0ec2ef6b3baa",
     "stats/acf.csv": "a5be97b1d79c0baec4437a6335d2cbd369a19dbace04b3fab75baa1a636cf87f",
     "stats/moments.csv": "a08080e036e0eed26c3ded1875a274b870cef1a5e350fc6126b4f752d3391add",
@@ -76,11 +76,11 @@ DIGESTS = {
     "jcurve10/manifest.json": "68eb7e39110efb092f73d47292ac971fa698ef3d7f470f67cc25f029e84f5263",
     "jcurve3/manifest.json": "57f3c7d34c3898d826a32ba7bed4af3c998f528df29b88ffa25f124aeb0e582a",
     "markov3/manifest.json": "736df143569041411cc198bc4ce6e0fc0a24513a281cfd4d0a17ea95a63eb138",
-    "markov5/freqs.csv": "a97b8e3b6beb300970ed13bc31a8cc57a2d28333e1b5e42268b4c43fb3c0c5d8",
+    "markov5/freqs.csv": "3207dacced0e445bbe020d7fdd791947c7d7dff9b3475885a6befa6dbf9281aa",
     "markov5/manifest.json": "f37fc519682f768622dac0723b3dd8757b45054092cf77fba7c73bf2a9a48402",
     "markov5/states.csv": "b47e7050f979a1004b76efb2e0375e2ffd41f545c52dd31c40978df7d755226e",
     "markov5/tmatrix.csv": "db180aae5d287d48326d30da28aea987ccb5ecea0d44417677829a7039c4bace",
-    "markov8/freqs.csv": "13eae537de3ce2bae27b6a95a1ec9fffa03c7f39df4453fea67a9d6fa39dad42",
+    "markov8/freqs.csv": "bd216d126580a84cfcd541c2dd3eac435c2a77829d59425ff0188d30e4fb9319",
     "markov8/manifest.json": "948a5326ed3ccbc87b8550d7fd1f4f5e13f19d01081bc304b3652750e4e299be",
     "markov8/states.csv": "0fc61f624fc3e8eac2808c3149ddbd34ca860ca74c965c7e7ad988546ff06c7d",
     "markov8/tmatrix.csv": "37319eb6cc8f20161e4cf604ddfbcdcdfae3484c0f27237fe1b2bf2db89eec39",

@@ -19,13 +19,6 @@ def run_script(name, *args):
     )
 
 
-def test_run_markov_tiny():
-    proc = run_script("run_markov.py", "--periods", "30", "--jobs", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert "markov3: 8 runs x 30 periods" in proc.stdout
-    assert "stationarity gap" in proc.stdout
-
-
 def test_profile_session_tiny():
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
