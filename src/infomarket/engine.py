@@ -22,10 +22,10 @@ activation loop on them and draws nothing. There are two trading steps on
 that one state, with the same bits:
 
 - `MarketSession._trade_period`, the Python loop and the specification. It
-  binds plain lists from the state once per period, asks the `Book` for the
-  best quotes, calls the rules in `agents` with plain arguments, places or
-  executes through the `Book` methods, and writes the period back into the
-  state at its end. The rules and book methods are looked up by name once
+  binds plain lists from the state once per period, keeps its book in a
+  `Book` of its own, asks it for the best quotes, calls the rules in
+  `agents` with plain arguments, places or executes through the `Book`
+  methods, and writes the period back into the state at its end. The rules and book methods are looked up by name once
   per period, so patching `engine.decide_*` or a `Book` method (as the
   benchmark's tracer does) reaches every activation.
 - `_kernel.c`'s `im_trade_period`, the compiled kernel, on the arena itself.
@@ -413,7 +413,8 @@ class MarketSession:
         if config.clear_book_each_period:
             book.clear()
             held_cash, held_shares = [0.0] * n, [0] * n
-        # The period, written back as im_trade_period leaves it.
+        # The period, written back as im_trade_period leaves it; the book
+        # stays in the `Book`.
         k = self.periods_done + 1
         self.cash[:] = self._cash_hist[k] = cash
         self.shares[:] = self._shares_hist[k] = shares

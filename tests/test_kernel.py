@@ -38,7 +38,7 @@ def python_loop():
         yield
 
 
-def compiled(session):
+def ran_compiled(session):
     return isinstance(session.book, _kernel.BookView)
 
 
@@ -70,7 +70,7 @@ def run(cfg, seed, python=False):
     with python_loop() if python else nullcontext():
         session = MarketSession(cfg, path, stream(seed, 1, 0, 0))
         result = session.run()
-    return result, session.rng.bit_generator.state, ending(session), compiled(session)
+    return result, session.rng.bit_generator.state, ending(session), ran_compiled(session)
 
 
 def assert_same_session(a, b):
@@ -138,7 +138,7 @@ def test_compiled_period_draws_in_the_documented_layout():
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(5, 0, 0))
     session = MarketSession(cfg, path, stream(5, 1, 0, 0))
     session.run_period()
-    assert compiled(session)
+    assert ran_compiled(session)
     fresh = stream(5, 1, 0, 0)
     fresh.permutation(5), fresh.random(3), fresh.standard_normal(3)
     fresh.integers(0, 5, size=17), fresh.random(17), fresh.standard_normal(17)
@@ -158,7 +158,7 @@ def test_set_strategy_reaches_the_compiled_kernel():
                 if k == 2:
                     session.set_strategy(2, engine.Strategy.CHARTIST)
                 session.run_period()
-        assert compiled(session) is not python
+        assert ran_compiled(session) is not python
         results.append((session.result(), session.rng.bit_generator.state, ending(session)))
     assert_same_session(*results)
 
@@ -166,7 +166,7 @@ def test_set_strategy_reaches_the_compiled_kernel():
 # -- the one state ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("python", [True, pytest.param(False, marks=needs_compiler)])
+@pytest.mark.parametrize("python", [True, pytest.param(False, marks=needs_compiler)], ids=["python", "compiled"])
 def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
     cfg = config()
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(3, 0, 0))
@@ -176,7 +176,7 @@ def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
         session.run_period()
         assert session.cash is cash and session.shares is shares
         session.run()
-    assert compiled(session) is not python
+    assert ran_compiled(session) is not python
     assert session.cash is cash and session.shares is shares
     assert cash.tolist() == session.result().cash_hist[-1].tolist()
 
@@ -196,7 +196,7 @@ def test_endowments_written_between_periods_reach_both_kernels():
                     session.cash[:] = [50.0 * (i + 1) for i in range(4)]
                     session.shares[:] = [i + k for i in range(4)]
                 session.run_period()
-        assert compiled(session) is not python
+        assert ran_compiled(session) is not python
         outcomes.append((session.result(), session.rng.bit_generator.state, ending(session)))
     assert_same_session(*outcomes)
     # Trades conserve shares, so each period's total is the last one written.
