@@ -260,9 +260,32 @@ def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kerne
     assert blocker.read_text() == ""
 
 
-def test_a_patched_rule_runs_the_python_loop_without_building(fresh_kernel, monkeypatch):
-    # The compiled kernel would not call the patched rule, so the session
-    # never asks for it.
+def test_forced_c_refuses_patched_rules(monkeypatch):
+    # A process whose kernel resolved to a loaded library still runs a
+    # session with a patched rule in the Python loop, which calls the rule;
+    # the compiled kernel would not.
+    class Unusable:
+        def __getattr__(self, name):
+            pytest.fail(f"a session with a patched rule used the kernel's {name}")
+
+    cfg = config(clear_book_each_period=False, initial_cash=200.0, initial_shares=3)
+    spec = run(cfg, 4, python=True)
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return decide_random(*args)
+
+    monkeypatch.setattr(_kernel, "_resolved", (Unusable(), None))
+    monkeypatch.setattr(engine, "decide_random", traced)
+    patched = run(cfg, 4)
+    assert not patched[3] and calls
+    assert_same_session(spec, patched)
+
+
+def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
+    # A patched rule forces the Python loop, so the session never asks for
+    # the compiled kernel: nothing is built and nothing is resolved.
     monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built the kernel for a patched rule"))
     monkeypatch.setattr(engine, "decide_random", lambda *args: decide_random(*args))
     assert not reference_outputs()[3]
