@@ -9,6 +9,10 @@ kernel's median and quartiles, per session and per activation, and the
 ratio of the medians. An activation is one trader decision: each period has
 its seeding pass (one per informed trader) plus its steps.
 
+Prints exactly one of `c kernel, median of ...` (followed by the library
+it loaded and the numpy version that library was built against) or
+`c kernel unavailable: <reason>`, and the ratio only with the former.
+
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
 
@@ -68,6 +72,8 @@ def main() -> int:
         q1, q3 = statistics.quantiles(samples, n=4)[::2] if len(samples) > 1 else (median, median)
         print(f"{kernel} kernel, median of {len(samples)}: {median:.3f} ms per session "
               f"(quartiles {q1:.3f}-{q3:.3f}), {median * 1e3 / activations:.3f} us per activation")
+        if kernel == "c":
+            print(f"c kernel library: {lib.path}, built against numpy {lib.numpy_version}")
     if len(medians) == 2:
         print(f"python / c median ratio: {medians['python'] / medians['c']:.2f}")
     return 0

@@ -1,18 +1,23 @@
-/* One trading period of a market session, on flat buffers.
+/* The periods of a market session, on flat buffers, draws included.
  *
- * This is the compiled twin of `MarketSession._trade_period` in engine.py,
- * which stays the specification: the same rules, affordability checks,
+ * This is the compiled twin of the Python loop in engine.py: `draw_period`
+ * followed by `MarketSession._trade_period`, which stay the specification.
+ * It makes the same draws from the session's generator, through numpy's own
+ * C algorithms (numpy/random/distributions.h, linked statically from
+ * numpy's libnpyrandom.a) on the generator's bitgen_t, so the generator
+ * ends in the same state. It then runs the same rules, affordability checks,
  * book and settlement, in the same floating-point operation order, so both
- * produce the same bits. It draws nothing; the caller fills the period's
- * variates in and owns every buffer (see _kernel.py, whose ctypes
- * structure mirrors `im_session`).
+ * produce the same bits. The caller owns every buffer (see _kernel.py,
+ * whose FIELDS mirror `im_session`).
  *
  * Each side of the book is a binary heap keyed (price, seq), best first.
  * seq is unique, so the pop order equals that of Python's heapq.
  */
 
+#include "numpy/random/distributions.h"
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { RANDOM = 0, FUNDAMENTALIST = 1, CHARTIST = 2 };
 enum { NO_ACTION = 0, LIMIT_BID, LIMIT_ASK, MARKET_SELL, MARKET_BUY };
@@ -26,22 +31,25 @@ typedef struct {
 typedef struct {
     /* sizes and constants */
     int64_t n;           /* traders */
+    int64_t m;           /* informed traders: the seeding pass's activations */
     int64_t steps;       /* steps per period */
     int64_t clear;       /* clear the book at the period end */
     double growth;       /* 1 + r_f */
     /* per trader, length n */
     const int64_t *level;
     const int64_t *strategy;
-    const double *pv;
+    double *pv;          /* this period's present values: a row of pv_table */
+    const double *pv_table; /* n_periods x n, 0 for the uninformed */
+    const double *dividends; /* n_periods: the dividend paid at each period's end */
     double *cash;
     int64_t *shares;
     double *held_cash;   /* committed to resting bids */
     int64_t *held_shares; /* committed to resting asks */
     /* this period's variates */
-    const int64_t *perm;  /* n: the seeding pass keeps its informed traders */
-    const int64_t *order; /* steps */
-    const double *u;      /* the seeding pass's, then the steps' */
-    const double *z;
+    int64_t *perm;        /* n: the seeding pass keeps its informed traders */
+    int64_t *order;       /* steps */
+    double *u;            /* m + steps: the seeding pass's, then the steps' */
+    double *z;
     /* the book: each side holds up to book_cap orders */
     im_order *asks;
     im_order *bids;
@@ -192,9 +200,33 @@ static void record_trade(im_session *s, int64_t step, double price, int64_t buye
     s->trade_sellers[t] = seller;
 }
 
-/* One period: the seeding pass, the steps, then the settlement with
- * dividend d. Returns 0, or -1 when a side of the book is full. */
-int im_trade_period(im_session *s, double d)
+/* engine.draw_period: one period's variates from bg, in the documented
+ * layout, each through the C function numpy's Generator method calls. */
+static void draw_period(im_session *s, bitgen_t *bg)
+{
+    const int64_t n = s->n, m = s->m, steps = s->steps;
+    int64_t *perm = s->perm;
+    /* permutation(n): arange(n), then shuffle's Fisher-Yates from the end */
+    for (int64_t i = 0; i < n; i++)
+        perm[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(bg, (uint64_t)i);
+        int64_t t = perm[i];
+        perm[i] = perm[j];
+        perm[j] = t;
+    }
+    random_standard_uniform_fill(bg, m, s->u);               /* random(m) */
+    random_standard_normal_fill(bg, m, s->z);                /* standard_normal(m) */
+    random_bounded_uint64_fill(bg, 0, (uint64_t)(n - 1), steps, false,
+                               (uint64_t *)s->order);        /* integers(0, n, size=steps) */
+    random_standard_uniform_fill(bg, steps, s->u + m);       /* random(steps) */
+    random_standard_normal_fill(bg, steps, s->z + m);        /* standard_normal(steps) */
+}
+
+/* MarketSession._trade_period: one period's activations on its draws, then
+ * the settlement with dividend d. Returns 0, or -1 when a side of the book
+ * is full. */
+static int trade_period(im_session *s, double d)
 {
     const int64_t n = s->n;
     double *cash = s->cash, *held_cash = s->held_cash;
@@ -283,6 +315,22 @@ int im_trade_period(im_session *s, double d)
             held_cash[i] = 0.0;
             held_shares[i] = 0;
         }
+    }
+    return 0;
+}
+
+/* The next `count` periods, each delivered its present values, drawn from
+ * bg and traded. Returns 0, or -1 when a side of the book is full (the
+ * periods before it are done). */
+int im_run_periods(im_session *s, bitgen_t *bg, int64_t count)
+{
+    const int64_t n = s->n;
+    for (int64_t c = 0; c < count; c++) {
+        int64_t k = s->periods_done; /* this period's row, 0-based */
+        memcpy(s->pv, s->pv_table + k * n, (size_t)n * sizeof(double));
+        draw_period(s, bg);
+        if (trade_period(s, s->dividends[k]))
+            return -1;
     }
     return 0;
 }

@@ -1,19 +1,31 @@
 """The compiled session kernel: build, cache and load `_kernel.c`, and describe
-the session state it trades on.
+the session state it runs on.
 
-`_kernel.c` is the compiled twin of `MarketSession._trade_period`, which
-stays the specification and the fallback. Both trade on the same state: an
-arena that `MarketSession` lays out at construction, whose first bytes are
-the kernel's `im_session` (`FIELDS`) and whose buffers those fields point
-to. Nothing is built or loaded at import; the first session that may use
-the kernel resolves it, once per process (`montecarlo.parallel_map`
-resolves it before it forks, so pool workers inherit the loaded library).
+`_kernel.c` is the compiled twin of the Python loop, `engine.draw_period`
+followed by `MarketSession._trade_period`, which stays the specification
+and the fallback. One call, `im_run_periods`, runs any number of periods:
+it delivers each period's present values from the session's table, draws
+the period's variates from the session's generator and trades it. Both run
+on the same state: an arena that `MarketSession` lays out at construction,
+whose first bytes are the kernel's `im_session` (`FIELDS`) and whose
+buffers those fields point to. Nothing is built or loaded at import; the
+first session that may use the kernel resolves it, once per process
+(`montecarlo.parallel_map` resolves it before it forks, so pool workers
+inherit the loaded library).
+
+The kernel draws through numpy's own C algorithms: it includes numpy's
+`numpy/random/distributions.h` and links numpy's static `libnpyrandom.a`,
+the library numpy's `Generator` methods are built on, and it draws from the
+generator's `bitgen_t`. So it is tied to the numpy it was built against;
+the cache key holds `numpy.__version__` and the full command line, and a
+missing header or library leaves the session on the Python loop.
 
 Building: `gcc -O2 -ffp-contract=off -shared -fPIC`, with neither
 `-ffast-math` nor `-march=native`, so every operation rounds as Python's
 does. The library goes to `${XDG_CACHE_HOME:-~/.cache}/infomarket/`, named
-by the sha256 of the source and the flags. It is written under a temporary
-name and renamed into place, so concurrent builds never load a partial file.
+by the sha256 of the source, the command line and the numpy version. It is
+written under a temporary name and renamed into place, so concurrent builds
+never load a partial file.
 
 Sessions use the compiled kernel whenever it builds and loads, and run the
 Python loop otherwise.
@@ -34,6 +46,9 @@ from .agents import Strategy
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# numpy's random C library and its header: the kernel's draws are theirs.
+NUMPY_RANDOM_LIB = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+NUMPY_INCLUDE = Path(np.get_include())
 STRATEGY_CODES = {Strategy.RANDOM: 0, Strategy.FUNDAMENTALIST: 1, Strategy.CHARTIST: 2}
 # One resting order, as `im_order` in _kernel.c.
 ORDER = np.dtype([("price", np.float64), ("seq", np.int64), ("trader", np.int64)])
@@ -65,14 +80,50 @@ def resolve():
     return _resolved[0]
 
 
+def command(output: str) -> list[str]:
+    """The compile command after the compiler, writing the library to `output`.
+
+    The includes are numpy's (for `numpy/random/distributions.h`) and
+    Python's (which that header includes); numpy's random library is linked
+    in statically.
+    """
+    return [*FLAGS, "-I", str(NUMPY_INCLUDE), "-I", _python_include(),
+            "-o", output, str(SOURCE), str(NUMPY_RANDOM_LIB), "-lm"]
+
+
+def build_inputs() -> tuple[Path, ...]:
+    """The files a build reads besides the source: numpy's random library,
+    its header, and the Python header that header includes."""
+    return (NUMPY_RANDOM_LIB, NUMPY_INCLUDE / "numpy" / "random" / "distributions.h",
+            Path(_python_include(), "Python.h"))
+
+
+def _python_include() -> str:
+    import sysconfig  # only resolving the kernel needs it: importing the package does not load it
+
+    return sysconfig.get_paths()["include"]
+
+
+def cache_key(source: bytes) -> str:
+    """sha256 of the source, the command line and the numpy version.
+
+    The command's output and source paths are left out, so every checkout
+    of the same source shares one build.
+    """
+    line = [arg for arg in command("") if arg not in ("", str(SOURCE))]
+    return hashlib.sha256("\0".join([np.__version__, *line]).encode() + b"\0" + source).hexdigest()
+
+
 def _build() -> Path:
     """The cached library for the current source, compiled if it is not there yet."""
+    for needed in build_inputs():
+        if not needed.is_file():
+            raise KernelUnavailable(f"cannot build the kernel: {needed} is missing")
     try:
         source = SOURCE.read_bytes()
     except OSError as e:
         raise KernelUnavailable(f"cannot read the kernel source: {e}") from None
-    key = hashlib.sha256(" ".join(FLAGS).encode() + b"\0" + source).hexdigest()
-    target = cache_dir() / f"kernel-{key}.so"
+    target = cache_dir() / f"kernel-{cache_key(source)}.so"
     if target.is_file():
         return target
     compiler = find_compiler()
@@ -85,7 +136,7 @@ def _build() -> Path:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
         os.close(fd)
-        proc = subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True)
+        proc = subprocess.run([compiler, *command(tmp)], capture_output=True, text=True)
         if proc.returncode != 0:
             raise KernelUnavailable(f"{compiler} failed on {SOURCE.name}:\n{proc.stderr}")
         os.replace(tmp, target)
@@ -101,8 +152,8 @@ def _build() -> Path:
 # `im_session` in _kernel.c, field for field. Every field is 8 bytes: an
 # int64, a double (GROWTH, LAST_PRICE) or a pointer into the session's arena.
 FIELDS = (
-    "n", "steps", "clear", "growth",
-    "level", "strategy", "pv", "cash", "shares", "held_cash", "held_shares",
+    "n", "m", "steps", "clear", "growth",
+    "level", "strategy", "pv", "pv_table", "dividends", "cash", "shares", "held_cash", "held_shares",
     "perm", "order", "u", "z",
     "asks", "bids", "book_cap", "n_asks", "n_bids", "seq",
     "prices", "n_prices", "trade_steps", "trade_prices", "trade_buyers", "trade_sellers", "n_trades",
@@ -119,9 +170,23 @@ def _load(path: Path):
     lib.im_session_size.restype = ctypes.c_int64
     if lib.im_session_size() != 8 * len(FIELDS):
         raise KernelUnavailable(f"{path} does not match this package's session layout")
-    lib.im_trade_period.argtypes = (ctypes.c_void_p, ctypes.c_double)
-    lib.im_trade_period.restype = ctypes.c_int
+    lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+    lib.im_run_periods.restype = ctypes.c_int
+    lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
     return lib
+
+
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def bitgen_address(rng: np.random.Generator) -> int:
+    """The address of `rng`'s `bitgen_t`, the struct the kernel draws from.
+
+    It is `rng.bit_generator.ctypes.bit_generator`, read from the bit
+    generator's capsule, which costs a tenth as much per generator.
+    """
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
 class BookView:

@@ -59,10 +59,12 @@ class DividendPath:
     (level, period, r_e). Every run of a batch session trades on the same
     path, so each value is computed once per session, not once per run. The
     callers fill it: on a miss they call `conditional_present_value` by the
-    name their own module imported.
+    name their own module imported. `present_value_tables` holds the
+    sessions' (period x trader) tables of those values, filled by
+    `engine.present_value_table`.
     """
 
-    __slots__ = ("values", "present_values")
+    __slots__ = ("values", "present_values", "present_value_tables")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float)
@@ -72,6 +74,7 @@ class DividendPath:
             raise ValueError("dividends must be non-negative")
         self.values: list[float] = arr.tolist()
         self.present_values: dict[tuple[int, int, float], float] = {}
+        self.present_value_tables: dict[tuple[tuple[int, ...], int, float], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.values)

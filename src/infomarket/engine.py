@@ -14,21 +14,29 @@ free shares or free cash (net of what its resting orders commit) do not
 cover it.
 
 A session's state is one arena of flat buffers (cash, shares, the holds,
-the present values, the period's draws, the book, the price series, the
-trades and the histories), laid out at construction as the compiled
-kernel's `im_session`. `MarketSession.run_period` splits a period in two:
-`draw_period` fills the draw buffers; the trading step then runs the
-activation loop on them and draws nothing. There are two trading steps on
-that one state, with the same bits:
+the present values and their table, the dividends, the period's draws, the
+book, the price series, the trades and the histories), laid out at
+construction as the compiled kernel's `im_session`. The present values come
+from `present_value_table`, cached on the dividend path, so every run of a
+batch session shares them. There are two ways to run periods on that one
+state, with the same bits and the same generator state after them:
 
-- `MarketSession._trade_period`, the Python loop and the specification. It
-  binds plain lists from the state once per period, keeps its book in a
-  `Book` of its own, asks it for the best quotes, calls the rules in
-  `agents` with plain arguments, places or executes through the `Book`
-  methods, and writes the period back into the state at its end. The rules and book methods are looked up by name once
-  per period, so patching `engine.decide_*` or a `Book` method (as the
-  benchmark's tracer does) reaches every activation.
-- `_kernel.c`'s `im_trade_period`, the compiled kernel, on the arena itself.
+- The Python loop, the specification: per period, `_deliver_information`
+  copies the period's row of the table, `draw_period` fills the draw
+  buffers and `MarketSession._trade_period` runs the activations on them
+  and draws nothing. It binds plain lists from the state once per period,
+  keeps its book in a `Book` of its own, asks it for the best quotes, calls
+  the rules in `agents` with plain arguments, places or executes through
+  the `Book` methods, and writes the period back into the state at its
+  end. The rules and book methods are looked up by name once per period,
+  so patching `engine.decide_*` or a `Book` method (as the benchmark's
+  tracer does) reaches every activation.
+- `_kernel.c`'s `im_run_periods`, the compiled kernel, on the arena itself:
+  the same delivery, draws and trading for any number of periods in one
+  call. It draws through numpy's own C functions on the generator's
+  `bitgen_t`, so it is tied to the numpy it was built against (see
+  `_kernel`). `run()` hands it all the remaining periods, `run_period()`
+  one.
 
 A session picks one at its first period and keeps it: the compiled kernel,
 unless it cannot be built and loaded or a rule or book method is patched
@@ -44,6 +52,7 @@ normal, whether or not its rule uses them, so no rule touches a generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,8 +76,9 @@ _SPEC_RULES = (decide_random, decide_fundamentalist, decide_chartist)
 _SPEC_BOOK = {name: vars(Book)[name]
               for name in ("place_limit", "execute_marketable", "best_bid", "best_ask", "clear")}
 # Slots of the state's `im_session` header: counters as int64, the rest as doubles.
-_N_PRICES, _N_TRADES, _PERIODS_DONE, _GROWTH, _LAST_PRICE = (
-    _kernel.SLOT[name] for name in ("n_prices", "n_trades", "periods_done", "growth", "last_price"))
+_M, _N_PRICES, _N_TRADES, _PERIODS_DONE, _GROWTH, _LAST_PRICE = (
+    _kernel.SLOT[name] for name in ("m", "n_prices", "n_trades", "periods_done", "growth", "last_price"))
+_HEADER_BYTES = 8 * len(_kernel.FIELDS)
 
 
 def market_with_levels(levels, chartist_levels=()) -> tuple[AgentSpec, ...]:
@@ -189,6 +199,73 @@ def draw_period(rng: np.random.Generator, perm: np.ndarray, seeding_u: np.ndarra
     rng.standard_normal(out=steps_z)
 
 
+def present_value_table(path: DividendPath, levels: tuple[int, ...], n_periods: int, r_e: float) -> np.ndarray:
+    """Each trader's present value at each period: (n_periods, len(levels)),
+    row k - 1 for period k, 0.0 for an uninformed trader.
+
+    The values come from the path's `present_values` memo, and the table is
+    cached on the path by (levels, n_periods, r_e), so every run of a batch
+    session shares it.
+    """
+    key = (levels, n_periods, r_e)
+    table = path.present_value_tables.get(key)
+    if table is None:
+        memo = path.present_values
+        rows = []
+        for k in range(1, n_periods + 1):
+            row = []
+            for lvl in levels:
+                pv = 0.0
+                if lvl > 0:
+                    pv = memo.get((lvl, k, r_e))
+                    if pv is None:
+                        pv = memo[lvl, k, r_e] = conditional_present_value(path, lvl, k, r_e)
+                row.append(pv)
+            rows.append(row)
+        table = path.present_value_tables[key] = np.array(rows, dtype=np.float64)
+        table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
+    """The session arena for one shape: its size in bytes, each buffer as
+    (attribute, shape, dtype, offset), the `im_session` header with each
+    pointer field holding its buffer's offset, and which fields are pointers.
+    """
+    # Each activation places at most one order, so a side never holds more
+    # than a period's activations, or the session's without clearing.
+    book_cap = (steps + n) * (1 if clear else periods)
+    trade_cap = periods * (steps + n)
+    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+    # (im_session field, dtype, shape) after the header; every buffer but
+    # cash and shares is private, under the field's name with a "_".
+    layout = (
+        ("level", i8, n), ("strategy", i8, n), ("pv", f8, n), ("pv_table", f8, (periods, n)),
+        ("dividends", f8, periods), ("cash", f8, n), ("shares", i8, n),
+        ("held_cash", f8, n), ("held_shares", i8, n),
+        ("perm", i8, n), ("order", i8, steps), ("u", f8, m + steps), ("z", f8, m + steps),
+        ("asks", _kernel.ORDER, book_cap), ("bids", _kernel.ORDER, book_cap), ("prices", f8, periods * steps),
+        ("trade_steps", i8, trade_cap), ("trade_prices", f8, trade_cap),
+        ("trade_buyers", i8, trade_cap), ("trade_sellers", i8, trade_cap),
+        ("cash_hist", f8, (periods + 1, n)), ("shares_hist", i8, (periods + 1, n)),
+        ("period_end_prices", f8, periods),
+    )
+    header = dict.fromkeys(_kernel.FIELDS, 0)
+    is_pointer = np.zeros(len(_kernel.FIELDS), np.int64)
+    buffers = []
+    offset = _HEADER_BYTES
+    for name, dtype, shape in layout:
+        buffers.append((name if name in ("cash", "shares") else f"_{name}", shape, dtype, offset))
+        header[name] = offset
+        is_pointer[_kernel.SLOT[name]] = 1
+        offset += dtype.itemsize * int(np.prod(shape))
+    header.update(n=n, m=m, steps=steps, clear=int(clear), book_cap=book_cap)
+    header = np.array(list(header.values()), np.int64)
+    header.flags.writeable = is_pointer.flags.writeable = False  # every session of the shape shares them
+    return offset, tuple(buffers), header, is_pointer
+
+
 class MarketSession:
     """Mutable session state; drive it period by period or via run().
 
@@ -213,56 +290,36 @@ class MarketSession:
         self.levels = [a.info_level for a in config.agents]
         self.strategies = [a.strategy for a in config.agents]
         m = sum(lvl > 0 for lvl in self.levels)
-        steps, periods = config.steps_per_period, config.n_periods
-        # Each activation places at most one order, so a side never holds
-        # more than a period's activations, or the session's without clearing.
-        book_cap = (steps + n) * (1 if config.clear_book_each_period else periods)
-        trade_cap = periods * (steps + n)
-        f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
-        # (im_session field, dtype, length) after the header; every buffer
-        # but cash and shares is private, under the field's name with a "_".
-        layout = (
-            ("level", i8, n), ("strategy", i8, n), ("pv", f8, n), ("cash", f8, n), ("shares", i8, n),
-            ("held_cash", f8, n), ("held_shares", i8, n),
-            ("perm", i8, n), ("order", i8, steps), ("u", f8, m + steps), ("z", f8, m + steps),
-            ("asks", _kernel.ORDER, book_cap), ("bids", _kernel.ORDER, book_cap), ("prices", f8, periods * steps),
-            ("trade_steps", i8, trade_cap), ("trade_prices", f8, trade_cap),
-            ("trade_buyers", i8, trade_cap), ("trade_sellers", i8, trade_cap),
-            ("cash_hist", f8, (periods + 1) * n), ("shares_hist", i8, (periods + 1) * n),
-            ("period_end_prices", f8, periods),
-        )
-        header_bytes = 8 * len(_kernel.FIELDS)
-        arena = np.empty(header_bytes + sum(dtype.itemsize * count for _, dtype, count in layout), np.uint8)
-        base = arena.ctypes.data
-        fields = dict.fromkeys(_kernel.FIELDS, 0)
-        offset = header_bytes
-        for name, dtype, count in layout:
-            size = dtype.itemsize * count
-            setattr(self, name if name in ("cash", "shares") else f"_{name}", arena[offset: offset + size].view(dtype))
-            fields[name] = base + offset
-            offset += size
-        fields.update(n=n, steps=steps, clear=int(config.clear_book_each_period), book_cap=book_cap)
-        header = self._header = arena[:header_bytes].view(np.int64)
-        header[:] = list(fields.values())
-        doubles = self._doubles = arena[:header_bytes].view(np.float64)
+        periods = config.n_periods
+        size, buffers, header, is_pointer = _arena_layout(
+            n, m, config.steps_per_period, periods, config.clear_book_each_period)
+        arena = np.empty(size, np.uint8)
+        for attr, shape, dtype, offset in buffers:
+            setattr(self, attr, np.ndarray(shape, dtype, arena, offset))
+        self._header = arena[:_HEADER_BYTES].view(np.int64)
+        np.multiply(is_pointer, arena.ctypes.data, out=self._header)
+        self._header += header
+        doubles = self._doubles = arena[:_HEADER_BYTES].view(np.float64)
         doubles[_GROWTH] = 1.0 + config.rates.r_f
         doubles[_LAST_PRICE] = config.initial_price
         self._level[:] = self.levels
         self._strategy[:] = [_kernel.STRATEGY_CODES[s] for s in self.strategies]
         self._pv[:] = 0.0
+        self._pv_table[:] = present_value_table(path, tuple(self.levels), periods, config.rates.r_e)
+        self._dividends[:] = path.values[:periods]
         self.cash[:] = config.initial_cash
         self.shares[:] = config.initial_shares
         self._held_cash[:] = 0.0
         self._held_shares[:] = 0
-        self._cash_hist = self._cash_hist.reshape(periods + 1, n)
-        self._shares_hist = self._shares_hist.reshape(periods + 1, n)
         self._cash_hist[0] = self.cash
         self._shares_hist[0] = self.shares
-        self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
-        self.book = _kernel.BookView(header, self._asks, self._bids)
+        self.book = _kernel.BookView(self._header, self._asks, self._bids)
         self._arena = arena  # the compiled kernel holds raw pointers into it
-        self._trade = None  # the trading step, chosen at the first period
-        self.periods_done = 0
+        self._compiled = None  # the compiled kernel's periods(count), or False: chosen at the first period
+
+    @property
+    def periods_done(self) -> int:
+        return int(self._header[_PERIODS_DONE])
 
     @property
     def prices(self) -> np.ndarray:
@@ -282,45 +339,55 @@ class MarketSession:
         self._strategy[agent_idx] = _kernel.STRATEGY_CODES[strategy]
 
     def _deliver_information(self, k: int) -> None:
-        r_e = self.config.rates.r_e
-        path = self.path
-        memo = path.present_values
-        for i, lvl in enumerate(self.levels):
-            if lvl > 0:
-                pv = memo.get((lvl, k, r_e))
-                if pv is None:
-                    pv = memo[lvl, k, r_e] = conditional_present_value(path, lvl, k, r_e)
-                self._pv[i] = pv
+        """Period k's present values: row k - 1 of the session's table."""
+        self._pv[:] = self._pv_table[k - 1]
 
     def run_period(self) -> None:
-        config = self.config
-        if self.periods_done >= config.n_periods:
+        if self.periods_done >= self.config.n_periods:
             raise RuntimeError("session already complete")
-        if self._trade is None:
-            self._trade = self._choose_kernel()
+        if self._compiled is None:
+            self._compiled = self._choose_kernel()
+        if self._compiled:
+            self._compiled(1)
+            return
         k = self.periods_done + 1
         self._deliver_information(k)
         draw_period(self.rng, *self._draws)
-        self._trade(self.path.dividend(k))
-        self.periods_done = k
+        self._trade_period(self.path.dividend(k))
+
+    def run(self) -> SessionResult:
+        """The remaining periods, then the result. The compiled kernel runs
+        them in one call; the Python loop runs them one `run_period` each."""
+        if self._compiled is None:
+            self._compiled = self._choose_kernel()
+        remaining = self.config.n_periods - self.periods_done
+        if self._compiled and remaining:
+            self._compiled(remaining)
+        while self.periods_done < self.config.n_periods:
+            self.run_period()
+        return self.result()
 
     def _choose_kernel(self):
-        """The trading step for the whole session: the compiled kernel's,
-        unless it is unavailable or the rules or book methods are patched."""
+        """The compiled kernel's `periods(count)` for the whole session, or
+        False for the Python loop: the kernel is unavailable or the rules or
+        book methods are patched."""
         patched = any(live is not spec for spec, live in zip(
             _SPEC_RULES, (decide_random, decide_fundamentalist, decide_chartist)))
         patched = patched or any(vars(Book)[name] is not spec for name, spec in _SPEC_BOOK.items())
         lib = None if patched else _kernel.resolve()
         if lib is None:
             self.book = Book()
-            return self._trade_period
-        trade, address = lib.im_trade_period, self._arena.ctypes.data
+            m = int(self._header[_M])
+            self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
+            return False
+        run_periods, address = lib.im_run_periods, self._arena.ctypes.data
+        bitgen = _kernel.bitgen_address(self.rng)
 
-        def trade_period(d: float) -> None:
-            if trade(address, d):
+        def periods(count: int) -> None:
+            if run_periods(address, bitgen, count):
                 raise RuntimeError("order book capacity exceeded")
 
-        return trade_period
+        return periods
 
     def _trade_period(self, d: float) -> None:
         """One period's activations on this period's draws, then its settlement.
@@ -328,7 +395,7 @@ class MarketSession:
         It draws nothing: its inputs are the draws, the strategies, the
         present values, the dividend d, the rates and the clearing flag. It
         trades on plain lists bound from the state and writes the period back
-        into the state as `im_trade_period` leaves it.
+        into the state as `_kernel.c`'s `trade_period` leaves it.
         """
         config = self.config
         header = self._header
@@ -413,7 +480,7 @@ class MarketSession:
         if config.clear_book_each_period:
             book.clear()
             held_cash, held_shares = [0.0] * n, [0] * n
-        # The period, written back as im_trade_period leaves it; the book
+        # The period, written back as _kernel.c's trade_period leaves it; the book
         # stays in the `Book`.
         k = self.periods_done + 1
         self.cash[:] = self._cash_hist[k] = cash
@@ -429,11 +496,6 @@ class MarketSession:
         header[_PERIODS_DONE] = k
         self._period_end_prices[k - 1] = p
         self._doubles[_LAST_PRICE] = p
-
-    def run(self) -> SessionResult:
-        while self.periods_done < self.config.n_periods:
-            self.run_period()
-        return self.result()
 
     def result(self) -> SessionResult:
         """Copies of the series so far."""

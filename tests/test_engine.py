@@ -375,6 +375,25 @@ def test_run_period_draws_in_the_documented_layout(monkeypatch):
     assert seen == expected
 
 
+def test_sessions_on_one_path_share_one_present_value_table():
+    # The table holds each trader's memoised value per period (0.0 for the
+    # uninformed), and each period delivers its row.
+    cfg = small_config(agents=market_with_levels((2, 0, 3, 1)))
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(4, 0, 0))
+    sessions = [MarketSession(cfg, path, stream(4, 1, 0, r)) for r in range(2)]
+    (table,) = path.present_value_tables.values()
+    r_e = cfg.rates.r_e
+    assert table.shape == (cfg.n_periods, 4) and not table.flags.writeable
+    for k in range(1, cfg.n_periods + 1):
+        assert table[k - 1].tolist() == [0.0 if lvl == 0 else path.present_values[lvl, k, r_e]
+                                         for lvl in (2, 0, 3, 1)]
+    for session in sessions:
+        for k in range(cfg.n_periods):
+            session.run_period()
+            assert session._pv.tolist() == table[k].tolist()
+    assert len(path.present_value_tables) == 1
+
+
 def test_a_session_block_computes_each_present_value_once(monkeypatch):
     # The runs of a block share their dividend path and so its memo: the
     # patched engine name sees one real computation per (level, period),

@@ -1,10 +1,15 @@
 """The compiled session kernel against the Python loop, and how a session
 picks its kernel.
 
-The Python loop (`MarketSession._trade_period`) is the specification: on the
-same inputs the compiled kernel must leave every array bit for bit equal,
-and the generator in the same state. Both trade on the one state a session
-lays out at construction.
+The Python loop (`draw_period`, then `MarketSession._trade_period`) is the
+specification: on the same inputs the compiled kernel must leave every
+array bit for bit equal, and the generator in the same state. Both run on
+the one state a session lays out at construction.
+
+Tests that need a loaded kernel skip, with the reason, where this process
+cannot resolve one; the tests that build into a fresh cache skip only
+where a build cannot even start (no gcc, or numpy's random library, its
+header or Python's header missing), so a broken `_kernel.c` fails them.
 """
 
 import os
@@ -24,7 +29,23 @@ from infomarket.montecarlo import BatchConfig, run_batch
 from infomarket.rng import stream
 from infomarket.switching import SwitchingConfig, run_switching_sim
 
-needs_compiler = pytest.mark.skipif(_kernel.find_compiler() is None, reason="no C compiler was found")
+
+def require_kernel():
+    """Skip the test, with the reason, where this process resolves no kernel."""
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+
+
+@pytest.fixture(scope="module")
+def loaded_kernel():
+    require_kernel()
+
+
+needs_kernel = pytest.mark.usefixtures("loaded_kernel")
+missing = [str(p) for p in _kernel.build_inputs() if not p.is_file()]
+if _kernel.find_compiler() is None:
+    missing.insert(0, "gcc")
+needs_toolchain = pytest.mark.skipif(bool(missing), reason=f"cannot build the kernel without {', '.join(missing)}")
 
 SERIES = ("prices", "trade_steps", "trade_prices", "trade_buyers", "trade_sellers",
           "cash_hist", "shares_hist", "period_end_prices")
@@ -94,7 +115,7 @@ def strategy_mixes(draw):
     return market_with_levels(levels, tuple(chartists))
 
 
-@needs_compiler
+@needs_kernel
 @given(agents=strategy_mixes(), clear=st.booleans(), seed=st.integers(0, 2**32 - 1),
        cash=st.floats(0.0, 300.0), shares=st.integers(0, 6), steps=st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
@@ -107,7 +128,7 @@ def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shar
     assert_same_session(spec, fast)
 
 
-@needs_compiler
+@needs_kernel
 @pytest.mark.parametrize("clear", [True, False])
 def test_reference_market_sessions_match(clear):
     cfg = SessionConfig(clear_book_each_period=clear)
@@ -115,7 +136,7 @@ def test_reference_market_sessions_match(clear):
         assert_same_session(run(cfg, seed, python=True), run(cfg, seed))
 
 
-@needs_compiler
+@needs_kernel
 def test_switching_chains_match():
     # The kernel serves switching too: strategies flip and endowments reset
     # between its periods.
@@ -131,7 +152,7 @@ def test_switching_chains_match():
     assert state_a == state_b
 
 
-@needs_compiler
+@needs_kernel
 def test_compiled_period_draws_in_the_documented_layout():
     agents = market_with_levels((0, 3, 1, 0, 2), chartist_levels=(2,))
     cfg = config(agents=agents, steps_per_period=17)
@@ -146,7 +167,67 @@ def test_compiled_period_draws_in_the_documented_layout():
     assert len(session.prices) == 17 and session.last_price == session.prices[-1]
 
 
-@needs_compiler
+@needs_kernel
+@pytest.mark.parametrize("levels", [(0,), (2,), (0, 3, 1, 0, 2), tuple(range(8)), (0, 0, 0)],
+                         ids=["one uninformed", "one informed", "five", "eight", "none informed"])
+def test_a_compiled_run_draws_each_period_in_the_documented_layout(levels):
+    # The kernel draws in C from the generator's own bitgen_t, through the
+    # functions numpy's methods call: the generator ends where six method
+    # calls per period leave a fresh one, and the last period's buffers hold
+    # that period's draws.
+    n, m, steps = len(levels), sum(lvl > 0 for lvl in levels), 17
+    cfg = config(agents=market_with_levels(levels, chartist_levels=levels[1:2]), steps_per_period=steps)
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(6, 0, 0))
+    rng = stream(6, 1, 0, 0)
+    assert _kernel.bitgen_address(rng) == rng.bit_generator.ctypes.bit_generator.value
+    session = MarketSession(cfg, path, rng)
+    session.run()
+    assert ran_compiled(session)
+    fresh = stream(6, 1, 0, 0)
+    for _ in range(cfg.n_periods):
+        last = (fresh.permutation(n), fresh.random(m), fresh.standard_normal(m),
+                fresh.integers(0, n, size=steps), fresh.random(steps), fresh.standard_normal(steps))
+    assert session.rng.bit_generator.state == fresh.bit_generator.state
+    perm, seeding_u, seeding_z, order, steps_u, steps_z = last
+    assert np.array_equal(session._perm, perm) and np.array_equal(session._order, order)
+    assert np.array_equal(session._u, np.concatenate([seeding_u, steps_u]))
+    assert np.array_equal(session._z, np.concatenate([seeding_z, steps_z]))
+
+
+@needs_kernel
+def test_a_compiled_run_is_one_kernel_call(monkeypatch):
+    # run() hands every remaining period to one call; nothing is drawn or
+    # delivered in Python.
+    cfg = config()
+    spec = run(cfg, 2, python=True)
+    lib, calls = _kernel.resolve(), []
+
+    class Counted:
+        def im_run_periods(self, session, bitgen, count):
+            calls.append(count)
+            return lib.im_run_periods(session, bitgen, count)
+
+    def refuse(*args):
+        pytest.fail("a compiled session drew or delivered present values in Python")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
+    monkeypatch.setattr(engine, "draw_period", refuse)
+    monkeypatch.setattr(MarketSession, "_deliver_information", refuse)
+    fast = run(cfg, 2)
+    assert fast[3] and calls == [cfg.n_periods]
+    assert_same_session(spec, fast)
+    # Periods run one at a time first leave the rest to one call.
+    calls.clear()
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(2, 0, 0))
+    session = MarketSession(cfg, path, stream(2, 1, 0, 0))
+    session.run_period()
+    session.run_period()
+    session.run()
+    assert calls == [1, 1, cfg.n_periods - 2]
+    assert_same_session(spec, (session.result(), session.rng.bit_generator.state, ending(session)))
+
+
+@needs_kernel
 def test_set_strategy_reaches_the_compiled_kernel():
     cfg = config(agents=market_with_levels((0, 1, 2, 3)))
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(8, 0, 0))
@@ -166,8 +247,10 @@ def test_set_strategy_reaches_the_compiled_kernel():
 # -- the one state ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("python", [True, pytest.param(False, marks=needs_compiler)], ids=["python", "compiled"])
+@pytest.mark.parametrize("python", [True, False], ids=["python", "compiled"])
 def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
+    if not python:
+        require_kernel()
     cfg = config()
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(3, 0, 0))
     with python_loop() if python else nullcontext():
@@ -181,7 +264,7 @@ def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
     assert cash.tolist() == session.result().cash_hist[-1].tolist()
 
 
-@needs_compiler
+@needs_kernel
 def test_endowments_written_between_periods_reach_both_kernels():
     # Written before the first period and again between periods, as
     # switching does after each evaluation.
@@ -221,14 +304,14 @@ def reference_outputs():
     return run(cfg, 4)
 
 
-@needs_compiler
+@needs_toolchain
 def test_first_use_builds_into_the_cache(fresh_kernel):
-    assert reference_outputs()[3]
+    assert reference_outputs()[3], _kernel._resolved[1]
     (built,) = fresh_kernel.iterdir()
     assert built.name.startswith("kernel-") and built.suffix == ".so"
 
 
-@needs_compiler
+@needs_toolchain
 def test_a_cached_kernel_needs_no_compiler(fresh_kernel, monkeypatch):
     reference_outputs()
     monkeypatch.setattr(_kernel, "_resolved", None)
@@ -236,7 +319,7 @@ def test_a_cached_kernel_needs_no_compiler(fresh_kernel, monkeypatch):
     assert reference_outputs()[3]
 
 
-@needs_compiler
+@needs_toolchain
 def test_no_compiler_falls_back_to_python_with_the_same_outputs(fresh_kernel, monkeypatch):
     compiled = reference_outputs()
     monkeypatch.setattr(_kernel, "_resolved", None)
@@ -247,7 +330,7 @@ def test_no_compiler_falls_back_to_python_with_the_same_outputs(fresh_kernel, mo
     assert_same_session(compiled, fallback)
 
 
-@needs_compiler
+@needs_toolchain
 def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kernel, monkeypatch, tmp_path):
     compiled = reference_outputs()
     monkeypatch.setattr(_kernel, "_resolved", None)
@@ -258,6 +341,39 @@ def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kerne
     assert compiled[3] and not fallback[3]
     assert_same_session(compiled, fallback)
     assert blocker.read_text() == ""
+
+
+@needs_toolchain
+@pytest.mark.parametrize("attr, moved, missing", [
+    ("NUMPY_RANDOM_LIB", "lib/libnpyrandom.a", "lib/libnpyrandom.a"),
+    ("NUMPY_INCLUDE", "include", "include/numpy/random/distributions.h"),
+], ids=["library", "header"])
+def test_missing_numpy_random_files_fall_back_to_python_with_the_same_outputs(
+        fresh_kernel, monkeypatch, tmp_path, attr, moved, missing):
+    compiled = reference_outputs()
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    monkeypatch.setattr(_kernel, attr, tmp_path / moved)
+    fallback = reference_outputs()
+    assert compiled[3] and not fallback[3]
+    assert str(tmp_path / missing) in _kernel._resolved[1]
+    assert_same_session(compiled, fallback)
+
+
+def test_the_cache_key_covers_the_numpy_version_and_the_command_line(monkeypatch, tmp_path):
+    source = _kernel.SOURCE.read_bytes()
+    key = _kernel.cache_key(source)
+    assert _kernel.cache_key(source + b"\n") != key
+    changes = [(np, "__version__", np.__version__ + ".post1"),
+               (_kernel, "FLAGS", (*_kernel.FLAGS, "-g")),
+               (_kernel, "NUMPY_RANDOM_LIB", tmp_path / "libnpyrandom.a"),
+               (_kernel, "NUMPY_INCLUDE", tmp_path)]
+    for owner, name, value in changes:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, value)
+            assert _kernel.cache_key(source) != key, name
+    # Where the source sits is not part of the key: checkouts share a build.
+    monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_kernel.c")
+    assert _kernel.cache_key(source) == key
 
 
 def test_forced_c_refuses_patched_rules(monkeypatch):
@@ -292,7 +408,7 @@ def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
     assert _kernel._resolved is None
 
 
-@needs_compiler
+@needs_toolchain
 def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
     # The parent resolves before it forks: the build runs once, in the
     # parent, and every worker's sessions still run compiled.

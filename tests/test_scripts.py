@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from infomarket._kernel import find_compiler
+import numpy as np
+
+from infomarket import _kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,11 +22,26 @@ def run_script(name, *args):
 
 
 def test_profile_session_tiny():
+    # The script reports the kernel it resolves: exactly one of its timing
+    # line or the reason it is unavailable, and the ratio only with the
+    # timing. Where this process resolves the kernel under the same
+    # environment, so does the script.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
     assert "= 3270 activations" in proc.stdout
-    compiled = find_compiler() is not None
-    for kernel in ("python", "c") if compiled else ("python",):
-        line = next(line for line in proc.stdout.splitlines() if line.startswith(f"{kernel} kernel, median of 2:"))
+    timed = {kernel: [line for line in lines if line.startswith(f"{kernel} kernel, median of 2:")]
+             for kernel in ("python", "c")}
+    for line in timed["python"] + timed["c"]:
         assert "ms per session" in line and "us per activation" in line
-    assert ("python / c median ratio: " in proc.stdout) == compiled
+    unavailable = [line for line in lines if line.startswith("c kernel unavailable: ")]
+    assert len(timed["python"]) == 1
+    assert len(timed["c"]) + len(unavailable) == 1
+    compiled = bool(timed["c"])
+    assert any(line.startswith("python / c median ratio: ") for line in lines) == compiled
+    library = [line for line in lines if line.startswith("c kernel library: ")]
+    assert len(library) == compiled
+    if compiled:
+        assert f"built against numpy {np.__version__}" in library[0]
+    if _kernel.resolve() is not None:
+        assert compiled, proc.stdout
