@@ -1,4 +1,5 @@
-/* The periods of a market session, on flat buffers, draws included.
+/* The periods of a market session, on flat buffers, draws included, and
+ * whole strategy-switching chains.
  *
  * This is the compiled twin of the Python loop in engine.py: `draw_period`
  * followed by `MarketSession._trade_period`, which stay the specification.
@@ -8,7 +9,17 @@
  * ends in the same state. It then runs the same rules, affordability checks,
  * book and settlement, in the same floating-point operation order, so both
  * produce the same bits. The caller owns every buffer (see _kernel.py,
- * whose FIELDS mirror `im_session`).
+ * whose FIELDS mirror `im_session` and whose Chain mirrors `im_chain`).
+ *
+ * `im_run_periods` runs periods of one session. `im_run_chain` runs one
+ * chain of switching.run_switching_sim, whose Python loop stays its
+ * specification: per segment it draws the dividend walk, fills the present
+ * values and marks, resets the state a fresh MarketSession starts from, and
+ * trades and evaluates every period, all on one state laid out once per
+ * chain. switching.CHAIN_SPEC lists the names that send a chain to the
+ * Python loop when patched: the rules, the book methods, the dividend walk,
+ * both modules' present-value function, MarketSession and its run_period
+ * and set_strategy, and SwitchingConfig.session_config.
  *
  * Each side of the book is a binary heap keyed (price, seq), best first.
  * seq is unique, so the pop order equals that of Python's heapq.
@@ -37,10 +48,10 @@ typedef struct {
     double growth;       /* 1 + r_f */
     /* per trader, length n */
     const int64_t *level;
-    const int64_t *strategy;
+    int64_t *strategy;   /* the chain flips it */
     double *pv;          /* this period's present values: a row of pv_table */
-    const double *pv_table; /* n_periods x n, 0 for the uninformed */
-    const double *dividends; /* n_periods: the dividend paid at each period's end */
+    double *pv_table;     /* n_periods x n, 0 for the uninformed */
+    double *dividends;    /* n_periods: the dividend paid at each period's end */
     double *cash;
     int64_t *shares;
     double *held_cash;   /* committed to resting bids */
@@ -319,18 +330,162 @@ static int trade_period(im_session *s, double d)
     return 0;
 }
 
-/* The next `count` periods, each delivered its present values, drawn from
- * bg and traded. Returns 0, or -1 when a side of the book is full (the
- * periods before it are done). */
+/* One period: its row of present values, its draws from bg and its
+ * trading. Returns 0, or -1 when a side of the book is full. */
+static int run_period(im_session *s, bitgen_t *bg)
+{
+    int64_t k = s->periods_done; /* this period's row, 0-based */
+    memcpy(s->pv, s->pv_table + k * s->n, (size_t)s->n * sizeof(double));
+    draw_period(s, bg);
+    return trade_period(s, s->dividends[k]);
+}
+
+/* The next `count` periods. Returns 0, or -1 when a side of the book is
+ * full (the periods before it are done). */
 int im_run_periods(im_session *s, bitgen_t *bg, int64_t count)
 {
-    const int64_t n = s->n;
-    for (int64_t c = 0; c < count; c++) {
-        int64_t k = s->periods_done; /* this period's row, 0-based */
-        memcpy(s->pv, s->pv_table + k * n, (size_t)n * sizeof(double));
-        draw_period(s, bg);
-        if (trade_period(s, s->dividends[k]))
+    for (int64_t c = 0; c < count; c++)
+        if (run_period(s, bg))
             return -1;
+    return 0;
+}
+
+/* One strategy-switching chain (switching.run_switching_sim): its
+ * parameters, its scratch buffers and its outputs. The caller owns every
+ * buffer (see _kernel.Chain). */
+typedef struct {
+    int64_t n_periods;    /* the chain's periods */
+    int64_t segment;      /* periods per segment; the last one may be shorter */
+    int64_t interval;     /* periods per strategy evaluation */
+    int64_t path_extra;   /* dividends a segment draws beyond its periods */
+    int64_t top;          /* the top information level, which marks shares */
+    double d0;            /* the dividend walk's start */
+    double sigma;         /* and its step scale */
+    double r_e;           /* the discount rate */
+    double initial_cash;
+    int64_t initial_shares;
+    double initial_price;
+    double *walk;         /* segment + path_extra: the segment's dividends */
+    double *marks;        /* segment + 1: the top level's present values, periods 1.. */
+    double *powers;       /* top: powers[k + 1] = (1 + r_e) ** k, k = -1 .. top - 2 */
+    double *returns;      /* n: the interval's returns */
+    int64_t *codes;       /* n_periods / interval + 1, codes[0] the initial code */
+    int64_t tie_events;
+    int64_t all_equal_events;
+} im_chain;
+
+int64_t im_chain_size(void) { return (int64_t)sizeof(im_chain); }
+
+/* dividends.conditional_present_value on the segment's walk: the last
+ * readable dividend as a perpetuity, then the earlier ones discounted one by
+ * one, in the same order; the powers come from pow, as Python's `**`. */
+static double present_value(const im_chain *c, int64_t level, int64_t period)
+{
+    const double *d = c->walk; /* d[i - 1] is D(i) */
+    int64_t last = period + level - 1;
+    double pv = d[last - 1] / (c->r_e * c->powers[level - 1]);
+    for (int64_t i = period; i < last; i++)
+        pv += d[i - 1] / c->powers[i - period + 1];
+    return pv;
+}
+
+/* np.add.reduce over n doubles, n <= 15, in numpy's order: left to right
+ * below 8; from 8 on, 8 partial sums combined pairwise, then the rest. */
+static double numpy_sum(const double *a, int64_t n)
+{
+    double res = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        res = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        i = 8;
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* A segment of `length` periods starts as a fresh MarketSession would: a
+ * new dividend walk (generate_dividend_path), its present values and the
+ * top level's marks, and the session state of a new market. The strategies
+ * carry over. */
+static void start_segment(im_session *s, im_chain *c, bitgen_t *bg, int64_t length)
+{
+    const int64_t n = s->n, points = length + c->path_extra;
+    double *walk = c->walk, d = c->d0;
+    walk[0] = d;
+    random_standard_normal_fill(bg, points - 1, walk + 1); /* standard_normal(points - 1) */
+    for (int64_t i = 1; i < points; i++) {
+        d = fabs(d + c->sigma * walk[i]);
+        walk[i] = d;
+    }
+    memcpy(s->dividends, walk, (size_t)length * sizeof(double));
+    for (int64_t k = 1; k <= length; k++)
+        for (int64_t i = 0; i < n; i++)
+            s->pv_table[(k - 1) * n + i] = s->level[i] > 0 ? present_value(c, s->level[i], k) : 0.0;
+    for (int64_t k = 1; k <= length + 1; k++)
+        c->marks[k - 1] = present_value(c, c->top, k);
+    for (int64_t i = 0; i < n; i++) {
+        s->cash[i] = s->cash_hist[i] = c->initial_cash;
+        s->shares[i] = s->shares_hist[i] = c->initial_shares;
+        s->held_cash[i] = 0.0;
+        s->held_shares[i] = 0;
+    }
+    s->n_asks = s->n_bids = 0;
+    s->seq = s->n_prices = s->n_trades = s->periods_done = 0;
+    s->last_price = c->initial_price;
+}
+
+/* A whole switching chain on one session state, laid out for the longest
+ * (the first) segment: each segment's periods, and at the end of every
+ * `interval` periods the evaluation of switching.run_switching_sim. Each
+ * trader's return is its wealth, shares marked at the top level's value,
+ * against the interval's starting wealth; a trader strictly below the
+ * cross-trader mean flips between the value and the trend rule; then
+ * every endowment is restored. Writes codes[1..] and the tie counts.
+ * Returns 0, or -1 when a side of the book is full. */
+int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
+{
+    const int64_t n = s->n;
+    const double growth = 1.0 + c->r_e;
+    double *r = c->returns;
+    for (int64_t k = -1; k < c->top - 1; k++)
+        c->powers[k + 1] = pow(growth, (double)k);
+    int64_t code = c->codes[0], recorded = 1, done = 0;
+    while (done < c->n_periods) {
+        int64_t length = c->n_periods - done < c->segment ? c->n_periods - done : c->segment;
+        start_segment(s, c, bg, length);
+        double w = c->initial_cash + (double)c->initial_shares * c->marks[0];
+        for (int64_t k = 1; k <= length; k++) {
+            if (run_period(s, bg))
+                return -1;
+            if (++done % c->interval)
+                continue;
+            double m = c->marks[k];
+            for (int64_t i = 0; i < n; i++)
+                r[i] = (s->cash[i] + (double)s->shares[i] * m - w) / w;
+            double mean = numpy_sum(r, n) / (double)n;
+            int64_t bits = code - 1;
+            int below = 0, tie = 0;
+            for (int64_t i = 0; i < n; i++) {
+                if (r[i] < mean) {
+                    bits ^= (int64_t)1 << i;
+                    s->strategy[i] = bits >> i & 1 ? CHARTIST : FUNDAMENTALIST;
+                    below = 1;
+                } else if (r[i] == mean) {
+                    tie = 1;
+                }
+            }
+            if (!below)
+                c->all_equal_events++;
+            else if (tie)
+                c->tie_events++;
+            code = c->codes[recorded++] = bits + 1;
+            for (int64_t i = 0; i < n; i++) {
+                s->cash[i] = c->initial_cash;
+                s->shares[i] = c->initial_shares;
+            }
+            w = c->initial_cash + (double)c->initial_shares * m;
+        }
     }
     return 0;
 }

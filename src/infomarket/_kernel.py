@@ -6,9 +6,12 @@ followed by `MarketSession._trade_period`, which stays the specification
 and the fallback. One call, `im_run_periods`, runs any number of periods:
 it delivers each period's present values from the session's table, draws
 the period's variates from the session's generator and trades it. Both run
-on the same state: an arena that `MarketSession` lays out at construction,
-whose first bytes are the kernel's `im_session` (`FIELDS`) and whose
-buffers those fields point to. Nothing is built or loaded at import; the
+on the same state: an arena that `engine.lay_out_state` lays out, whose
+first bytes are the kernel's `im_session` (`FIELDS`) and whose buffers
+those fields point to. One call of `im_run_chain` runs a whole switching
+chain on one such state (`Chain` holds the chain's parameters, the
+addresses of its scratch buffers and its outputs); `switching`'s Python
+loop stays its specification. Nothing is built or loaded at import; the
 first session that may use the kernel resolves it, once per process
 (`montecarlo.parallel_map` resolves it before it forks, so pool workers
 inherit the loaded library).
@@ -27,7 +30,8 @@ by the sha256 of the source, the command line and the numpy version. It is
 written under a temporary name and renamed into place, so concurrent builds
 never load a partial file.
 
-Sessions use the compiled kernel whenever it builds and loads, and run the
+Sessions and chains use the compiled kernel whenever it builds and loads
+and nothing they call is patched (`engine.compiled_kernel`), and run the
 Python loop otherwise.
 """
 
@@ -162,16 +166,29 @@ FIELDS = (
 SLOT = {name: i for i, name in enumerate(FIELDS)}
 
 
+class Chain(ctypes.Structure):
+    """`im_chain` in _kernel.c: one switching chain's parameters, the
+    addresses of its scratch buffers and of its codes, and its tie counts."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_periods", "segment", "interval", "path_extra", "top")]
+    _fields_ += [(name, ctypes.c_double) for name in ("d0", "sigma", "r_e", "initial_cash")]
+    _fields_ += [("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double)]
+    _fields_ += [(name, ctypes.c_void_p) for name in ("walk", "marks", "powers", "returns", "codes")]
+    _fields_ += [("tie_events", ctypes.c_int64), ("all_equal_events", ctypes.c_int64)]
+
+
 def _load(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from None
-    lib.im_session_size.restype = ctypes.c_int64
-    if lib.im_session_size() != 8 * len(FIELDS):
+    lib.im_session_size.restype = lib.im_chain_size.restype = ctypes.c_int64
+    if lib.im_session_size() != 8 * len(FIELDS) or lib.im_chain_size() != ctypes.sizeof(Chain):
         raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_run_periods.restype = ctypes.c_int
+    lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
+    lib.im_run_chain.restype = ctypes.c_int
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
     return lib
 

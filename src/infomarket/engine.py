@@ -40,7 +40,7 @@ state, with the same bits and the same generator state after them:
 
 A session picks one at its first period and keeps it: the compiled kernel,
 unless it cannot be built and loaded or a rule or book method is patched
-(see `_kernel`).
+(`compiled_kernel`, which switching's chains share).
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -70,15 +70,31 @@ from .csvout import fmt, write_csv
 from .dividends import DividendParams, DividendPath, RateParams, conditional_present_value, write_dividends_csv
 from .orderbook import Book
 
+
+def held(namespace, *names) -> tuple:
+    """(namespace, name, what it holds now) for each name, for `compiled_kernel`
+    to check later that nothing patched them."""
+    return tuple((namespace, name, namespace[name]) for name in names)
+
+
 # The package's own rules and book methods: a session whose names no longer
 # hold them (a tracer or a test patched them) runs the Python loop.
-_SPEC_RULES = (decide_random, decide_fundamentalist, decide_chartist)
-_SPEC_BOOK = {name: vars(Book)[name]
-              for name in ("place_limit", "execute_marketable", "best_bid", "best_ask", "clear")}
+SESSION_SPEC = (*held(globals(), "decide_random", "decide_fundamentalist", "decide_chartist"),
+                *held(vars(Book), "place_limit", "execute_marketable", "best_bid", "best_ask", "clear"))
 # Slots of the state's `im_session` header: counters as int64, the rest as doubles.
 _M, _N_PRICES, _N_TRADES, _PERIODS_DONE, _GROWTH, _LAST_PRICE = (
     _kernel.SLOT[name] for name in ("m", "n_prices", "n_trades", "periods_done", "growth", "last_price"))
 _HEADER_BYTES = 8 * len(_kernel.FIELDS)
+
+
+def compiled_kernel(spec=SESSION_SPEC):
+    """The loaded compiled kernel, or None for the Python loop: a name in
+    `spec` no longer holds what it held at import (it is patched), or the
+    kernel cannot be built and loaded. A patched name decides first, so it
+    never builds or resolves the kernel."""
+    if any(namespace.get(name) is not spec_object for namespace, name, spec_object in spec):
+        return None
+    return _kernel.resolve()
 
 
 def market_with_levels(levels, chartist_levels=()) -> tuple[AgentSpec, ...]:
@@ -131,11 +147,22 @@ class SessionConfig:
         if self.initial_cash < 0 or self.initial_shares < 0:
             raise ValueError("initial endowments must be non-negative")
 
-    @property
-    def max_level(self) -> int:
-        return max(a.info_level for a in self.agents)
+    # The cached properties below are computed once per config: every
+    # session of a batch block, and every chain of an ensemble, shares one.
+    @functools.cached_property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(a.info_level for a in self.agents)
 
-    @property
+    @functools.cached_property
+    def strategy_codes(self) -> tuple[int, ...]:
+        """Each trader's rule as `_kernel.c` numbers it."""
+        return tuple(_kernel.STRATEGY_CODES[a.strategy] for a in self.agents)
+
+    @functools.cached_property
+    def max_level(self) -> int:
+        return max(self.levels)
+
+    @functools.cached_property
     def required_path_length(self) -> int:
         # The most informed trader reads up to D(n_periods + max_level - 1).
         return self.n_periods + max(self.max_level, 1) - 1
@@ -266,6 +293,29 @@ def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
     return offset, tuple(buffers), header, is_pointer
 
 
+def lay_out_state(config: SessionConfig) -> dict[str, np.ndarray]:
+    """A new session state for `config`: its arena's buffers by attribute,
+    the `im_session` header as int64 (`_header`) and float64 (`_doubles`)
+    views, and the arena itself (`_arena`), which the compiled kernel holds
+    raw pointers into. The header's sizes and pointers, the growth, the
+    levels and the strategies are set; the rest is the caller's to fill."""
+    levels = config.levels
+    n = len(levels)
+    size, buffers, header, is_pointer = _arena_layout(
+        n, n - levels.count(0), config.steps_per_period, config.n_periods, config.clear_book_each_period)
+    arena = np.empty(size, np.uint8)
+    state = {attr: np.ndarray(shape, dtype, arena, offset) for attr, shape, dtype, offset in buffers}
+    state["_arena"] = arena
+    head = state["_header"] = arena[:_HEADER_BYTES].view(np.int64)
+    np.multiply(is_pointer, arena.ctypes.data, out=head)
+    head += header
+    state["_doubles"] = arena[:_HEADER_BYTES].view(np.float64)
+    state["_doubles"][_GROWTH] = 1.0 + config.rates.r_f
+    state["_level"][:] = levels
+    state["_strategy"][:] = config.strategy_codes
+    return state
+
+
 class MarketSession:
     """Mutable session state; drive it period by period or via run().
 
@@ -285,27 +335,14 @@ class MarketSession:
         self.config = config
         self.path = path
         self.rng = rng
-        n = len(config.agents)
-        self.n_agents = n
-        self.levels = [a.info_level for a in config.agents]
+        self.n_agents = len(config.agents)
+        self.levels = config.levels
         self.strategies = [a.strategy for a in config.agents]
-        m = sum(lvl > 0 for lvl in self.levels)
+        vars(self).update(lay_out_state(config))
         periods = config.n_periods
-        size, buffers, header, is_pointer = _arena_layout(
-            n, m, config.steps_per_period, periods, config.clear_book_each_period)
-        arena = np.empty(size, np.uint8)
-        for attr, shape, dtype, offset in buffers:
-            setattr(self, attr, np.ndarray(shape, dtype, arena, offset))
-        self._header = arena[:_HEADER_BYTES].view(np.int64)
-        np.multiply(is_pointer, arena.ctypes.data, out=self._header)
-        self._header += header
-        doubles = self._doubles = arena[:_HEADER_BYTES].view(np.float64)
-        doubles[_GROWTH] = 1.0 + config.rates.r_f
-        doubles[_LAST_PRICE] = config.initial_price
-        self._level[:] = self.levels
-        self._strategy[:] = [_kernel.STRATEGY_CODES[s] for s in self.strategies]
+        self._doubles[_LAST_PRICE] = config.initial_price
         self._pv[:] = 0.0
-        self._pv_table[:] = present_value_table(path, tuple(self.levels), periods, config.rates.r_e)
+        self._pv_table[:] = present_value_table(path, self.levels, periods, config.rates.r_e)
         self._dividends[:] = path.values[:periods]
         self.cash[:] = config.initial_cash
         self.shares[:] = config.initial_shares
@@ -314,7 +351,6 @@ class MarketSession:
         self._cash_hist[0] = self.cash
         self._shares_hist[0] = self.shares
         self.book = _kernel.BookView(self._header, self._asks, self._bids)
-        self._arena = arena  # the compiled kernel holds raw pointers into it
         self._compiled = None  # the compiled kernel's periods(count), or False: chosen at the first period
 
     @property
@@ -370,11 +406,8 @@ class MarketSession:
     def _choose_kernel(self):
         """The compiled kernel's `periods(count)` for the whole session, or
         False for the Python loop: the kernel is unavailable or the rules or
-        book methods are patched."""
-        patched = any(live is not spec for spec, live in zip(
-            _SPEC_RULES, (decide_random, decide_fundamentalist, decide_chartist)))
-        patched = patched or any(vars(Book)[name] is not spec for name, spec in _SPEC_BOOK.items())
-        lib = None if patched else _kernel.resolve()
+        book methods are patched (`compiled_kernel`)."""
+        lib = compiled_kernel()
         if lib is None:
             self.book = Book()
             m = int(self._header[_M])

@@ -4,6 +4,14 @@ Informed traders flip between the value rule and the trend rule whenever
 their portfolio return over the evaluation interval falls strictly below the
 cross-trader mean. The realized strategy profiles form a finite-state chain
 whose transition matrix and state frequencies are estimated from the run.
+
+A chain runs in one of two forms with the same bits and the same final
+generator state. The Python loop in `run_switching_sim` is the
+specification: a `MarketSession` per segment, run period by period, with
+the evaluation in Python. The compiled chain is one call of `_kernel.c`'s
+`im_run_chain`, on one session state laid out once per chain and reset for
+each segment. A chain takes it where the compiled kernel loads and no name
+in `CHAIN_SPEC` is patched.
 """
 
 from __future__ import annotations
@@ -12,10 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernel, engine
 from .agents import Strategy
 from .csvout import fmt, write_csv
 from .dividends import conditional_present_value, generate_dividend_path
-from .engine import MarketSession, SessionConfig, market_with_levels
+from .engine import MarketSession, SessionConfig, compiled_kernel, held, lay_out_state, market_with_levels
 from .montecarlo import parallel_map
 from .rng import SWITCH_DOMAIN, stream
 
@@ -92,6 +101,16 @@ class SwitchingRun:
     all_equal_events: int  # intervals with all returns equal (no switch at all)
 
 
+# The names the Python loop of `run_switching_sim` calls besides a session's
+# rules and book. The compiled chain runs all of them in C, so a chain with
+# any of them patched (a tracer or a test) runs the Python loop.
+CHAIN_SPEC = (*engine.SESSION_SPEC,
+              *held(globals(), "generate_dividend_path", "conditional_present_value", "MarketSession"),
+              *held(vars(engine), "conditional_present_value"),
+              *held(vars(MarketSession), "run_period", "set_strategy"),
+              *held(vars(SwitchingConfig), "session_config"))
+
+
 def _present_value(path, level: int, period: int, r_e: float) -> float:
     """`conditional_present_value` read through the path's memo, which the
     session's information deliveries share."""
@@ -113,7 +132,14 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     a chain of `SEGMENT_PERIODS`-period segments: each one draws a new
     dividend walk from `rng` and restarts the price and the endowments;
     only the strategies carry over from one segment to the next.
+
+    The loop below is the specification. Where the compiled kernel loads
+    and nothing in `CHAIN_SPEC` is patched, `_kernel.c`'s `im_run_chain`
+    runs the whole chain in one call instead, with the same bits.
     """
+    lib = compiled_kernel(CHAIN_SPEC)
+    if lib is not None:
+        return _compiled_chain(lib, config, initial_code, rng)
     n = config.n_traders
     codes = [initial_code]  # codes[-1] is the current profile, laid out as in decode_state
     tie_events = 0
@@ -153,6 +179,27 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
             session.shares[:] = [shares0] * n
             w = cash0 + shares0 * m
     return SwitchingRun(initial_code, np.array(codes, dtype=np.int64), tie_events, all_equal)
+
+
+def _compiled_chain(lib, config: SwitchingConfig, initial_code: int, rng: np.random.Generator) -> SwitchingRun:
+    """`run_switching_sim` in one `im_run_chain` call, on one session state
+    laid out for the first (the longest) segment and reset for each."""
+    first = min(SEGMENT_PERIODS, config.n_periods)
+    scfg = config.session_config(initial_code, first)
+    state = lay_out_state(scfg)
+    top, extra = scfg.max_level, scfg.path_length - first
+    walk, marks, powers, returns = (np.empty(k) for k in (first + extra, first + 1, top, config.n_traders))
+    codes = np.empty(config.n_periods // config.interval + 1, np.int64)
+    codes[0] = initial_code
+    chain = _kernel.Chain(
+        n_periods=config.n_periods, segment=SEGMENT_PERIODS, interval=config.interval, path_extra=extra, top=top,
+        d0=scfg.dividends.d0, sigma=scfg.dividends.sigma, r_e=scfg.rates.r_e,
+        initial_cash=scfg.initial_cash, initial_shares=scfg.initial_shares, initial_price=scfg.initial_price,
+        walk=walk.ctypes.data, marks=marks.ctypes.data, powers=powers.ctypes.data, returns=returns.ctypes.data,
+        codes=codes.ctypes.data)
+    if lib.im_run_chain(state["_arena"].ctypes.data, chain, _kernel.bitgen_address(rng)):
+        raise RuntimeError("order book capacity exceeded")
+    return SwitchingRun(initial_code, codes, chain.tie_events, chain.all_equal_events)
 
 
 # ---------------------------------------------------------------------------

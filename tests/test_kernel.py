@@ -13,21 +13,22 @@ header or Python's header missing), so a broken `_kernel.c` fails them.
 """
 
 import os
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infomarket import _kernel, engine
+from infomarket import _kernel, engine, switching
 from infomarket.agents import decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
 from infomarket.montecarlo import BatchConfig, run_batch
 from infomarket.rng import stream
-from infomarket.switching import SwitchingConfig, run_switching_sim
+from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim
 
 
 def require_kernel():
@@ -150,6 +151,100 @@ def test_switching_chains_match():
     assert np.array_equal(a.codes, b.codes)
     assert (a.tie_events, a.all_equal_events) == (b.tie_events, b.all_equal_events)
     assert state_a == state_b
+
+
+def chain(cfg, code, seed, python=False):
+    """A whole switching chain: its codes, tie counts and generator's final
+    state. The compiled chain runs where it is available unless `python` is
+    set."""
+    rng = stream(seed, 2, code)
+    with python_loop() if python else nullcontext():
+        run = run_switching_sim(cfg, code, rng)
+    return run.codes.tolist(), run.tie_events, run.all_equal_events, rng.bit_generator.state
+
+
+@st.composite
+def chains(draw):
+    """1-8 traders, an interval dividing the 30-period segment, a run of up
+    to three segments that the interval divides (the last segment may be
+    short), 1-40 steps, and any initial profile."""
+    n = draw(st.integers(1, 8))
+    interval = draw(st.sampled_from((1, 2, 3, 5, 6, 10, 15, 30)))
+    periods = interval * draw(st.integers(1, 90 // interval))
+    cfg = SwitchingConfig(n_traders=n, n_periods=periods, interval=interval, steps_per_period=draw(st.integers(1, 40)))
+    return cfg, draw(st.integers(1, 1 << n))
+
+
+@needs_kernel
+@given(run=chains(), seed=st.integers(0, 2**32 - 1))
+@example(run=(SwitchingConfig(n_traders=8, n_periods=60, interval=5, steps_per_period=40), 200), seed=3)
+@example(run=(SwitchingConfig(n_traders=8, n_periods=31, interval=1, steps_per_period=1), 256), seed=0)
+@example(run=(SwitchingConfig(n_traders=5, n_periods=45, interval=5, steps_per_period=20), 9), seed=1)
+@example(run=(SwitchingConfig(n_traders=1, n_periods=30, interval=30, steps_per_period=3), 2), seed=2)
+@settings(max_examples=60, deadline=None)
+def test_compiled_chain_matches_the_python_loop(run, seed):
+    # Eight traders take numpy's pairwise order for the cross-trader mean;
+    # a run that the segment does not divide ends on a short segment, which
+    # draws a shorter dividend walk.
+    cfg, code = run
+    assert chain(cfg, code, seed) == chain(cfg, code, seed, python=True)
+
+
+@needs_kernel
+def test_a_compiled_chain_is_one_kernel_call(monkeypatch):
+    # The chain's segments, periods, evaluations and flips all run in one
+    # call, on a state laid out without a MarketSession.
+    cfg = SwitchingConfig(n_traders=4, n_periods=75, interval=5, steps_per_period=20)
+    spec = chain(cfg, 6, 4, python=True)
+    lib, calls = _kernel.resolve(), []
+
+    class Counted:
+        def __getattr__(self, name):
+            function = getattr(lib, name)
+
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+
+            return counted
+
+    def refuse(*args):
+        pytest.fail("a compiled chain constructed a MarketSession")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
+    monkeypatch.setattr(MarketSession, "__init__", refuse)
+    assert chain(cfg, 6, 4) == spec
+    assert calls == ["im_run_chain"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("owner, name", [
+    (switching, "generate_dividend_path"), (switching, "conditional_present_value"),
+    (engine, "conditional_present_value"), (switching, "MarketSession"),
+    (MarketSession, "run_period"), (MarketSession, "set_strategy"), (SwitchingConfig, "session_config"),
+    (engine, "decide_chartist"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, name):
+    # The Python loop calls the patched name, and its periods still run
+    # compiled where nothing else stops them; the outputs do not change.
+    cfg = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
+    compiled = chain(cfg, 3, 8)
+    original, lib, calls = getattr(owner, name), _kernel.resolve(), []
+
+    def traced(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    class NoChain:
+        def __getattr__(self, attr):
+            if attr == "im_run_chain":
+                pytest.fail(f"a chain with {name} patched ran the compiled chain")
+            return getattr(lib, attr)
+
+    monkeypatch.setattr(_kernel, "_resolved", (NoChain(), None))
+    monkeypatch.setattr(owner, name, traced)
+    assert chain(cfg, 3, 8) == compiled
+    assert calls
 
 
 @needs_kernel
@@ -411,20 +506,44 @@ def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
 @needs_toolchain
 def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
     # The parent resolves before it forks: the build runs once, in the
-    # parent, and every worker's sessions still run compiled.
-    log = tmp_path / "builds.log"
-    build = _kernel._build
+    # parent, and the workers report that every session and chain they ran
+    # went through the library the parent loaded.
+    builds, calls = tmp_path / "builds.log", tmp_path / "calls.log"
+    build, load = _kernel._build, _kernel._load
 
     def logged_build():
-        with open(log, "a") as f:
+        with open(builds, "a") as f:
             f.write(f"{os.getpid()}\n")
         return build()
 
+    class Reporting:
+        """A loaded library whose runs append "<pid> <function>" to calls.log."""
+
+        def __init__(self, lib):
+            self.lib = lib
+
+        def __getattr__(self, name):
+            function = getattr(self.lib, name)
+
+            def reported(*args):
+                with open(calls, "a") as f:
+                    f.write(f"{os.getpid()} {name}\n")
+                return function(*args)
+
+            return reported if name.startswith("im_run_") else function
+
     monkeypatch.setattr(_kernel, "_build", logged_build)
-    cfg = BatchConfig(session=config(), n_sessions=4, runs_per_session=2, master_seed=6, jobs=2)
-    parallel = run_batch(cfg)
-    assert log.read_text().split() == [str(os.getpid())]
+    monkeypatch.setattr(_kernel, "_load", lambda path: Reporting(load(path)))
+    batch = BatchConfig(session=config(), n_sessions=4, runs_per_session=2, master_seed=6, jobs=2)
+    chains = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
+    parallel = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
+    assert builds.read_text().split() == [str(os.getpid())]
+    assert calls.is_file(), f"no session or chain ran compiled: {_kernel._resolved[1]}"
+    reports = [line.split() for line in calls.read_text().splitlines()]
+    assert str(os.getpid()) not in {pid for pid, _ in reports}
+    assert Counter(name for _, name in reports) == {"im_run_periods": 8, "im_run_chain": 3}
     with python_loop():
-        spec = run_batch(cfg)
-    assert np.array_equal(parallel.rel_returns, spec.rel_returns)
-    assert np.array_equal(parallel.asset_mean_returns, spec.asset_mean_returns)
+        spec = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
+    assert np.array_equal(parallel[0].rel_returns, spec[0].rel_returns)
+    assert np.array_equal(parallel[0].asset_mean_returns, spec[0].asset_mean_returns)
+    assert [run.codes.tolist() for run in parallel[1]] == [run.codes.tolist() for run in spec[1]]

@@ -23,22 +23,27 @@ def run_script(name, *args):
 
 def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
-    # line or the reason it is unavailable, and the ratio only with the
-    # timing. Where this process resolves the kernel under the same
-    # environment, so does the script.
+    # lines or the reason it is unavailable, and the ratios only with the
+    # timings, for the reference session and for the markov3 chain. Where
+    # this process resolves the kernel under the same environment, so does
+    # the script.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "= 3270 activations" in proc.stdout
-    timed = {kernel: [line for line in lines if line.startswith(f"{kernel} kernel, median of 2:")]
-             for kernel in ("python", "c")}
-    for line in timed["python"] + timed["c"]:
-        assert "ms per session" in line and "us per activation" in line
+    assert "markov3 chain: 300 periods x (100 steps + 3 seeding), 3 traders" in lines
     unavailable = [line for line in lines if line.startswith("c kernel unavailable: ")]
-    assert len(timed["python"]) == 1
-    assert len(timed["c"]) + len(unavailable) == 1
-    compiled = bool(timed["c"])
-    assert any(line.startswith("python / c median ratio: ") for line in lines) == compiled
+    assert len(unavailable) <= 1
+    compiled = not unavailable
+    for label, unit, per in (("kernel", "session", "activation"), ("chain", "chain", "period")):
+        timed = {kernel: [line for line in lines if line.startswith(f"{kernel} {label}, median of 2:")]
+                 for kernel in ("python", "c")}
+        for line in timed["python"] + timed["c"]:
+            assert f"ms per {unit}" in line and f"us per {per}" in line
+        assert len(timed["python"]) == 1
+        assert len(timed["c"]) == compiled
+    for ratio in ("python / c median ratio: ", "python / c chain median ratio: "):
+        assert sum(line.startswith(ratio) for line in lines) == compiled
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:
