@@ -15,6 +15,11 @@ profile 1, switching stream from seed 0): the Python loop of
 one `im_run_chain` call. It prints each kernel's median per chain and per
 period, and the ratio of the medians.
 
+Last, it times the `markov` command's ensemble at that size, the eight
+300-period `markov3` chains of `run_switching_ensemble` (seed 0), at jobs 1
+(in this process) and jobs 2 (two forked workers), alternating, on the
+kernel this process resolves, and prints one median line for each.
+
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or
 `c kernel unavailable: <reason>`, and the `c chain` line and both ratios
@@ -34,32 +39,34 @@ from infomarket.dividends import generate_dividend_path
 from infomarket.engine import SessionConfig, run_session
 from infomarket.presets import switching_for_preset
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, SWITCH_DOMAIN, stream
-from infomarket.switching import run_switching_sim
+from infomarket.switching import run_switching_ensemble, run_switching_sim
 
 CHAIN_PERIODS = 300
+ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per initial profile
+ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
 
 
-def alternate(kernels, repeats, once) -> dict[str, list[float]]:
-    """`once(kernel)`'s seconds, in ms, `repeats` times per kernel after one
-    warm-up each, alternating which kernel goes first so neither always
-    follows the other."""
-    for kernel in kernels:
-        once(kernel)
-    times_ms = {kernel: [] for kernel in kernels}
+def alternate(variants, repeats, once) -> dict[str, list[float]]:
+    """`once(variant)`'s seconds, in ms, `repeats` times per variant (a
+    kernel or a worker count) after one warm-up each, alternating which
+    variant goes first so neither always follows the other."""
+    for variant in variants:
+        once(variant)
+    times_ms = {variant: [] for variant in variants}
     for r in range(repeats):
-        for kernel in kernels if r % 2 == 0 else kernels[::-1]:
-            times_ms[kernel].append(once(kernel) * 1e3)
+        for variant in variants if r % 2 == 0 else variants[::-1]:
+            times_ms[variant].append(once(variant) * 1e3)
     return times_ms
 
 
 def report(label, times_ms, unit, per, per_unit) -> dict[str, float]:
-    """One line per kernel: the median and quartiles per `unit`, and the
+    """One line per variant: the median and quartiles per `unit`, and the
     median per `per_unit` (`per` of them in one); returns the medians."""
     medians = {}
-    for kernel, samples in times_ms.items():
-        median = medians[kernel] = statistics.median(samples)
+    for variant, samples in times_ms.items():
+        median = medians[variant] = statistics.median(samples)
         q1, q3 = statistics.quantiles(samples, n=4)[::2] if len(samples) > 1 else (median, median)
-        print(f"{kernel} {label}, median of {len(samples)}: {median:.3f} ms per {unit} "
+        print(f"{variant} {label}, median of {len(samples)}: {median:.3f} ms per {unit} "
               f"(quartiles {q1:.3f}-{q3:.3f}), {median * 1e3 / per:.3f} us per {per_unit}")
     return medians
 
@@ -115,6 +122,18 @@ def main() -> int:
     medians = report("chain", alternate(kernels, args.repeats, chain), "chain", chain_cfg.n_periods, "period")
     if lib is not None:
         print(f"python / c chain median ratio: {medians['python'] / medians['c']:.2f}")
+
+    _kernel._resolved = resolutions["c"]
+
+    def ensemble(jobs: str) -> float:
+        t0 = time.perf_counter()
+        run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=ENSEMBLE_JOBS[jobs])
+        return time.perf_counter() - t0
+
+    print(f"markov3 ensemble: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, "
+          f"{'c' if lib is not None else 'python'} kernel")
+    report("ensemble", alternate(list(ENSEMBLE_JOBS), args.repeats, ensemble), "ensemble",
+           len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
     return 0
 
 

@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
-            p.add_argument("--jobs", type=_jobs, default=None, help="worker processes (default: one per CPU)")
+            p.add_argument("--jobs", type=_jobs, default=None,
+                           help="worker processes (default: one per CPU this process may run on)")
             p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"),
                            default="jcurve10" if batch else "markov3", help="(default %(default)s)")
         if not markov:

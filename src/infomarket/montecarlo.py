@@ -8,9 +8,13 @@ count or scheduling order.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import selectors
+import signal
+import sys
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -27,7 +31,7 @@ class BatchConfig:
     n_sessions: int = 100
     runs_per_session: int = 100
     master_seed: int = 0
-    jobs: int | None = None  # None: one worker per CPU
+    jobs: int | None = None  # None: one worker per CPU this process may run on
     collect_period_returns: bool = False
 
     def __post_init__(self) -> None:
@@ -60,25 +64,130 @@ class BatchResult:
         return float(self.asset_mean_returns.mean())
 
 
+def default_jobs() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(task, items, jobs: int | None, key) -> list:
     """`task` applied to every item, returned sorted by `key`.
 
-    Runs in this process when one worker suffices, else on a pool of forked
-    workers (jobs None: one per CPU, never more than there are items).
-    `task` must be a module-level function so the pool can pickle it. The
+    Runs in this process when one worker suffices, else in `jobs` forked
+    workers (jobs None: `default_jobs()`, never more than there are items),
+    worker j taking items j, j + jobs, ... . The workers inherit `task` and
+    the items, so only results are pickled, and the parent runs no task. The
     session kernel is resolved before the fork, so the workers inherit the
-    loaded library and none of them builds it.
+    loaded library and none of them builds it. A task's exception is raised
+    again here with its own type; a worker that ends without a result raises
+    `RuntimeError`.
     """
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+    jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, min(jobs, len(items)))
     if jobs == 1:
         results = [task(item) for item in items]
     else:
         _kernel.resolve()
-        with get_context("fork").Pool(jobs) as pool:
-            results = list(pool.imap_unordered(task, items, chunksize=1))
+        results = _fork_join(task, items, jobs)
     results.sort(key=key)
     return results
+
+
+def _fork_join(task, items, jobs: int) -> list:
+    """Every worker's results, in worker order; see `parallel_map`.
+
+    Every worker still running when this returns or raises (a failure, or
+    KeyboardInterrupt in the parent) is killed, and every worker is reaped.
+    """
+    running: dict[int, int] = {}  # pid -> read end of the pipe its reply comes through
+    _flush_std_streams()  # so no worker holds a copy of our buffered output
+    try:
+        for j in range(jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(task, items[j::jobs], write, [read, *running.values()])
+                running[pid] = read
+            except OSError:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+        return _collect(running)
+    finally:
+        for pid, read in running.items():
+            os.close(read)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):  # reaped just before an interrupt
+                os.waitpid(pid, 0)
+
+
+def _work(task, share, write: int, inherited: list[int]) -> None:
+    """A forked worker: run `task` on its share, send `(ok, results | exception)`
+    through `write`, and exit without returning into the parent's code."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (True, [task(item) for item in share])
+            _flush_std_streams()
+        except BaseException as exc:  # KeyboardInterrupt too: the parent learns why the worker stopped
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(f"worker cannot send its reply: {exc!r}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(running: dict[int, int]) -> list:
+    """Every worker's results, in worker order. Reads whichever pipe has data,
+    so a worker blocked on a full pipe never waits on another, and raises at
+    the first failure to arrive."""
+    order = list(running)
+    received = {pid: bytearray() for pid in order}
+    results = {}
+    with selectors.DefaultSelector() as selector:
+        for pid, read in running.items():
+            selector.register(read, selectors.EVENT_READ, pid)
+        while selector.get_map():
+            for ready, _ in selector.select():
+                pid = ready.data
+                chunk = os.read(ready.fd, 1 << 16)
+                if chunk:
+                    received[pid] += chunk
+                else:
+                    selector.unregister(ready.fd)
+                    results[pid] = _reply(pid, received[pid], running)
+    return [result for pid in order for result in results[pid]]
+
+
+def _reply(pid: int, data: bytearray, running: dict[int, int]) -> list:
+    """Reap worker `pid`, whose pipe has closed, and unpickle what it sent."""
+    _, status = os.waitpid(pid, 0)
+    os.close(running.pop(pid))
+    if status != 0 or not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"worker {pid} ended without a result ({how})")
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise payload
+    return payload
+
+
+def _flush_std_streams() -> None:
+    for std in (sys.stdout, sys.stderr):
+        if std is not None:
+            std.flush()
 
 
 def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:

@@ -1,11 +1,25 @@
+import contextlib
 import io
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import SessionConfig, default_market, relative_returns, run_session
-from infomarket.montecarlo import BatchConfig, run_batch, write_efficiency_csv, write_runs_csv
+from infomarket.montecarlo import (
+    BatchConfig,
+    default_jobs,
+    parallel_map,
+    run_batch,
+    write_efficiency_csv,
+    write_runs_csv,
+)
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
 
 
@@ -99,3 +113,135 @@ def test_config_validation():
         tiny_batch(n_sessions=0)
     with pytest.raises(ValueError):
         tiny_batch(master_seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# parallel_map's forked workers
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def deadline(seconds, handler=None):
+    """SIGALRM after `seconds` runs `handler`, by default one that raises
+    TimeoutError, so a hang fails the test instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, handler or expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def src_env():
+    """This environment, with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def identity(item):
+    return item
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+def test_default_jobs_counts_the_cpus_this_process_may_run_on():
+    # Pinned to one CPU, a process gets one worker however many CPUs the
+    # machine has (os.cpu_count() still counts them all).
+    cpu = min(os.sched_getaffinity(0))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
+         "from infomarket.montecarlo import default_jobs; print(default_jobs(), os.cpu_count())"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    jobs, cpus = map(int, proc.stdout.split())
+    assert jobs == 1 and cpus == os.cpu_count()
+    assert default_jobs() == len(os.sched_getaffinity(0))
+
+
+def test_parallel_map_returns_every_item_in_key_order():
+    items = list(range(20_000))[::-1]
+    with deadline(60):
+        assert parallel_map(lambda i: i * 3, items, 2, key=lambda r: r) == [3 * i for i in range(20_000)]
+    assert_no_worker_left()
+
+
+def test_parallel_map_shares_uneven_tasks_between_both_workers():
+    def uneven(i):
+        time.sleep(0.2 if i == 0 else 0.001)
+        return i, os.getpid()
+
+    with deadline(60):
+        results = parallel_map(uneven, list(range(6)), 2, key=lambda r: r[0])
+    assert [i for i, _ in results] == list(range(6))
+    pids = {pid for _, pid in results}
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert_no_worker_left()
+
+
+def test_parallel_map_raises_a_task_error_with_its_own_type():
+    def fail_on_three(i):
+        if i == 3:
+            raise ValueError(f"bad item {i}")
+        return i
+
+    with deadline(60), pytest.raises(ValueError, match="bad item 3"):
+        parallel_map(fail_on_three, list(range(8)), 2, key=identity)
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("die, reason", [
+    (lambda: os._exit(7), "exit status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit", "signal"])
+def test_parallel_map_reports_a_worker_that_dies_and_kills_the_rest(die, reason):
+    def die_or_hang(i):
+        if i == 1:
+            die()
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with deadline(30), pytest.raises(RuntimeError, match=reason):
+        parallel_map(die_or_hang, [0, 1], 2, key=identity)
+    assert time.perf_counter() - t0 < 10
+    assert_no_worker_left()
+
+
+def test_parallel_map_kills_its_workers_on_ctrl_c():
+    # SIGALRM runs Python's SIGINT handler in the parent only: a Ctrl-C that
+    # reaches the parent while its workers run.
+    def hang(i):
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt), deadline(1, signal.default_int_handler):
+        parallel_map(hang, [0, 1], 2, key=identity)
+    assert time.perf_counter() - t0 < 10
+    assert_no_worker_left()
+
+
+def test_forked_workers_do_not_repeat_buffered_output(tmp_path):
+    # The command prints its two lines before the chains run; stdout is a
+    # pipe and PYTHONUNBUFFERED is unset, so they are still buffered when
+    # the workers are forked.
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "infomarket.cli", "markov", "--preset", "markov3", "--periods", "30",
+         "--steps", "20", "--jobs", "2", "--out", str(tmp_path / "m")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("infomarket markov -> ") for line in lines) == 1
+    assert sum(line.startswith("{") and '"jobs": 2' in line for line in lines) == 1

@@ -26,7 +26,8 @@ def test_profile_session_tiny():
     # lines or the reason it is unavailable, and the ratios only with the
     # timings, for the reference session and for the markov3 chain. Where
     # this process resolves the kernel under the same environment, so does
-    # the script.
+    # the script. The markov3 ensemble gets one median line per worker
+    # count, whichever kernel ran it.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -44,6 +45,12 @@ def test_profile_session_tiny():
         assert len(timed["c"]) == compiled
     for ratio in ("python / c median ratio: ", "python / c chain median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
+    kernel = "c" if compiled else "python"
+    assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
+    for jobs in (1, 2):
+        timed = [line for line in lines if line.startswith(f"jobs {jobs} ensemble, median of 2:")]
+        assert len(timed) == 1
+        assert "ms per ensemble" in timed[0] and "us per period" in timed[0]
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:
