@@ -9,7 +9,7 @@
  * ends in the same state. It then runs the same rules, affordability checks,
  * book and settlement, in the same floating-point operation order, so both
  * produce the same bits. The caller owns every buffer (see _kernel.py,
- * whose FIELDS mirror `im_session` and whose Chain mirrors `im_chain`).
+ * whose Session mirrors `im_session` and whose Chain mirrors `im_chain`).
  *
  * `im_run_periods` runs periods of one session. `im_run_chain` runs one
  * chain of switching.run_switching_sim, whose Python loop stays its
@@ -49,8 +49,7 @@ typedef struct {
     /* per trader, length n */
     const int64_t *level;
     int64_t *strategy;   /* the chain flips it */
-    double *pv;          /* this period's present values: a row of pv_table */
-    double *pv_table;     /* n_periods x n, 0 for the uninformed */
+    double *pv_table;     /* n_periods x n, 0 for the uninformed; a period reads its row */
     double *dividends;    /* n_periods: the dividend paid at each period's end */
     double *cash;
     int64_t *shares;
@@ -167,8 +166,8 @@ static int inside_limit(double anchor, double p, int has_bid, double bid, int ha
     return price > 0 ? buy(price, has_ask, ask, out) : NO_ACTION;
 }
 
-static int decide(const im_session *s, int64_t i, double p, int has_bid, double bid, int has_ask,
-                  double ask, double u, double z, double *out)
+static int decide(const im_session *s, const double *pv_row, int64_t i, double p, int has_bid, double bid,
+                  int has_ask, double ask, double u, double z, double *out)
 {
     switch (s->strategy[i]) {
     case RANDOM:
@@ -176,7 +175,7 @@ static int decide(const im_session *s, int64_t i, double p, int has_bid, double 
             return sell(p + 2.0 * z, has_bid, bid, out);
         return buy(p + 2.0 * z, has_ask, ask, out);
     case FUNDAMENTALIST: {
-        double pv = s->pv[i];
+        double pv = pv_row[i];
         if (pv < (has_bid ? bid : 0.0))
             return MARKET_SELL;
         if (pv > (has_ask ? ask : 2.0 * (pv > p ? pv : p)))
@@ -234,10 +233,10 @@ static void draw_period(im_session *s, bitgen_t *bg)
     random_standard_normal_fill(bg, steps, s->z + m);        /* standard_normal(steps) */
 }
 
-/* MarketSession._trade_period: one period's activations on its draws, then
- * the settlement with dividend d. Returns 0, or -1 when a side of the book
- * is full. */
-static int trade_period(im_session *s, double d)
+/* MarketSession._trade_period: one period's activations on its draws and
+ * its row of present values, then the settlement with dividend d. Returns
+ * 0, or -1 when a side of the book is full. */
+static int trade_period(im_session *s, const double *pv_row, double d)
 {
     const int64_t n = s->n;
     double *cash = s->cash, *held_cash = s->held_cash;
@@ -260,7 +259,7 @@ static int trade_period(im_session *s, double d)
         double bid = has_bid ? s->bids[0].price : 0.0;
         double ask = has_ask ? s->asks[0].price : 0.0;
         double price = 0.0;
-        int kind = decide(s, i, p, has_bid, bid, has_ask, ask, u, z, &price);
+        int kind = decide(s, pv_row, i, p, has_bid, bid, has_ask, ask, u, z, &price);
         /* The trader must afford the intent: no shorting, no credit,
          * counting what its resting orders already commit. */
         switch (kind) {
@@ -330,14 +329,13 @@ static int trade_period(im_session *s, double d)
     return 0;
 }
 
-/* One period: its row of present values, its draws from bg and its
- * trading. Returns 0, or -1 when a side of the book is full. */
+/* One period: its draws from bg and its trading on its row of the
+ * present-value table. Returns 0, or -1 when a side of the book is full. */
 static int run_period(im_session *s, bitgen_t *bg)
 {
     int64_t k = s->periods_done; /* this period's row, 0-based */
-    memcpy(s->pv, s->pv_table + k * s->n, (size_t)s->n * sizeof(double));
     draw_period(s, bg);
-    return trade_period(s, s->dividends[k]);
+    return trade_period(s, s->pv_table + k * s->n, s->dividends[k]);
 }
 
 /* The next `count` periods. Returns 0, or -1 when a side of the book is

@@ -4,15 +4,16 @@ the session state it runs on.
 `_kernel.c` is the compiled twin of the Python loop, `engine.draw_period`
 followed by `MarketSession._trade_period`, which stays the specification
 and the fallback. One call, `im_run_periods`, runs any number of periods:
-it delivers each period's present values from the session's table, draws
-the period's variates from the session's generator and trades it. Both run
-on the same state: an arena that `engine.lay_out_state` lays out, whose
-first bytes are the kernel's `im_session` (`FIELDS`) and whose buffers
-those fields point to. One call of `im_run_chain` runs a whole switching
-chain on one such state (`Chain` holds the chain's parameters, the
-addresses of its scratch buffers and its outputs); `switching`'s Python
-loop stays its specification. Nothing is built or loaded at import; the
-first session that may use the kernel resolves it, once per process
+it draws each period's variates from the session's generator and trades
+it, reading the period's present values in place from the session's
+table. Both run on the same state: an arena that `engine.lay_out_state`
+lays out, whose first bytes are the kernel's `im_session` (`Session`, read
+and written by field name from Python) and whose buffers those fields
+point to. One call of `im_run_chain` runs a whole switching chain on one
+such state (`Chain` holds the chain's parameters, the addresses of its
+scratch buffers and its outputs); `switching`'s Python loop stays its
+specification. Nothing is built or loaded at import; the first session
+that may use the kernel resolves it, once per process
 (`montecarlo.parallel_map` resolves it before it forks, so its forked
 workers inherit the loaded library).
 
@@ -153,28 +154,35 @@ def _build() -> Path:
     return target
 
 
-# `im_session` in _kernel.c, field for field. Every field is 8 bytes: an
-# int64, a double (GROWTH, LAST_PRICE) or a pointer into the session's arena.
-FIELDS = (
-    "n", "m", "steps", "clear", "growth",
-    "level", "strategy", "pv", "pv_table", "dividends", "cash", "shares", "held_cash", "held_shares",
-    "perm", "order", "u", "z",
-    "asks", "bids", "book_cap", "n_asks", "n_bids", "seq",
-    "prices", "n_prices", "trade_steps", "trade_prices", "trade_buyers", "trade_sellers", "n_trades",
-    "cash_hist", "shares_hist", "period_end_prices", "periods_done", "last_price",
-)
-SLOT = {name: i for i, name in enumerate(FIELDS)}
+def _fields(ctype, names: str) -> list[tuple[str, type]]:
+    return [(name, ctype) for name in names.split()]
+
+
+class Session(ctypes.Structure):
+    """`im_session` in _kernel.c, field for field: the first bytes of a
+    session's arena. The pointers hold addresses of the arena's buffers
+    (`engine.lay_out_state`)."""
+
+    _fields_ = [*_fields(ctypes.c_int64, "n m steps clear"), ("growth", ctypes.c_double),
+                *_fields(ctypes.c_void_p, "level strategy pv_table dividends cash shares held_cash held_shares"),
+                *_fields(ctypes.c_void_p, "perm order u z asks bids"),
+                *_fields(ctypes.c_int64, "book_cap n_asks n_bids seq"), ("prices", ctypes.c_void_p),
+                ("n_prices", ctypes.c_int64),
+                *_fields(ctypes.c_void_p, "trade_steps trade_prices trade_buyers trade_sellers"),
+                ("n_trades", ctypes.c_int64),
+                *_fields(ctypes.c_void_p, "cash_hist shares_hist period_end_prices"),
+                ("periods_done", ctypes.c_int64), ("last_price", ctypes.c_double)]
 
 
 class Chain(ctypes.Structure):
     """`im_chain` in _kernel.c: one switching chain's parameters, the
     addresses of its scratch buffers and of its codes, and its tie counts."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("n_periods", "segment", "interval", "path_extra", "top")]
-    _fields_ += [(name, ctypes.c_double) for name in ("d0", "sigma", "r_e", "initial_cash")]
-    _fields_ += [("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double)]
-    _fields_ += [(name, ctypes.c_void_p) for name in ("walk", "marks", "powers", "returns", "codes")]
-    _fields_ += [("tie_events", ctypes.c_int64), ("all_equal_events", ctypes.c_int64)]
+    _fields_ = [*_fields(ctypes.c_int64, "n_periods segment interval path_extra top"),
+                *_fields(ctypes.c_double, "d0 sigma r_e initial_cash"),
+                ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double),
+                *_fields(ctypes.c_void_p, "walk marks powers returns codes"),
+                *_fields(ctypes.c_int64, "tie_events all_equal_events")]
 
 
 def _load(path: Path):
@@ -183,7 +191,7 @@ def _load(path: Path):
     except OSError as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from None
     lib.im_session_size.restype = lib.im_chain_size.restype = ctypes.c_int64
-    if lib.im_session_size() != 8 * len(FIELDS) or lib.im_chain_size() != ctypes.sizeof(Chain):
+    if lib.im_session_size() != ctypes.sizeof(Session) or lib.im_chain_size() != ctypes.sizeof(Chain):
         raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_run_periods.restype = ctypes.c_int
@@ -209,16 +217,16 @@ def bitgen_address(rng: np.random.Generator) -> int:
 class BookView:
     """The compiled session's book, read-only: its size and best quotes."""
 
-    __slots__ = ("_header", "_asks", "_bids")
+    __slots__ = ("_session", "_asks", "_bids")
 
-    def __init__(self, header: np.ndarray, asks: np.ndarray, bids: np.ndarray) -> None:
-        self._header, self._asks, self._bids = header, asks, bids
+    def __init__(self, session: Session, asks: np.ndarray, bids: np.ndarray) -> None:
+        self._session, self._asks, self._bids = session, asks, bids
 
     def best_bid(self) -> float | None:
-        return float(self._bids[0]["price"]) if self._header[SLOT["n_bids"]] else None
+        return float(self._bids[0]["price"]) if self._session.n_bids else None
 
     def best_ask(self) -> float | None:
-        return float(self._asks[0]["price"]) if self._header[SLOT["n_asks"]] else None
+        return float(self._asks[0]["price"]) if self._session.n_asks else None
 
     def __len__(self) -> int:
-        return int(self._header[SLOT["n_asks"]] + self._header[SLOT["n_bids"]])
+        return self._session.n_asks + self._session.n_bids

@@ -96,15 +96,21 @@ def _state_codes(text: str) -> str:
     return text
 
 
-def _jobs(text: str) -> int:
-    """`--jobs` checked as a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}")
-    return jobs
+def _int_at_least(minimum: int, what: str):
+    """An argparse type: an int of at least `minimum`, else an error naming `what`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {what} >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+# A stream key's components are non-negative, so a master seed is too.
+_seed, _jobs = _int_at_least(0, "a master seed"), _int_at_least(1, "a worker count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, preset=False, batch=False, markov=False) -> None:
         p.add_argument("--config", help="JSON file with defaults for these flags (flags win)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed (default %(default)s)")
         p.add_argument("--out", default=None,
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
@@ -386,12 +392,16 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"cannot read manifest: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest must hold a JSON object")
     if manifest.get("schema_version") != MANIFEST_SCHEMA:
         raise ConfigError(f"unsupported manifest schema_version {manifest.get('schema_version')}")
     command = manifest.get("command")
     params = manifest.get("params", {})
     if command not in ("simulate", "batch", "stats", "markov"):
         raise ConfigError(f"manifest has unknown command {command!r}")
+    if not isinstance(params, dict):
+        raise ConfigError("manifest params must be a JSON object")
     argv = [command, *_flag_tokens(params)]
     if args.out:
         argv.extend(["--out", args.out])

@@ -55,16 +55,13 @@ class DividendPath:
     `values` is a list of Python floats: a lookup in it is much cheaper than
     indexing a NumPy array, and `conditional_present_value` makes many.
 
-    `present_values` memoises `conditional_present_value` on this path by
-    (level, period, r_e). Every run of a batch session trades on the same
-    path, so each value is computed once per session, not once per run. The
-    callers fill it: on a miss they call `conditional_present_value` by the
-    name their own module imported. `present_value_tables` holds the
-    sessions' (period x trader) tables of those values, filled by
-    `engine.present_value_table`.
+    `present_value_tables` caches the sessions' (period x trader) tables of
+    conditional present values on this path, filled by
+    `engine.present_value_table`. Every run of a batch session trades on the
+    same path, so each table is computed once per session, not once per run.
     """
 
-    __slots__ = ("values", "present_values", "present_value_tables")
+    __slots__ = ("values", "present_value_tables")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float)
@@ -73,7 +70,6 @@ class DividendPath:
         if (arr < 0).any():
             raise ValueError("dividends must be non-negative")
         self.values: list[float] = arr.tolist()
-        self.present_values: dict[tuple[int, int, float], float] = {}
         self.present_value_tables: dict[tuple[tuple[int, ...], int, float], np.ndarray] = {}
 
     def __len__(self) -> int:

@@ -1,11 +1,12 @@
 """One market session: random serial trader activation over fixed-length periods.
 
-Each period starts with an information delivery (fresh present values for the
-informed traders) and a seeding pass in which every informed trader acts once
-in a shuffled order, repopulating the book after a clearing. The period body
-is a fixed number of steps; in each step one uniformly chosen trader acts. At
-the period end, cash earns the risk-free rate, shares pay the period's
-dividend, and the book is cleared (unless configured otherwise).
+Each period starts with an information delivery (the period's present values
+for the informed traders) and a seeding pass in which every informed trader
+acts once in a shuffled order, repopulating the book after a clearing. The
+period body is a fixed number of steps; in each step one uniformly chosen
+trader acts. At the period end, cash earns the risk-free rate, shares pay
+the period's dividend, and the book is cleared (unless configured
+otherwise).
 
 The trading rules decide whether an order trades now or rests; the session
 only checks that the trader can afford it and places or executes it. Traders
@@ -14,29 +15,30 @@ free shares or free cash (net of what its resting orders commit) do not
 cover it.
 
 A session's state is one arena of flat buffers (cash, shares, the holds,
-the present values and their table, the dividends, the period's draws, the
-book, the price series, the trades and the histories), laid out at
-construction as the compiled kernel's `im_session`. The present values come
-from `present_value_table`, cached on the dividend path, so every run of a
-batch session shares them. There are two ways to run periods on that one
-state, with the same bits and the same generator state after them:
+the rules, the present-value table, the dividends, the period's draws, the
+book, the price series, the trades and the histories) behind a header, laid
+out at construction as the compiled kernel's `im_session` and read from
+Python through its ctypes mirror, `_kernel.Session`. The table (period x
+trader) comes from `present_value_table`, cached on the dividend path, so
+every run of a batch session shares it; each period reads its row in place.
+There are two ways to run periods on that one state, with the same bits and
+the same generator state after them:
 
-- The Python loop, the specification: per period, `_deliver_information`
-  copies the period's row of the table, `draw_period` fills the draw
-  buffers and `MarketSession._trade_period` runs the activations on them
-  and draws nothing. It binds plain lists from the state once per period,
-  keeps its book in a `Book` of its own, asks it for the best quotes, calls
-  the rules in `agents` with plain arguments, places or executes through
-  the `Book` methods, and writes the period back into the state at its
-  end. The rules and book methods are looked up by name once per period,
-  so patching `engine.decide_*` or a `Book` method (as the benchmark's
-  tracer does) reaches every activation.
+- The Python loop, the specification: per period, `draw_period` fills the
+  draw buffers and `MarketSession._trade_period` runs the activations on
+  them and the period's row of the table, and draws nothing. It binds
+  plain lists from the state once per period, keeps its book in a `Book`
+  of its own, asks it for the best quotes, calls the rules in `agents`
+  with plain arguments, places or executes through the `Book` methods,
+  and writes the period back into the state at its end. The rules and
+  book methods are looked up by name once per period, so patching
+  `engine.decide_*` or a `Book` method (as the benchmark's tracer does)
+  reaches every activation.
 - `_kernel.c`'s `im_run_periods`, the compiled kernel, on the arena itself:
-  the same delivery, draws and trading for any number of periods in one
-  call. It draws through numpy's own C functions on the generator's
-  `bitgen_t`, so it is tied to the numpy it was built against (see
-  `_kernel`). `run()` hands it all the remaining periods, `run_period()`
-  one.
+  the same draws and trading for any number of periods in one call. It
+  draws through numpy's own C functions on the generator's `bitgen_t`, so
+  it is tied to the numpy it was built against (see `_kernel`). `run()`
+  hands it all the remaining periods, `run_period()` one.
 
 A session picks one at its first period and keeps it: the compiled kernel,
 unless it cannot be built and loaded or a rule or book method is patched
@@ -52,6 +54,7 @@ normal, whether or not its rule uses them, so no rule touches a generator.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,10 +84,8 @@ def held(namespace, *names) -> tuple:
 # hold them (a tracer or a test patched them) runs the Python loop.
 SESSION_SPEC = (*held(globals(), "decide_random", "decide_fundamentalist", "decide_chartist"),
                 *held(vars(Book), "place_limit", "execute_marketable", "best_bid", "best_ask", "clear"))
-# Slots of the state's `im_session` header: counters as int64, the rest as doubles.
-_M, _N_PRICES, _N_TRADES, _PERIODS_DONE, _GROWTH, _LAST_PRICE = (
-    _kernel.SLOT[name] for name in ("m", "n_prices", "n_trades", "periods_done", "growth", "last_price"))
-_HEADER_BYTES = 8 * len(_kernel.FIELDS)
+# The rules as the state's `_strategy` codes them.
+_RANDOM, _FUNDAMENTALIST = (_kernel.STRATEGY_CODES[s] for s in (Strategy.RANDOM, Strategy.FUNDAMENTALIST))
 
 
 def compiled_kernel(spec=SESSION_SPEC):
@@ -230,25 +231,15 @@ def present_value_table(path: DividendPath, levels: tuple[int, ...], n_periods: 
     """Each trader's present value at each period: (n_periods, len(levels)),
     row k - 1 for period k, 0.0 for an uninformed trader.
 
-    The values come from the path's `present_values` memo, and the table is
+    Each value is one `conditional_present_value` call, and the table is
     cached on the path by (levels, n_periods, r_e), so every run of a batch
     session shares it.
     """
     key = (levels, n_periods, r_e)
     table = path.present_value_tables.get(key)
     if table is None:
-        memo = path.present_values
-        rows = []
-        for k in range(1, n_periods + 1):
-            row = []
-            for lvl in levels:
-                pv = 0.0
-                if lvl > 0:
-                    pv = memo.get((lvl, k, r_e))
-                    if pv is None:
-                        pv = memo[lvl, k, r_e] = conditional_present_value(path, lvl, k, r_e)
-                row.append(pv)
-            rows.append(row)
+        rows = [[conditional_present_value(path, lvl, k, r_e) if lvl > 0 else 0.0 for lvl in levels]
+                for k in range(1, n_periods + 1)]
         table = path.present_value_tables[key] = np.array(rows, dtype=np.float64)
         table.flags.writeable = False
     return table
@@ -256,10 +247,9 @@ def present_value_table(path: DividendPath, levels: tuple[int, ...], n_periods: 
 
 @functools.lru_cache(maxsize=64)
 def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
-    """The session arena for one shape: its size in bytes, each buffer as
-    (attribute, shape, dtype, offset), the `im_session` header with each
-    pointer field holding its buffer's offset, and which fields are pointers.
-    """
+    """The session arena for one shape: its size in bytes, its book's
+    capacity per side, and each buffer as (`im_session` field, attribute,
+    shape, dtype, offset)."""
     # Each activation places at most one order, so a side never holds more
     # than a period's activations, or the session's without clearing.
     book_cap = (steps + n) * (1 if clear else periods)
@@ -268,7 +258,7 @@ def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
     # (im_session field, dtype, shape) after the header; every buffer but
     # cash and shares is private, under the field's name with a "_".
     layout = (
-        ("level", i8, n), ("strategy", i8, n), ("pv", f8, n), ("pv_table", f8, (periods, n)),
+        ("level", i8, n), ("strategy", i8, n), ("pv_table", f8, (periods, n)),
         ("dividends", f8, periods), ("cash", f8, n), ("shares", i8, n),
         ("held_cash", f8, n), ("held_shares", i8, n),
         ("perm", i8, n), ("order", i8, steps), ("u", f8, m + steps), ("z", f8, m + steps),
@@ -278,39 +268,36 @@ def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
         ("cash_hist", f8, (periods + 1, n)), ("shares_hist", i8, (periods + 1, n)),
         ("period_end_prices", f8, periods),
     )
-    header = dict.fromkeys(_kernel.FIELDS, 0)
-    is_pointer = np.zeros(len(_kernel.FIELDS), np.int64)
     buffers = []
-    offset = _HEADER_BYTES
+    offset = ctypes.sizeof(_kernel.Session)
     for name, dtype, shape in layout:
-        buffers.append((name if name in ("cash", "shares") else f"_{name}", shape, dtype, offset))
-        header[name] = offset
-        is_pointer[_kernel.SLOT[name]] = 1
+        buffers.append((name, name if name in ("cash", "shares") else f"_{name}", shape, dtype, offset))
         offset += dtype.itemsize * int(np.prod(shape))
-    header.update(n=n, m=m, steps=steps, clear=int(clear), book_cap=book_cap)
-    header = np.array(list(header.values()), np.int64)
-    header.flags.writeable = is_pointer.flags.writeable = False  # every session of the shape shares them
-    return offset, tuple(buffers), header, is_pointer
+    return offset, book_cap, tuple(buffers)
 
 
-def lay_out_state(config: SessionConfig) -> dict[str, np.ndarray]:
+def lay_out_state(config: SessionConfig) -> dict:
     """A new session state for `config`: its arena's buffers by attribute,
-    the `im_session` header as int64 (`_header`) and float64 (`_doubles`)
-    views, and the arena itself (`_arena`), which the compiled kernel holds
-    raw pointers into. The header's sizes and pointers, the growth, the
-    levels and the strategies are set; the rest is the caller's to fill."""
+    the arena's `im_session` header (`_session`, a `_kernel.Session`) and
+    the arena itself (`_arena`), which the compiled kernel holds raw
+    pointers into. The header's counters are zero and its sizes, pointers
+    and growth set, as are the levels and the strategies; the rest is the
+    caller's to fill."""
     levels = config.levels
-    n = len(levels)
-    size, buffers, header, is_pointer = _arena_layout(
-        n, n - levels.count(0), config.steps_per_period, config.n_periods, config.clear_book_each_period)
+    n, m = len(levels), len(levels) - levels.count(0)
+    steps, clear = config.steps_per_period, config.clear_book_each_period
+    size, book_cap, buffers = _arena_layout(n, m, steps, config.n_periods, clear)
     arena = np.empty(size, np.uint8)
-    state = {attr: np.ndarray(shape, dtype, arena, offset) for attr, shape, dtype, offset in buffers}
+    state = {attr: np.ndarray(shape, dtype, arena, offset) for _, attr, shape, dtype, offset in buffers}
     state["_arena"] = arena
-    head = state["_header"] = arena[:_HEADER_BYTES].view(np.int64)
-    np.multiply(is_pointer, arena.ctypes.data, out=head)
-    head += header
-    state["_doubles"] = arena[:_HEADER_BYTES].view(np.float64)
-    state["_doubles"][_GROWTH] = 1.0 + config.rates.r_f
+    # np.empty leaves the header's bytes as they were: zero every counter first.
+    session = state["_session"] = _kernel.Session.from_buffer(arena)
+    ctypes.memset(ctypes.addressof(session), 0, ctypes.sizeof(session))
+    base = arena.ctypes.data
+    for name, _, _, _, offset in buffers:
+        setattr(session, name, base + offset)
+    session.n, session.m, session.steps, session.clear, session.book_cap = n, m, steps, clear, book_cap
+    session.growth = 1.0 + config.rates.r_f
     state["_level"][:] = levels
     state["_strategy"][:] = config.strategy_codes
     return state
@@ -337,11 +324,9 @@ class MarketSession:
         self.rng = rng
         self.n_agents = len(config.agents)
         self.levels = config.levels
-        self.strategies = [a.strategy for a in config.agents]
         vars(self).update(lay_out_state(config))
         periods = config.n_periods
-        self._doubles[_LAST_PRICE] = config.initial_price
-        self._pv[:] = 0.0
+        self._session.last_price = config.initial_price
         self._pv_table[:] = present_value_table(path, self.levels, periods, config.rates.r_e)
         self._dividends[:] = path.values[:periods]
         self.cash[:] = config.initial_cash
@@ -350,33 +335,28 @@ class MarketSession:
         self._held_shares[:] = 0
         self._cash_hist[0] = self.cash
         self._shares_hist[0] = self.shares
-        self.book = _kernel.BookView(self._header, self._asks, self._bids)
+        self.book = _kernel.BookView(self._session, self._asks, self._bids)
         self._compiled = None  # the compiled kernel's periods(count), or False: chosen at the first period
 
     @property
     def periods_done(self) -> int:
-        return int(self._header[_PERIODS_DONE])
+        return self._session.periods_done
 
     @property
     def prices(self) -> np.ndarray:
         """The last price after each completed step: a view of the session's buffer."""
-        return self._prices[: self._header[_N_PRICES]]
+        return self._prices[: self._session.n_prices]
 
     @property
     def last_price(self) -> float:
-        return float(self._doubles[_LAST_PRICE])
+        return self._session.last_price
 
     def set_strategy(self, agent_idx: int, strategy: Strategy) -> None:
         if strategy is Strategy.RANDOM:
             raise ValueError("cannot switch a trader to the random rule")
         if self.levels[agent_idx] == 0:
             raise ValueError("the uninformed trader keeps the random rule")
-        self.strategies[agent_idx] = strategy
         self._strategy[agent_idx] = _kernel.STRATEGY_CODES[strategy]
-
-    def _deliver_information(self, k: int) -> None:
-        """Period k's present values: row k - 1 of the session's table."""
-        self._pv[:] = self._pv_table[k - 1]
 
     def run_period(self) -> None:
         if self.periods_done >= self.config.n_periods:
@@ -386,10 +366,8 @@ class MarketSession:
         if self._compiled:
             self._compiled(1)
             return
-        k = self.periods_done + 1
-        self._deliver_information(k)
         draw_period(self.rng, *self._draws)
-        self._trade_period(self.path.dividend(k))
+        self._trade_period(self.path.dividend(self.periods_done + 1))
 
     def run(self) -> SessionResult:
         """The remaining periods, then the result. The compiled kernel runs
@@ -410,7 +388,7 @@ class MarketSession:
         lib = compiled_kernel()
         if lib is None:
             self.book = Book()
-            m = int(self._header[_M])
+            m = self._session.m
             self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
             return False
         run_periods, address = lib.im_run_periods, self._arena.ctypes.data
@@ -426,24 +404,26 @@ class MarketSession:
         """One period's activations on this period's draws, then its settlement.
 
         It draws nothing: its inputs are the draws, the strategies, the
-        present values, the dividend d, the rates and the clearing flag. It
-        trades on plain lists bound from the state and writes the period back
-        into the state as `_kernel.c`'s `trade_period` leaves it.
+        period's row of the present-value table, the dividend d, the rates
+        and the clearing flag. It trades on plain lists bound from the state
+        and writes the period back into the state as `_kernel.c`'s
+        `trade_period` leaves it.
         """
         config = self.config
-        header = self._header
+        session = self._session
         # Everything the activation loop touches, bound once per period.
         n = self.n_agents
-        levels, strategies, pv = self.levels, self.strategies, self._pv.tolist()
+        levels, strategies = self.levels, self._strategy.tolist()
+        pv = self._pv_table[session.periods_done].tolist()
         cash, shares = self.cash.tolist(), self.shares.tolist()
         held_cash, held_shares = self._held_cash.tolist(), self._held_shares.tolist()
         prices = self._prices
-        t = int(header[_N_PRICES])  # steps so far
+        t = session.n_prices  # steps so far
         book = self.book
         best_bid, best_ask = book.best_bid, book.best_ask
         place_limit, execute_marketable = book.place_limit, book.execute_marketable
         random_rule, value_rule, trend_rule = decide_random, decide_fundamentalist, decide_chartist
-        RANDOM, FUNDAMENTALIST = Strategy.RANDOM, Strategy.FUNDAMENTALIST
+        RANDOM, FUNDAMENTALIST = _RANDOM, _FUNDAMENTALIST
         trade_steps, trade_prices, trade_buyers, trade_sellers = [], [], [], []
         p = self.last_price
         perm, seeding_u, seeding_z, order, steps_u, steps_z = self._draws
@@ -459,9 +439,9 @@ class MarketSession:
                 bid = best_bid()
                 ask = best_ask()
                 strat = strategies[i]
-                if strat is RANDOM:
+                if strat == RANDOM:
                     kind, price = random_rule(p, bid, ask, u, z)
-                elif strat is FUNDAMENTALIST:
+                elif strat == FUNDAMENTALIST:
                     kind, price = value_rule(pv[i], p, bid, ask, z)
                 else:
                     kind, price = trend_rule(p, bid, ask, prices[:t], u, z)
@@ -515,24 +495,24 @@ class MarketSession:
             held_cash, held_shares = [0.0] * n, [0] * n
         # The period, written back as _kernel.c's trade_period leaves it; the book
         # stays in the `Book`.
-        k = self.periods_done + 1
+        k = session.periods_done + 1
         self.cash[:] = self._cash_hist[k] = cash
         self.shares[:] = self._shares_hist[k] = shares
         self._held_cash[:] = held_cash
         self._held_shares[:] = held_shares
-        j = int(header[_N_TRADES])
+        j = session.n_trades
         for buffer, values in ((self._trade_steps, trade_steps), (self._trade_prices, trade_prices),
                                (self._trade_buyers, trade_buyers), (self._trade_sellers, trade_sellers)):
             buffer[j: j + len(values)] = values
-        header[_N_TRADES] = j + len(trade_steps)
-        header[_N_PRICES] = t
-        header[_PERIODS_DONE] = k
+        session.n_trades = j + len(trade_steps)
+        session.n_prices = t
+        session.periods_done = k
         self._period_end_prices[k - 1] = p
-        self._doubles[_LAST_PRICE] = p
+        session.last_price = p
 
     def result(self) -> SessionResult:
         """Copies of the series so far."""
-        steps, trades, periods = self._header[_N_PRICES], self._header[_N_TRADES], self.periods_done
+        steps, trades, periods = self._session.n_prices, self._session.n_trades, self.periods_done
         return SessionResult(
             config=self.config,
             path=self.path,

@@ -64,8 +64,8 @@ class SwitchingConfig:
         # The estimates hold dense 2^n x 2^n matrices per run.
         if not 1 <= self.n_traders <= 8:
             raise ValueError(f"n_traders must be in 1..8, got {self.n_traders}")
-        if self.n_periods < 1:
-            raise ValueError("n_periods must be >= 1")
+        if self.n_periods < 1 or self.steps_per_period < 1:
+            raise ValueError("n_periods and steps_per_period must be >= 1")
         if self.interval < 1 or self.n_periods % self.interval or SEGMENT_PERIODS % self.interval:
             raise ValueError(
                 f"interval must divide both the {SEGMENT_PERIODS}-period segment "
@@ -111,16 +111,6 @@ CHAIN_SPEC = (*engine.SESSION_SPEC,
               *held(vars(SwitchingConfig), "session_config"))
 
 
-def _present_value(path, level: int, period: int, r_e: float) -> float:
-    """`conditional_present_value` read through the path's memo, which the
-    session's information deliveries share."""
-    memo = path.present_values
-    pv = memo.get((level, period, r_e))
-    if pv is None:
-        pv = memo[level, period, r_e] = conditional_present_value(path, level, period, r_e)
-    return pv
-
-
 def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random.Generator) -> SwitchingRun:
     """Run the market with periodic strategy updating; record one code per interval.
 
@@ -153,13 +143,13 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
         cash0, shares0, r_e = scfg.initial_cash, scfg.initial_shares, scfg.rates.r_e
         # Every interval starts from the same endowment for every trader, so
         # one wealth, with shares marked at the end of the period before it.
-        w = cash0 + shares0 * _present_value(path, n, 1, r_e)
+        w = cash0 + shares0 * conditional_present_value(path, n, 1, r_e)
         for k in range(1, length + 1):
             session.run_period()
             done += 1
             if done % config.interval:
                 continue
-            m = _present_value(path, n, k + 1, r_e)
+            m = conditional_present_value(path, n, k + 1, r_e)
             returns = [(c + s * m - w) / w for c, s in zip(session.cash.tolist(), session.shares.tolist())]
             # np.mean's bits: numpy's pairwise order from 8 traders on (neither a
             # left-to-right sum nor the builtin, compensated since Python 3.12,

@@ -68,6 +68,19 @@ def test_replay_refuses_a_schema_1_manifest(tmp_path, capsys):
     assert not again.exists()
 
 
+@pytest.mark.parametrize("manifest, message", [
+    pytest.param([], "manifest must hold a JSON object", id="array"),
+    pytest.param({"schema_version": 2, "command": "simulate", "params": ["--seed", "1"]},
+                 "manifest params must be a JSON object", id="params array"),
+])
+def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    again = tmp_path / "again"
+    assert run_cli("replay", "--manifest", str(tmp_path), "--out", str(again)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not again.exists()
+
+
 def test_replay_accepts_directory(tmp_path):
     first = tmp_path / "first"
     again = tmp_path / "again"
@@ -352,6 +365,13 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     pytest.param([*MARKOV, "--traders", "9"], "n_traders must be in 1..8, got 9", id="markov --traders 9"),
     pytest.param([*MARKOV, "--jobs", "0"], "argument --jobs: expected a worker count >= 1, got '0'",
                  id="markov --jobs 0"),
+    pytest.param([*MARKOV, "--steps", "0"], "n_periods and steps_per_period must be >= 1", id="markov --steps 0"),
+    pytest.param([*MARKOV, "--seed", "-1"], "argument --seed: expected a master seed >= 0, got '-1'",
+                 id="markov --seed -1"),
+    pytest.param([*SIMULATE, "--seed", "-1"], "argument --seed: expected a master seed >= 0, got '-1'",
+                 id="simulate --seed -1"),
+    pytest.param([*STATS, "--seed", "-1"], "argument --seed: expected a master seed >= 0, got '-1'",
+                 id="stats --seed -1"),
     pytest.param([*SIMULATE, "--agents", "0"], "a session needs at least one trader", id="simulate --agents 0"),
     pytest.param([*SIMULATE, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
                  id="simulate --periods 0"),

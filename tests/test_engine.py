@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infomarket import dividends, engine
+from infomarket import _kernel, dividends, engine
 from infomarket.agents import Strategy, decide_chartist, decide_fundamentalist, decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.montecarlo import _run_session_block
@@ -222,7 +222,7 @@ def test_set_strategy_guards():
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(4, 0, 0))
     session = MarketSession(cfg, path, stream(4, 1, 0, 0))
     session.set_strategy(1, Strategy.CHARTIST)
-    assert session.strategies[1] is Strategy.CHARTIST
+    assert session._strategy[1] == _kernel.STRATEGY_CODES[Strategy.CHARTIST]
     with pytest.raises(ValueError):
         session.set_strategy(0, Strategy.CHARTIST)  # the uninformed trader
     with pytest.raises(ValueError):
@@ -376,8 +376,9 @@ def test_run_period_draws_in_the_documented_layout(monkeypatch):
 
 
 def test_sessions_on_one_path_share_one_present_value_table():
-    # The table holds each trader's memoised value per period (0.0 for the
-    # uninformed), and each period delivers its row.
+    # The table holds each trader's conditional present value per period
+    # (0.0 for the uninformed), bit for bit; every session on the path
+    # copies it, and its periods read their rows in place without writing.
     cfg = small_config(agents=market_with_levels((2, 0, 3, 1)))
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(4, 0, 0))
     sessions = [MarketSession(cfg, path, stream(4, 1, 0, r)) for r in range(2)]
@@ -385,19 +386,18 @@ def test_sessions_on_one_path_share_one_present_value_table():
     r_e = cfg.rates.r_e
     assert table.shape == (cfg.n_periods, 4) and not table.flags.writeable
     for k in range(1, cfg.n_periods + 1):
-        assert table[k - 1].tolist() == [0.0 if lvl == 0 else path.present_values[lvl, k, r_e]
-                                         for lvl in (2, 0, 3, 1)]
+        assert [pv.hex() for pv in table[k - 1].tolist()] == [
+            (0.0 if lvl == 0 else dividends.conditional_present_value(path, lvl, k, r_e)).hex()
+            for lvl in (2, 0, 3, 1)]
     for session in sessions:
-        for k in range(cfg.n_periods):
-            session.run_period()
-            assert session._pv.tolist() == table[k].tolist()
+        session.run()
+        assert session._pv_table.tolist() == table.tolist()
     assert len(path.present_value_tables) == 1
 
 
 def test_a_session_block_computes_each_present_value_once(monkeypatch):
-    # The runs of a block share their dividend path and so its memo: the
-    # patched engine name sees one real computation per (level, period),
-    # and every memoised value is the direct computation's, bit for bit.
+    # The runs of a block share their dividend path and so its cached
+    # table: the patched engine name sees one computation per (level, period).
     calls = Counter()
     paths = set()
 
@@ -411,6 +411,4 @@ def test_a_session_block_computes_each_present_value_once(monkeypatch):
     _run_session_block((3, 0, cfg, 4, False))
     (path,) = paths
     assert calls == Counter({(lvl, k): 1 for lvl in range(1, 4) for k in range(1, cfg.n_periods + 1)})
-    assert len(path.present_values) == len(calls)
-    for (lvl, k, r_e), pv in path.present_values.items():
-        assert pv.hex() == dividends.conditional_present_value(path, lvl, k, r_e).hex()
+    assert len(path.present_value_tables) == 1

@@ -12,7 +12,9 @@ where a build cannot even start (no gcc, or numpy's random library, its
 header or Python's header missing), so a broken `_kernel.c` fails them.
 """
 
+import ctypes
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -81,7 +83,7 @@ def ending(session):
     book = session.book
     return (len(book), book.best_bid(), book.best_ask(), session.last_price, session.periods_done,
             *(buffer.tolist() for buffer in (session.cash, session.shares, session._held_cash,
-                                             session._held_shares, session._pv)))
+                                             session._held_shares)))
 
 
 def run(cfg, seed, python=False):
@@ -291,8 +293,8 @@ def test_a_compiled_run_draws_each_period_in_the_documented_layout(levels):
 
 @needs_kernel
 def test_a_compiled_run_is_one_kernel_call(monkeypatch):
-    # run() hands every remaining period to one call; nothing is drawn or
-    # delivered in Python.
+    # run() hands every remaining period to one call; nothing is drawn in
+    # Python.
     cfg = config()
     spec = run(cfg, 2, python=True)
     lib, calls = _kernel.resolve(), []
@@ -303,11 +305,10 @@ def test_a_compiled_run_is_one_kernel_call(monkeypatch):
             return lib.im_run_periods(session, bitgen, count)
 
     def refuse(*args):
-        pytest.fail("a compiled session drew or delivered present values in Python")
+        pytest.fail("a compiled session drew in Python")
 
     monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
     monkeypatch.setattr(engine, "draw_period", refuse)
-    monkeypatch.setattr(MarketSession, "_deliver_information", refuse)
     fast = run(cfg, 2)
     assert fast[3] and calls == [cfg.n_periods]
     assert_same_session(spec, fast)
@@ -469,6 +470,28 @@ def test_the_cache_key_covers_the_numpy_version_and_the_command_line(monkeypatch
     # Where the source sits is not part of the key: checkouts share a build.
     monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_kernel.c")
     assert _kernel.cache_key(source) == key
+
+
+def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
+    """The fields of `typedef struct { ... } name;` in `source`, in order,
+    each with the ctypes type that mirrors its C type: any pointer is a
+    `c_void_p`."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", source).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    fields = []
+    for declaration in filter(None, (d.strip() for d in body.split(";"))):
+        ctype, pointer, field = re.fullmatch(r"(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)", declaration).groups()
+        fields.append((field, ctypes.c_void_p if pointer else {"int64_t": ctypes.c_int64,
+                                                                "double": ctypes.c_double}[ctype]))
+    return fields
+
+
+@pytest.mark.parametrize("struct, mirror", [("im_session", _kernel.Session), ("im_chain", _kernel.Chain)])
+def test_the_ctypes_mirrors_match_the_c_structs(struct, mirror):
+    # Every field is 8 bytes, so the loaded library's size check cannot see
+    # a reordered field or an int64/double swap; this reads the source, and
+    # needs no compiler.
+    assert c_struct_fields(_kernel.SOURCE.read_text(), struct) == mirror._fields_
 
 
 def test_forced_c_refuses_patched_rules(monkeypatch):

@@ -104,23 +104,27 @@ def test_interval_must_divide_the_segment_and_the_run():
         small_switching(n_periods=50, interval=3)  # divides 30, not 50
 
 
-def test_marks_and_deliveries_share_one_present_value_memo(monkeypatch):
-    # Each segment's path is computed on once per (level, period), whether
-    # a mark or an information delivery asks first, through the names the
-    # two modules import.
-    calls = Counter()
+def test_a_segment_computes_each_present_value_once_per_use(monkeypatch):
+    # Each segment's path is computed on once per (level, period) for the
+    # session's table, through engine's name, and once per period for the
+    # top level's marks, through switching's name.
+    table_calls, mark_calls = Counter(), Counter()
 
-    def counted(path, level, period, r_e):
-        calls[path, level, period] += 1
-        return dividends.conditional_present_value(path, level, period, r_e)
+    def counting(calls):
+        def counted(path, level, period, r_e):
+            calls[path, level, period] += 1
+            return dividends.conditional_present_value(path, level, period, r_e)
+        return counted
 
-    monkeypatch.setattr(engine, "conditional_present_value", counted)
-    monkeypatch.setattr(switching, "conditional_present_value", counted)
+    monkeypatch.setattr(engine, "conditional_present_value", counting(table_calls))
+    monkeypatch.setattr(switching, "conditional_present_value", counting(mark_calls))
     cfg = small_switching(n_periods=60)
     run_switching_sim(cfg, 3, stream(7, 2, 3))
     # two segments of 30 periods; the top level is marked up to period 31
-    assert set(calls.values()) == {1}
-    assert len(calls) == 2 * (3 * 30 + 1)
+    paths = {path for path, _, _ in table_calls}
+    assert len(paths) == 2 and {path for path, _, _ in mark_calls} == paths
+    assert table_calls == Counter({(path, lvl, k): 1 for path in paths for lvl in (1, 2, 3) for k in range(1, 31)})
+    assert mark_calls == Counter({(path, 3, k): 1 for path in paths for k in range(1, 32)})
 
 
 def test_switching_determinism():
