@@ -15,6 +15,12 @@ profile 1, switching stream from seed 0): the Python loop of
 one `im_run_chain` call. It prints each kernel's median per chain and per
 period, and the ratio of the medians.
 
+Then it times one batch session block of the reference market, 5 runs on
+one dividend path (perfbench's jcurve shape; master seed 0, session 0):
+the Python block, whose runs are compiled sessions, against the compiled
+block, one `im_run_block` call. It prints each block's median per block
+and per run, and the ratio of the medians.
+
 Last, it times the `markov` command's ensemble at that size, the eight
 300-period `markov3` chains of `run_switching_ensemble` (seed 0), at jobs 1
 (in this process) and jobs 2 (two forked workers), alternating, on the
@@ -22,8 +28,8 @@ kernel this process resolves, and prints one median line for each.
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or
-`c kernel unavailable: <reason>`, and the `c chain` line and both ratios
-only with the former.
+`c kernel unavailable: <reason>`, and the `c chain` and `c block` lines
+and the three ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -34,7 +40,7 @@ import sys
 import time
 from dataclasses import replace
 
-from infomarket import _kernel
+from infomarket import _kernel, montecarlo
 from infomarket.dividends import generate_dividend_path
 from infomarket.engine import SessionConfig, run_session
 from infomarket.presets import switching_for_preset
@@ -44,6 +50,13 @@ from infomarket.switching import run_switching_ensemble, run_switching_sim
 CHAIN_PERIODS = 300
 ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per initial profile
 ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
+BLOCK_RUNS = 5
+
+
+def spec_run_session(*args):
+    """`run_session` under another name: with it in `montecarlo`, a block
+    runs the Python block (see `montecarlo.BLOCK_SPEC`)."""
+    return run_session(*args)
 
 
 def alternate(variants, repeats, once) -> dict[str, list[float]]:
@@ -124,6 +137,19 @@ def main() -> int:
         print(f"python / c chain median ratio: {medians['python'] / medians['c']:.2f}")
 
     _kernel._resolved = resolutions["c"]
+    block_args = (0, 0, cfg, BLOCK_RUNS, False)
+
+    def block(kernel: str) -> float:
+        montecarlo.run_session = spec_run_session if kernel == "python" else run_session
+        t0 = time.perf_counter()
+        montecarlo._run_session_block(block_args)
+        return time.perf_counter() - t0
+
+    if lib is not None:
+        print(f"reference block: {BLOCK_RUNS} runs on one dividend path, python block on c sessions")
+        medians = report("block", alternate(kernels, args.repeats, block), "block", BLOCK_RUNS, "run")
+        montecarlo.run_session = run_session
+        print(f"python / c block median ratio: {medians['python'] / medians['c']:.2f}")
 
     def ensemble(jobs: str) -> float:
         t0 = time.perf_counter()

@@ -1,5 +1,5 @@
-/* The periods of a market session, on flat buffers, draws included, and
- * whole strategy-switching chains.
+/* The periods of a market session, on flat buffers, draws included, whole
+ * batch sessions and whole strategy-switching chains.
  *
  * This is the compiled twin of the Python loop in engine.py: `draw_period`
  * followed by `MarketSession._trade_period`, which stay the specification.
@@ -9,17 +9,25 @@
  * ends in the same state. It then runs the same rules, affordability checks,
  * book and settlement, in the same floating-point operation order, so both
  * produce the same bits. The caller owns every buffer (see _kernel.py,
- * whose Session mirrors `im_session` and whose Chain mirrors `im_chain`).
+ * whose Session mirrors `im_session`, Block `im_block` and Chain `im_chain`).
  *
- * `im_run_periods` runs periods of one session. `im_run_chain` runs one
- * chain of switching.run_switching_sim, whose Python loop stays its
- * specification: per segment it draws the dividend walk, fills the present
- * values and marks, resets the state a fresh MarketSession starts from, and
- * trades and evaluates every period, all on one state laid out once per
- * chain. switching.CHAIN_SPEC lists the names that send a chain to the
- * Python loop when patched: the rules, the book methods, the dividend walk,
- * both modules' present-value function, MarketSession and its run_period
- * and set_strategy, and SwitchingConfig.session_config.
+ * `im_run_periods` runs periods of one session. `im_run_block` runs the
+ * runs of one batch session, montecarlo._run_session_block, whose Python
+ * loop stays its specification: it draws the session's dividend walk and
+ * fills the present-value table once, then per run resets the state a
+ * fresh MarketSession starts from and runs every period, all on one state
+ * laid out once per block. montecarlo.BLOCK_SPEC lists the names that send
+ * a block to the Python loop when patched: the rules, the book methods, the
+ * dividend walk, run_session and engine's present-value function.
+ * `im_run_chain` runs one chain of switching.run_switching_sim, whose Python
+ * loop stays its specification: per segment it draws the dividend walk,
+ * fills the present values and marks, resets the state a fresh
+ * MarketSession starts from, and trades and evaluates every period, all on
+ * one state laid out once per chain. switching.CHAIN_SPEC lists the names
+ * that send a chain to the Python loop when patched: the rules, the book
+ * methods, the dividend walk, both modules' present-value function,
+ * MarketSession and its run_period and set_strategy, and
+ * SwitchingConfig.session_config.
  *
  * Each side of the book is a binary heap keyed (price, seq), best first.
  * seq is unique, so the pop order equals that of Python's heapq.
@@ -374,17 +382,66 @@ typedef struct {
 
 int64_t im_chain_size(void) { return (int64_t)sizeof(im_chain); }
 
-/* dividends.conditional_present_value on the segment's walk: the last
- * readable dividend as a perpetuity, then the earlier ones discounted one by
- * one, in the same order; the powers come from pow, as Python's `**`. */
-static double present_value(const im_chain *c, int64_t level, int64_t period)
+/* powers[k + 1] = (1 + r_e) ** k for k = -1 .. top - 2, from pow, as
+ * Python's `**`: the discount factors up to the top level. */
+static void fill_powers(double *powers, int64_t top, double r_e)
 {
-    const double *d = c->walk; /* d[i - 1] is D(i) */
+    const double growth = 1.0 + r_e;
+    for (int64_t k = -1; k < top - 1; k++)
+        powers[k + 1] = pow(growth, (double)k);
+}
+
+/* dividends.conditional_present_value on a dividend walk: the last
+ * readable dividend as a perpetuity, then the earlier ones discounted one by
+ * one, in the same order. */
+static double present_value(const double *walk, const double *powers, double r_e, int64_t level,
+                            int64_t period)
+{
+    const double *d = walk; /* d[i - 1] is D(i) */
     int64_t last = period + level - 1;
-    double pv = d[last - 1] / (c->r_e * c->powers[level - 1]);
+    double pv = d[last - 1] / (r_e * powers[level - 1]);
     for (int64_t i = period; i < last; i++)
-        pv += d[i - 1] / c->powers[i - period + 1];
+        pv += d[i - 1] / powers[i - period + 1];
     return pv;
+}
+
+/* dividends.generate_dividend_path: `points` dividends of the reflected
+ * walk from d0, on standard_normal(points - 1) from bg. */
+static void draw_walk(double *walk, int64_t points, double d0, double sigma, bitgen_t *bg)
+{
+    double d = d0;
+    walk[0] = d;
+    random_standard_normal_fill(bg, points - 1, walk + 1);
+    for (int64_t i = 1; i < points; i++) {
+        d = fabs(d + sigma * walk[i]);
+        walk[i] = d;
+    }
+}
+
+/* The session's inputs for `length` periods on a walk: its dividends and
+ * engine.present_value_table, 0 for the uninformed. */
+static void fill_table(im_session *s, const double *walk, const double *powers, double r_e, int64_t length)
+{
+    const int64_t n = s->n;
+    memcpy(s->dividends, walk, (size_t)length * sizeof(double));
+    for (int64_t k = 1; k <= length; k++)
+        for (int64_t i = 0; i < n; i++)
+            s->pv_table[(k - 1) * n + i] = s->level[i] > 0 ? present_value(walk, powers, r_e, s->level[i], k) : 0.0;
+}
+
+/* The state a fresh MarketSession starts from: the endowments, no holds,
+ * an empty book and series, the initial price. The strategies stay. */
+static void reset_session(im_session *s, double cash, int64_t shares, double price)
+{
+    for (int64_t i = 0; i < s->n; i++) {
+        s->cash[i] = s->cash_hist[i] = cash;
+        s->shares[i] = s->shares_hist[i] = shares;
+        s->held_cash[i] = 0.0;
+        s->held_shares[i] = 0;
+    }
+    s->n_asks = s->n_bids = 0;
+    s->seq = s->n_prices = s->n_trades = s->periods_done = 0;
+    s->last_price = price;
 }
 
 /* np.add.reduce over n doubles, n <= 15, in numpy's order: left to right
@@ -403,34 +460,15 @@ static double numpy_sum(const double *a, int64_t n)
 }
 
 /* A segment of `length` periods starts as a fresh MarketSession would: a
- * new dividend walk (generate_dividend_path), its present values and the
- * top level's marks, and the session state of a new market. The strategies
- * carry over. */
+ * new dividend walk, its present values and the top level's marks, and the
+ * session state of a new market. The strategies carry over. */
 static void start_segment(im_session *s, im_chain *c, bitgen_t *bg, int64_t length)
 {
-    const int64_t n = s->n, points = length + c->path_extra;
-    double *walk = c->walk, d = c->d0;
-    walk[0] = d;
-    random_standard_normal_fill(bg, points - 1, walk + 1); /* standard_normal(points - 1) */
-    for (int64_t i = 1; i < points; i++) {
-        d = fabs(d + c->sigma * walk[i]);
-        walk[i] = d;
-    }
-    memcpy(s->dividends, walk, (size_t)length * sizeof(double));
-    for (int64_t k = 1; k <= length; k++)
-        for (int64_t i = 0; i < n; i++)
-            s->pv_table[(k - 1) * n + i] = s->level[i] > 0 ? present_value(c, s->level[i], k) : 0.0;
+    draw_walk(c->walk, length + c->path_extra, c->d0, c->sigma, bg);
+    fill_table(s, c->walk, c->powers, c->r_e, length);
     for (int64_t k = 1; k <= length + 1; k++)
-        c->marks[k - 1] = present_value(c, c->top, k);
-    for (int64_t i = 0; i < n; i++) {
-        s->cash[i] = s->cash_hist[i] = c->initial_cash;
-        s->shares[i] = s->shares_hist[i] = c->initial_shares;
-        s->held_cash[i] = 0.0;
-        s->held_shares[i] = 0;
-    }
-    s->n_asks = s->n_bids = 0;
-    s->seq = s->n_prices = s->n_trades = s->periods_done = 0;
-    s->last_price = c->initial_price;
+        c->marks[k - 1] = present_value(c->walk, c->powers, c->r_e, c->top, k);
+    reset_session(s, c->initial_cash, c->initial_shares, c->initial_price);
 }
 
 /* A whole switching chain on one session state, laid out for the longest
@@ -444,10 +482,8 @@ static void start_segment(im_session *s, im_chain *c, bitgen_t *bg, int64_t leng
 int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
 {
     const int64_t n = s->n;
-    const double growth = 1.0 + c->r_e;
     double *r = c->returns;
-    for (int64_t k = -1; k < c->top - 1; k++)
-        c->powers[k + 1] = pow(growth, (double)k);
+    fill_powers(c->powers, c->top, c->r_e);
     int64_t code = c->codes[0], recorded = 1, done = 0;
     while (done < c->n_periods) {
         int64_t length = c->n_periods - done < c->segment ? c->n_periods - done : c->segment;
@@ -484,6 +520,52 @@ int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
             }
             w = c->initial_cash + (double)c->initial_shares * m;
         }
+    }
+    return 0;
+}
+
+/* The runs of one batch session (montecarlo._run_session_block): their
+ * parameters, the addresses of the scratch buffers and of each run's
+ * generator, and the outputs. The caller owns every buffer (see
+ * _kernel.Block). */
+typedef struct {
+    int64_t runs;
+    int64_t periods;      /* per run */
+    int64_t path_length;  /* the dividends the session's walk draws */
+    int64_t top;          /* the top information level, 0 when nobody is informed */
+    double d0;            /* the dividend walk's start */
+    double sigma;         /* and its step scale */
+    double r_e;           /* the discount rate */
+    double initial_cash;
+    int64_t initial_shares;
+    double initial_price;
+    double *walk;         /* path_length: the session's dividends */
+    double *powers;       /* top: as im_chain's */
+    int64_t *bitgens;     /* runs: the address of each run's bitgen_t */
+    double *wealth;       /* runs x n: final cash plus shares marked at the last close */
+    double *closes;       /* runs x periods: each period's last price */
+} im_block;
+
+int64_t im_block_size(void) { return (int64_t)sizeof(im_block); }
+
+/* A whole batch session on one session state: the dividend walk from
+ * `path`, its present-value table once, then every run from the state a
+ * fresh MarketSession starts from, on its own generator, and its wealth and
+ * closing prices. Returns 0, or -1 when a side of the book is full. */
+int im_run_block(im_session *s, im_block *b, bitgen_t *path)
+{
+    const int64_t n = s->n, periods = b->periods;
+    draw_walk(b->walk, b->path_length, b->d0, b->sigma, path);
+    fill_powers(b->powers, b->top, b->r_e);
+    fill_table(s, b->walk, b->powers, b->r_e, periods);
+    for (int64_t r = 0; r < b->runs; r++) {
+        reset_session(s, b->initial_cash, b->initial_shares, b->initial_price);
+        if (im_run_periods(s, (bitgen_t *)(intptr_t)b->bitgens[r], periods))
+            return -1;
+        double *wealth = b->wealth + r * n;
+        for (int64_t i = 0; i < n; i++)
+            wealth[i] = s->cash[i] + (double)s->shares[i] * s->last_price;
+        memcpy(b->closes + r * periods, s->period_end_prices, (size_t)periods * sizeof(double));
     }
     return 0;
 }

@@ -9,13 +9,17 @@ it, reading the period's present values in place from the session's
 table. Both run on the same state: an arena that `engine.lay_out_state`
 lays out, whose first bytes are the kernel's `im_session` (`Session`, read
 and written by field name from Python) and whose buffers those fields
-point to. One call of `im_run_chain` runs a whole switching chain on one
-such state (`Chain` holds the chain's parameters, the addresses of its
-scratch buffers and its outputs); `switching`'s Python loop stays its
-specification. Nothing is built or loaded at import; the first session
-that may use the kernel resolves it, once per process
-(`montecarlo.parallel_map` resolves it before it forks, so its forked
-workers inherit the loaded library).
+point to. One call of `im_run_block` runs a whole batch session block on
+one such state: it draws the dividend walk, fills the present-value table
+once and runs every run on its own generator (`Block` holds the block's
+parameters and the addresses of its buffers, of each run's `bitgen_t` and of
+its outputs); `montecarlo`'s Python block stays its specification. One call
+of `im_run_chain` runs a whole switching chain on one such state (`Chain`
+holds the chain's parameters, the addresses of its scratch buffers and its
+outputs); `switching`'s Python loop stays its specification. Nothing is
+built or loaded at import; the first session that may use the kernel
+resolves it, once per process (`montecarlo.parallel_map` resolves it before
+it forks, so its forked workers inherit the loaded library).
 
 The kernel draws through numpy's own C algorithms: it includes numpy's
 `numpy/random/distributions.h` and links numpy's static `libnpyrandom.a`,
@@ -31,9 +35,9 @@ by the sha256 of the source, the command line and the numpy version. It is
 written under a temporary name and renamed into place, so concurrent builds
 never load a partial file.
 
-Sessions and chains use the compiled kernel whenever it builds and loads
-and nothing they call is patched (`engine.compiled_kernel`), and run the
-Python loop otherwise.
+Sessions, blocks and chains use the compiled kernel whenever it builds and
+loads and nothing they call is patched (`engine.compiled_kernel`), and run
+the Python loop otherwise.
 """
 
 from __future__ import annotations
@@ -174,6 +178,17 @@ class Session(ctypes.Structure):
                 ("periods_done", ctypes.c_int64), ("last_price", ctypes.c_double)]
 
 
+class Block(ctypes.Structure):
+    """`im_block` in _kernel.c: one batch session's parameters, the
+    addresses of its scratch buffers, of each run's `bitgen_t` and of its
+    outputs."""
+
+    _fields_ = [*_fields(ctypes.c_int64, "runs periods path_length top"),
+                *_fields(ctypes.c_double, "d0 sigma r_e initial_cash"),
+                ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double),
+                *_fields(ctypes.c_void_p, "walk powers bitgens wealth closes")]
+
+
 class Chain(ctypes.Structure):
     """`im_chain` in _kernel.c: one switching chain's parameters, the
     addresses of its scratch buffers and of its codes, and its tie counts."""
@@ -190,11 +205,14 @@ def _load(path: Path):
         lib = ctypes.CDLL(str(path))
     except OSError as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from None
-    lib.im_session_size.restype = lib.im_chain_size.restype = ctypes.c_int64
-    if lib.im_session_size() != ctypes.sizeof(Session) or lib.im_chain_size() != ctypes.sizeof(Chain):
-        raise KernelUnavailable(f"{path} does not match this package's session layout")
+    for mirror, size in ((Session, lib.im_session_size), (Block, lib.im_block_size), (Chain, lib.im_chain_size)):
+        size.restype = ctypes.c_int64
+        if size() != ctypes.sizeof(mirror):
+            raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_run_periods.restype = ctypes.c_int
+    lib.im_run_block.argtypes = (ctypes.c_void_p, ctypes.POINTER(Block), ctypes.c_void_p)
+    lib.im_run_block.restype = ctypes.c_int
     lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
     lib.im_run_chain.restype = ctypes.c_int
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured

@@ -59,6 +59,8 @@ class DividendPath:
     conditional present values on this path, filled by
     `engine.present_value_table`. Every run of a batch session trades on the
     same path, so each table is computed once per session, not once per run.
+    A compiled batch block draws its path and fills its table in C, once per
+    block, and makes no `DividendPath`.
     """
 
     __slots__ = ("values", "present_value_tables")

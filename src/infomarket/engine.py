@@ -21,6 +21,8 @@ out at construction as the compiled kernel's `im_session` and read from
 Python through its ctypes mirror, `_kernel.Session`. The table (period x
 trader) comes from `present_value_table`, cached on the dividend path, so
 every run of a batch session shares it; each period reads its row in place.
+A compiled batch block (`montecarlo._run_session_block`) lays out one such
+state for all its runs, and `_kernel.c` fills its table once per block.
 There are two ways to run periods on that one state, with the same bits and
 the same generator state after them:
 
@@ -233,7 +235,7 @@ def present_value_table(path: DividendPath, levels: tuple[int, ...], n_periods: 
 
     Each value is one `conditional_present_value` call, and the table is
     cached on the path by (levels, n_periods, r_e), so every run of a batch
-    session shares it.
+    session shares it (the compiled block fills its own, once per block).
     """
     key = (levels, n_periods, r_e)
     table = path.present_value_tables.get(key)

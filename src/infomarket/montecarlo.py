@@ -4,6 +4,15 @@ A session is a group of runs sharing one dividend path. Every stream is
 derived from (master_seed, domain, session[, run]) keys, so the batch
 decomposes into independent tasks whose results do not depend on worker
 count or scheduling order.
+
+A task is one session block, `_run_session_block`, in one of two forms
+with the same bits and the same final generator states. The Python block is
+the specification: it draws the path, runs `run_session` per run (each
+session picks its own kernel) and every run shares the present-value table
+cached on the path. The compiled block is one call of `_kernel.c`'s
+`im_run_block`, on one session state laid out once per block: it draws the
+path, fills the table once and runs every run. A block takes it where the
+compiled kernel loads and no name in `BLOCK_SPEC` is patched.
 """
 
 from __future__ import annotations
@@ -18,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel
+from . import _kernel, engine
 from .csvout import fmt, write_csv
 from .dividends import generate_dividend_path
-from .engine import SessionConfig, relative_returns, run_session, session_net_returns
+from .engine import SESSION_SPEC, SessionConfig, compiled_kernel, held, lay_out_state, run_session
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
 
 
@@ -190,23 +199,56 @@ def _flush_std_streams() -> None:
             std.flush()
 
 
+# The names the Python block calls besides a session's rules and book. The
+# compiled block runs all of them in C, so a block with any of them patched
+# (a tracer or a test) runs the Python block.
+BLOCK_SPEC = (*SESSION_SPEC, *held(globals(), "generate_dividend_path", "run_session"),
+              *held(vars(engine), "conditional_present_value"))
+
+
 def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
-    master, s, session_config, runs, collect = args
-    path = generate_dividend_path(
-        session_config.dividends, session_config.path_length, stream(master, PATH_DOMAIN, s)
-    )
-    n_agents = len(session_config.agents)
-    rel = np.empty((runs, n_agents))
-    net = np.empty(runs)
-    per = np.empty((runs, session_config.n_periods - 1)) if collect else None
-    for r in range(runs):
-        result = run_session(session_config, path, stream(master, RUN_DOMAIN, s, r))
-        rel[r] = relative_returns(result)
-        returns = session_net_returns(result)
-        net[r] = returns.mean() if returns.size else np.nan  # one period has no net return
-        if per is not None:
-            per[r] = returns
-    return s, rel, net, per
+    """One batch session: its runs on one dividend path, as (session,
+    relative returns, mean net returns, per-period net returns or None).
+
+    The path and every run draw from their own streams. Where the compiled
+    kernel loads and nothing in `BLOCK_SPEC` is patched, `_kernel.c`'s
+    `im_run_block` runs the whole block in one call; the Python block is
+    its specification. Both leave each run's final wealth and closing prices,
+    from which the returns are computed once for the block.
+    """
+    master, s, cfg, runs, collect = args
+    path_rng = stream(master, PATH_DOMAIN, s)
+    rngs = [stream(master, RUN_DOMAIN, s, r) for r in range(runs)]
+    wealth = np.empty((runs, len(cfg.agents)))
+    closes = np.empty((runs, cfg.n_periods))
+    lib = compiled_kernel(BLOCK_SPEC)
+    if lib is None:
+        path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
+        for r, rng in enumerate(rngs):
+            result = run_session(cfg, path, rng)
+            wealth[r] = result.final_wealth()
+            closes[r] = result.period_end_prices
+        walk = np.array(path.values)
+    else:
+        walk = np.empty(cfg.path_length)
+        state = lay_out_state(cfg)
+        powers = np.empty(cfg.max_level)
+        bitgens = np.array([_kernel.bitgen_address(rng) for rng in rngs], np.int64)
+        block = _kernel.Block(
+            runs=runs, periods=cfg.n_periods, path_length=cfg.path_length, top=cfg.max_level,
+            d0=cfg.dividends.d0, sigma=cfg.dividends.sigma, r_e=cfg.rates.r_e,
+            initial_cash=cfg.initial_cash, initial_shares=cfg.initial_shares, initial_price=cfg.initial_price,
+            walk=walk.ctypes.data, powers=powers.ctypes.data, bitgens=bitgens.ctypes.data,
+            wealth=wealth.ctypes.data, closes=closes.ctypes.data)
+        if lib.im_run_block(state["_arena"].ctypes.data, block, _kernel.bitgen_address(path_rng)):
+            raise RuntimeError("order book capacity exceeded")
+    # relative_returns and session_net_returns, row by row
+    w0 = cfg.initial_cash + cfg.initial_shares * cfg.initial_price
+    r = (wealth - w0) / w0
+    rel = (r - r.mean(axis=1, keepdims=True)) * 100.0
+    per = (closes[:, 1:] + walk[1:cfg.n_periods] - closes[:, :-1]) / closes[:, :-1]
+    net = per.mean(axis=1) if cfg.n_periods > 1 else np.full(runs, np.nan)  # one period has no net return
+    return s, rel, net, per if collect else None
 
 
 def run_batch(config: BatchConfig) -> BatchResult:

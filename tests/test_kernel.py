@@ -24,11 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infomarket import _kernel, engine, switching
+from infomarket import _kernel, engine, montecarlo, switching
 from infomarket.agents import decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
-from infomarket.montecarlo import BatchConfig, run_batch
+from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch
+from infomarket.orderbook import Book
 from infomarket.rng import stream
 from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim
 
@@ -246,6 +247,113 @@ def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, n
     monkeypatch.setattr(_kernel, "_resolved", (NoChain(), None))
     monkeypatch.setattr(owner, name, traced)
     assert chain(cfg, 3, 8) == compiled
+    assert calls
+
+
+def block(cfg, runs, seed, collect=False, python=False):
+    """One batch session block: its returns, and the final state of its path
+    generator and of each run's generator, in the order the block derived
+    them. The compiled block runs where it is available unless `python` is
+    set."""
+    made = []
+
+    def recorded(*key):
+        made.append(stream(*key))
+        return made[-1]
+
+    with mock.patch.object(montecarlo, "stream", recorded), python_loop() if python else nullcontext():
+        _, rel, net, per = montecarlo._run_session_block((seed, 2, cfg, runs, collect))
+    returns = [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in (rel, net, per)]
+    return returns, [rng.bit_generator.state for rng in made]
+
+
+@st.composite
+def blocks(draw):
+    """1-17 traders as in `strategy_mixes`, clearing on or off, 1-6 periods,
+    1-12 steps, 1-4 runs, and per-period returns collected where there are
+    two periods or more."""
+    n = draw(st.integers(1, 17))
+    n_random = draw(st.integers(0, n))
+    informed = draw(st.lists(st.integers(1, 20), min_size=n - n_random, max_size=n - n_random, unique=True))
+    chartists = draw(st.lists(st.sampled_from(informed), unique=True)) if informed else []
+    levels = draw(st.permutations([0] * n_random + informed))
+    periods = draw(st.integers(1, 6))
+    cfg = config(agents=market_with_levels(levels, tuple(chartists)), n_periods=periods,
+                 steps_per_period=draw(st.integers(1, 12)), clear_book_each_period=draw(st.booleans()))
+    return cfg, draw(st.integers(1, 4)), periods > 1 and draw(st.booleans())
+
+
+@needs_kernel
+@given(shape=blocks(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(config(agents=default_market(17), n_periods=2, steps_per_period=12), 3, True), seed=0)
+@example(shape=(config(agents=market_with_levels((0, 0, 0)), n_periods=1, steps_per_period=3), 2, False), seed=1)
+@settings(max_examples=80, deadline=None)
+def test_compiled_block_matches_the_python_block(shape, seed):
+    # Above 8 traders the cross-trader mean takes numpy's pairwise order;
+    # one period has no net return, and a market without informed traders
+    # has no present values to compute.
+    cfg, runs, collect = shape
+    assert block(cfg, runs, seed, collect) == block(cfg, runs, seed, collect, python=True)
+
+
+@needs_kernel
+def test_a_batch_block_is_one_kernel_call(monkeypatch):
+    # The dividend walk, the present-value table and every run of the block
+    # run in one call, on a state laid out without a MarketSession.
+    cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
+    spec = block(cfg, 4, 3, collect=True, python=True)
+    lib, calls = _kernel.resolve(), []
+
+    class Counted:
+        def __getattr__(self, name):
+            if name == "im_run_periods":
+                pytest.fail("a compiled block ran its sessions one call each")
+            function = getattr(lib, name)
+
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+
+            return counted
+
+    def refuse(*args):
+        pytest.fail("a compiled block constructed a MarketSession")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
+    monkeypatch.setattr(MarketSession, "__init__", refuse)
+    assert block(cfg, 4, 3, collect=True) == spec
+    assert calls == ["im_run_block"]
+
+
+def spec_names(spec):
+    """(owner, name) for each name of a spec: the module or class whose
+    namespace holds it."""
+    return [(next(owner for owner in (engine, montecarlo, Book) if vars(owner) == namespace), name)
+            for namespace, name, _ in spec]
+
+
+@needs_kernel
+@pytest.mark.parametrize("owner, name", spec_names(BLOCK_SPEC), ids=lambda x: getattr(x, "__name__", x))
+def test_a_patched_name_sends_the_block_to_the_python_loop(monkeypatch, owner, name):
+    # The Python block calls the patched name, and its sessions still run
+    # compiled where nothing else stops them; the outputs do not change.
+    cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
+    compiled = block(cfg, 3, 8, collect=True)
+    original, lib, calls = getattr(owner, name), _kernel.resolve(), []
+
+    def traced(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    class NoBlock:
+        def __getattr__(self, attr):
+            if attr == "im_run_block":
+                pytest.fail(f"a block with {name} patched ran the compiled block")
+            return getattr(lib, attr)
+
+    monkeypatch.setattr(_kernel, "_resolved", (NoBlock(), None))
+    monkeypatch.setattr(owner, name, traced)
+    assert block(cfg, 3, 8, collect=True) == compiled
     assert calls
 
 
@@ -486,7 +594,8 @@ def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     return fields
 
 
-@pytest.mark.parametrize("struct, mirror", [("im_session", _kernel.Session), ("im_chain", _kernel.Chain)])
+@pytest.mark.parametrize("struct, mirror", [("im_session", _kernel.Session), ("im_block", _kernel.Block),
+                                             ("im_chain", _kernel.Chain)])
 def test_the_ctypes_mirrors_match_the_c_structs(struct, mirror):
     # Every field is 8 bytes, so the loaded library's size check cannot see
     # a reordered field or an int64/double swap; this reads the source, and
@@ -564,7 +673,7 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
     assert calls.is_file(), f"no session or chain ran compiled: {_kernel._resolved[1]}"
     reports = [line.split() for line in calls.read_text().splitlines()]
     assert str(os.getpid()) not in {pid for pid, _ in reports}
-    assert Counter(name for _, name in reports) == {"im_run_periods": 8, "im_run_chain": 3}
+    assert Counter(name for _, name in reports) == {"im_run_block": 4, "im_run_chain": 3}
     with python_loop():
         spec = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
     assert np.array_equal(parallel[0].rel_returns, spec[0].rel_returns)

@@ -24,9 +24,10 @@ def run_script(name, *args):
 def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
     # lines or the reason it is unavailable, and the ratios only with the
-    # timings, for the reference session and for the markov3 chain. Where
-    # this process resolves the kernel under the same environment, so does
-    # the script. The markov3 ensemble gets one median line per worker
+    # timings, for the reference session and for the markov3 chain. The
+    # reference block is timed only with the compiled kernel, both of its
+    # lines then. Where this process resolves the kernel under the same
+    # environment, so does the script. The markov3 ensemble gets one median line per worker
     # count, whichever kernel ran it.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
@@ -43,7 +44,14 @@ def test_profile_session_tiny():
             assert f"ms per {unit}" in line and f"us per {per}" in line
         assert len(timed["python"]) == 1
         assert len(timed["c"]) == compiled
-    for ratio in ("python / c median ratio: ", "python / c chain median ratio: "):
+    timed = [line for line in lines if " block, median of 2:" in line]
+    assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
+    for line in timed:
+        assert "ms per block" in line and "us per run" in line
+    block = "reference block: 5 runs on one dividend path, python block on c sessions"
+    assert lines.count(block) == compiled
+    for ratio in ("python / c median ratio: ", "python / c chain median ratio: ",
+                  "python / c block median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
     kernel = "c" if compiled else "python"
     assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
