@@ -79,12 +79,15 @@ def wilcoxon_rank_sum(x, y) -> float:
     Exact (by enumeration over rank splits, midranks for ties) when the
     pooled size is at most 16; otherwise a normal approximation with tie and
     continuity corrections. Swapping the samples gives the identical value.
+    A NaN in either sample raises `ValueError`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 1 or len(y) < 1:
         raise ValueError("both samples need at least one observation")
     pooled = np.concatenate([x, y])
+    if np.isnan(pooled).any():
+        raise ValueError("a sample holds NaN, which has no rank")
     ranks, tie_counts = _midranks(pooled)
     if len(tie_counts) == 1:
         return 1.0
@@ -97,10 +100,17 @@ def wilcoxon_rank_sum(x, y) -> float:
             k, w = len(y), ranks[len(x) :].sum()
         doubled = [int(round(2 * r)) for r in ranks]
         return _exact_two_sided(doubled, k, int(round(2 * w)))
-    nx, ny = len(x), len(y)
-    w = ranks[:nx].sum()
+    nx = len(x)
+    return _normal_p(ranks[:nx].sum(), nx, len(y), (tie_counts.astype(float) ** 3 - tie_counts).sum())
+
+
+def _normal_p(w, nx: int, ny: int, tie_sum) -> float:
+    """Two-sided p for rank sum `w` of the first of two samples of sizes nx
+    and ny: the normal approximation with continuity correction, its variance
+    reduced by `tie_sum`, the sum of t**3 - t over the pooled tie groups."""
+    n = nx + ny
     mean = nx * (n + 1) / 2.0
-    tie_term = (tie_counts.astype(float) ** 3 - tie_counts).sum() / (n * (n - 1))
+    tie_term = tie_sum / (n * (n - 1))
     var = nx * ny / 12.0 * (n + 1 - tie_term)
     if var <= 0:
         return 1.0
@@ -201,22 +211,102 @@ class JCurveTable:
 
 
 def jcurve_table(samples_by_level: dict[int, np.ndarray]) -> JCurveTable:
-    """Mean relative return per information level plus all pairwise p-values."""
+    """Mean relative return per information level plus all pairwise p-values.
+
+    Each p-value is the `wilcoxon_rank_sum` of its two levels, bit for bit;
+    `_pairwise_p` computes them all from one sort. A NaN sample raises
+    `ValueError`.
+    """
     levels = tuple(sorted(samples_by_level))
+    samples = [np.asarray(samples_by_level[lvl], dtype=float) for lvl in levels]
+    for lvl, s in zip(levels, samples):
+        if np.isnan(s).any():
+            raise ValueError(f"level {lvl}: a sample holds NaN, which has no rank")
     k = len(levels)
     means = np.empty(k)
     stderrs = np.empty(k)
-    p = np.ones((k, k))
-    for i, lvl in enumerate(levels):
-        s = np.asarray(samples_by_level[lvl], dtype=float)
+    for i, s in enumerate(samples):
         means[i] = s.mean()
         stderrs[i] = s.std(ddof=1) / sqrt(len(s)) if len(s) > 1 else math.nan
+    return JCurveTable(levels, means, stderrs, _pairwise_p(samples))
+
+
+# Every rank sum (doubled) and tie sum that `_pairwise_p` takes from counts
+# is an integer, and `wilcoxon_rank_sum` sums the same integers (and
+# half-integer midranks) in float64. For a pair whose pooled size n has
+# n**3 < 2**53 all those sums are exact in any order, so both give the same
+# bits; `_pairwise_p` hands larger pairs to `wilcoxon_rank_sum`.
+_BULK_LIMIT = 208_063
+assert _BULK_LIMIT**3 < 2**53 <= (_BULK_LIMIT + 1) ** 3
+
+
+def _pairwise_p(samples: list[np.ndarray]) -> np.ndarray:
+    """The matrix of `wilcoxon_rank_sum(samples[i], samples[j])`, 1.0 on the
+    diagonal, from one sort of the pooled samples.
+
+    For the pair (i, j), sample i's rank sum is n_i (n_i + 1) / 2 + below +
+    equal / 2 (Mann-Whitney's U), where `below` counts the (i, j) value pairs
+    with the j value smaller and `equal` those with both values equal. Its
+    tie sum adds (a + b)**3 - (a + b) over the pooled tie groups, a group
+    holding a values of i and b of j; a value that no other value equals
+    adds 0. `below` takes one pass over the sorted pool per sample; `equal`
+    and the tie sums take integer products over the tie groups alone. Pairs
+    small enough for the exact test, or too large for `_BULK_LIMIT`, call
+    `wilcoxon_rank_sum`.
+    """
+    k = len(samples)
+    p = np.ones((k, k))
+    if k < 2:
+        return p
+    sizes = [len(s) for s in samples]
+    if min(sizes) < 1:
+        raise ValueError("both samples need at least one observation")
+    pooled = np.concatenate(samples)
+    order = np.argsort(pooled)
+    values = pooled[order]
+    label = np.repeat(np.arange(k), sizes)[order]
+    # Tie groups are the runs of equal values in the sorted pool; `new`
+    # marks where each group starts.
+    new = np.empty(len(values), dtype=bool)
+    new[0] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    shared = ~new
+    tied_at = np.flatnonzero(shared | np.append(shared[1:], False))  # values another value equals
+    tie_starts = new[tied_at]
+    m = int(tie_starts.sum())
+    tie_group = np.cumsum(tie_starts) - 1
+    # counts[l, g]: the values of sample l in the g-th tie group
+    counts = np.bincount(label[tied_at] * m + tie_group, minlength=k * m).reshape(k, m)
+    equal = counts @ counts.T
+    squares = counts * counts
+    cubes = (counts * squares - counts).sum(axis=1)
+    cross = squares @ counts.T
+    ties = cubes[:, None] + cubes[None, :] + 3 * (cross + cross.T)
+    # below[i, j] sums, over sample i's values, sample j's values in lower
+    # tie groups. Counted up to each value itself, a cumulative count of
+    # j's values is that already for every value of another sample, unless
+    # the value has ties; then it is read just before its group starts.
+    # (An int32 cumsum of a bool array takes a third of int64's time.)
+    if m:
+        start = np.flatnonzero(new)[np.cumsum(new) - 1]
+    below = np.zeros((k, k), dtype=np.int64)
+    for j in range(1, k):
+        counted = np.cumsum(label == j, dtype=np.int32)
+        if m:
+            counted = np.append(0, counted)[start]
+        below[:j, j] = np.bincount(label, weights=counted, minlength=k)[:j]
+    below, equal, ties = below.tolist(), equal.tolist(), ties.tolist()
     for i in range(k):
         for j in range(i + 1, k):
-            p[i, j] = p[j, i] = wilcoxon_rank_sum(
-                samples_by_level[levels[i]], samples_by_level[levels[j]]
-            )
-    return JCurveTable(levels, means, stderrs, p)
+            nx, ny = sizes[i], sizes[j]
+            if _EXACT_LIMIT < nx + ny <= _BULK_LIMIT:
+                # A pair of one value has tie sum n**3 - n, so `_normal_p`
+                # finds no variance and gives 1.0, as `wilcoxon_rank_sum` does.
+                w = (nx * (nx + 1) + 2 * below[i][j] + equal[i][j]) / 2
+                p[i, j] = p[j, i] = _normal_p(w, nx, ny, ties[i][j])
+            else:
+                p[i, j] = p[j, i] = wilcoxon_rank_sum(samples[i], samples[j])
+    return p
 
 
 def random_trader_sweep(samples_by_count: dict[int, np.ndarray]) -> list[tuple[int, float, float]]:
@@ -358,7 +448,7 @@ def _read_tick_rows(f) -> TickSeries:
 
 def write_jcurve_csv(table: JCurveTable, file) -> None:
     write_csv(file, ["level", "mean_relative_return_pp", "stderr_pp"],
-              ((lvl, fmt(m), fmt(se)) for lvl, m, se in zip(table.levels, table.means, table.stderrs)))
+              (f"{lvl},{fmt(m)},{fmt(se)}" for lvl, m, se in zip(table.levels, table.means, table.stderrs)))
 
 
 def write_pvalues_csv(table: JCurveTable, file) -> None:
@@ -366,7 +456,7 @@ def write_pvalues_csv(table: JCurveTable, file) -> None:
     write_csv(
         file,
         ["level_a", "level_b", "p_value"],
-        ((levels[i], levels[j], fmt(table.p_matrix[i, j]))
+        (f"{levels[i]},{levels[j]},{fmt(table.p_matrix[i, j])}"
          for i in range(len(levels)) for j in range(i + 1, len(levels))),
     )
 
@@ -376,7 +466,7 @@ def write_acf_csv(returns_acf: AcfResult, abs_acf: AcfResult, file) -> None:
     write_csv(
         file,
         ["lag", "acf_ret", "acf_absret", "band"],
-        ((lag, fmt(returns_acf.values[lag]), fmt(abs_acf.values[lag]), band)
+        (f"{lag},{fmt(returns_acf.values[lag])},{fmt(abs_acf.values[lag])},{band}"
          for lag in range(len(returns_acf.values))),
     )
 
@@ -385,16 +475,16 @@ def write_moments_csv(mom: Moments, jb: tuple[float, float], n: int, file) -> No
     write_csv(
         file,
         ["n", "mean", "std", "skewness", "kurtosis", "jarque_bera", "jb_pvalue"],
-        [[n, fmt(mom.mean), fmt(mom.std), fmt(mom.skewness), fmt(mom.kurtosis), fmt(jb[0]), fmt(jb[1])]],
+        [f"{n},{fmt(mom.mean)},{fmt(mom.std)},{fmt(mom.skewness)},{fmt(mom.kurtosis)},{fmt(jb[0])},{fmt(jb[1])}"],
     )
 
 
 def write_efficiency_summary_csv(net_returns: np.ndarray, file) -> None:
     """Per-period net simple returns on the asset, to set against the discount rate."""
     write_csv(file, ["period", "net_simple_return"],
-              ((k, fmt(r)) for k, r in enumerate(net_returns.tolist(), start=1)))
+              (f"{k},{fmt(r)}" for k, r in enumerate(net_returns.tolist(), start=1)))
 
 
 def write_sweep_csv(rows: list[tuple[int, float, float]], file) -> None:
     write_csv(file, ["n_traders", "random_trader_mean_pp", "stderr_pp"],
-              ((n, fmt(m), fmt(se)) for n, m, se in rows))
+              (f"{n},{fmt(m)},{fmt(se)}" for n, m, se in rows))

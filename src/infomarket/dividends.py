@@ -130,4 +130,4 @@ def conditional_present_value(path: DividendPath, level: int, period: int, r_e: 
 def write_dividends_csv(path: DividendPath, file) -> None:
     """Write a path as `period,dividend` rows (file: path or open handle)."""
     write_csv(file, ["period", "dividend"],
-              ((i, repr(d)) for i, d in enumerate(path.values, start=1)))
+              (f"{i},{d!r}" for i, d in enumerate(path.values, start=1)))

@@ -556,11 +556,11 @@ def export_session_csv(result: SessionResult, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "prices.csv", ["step", "price"],
-              ((t, fmt(price)) for t, price in enumerate(result.prices.tolist(), start=1)))
+              (f"{t},{fmt(price)}" for t, price in enumerate(result.prices.tolist(), start=1)))
     write_csv(
         out / "trades.csv",
         ["step", "price", "buyer", "seller"],
-        ((step, fmt(price), buyer, seller) for step, price, buyer, seller in zip(
+        (f"{step},{fmt(price)},{buyer},{seller}" for step, price, buyer, seller in zip(
             result.trade_steps.tolist(),
             result.trade_prices.tolist(),
             result.trade_buyers.tolist(),
@@ -572,8 +572,8 @@ def export_session_csv(result: SessionResult, outdir) -> None:
         out / "wealth.csv",
         ["agent", "period", "cash", "shares", "wealth"],
         (
-            (agent, period, fmt(result.cash_hist[period, agent]),
-             int(result.shares_hist[period, agent]), fmt(wealth[period, agent]))
+            f"{agent},{period},{fmt(result.cash_hist[period, agent])},"
+            f"{int(result.shares_hist[period, agent])},{fmt(wealth[period, agent])}"
             for period in range(wealth.shape[0])
             for agent in range(result.n_agents)
         ),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel, engine
-from .csvout import fmt, write_csv
+from .csvout import write_csv
 from .dividends import generate_dividend_path
 from .engine import SESSION_SPEC, SessionConfig, compiled_kernel, held, lay_out_state, run_session
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
@@ -48,6 +48,9 @@ class BatchConfig:
             raise ValueError("n_sessions and runs_per_session must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        s = self.session
+        if s.initial_cash + s.initial_shares * s.initial_price == 0:
+            raise ValueError("a batch needs positive opening wealth: relative returns divide by it")
         if self.collect_period_returns and self.session.n_periods < 2:
             raise ValueError("collecting net returns needs n_periods >= 2: a net return spans two closing prices")
 
@@ -67,7 +70,12 @@ class BatchResult:
     period_returns: np.ndarray | None  # (n_runs, n_periods - 1) when collected
 
     def samples_by_level(self) -> dict[int, np.ndarray]:
-        return {lvl: self.rel_returns[:, i] for i, lvl in enumerate(self.levels)}
+        """Each level's relative returns: the columns of all its traders, one
+        after another."""
+        columns: dict[int, list[np.ndarray]] = {}
+        for i, lvl in enumerate(self.levels):
+            columns.setdefault(lvl, []).append(self.rel_returns[:, i])
+        return {lvl: np.concatenate(cols) for lvl, cols in columns.items()}
 
     def mean_net_return(self) -> float:
         return float(self.asset_mean_returns.mean())
@@ -271,19 +279,23 @@ def run_batch(config: BatchConfig) -> BatchResult:
     )
 
 
-def _per_run_rows(batch: BatchResult, per_run, labels):
-    """Rows (session, run, label, value) for a (n_runs, k) array and its k column labels."""
+def _per_run_lines(batch: BatchResult, per_run: np.ndarray, labels):
+    """Lines session,run,label,value for a (n_runs, k) array and its k column labels."""
     runs = batch.config.runs_per_session
-    for row, values in enumerate(per_run):
+    tails = [f",{label}," for label in labels]
+    for row, values in enumerate(np.asarray(per_run, dtype=float)):
         s, r = divmod(row, runs)
-        for label, value in zip(labels, values):
-            yield s, r, label, fmt(value)
+        head = f"{s},{r}"
+        # `tolist` gives Python floats, whose repr is `fmt`'s text; a numpy
+        # scalar's repr is not (numpy 2 writes np.float64(...)).
+        for tail, value in zip(tails, values.tolist()):
+            yield f"{head}{tail}{value!r}"
 
 
 def write_runs_csv(batch: BatchResult, file) -> None:
     """One row per (session, run, trader): session,run,agent_level,relative_return_pp."""
     write_csv(file, ["session", "run", "agent_level", "relative_return_pp"],
-              _per_run_rows(batch, batch.rel_returns, batch.levels))
+              _per_run_lines(batch, batch.rel_returns, batch.levels))
 
 
 def write_efficiency_csv(batch: BatchResult, file) -> None:
@@ -292,4 +304,4 @@ def write_efficiency_csv(batch: BatchResult, file) -> None:
         raise ValueError("batch was run without collect_period_returns")
     periods = range(1, batch.period_returns.shape[1] + 1)
     write_csv(file, ["session", "run", "period", "net_simple_return"],
-              _per_run_rows(batch, batch.period_returns, periods))
+              _per_run_lines(batch, batch.period_returns, periods))

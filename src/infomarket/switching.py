@@ -307,7 +307,7 @@ def run_switching_ensemble(
 
 def write_states_csv(runs: list[SwitchingRun], file) -> None:
     write_csv(file, ["initial", "interval", "code"],
-              ((run.initial_code, idx, code) for run in runs for idx, code in enumerate(run.codes.tolist())))
+              (f"{run.initial_code},{idx},{code}" for run in runs for idx, code in enumerate(run.codes.tolist())))
 
 
 def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
@@ -317,12 +317,12 @@ def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
     stderrs = est.stderr_probs
     n = probs.shape[0]
     write_csv(file, ["from", "to", "prob", "stderr"],
-              ((a + 1, b + 1, fmt(probs[a, b]), fmt(stderrs[a, b])) for a in range(n) for b in range(n)))
+              (f"{a + 1},{b + 1},{fmt(probs[a, b])},{fmt(stderrs[a, b])}" for a in range(n) for b in range(n)))
 
 
 def write_freqs_csv(est: EnsembleEstimate, file) -> None:
     # A one-run ensemble has no spread, so its stderr is written as nan.
     pi_t, _, _ = stationarity_gap(est.mean_pi, est.mean_probs)
     write_csv(file, ["code", "pi", "pi_T", "stderr"],
-              ((code, fmt(p), fmt(pt), fmt(se))
+              (f"{code},{fmt(p)},{fmt(pt)},{fmt(se)}"
                for code, (p, pt, se) in enumerate(zip(est.mean_pi, pi_t, est.stderr_pi), start=1)))

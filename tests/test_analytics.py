@@ -157,6 +157,16 @@ def test_degenerate_all_equal():
     assert wilcoxon_rank_sum([5, 5, 5], [5, 5]) == 1.0
 
 
+@pytest.mark.parametrize("size", [3, 30])  # exact branch and normal approximation
+def test_nan_sample_is_refused(size):
+    # np.unique would rank NaN above every value and return a p-value.
+    x = np.arange(size, dtype=float)
+    y = np.append(np.arange(size - 1, dtype=float), np.nan)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_rank_sum(a, b)
+
+
 def test_symmetry_exact_equality():
     rng = random.Random(1)
     for _ in range(50):
@@ -622,6 +632,51 @@ def test_jcurve_table_symmetry_and_orientation():
     assert np.allclose(table.p_matrix, table.p_matrix.T)
     assert table.p_matrix[0, 1] < 0.05
     assert table.means[2] > table.means[0] > table.means[1]
+
+
+def pairwise_p_loop(samples_by_level):
+    """The p-matrix as one `wilcoxon_rank_sum` call per pair: the reference
+    that `jcurve_table` must match bit for bit."""
+    levels = sorted(samples_by_level)
+    p = np.ones((len(levels), len(levels)))
+    for (i, a), (j, b) in itertools.combinations(enumerate(levels), 2):
+        p[i, j] = p[j, i] = wilcoxon_rank_sum(samples_by_level[a], samples_by_level[b])
+    return p
+
+
+level_samples = st.one_of(
+    # rounded to 0-2 decimals, so values tie within and across levels
+    st.tuples(st.lists(st.floats(-3, 3), min_size=1, max_size=60), st.integers(0, 2))
+    .map(lambda t: np.round(t[0], t[1])),
+    st.tuples(st.sampled_from([0.0, -0.0, 1.5]), st.integers(1, 60)).map(lambda t: np.full(t[1], t[0])),
+    st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), min_size=1, max_size=60).map(np.array),
+)
+
+
+@given(st.lists(level_samples, min_size=2, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_jcurve_table_p_matrix_is_the_pairwise_test_bit_for_bit(samples):
+    # Pooled pair sizes run from 2 to 120, on both sides of _EXACT_LIMIT.
+    by_level = {3 * i: s for i, s in enumerate(samples)}
+    p = jcurve_table(by_level).p_matrix
+    assert p.tobytes() == pairwise_p_loop(by_level).tobytes()
+
+
+def test_jcurve_table_matches_the_pairwise_test_around_the_bulk_limit():
+    # Pairs of 208_063 values (the largest n with n**3 < 2**53) take the bulk
+    # rank sums; larger pairs call wilcoxon_rank_sum. Few distinct values make
+    # the tie sum as large as it gets near the limit.
+    rng = np.random.default_rng(11)
+    half = analytics._BULK_LIMIT // 2
+    by_level = {lvl: rng.integers(0, 40, size=half + lvl).astype(float) for lvl in range(3)}
+    p = jcurve_table(by_level).p_matrix
+    assert p.tobytes() == pairwise_p_loop(by_level).tobytes()
+    assert (p < 1.0).any()
+
+
+def test_jcurve_table_refuses_a_nan_sample():
+    with pytest.raises(ValueError, match="level 4"):
+        jcurve_table({0: np.arange(20.0), 4: np.array([1.0, np.nan] * 10)})
 
 
 def test_random_trader_sweep_rows():

@@ -5,13 +5,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
-from infomarket.engine import SessionConfig, default_market, relative_returns, run_session
+from infomarket.engine import SessionConfig, default_market, market_with_levels, relative_returns, run_session
 from infomarket.montecarlo import (
     BatchConfig,
     default_jobs,
@@ -83,6 +84,16 @@ def test_aggregates_match_raw_rows():
     assert len(by_level[0]) == batch.config.n_runs
 
 
+def test_samples_by_level_pools_the_traders_that_share_a_level():
+    session = replace(tiny_session(), agents=market_with_levels((0, 0, 4, 9)))
+    batch = run_batch(tiny_batch(session=session, n_sessions=2, runs_per_session=3))
+    by_level = batch.samples_by_level()
+    rel = batch.rel_returns
+    assert list(by_level) == [0, 4, 9]
+    assert np.array_equal(by_level[0], np.concatenate([rel[:, 0], rel[:, 1]]))
+    assert np.array_equal(by_level[4], rel[:, 2]) and np.array_equal(by_level[9], rel[:, 3])
+
+
 def test_period_returns_collection():
     batch = run_batch(tiny_batch(collect_period_returns=True))
     assert batch.period_returns.shape == (12, 4)
@@ -113,6 +124,14 @@ def test_config_validation():
         tiny_batch(n_sessions=0)
     with pytest.raises(ValueError):
         tiny_batch(master_seed=-1)
+
+
+def test_config_refuses_zero_opening_wealth():
+    # Relative returns divide by the opening wealth: zero made every one NaN.
+    with pytest.raises(ValueError, match="opening wealth"):
+        tiny_batch(session=replace(tiny_session(), initial_cash=0.0, initial_shares=0))
+    tiny_batch(session=replace(tiny_session(), initial_cash=0.0))
+    tiny_batch(session=replace(tiny_session(), initial_shares=0))
 
 
 # ---------------------------------------------------------------------------
