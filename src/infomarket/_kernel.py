@@ -19,7 +19,8 @@ holds the chain's parameters, the addresses of its scratch buffers and its
 outputs); `switching`'s Python loop stays its specification. Nothing is
 built or loaded at import; the first session that may use the kernel
 resolves it, once per process (`montecarlo.parallel_map` resolves it before
-it forks, so its forked workers inherit the loaded library).
+it forks, so the parent runs its own share on the loaded library and its
+forked workers inherit it).
 
 The kernel draws through numpy's own C algorithms: it includes numpy's
 `numpy/random/distributions.h` and links numpy's static `libnpyrandom.a`,

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -203,8 +205,12 @@ def test_parallel_map_shares_uneven_tasks_between_both_workers():
     with deadline(60):
         results = parallel_map(uneven, list(range(6)), 2, key=lambda r: r[0])
     assert [i for i, _ in results] == list(range(6))
-    pids = {pid for _, pid in results}
-    assert len(pids) == 2 and os.getpid() not in pids
+    # The parent runs share 0 itself; the one forked worker runs share 1.
+    by_pid = {}
+    for i, pid in results:
+        by_pid.setdefault(pid, []).append(i)
+    worker = next(pid for pid in by_pid if pid != os.getpid())
+    assert by_pid == {os.getpid(): [0, 2, 4], worker: [1, 3, 5]}
     assert_no_worker_left()
 
 
@@ -246,6 +252,120 @@ def test_parallel_map_kills_its_workers_on_ctrl_c():
     with pytest.raises(KeyboardInterrupt), deadline(1, signal.default_int_handler):
         parallel_map(hang, [0, 1], 2, key=identity)
     assert time.perf_counter() - t0 < 10
+    assert_no_worker_left()
+
+
+def test_parallel_map_raises_a_worker_task_error_while_the_parent_runs_its_share():
+    # The worker exits with status 1 after sending its error, and the
+    # parent's SIGCHLD handler ends the parent's own 60-s item at once.
+    def sleep_or_fail(i):
+        if i == 1:
+            raise ValueError("bad item 1")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with deadline(30), pytest.raises(ValueError, match="bad item 1"):
+        parallel_map(sleep_or_fail, [0, 1], 2, key=identity)
+    assert time.perf_counter() - t0 < 10
+    assert_no_worker_left()
+
+
+def test_parallel_map_kills_its_workers_when_the_parents_own_task_fails():
+    def fail_or_hang(i):
+        if i == 0:
+            raise ValueError("bad item 0")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with deadline(30), pytest.raises(ValueError, match="bad item 0"):
+        parallel_map(fail_or_hang, [0, 1], 2, key=identity)
+    assert time.perf_counter() - t0 < 10
+    assert_no_worker_left()
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one of its two parameters."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild():
+    def fail(i):
+        if i == 1:
+            raise TwoArgError("bad", 2)
+        return i
+
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(TwoArgError("bad", 2)))
+    with deadline(60), pytest.raises(RuntimeError, match=r"task raised TwoArgError\('bad'\)"):
+        parallel_map(fail, [0, 1], 2, key=identity)
+    assert_no_worker_left()
+
+
+def _succeed(i):
+    return i
+
+
+def _fail_in_the_worker(i):
+    if i == 1:
+        raise ValueError("bad item 1")
+    return i
+
+
+def _die_in_the_worker(i):
+    if i == 1:
+        os._exit(7)
+    time.sleep(60)
+
+
+def _hang(i):
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("task, raised, alarm", [
+    (_succeed, None, None),
+    (_fail_in_the_worker, ValueError, None),
+    (_die_in_the_worker, RuntimeError, None),
+    (_hang, KeyboardInterrupt, signal.default_int_handler),
+], ids=["success", "task-error", "dead-worker", "ctrl-c"])
+def test_parallel_map_restores_the_sigchld_handler(task, raised, alarm):
+    def previous(signum, frame):
+        pass
+
+    original = signal.signal(signal.SIGCHLD, previous)
+    try:
+        with pytest.raises(raised) if raised else contextlib.nullcontext():
+            with deadline(1, alarm) if alarm else deadline(30):
+                assert parallel_map(task, [0, 1, 2, 3], 2, key=identity) == [0, 1, 2, 3]
+        assert signal.getsignal(signal.SIGCHLD) is previous
+    finally:
+        signal.signal(signal.SIGCHLD, original)
+    assert_no_worker_left()
+
+
+def test_parallel_map_refuses_more_than_one_job_off_the_main_thread(monkeypatch):
+    forks = []
+
+    def refuse_fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    raised = []
+
+    def run():
+        try:
+            parallel_map(identity, [0, 1], 2, key=identity)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(60)
+    assert len(raised) == 1 and "main thread" in str(raised[0])
+    assert not forks
     assert_no_worker_left()
 
 
