@@ -23,9 +23,8 @@ and per run, and the ratio of the medians.
 
 Last, it times the `markov` command's ensemble at that size, the eight
 300-period `markov3` chains of `run_switching_ensemble` (seed 0), at jobs 1
-(in this process) and jobs 2 (this process and one forked worker, four
-chains each), alternating, on the kernel this process resolves, and prints
-one median line for each.
+(in this thread) and jobs 2 (two threads, four chains each), alternating,
+on the kernel this process resolves, and prints one median line for each.
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or

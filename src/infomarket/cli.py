@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
             p.add_argument("--jobs", type=_jobs, default=None,
-                           help="worker processes (default: one per CPU this process may run on)")
+                           help="worker threads (default: one per CPU this process may run on)")
             p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"),
                            default="jcurve10" if batch else "markov3", help="(default %(default)s)")
         if not markov:
@@ -309,8 +309,9 @@ def cmd_batch(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.ticks:
-        simulation_flags = {"--agents": args.agents, "--periods": args.periods, "--steps": args.steps,
-                            "--no-clearing": args.no_clearing, "--per-step": args.per_step}
+        # A seed of 0 is the default, which every --ticks manifest records.
+        simulation_flags = {"--seed": args.seed != 0, "--agents": args.agents, "--periods": args.periods,
+                            "--steps": args.steps, "--no-clearing": args.no_clearing, "--per-step": args.per_step}
         given = [flag for flag, value in simulation_flags.items() if value is not None and value is not False]
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be used with --ticks: they set up a simulated run")

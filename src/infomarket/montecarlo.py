@@ -17,12 +17,8 @@ compiled kernel loads and no name in `BLOCK_SPEC` is patched.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import pickle
-import selectors
-import signal
-import sys
+import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -92,183 +88,56 @@ def default_jobs() -> int:
 def parallel_map(task, items, jobs: int | None, key) -> list:
     """`task` applied to every item, returned sorted by `key`.
 
-    Runs in this process when one worker suffices, else as `jobs` shares
-    (jobs None: `default_jobs()`, never more than there are items), share j
-    taking items j, j + jobs, ... . This process runs share 0 itself and
-    forks one worker for each other share. The workers inherit `task` and the
-    items, so only their results are pickled. The session kernel is resolved
-    before the fork, so the workers inherit the loaded library and none of
-    them builds it. A task's exception is raised again here with its own
-    type; a worker that ends without a result raises `RuntimeError`, at once
-    even while this process runs its own share. More than one job needs the
-    main thread, where a `SIGCHLD` handler can run.
+    With more than one job (jobs None: `default_jobs()`, never more than
+    there are items) and the compiled kernel loaded, `jobs` threads run the
+    shares, share j taking items j, j + jobs, ... : a compiled task spends
+    nearly all its time in one kernel call, which releases the GIL. The
+    kernel is resolved before any thread starts. Without it every item runs
+    in this thread, since threads cannot speed up the Python loop.
     """
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, min(jobs, len(items)))
-    if jobs == 1:
+    if jobs == 1 or _kernel.resolve() is None:
         results = [task(item) for item in items]
     else:
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("parallel_map runs more than one job only on the main thread, "
-                               "where it handles SIGCHLD; pass jobs=1 from other threads")
-        _kernel.resolve()
-        results = _fork_join(task, items, jobs)
+        results = _on_threads(task, items, jobs)
     results.sort(key=key)
     return results
 
 
-class _WorkerFailed(BaseException):
-    """Raised by `_fork_join`'s SIGCHLD handler to end the parent's share
-    when a worker fails. A BaseException, so a task's `except Exception`
-    does not swallow it."""
+def _on_threads(task, items, jobs: int) -> list:
+    """Every share's results, each share on its own thread; see `parallel_map`.
 
-
-def _fork_join(task, items, jobs: int) -> list:
-    """Every share's results, the parent's first; see `parallel_map`.
-
-    The workers are forked first, for shares 1.. . Then a SIGCHLD handler
-    reaps them as they end, keeping each wait status, while the parent runs
-    share 0; a worker that ends with a non-zero status ends the parent's
-    share at once, and `_collect` raises that worker's failure. The previous
-    handler is restored before `_collect`. Every worker still running when
-    this returns or raises (a failure, or KeyboardInterrupt in the parent) is
-    killed, and every worker is reaped; a worker the handler reaped is never
-    signalled, since its pid may have been reused.
+    The first task error to arrive is raised here as it is, and every share
+    stops at its next item; a task still running then finishes in the
+    background.
     """
-    running: dict[int, int] = {}  # pid -> read end of the pipe its reply comes through
-    reaped: dict[int, int] = {}  # pid -> wait status
-    armed = True  # the handler raises once, and only while the parent runs its share
+    replies = queue.SimpleQueue()  # one (ok, results | exception) per share
+    stop = threading.Event()
 
-    def reap(signum=None, frame=None):
-        nonlocal armed
-        failed = False
-        for pid in running:
-            if pid not in reaped:
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    reaped[pid] = status
-                    failed = failed or status != 0
-        if failed and armed:
-            armed = False
-            raise _WorkerFailed
-
-    previous = signal.getsignal(signal.SIGCHLD)
-    _flush_std_streams()  # so no worker holds a copy of our buffered output
-    try:
-        for j in range(1, jobs):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(task, items[j::jobs], write, [read, *running.values()])
-                running[pid] = read
-            except OSError:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-        own = None  # stays None only if a worker failed, whose error _collect raises
+    def share(j):
         try:
-            signal.signal(signal.SIGCHLD, reap)
-            reap()  # a worker that ended before the handler was installed
-            own = [task(item) for item in items[::jobs]]
-            armed = False
-        except _WorkerFailed:
-            pass
-        signal.signal(signal.SIGCHLD, previous)
-        theirs = _collect(running, reaped)
-        return own + theirs
+            done = []
+            for item in items[j::jobs]:
+                if stop.is_set():
+                    break
+                done.append(task(item))
+            replies.put((True, done))
+        except BaseException as exc:
+            replies.put((False, exc))
+
+    results = []
+    try:
+        for j in range(jobs):
+            threading.Thread(target=share, args=(j,), daemon=True).start()
+        for _ in range(jobs):
+            ok, payload = replies.get()
+            if not ok:
+                raise payload
+            results += payload
     finally:
-        signal.signal(signal.SIGCHLD, previous)
-        for pid, read in running.items():
-            os.close(read)
-            if pid not in reaped:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                with contextlib.suppress(ChildProcessError):  # reaped just before an interrupt
-                    os.waitpid(pid, 0)
-
-
-def _work(task, share, write: int, inherited: list[int]) -> None:
-    """A forked worker: run `task` on its share, send `(ok, results | exception)`
-    through `write`, and exit without returning into the parent's code. It
-    exits 0 after sending its results and 1 after sending an exception, so
-    the parent's SIGCHLD handler sees a failure at once; any other status
-    means no reply got out."""
-    status = 2
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            reply = (True, [task(item) for item in share])
-            _flush_std_streams()
-        except BaseException as exc:  # KeyboardInterrupt too: the parent learns why the worker stopped
-            reply = (False, _rebuildable(exc))
-        try:
-            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            reply = (False, RuntimeError(f"worker cannot send its reply: {exc!r}"))
-            data = pickle.dumps(reply)
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0 if reply[0] else 1
-    finally:
-        os._exit(status)
-
-
-def _rebuildable(exc: BaseException) -> BaseException:
-    """`exc` if pickle can rebuild it in the parent, else a `RuntimeError`
-    carrying its repr (an exception whose `args` do not match its
-    constructor pickles, but fails to unpickle)."""
-    try:
-        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return RuntimeError(f"a worker's task raised {exc!r}, which cannot be sent back")
-    return exc
-
-
-def _collect(running: dict[int, int], reaped: dict[int, int]) -> list:
-    """Every worker's results, in worker order. Reads whichever pipe has data,
-    so a worker blocked on a full pipe never waits on another, and raises at
-    the first failure to arrive."""
-    order = list(running)
-    received = {pid: bytearray() for pid in order}
-    results = {}
-    with selectors.DefaultSelector() as selector:
-        for pid, read in running.items():
-            selector.register(read, selectors.EVENT_READ, pid)
-        while selector.get_map():
-            for ready, _ in selector.select():
-                pid = ready.data
-                chunk = os.read(ready.fd, 1 << 16)
-                if chunk:
-                    received[pid] += chunk
-                else:
-                    selector.unregister(ready.fd)
-                    results[pid] = _reply(pid, received[pid], running, reaped)
-    return [result for pid in order for result in results[pid]]
-
-
-def _reply(pid: int, data: bytearray, running: dict[int, int], reaped: dict[int, int]) -> list:
-    """Reap worker `pid`, whose pipe has closed, unless the SIGCHLD handler
-    has, and unpickle what it sent: its results, or the exception to raise."""
-    if pid not in reaped:
-        reaped[pid] = os.waitpid(pid, 0)[1]
-    os.close(running.pop(pid))
-    code = os.waitstatus_to_exitcode(reaped[pid])
-    if code in (0, 1) and data:
-        ok, payload = pickle.loads(data)
-        if not ok:
-            raise payload
-        return payload
-    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    raise RuntimeError(f"worker {pid} ended without a result ({how})")
-
-
-def _flush_std_streams() -> None:
-    for std in (sys.stdout, sys.stderr):
-        if std is not None:
-            std.flush()
+        stop.set()
+    return results
 
 
 # The names the Python block calls besides a session's rules and book. The

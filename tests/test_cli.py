@@ -102,6 +102,21 @@ def test_stats_on_ticks(tmp_path):
     assert header == "lag,acf_ret,acf_absret,band"
 
 
+def test_stats_on_ticks_refuses_a_seed_and_replays_seed_0(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("time,price\n" + "".join(f"{t},{40 + (t % 7) * 0.1}\n" for t in range(1, 200)))
+    seeded = tmp_path / "seeded"
+    assert run_cli("stats", "--ticks", str(ticks), "--seed", "5", "--out", str(seeded)) == 2
+    assert "--seed cannot be used with --ticks" in capsys.readouterr().err
+    assert not seeded.exists()
+    # A --ticks manifest records the default seed, 0, and replays.
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli("stats", "--ticks", str(ticks), "--seed", "0", "--out", str(first)) == 0
+    assert json.loads((first / "manifest.json").read_text())["params"]["seed"] == 0
+    assert run_cli("replay", "--manifest", str(first), "--out", str(again)) == 0
+    assert read(first / "acf.csv") == read(again / "acf.csv")
+
+
 def test_stats_on_simulated_run(tmp_path):
     out = tmp_path / "stats"
     assert run_cli("stats", "--seed", "4", "--periods", "8", "--steps", "40",
@@ -319,6 +334,7 @@ BATCH = ["batch", "--seed", "1", "--sessions", "1", "--runs", "2", "--periods", 
         pytest.param(TICKS, ["--steps", "5"], 2, None, id="stats --ticks --steps"),
         pytest.param(TICKS, ["--no-clearing"], 2, None, id="stats --ticks --no-clearing"),
         pytest.param(TICKS, ["--per-step"], 2, None, id="stats --ticks --per-step"),
+        pytest.param(TICKS, ["--seed", "5"], 2, None, id="stats --ticks --seed"),
         pytest.param(TICKS, ["--config", "{config}"], 0, "acf.csv", id="stats --ticks --config"),
         pytest.param(SIMULATE, ["--jobs", "2"], 2, None, id="simulate --jobs"),
         pytest.param(STATS, ["--jobs", "2"], 2, None, id="stats --jobs"),

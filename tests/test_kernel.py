@@ -13,10 +13,13 @@ header or Python's header missing), so a broken `_kernel.c` fails them.
 """
 
 import ctypes
-import os
+import io
 import re
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,10 +31,10 @@ from infomarket import _kernel, engine, montecarlo, switching
 from infomarket.agents import decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
-from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch
+from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch, write_runs_csv
 from infomarket.orderbook import Book
 from infomarket.rng import stream
-from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim
+from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim, write_states_csv
 
 
 def require_kernel():
@@ -637,19 +640,19 @@ def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
 
 @needs_toolchain
 def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
-    # The parent resolves before it forks: the build runs once, in the
-    # parent, and every session and chain, the parent's share and the
-    # worker's, went through the library the parent loaded.
+    # The caller resolves before it starts the threads: the build runs once,
+    # in the caller's thread, and every session and chain went through the
+    # library the caller loaded, on the threads and never on the caller's.
     builds, calls = tmp_path / "builds.log", tmp_path / "calls.log"
     build, load = _kernel._build, _kernel._load
 
     def logged_build():
         with open(builds, "a") as f:
-            f.write(f"{os.getpid()}\n")
+            f.write(f"{threading.get_ident()}\n")
         return build()
 
     class Reporting:
-        """A loaded library whose runs append "<pid> <function>" to calls.log."""
+        """A loaded library whose runs append "<thread> <function>" to calls.log."""
 
         def __init__(self, lib):
             self.lib = lib
@@ -659,7 +662,7 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
 
             def reported(*args):
                 with open(calls, "a") as f:
-                    f.write(f"{os.getpid()} {name}\n")
+                    f.write(f"{threading.get_ident()} {name}\n")
                 return function(*args)
 
             return reported if name.startswith("im_run_") else function
@@ -669,13 +672,53 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
     batch = BatchConfig(session=config(), n_sessions=4, runs_per_session=2, master_seed=6, jobs=2)
     chains = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
     parallel = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
-    assert builds.read_text().split() == [str(os.getpid())]
+    assert builds.read_text().split() == [str(threading.get_ident())]
     assert calls.is_file(), f"no session or chain ran compiled: {_kernel._resolved[1]}"
     reports = [line.split() for line in calls.read_text().splitlines()]
-    assert {pid for pid, _ in reports} - {str(os.getpid())}, "no session or chain ran in a worker"
+    assert str(threading.get_ident()) not in {ident for ident, _ in reports}, "a task ran in the caller's thread"
     assert Counter(name for _, name in reports) == {"im_run_block": 4, "im_run_chain": 3}
     with python_loop():
         spec = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
     assert np.array_equal(parallel[0].rel_returns, spec[0].rel_returns)
     assert np.array_equal(parallel[0].asset_mean_returns, spec[0].asset_mean_returns)
     assert [run.codes.tolist() for run in parallel[1]] == [run.codes.tolist() for run in spec[1]]
+
+
+@needs_kernel
+def test_the_python_loop_on_threads_matches_one_job(monkeypatch):
+    # A wrapped rule, as the benchmark's tracer installs, sends every block
+    # and chain down the Python loop while the loaded kernel still lets
+    # parallel_map start its threads; the outputs must not depend on them.
+    threads = set()
+
+    def wrapped(*args):
+        threads.add(threading.get_ident())
+        return decide_random(*args)
+
+    monkeypatch.setattr(engine, "decide_random", wrapped)
+    batch = BatchConfig(session=config(), n_sessions=5, runs_per_session=2, master_seed=8)
+    chains = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so shared state would show
+    try:
+        for jobs in (1, 2, 3):
+            threads.clear()
+            runs, states = io.StringIO(), io.StringIO()
+            result = run_batch(replace(batch, jobs=jobs))
+            write_runs_csv(result, runs)
+            write_states_csv(run_switching_ensemble(chains, (1, 3, 4, 8), 6, jobs=jobs), states)
+            outputs[jobs] = (runs.getvalue(), result.asset_mean_returns.tobytes(), states.getvalue())
+            assert (threading.get_ident() in threads) == (jobs == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+@needs_kernel
+def test_the_kernel_is_loaded_so_its_calls_release_the_gil():
+    # ctypes.PyDLL would hold the GIL through every call, and parallel_map's
+    # threads would run one at a time.
+    lib = _kernel.resolve()
+    assert type(lib) is ctypes.CDLL
+    assert not lib.im_run_block._flags_ & ctypes._FUNCFLAG_PYTHONAPI

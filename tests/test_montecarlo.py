@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from infomarket import _kernel
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import SessionConfig, default_market, market_with_levels, relative_returns, run_session
 from infomarket.montecarlo import (
@@ -137,7 +138,7 @@ def test_config_refuses_zero_opening_wealth():
 
 
 # ---------------------------------------------------------------------------
-# parallel_map's forked workers
+# parallel_map's threads
 # ---------------------------------------------------------------------------
 
 
@@ -174,6 +175,14 @@ def identity(item):
     return item
 
 
+@pytest.fixture
+def loaded_kernel():
+    """Skip where this process resolves no kernel: parallel_map then runs
+    every item in the calling thread."""
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
 def test_default_jobs_counts_the_cpus_this_process_may_run_on():
     # Pinned to one CPU, a process gets one worker however many CPUs the
@@ -197,20 +206,20 @@ def test_parallel_map_returns_every_item_in_key_order():
     assert_no_worker_left()
 
 
-def test_parallel_map_shares_uneven_tasks_between_both_workers():
+def test_parallel_map_shares_uneven_tasks_between_both_workers(loaded_kernel):
     def uneven(i):
         time.sleep(0.2 if i == 0 else 0.001)
-        return i, os.getpid()
+        return i, threading.get_ident()
 
     with deadline(60):
         results = parallel_map(uneven, list(range(6)), 2, key=lambda r: r[0])
     assert [i for i, _ in results] == list(range(6))
-    # The parent runs share 0 itself; the one forked worker runs share 1.
-    by_pid = {}
-    for i, pid in results:
-        by_pid.setdefault(pid, []).append(i)
-    worker = next(pid for pid in by_pid if pid != os.getpid())
-    assert by_pid == {os.getpid(): [0, 2, 4], worker: [1, 3, 5]}
+    # Two threads run the shares, and the caller's thread runs neither.
+    by_thread = {}
+    for i, ident in results:
+        by_thread.setdefault(ident, []).append(i)
+    assert threading.get_ident() not in by_thread
+    assert sorted(by_thread.values()) == [[0, 2, 4], [1, 3, 5]]
     assert_no_worker_left()
 
 
@@ -222,23 +231,6 @@ def test_parallel_map_raises_a_task_error_with_its_own_type():
 
     with deadline(60), pytest.raises(ValueError, match="bad item 3"):
         parallel_map(fail_on_three, list(range(8)), 2, key=identity)
-    assert_no_worker_left()
-
-
-@pytest.mark.parametrize("die, reason", [
-    (lambda: os._exit(7), "exit status 7"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
-], ids=["exit", "signal"])
-def test_parallel_map_reports_a_worker_that_dies_and_kills_the_rest(die, reason):
-    def die_or_hang(i):
-        if i == 1:
-            die()
-        time.sleep(60)
-
-    t0 = time.perf_counter()
-    with deadline(30), pytest.raises(RuntimeError, match=reason):
-        parallel_map(die_or_hang, [0, 1], 2, key=identity)
-    assert time.perf_counter() - t0 < 10
     assert_no_worker_left()
 
 
@@ -291,7 +283,8 @@ class TwoArgError(Exception):
         self.code = code
 
 
-def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild():
+def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild(loaded_kernel):
+    # Nothing is pickled: the task's own exception is raised.
     def fail(i):
         if i == 1:
             raise TwoArgError("bad", 2)
@@ -299,74 +292,36 @@ def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild():
 
     with pytest.raises(TypeError):
         pickle.loads(pickle.dumps(TwoArgError("bad", 2)))
-    with deadline(60), pytest.raises(RuntimeError, match=r"task raised TwoArgError\('bad'\)"):
+    with deadline(60), pytest.raises(TwoArgError, match="bad") as raised:
         parallel_map(fail, [0, 1], 2, key=identity)
+    assert raised.value.code == 2
     assert_no_worker_left()
 
 
-def _succeed(i):
-    return i
-
-
-def _fail_in_the_worker(i):
-    if i == 1:
-        raise ValueError("bad item 1")
-    return i
-
-
-def _die_in_the_worker(i):
-    if i == 1:
-        os._exit(7)
-    time.sleep(60)
-
-
-def _hang(i):
-    time.sleep(60)
-
-
-@pytest.mark.parametrize("task, raised, alarm", [
-    (_succeed, None, None),
-    (_fail_in_the_worker, ValueError, None),
-    (_die_in_the_worker, RuntimeError, None),
-    (_hang, KeyboardInterrupt, signal.default_int_handler),
-], ids=["success", "task-error", "dead-worker", "ctrl-c"])
-def test_parallel_map_restores_the_sigchld_handler(task, raised, alarm):
-    def previous(signum, frame):
-        pass
-
-    original = signal.signal(signal.SIGCHLD, previous)
-    try:
-        with pytest.raises(raised) if raised else contextlib.nullcontext():
-            with deadline(1, alarm) if alarm else deadline(30):
-                assert parallel_map(task, [0, 1, 2, 3], 2, key=identity) == [0, 1, 2, 3]
-        assert signal.getsignal(signal.SIGCHLD) is previous
-    finally:
-        signal.signal(signal.SIGCHLD, original)
-    assert_no_worker_left()
-
-
-def test_parallel_map_refuses_more_than_one_job_off_the_main_thread(monkeypatch):
-    forks = []
-
-    def refuse_fork():
-        forks.append(1)
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "fork", refuse_fork)
-    raised = []
+def test_parallel_map_runs_more_than_one_job_off_the_main_thread(loaded_kernel):
+    returned = []
 
     def run():
-        try:
-            parallel_map(identity, [0, 1], 2, key=identity)
-        except RuntimeError as exc:
-            raised.append(exc)
+        returned.append(parallel_map(lambda i: (i, threading.get_ident()), [1, 0, 3, 2], 2, key=identity))
 
     thread = threading.Thread(target=run)
     thread.start()
     thread.join(60)
-    assert len(raised) == 1 and "main thread" in str(raised[0])
-    assert not forks
+    assert not thread.is_alive() and len(returned) == 1
+    assert [i for i, _ in returned[0]] == [0, 1, 2, 3]
+    assert thread.ident not in {ident for _, ident in returned[0]}
     assert_no_worker_left()
+
+
+def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
+    # The Python loop holds the GIL, so every item runs in the calling thread.
+    def refuse(*args, **kwargs):
+        pytest.fail("parallel_map started a thread without the kernel")
+
+    monkeypatch.setattr(_kernel, "_resolved", (None, "no kernel"))
+    monkeypatch.setattr(threading, "Thread", refuse)
+    results = parallel_map(lambda i: (i, threading.get_ident()), [2, 1, 0], 2, key=identity)
+    assert results == [(i, threading.get_ident()) for i in range(3)]
 
 
 def test_forked_workers_do_not_repeat_buffered_output(tmp_path):
