@@ -162,22 +162,28 @@ class Moments(NamedTuple):
 
 
 def moments(series) -> Moments:
-    """First four moments with population normalization; kurtosis is not excess."""
+    """First four moments with population normalization; kurtosis is not excess.
+
+    The powers of the deviations are products (xc*xc, then xc*x2 and x2*x2),
+    never `**`, whose float64 `pow` numpy dispatches to CPU-specific vector
+    code. IEEE multiplication rounds alike everywhere, so the result has the
+    same bits at any numpy dispatch level.
+    """
     x = np.asarray(series, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two observations")
     m = float(x.mean())
     xc = x - m
-    var = float(np.mean(xc**2))
+    x2 = xc * xc
+    var = float(np.mean(x2))
     if var == 0.0:
         raise DegenerateSeriesError("zero variance: skewness and kurtosis undefined")
     std = sqrt(var)
-    return Moments(
-        mean=m,
-        std=std,
-        skewness=float(np.mean(xc**3)) / std**3,
-        kurtosis=float(np.mean(xc**4)) / var**2,
-    )
+    # In place: xc becomes the cubes and x2 the fourth powers, so no third
+    # array of len(x) is allocated.
+    skewness = float(np.mean(np.multiply(xc, x2, out=xc))) / std**3
+    kurtosis = float(np.mean(np.multiply(x2, x2, out=x2))) / var**2
+    return Moments(mean=m, std=std, skewness=skewness, kurtosis=kurtosis)
 
 
 def jarque_bera(mom: Moments, n: int) -> tuple[float, float]:

@@ -379,6 +379,25 @@ def test_moments_jb_acf_fixture_matches_bruteforce():
         assert out.values[lag] == pytest.approx(acf_bruteforce(fixture, lag), abs=1e-12)
 
 
+def test_moments_of_a_long_heavy_tailed_series_match_fsum():
+    # Student-t(3) has no finite fourth moment, so a few large returns carry
+    # the kurtosis. Against sums rounded once (math.fsum): the kurtosis to
+    # 1e-10 relative; the skewness, a sum of terms of both signs, to 1e-10
+    # of the scale E|xc|^3 / sigma^3 its terms have.
+    x = np.random.default_rng(5).standard_t(3, 100_000)
+    n = len(x)
+    m = math.fsum(x) / n
+    xc = [v - m for v in x]
+    var = math.fsum(d * d for d in xc) / n
+    sigma3 = var**1.5
+    skew = math.fsum(d * d * d for d in xc) / n / sigma3
+    kurt = math.fsum((d * d) ** 2 for d in xc) / n / var**2
+    abs3 = math.fsum(abs(d) ** 3 for d in xc) / n / sigma3
+    mom = moments(x)
+    assert mom.kurtosis == pytest.approx(kurt, rel=1e-10, abs=0)
+    assert abs(mom.skewness - skew) <= 1e-10 * abs3
+
+
 # --- log returns and tick ingestion ------------------------------------------
 
 

@@ -8,10 +8,16 @@ say so in that change.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from infomarket import _kernel
+from infomarket.analytics import moments
 from infomarket.cli import main
 
 RUNS = {
@@ -70,7 +76,7 @@ DIGESTS = {
     "ticks/acf.csv": "762b7671b7886a77102eb520ba36af5b370d0fb9e7c222d97a55d29f7b285671",
     "ticks/moments.csv": "c79948ea4c8b2d8682f3ca99d140c40e6ea9993ccb9c42e409b2972b6ddb8f9e",
     "ticks_large/acf.csv": "b7be8d51368b3b45946151de9e9a635c138a3b23dd3bd51b9a70bb59f9f26a0c",
-    "ticks_large/moments.csv": "8183f6c29c31b18cfaa2b71ba42113015b1363d2eedfb45367504384b0aa92f8",
+    "ticks_large/moments.csv": "56c4a0d1247de946236cff2ef5c120ce76d10a897d911f4b471ce1c39c04bd47",
     # The manifests of the runs whose params hold no temporary path.
     "efficiency/manifest.json": "8ba472551b4d7a1c8ca77ed254ec56211561e8013a7bf9e99e7577876634d942",
     "jcurve10/manifest.json": "68eb7e39110efb092f73d47292ac971fa698ef3d7f470f67cc25f029e84f5263",
@@ -127,7 +133,7 @@ def _outputs(tmp_path_factory, kernel):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     # A process whose kernel resolved to nothing runs the Python loop, and
-    # forked workers inherit that.
+    # parallel_map then runs every item in the calling thread.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
         return _outputs(tmp_path_factory, "python")
@@ -154,3 +160,40 @@ def test_golden_digest(outputs, name):
 def test_golden_digest_compiled(compiled_outputs, name):
     # The same digests under the compiled kernel.
     assert _digest(compiled_outputs / name) == DIGESTS[name]
+
+
+# numpy's run-time dispatch targets for x86-64 beyond its X86_V2 baseline:
+# AVX2 and AVX-512. Switched off, numpy runs its baseline loops.
+NO_VECTOR_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+_PORTABILITY_SCRIPT = """
+import sys
+import numpy as np
+from infomarket.analytics import moments
+from infomarket.cli import main
+print(*map(float.hex, moments(np.load(sys.argv[1]))), flush=True)
+sys.exit(main(["stats", "--ticks", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_moments_and_large_tick_stats_hold_without_numpy_vector_dispatch(tmp_path):
+    # The same bits where numpy has no AVX2 or AVX-512 code: moments of a
+    # heavy-tailed series, whose powers a vector pow would round otherwise,
+    # and the large tick file's ACF and moments against their digests.
+    rng = np.random.default_rng(21)
+    returns = np.round(rng.standard_t(3, 200_000) * 1e-3, 8)
+    np.save(tmp_path / "returns.npy", returns)
+    ticks = tmp_path / "ticks_large.csv"
+    _large_tick_file(ticks)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_VECTOR_DISPATCH)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PORTABILITY_SCRIPT, str(tmp_path / "returns.npy"), str(ticks),
+         str(tmp_path / "ticks_large")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == [float.hex(v) for v in moments(returns)]
+    for name in ("ticks_large/acf.csv", "ticks_large/moments.csv"):
+        assert _digest(tmp_path / name) == DIGESTS[name], name

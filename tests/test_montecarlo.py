@@ -247,9 +247,10 @@ def test_parallel_map_kills_its_workers_on_ctrl_c():
     assert_no_worker_left()
 
 
-def test_parallel_map_raises_a_worker_task_error_while_the_parent_runs_its_share():
-    # The worker exits with status 1 after sending its error, and the
-    # parent's SIGCHLD handler ends the parent's own 60-s item at once.
+def test_parallel_map_raises_a_worker_task_error_while_the_parent_runs_its_share(loaded_kernel):
+    # One thread's error reaches the caller while the other thread still
+    # sleeps through its 60-s item: the caller raises at once and does not
+    # wait for that item.
     def sleep_or_fail(i):
         if i == 1:
             raise ValueError("bad item 1")
@@ -327,7 +328,7 @@ def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
 def test_forked_workers_do_not_repeat_buffered_output(tmp_path):
     # The command prints its two lines before the chains run; stdout is a
     # pipe and PYTHONUNBUFFERED is unset, so they are still buffered when
-    # the workers are forked.
+    # the worker threads start, and each line must still appear once.
     env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
