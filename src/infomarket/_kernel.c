@@ -31,6 +31,10 @@
  *
  * Each side of the book is a binary heap keyed (price, seq), best first.
  * seq is unique, so the pop order equals that of Python's heapq.
+ *
+ * `im_parse_ticks` is unrelated to sessions and draws nothing: it reads the
+ * body of a plain tick file in one pass, for analytics.load_ticks, and
+ * refuses every other form, which np.loadtxt and the row reader then read.
  */
 
 #include "numpy/random/distributions.h"
@@ -568,4 +572,73 @@ int im_run_block(im_session *s, im_block *b, bitgen_t *path)
         memcpy(b->closes + r * periods, s->period_end_prices, (size_t)periods * sizeof(double));
     }
     return 0;
+}
+
+/* The decimal field at `*p`: digits, optionally a '.' and more digits. It
+ * is read exactly when its digits form an integer mant below 2**53 with at
+ * most 22 of them after the point, so that mant and 10**frac are both exact
+ * doubles and their quotient is correctly rounded: the double float() reads
+ * from the same text. Returns 0 and advances `*p` past the field, or -1 for
+ * any other form (a sign, an exponent, a bare '.', a space, too many digits). */
+static int parse_decimal(const char **p, const char *end, double *out)
+{
+    static const double powers[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+                                    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    const uint64_t limit = (uint64_t)1 << 53;
+    const char *c = *p, *start = c;
+    uint64_t mant = 0;
+    for (; c < end && (unsigned)(*c - '0') < 10; c++)
+        if ((mant = mant * 10 + (uint64_t)(*c - '0')) >= limit)
+            return -1;
+    if (c == start)
+        return -1;
+    int64_t frac = 0;
+    if (c < end && *c == '.') {
+        for (start = ++c; c < end && (unsigned)(*c - '0') < 10; c++)
+            if ((mant = mant * 10 + (uint64_t)(*c - '0')) >= limit)
+                return -1;
+        frac = c - start;
+        if (frac == 0 || frac > 22)
+            return -1;
+    }
+    *out = frac ? (double)mant / powers[frac] : (double)mant;
+    *p = c;
+    return 0;
+}
+
+/* The rows of a tick file's body, the bytes after its header, into times
+ * and prices of up to `cap` rows each. A row is `time,price`, both decimal
+ * fields, optionally followed by ignored columns of printable ASCII or tabs
+ * with no '"'; it ends in "\n", "\r\n" or the end of the bytes, and empty
+ * lines are skipped. Returns the number of rows, or -1 for any other form,
+ * which analytics reads with np.loadtxt or its row reader instead. */
+int64_t im_parse_ticks(const char *text, int64_t len, double *times, double *prices, int64_t cap)
+{
+    const char *c = text, *end = text + len;
+    int64_t rows = 0;
+    while (c < end) {
+        if (*c == '\n' || (*c == '\r' && c + 1 < end && c[1] == '\n')) {
+            c += *c == '\n' ? 1 : 2;
+            continue;
+        }
+        if (rows == cap || parse_decimal(&c, end, &times[rows]) || c == end || *c++ != ','
+            || parse_decimal(&c, end, &prices[rows]))
+            return -1;
+        rows++;
+        if (c < end && *c == ',') {
+            for (c++; c < end && *c != '\n' && *c != '\r'; c++) {
+                unsigned char b = (unsigned char)*c;
+                if (b == '"' || b > '~' || (b < ' ' && b != '\t'))
+                    return -1;
+            }
+        }
+        if (c < end) {
+            if (*c == '\r' && c + 1 < end && c[1] == '\n')
+                c++;
+            else if (*c != '\n')
+                return -1;
+            c++;
+        }
+    }
+    return rows;
 }

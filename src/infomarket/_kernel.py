@@ -40,6 +40,11 @@ never load a partial file.
 Sessions, blocks and chains use the compiled kernel whenever it builds and
 loads and nothing they call is patched (`engine.compiled_kernel`), and run
 the Python loop otherwise.
+
+The library also parses tick files: `im_parse_ticks`, which draws nothing
+and uses no numpy random code, reads the plain `time,price` rows of a tick
+file's body in one pass for `analytics.load_ticks`, which falls back to
+`np.loadtxt` where no kernel loads or the parse refuses the file.
 """
 
 from __future__ import annotations
@@ -208,7 +213,7 @@ def _load(path: Path):
     except OSError as e:
         raise KernelUnavailable(f"cannot load {path}: {e}") from None
     for mirror, size in ((Session, lib.im_session_size), (Block, lib.im_block_size), (Chain, lib.im_chain_size)):
-        size.restype = ctypes.c_int64
+        size.argtypes, size.restype = (), ctypes.c_int64
         if size() != ctypes.sizeof(mirror):
             raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
@@ -217,6 +222,8 @@ def _load(path: Path):
     lib.im_run_block.restype = ctypes.c_int
     lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
     lib.im_run_chain.restype = ctypes.c_int
+    lib.im_parse_ticks.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+    lib.im_parse_ticks.restype = ctypes.c_int64
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
     return lib
 

@@ -9,6 +9,7 @@ both and for the per-period asset returns of the market-efficiency check.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from array import array
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .csvout import fmt, text_file, write_csv
 
 
@@ -340,11 +342,13 @@ class TickSeries(NamedTuple):
 def load_ticks(file) -> TickSeries:
     """Read a `time,price` CSV; any malformed row is rejected with its line number.
 
-    A well-formed file is parsed in bulk by `np.loadtxt` straight from the
-    handle and checked with numpy reductions. Anything the bulk parse refuses
-    or the checks fail sends the whole input through `_read_tick_rows`, which
-    alone defines what is accepted and words every error. A handle that
-    cannot seek is read by `_read_tick_rows` only, since it cannot be reread.
+    A well-formed file is parsed in bulk and checked with numpy reductions:
+    by the compiled kernel's one-pass parse (`im_parse_ticks`) where the
+    kernel loads and every row has the plain `digits[.digits]` form, and by
+    `np.loadtxt` otherwise. Anything the bulk parse refuses or the checks
+    fail sends the whole input through `_read_tick_rows`, which alone
+    defines what is accepted and words every error. A handle that cannot
+    seek is read by `_read_tick_rows` only, since it cannot be reread.
     """
     with text_file(file) as f:
         if not f.seekable():
@@ -394,22 +398,51 @@ def _parse_tick_body(f) -> TickSeries | None:
     """The rows after the header parsed in bulk, or None if any row needs
     `_read_tick_rows` to accept it or to word its error.
 
-    `quotechar` makes numpy split quoted fields as `csv` does, so an unclosed
-    quote in an ignored column swallows the same lines in both readers.
+    The rest of the handle is read once. The compiled parse reads it where
+    the kernel loads and the body has the plain form; `np.loadtxt` reads it
+    otherwise. `quotechar` makes numpy split quoted fields as `csv` does, so
+    an unclosed quote in an ignored column swallows the same lines in both
+    readers.
     """
-    try:
-        with warnings.catch_warnings():
-            # An empty body is an error `_read_tick_rows` words.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(f, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2)
-    except ValueError:
+    text = f.read()
+    columns = _compiled_tick_columns(text)
+    if columns is None:
+        try:
+            with warnings.catch_warnings():
+                # An empty body is an error `_read_tick_rows` words.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None, quotechar='"',
+                                   usecols=(0, 1), ndmin=2)
+        except ValueError:
+            return None
+        columns = np.ascontiguousarray(table.T)
+    if columns.shape[1] < 2 or not np.isfinite(columns).all():
         return None
-    if len(table) < 2 or not np.isfinite(table).all():
-        return None
-    times, prices = np.ascontiguousarray(table.T)
+    times, prices = columns
     if not ((prices > 0).all() and (np.diff(times) > 0).all()):
         return None
     return TickSeries(times, prices)
+
+
+def _compiled_tick_columns(text: str) -> np.ndarray | None:
+    """The body's times and prices as the rows of a (2, n) array, from the
+    kernel's `im_parse_ticks`; None where no kernel loads or it refuses the
+    form.
+
+    It reads only ASCII, so other text goes to `np.loadtxt` unencoded. Each
+    row ends in a line feed but perhaps the last, so `cap` bounds the rows;
+    it is their number exactly unless the body has blank lines.
+    """
+    lib = _kernel.resolve()
+    if lib is None or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    cap = data.count(b"\n") + (not data.endswith(b"\n"))
+    columns = np.empty((2, cap))
+    n = lib.im_parse_ticks(data, len(data), columns[0].ctypes.data, columns[1].ctypes.data, cap)
+    if n < 0:
+        return None
+    return columns if n == cap else columns[:, :n].copy()
 
 
 @_unlimited_csv_fields()

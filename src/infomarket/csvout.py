@@ -22,10 +22,12 @@ def text_file(file, mode: str = "r"):
     """Yield a text handle for `file`: a path or an already open handle.
 
     A path is opened in `mode` as UTF-8, whatever the locale, and closed on
-    exit; a handle is passed through and left open for its owner.
+    exit; a handle is passed through and left open for its owner. Read from
+    a path, a leading UTF-8 byte-order mark, which spreadsheets write, is
+    skipped; writes carry none.
     """
     if isinstance(file, (str, os.PathLike)):
-        with open(file, mode, newline="", encoding="utf-8") as f:
+        with open(file, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8") as f:
             yield f
     else:
         yield file

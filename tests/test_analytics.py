@@ -9,7 +9,9 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infomarket
-from infomarket import analytics
+from infomarket import _kernel, analytics
 from infomarket.analytics import (
     DegenerateSeriesError,
     TickDataError,
@@ -32,6 +34,7 @@ from infomarket.analytics import (
     random_trader_sweep,
     wilcoxon_rank_sum,
 )
+from infomarket.csvout import text_file
 
 
 # --- independent oracles -----------------------------------------------------
@@ -495,6 +498,15 @@ def _read_rows_from_path(path):
         return _read_tick_rows(f)
 
 
+# The bulk parses `load_ticks` may take, each held to the row reader: the
+# compiled parse where this process loads the kernel, and `np.loadtxt`
+# alone, as in a process whose kernel resolved to nothing.
+BULK_PARSES = {
+    "compiled": nullcontext,
+    "loadtxt": lambda: mock.patch.object(_kernel, "_resolved", (None, "np.loadtxt, as with no kernel")),
+}
+
+
 # Each file after its header, with the times it yields or a piece of its error.
 TICK_EDGE_CASES = {
     "blank lines": ("1,40\n\n2,41\n\n", [1, 2]),
@@ -527,6 +539,12 @@ TICK_EDGE_CASES = {
     "one tick": ("1,40\n", "need at least two ticks"),
     "price over the csv field limit": ("1,40\n2,4" + "0" * 200_000 + "\n", "line 3: non-finite value"),
     "ignored field over the csv field limit": ("1,40," + "x" * 200_000 + "\n2,41\n", [1, 2]),
+    "CRLF ending in blank lines": ("1,40\r\n2,41\r\n\r\n\r\n", [1, 2]),
+    "trailing CR at end of file": ("1,40\r\n2,41\r", [1, 2]),
+    "unquoted third column": ("1,40,buy\n2,41,sell\n", [1, 2]),
+    "non-ASCII byte in an ignored column": ("1,40,\u00e9\n2,41,x\n", [1, 2]),
+    "time of 2**53 + 1": (f"1,40\n{2**53 + 1},41\n", [1, 2**53]),
+    "price with 23 fraction digits": ("1,40.12345678901234567890123\n2,41\n", [1, 2]),
 }
 
 
@@ -535,8 +553,11 @@ def test_bulk_and_row_readers_agree_on_edge_cases(tmp_path, case):
     body, expected = TICK_EDGE_CASES[case]
     path = tmp_path / "ticks.csv"
     path.write_bytes(("time,price\r\n" if "\r" in body else "time,price\n").encode() + body.encode())
-    bulk, rows = _outcome(load_ticks, path), _outcome(_read_rows_from_path, path)
-    assert _same_outcome(bulk, rows), (bulk, rows)
+    rows = _outcome(_read_rows_from_path, path)
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            bulk = _outcome(load_ticks, path)
+        assert _same_outcome(bulk, rows), (parse, bulk, rows)
     if isinstance(expected, list):
         assert rows[0].tolist() == expected
     else:
@@ -547,8 +568,10 @@ def test_bulk_and_row_readers_agree_on_edge_cases(tmp_path, case):
                                   "time,price,volume\n1,40,5\n2,41,6\n", '"time","price"\n1,40\n2,41\n'],
                          ids=["empty", "bad header", "padded header", "header with volume", "quoted header"])
 def test_bulk_and_row_readers_agree_on_headers(text):
-    assert _same_outcome(_outcome(load_ticks, io.StringIO(text, newline="")),
-                         _outcome(_read_tick_rows, io.StringIO(text, newline="")))
+    for patch in BULK_PARSES.values():
+        with patch():
+            bulk = _outcome(load_ticks, io.StringIO(text, newline=""))
+        assert _same_outcome(bulk, _outcome(_read_tick_rows, io.StringIO(text, newline="")))
 
 
 _ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "1_0", "x", "", " 7 ", '"7"', '"'])
@@ -582,9 +605,11 @@ def tick_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(tick_files())
 def test_bulk_and_row_readers_agree_on_generated_files(text):
-    bulk = _outcome(load_ticks, io.StringIO(text, newline=""))
     rows = _outcome(_read_tick_rows, io.StringIO(text, newline=""))
-    assert _same_outcome(bulk, rows), (bulk, rows)
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            bulk = _outcome(load_ticks, io.StringIO(text, newline=""))
+        assert _same_outcome(bulk, rows), (parse, bulk, rows)
 
 
 def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
@@ -597,9 +622,55 @@ def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
     text = "time,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(times.tolist(), prices.tolist()))
     path = tmp_path / "ticks.csv"
     path.write_text(text)
-    for source in (path, io.StringIO(text)):
-        series = load_ticks(source)
-        assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+    for patch in BULK_PARSES.values():
+        with patch():
+            for source in (path, io.StringIO(text)):
+                series = load_ticks(source)
+                assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+
+
+def test_a_plain_file_is_one_compiled_parse_and_no_loadtxt(tmp_path, monkeypatch):
+    lib = _kernel.resolve()
+    if lib is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+    calls = Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(lib, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counting(), None))
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    path = tmp_path / "ticks.csv"
+    path.write_text("time,price\n" + "".join(f"{t},{40 + t % 7}.{t % 100:02d}\n" for t in range(1, 1001)))
+    series = load_ticks(path)
+    assert calls == {"im_parse_ticks": 1}
+    assert series.times.tolist() == list(range(1, 1001))
+    assert series.prices.tolist() == [float(f"{40 + t % 7}.{t % 100:02d}") for t in range(1, 1001)]
+
+
+def test_a_utf8_byte_order_mark_reads_as_the_same_series(tmp_path):
+    text = "time,price\n1,40.5\n2,41\n4,39.95\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = load_ticks(plain)
+
+    def row_reader(path):
+        with text_file(path) as f:
+            return _read_tick_rows(f)
+
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            for read in (load_ticks, row_reader):
+                series = read(marked)
+                assert np.array_equal(series.times, expected.times), (parse, read)
+                assert np.array_equal(series.prices, expected.prices), (parse, read)
 
 
 def test_load_ticks_falls_back_from_where_the_handle_started():

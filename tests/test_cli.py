@@ -102,6 +102,18 @@ def test_stats_on_ticks(tmp_path):
     assert header == "lag,acf_ret,acf_absret,band"
 
 
+def test_stats_on_ticks_saved_with_a_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    text = "time,price\n" + "".join(f"{t},{40 + (t % 7) * 0.1}\n" for t in range(1, 200))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert run_cli("stats", "--ticks", str(plain), "--out", str(tmp_path / "a")) == 0
+    assert run_cli("stats", "--ticks", str(marked), "--out", str(tmp_path / "b")) == 0
+    for name in ("acf.csv", "moments.csv"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
+
+
 def test_stats_on_ticks_refuses_a_seed_and_replays_seed_0(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     ticks.write_text("time,price\n" + "".join(f"{t},{40 + (t % 7) * 0.1}\n" for t in range(1, 200)))

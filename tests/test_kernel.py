@@ -606,6 +606,104 @@ def test_the_ctypes_mirrors_match_the_c_structs(struct, mirror):
     assert c_struct_fields(_kernel.SOURCE.read_text(), struct) == mirror._fields_
 
 
+def exported_functions(source: str) -> dict[str, tuple[type, int]]:
+    """The `int` and `int64_t` functions `source` exports, each with the
+    ctypes type of its result and its number of parameters."""
+    found = {}
+    for ret, name, params in re.findall(r"^(int|int64_t) (im_\w+)\(([^)]*)\)", source, flags=re.M):
+        found[name] = ({"int": ctypes.c_int, "int64_t": ctypes.c_int64}[ret],
+                       0 if params.strip() == "void" else params.count(",") + 1)
+    return found
+
+
+@needs_kernel
+def test_every_exported_function_has_its_ctypes_signature():
+    # ctypes assumes an undeclared function returns a C int, which would
+    # silently truncate an int64_t count.
+    lib = _kernel.resolve()
+    exported = exported_functions(_kernel.SOURCE.read_text())
+    assert "im_parse_ticks" in exported and "im_session_size" in exported
+    for name, (restype, n_params) in exported.items():
+        function = getattr(lib, name)
+        assert function.restype is restype, name
+        assert function.argtypes is not None and len(function.argtypes) == n_params, name
+
+
+def parse_ticks(data: bytes):
+    """`im_parse_ticks` on `data`: its row count, and its times and prices."""
+    cap = data.count(b"\n") + 1
+    times, prices = np.empty(cap), np.empty(cap)
+    n = _kernel.resolve().im_parse_ticks(data, len(data), times.ctypes.data, prices.ctypes.data, cap)
+    return n, times[:max(n, 0)], prices[:max(n, 0)]
+
+
+def decimal_fields(rng: np.random.Generator) -> list[str]:
+    """About 10**5 fields: 1-25 significant digits with 0-25 of them after
+    the point, integers around 2**53 with and without a fraction, and the
+    repr of random doubles."""
+    fields = []
+    for _ in range(60_000):
+        sig, frac = int(rng.integers(1, 26)), int(rng.integers(0, 26))
+        digits = str(int(rng.integers(1, 10))) + "".join(map(str, rng.integers(0, 10, sig - 1)))
+        digits = digits.rjust(frac + 1, "0")
+        fields.append(digits[:len(digits) - frac] + ("." + digits[len(digits) - frac:] if frac else ""))
+    for k in range(-300, 301):
+        fields += [str(2**53 + k), f"{2**53 + k}.0", f"{(2**53 + k) // 10}.{(2**53 + k) % 10}"]
+    doubles = np.concatenate([rng.uniform(0, 1000, 10_000), rng.lognormal(0, 8, 10_000),
+                              rng.uniform(0, 1, 5_000), -rng.uniform(0, 10, 1_000)])
+    return fields + [repr(x) for x in doubles.tolist()]
+
+
+def documented_form(field: str) -> bool:
+    """What `im_parse_ticks` reads itself: digits[.digits], whose digits form
+    an integer below 2**53, with at most 22 of them after the point."""
+    match = re.fullmatch(r"([0-9]+)(?:\.([0-9]+))?", field)
+    return bool(match) and len(match.group(2) or "") <= 22 and int(field.replace(".", "")) < 2**53
+
+
+@needs_kernel
+def test_the_compiled_decimal_parse_is_float_bit_for_bit():
+    fields = decimal_fields(np.random.default_rng(11))
+    accepted = [f for f in fields if documented_form(f)]
+    refused = [f for f in fields if not documented_form(f)]
+    assert len(accepted) > 30_000 and len(refused) > 30_000
+    n, times, prices = parse_ticks("".join(f"{f},{f}\n" for f in accepted).encode())
+    assert n == len(accepted)
+    expected = [float(f).hex() for f in accepted]
+    assert [t.hex() for t in times.tolist()] == expected
+    assert [p.hex() for p in prices.tolist()] == expected
+    for f in refused:
+        assert parse_ticks(f"1,1\n{f},2\n".encode())[0] == -1, f
+        assert parse_ticks(f"1,1\n2,{f}\n".encode())[0] == -1, f
+
+
+@needs_kernel
+@pytest.mark.parametrize("field", ["+1", "1e3", ".5", "2.", " 1", "1 ", "1_0", '"1"', "\u0663", "1\r2", "-0",
+                                   "0x1", "inf", "nan", ""])
+def test_the_compiled_parse_refuses_every_other_field(field):
+    for row in (f"{field},40", f"1,{field}"):
+        assert parse_ticks(f"0,39\n{row}\n".encode())[0] == -1, row
+
+
+@needs_kernel
+@pytest.mark.parametrize("body, rows", [
+    ("", 0), ("\n\r\n\n", 0), ("1,40", 1), ("1,40\n2,41", 2), ("1,40\r\n\r\n2,41\r\n", 2),
+    ("1,40,\n2,41,a b\tc,d\n", 2), ("1,40\r", -1), ("1,40\r2,41\n", -1), ("1,40,\"a\"\n", -1),
+    ("1,40,a\rb\n", -1), ("1,40,\x00\n", -1), ("1,40,\x7f\n", -1), ("1\n", -1), ("1,\n", -1),
+    ("1,40 \n", -1), ("\t\n", -1), (" \n", -1),
+], ids=repr)
+def test_the_compiled_parse_reads_only_the_plain_row_form(body, rows):
+    assert parse_ticks(body.encode())[0] == rows
+
+
+@needs_kernel
+def test_the_compiled_parse_writes_no_row_past_its_buffers():
+    times, prices = np.zeros(3), np.zeros(3)
+    data = b"1,40\n2,41\n3,42\n"
+    assert _kernel.resolve().im_parse_ticks(data, len(data), times.ctypes.data, prices.ctypes.data, 2) == -1
+    assert times[2] == prices[2] == 0
+
+
 def test_forced_c_refuses_patched_rules(monkeypatch):
     # A process whose kernel resolved to a loaded library still runs a
     # session with a patched rule in the Python loop, which calls the rule;
