@@ -21,6 +21,11 @@ the Python block, whose runs are compiled sessions, against the compiled
 block, one `im_run_block` call. It prints each block's median per block
 and per run, and the ratio of the medians.
 
+Then it times `write_runs_csv` on 100,000 rows, 10,000 runs x 10 levels of
+seeded relative returns, to a file: the Python generator against the
+compiled formatter, `im_format_per_run`. It prints each one's median per
+file and per row, and the ratio of the medians.
+
 Last, it times the `markov` command's ensemble at that size, the eight
 300-period `markov3` chains of `run_switching_ensemble` (seed 0), at jobs 1
 (in this thread) and jobs 2 (two threads, four chains each), alternating,
@@ -28,8 +33,8 @@ on the kernel this process resolves, and prints one median line for each.
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or
-`c kernel unavailable: <reason>`, and the `c chain` and `c block` lines
-and the three ratios only with the former.
+`c kernel unavailable: <reason>`, and the `c chain`, `c block` and
+`write_runs_csv` lines and the four ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -37,8 +42,12 @@ and the three ratios only with the former.
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
 
 from infomarket import _kernel, montecarlo
 from infomarket.dividends import generate_dividend_path
@@ -51,6 +60,7 @@ CHAIN_PERIODS = 300
 ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per initial profile
 ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
 BLOCK_RUNS = 5
+RUNS_CSV_SHAPE = (100, 100, 10)  # sessions, runs per session, levels: 100,000 rows
 
 
 def spec_run_session(*args):
@@ -150,6 +160,27 @@ def main() -> int:
         medians = report("block", alternate(kernels, args.repeats, block), "block", BLOCK_RUNS, "run")
         montecarlo.run_session = run_session
         print(f"python / c block median ratio: {medians['python'] / medians['c']:.2f}")
+
+    if lib is not None:
+        sessions, runs, levels = RUNS_CSV_SHAPE
+        batch = montecarlo.BatchResult(
+            config=montecarlo.BatchConfig(n_sessions=sessions, runs_per_session=runs),
+            levels=tuple(range(levels)),
+            rel_returns=np.random.default_rng(0).standard_normal((sessions * runs, levels)) * 5.0,
+            asset_mean_returns=np.zeros(sessions * runs), period_returns=None)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            def runs_csv(kernel: str) -> float:
+                _kernel._resolved = resolutions[kernel]
+                t0 = time.perf_counter()
+                montecarlo.write_runs_csv(batch, Path(tmp) / "runs.csv")
+                return time.perf_counter() - t0
+
+            print(f"runs.csv: {sessions * runs} runs x {levels} levels = {batch.rel_returns.size} rows")
+            medians = report("write_runs_csv", alternate(kernels, args.repeats, runs_csv), "file",
+                             batch.rel_returns.size, "row")
+        _kernel._resolved = resolutions["c"]
+        print(f"python / c write_runs_csv median ratio: {medians['python'] / medians['c']:.2f}")
 
     def ensemble(jobs: str) -> float:
         t0 = time.perf_counter()

@@ -35,6 +35,16 @@
  * `im_parse_ticks` is unrelated to sessions and draws nothing: it reads the
  * body of a plain tick file in one pass, for analytics.load_ticks, and
  * refuses every other form, which np.loadtxt and the row reader then read.
+ *
+ * `im_format_per_run` draws nothing either: it writes a chunk of
+ * montecarlo's per-run CSV rows (runs.csv, efficiency.csv), reading a
+ * C-contiguous float64 array, the labels' text and a power-of-ten table
+ * that _kernel.py computes exactly. Each value is written as Python's
+ * repr(float) writes it, for every double: the shortest digits by
+ * Giulietti's Schubfach method, exact over the whole range (subnormals
+ * included), and zero's sign, nan and the infinities spelled out, so it
+ * has no fallback of its own. montecarlo._per_run_lines stays its
+ * specification and runs wherever no kernel loads.
  */
 
 #include "numpy/random/distributions.h"
@@ -641,4 +651,180 @@ int64_t im_parse_ticks(const char *text, int64_t len, double *times, double *pri
         }
     }
     return rows;
+}
+
+/* ---- repr(float) text for montecarlo's per-run CSV rows ----
+ *
+ * The digits are the shortest decimal that reads back as the same double,
+ * the closest one to it where several are that short, the one with an even
+ * last digit on an exact tie: David Gay's dtoa in mode 0, which is what
+ * Python's float repr prints. They come from Giulietti's Schubfach method
+ * ("The Schubfach way to render doubles", 2020), exact for every finite
+ * double: with k = floor(log10(ulp)), the only candidates are the multiples
+ * of 10**(k+1) and of 10**k next to the value, and the endpoints of its
+ * rounding interval are compared with them after scaling by 10**-k, rounded
+ * to odd so that every comparison with a multiple of 4 stays exact.
+ *
+ * `pow10` is the table _kernel.py computes from Python integers: for each j
+ * in POW10_MIN..POW10_MAX, g = ceil(10**j / 2**e) as (high, low) 64-bit
+ * words, with e chosen so that 2**127 <= g < 2**128. */
+
+enum { POW10_MIN = -292 };
+
+/* rto(cp * g / 2**128): the integer part, made odd if a fraction is left.
+ * g overstates 10**j / 2**e by less than one, so the product is overstated
+ * by less than cp < 2**64, below the fraction word (bits 64..127), which an
+ * exact product leaves zero; Schubfach's analysis bounds every inexact
+ * product's fraction far above 2**-64. */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    unsigned __int128 low = (unsigned __int128)g[1] * cp;
+    unsigned __int128 mid = (unsigned __int128)g[0] * cp + (uint64_t)(low >> 64);
+    return (uint64_t)(mid >> 64) | ((uint64_t)mid != 0);
+}
+
+/* The shortest digits of a finite double > 0 given by its bits: returns the
+ * digits as an integer and sets *exp10 so that value ~ digits * 10**exp10.
+ * The shifts by 22 and 19 are floor(log10(2**q)), floor(log10(3/4 * 2**q))
+ * and floor(log2(10**j)), exact over this range; a right shift of a negative
+ * int rounds down under gcc. */
+static uint64_t shortest_digits(uint64_t bits, int32_t *exp10, const uint64_t *pow10)
+{
+    const uint64_t fraction = bits & (((uint64_t)1 << 52) - 1);
+    const int32_t biased = (int32_t)(bits >> 52);
+    const uint64_t c = biased ? fraction | (uint64_t)1 << 52 : fraction;
+    const int32_t q = (biased ? biased : 1) - 1075;
+    /* below a power of two the interval's lower half is half as wide */
+    const int closer = fraction == 0 && biased > 1;
+    const int32_t k = (q * 1262611 - (closer ? 524031 : 0)) >> 22;
+    const int32_t h = q + ((-k * 1741647) >> 19) + 1;
+    const uint64_t *g = pow10 + 2 * (-k - POW10_MIN);
+    const uint64_t vbl = round_to_odd(g, (4 * c - 2 + (uint64_t)closer) << h);
+    const uint64_t vb = round_to_odd(g, (4 * c) << h);
+    const uint64_t vbr = round_to_odd(g, (4 * c + 2) << h);
+    /* an odd significand's interval leaves out its endpoints */
+    const uint64_t lower = vbl + (c & 1), upper = vbr - (c & 1);
+    const uint64_t s = vb >> 2;
+    if (s >= 10) {
+        const uint64_t sp = s / 10;
+        const int up = lower <= 40 * sp, wp = 40 * sp + 40 <= upper;
+        if (up != wp) {
+            *exp10 = k + 1;
+            return sp + (uint64_t)wp;
+        }
+    }
+    *exp10 = k;
+    const int u = lower <= 4 * s, w = 4 * s + 4 <= upper;
+    if (u != w)
+        return s + (uint64_t)w;
+    const uint64_t mid = 4 * s + 2;
+    return s + (uint64_t)(vb > mid || (vb == mid && (s & 1)));
+}
+
+/* The decimal digits of v at p; returns the end. */
+static char *put_uint(char *p, uint64_t v)
+{
+    char tmp[20];
+    int n = 0;
+    do
+        tmp[n++] = (char)('0' + v % 10);
+    while (v /= 10);
+    while (n)
+        *p++ = tmp[--n];
+    return p;
+}
+
+/* repr(v) at p, at most 24 bytes: the digits in positional form when the
+ * decimal point falls within -4 < point <= 16 of their start, "1.5e-05"
+ * form otherwise, "nan", "inf", "-inf" and "-0.0" as Python spells them. */
+static char *put_repr(char *p, double v, const uint64_t *pow10)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t magnitude = bits & ~((uint64_t)1 << 63);
+    if (magnitude > (uint64_t)0x7ff << 52) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (magnitude == (uint64_t)0x7ff << 52) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (magnitude == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int32_t exp10;
+    uint64_t digits = shortest_digits(magnitude, &exp10, pow10);
+    while (digits % 10 == 0) {
+        digits /= 10;
+        exp10++;
+    }
+    char d[20];
+    const int n = (int)(put_uint(d, digits) - d);
+    const int point = n + exp10; /* value = 0.d1d2... * 10**point */
+    if (point <= -4 || point > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)(n - 1));
+            p += n - 1;
+        }
+        const int e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e > -10 && e < 10)
+            *p++ = '0';
+        return put_uint(p, (uint64_t)(e < 0 ? -e : e));
+    }
+    if (point <= 0) {
+        memcpy(p, "0.", 2);
+        memset(p + 2, '0', (size_t)-point);
+        p += 2 - point;
+        memcpy(p, d, (size_t)n);
+        return p + n;
+    }
+    if (point >= n) {
+        memcpy(p, d, (size_t)n);
+        memset(p + n, '0', (size_t)(point - n));
+        p += point;
+        memcpy(p, ".0", 2);
+        return p + 2;
+    }
+    memcpy(p, d, (size_t)point);
+    p[point] = '.';
+    memcpy(p + point + 1, d + point, (size_t)(n - point));
+    return p + n + 1;
+}
+
+/* The CSV rows of rows first..first + n - 1 of a C-contiguous (. x k)
+ * float64 array, `values` pointing at row `first`: per value
+ * "session,run,label,repr(value)\r\n", where row = session * runs + run and
+ * label j is labels[label_ends[j - 1]:label_ends[j]] (from 0 for j = 0).
+ * out takes at most 70 bytes per value besides its label. Returns the bytes
+ * written. */
+int64_t im_format_per_run(const double *values, int64_t n, int64_t k, int64_t runs, int64_t first,
+                          const char *labels, const int64_t *label_ends, const uint64_t *pow10, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        char head[42], *h = put_uint(head, (uint64_t)((first + i) / runs));
+        *h++ = ',';
+        h = put_uint(h, (uint64_t)((first + i) % runs));
+        *h++ = ',';
+        for (int64_t j = 0; j < k; j++) {
+            const int64_t from = j ? label_ends[j - 1] : 0;
+            memcpy(p, head, (size_t)(h - head));
+            p += h - head;
+            memcpy(p, labels + from, (size_t)(label_ends[j] - from));
+            p += label_ends[j] - from;
+            *p++ = ',';
+            p = put_repr(p, values[i * k + j], pow10);
+            memcpy(p, "\r\n", 2);
+            p += 2;
+        }
+    }
+    return p - out;
 }

@@ -45,6 +45,16 @@ The library also parses tick files: `im_parse_ticks`, which draws nothing
 and uses no numpy random code, reads the plain `time,price` rows of a tick
 file's body in one pass for `analytics.load_ticks`, which falls back to
 `np.loadtxt` where no kernel loads or the parse refuses the file.
+
+And it writes per-run CSV rows: `im_format_per_run` reads a chunk of a
+C-contiguous (runs x k) float64 array, the k labels' text and
+`pow10_table()`, and writes `session,run,label,value` rows, each ended in
+"\\r\\n", for `montecarlo.write_runs_csv` and `write_efficiency_csv`. Each
+value is exactly `repr(float(v))` for every double, subnormals, zero's
+sign, nan and the infinities included: the shortest digits come from
+Giulietti's Schubfach method, whose power-of-ten table is computed here
+from Python integers. So there is nothing it hands back; where no kernel
+loads, `montecarlo`'s Python generator, its specification, writes the rows.
 """
 
 from __future__ import annotations
@@ -222,10 +232,32 @@ def _load(path: Path):
     lib.im_run_block.restype = ctypes.c_int
     lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
     lib.im_run_chain.restype = ctypes.c_int
-    lib.im_parse_ticks.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
+    lib.im_parse_ticks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_parse_ticks.restype = ctypes.c_int64
+    lib.im_format_per_run.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 4, *[ctypes.c_void_p] * 4)
+    lib.im_format_per_run.restype = ctypes.c_int64
+    lib.pow10 = pow10_table()
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
     return lib
+
+
+POW10_MIN, POW10_MAX = -292, 324  # 10**-k for every k = floor(log10(ulp)) of a double
+FORMAT_BYTES = 70  # the most bytes `im_format_per_run` writes per value, besides its label
+
+
+def pow10_table() -> np.ndarray:
+    """`im_format_per_run`'s powers of ten: row j - POW10_MIN holds
+    g = ceil(10**j / 2**e), with 2**127 <= g < 2**128, as its high and low
+    64-bit words; computed exactly with Python integers."""
+    table = np.empty((POW10_MAX - POW10_MIN + 1, 2), np.uint64)
+    for row, j in enumerate(range(POW10_MIN, POW10_MAX + 1)):
+        if j >= 0:
+            e = (10**j).bit_length() - 128
+            g = 10**j << -e if e <= 0 else -(-(10**j) >> e)
+        else:  # 10**j = 1 / 10**-j, which is no power of two
+            g = -(-(1 << (10**-j).bit_length() + 127) // 10**-j)
+        table[row] = g >> 64, g & (2**64 - 1)
+    return table
 
 
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(

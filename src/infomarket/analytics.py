@@ -8,9 +8,11 @@ both and for the per-period asset returns of the market-efficiency check.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
+import os
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -347,20 +349,50 @@ def load_ticks(file) -> TickSeries:
     kernel loads and every row has the plain `digits[.digits]` form, and by
     `np.loadtxt` otherwise. Anything the bulk parse refuses or the checks
     fail sends the whole input through `_read_tick_rows`, which alone
-    defines what is accepted and words every error. A handle that cannot
-    seek is read by `_read_tick_rows` only, since it cannot be reread.
+    defines what is accepted and words every error. A path is read as bytes
+    once, and a leading UTF-8 byte-order mark skipped; where the rest is
+    ASCII the compiled parse reads it undecoded, and any other path is read
+    as UTF-8 text. A handle that cannot seek is read by `_read_tick_rows`
+    only, since it cannot be reread.
     """
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "rb") as f:
+            data = f.read().removeprefix(codecs.BOM_UTF8)
+        if data.isascii():
+            return _load_ascii_ticks(data)
     with text_file(file) as f:
-        if not f.seekable():
-            return _read_tick_rows(f)
-        start = f.tell()
-        with _unlimited_csv_fields():
-            _check_tick_header(_csv_rows(f))
-        series = _parse_tick_body(f)
-        if series is not None:
-            return series
-        f.seek(start)
+        return _load_tick_text(f)
+
+
+def _load_tick_text(f) -> TickSeries:
+    """`load_ticks` on a text handle, from where it stands."""
+    if not f.seekable():
         return _read_tick_rows(f)
+    start = f.tell()
+    with _unlimited_csv_fields():
+        _check_tick_header(_csv_rows(f))
+    text = f.read()
+    series = _parse_tick_body(text.encode("ascii") if text.isascii() else text)
+    if series is not None:
+        return series
+    f.seek(start)
+    return _read_tick_rows(f)
+
+
+def _load_ascii_ticks(data: bytes) -> TickSeries:
+    """`load_ticks` on an ASCII file's bytes. A first line with no quote and
+    no CR before its LF is the one row `csv` reads there, so it is split in
+    place and the bytes after it go to the bulk parse undecoded; any other
+    file is read as text."""
+    end = data.find(b"\n")
+    header = data[:max(end, 0)].removesuffix(b"\r")
+    if end < 0 or b'"' in header or b"\r" in header:
+        return _load_tick_text(io.StringIO(data.decode("ascii"), newline=""))
+    _check_tick_header(iter([header.decode("ascii").split(",")]))
+    series = _parse_tick_body(memoryview(data)[end + 1:])
+    if series is not None:
+        return series
+    return _read_tick_rows(io.StringIO(data.decode("ascii"), newline=""))
 
 
 @contextmanager
@@ -390,23 +422,25 @@ def _check_tick_header(reader) -> None:
         header = next(reader)
     except StopIteration:
         raise TickDataError("empty file: expected header 'time,price'") from None
+    if header:  # a handle opened as UTF-8 yields a byte-order mark as text
+        header[0] = header[0].removeprefix("\ufeff")
     if [h.strip().lower() for h in header[:2]] != ["time", "price"]:
         raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
 
 
-def _parse_tick_body(f) -> TickSeries | None:
+def _parse_tick_body(body) -> TickSeries | None:
     """The rows after the header parsed in bulk, or None if any row needs
     `_read_tick_rows` to accept it or to word its error.
 
-    The rest of the handle is read once. The compiled parse reads it where
-    the kernel loads and the body has the plain form; `np.loadtxt` reads it
-    otherwise. `quotechar` makes numpy split quoted fields as `csv` does, so
-    an unclosed quote in an ignored column swallows the same lines in both
-    readers.
+    `body` is ASCII bytes or, where the rows are not ASCII, text. The
+    compiled parse reads ASCII bytes where the kernel loads and the body has
+    the plain form; `np.loadtxt` reads the text otherwise. `quotechar` makes
+    numpy split quoted fields as `csv` does, so an unclosed quote in an
+    ignored column swallows the same lines in both readers.
     """
-    text = f.read()
-    columns = _compiled_tick_columns(text)
+    columns = None if isinstance(body, str) else _compiled_tick_columns(body)
     if columns is None:
+        text = body if isinstance(body, str) else str(body, "ascii")
         try:
             with warnings.catch_warnings():
                 # An empty body is an error `_read_tick_rows` words.
@@ -424,25 +458,24 @@ def _parse_tick_body(f) -> TickSeries | None:
     return TickSeries(times, prices)
 
 
-def _compiled_tick_columns(text: str) -> np.ndarray | None:
+def _compiled_tick_columns(body) -> np.ndarray | None:
     """The body's times and prices as the rows of a (2, n) array, from the
     kernel's `im_parse_ticks`; None where no kernel loads or it refuses the
     form.
 
-    It reads only ASCII, so other text goes to `np.loadtxt` unencoded. Each
-    row ends in a line feed but perhaps the last, so `cap` bounds the rows;
-    it is their number exactly unless the body has blank lines.
+    A row takes at least 4 bytes with its line end, 3 at the end of the
+    body, so `cap` bounds the rows without counting them. The columns' pages
+    past the rows read are never touched and take no memory, so the result
+    is a view of them, not a trimmed copy.
     """
     lib = _kernel.resolve()
-    if lib is None or not text.isascii():
+    if lib is None:
         return None
-    data = text.encode("ascii")
-    cap = data.count(b"\n") + (not data.endswith(b"\n"))
+    data = np.frombuffer(body, np.uint8)
+    cap = (len(data) + 1) // 4
     columns = np.empty((2, cap))
-    n = lib.im_parse_ticks(data, len(data), columns[0].ctypes.data, columns[1].ctypes.data, cap)
-    if n < 0:
-        return None
-    return columns if n == cap else columns[:, :n].copy()
+    n = lib.im_parse_ticks(data.ctypes.data, len(data), columns[0].ctypes.data, columns[1].ctypes.data, cap)
+    return None if n < 0 else columns[:, :n]
 
 
 @_unlimited_csv_fields()

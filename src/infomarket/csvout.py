@@ -13,7 +13,12 @@ _LINES_PER_WRITE = 4096
 
 
 def fmt(x) -> str:
-    """Shortest text that round-trips the value as a float."""
+    """Shortest text that round-trips the value as a float.
+
+    Its compiled twin is `_kernel.c`'s `put_repr`, which writes the per-run
+    rows of `montecarlo.write_runs_csv` and `write_efficiency_csv` with the
+    same text wherever the kernel loads.
+    """
     return repr(float(x))
 
 
@@ -42,9 +47,21 @@ def write_csv(file, header, lines) -> None:
     is quoted: every field the package writes is an int, `fmt` text or a
     fixed name, none of which holds a comma, a quote or a line break.
     """
+    write_csv_blocks(file, header, _blocks(lines))
+
+
+def write_csv_blocks(file, header, blocks) -> None:
+    """Write the column names in `header`, then each of `blocks`, text of
+    whole rows, each row ended in "\\r\\n", to a path or an open text handle."""
     with text_file(file, "w") as f:
         f.write(",".join(header) + "\r\n")
-        lines = iter(lines)
-        while chunk := list(islice(lines, _LINES_PER_WRITE)):
-            chunk.append("")
-            f.write("\r\n".join(chunk))
+        for block in blocks:
+            f.write(block)
+
+
+def _blocks(lines):
+    """`lines` as blocks of `_LINES_PER_WRITE` rows each, the last perhaps fewer."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        chunk.append("")
+        yield "\r\n".join(chunk)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel, engine
-from .csvout import write_csv
+from .csvout import _LINES_PER_WRITE, write_csv, write_csv_blocks
 from .dividends import generate_dividend_path
 from .engine import SESSION_SPEC, SessionConfig, compiled_kernel, held, lay_out_state, run_session
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
@@ -212,11 +212,42 @@ def run_batch(config: BatchConfig) -> BatchResult:
     )
 
 
-def _per_run_lines(batch: BatchResult, per_run: np.ndarray, labels):
-    """Lines session,run,label,value for a (n_runs, k) array and its k column labels."""
+def _write_per_run_csv(file, header, batch: BatchResult, per_run: np.ndarray, labels) -> None:
+    """Write `header`, then one row session,run,label,value per value of a
+    (n_runs, k) array with its k column labels.
+
+    Where the kernel loads, `im_format_per_run` writes them a block of about
+    `_LINES_PER_WRITE` rows at a time into one buffer, reused for the next;
+    the Python generator `_per_run_lines`, its specification, writes the same
+    bytes wherever no kernel loads.
+    """
     runs = batch.config.runs_per_session
+    values = np.asarray(per_run, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(labels):
+        raise ValueError(f"{len(labels)} labels for per-run values of shape {values.shape}")
+    lib = _kernel.resolve()
+    if lib is None:
+        write_csv(file, header, _per_run_lines(values, runs, labels))
+    else:
+        write_csv_blocks(file, header, _compiled_per_run_blocks(lib, values, runs, labels))
+
+
+def _compiled_per_run_blocks(lib, values: np.ndarray, runs: int, labels):
+    n, k = values.shape
+    step = max(1, _LINES_PER_WRITE // max(k, 1))
+    names = [str(label).encode() for label in labels]
+    text, ends = b"".join(names), np.cumsum([len(name) for name in names], dtype=np.int64)
+    out = np.empty(step * (k * _kernel.FORMAT_BYTES + len(text)), np.uint8)
+    for first in range(0, n, step):
+        block = np.ascontiguousarray(values[first:first + step])
+        size = lib.im_format_per_run(block.ctypes.data, len(block), k, runs, first, text, ends.ctypes.data,
+                                     lib.pow10.ctypes.data, out.ctypes.data)
+        yield str(out[:size], "utf-8")
+
+
+def _per_run_lines(per_run: np.ndarray, runs: int, labels):
     tails = [f",{label}," for label in labels]
-    for row, values in enumerate(np.asarray(per_run, dtype=float)):
+    for row, values in enumerate(per_run):
         s, r = divmod(row, runs)
         head = f"{s},{r}"
         # `tolist` gives Python floats, whose repr is `fmt`'s text; a numpy
@@ -227,8 +258,8 @@ def _per_run_lines(batch: BatchResult, per_run: np.ndarray, labels):
 
 def write_runs_csv(batch: BatchResult, file) -> None:
     """One row per (session, run, trader): session,run,agent_level,relative_return_pp."""
-    write_csv(file, ["session", "run", "agent_level", "relative_return_pp"],
-              _per_run_lines(batch, batch.rel_returns, batch.levels))
+    _write_per_run_csv(file, ["session", "run", "agent_level", "relative_return_pp"], batch, batch.rel_returns,
+                       batch.levels)
 
 
 def write_efficiency_csv(batch: BatchResult, file) -> None:
@@ -236,5 +267,5 @@ def write_efficiency_csv(batch: BatchResult, file) -> None:
     if batch.period_returns is None:
         raise ValueError("batch was run without collect_period_returns")
     periods = range(1, batch.period_returns.shape[1] + 1)
-    write_csv(file, ["session", "run", "period", "net_simple_return"],
-              _per_run_lines(batch, batch.period_returns, periods))
+    _write_per_run_csv(file, ["session", "run", "period", "net_simple_return"], batch, batch.period_returns,
+                       periods)

@@ -565,13 +565,22 @@ def test_bulk_and_row_readers_agree_on_edge_cases(tmp_path, case):
 
 
 @pytest.mark.parametrize("text", ["", "t,p\n1,40\n2,41\n", " Time , PRICE \n1,40\n2,41\n",
-                                  "time,price,volume\n1,40,5\n2,41,6\n", '"time","price"\n1,40\n2,41\n'],
-                         ids=["empty", "bad header", "padded header", "header with volume", "quoted header"])
-def test_bulk_and_row_readers_agree_on_headers(text):
+                                  "time,price,volume\n1,40,5\n2,41,6\n", '"time","price"\n1,40\n2,41\n',
+                                  "time,price\r1,40\n2,41\n", "time,price\r1,40\r2,41\r", "\n1,40\n2,41\n",
+                                  "time,price", "time,\x00price\n1,40\n2,41\n"],
+                         ids=["empty", "bad header", "padded header", "header with volume", "quoted header",
+                              "bare CR after the header", "bare CRs only", "blank header", "header only",
+                              "NUL in the header"])
+def test_bulk_and_row_readers_agree_on_headers(tmp_path, text):
+    # From a handle, and from a path, whose ASCII bytes have a header split
+    # by hand where `csv` would read it the same way.
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(text.encode())
+    rows = _outcome(_read_tick_rows, io.StringIO(text, newline=""))
     for patch in BULK_PARSES.values():
         with patch():
-            bulk = _outcome(load_ticks, io.StringIO(text, newline=""))
-        assert _same_outcome(bulk, _outcome(_read_tick_rows, io.StringIO(text, newline="")))
+            for source in (io.StringIO(text, newline=""), path):
+                assert _same_outcome(_outcome(load_ticks, source), rows), source
 
 
 _ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "1_0", "x", "", " 7 ", '"7"', '"'])
@@ -688,6 +697,18 @@ class Unseekable(io.StringIO):
 def test_load_ticks_reads_a_handle_that_cannot_seek():
     series = load_ticks(Unseekable("time,price\n1,40\n2,41\n"))
     assert series.times.tolist() == [1.0, 2.0] and series.prices.tolist() == [40.0, 41.0]
+
+
+def test_a_byte_order_mark_read_as_text_from_the_callers_handle_is_skipped():
+    text = "\ufefftime,price\n1,40\n2,41\n"
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            for handle in (io.StringIO(text, newline=""), Unseekable(text, newline="")):
+                series = load_ticks(handle)
+                assert series.times.tolist() == [1.0, 2.0], (parse, handle)
+                assert series.prices.tolist() == [40.0, 41.0], (parse, handle)
+    with pytest.raises(TickDataError, match="^line 1: expected header 'time,price', got t,p$"):
+        load_ticks(io.StringIO("\ufefft,p\n1,40\n2,41\n"))
 
 
 def test_every_reader_accepts_a_field_over_the_csv_limit_in_an_ignored_column(tmp_path):

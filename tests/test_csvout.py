@@ -10,10 +10,12 @@ too large for 64 bits.
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from infomarket import _kernel
 from infomarket.analytics import (
     AcfResult,
     JCurveTable,
@@ -189,3 +191,51 @@ def test_write_csv_to_a_path_ends_every_row_in_crlf(tmp_path, count):
     rows = [(i, r(i / 7)) for i in range(count)]
     write_csv(tmp_path / "t.csv", ["i", "x"], (f"{i},{x}" for i, x in rows))
     assert (tmp_path / "t.csv").read_bytes() == reference(["i", "x"], rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("formatter", ["compiled", "python"])
+def test_per_run_writers_give_the_same_bytes_under_both_formatters(tmp_path, monkeypatch, formatter):
+    # `im_format_per_run` where the kernel loads, the Python generator where
+    # it resolved to nothing. 7 x 391 runs are two whole chunks and a part
+    # of one for both writers, and both arrays are strided slices.
+    calls = Counter()
+    if formatter == "python":
+        monkeypatch.setattr(_kernel, "_resolved", (None, "the Python generator"))
+    else:
+        lib = _kernel.resolve()
+        if lib is None:
+            pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+
+        class Counting:
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(lib, name)
+
+        monkeypatch.setattr(_kernel, "_resolved", (Counting(), None))
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal((2 * 2737, 8)) * 10.0 ** rng.integers(-7, 18, (2 * 2737, 8))
+    wide[::101] = SPECIAL
+    batch = BatchResult(config=BatchConfig(n_sessions=7, runs_per_session=391), levels=(0, 4, BIG),
+                        rel_returns=wide[::2, 1:7:2], asset_mean_returns=wide[::2, 0],
+                        period_returns=wide[1::2, :4])
+    assert not batch.rel_returns.flags.c_contiguous and not batch.period_returns.flags.c_contiguous
+    for write, header, per_run, labels in (
+            (write_runs_csv, ["session", "run", "agent_level", "relative_return_pp"], batch.rel_returns,
+             batch.levels),
+            (write_efficiency_csv, ["session", "run", "period", "net_simple_return"], batch.period_returns,
+             range(1, 5))):
+        expected = reference(header, per_run_rows(batch, per_run, labels))
+        assert written(write, batch) == expected
+        write(batch, tmp_path / "per_run.csv")
+        assert (tmp_path / "per_run.csv").read_bytes() == expected.encode("utf-8")
+    if formatter == "compiled":
+        # Two writes of each file: 3 chunks of 1365 rows for runs.csv, 3 of 1024 for the periods.
+        assert calls["im_format_per_run"] == 12
+
+
+def test_runs_csv_refuses_a_level_count_that_is_not_the_column_count():
+    # Under either formatter: the compiled one reads one label per column.
+    batch = BatchResult(config=BATCH.config, levels=(0, 4), rel_returns=BATCH.rel_returns,
+                        asset_mean_returns=BATCH.asset_mean_returns, period_returns=None)
+    with pytest.raises(ValueError, match=r"^2 labels for per-run values of shape \(6, 3\)$"):
+        write_runs_csv(batch, io.StringIO())

@@ -606,6 +606,12 @@ def test_the_ctypes_mirrors_match_the_c_structs(struct, mirror):
     assert c_struct_fields(_kernel.SOURCE.read_text(), struct) == mirror._fields_
 
 
+def test_the_power_table_starts_where_the_c_source_reads_it():
+    # `im_format_per_run` indexes `pow10_table()` from its own POW10_MIN.
+    assert f"enum {{ POW10_MIN = {_kernel.POW10_MIN} }};" in _kernel.SOURCE.read_text()
+    assert _kernel.pow10_table().shape == (_kernel.POW10_MAX - _kernel.POW10_MIN + 1, 2)
+
+
 def exported_functions(source: str) -> dict[str, tuple[type, int]]:
     """The `int` and `int64_t` functions `source` exports, each with the
     ctypes type of its result and its number of parameters."""
@@ -702,6 +708,88 @@ def test_the_compiled_parse_writes_no_row_past_its_buffers():
     data = b"1,40\n2,41\n3,42\n"
     assert _kernel.resolve().im_parse_ticks(data, len(data), times.ctypes.data, prices.ctypes.data, 2) == -1
     assert times[2] == prices[2] == 0
+
+
+def formatted(values, labels=(7,), runs=3, first=0) -> list[str]:
+    """`im_format_per_run`'s rows for `values` as rows `first`.. of a
+    (rows x len(labels)) array, written into exactly its documented room."""
+    lib = _kernel.resolve()
+    values = np.ascontiguousarray(values, dtype=float).reshape(-1, len(labels))
+    names = [str(label).encode() for label in labels]
+    ends = np.cumsum([len(name) for name in names], dtype=np.int64)
+    room = values.size * _kernel.FORMAT_BYTES + len(values) * int(ends[-1])
+    out = np.full(room + 8, 0xAA, np.uint8)
+    size = lib.im_format_per_run(values.ctypes.data, len(values), len(labels), runs, first, b"".join(names),
+                                 ends.ctypes.data, lib.pow10.ctypes.data, out.ctypes.data)
+    assert size <= room and (out[room:] == 0xAA).all()
+    rows = str(out[:size], "ascii").split("\r\n")
+    assert rows.pop() == ""  # every row ends in CRLF
+    return rows
+
+
+def assert_reprs(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = [row.split(",")[-1] for row in formatted(values)]
+    expected = [repr(v) for v in values.tolist()]
+    wrong = [(v.hex(), e, g) for v, e, g in zip(values.tolist(), expected, got) if e != g]
+    assert not wrong, wrong[:10]
+
+
+def ulps_around(centres, count=30) -> np.ndarray:
+    """`centres` and the `count` doubles on either side of each."""
+    out, up, down = [centres], centres, centres
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@needs_kernel
+def test_the_compiled_repr_of_random_bit_patterns_is_pythons():
+    # Every exponent, normal and subnormal, both signs, nan payloads.
+    bits = np.random.default_rng(12).integers(0, 2**64, 300_000, dtype=np.uint64)
+    assert_reprs(bits.view(np.float64))
+    assert_reprs(np.random.default_rng(13).integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64))
+
+
+@needs_kernel
+def test_the_compiled_repr_of_special_values_is_pythons():
+    assert_reprs([0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+                  sys.float_info.max, -sys.float_info.max, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0])
+
+
+@needs_kernel
+def test_the_compiled_repr_around_every_power_of_two_and_ten_is_pythons():
+    # Below a power of two the rounding interval is half as wide as above.
+    assert_reprs(ulps_around(np.ldexp(1.0, np.arange(-1074, 1024))))
+    assert_reprs(ulps_around(np.array([float(f"1e{e}") for e in range(-323, 309)])))
+
+
+@needs_kernel
+@pytest.mark.parametrize("switch", [1e-4, 1e-5, 1e16, 2.0**53], ids=repr)
+def test_the_compiled_repr_switches_form_where_python_does(switch):
+    # repr writes 0.0001 but 1e-05, and 9007199254740992.0 but 1e+16.
+    assert_reprs(ulps_around(np.array([switch, -switch]), 300))
+    assert_reprs([switch * f for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2)])
+
+
+@needs_kernel
+def test_the_compiled_repr_breaks_exact_ties_to_even():
+    # The shortest digits of 96033170906012.625 are a tie between ...62 and ...63.
+    assert formatted([96033170906012.625, 0.125, 2.5])[0].endswith(",96033170906012.62")
+    eighths = np.random.default_rng(14).integers(2**50, 2**57, 100_000) / 8.0
+    assert_reprs([96033170906012.625, 0.125, 2.5, *eighths])
+
+
+@needs_kernel
+def test_the_compiled_rows_number_sessions_runs_and_labels():
+    values, labels = np.arange(12.0).reshape(4, 3) / 4, (0, 10, 2**70)
+    assert formatted(values, labels, runs=3, first=5) == [
+        f"{row // 3},{row % 3},{label},{value!r}"
+        for row, row_values in enumerate(values.tolist(), start=5) for label, value in zip(labels, row_values)]
+    # The widest row the documented room allows for.
+    wide = formatted([-2.2250738585072014e-308], labels=(1,), runs=2**62, first=2**63 - 1)
+    assert wide == [f"1,{2**62 - 1},1,-2.2250738585072014e-308"]
 
 
 def test_forced_c_refuses_patched_rules(monkeypatch):

@@ -26,9 +26,10 @@ def test_profile_session_tiny():
     # lines or the reason it is unavailable, and the ratios only with the
     # timings, for the reference session and for the markov3 chain. The
     # reference block is timed only with the compiled kernel, both of its
-    # lines then. Where this process resolves the kernel under the same
-    # environment, so does the script. The markov3 ensemble gets one median line per worker
-    # count, whichever kernel ran it.
+    # lines then, and so is `write_runs_csv` on 100,000 rows. Where this
+    # process resolves the kernel under the same environment, so does the
+    # script. The markov3 ensemble gets one median line per worker count,
+    # whichever kernel ran it.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -50,8 +51,13 @@ def test_profile_session_tiny():
         assert "ms per block" in line and "us per run" in line
     block = "reference block: 5 runs on one dividend path, python block on c sessions"
     assert lines.count(block) == compiled
+    timed = [line for line in lines if " write_runs_csv, median of 2:" in line]
+    assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
+    for line in timed:
+        assert "ms per file" in line and "us per row" in line
+    assert lines.count("runs.csv: 10000 runs x 10 levels = 100000 rows") == compiled
     for ratio in ("python / c median ratio: ", "python / c chain median ratio: ",
-                  "python / c block median ratio: "):
+                  "python / c block median ratio: ", "python / c write_runs_csv median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
     kernel = "c" if compiled else "python"
     assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
