@@ -18,10 +18,10 @@ of `im_run_chain` runs a whole switching chain on one such state (`Chain`
 holds the chain's parameters, the addresses of its scratch buffers and its
 outputs); `switching`'s Python loop stays its specification. Nothing is
 built or loaded at import; the first session that may use the kernel
-resolves it, once per process (`montecarlo.parallel_map` resolves it before
-it starts its threads, which all run on the one loaded library; a call
-through `ctypes.CDLL` releases the GIL, and the kernel keeps no global
-state).
+resolves it, once per process (`run_batch` and `run_switching_ensemble`
+resolve it before they start their threads, which all run on the one loaded
+library; a call through `ctypes.CDLL` releases the GIL, and the kernel keeps
+no global state).
 
 The kernel draws through numpy's own C algorithms: it includes numpy's
 `numpy/random/distributions.h` and links numpy's static `libnpyrandom.a`,

@@ -145,6 +145,8 @@ def acf(series, max_lag: int) -> AcfResult:
     """
     x = np.asarray(series, dtype=float)
     n = len(x)
+    if n < 2:
+        raise ValueError(f"need at least two observations, got {n}")
     if not 0 < max_lag < n:
         raise ValueError(f"max_lag must be in 1..{n - 1}, got {max_lag}")
     xc = x - x.mean()
@@ -324,7 +326,7 @@ def random_trader_sweep(samples_by_count: dict[int, np.ndarray]) -> list[tuple[i
     rows = []
     for n in sorted(samples_by_count):
         s = np.asarray(samples_by_count[n], dtype=float)
-        rows.append((n, float(s.mean()), float(s.std(ddof=1) / sqrt(len(s)))))
+        rows.append((n, float(s.mean()), float(s.std(ddof=1) / sqrt(len(s))) if len(s) > 1 else math.nan))
     return rows
 
 

@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: $INFOMARKET_OUT)")
         if preset:
             p.add_argument("--jobs", type=_jobs, default=None,
-                           help="worker threads (default: one per CPU this process may run on)")
+                           help="worker threads for the compiled kernel; the Python loop runs on one "
+                                "(default: one per CPU this process may run on)")
             p.add_argument("--preset", choices=presets_for("batch" if batch else "markov"),
                            default="jcurve10" if batch else "markov3", help="(default %(default)s)")
         if not markov:
@@ -316,17 +317,25 @@ def cmd_stats(args) -> int:
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be used with --ticks: they set up a simulated run")
         try:
-            returns = log_returns(load_ticks(args.ticks).prices)
+            prices = load_ticks(args.ticks).prices
         except (OSError, UnicodeDecodeError) as e:
             raise TickDataError(f"cannot read {args.ticks}: {e}") from None
+        if len(prices) < 3:
+            raise TickDataError(f"stats needs at least 3 ticks, two returns for one lag; {args.ticks} has "
+                                f"{len(prices)}")
     else:
         scfg = _override_session(SessionConfig(), args)
         if scfg.n_periods < 2:
             raise ConfigError("stats needs --periods >= 2: a net return spans two closing prices")
         path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
         result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
-        returns = log_returns(result.prices if args.per_step else result.trade_prices)
+        prices = result.prices if args.per_step else result.trade_prices
+        if len(prices) < 3:
+            kind = "prices" if args.per_step else "trade prices"
+            raise ConfigError(f"stats needs at least 3 {kind}, two returns for one lag; the simulated run has "
+                              f"{len(prices)}")
         net_returns = session_net_returns(result)
+    returns = log_returns(prices)
     ret_acf = acf(returns, args.max_lag)
     abs_acf = acf(np.abs(returns), args.max_lag)
     out = _outdir(args)

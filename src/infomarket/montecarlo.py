@@ -89,18 +89,12 @@ def parallel_map(task, items, jobs: int | None, key) -> list:
     """`task` applied to every item, returned sorted by `key`.
 
     With more than one job (jobs None: `default_jobs()`, never more than
-    there are items) and the compiled kernel loaded, `jobs` threads run the
-    shares, share j taking items j, j + jobs, ... : a compiled task spends
-    nearly all its time in one kernel call, which releases the GIL. The
-    kernel is resolved before any thread starts. Without it every item runs
-    in this thread, since threads cannot speed up the Python loop.
+    there are items), `jobs` threads run the shares, share j taking items
+    j, j + jobs, ... . A caller whose tasks hold the GIL passes one job.
     """
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, min(jobs, len(items)))
-    if jobs == 1 or _kernel.resolve() is None:
-        results = [task(item) for item in items]
-    else:
-        results = _on_threads(task, items, jobs)
+    results = [task(item) for item in items] if jobs == 1 else _on_threads(task, items, jobs)
     results.sort(key=key)
     return results
 
@@ -194,11 +188,13 @@ def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | 
 
 def run_batch(config: BatchConfig) -> BatchResult:
     """Run the full batch; identical output for any worker count."""
+    # A compiled block's one kernel call releases the GIL; the Python loop holds it, so it runs on one thread.
+    jobs = config.jobs if compiled_kernel(BLOCK_SPEC) is not None else 1
     tasks = [
         (config.master_seed, s, config.session, config.runs_per_session, config.collect_period_returns)
         for s in range(config.n_sessions)
     ]
-    blocks = parallel_map(_run_session_block, tasks, config.jobs, key=lambda b: b[0])
+    blocks = parallel_map(_run_session_block, tasks, jobs, key=lambda b: b[0])
     rel = np.concatenate([b[1] for b in blocks])
     net = np.concatenate([b[2] for b in blocks])
     per = np.concatenate([b[3] for b in blocks]) if config.collect_period_returns else None

@@ -297,6 +297,8 @@ def run_switching_ensemble(
 ) -> list[SwitchingRun]:
     """Independent runs from several initial states, reproducible for any job count."""
     tasks = [(config, code, master_seed) for code in initial_codes]
+    # As `montecarlo.run_batch`: chains that run the Python loop hold the GIL, so they run on one thread.
+    jobs = jobs if compiled_kernel(CHAIN_SPEC) is not None else 1
     return parallel_map(_one_switching_run, tasks, jobs, key=lambda r: r.initial_code)
 
 

@@ -287,6 +287,10 @@ def test_acf_iid_series_stays_in_band():
 def test_acf_bad_lag_rejected():
     with pytest.raises(ValueError):
         acf([1.0, 2.0, 3.0], max_lag=3)
+    # Too short a series is named as such, not as an empty lag range.
+    for series in ([], [1.0]):
+        with pytest.raises(ValueError, match=f"need at least two observations, got {len(series)}"):
+            acf(series, max_lag=1)
 
 
 # 50 000 points: long enough that OpenBLAS splits a dot product across threads.

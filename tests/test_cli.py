@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,7 +144,8 @@ def test_stats_on_simulated_run(tmp_path):
     (lambda p: p.mkdir(), "Is a directory"),
     (lambda p: p.write_bytes(b"time,price\n1,40\n2,4\xff1\n"), "codec can't decode byte 0xff"),
     (lambda p: p.write_text("time,price\n1,40\n2,4" + "0" * 200_000 + "\n"), "line 3: non-finite value"),
-], ids=["bad row", "missing file", "directory", "not UTF-8", "field over the csv limit"])
+    (lambda p: p.write_text("time,price\n1,40\n2,41\n"), "stats needs at least 3 ticks, two returns for one lag"),
+], ids=["bad row", "missing file", "directory", "not UTF-8", "field over the csv limit", "two ticks"])
 def test_stats_tick_errors_exit_3_before_the_output_directory(tmp_path, capsys, make, message):
     ticks = tmp_path / "ticks.csv"
     make(ticks)
@@ -414,6 +416,10 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     pytest.param([*STATS, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
                  id="stats --periods 0"),
     pytest.param([*TICKS, "--max-lag", "5"], "max_lag must be in 1..1, got 5", id="stats --ticks --max-lag 5"),
+    # One trader cannot trade, so the run has only its opening price.
+    pytest.param(["stats", "--agents", "1", "--periods", "2", "--steps", "3"],
+                 "stats needs at least 3 trade prices, two returns for one lag; the simulated run has 1",
+                 id="stats without trades"),
     # A net return needs two closing prices.
     pytest.param([*STATS, "--periods", "1"], "stats needs --periods >= 2", id="stats --periods 1"),
     pytest.param([*BATCH, "--preset", "efficiency", "--periods", "1"],
@@ -436,6 +442,17 @@ def test_simulate_path_runs_past_the_top_reader(tmp_path):
     assert run_cli("simulate", "--agents", "11", "--seed", "2", "--steps", "10", "--out", str(out)) == 0
     rows = (out / "dividends.csv").read_text().splitlines()
     assert len(rows) == 1 + 30 + 10
+
+
+def test_one_run_sweep_writes_a_nan_stderr_without_a_warning(tmp_path):
+    # One sample per trader count has no spread, as a one-run level in jcurve.csv.
+    out = tmp_path / "sw"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*SWEEP, "--runs", "1", "--out", str(out)) == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()]
+    assert rows[0][2] == "stderr_pp" and len(rows) == 6
+    assert [row[2] for row in rows[1:]] == ["nan"] * 5
 
 
 def test_one_period_batch_writes_runs_without_a_warning(tmp_path):

@@ -133,7 +133,8 @@ def _outputs(tmp_path_factory, kernel):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     # A process whose kernel resolved to nothing runs the Python loop, and
-    # parallel_map then runs every item in the calling thread.
+    # run_batch and run_switching_ensemble then run every task in the
+    # calling thread.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
         return _outputs(tmp_path_factory, "python")

@@ -873,31 +873,31 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
 @needs_kernel
 def test_the_python_loop_on_threads_matches_one_job(monkeypatch):
     # A wrapped rule, as the benchmark's tracer installs, sends every block
-    # and chain down the Python loop while the loaded kernel still lets
-    # parallel_map start its threads; the outputs must not depend on them.
+    # and chain down the Python loop while the kernel loads; the Python loop
+    # holds the GIL, so at any jobs every block and chain runs in the
+    # calling thread, with the bytes of one job.
     threads = set()
 
-    def wrapped(*args):
-        threads.add(threading.get_ident())
-        return decide_random(*args)
+    def wrap(rule):
+        def wrapped(*args):
+            threads.add(threading.get_ident())
+            return rule(*args)
+        return wrapped
 
-    monkeypatch.setattr(engine, "decide_random", wrapped)
+    # Blocks call both rules, chains the value rule.
+    monkeypatch.setattr(engine, "decide_random", wrap(decide_random))
+    monkeypatch.setattr(engine, "decide_fundamentalist", wrap(engine.decide_fundamentalist))
     batch = BatchConfig(session=config(), n_sessions=5, runs_per_session=2, master_seed=8)
     chains = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
     outputs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so shared state would show
-    try:
-        for jobs in (1, 2, 3):
-            threads.clear()
-            runs, states = io.StringIO(), io.StringIO()
-            result = run_batch(replace(batch, jobs=jobs))
-            write_runs_csv(result, runs)
-            write_states_csv(run_switching_ensemble(chains, (1, 3, 4, 8), 6, jobs=jobs), states)
-            outputs[jobs] = (runs.getvalue(), result.asset_mean_returns.tobytes(), states.getvalue())
-            assert (threading.get_ident() in threads) == (jobs == 1)
-    finally:
-        sys.setswitchinterval(interval)
+    for jobs in (1, 2, 3):
+        threads.clear()
+        runs, states = io.StringIO(), io.StringIO()
+        result = run_batch(replace(batch, jobs=jobs))
+        write_runs_csv(result, runs)
+        write_states_csv(run_switching_ensemble(chains, (1, 3, 4, 8), 6, jobs=jobs), states)
+        outputs[jobs] = (runs.getvalue(), result.asset_mean_returns.tobytes(), states.getvalue())
+        assert threads == {threading.get_ident()}
     assert outputs[1] == outputs[2] == outputs[3]
 
 

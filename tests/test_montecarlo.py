@@ -13,9 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infomarket import _kernel
+from infomarket import _kernel, engine
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
-from infomarket.engine import SessionConfig, default_market, market_with_levels, relative_returns, run_session
+from infomarket.engine import (
+    SessionConfig,
+    decide_random,
+    default_market,
+    market_with_levels,
+    relative_returns,
+    run_session,
+)
 from infomarket.montecarlo import (
     BatchConfig,
     default_jobs,
@@ -25,6 +32,7 @@ from infomarket.montecarlo import (
     write_runs_csv,
 )
 from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
+from infomarket.switching import SwitchingConfig, run_switching_ensemble
 
 
 def tiny_session():
@@ -158,7 +166,7 @@ def deadline(seconds, handler=None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def assert_no_worker_left():
+def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -173,14 +181,6 @@ def src_env():
 
 def identity(item):
     return item
-
-
-@pytest.fixture
-def loaded_kernel():
-    """Skip where this process resolves no kernel: parallel_map then runs
-    every item in the calling thread."""
-    if _kernel.resolve() is None:
-        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
@@ -203,10 +203,10 @@ def test_parallel_map_returns_every_item_in_key_order():
     items = list(range(20_000))[::-1]
     with deadline(60):
         assert parallel_map(lambda i: i * 3, items, 2, key=lambda r: r) == [3 * i for i in range(20_000)]
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
-def test_parallel_map_shares_uneven_tasks_between_both_workers(loaded_kernel):
+def test_parallel_map_shares_uneven_tasks_between_both_workers():
     def uneven(i):
         time.sleep(0.2 if i == 0 else 0.001)
         return i, threading.get_ident()
@@ -220,7 +220,7 @@ def test_parallel_map_shares_uneven_tasks_between_both_workers(loaded_kernel):
         by_thread.setdefault(ident, []).append(i)
     assert threading.get_ident() not in by_thread
     assert sorted(by_thread.values()) == [[0, 2, 4], [1, 3, 5]]
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
 def test_parallel_map_raises_a_task_error_with_its_own_type():
@@ -231,12 +231,12 @@ def test_parallel_map_raises_a_task_error_with_its_own_type():
 
     with deadline(60), pytest.raises(ValueError, match="bad item 3"):
         parallel_map(fail_on_three, list(range(8)), 2, key=identity)
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
-def test_parallel_map_kills_its_workers_on_ctrl_c():
-    # SIGALRM runs Python's SIGINT handler in the parent only: a Ctrl-C that
-    # reaches the parent while its workers run.
+def test_parallel_map_raises_ctrl_c_without_waiting_for_its_tasks():
+    # SIGALRM runs Python's SIGINT handler in the main thread: a Ctrl-C that
+    # arrives while the threads run their tasks.
     def hang(i):
         time.sleep(60)
 
@@ -244,10 +244,10 @@ def test_parallel_map_kills_its_workers_on_ctrl_c():
     with pytest.raises(KeyboardInterrupt), deadline(1, signal.default_int_handler):
         parallel_map(hang, [0, 1], 2, key=identity)
     assert time.perf_counter() - t0 < 10
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
-def test_parallel_map_raises_a_worker_task_error_while_the_parent_runs_its_share(loaded_kernel):
+def test_parallel_map_raises_a_later_items_error_while_an_earlier_item_still_runs():
     # One thread's error reaches the caller while the other thread still
     # sleeps through its 60-s item: the caller raises at once and does not
     # wait for that item.
@@ -260,10 +260,10 @@ def test_parallel_map_raises_a_worker_task_error_while_the_parent_runs_its_share
     with deadline(30), pytest.raises(ValueError, match="bad item 1"):
         parallel_map(sleep_or_fail, [0, 1], 2, key=identity)
     assert time.perf_counter() - t0 < 10
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
-def test_parallel_map_kills_its_workers_when_the_parents_own_task_fails():
+def test_parallel_map_raises_the_first_items_error_while_a_later_item_still_runs():
     def fail_or_hang(i):
         if i == 0:
             raise ValueError("bad item 0")
@@ -273,7 +273,7 @@ def test_parallel_map_kills_its_workers_when_the_parents_own_task_fails():
     with deadline(30), pytest.raises(ValueError, match="bad item 0"):
         parallel_map(fail_or_hang, [0, 1], 2, key=identity)
     assert time.perf_counter() - t0 < 10
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
 class TwoArgError(Exception):
@@ -284,7 +284,7 @@ class TwoArgError(Exception):
         self.code = code
 
 
-def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild(loaded_kernel):
+def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild():
     # Nothing is pickled: the task's own exception is raised.
     def fail(i):
         if i == 1:
@@ -296,10 +296,10 @@ def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild(loaded_kernel):
     with deadline(60), pytest.raises(TwoArgError, match="bad") as raised:
         parallel_map(fail, [0, 1], 2, key=identity)
     assert raised.value.code == 2
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
-def test_parallel_map_runs_more_than_one_job_off_the_main_thread(loaded_kernel):
+def test_parallel_map_runs_more_than_one_job_off_the_main_thread():
     returned = []
 
     def run():
@@ -311,21 +311,34 @@ def test_parallel_map_runs_more_than_one_job_off_the_main_thread(loaded_kernel):
     assert not thread.is_alive() and len(returned) == 1
     assert [i for i, _ in returned[0]] == [0, 1, 2, 3]
     assert thread.ident not in {ident for _, ident in returned[0]}
-    assert_no_worker_left()
+    assert_no_child_process()
 
 
 def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
-    # The Python loop holds the GIL, so every item runs in the calling thread.
+    # The Python loop holds the GIL, so a batch or an ensemble whose blocks
+    # or chains would run it starts no thread at any jobs: where no kernel
+    # resolves, and where a rule is wrapped while the kernel loads.
     def refuse(*args, **kwargs):
-        pytest.fail("parallel_map started a thread without the kernel")
+        pytest.fail("a thread started for the Python loop")
 
-    monkeypatch.setattr(_kernel, "_resolved", (None, "no kernel"))
-    monkeypatch.setattr(threading, "Thread", refuse)
-    results = parallel_map(lambda i: (i, threading.get_ident()), [2, 1, 0], 2, key=identity)
-    assert results == [(i, threading.get_ident()) for i in range(3)]
+    def wrapped(*args):
+        return decide_random(*args)
+
+    chains = SwitchingConfig(n_traders=3, n_periods=30, interval=5, steps_per_period=10)
+    for python_loop in ("no kernel", "wrapped rule"):
+        with monkeypatch.context() as m:
+            if python_loop == "no kernel":
+                m.setattr(_kernel, "_resolved", (None, "no kernel"))
+            else:
+                _kernel.resolve()  # loads wherever it can; the wrapped rule still decides
+                m.setattr(engine, "decide_random", wrapped)
+            m.setattr(threading, "Thread", refuse)
+            for jobs in (2, 3):
+                assert run_batch(tiny_batch(jobs=jobs)).rel_returns.shape == (12, 4)
+                assert len(run_switching_ensemble(chains, (1, 4, 8), 5, jobs=jobs)) == 3
 
 
-def test_forked_workers_do_not_repeat_buffered_output(tmp_path):
+def test_a_command_on_threads_prints_its_buffered_lines_once(tmp_path):
     # The command prints its two lines before the chains run; stdout is a
     # pipe and PYTHONUNBUFFERED is unset, so they are still buffered when
     # the worker threads start, and each line must still appear once.
