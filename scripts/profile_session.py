@@ -15,11 +15,14 @@ profile 1, switching stream from seed 0): the Python loop of
 one `im_run_chain` call. It prints each kernel's median per chain and per
 period, and the ratio of the medians.
 
-Then it times one batch session block of the reference market, 5 runs on
-one dividend path (perfbench's jcurve shape; master seed 0, session 0):
-the Python block, whose runs are compiled sessions, against the compiled
-block, one `im_run_block` call. It prints each block's median per block
-and per run, and the ratio of the medians.
+Then it times one batch share of the reference market, 6 sessions of 5
+runs each (perfbench jcurve's batch, which `--jobs 1` runs as one share;
+master seed 0): the Python block, whose runs are compiled sessions, against
+the compiled block, one `im_run_block` call that also seeds every
+generator. It prints each block's median per share and per run, and the
+ratio of the medians. Then it times seeding that share's 36 generators (6
+walks, 30 runs): `rng.stream` per key against one `im_seed_pcg64` call,
+per share and per generator.
 
 Then it times `write_runs_csv` on 100,000 rows, 10,000 runs x 10 levels of
 seeded relative returns, to a file: the Python generator against the
@@ -33,8 +36,8 @@ on the kernel this process resolves, and prints one median line for each.
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or
-`c kernel unavailable: <reason>`, and the `c chain`, `c block` and
-`write_runs_csv` lines and the four ratios only with the former.
+`c kernel unavailable: <reason>`, and the `c chain`, the block, the seeding
+and the `write_runs_csv` lines and the four ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -59,7 +62,7 @@ from infomarket.switching import run_switching_ensemble, run_switching_sim
 CHAIN_PERIODS = 300
 ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per initial profile
 ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
-BLOCK_RUNS = 5
+SHARE = (6, 5)  # sessions, runs per session: perfbench jcurve's batch, one share at --jobs 1
 RUNS_CSV_SHAPE = (100, 100, 10)  # sessions, runs per session, levels: 100,000 rows
 
 
@@ -147,19 +150,36 @@ def main() -> int:
         print(f"python / c chain median ratio: {medians['python'] / medians['c']:.2f}")
 
     _kernel._resolved = resolutions["c"]
-    block_args = (0, 0, cfg, BLOCK_RUNS, False)
+    sessions, runs = SHARE
+    share_batch = montecarlo.BatchConfig(session=cfg, n_sessions=sessions, runs_per_session=runs, master_seed=0)
 
     def block(kernel: str) -> float:
         montecarlo.run_session = spec_run_session if kernel == "python" else run_session
+        (share,) = montecarlo.batch_shares(share_batch, 1)
         t0 = time.perf_counter()
-        montecarlo._run_session_block(block_args)
+        montecarlo._run_session_block(share)
+        return time.perf_counter() - t0
+
+    keys = [(0, PATH_DOMAIN, s) for s in range(sessions)]
+    keys += [(0, RUN_DOMAIN, s, r) for s in range(sessions) for r in range(runs)]
+
+    def seeding(kernel: str) -> float:
+        t0 = time.perf_counter()
+        if kernel == "python":
+            for key in keys:
+                stream(*key)
+        else:
+            lib.im_seed_pcg64(words.ctypes.data, ends.ctypes.data, len(keys), states.ctypes.data)
         return time.perf_counter() - t0
 
     if lib is not None:
-        print(f"reference block: {BLOCK_RUNS} runs on one dividend path, python block on c sessions")
-        medians = report("block", alternate(kernels, args.repeats, block), "block", BLOCK_RUNS, "run")
+        print(f"reference share: {sessions} sessions x {runs} runs, python block on c sessions")
+        medians = report("block", alternate(kernels, args.repeats, block), "share", sessions * runs, "run")
         montecarlo.run_session = run_session
         print(f"python / c block median ratio: {medians['python'] / medians['c']:.2f}")
+        (words, ends), states = _kernel.key_table(keys), np.empty((len(keys), 6), np.uint64)
+        print(f"seeding: the share's {len(keys)} generators, rng.stream against im_seed_pcg64")
+        report("seeding", alternate(kernels, args.repeats, seeding), "share", len(keys), "generator")
 
     if lib is not None:
         sessions, runs, levels = RUNS_CSV_SHAPE

@@ -11,14 +11,18 @@
  * produce the same bits. The caller owns every buffer (see _kernel.py,
  * whose Session mirrors `im_session`, Block `im_block` and Chain `im_chain`).
  *
- * `im_run_periods` runs periods of one session. `im_run_block` runs the
- * runs of one batch session, montecarlo._run_session_block, whose Python
- * loop stays its specification: it draws the session's dividend walk and
+ * `im_run_periods` runs periods of one session. `im_run_block` runs one
+ * share of a batch, montecarlo._run_session_block, whose Python loop stays
+ * its specification: per session it draws the session's dividend walk and
  * fills the present-value table once, then per run resets the state a
  * fresh MarketSession starts from and runs every period, all on one state
- * laid out once per block. montecarlo.BLOCK_SPEC lists the names that send
- * a block to the Python loop when patched: the rules, the book methods, the
- * dividend walk, run_session and engine's present-value function.
+ * laid out once per share. It seeds every generator itself from the master
+ * seed's key words, with numpy's SeedSequence and PCG64 reproduced below,
+ * so it draws the streams rng.stream gives; `im_seed_pcg64` and
+ * `im_pcg64_draw` expose them to the tests and to _kernel._load's
+ * self-check. montecarlo.BLOCK_SPEC lists the names that send a block to the
+ * Python loop when patched: the rules, the book methods, the dividend walk,
+ * run_session, stream and engine's present-value function.
  * `im_run_chain` runs one chain of switching.run_switching_sim, whose Python
  * loop stays its specification: per segment it draws the dividend walk,
  * fills the present values and marks, resets the state a fresh
@@ -351,6 +355,219 @@ static int trade_period(im_session *s, const double *pv_row, double d)
     return 0;
 }
 
+/* ---- numpy's SeedSequence and PCG64, for generators seeded here ----
+ *
+ * rng.stream(*key) is Generator(PCG64(SeedSequence(key))). SeedSequence
+ * turns the key into entropy words, each component's 32-bit words from the
+ * lowest (one 0 word for 0), and hashes them into a pool of 4 words: the
+ * first 4 words each through hashmix (0 words where the key is shorter), then
+ * every pool word mixed with every other, then each further word mixed into
+ * every pool word; hashmix's multiplier runs on through all of it. PCG64
+ * takes generate_state(4, uint64) as its 128-bit seed and increment, and
+ * steps O'Neill's 128-bit LCG with the XSL-RR output; its 32-bit draws are
+ * the halves of one 64-bit output, low half first. numpy's Generator
+ * methods draw from such a generator through the same bitgen_t, so the
+ * variates and the final state are numpy's own. */
+
+enum { POOL = 4 };
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+/* A SeedSequence's pool after the key words fed so far. */
+typedef struct {
+    uint32_t pool[POOL];
+    uint32_t hash_const;
+    int64_t words;
+} im_seeder;
+
+static const im_seeder NEW_SEEDER = {{0, 0, 0, 0}, INIT_A, 0};
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+static void feed_word(im_seeder *q, uint32_t word)
+{
+    if (q->words >= POOL) {
+        for (int dst = 0; dst < POOL; dst++)
+            q->pool[dst] = mix(q->pool[dst], hashmix(word, &q->hash_const));
+    } else {
+        q->pool[q->words] = hashmix(word, &q->hash_const);
+        if (q->words == POOL - 1) /* the pool is full: mix all its bits together */
+            for (int src = 0; src < POOL; src++)
+                for (int dst = 0; dst < POOL; dst++)
+                    if (src != dst)
+                        q->pool[dst] = mix(q->pool[dst], hashmix(q->pool[src], &q->hash_const));
+    }
+    q->words++;
+}
+
+/* One non-negative key component. */
+static void feed(im_seeder *q, uint64_t component)
+{
+    do {
+        feed_word(q, (uint32_t)component);
+        component >>= 32;
+    } while (component);
+}
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} im_pcg64;
+
+/* A PCG64 and the bitgen_t numpy's distribution functions draw from it. */
+typedef struct {
+    im_pcg64 pcg;
+    bitgen_t bitgen;
+} im_generator;
+
+#define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
+
+static inline uint64_t pcg64_next64(void *st)
+{
+    im_pcg64 *g = st;
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t folded = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return folded >> rot | folded << (-rot & 63);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    im_pcg64 *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static void bind(im_generator *gen)
+{
+    gen->bitgen = (bitgen_t){&gen->pcg, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+}
+
+/* PCG64(SeedSequence(key)) for the key words fed to `q` (a copy: the caller
+ * keeps its seeder to feed more components). */
+static void seed_generator(im_generator *gen, im_seeder q)
+{
+    while (q.words < POOL)
+        feed_word(&q, 0);
+    uint32_t hash_const = INIT_B, w[2 * POOL];
+    for (int i = 0; i < 2 * POOL; i++) {
+        uint32_t value = q.pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        w[i] = value ^ value >> 16;
+    }
+    /* generate_state's uint64 words are little-endian pairs of these */
+    const u128 seed = (u128)(w[0] | (uint64_t)w[1] << 32) << 64 | (w[2] | (uint64_t)w[3] << 32);
+    const u128 inc = (u128)(w[4] | (uint64_t)w[5] << 32) << 64 | (w[6] | (uint64_t)w[7] << 32);
+    im_pcg64 *g = &gen->pcg;
+    g->inc = inc << 1 | 1;
+    g->state = g->inc; /* one step from 0 */
+    g->state = (g->state + seed) * PCG_MULT + g->inc;
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+    bind(gen);
+}
+
+/* A generator's state as six words: state and inc (high word first),
+ * has_uint32 and uinteger, as numpy's `bit_generator.state` holds them. */
+static void put_state(uint64_t *out, const im_pcg64 *g)
+{
+    out[0] = (uint64_t)(g->state >> 64);
+    out[1] = (uint64_t)g->state;
+    out[2] = (uint64_t)(g->inc >> 64);
+    out[3] = (uint64_t)g->inc;
+    out[4] = (uint64_t)g->has_uint32;
+    out[5] = g->uinteger;
+}
+
+static void get_state(im_pcg64 *g, const uint64_t *in)
+{
+    g->state = (u128)in[0] << 64 | in[1];
+    g->inc = (u128)in[2] << 64 | in[3];
+    g->has_uint32 = in[4] != 0;
+    g->uinteger = (uint32_t)in[5];
+}
+
+/* The states of PCG64(SeedSequence(key)) for n_keys keys, six words each
+ * into out: key k's words are words[ends[k - 1]:ends[k]] (from 0 for k = 0). */
+int im_seed_pcg64(const uint32_t *words, const int64_t *ends, int64_t n_keys, uint64_t *out)
+{
+    im_generator gen;
+    for (int64_t k = 0; k < n_keys; k++) {
+        im_seeder q = NEW_SEEDER;
+        for (int64_t i = k ? ends[k - 1] : 0; i < ends[k]; i++)
+            feed_word(&q, words[i]);
+        seed_generator(&gen, q);
+        put_state(out + 6 * k, &gen.pcg);
+    }
+    return 0;
+}
+
+enum { DRAW_RAW = 0, DRAW_INTEGERS, DRAW_RANDOM, DRAW_NORMAL };
+
+/* `count` draws of one kind from the generator in `state` (six words, read
+ * and written back), as numpy's bit_generator.random_raw(count),
+ * integers(0, bound, count), random(count) or standard_normal(count) make
+ * them. Returns 0, or -1 for an unknown kind or a bound below 1. */
+int im_pcg64_draw(uint64_t *state, int64_t kind, int64_t count, int64_t bound, void *out)
+{
+    im_generator gen;
+    bind(&gen);
+    get_state(&gen.pcg, state);
+    switch (kind) {
+    case DRAW_RAW:
+        for (int64_t i = 0; i < count; i++)
+            ((uint64_t *)out)[i] = pcg64_next64(&gen.pcg);
+        break;
+    case DRAW_INTEGERS:
+        if (bound < 1)
+            return -1;
+        random_bounded_uint64_fill(&gen.bitgen, 0, (uint64_t)(bound - 1), count, false, out);
+        break;
+    case DRAW_RANDOM:
+        random_standard_uniform_fill(&gen.bitgen, count, out);
+        break;
+    case DRAW_NORMAL:
+        random_standard_normal_fill(&gen.bitgen, count, out);
+        break;
+    default:
+        return -1;
+    }
+    put_state(state, &gen.pcg);
+    return 0;
+}
+
 /* One period: its draws from bg and its trading on its row of the
  * present-value table. Returns 0, or -1 when a side of the book is full. */
 static int run_period(im_session *s, bitgen_t *bg)
@@ -538,14 +755,14 @@ int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
     return 0;
 }
 
-/* The runs of one batch session (montecarlo._run_session_block): their
- * parameters, the addresses of the scratch buffers and of each run's
- * generator, and the outputs. The caller owns every buffer (see
- * _kernel.Block). */
+/* A share of a batch (montecarlo._run_session_block): the sessions it runs,
+ * their parameters, the master seed and domains their streams derive from,
+ * a scratch buffer and the batch-wide outputs it writes its sessions' rows
+ * of. The caller owns every buffer (see _kernel.Block). */
 typedef struct {
-    int64_t runs;
+    int64_t runs;         /* per session */
     int64_t periods;      /* per run */
-    int64_t path_length;  /* the dividends the session's walk draws */
+    int64_t path_length;  /* the dividends each session's walk draws */
     int64_t top;          /* the top information level, 0 when nobody is informed */
     double d0;            /* the dividend walk's start */
     double sigma;         /* and its step scale */
@@ -553,33 +770,65 @@ typedef struct {
     double initial_cash;
     int64_t initial_shares;
     double initial_price;
-    double *walk;         /* path_length: the session's dividends */
+    const uint32_t *master; /* n_master: the master seed's key words */
+    int64_t n_master;
+    int64_t path_domain;  /* rng.PATH_DOMAIN: a walk's key is (master, path_domain, session) */
+    int64_t run_domain;   /* rng.RUN_DOMAIN: a run's key is (master, run_domain, session, run) */
+    const int64_t *sessions; /* n_sessions: the share's batch session indices */
+    int64_t n_sessions;
     double *powers;       /* top: as im_chain's */
-    int64_t *bitgens;     /* runs: the address of each run's bitgen_t */
-    double *wealth;       /* runs x n: final cash plus shares marked at the last close */
-    double *closes;       /* runs x periods: each period's last price */
+    double *walks;        /* batch sessions x path_length: each session's dividends */
+    double *wealth;       /* batch runs x n, row session * runs + run: final cash plus shares at the last close */
+    double *closes;       /* batch runs x periods: each period's last price */
+    uint64_t *states;     /* NULL, or batch sessions x (runs + 1) x 6: the walk's, then each run's final state */
 } im_block;
 
 int64_t im_block_size(void) { return (int64_t)sizeof(im_block); }
 
-/* A whole batch session on one session state: the dividend walk from
- * `path`, its present-value table once, then every run from the state a
- * fresh MarketSession starts from, on its own generator, and its wealth and
- * closing prices. Returns 0, or -1 when a side of the book is full. */
-int im_run_block(im_session *s, im_block *b, bitgen_t *path)
+/* Every session of a share on one session state: per session its dividend
+ * walk from its own generator, its present-value table once, then every run
+ * from the state a fresh MarketSession starts from, on its own generator,
+ * and its wealth and closing prices. Each generator is seeded here as
+ * rng.stream seeds it. Returns 0, or -1 when a side of the book is full. */
+int im_run_block(im_session *s, im_block *b)
 {
-    const int64_t n = s->n, periods = b->periods;
-    draw_walk(b->walk, b->path_length, b->d0, b->sigma, path);
+    const int64_t n = s->n, periods = b->periods, runs = b->runs;
+    im_seeder master = NEW_SEEDER;
+    for (int64_t i = 0; i < b->n_master; i++)
+        feed_word(&master, b->master[i]);
+    im_seeder path_key = master, run_key = master;
+    feed(&path_key, (uint64_t)b->path_domain);
+    feed(&run_key, (uint64_t)b->run_domain);
     fill_powers(b->powers, b->top, b->r_e);
-    fill_table(s, b->walk, b->powers, b->r_e, periods);
-    for (int64_t r = 0; r < b->runs; r++) {
-        reset_session(s, b->initial_cash, b->initial_shares, b->initial_price);
-        if (im_run_periods(s, (bitgen_t *)(intptr_t)b->bitgens[r], periods))
-            return -1;
-        double *wealth = b->wealth + r * n;
-        for (int64_t i = 0; i < n; i++)
-            wealth[i] = s->cash[i] + (double)s->shares[i] * s->last_price;
-        memcpy(b->closes + r * periods, s->period_end_prices, (size_t)periods * sizeof(double));
+    im_generator gen;
+    for (int64_t k = 0; k < b->n_sessions; k++) {
+        const int64_t session = b->sessions[k];
+        double *walk = b->walks + session * b->path_length;
+        uint64_t *states = b->states ? b->states + session * (runs + 1) * 6 : NULL;
+        im_seeder key = path_key;
+        feed(&key, (uint64_t)session);
+        seed_generator(&gen, key);
+        draw_walk(walk, b->path_length, b->d0, b->sigma, &gen.bitgen);
+        if (states)
+            put_state(states, &gen.pcg);
+        fill_table(s, walk, b->powers, b->r_e, periods);
+        im_seeder session_key = run_key;
+        feed(&session_key, (uint64_t)session);
+        for (int64_t r = 0; r < runs; r++) {
+            key = session_key;
+            feed(&key, (uint64_t)r);
+            seed_generator(&gen, key);
+            reset_session(s, b->initial_cash, b->initial_shares, b->initial_price);
+            if (im_run_periods(s, &gen.bitgen, periods))
+                return -1;
+            const int64_t row = session * runs + r;
+            double *wealth = b->wealth + row * n;
+            for (int64_t i = 0; i < n; i++)
+                wealth[i] = s->cash[i] + (double)s->shares[i] * s->last_price;
+            memcpy(b->closes + row * periods, s->period_end_prices, (size_t)periods * sizeof(double));
+            if (states)
+                put_state(states + (r + 1) * 6, &gen.pcg);
+        }
     }
     return 0;
 }

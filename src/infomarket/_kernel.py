@@ -9,11 +9,22 @@ it, reading the period's present values in place from the session's
 table. Both run on the same state: an arena that `engine.lay_out_state`
 lays out, whose first bytes are the kernel's `im_session` (`Session`, read
 and written by field name from Python) and whose buffers those fields
-point to. One call of `im_run_block` runs a whole batch session block on
-one such state: it draws the dividend walk, fills the present-value table
-once and runs every run on its own generator (`Block` holds the block's
-parameters and the addresses of its buffers, of each run's `bitgen_t` and of
-its outputs); `montecarlo`'s Python block stays its specification. One call
+point to. One call of `im_run_block` runs a whole share of a batch, any
+number of sessions, on one such state: per session it draws the dividend
+walk, fills the present-value table once and runs every run on its own
+generator, writing into the batch-wide outputs (`Block` holds the share's
+parameters, the master seed's key words and the addresses of its session
+indices, its scratch buffer and the outputs); `montecarlo`'s Python block
+stays its specification. The block seeds its generators itself: the
+kernel reproduces numpy's `SeedSequence` (the 4-word pool, `hashmix`, `mix`
+and `generate_state(4, uint64)`) and PCG64 (the 128-bit LCG step, the
+XSL-RR output, the buffered 32-bit halves and `next_double`) behind a
+`bitgen_t` of its own, so it draws `rng.stream`'s streams without a Python
+generator. `im_seed_pcg64` seeds generators for given keys and
+`im_pcg64_draw` draws from a given state, for the tests and for the check
+that `_load` makes: a library whose generator for `CHECK_KEY` differs from
+`rng.stream`'s (a numpy whose `SeedSequence` or PCG64 changed) is refused,
+and every batch runs the Python block. One call
 of `im_run_chain` runs a whole switching chain on one such state (`Chain`
 holds the chain's parameters, the addresses of its scratch buffers and its
 outputs); `switching`'s Python loop stays its specification. Nothing is
@@ -69,6 +80,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import Strategy
+from .rng import stream
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -196,14 +208,17 @@ class Session(ctypes.Structure):
 
 
 class Block(ctypes.Structure):
-    """`im_block` in _kernel.c: one batch session's parameters, the
-    addresses of its scratch buffers, of each run's `bitgen_t` and of its
-    outputs."""
+    """`im_block` in _kernel.c: one share of a batch, its sessions'
+    parameters, the key words their streams derive from, and the addresses
+    of the share's session indices, of its scratch buffer and of the
+    batch-wide outputs."""
 
     _fields_ = [*_fields(ctypes.c_int64, "runs periods path_length top"),
                 *_fields(ctypes.c_double, "d0 sigma r_e initial_cash"),
                 ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double),
-                *_fields(ctypes.c_void_p, "walk powers bitgens wealth closes")]
+                ("master", ctypes.c_void_p), *_fields(ctypes.c_int64, "n_master path_domain run_domain"),
+                ("sessions", ctypes.c_void_p), ("n_sessions", ctypes.c_int64),
+                *_fields(ctypes.c_void_p, "powers walks wealth closes states")]
 
 
 class Chain(ctypes.Structure):
@@ -228,8 +243,12 @@ def _load(path: Path):
             raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_run_periods.restype = ctypes.c_int
-    lib.im_run_block.argtypes = (ctypes.c_void_p, ctypes.POINTER(Block), ctypes.c_void_p)
+    lib.im_run_block.argtypes = (ctypes.c_void_p, ctypes.POINTER(Block))
     lib.im_run_block.restype = ctypes.c_int
+    lib.im_seed_pcg64.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    lib.im_seed_pcg64.restype = ctypes.c_int
+    lib.im_pcg64_draw.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p)
+    lib.im_pcg64_draw.restype = ctypes.c_int
     lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
     lib.im_run_chain.restype = ctypes.c_int
     lib.im_parse_ticks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
@@ -238,7 +257,60 @@ def _load(path: Path):
     lib.im_format_per_run.restype = ctypes.c_int64
     lib.pow10 = pow10_table()
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
+    _check_seeding(lib)
     return lib
+
+
+# A key whose master seed takes three words, and whose run index is odd.
+CHECK_KEY = (2**64 + 5, 1, 3, 7)
+DRAW_RAW, DRAW_INTEGERS, DRAW_RANDOM, DRAW_NORMAL = range(4)  # `im_pcg64_draw`'s kinds
+
+
+def _check_seeding(lib) -> None:
+    """Refuse a library whose generators are not `rng.stream`'s: the state
+    `im_seed_pcg64` seeds for `CHECK_KEY`, and the first draw from it."""
+    numpy_rng = stream(*CHECK_KEY)
+    expected = pcg64_words(numpy_rng), numpy_rng.bit_generator.random_raw()
+    (state,) = seeded_states(lib, [CHECK_KEY])
+    seeded, first = tuple(state.tolist()), np.empty(1, np.uint64)
+    lib.im_pcg64_draw(state.ctypes.data, DRAW_RAW, 1, 0, first.ctypes.data)
+    if (seeded, int(first[0])) != expected:
+        raise KernelUnavailable(f"the kernel's SeedSequence and PCG64 do not reproduce numpy "
+                                f"{np.__version__}'s streams")
+
+
+def key_words(*key: int) -> np.ndarray:
+    """The uint32 entropy words `np.random.SeedSequence(key)` hashes: each
+    component's 32-bit words from the lowest, one 0 word for 0."""
+    words = []
+    for component in key:
+        words.append(component & 0xFFFFFFFF)
+        while component := component >> 32:
+            words.append(component & 0xFFFFFFFF)
+    return np.array(words, np.uint32)
+
+
+def pcg64_words(rng: np.random.Generator) -> tuple[int, ...]:
+    """A PCG64 generator's state as the kernel writes it: state and inc, each
+    as its high and low 64-bit words, then has_uint32 and uinteger."""
+    state = rng.bit_generator.state
+    seed, inc, low = state["state"]["state"], state["state"]["inc"], 2**64 - 1
+    return seed >> 64, seed & low, inc >> 64, inc & low, state["has_uint32"], state["uinteger"]
+
+
+def key_table(keys) -> tuple[np.ndarray, np.ndarray]:
+    """`im_seed_pcg64`'s keys: the words of every key, one key after
+    another, and where each key's words end."""
+    words = [key_words(*key) for key in keys]
+    return np.concatenate(words), np.cumsum([len(w) for w in words], dtype=np.int64)
+
+
+def seeded_states(lib, keys) -> np.ndarray:
+    """The state words of the generator `im_seed_pcg64` seeds for each key,
+    one row of six per key."""
+    (words, ends), states = key_table(keys), np.empty((len(keys), 6), np.uint64)
+    lib.im_seed_pcg64(words.ctypes.data, ends.ctypes.data, len(keys), states.ctypes.data)
+    return states
 
 
 POW10_MIN, POW10_MAX = -292, 324  # 10**-k for every k = floor(log10(ulp)) of a double

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import (
+    DegenerateSeriesError,
     TickDataError,
     acf,
     jarque_bera,
@@ -336,8 +337,17 @@ def cmd_stats(args) -> int:
                               f"{len(prices)}")
         net_returns = session_net_returns(result)
     returns = log_returns(prices)
-    ret_acf = acf(returns, args.max_lag)
-    abs_acf = acf(np.abs(returns), args.max_lag)
+    correlograms = []
+    for name, series in (("returns", returns), ("absolute returns", np.abs(returns))):
+        try:
+            correlograms.append(acf(series, args.max_lag))
+        except DegenerateSeriesError:
+            # A tick file is data; a simulated run comes from the flags.
+            error, source = (TickDataError, args.ticks) if args.ticks else (ConfigError, "the simulated run")
+            raise error(f"the {name} of {source} are constant: their autocorrelation is undefined") from None
+    ret_acf, abs_acf = correlograms
+    mom = moments(returns)  # constant returns have failed above
+    jb = jarque_bera(mom, len(returns))
     out = _outdir(args)
     eff = _effective(args)
     _announce("stats", eff, out)
@@ -345,8 +355,6 @@ def cmd_stats(args) -> int:
         write_efficiency_summary_csv(net_returns, out / "efficiency.csv")
         print(f"mean net simple return: {net_returns.mean():.6f} (r_e = {scfg.rates.r_e}, r_f = {scfg.rates.r_f})")
     write_acf_csv(ret_acf, abs_acf, out / "acf.csv")
-    mom = moments(returns)
-    jb = jarque_bera(mom, len(returns))
     write_moments_csv(mom, jb, len(returns), out / "moments.csv")
     _write_manifest(out, "stats", eff)
     print(f"n={len(returns)} kurtosis={mom.kurtosis:.3f} JB p={jb[1]:.3g}")

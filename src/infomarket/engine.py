@@ -21,8 +21,9 @@ out at construction as the compiled kernel's `im_session` and read from
 Python through its ctypes mirror, `_kernel.Session`. The table (period x
 trader) comes from `present_value_table`, cached on the dividend path, so
 every run of a batch session shares it; each period reads its row in place.
-A compiled batch block (`montecarlo._run_session_block`) lays out one such
-state for all its runs, and `_kernel.c` fills its table once per block.
+A compiled batch share (`montecarlo._run_session_block`) lays out one such
+state for all its sessions and runs, and `_kernel.c` fills its table once
+per session.
 There are two ways to run periods on that one state, with the same bits and
 the same generator state after them:
 

@@ -5,14 +5,19 @@ derived from (master_seed, domain, session[, run]) keys, so the batch
 decomposes into independent tasks whose results do not depend on worker
 count or scheduling order.
 
-A task is one session block, `_run_session_block`, in one of two forms
-with the same bits and the same final generator states. The Python block is
-the specification: it draws the path, runs `run_session` per run (each
-session picks its own kernel) and every run shares the present-value table
+A task is one share of the batch, `_run_session_block`: share j of `jobs`
+runs sessions j, j + jobs, ... and writes their runs' final wealth and
+closing prices, and their dividend walks, into arrays that span the whole
+batch, from which `run_batch` computes every return once. A share runs in
+one of two forms with the same bits and the same final generator states.
+The Python block is the specification: per session it derives the streams
+with `rng.stream`, draws the path and runs `run_session` per run (each
+session picks its own kernel), and every run shares the present-value table
 cached on the path. The compiled block is one call of `_kernel.c`'s
-`im_run_block`, on one session state laid out once per block: it draws the
-path, fills the table once and runs every run. A block takes it where the
-compiled kernel loads and no name in `BLOCK_SPEC` is patched.
+`im_run_block` for the whole share, on one session state laid out once: it
+seeds every generator itself, as `rng.stream` does, then per session draws
+the path, fills the table once and runs every run. A share takes it where
+the compiled kernel loads and no name in `BLOCK_SPEC` is patched.
 """
 
 from __future__ import annotations
@@ -137,74 +142,108 @@ def _on_threads(task, items, jobs: int) -> list:
 # The names the Python block calls besides a session's rules and book. The
 # compiled block runs all of them in C, so a block with any of them patched
 # (a tracer or a test) runs the Python block.
-BLOCK_SPEC = (*SESSION_SPEC, *held(globals(), "generate_dividend_path", "run_session"),
+BLOCK_SPEC = (*SESSION_SPEC, *held(globals(), "generate_dividend_path", "run_session", "stream"),
               *held(vars(engine), "conditional_present_value"))
 
 
-def _run_session_block(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
-    """One batch session: its runs on one dividend path, as (session,
-    relative returns, mean net returns, per-period net returns or None).
+@dataclass(frozen=True)
+class Share:
+    """One job of a batch: the sessions it runs (share j of `jobs` takes
+    sessions j, j + jobs, ...) and the batch-wide arrays it writes their
+    rows of. Row s * runs + r of `wealth` (n_runs x traders) and `closes`
+    (n_runs x periods) is run r of session s; row s of `walks` (n_sessions x
+    path length) is session s's dividend walk. `states`, where given
+    (n_sessions x (runs + 1) x 6 uint64), takes each generator's final state
+    as `_kernel.pcg64_words` gives it, the walk's first."""
 
-    The path and every run draw from their own streams. Where the compiled
-    kernel loads and nothing in `BLOCK_SPEC` is patched, `_kernel.c`'s
-    `im_run_block` runs the whole block in one call; the Python block is
-    its specification. Both leave each run's final wealth and closing prices,
-    from which the returns are computed once for the block.
+    master: int
+    sessions: range
+    session: SessionConfig
+    runs: int
+    wealth: np.ndarray
+    closes: np.ndarray
+    walks: np.ndarray
+    states: np.ndarray | None = None
+
+
+def _run_session_block(share: Share) -> range:
+    """Run every session of a share, and return its sessions.
+
+    Each session's walk and each of its runs draw from their own streams,
+    `stream(master, PATH_DOMAIN, s)` and `stream(master, RUN_DOMAIN, s, r)`.
+    Where the compiled kernel loads and nothing in `BLOCK_SPEC` is patched,
+    `_kernel.c`'s `im_run_block` runs the whole share in one call, seeding
+    those streams itself; the Python block, a loop over the sessions that
+    runs `run_session` per run, is its specification.
     """
-    master, s, cfg, runs, collect = args
-    path_rng = stream(master, PATH_DOMAIN, s)
-    rngs = [stream(master, RUN_DOMAIN, s, r) for r in range(runs)]
-    wealth = np.empty((runs, len(cfg.agents)))
-    closes = np.empty((runs, cfg.n_periods))
+    cfg, runs = share.session, share.runs
     lib = compiled_kernel(BLOCK_SPEC)
     if lib is None:
-        path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
-        for r, rng in enumerate(rngs):
-            result = run_session(cfg, path, rng)
-            wealth[r] = result.final_wealth()
-            closes[r] = result.period_end_prices
-        walk = np.array(path.values)
-    else:
-        walk = np.empty(cfg.path_length)
-        state = lay_out_state(cfg)
-        powers = np.empty(cfg.max_level)
-        bitgens = np.array([_kernel.bitgen_address(rng) for rng in rngs], np.int64)
-        block = _kernel.Block(
-            runs=runs, periods=cfg.n_periods, path_length=cfg.path_length, top=cfg.max_level,
-            d0=cfg.dividends.d0, sigma=cfg.dividends.sigma, r_e=cfg.rates.r_e,
-            initial_cash=cfg.initial_cash, initial_shares=cfg.initial_shares, initial_price=cfg.initial_price,
-            walk=walk.ctypes.data, powers=powers.ctypes.data, bitgens=bitgens.ctypes.data,
-            wealth=wealth.ctypes.data, closes=closes.ctypes.data)
-        if lib.im_run_block(state["_arena"].ctypes.data, block, _kernel.bitgen_address(path_rng)):
-            raise RuntimeError("order book capacity exceeded")
-    # relative_returns and session_net_returns, row by row
-    w0 = cfg.initial_cash + cfg.initial_shares * cfg.initial_price
-    r = (wealth - w0) / w0
-    rel = (r - r.mean(axis=1, keepdims=True)) * 100.0
-    per = (closes[:, 1:] + walk[1:cfg.n_periods] - closes[:, :-1]) / closes[:, :-1]
-    net = per.mean(axis=1) if cfg.n_periods > 1 else np.full(runs, np.nan)  # one period has no net return
-    return s, rel, net, per if collect else None
+        for s in share.sessions:
+            path_rng = stream(share.master, PATH_DOMAIN, s)
+            rngs = [stream(share.master, RUN_DOMAIN, s, r) for r in range(runs)]
+            path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
+            share.walks[s] = path.values
+            for r, rng in enumerate(rngs):
+                result = run_session(cfg, path, rng)
+                share.wealth[s * runs + r] = result.final_wealth()
+                share.closes[s * runs + r] = result.period_end_prices
+            if share.states is not None:
+                share.states[s] = [_kernel.pcg64_words(g) for g in (path_rng, *rngs)]
+        return share.sessions
+    master = _kernel.key_words(share.master)
+    sessions = np.array(share.sessions, np.int64)
+    powers = np.empty(cfg.max_level)
+    block = _kernel.Block(
+        runs=runs, periods=cfg.n_periods, path_length=cfg.path_length, top=cfg.max_level,
+        d0=cfg.dividends.d0, sigma=cfg.dividends.sigma, r_e=cfg.rates.r_e,
+        initial_cash=cfg.initial_cash, initial_shares=cfg.initial_shares, initial_price=cfg.initial_price,
+        master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN, run_domain=RUN_DOMAIN,
+        sessions=sessions.ctypes.data, n_sessions=len(sessions), powers=powers.ctypes.data,
+        walks=share.walks.ctypes.data, wealth=share.wealth.ctypes.data, closes=share.closes.ctypes.data,
+        states=None if share.states is None else share.states.ctypes.data)
+    arena = lay_out_state(cfg)["_arena"]
+    if lib.im_run_block(arena.ctypes.data, block):
+        raise RuntimeError("order book capacity exceeded")
+    return share.sessions
+
+
+def batch_shares(config: BatchConfig, jobs: int) -> list[Share]:
+    """`jobs` shares of `config`'s sessions, share j taking sessions j,
+    j + jobs, ..., over one set of new batch-wide arrays."""
+    cfg = config.session
+    wealth = np.empty((config.n_runs, len(cfg.agents)))
+    closes = np.empty((config.n_runs, cfg.n_periods))
+    walks = np.empty((config.n_sessions, cfg.path_length))
+    return [Share(config.master_seed, range(j, config.n_sessions, jobs), cfg, config.runs_per_session,
+                  wealth, closes, walks) for j in range(jobs)]
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
     """Run the full batch; identical output for any worker count."""
-    # A compiled block's one kernel call releases the GIL; the Python loop holds it, so it runs on one thread.
-    jobs = config.jobs if compiled_kernel(BLOCK_SPEC) is not None else 1
-    tasks = [
-        (config.master_seed, s, config.session, config.runs_per_session, config.collect_period_returns)
-        for s in range(config.n_sessions)
-    ]
-    blocks = parallel_map(_run_session_block, tasks, jobs, key=lambda b: b[0])
-    rel = np.concatenate([b[1] for b in blocks])
-    net = np.concatenate([b[2] for b in blocks])
-    per = np.concatenate([b[3] for b in blocks]) if config.collect_period_returns else None
-    levels = tuple(a.info_level for a in config.session.agents)
+    cfg, runs = config.session, config.runs_per_session
+    # A compiled share's one kernel call releases the GIL; the Python loop holds it, so it runs on one thread.
+    jobs = 1 if compiled_kernel(BLOCK_SPEC) is None else default_jobs() if config.jobs is None else config.jobs
+    shares = batch_shares(config, max(1, min(jobs, config.n_sessions)))
+    parallel_map(_run_session_block, shares, len(shares), key=lambda sessions: sessions.start)
+    wealth, closes, walks = shares[0].wealth, shares[0].closes, shares[0].walks
+    # relative_returns and session_net_returns, row by row
+    w0 = cfg.initial_cash + cfg.initial_shares * cfg.initial_price
+    r = (wealth - w0) / w0
+    rel = (r - r.mean(axis=1, keepdims=True)) * 100.0
+    periods = cfg.n_periods
+    c = closes.reshape(config.n_sessions, runs, periods)
+    per = (c[:, :, 1:] + walks[:, None, 1:periods] - c[:, :, :-1]) / c[:, :, :-1]
+    per = per.reshape(config.n_runs, periods - 1)
+    # one period has no net return
+    net = per.mean(axis=1) if periods > 1 else np.full(config.n_runs, np.nan)
+    levels = tuple(a.info_level for a in cfg.agents)
     return BatchResult(
         config=config,
         levels=levels,
         rel_returns=rel,
         asset_mean_returns=net,
-        period_returns=per,
+        period_returns=per if config.collect_period_returns else None,
     )
 
 

@@ -138,19 +138,28 @@ def test_stats_on_simulated_run(tmp_path):
     assert (out / "moments.csv").exists()
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda p: p.write_text("time,price\n1,40\n1,41\n"), "line 3: time 1.0 not increasing"),
-    (lambda p: None, "No such file or directory"),
-    (lambda p: p.mkdir(), "Is a directory"),
-    (lambda p: p.write_bytes(b"time,price\n1,40\n2,4\xff1\n"), "codec can't decode byte 0xff"),
-    (lambda p: p.write_text("time,price\n1,40\n2,4" + "0" * 200_000 + "\n"), "line 3: non-finite value"),
-    (lambda p: p.write_text("time,price\n1,40\n2,41\n"), "stats needs at least 3 ticks, two returns for one lag"),
-], ids=["bad row", "missing file", "directory", "not UTF-8", "field over the csv limit", "two ticks"])
-def test_stats_tick_errors_exit_3_before_the_output_directory(tmp_path, capsys, make, message):
+def tick_file(*prices):
+    return lambda p: p.write_text("time,price\n" + "".join(f"{t},{v}\n" for t, v in enumerate(prices, 1)))
+
+
+@pytest.mark.parametrize("make, message, flags", [
+    (lambda p: p.write_text("time,price\n1,40\n1,41\n"), "line 3: time 1.0 not increasing", ()),
+    (lambda p: None, "No such file or directory", ()),
+    (lambda p: p.mkdir(), "Is a directory", ()),
+    (lambda p: p.write_bytes(b"time,price\n1,40\n2,4\xff1\n"), "codec can't decode byte 0xff", ()),
+    (lambda p: p.write_text("time,price\n1,40\n2,4" + "0" * 200_000 + "\n"), "line 3: non-finite value", ()),
+    (lambda p: p.write_text("time,price\n1,40\n2,41\n"), "stats needs at least 3 ticks, two returns for one lag",
+     ()),
+    (tick_file(40, 40, 40), "the returns of {ticks} are constant", ("--max-lag", "1")),
+    (tick_file(40, 41, 40, 41, 40), "the absolute returns of {ticks} are constant", ("--max-lag", "1")),
+], ids=["bad row", "missing file", "directory", "not UTF-8", "field over the csv limit", "two ticks",
+        "constant returns", "constant absolute returns"])
+def test_stats_tick_errors_exit_3_before_the_output_directory(tmp_path, capsys, make, message, flags):
     ticks = tmp_path / "ticks.csv"
     make(ticks)
+    message = message.format(ticks=ticks)
     out = tmp_path / "o"
-    assert run_cli("stats", "--ticks", str(ticks), "--out", str(out)) == 3
+    assert run_cli("stats", "--ticks", str(ticks), *flags, "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and message in err
     assert not out.exists()
@@ -422,6 +431,9 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
                  id="stats without trades"),
     # A net return needs two closing prices.
     pytest.param([*STATS, "--periods", "1"], "stats needs --periods >= 2", id="stats --periods 1"),
+    # Two traders who never trade in one-step periods leave the opening price.
+    pytest.param(["stats", "--seed", "0", "--agents", "2", "--periods", "3", "--steps", "1", "--per-step",
+                  "--max-lag", "1"], "the returns of the simulated run are constant", id="stats constant returns"),
     pytest.param([*BATCH, "--preset", "efficiency", "--periods", "1"],
                  "collecting net returns needs n_periods >= 2", id="efficiency --periods 1"),
 ])

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infomarket import _kernel, engine, montecarlo, switching
+from infomarket import _kernel, cli, engine, montecarlo, switching
 from infomarket.agents import decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
@@ -253,58 +253,58 @@ def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, n
     assert calls
 
 
-def block(cfg, runs, seed, collect=False, python=False):
-    """One batch session block: its returns, and the final state of its path
-    generator and of each run's generator, in the order the block derived
-    them. The compiled block runs where it is available unless `python` is
-    set."""
-    made = []
-
-    def recorded(*key):
-        made.append(stream(*key))
-        return made[-1]
-
-    with mock.patch.object(montecarlo, "stream", recorded), python_loop() if python else nullcontext():
-        _, rel, net, per = montecarlo._run_session_block((seed, 2, cfg, runs, collect))
-    returns = [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in (rel, net, per)]
-    return returns, [rng.bit_generator.state for rng in made]
+def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2, j=1):
+    """Share j of `jobs` of a batch of `n_sessions` sessions: the batch-wide
+    wealth, closes and walks it leaves (NaN in the other shares' rows), and
+    the final state of each generator of its sessions, the walk's first. The
+    compiled block runs where it is available unless `python` is set."""
+    batch = BatchConfig(session=cfg, n_sessions=n_sessions, runs_per_session=runs, master_seed=seed)
+    share = replace(montecarlo.batch_shares(batch, jobs)[j], states=np.zeros((n_sessions, runs + 1, 6), np.uint64))
+    for output in (share.wealth, share.closes, share.walks):
+        output.fill(np.nan)
+    with python_loop() if python else nullcontext():
+        assert montecarlo._run_session_block(share) == range(j, n_sessions, jobs)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (share.wealth, share.closes, share.walks, share.states)]
 
 
 @st.composite
 def blocks(draw):
     """1-17 traders as in `strategy_mixes`, clearing on or off, 1-6 periods,
-    1-12 steps, 1-4 runs, and per-period returns collected where there are
-    two periods or more."""
+    1-12 steps, 1-4 runs, and one share of a batch of 1-5 sessions on 1-3
+    jobs."""
     n = draw(st.integers(1, 17))
     n_random = draw(st.integers(0, n))
     informed = draw(st.lists(st.integers(1, 20), min_size=n - n_random, max_size=n - n_random, unique=True))
     chartists = draw(st.lists(st.sampled_from(informed), unique=True)) if informed else []
     levels = draw(st.permutations([0] * n_random + informed))
-    periods = draw(st.integers(1, 6))
-    cfg = config(agents=market_with_levels(levels, tuple(chartists)), n_periods=periods,
+    cfg = config(agents=market_with_levels(levels, tuple(chartists)), n_periods=draw(st.integers(1, 6)),
                  steps_per_period=draw(st.integers(1, 12)), clear_book_each_period=draw(st.booleans()))
-    return cfg, draw(st.integers(1, 4)), periods > 1 and draw(st.booleans())
+    n_sessions = draw(st.integers(1, 5))
+    jobs = draw(st.integers(1, min(3, n_sessions)))
+    return cfg, draw(st.integers(1, 4)), n_sessions, jobs, draw(st.integers(0, jobs - 1))
 
 
 @needs_kernel
-@given(shape=blocks(), seed=st.integers(0, 2**32 - 1))
-@example(shape=(config(agents=default_market(17), n_periods=2, steps_per_period=12), 3, True), seed=0)
-@example(shape=(config(agents=market_with_levels((0, 0, 0)), n_periods=1, steps_per_period=3), 2, False), seed=1)
+@given(shape=blocks(), seed=st.integers(0, 2**130))
+@example(shape=(config(agents=default_market(17), n_periods=2, steps_per_period=12), 3, 1, 1, 0), seed=0)
+@example(shape=(config(agents=market_with_levels((0, 0, 0)), n_periods=1, steps_per_period=3), 2, 3, 2, 1), seed=1)
+@example(shape=(config(), 2, 5, 3, 2), seed=2**64 + 5)
 @settings(max_examples=80, deadline=None)
 def test_compiled_block_matches_the_python_block(shape, seed):
     # Above 8 traders the cross-trader mean takes numpy's pairwise order;
-    # one period has no net return, and a market without informed traders
-    # has no present values to compute.
-    cfg, runs, collect = shape
-    assert block(cfg, runs, seed, collect) == block(cfg, runs, seed, collect, python=True)
+    # a market without informed traders has no present values to compute,
+    # and a master seed of 2**64 or more takes three key words.
+    cfg, runs, n_sessions, jobs, j = shape
+    assert block(cfg, runs, seed, False, n_sessions, jobs, j) == block(cfg, runs, seed, True, n_sessions, jobs, j)
 
 
 @needs_kernel
 def test_a_batch_block_is_one_kernel_call(monkeypatch):
-    # The dividend walk, the present-value table and every run of the block
-    # run in one call, on a state laid out without a MarketSession.
+    # Every session of the share, its dividend walk, its present-value table
+    # and every run, runs in one call, on a state laid out without a
+    # MarketSession.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
-    spec = block(cfg, 4, 3, collect=True, python=True)
+    spec = block(cfg, 4, 3, python=True)
     lib, calls = _kernel.resolve(), []
 
     class Counted:
@@ -324,7 +324,7 @@ def test_a_batch_block_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
     monkeypatch.setattr(MarketSession, "__init__", refuse)
-    assert block(cfg, 4, 3, collect=True) == spec
+    assert block(cfg, 4, 3) == spec
     assert calls == ["im_run_block"]
 
 
@@ -341,7 +341,7 @@ def test_a_patched_name_sends_the_block_to_the_python_loop(monkeypatch, owner, n
     # The Python block calls the patched name, and its sessions still run
     # compiled where nothing else stops them; the outputs do not change.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
-    compiled = block(cfg, 3, 8, collect=True)
+    compiled = block(cfg, 3, 8)
     original, lib, calls = getattr(owner, name), _kernel.resolve(), []
 
     def traced(*args, **kwargs):
@@ -356,8 +356,79 @@ def test_a_patched_name_sends_the_block_to_the_python_loop(monkeypatch, owner, n
 
     monkeypatch.setattr(_kernel, "_resolved", (NoBlock(), None))
     monkeypatch.setattr(owner, name, traced)
-    assert block(cfg, 3, 8, collect=True) == compiled
+    assert block(cfg, 3, 8) == compiled
     assert calls
+
+
+# -- seeding: numpy's SeedSequence and PCG64 in C ------------------------------
+
+
+@needs_kernel
+@given(keys=st.lists(st.lists(st.integers(0, 2**130), min_size=1, max_size=5), min_size=1, max_size=3))
+@example(keys=[[0]])
+@example(keys=[[2**32 - 1]])
+@example(keys=[[2**32]])
+@example(keys=[[2**64]])
+@example(keys=[[2**64 + 5, 1, 3, 7], [0, 0], [1, 2, 3, 4, 5]])
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_seeds_the_generators_rng_stream_seeds(keys):
+    # state, inc, has_uint32 and uinteger, for keys of 1-5 components of up
+    # to 5 words each: a key past the 4-word pool mixes its further words in
+    # one by one. One call seeds every key.
+    states = _kernel.seeded_states(_kernel.resolve(), keys)
+    assert [tuple(row) for row in states.tolist()] == [_kernel.pcg64_words(stream(*key)) for key in keys]
+
+
+@needs_kernel
+@pytest.mark.parametrize("key", [(0,), (2**64 + 5, 1, 3, 7), (9, 0, 2**40)], ids=str)
+@pytest.mark.parametrize("kind, dtype, numpy_draws", [
+    (_kernel.DRAW_RAW, np.uint64, lambda rng, n: rng.bit_generator.random_raw(n)),
+    (_kernel.DRAW_INTEGERS, np.int64, lambda rng, n: rng.integers(0, 7, size=n)),
+    (_kernel.DRAW_RANDOM, np.float64, lambda rng, n: rng.random(n)),
+    (_kernel.DRAW_NORMAL, np.float64, lambda rng, n: rng.standard_normal(n)),
+], ids=["raw", "integers", "random", "standard_normal"])
+def test_a_generator_seeded_in_c_draws_numpys_variates(key, kind, dtype, numpy_draws):
+    # A bounded integer takes a buffered 32-bit half, so an odd count leaves
+    # one in the state; the normals take the ziggurat's 64-bit draws and its
+    # doubles.
+    lib, count = _kernel.resolve(), 1001
+    (state,), drawn = _kernel.seeded_states(lib, [key]), np.empty(count, dtype)
+    assert lib.im_pcg64_draw(state.ctypes.data, kind, count, 7, drawn.ctypes.data) == 0
+    rng = stream(*key)
+    assert drawn.tobytes() == numpy_draws(rng, count).astype(dtype).tobytes()
+    assert tuple(state.tolist()) == _kernel.pcg64_words(rng)
+
+
+@needs_kernel
+def test_a_kernel_that_seeds_other_streams_is_refused(monkeypatch):
+    # As under a numpy whose SeedSequence or PCG64 changed: the library
+    # fails its self-check when it loads, and batches run the Python block.
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    monkeypatch.setattr(_kernel, "stream", lambda *key: stream(*key[:-1], key[-1] + 1))
+    assert _kernel.resolve() is None
+    assert f"numpy {np.__version__}" in _kernel._resolved[1]
+    assert montecarlo.compiled_kernel(BLOCK_SPEC) is None
+
+
+def batch_outputs(tmp_path, preset, seed, jobs, names):
+    out = tmp_path / f"{preset}-{seed}-{jobs}"
+    argv = ["batch", "--preset", preset, "--seed", str(seed), "--sessions", "7", "--runs", "2",
+            "--periods", "4", "--steps", "20", "--jobs", str(jobs), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@needs_kernel
+@pytest.mark.parametrize("preset, names", [("jcurve10", ("runs.csv", "jcurve.csv", "pvalues.csv")),
+                                           ("efficiency", ("efficiency.csv",))], ids=["jcurve10", "efficiency"])
+@pytest.mark.parametrize("seed", [0, 2**64 + 5])
+def test_compiled_shares_write_the_python_loops_bytes_at_any_jobs(tmp_path, preset, names, seed):
+    # 7 sessions split 7, 4 + 3, 3 + 2 + 2 and 7 x 1 (9 jobs), each share one
+    # kernel call, against the Python loop, which runs on one thread.
+    with python_loop():
+        spec = batch_outputs(tmp_path / "python", preset, seed, 1, names)
+    for jobs in (1, 2, 3, 9):
+        assert batch_outputs(tmp_path, preset, seed, jobs, names) == spec, jobs
 
 
 @needs_kernel
@@ -827,8 +898,9 @@ def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
 @needs_toolchain
 def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
     # The caller resolves before it starts the threads: the build runs once,
-    # in the caller's thread, and every session and chain went through the
-    # library the caller loaded, on the threads and never on the caller's.
+    # in the caller's thread, and every share (one call each) and chain went
+    # through the library the caller loaded, on the threads and never on the
+    # caller's.
     builds, calls = tmp_path / "builds.log", tmp_path / "calls.log"
     build, load = _kernel._build, _kernel._load
 
@@ -862,7 +934,7 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
     assert calls.is_file(), f"no session or chain ran compiled: {_kernel._resolved[1]}"
     reports = [line.split() for line in calls.read_text().splitlines()]
     assert str(threading.get_ident()) not in {ident for ident, _ in reports}, "a task ran in the caller's thread"
-    assert Counter(name for _, name in reports) == {"im_run_block": 4, "im_run_chain": 3}
+    assert Counter(name for _, name in reports) == {"im_run_block": 2, "im_run_chain": 3}
     with python_loop():
         spec = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
     assert np.array_equal(parallel[0].rel_returns, spec[0].rel_returns)

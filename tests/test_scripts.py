@@ -25,8 +25,9 @@ def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
     # lines or the reason it is unavailable, and the ratios only with the
     # timings, for the reference session and for the markov3 chain. The
-    # reference block is timed only with the compiled kernel, both of its
-    # lines then, and so is `write_runs_csv` on 100,000 rows. Where this
+    # reference share is timed only with the compiled kernel, both of its
+    # lines then, and so are seeding its generators and `write_runs_csv` on
+    # 100,000 rows. Where this
     # process resolves the kernel under the same environment, so does the
     # script. The markov3 ensemble gets one median line per worker count,
     # whichever kernel ran it.
@@ -45,12 +46,13 @@ def test_profile_session_tiny():
             assert f"ms per {unit}" in line and f"us per {per}" in line
         assert len(timed["python"]) == 1
         assert len(timed["c"]) == compiled
-    timed = [line for line in lines if " block, median of 2:" in line]
-    assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
-    for line in timed:
-        assert "ms per block" in line and "us per run" in line
-    block = "reference block: 5 runs on one dividend path, python block on c sessions"
-    assert lines.count(block) == compiled
+    for label, per in (("block", "run"), ("seeding", "generator")):
+        timed = [line for line in lines if f" {label}, median of 2:" in line]
+        assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
+        for line in timed:
+            assert "ms per share" in line and f"us per {per}" in line
+    assert lines.count("reference share: 6 sessions x 5 runs, python block on c sessions") == compiled
+    assert lines.count("seeding: the share's 36 generators, rng.stream against im_seed_pcg64") == compiled
     timed = [line for line in lines if " write_runs_csv, median of 2:" in line]
     assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
     for line in timed:
