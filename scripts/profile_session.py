@@ -29,10 +29,17 @@ seeded relative returns, to a file: the Python generator against the
 compiled formatter, `im_format_per_run`. It prints each one's median per
 file and per row, and the ratio of the medians.
 
-Last, it times the `markov` command's ensemble at that size, the eight
-300-period `markov3` chains of `run_switching_ensemble` (seed 0), at jobs 1
-(in this thread) and jobs 2 (two threads, four chains each), alternating,
-on the kernel this process resolves, and prints one median line for each.
+Last, on the kernel this process resolves, it times the `markov`
+command's ensemble at that size, the eight 300-period `markov3` chains of
+`run_switching_ensemble` (seed 0), and then `run_batch` on perfbench
+jcurve's 6 x 5-run batch (master seed 0), each at jobs 1 (in this thread)
+and jobs 2 (two share threads), alternating, and prints one median line for
+each. Before each of these calls it runs a fixed pure-Python block of about
+20 ms, as a command's own Python work (or perfbench's calibration) comes
+before its batch: back to back, the calls would keep both CPUs busy, and a
+share would find the other CPU already awake. After each, one more jobs-2
+call records the CPU each task started on, and it prints them share by
+share (`CPUs unknown` where the C library has no `sched_getcpu`).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version that library was built against) or
@@ -43,16 +50,18 @@ and the `write_runs_csv` lines and the four ratios only with the former.
 """
 
 import argparse
+import ctypes
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from infomarket import _kernel, montecarlo
+from infomarket import _kernel, montecarlo, switching
 from infomarket.dividends import generate_dividend_path
 from infomarket.engine import SessionConfig, run_session
 from infomarket.presets import switching_for_preset
@@ -64,12 +73,51 @@ ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per init
 ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
 SHARE = (6, 5)  # sessions, runs per session: perfbench jcurve's batch, one share at --jobs 1
 RUNS_CSV_SHAPE = (100, 100, 10)  # sessions, runs per session, levels: 100,000 rows
+PYTHON_BLOCK = 80_000  # iterations of `python_block`, about 20 ms on a 2.1 GHz Xeon vCPU
 
 
 def spec_run_session(*args):
     """`run_session` under another name: with it in `montecarlo`, a block
     runs the Python block (see `montecarlo.BLOCK_SPEC`)."""
     return run_session(*args)
+
+
+def python_block() -> float:
+    """A fixed piece of pure-Python work: dict look-ups and float arithmetic."""
+    table, total = {}, 0.0
+    for i in range(PYTHON_BLOCK):
+        total += (table.setdefault(i % 97, i * 0.5) - total) * 0.25
+    return total
+
+
+def sched_getcpu():
+    """The C library's `sched_getcpu`, or None where it has none."""
+    try:
+        return ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):
+        return None
+
+
+def share_cpus(module, name, call) -> str:
+    """The CPUs on which `call()`'s tasks, `module.name`, started, one
+    group per share thread in the order of their first task; `call` runs
+    after `python_block`, as a timed call does."""
+    getcpu = sched_getcpu()
+    if getcpu is None:
+        return "CPUs unknown: no sched_getcpu in the C library"
+    task, started = getattr(module, name), {}
+
+    def logged(item):
+        started.setdefault(threading.get_ident(), []).append(getcpu())
+        return task(item)
+
+    setattr(module, name, logged)
+    try:
+        python_block()
+        call()
+    finally:
+        setattr(module, name, task)
+    return "CPUs " + " | ".join(" ".join(map(str, cpus)) for cpus in started.values())
 
 
 def alternate(variants, repeats, once) -> dict[str, list[float]]:
@@ -203,14 +251,30 @@ def main() -> int:
         print(f"python / c write_runs_csv median ratio: {medians['python'] / medians['c']:.2f}")
 
     def ensemble(jobs: str) -> float:
+        python_block()
         t0 = time.perf_counter()
         run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=ENSEMBLE_JOBS[jobs])
         return time.perf_counter() - t0
 
-    print(f"markov3 ensemble: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, "
-          f"{'c' if lib is not None else 'python'} kernel")
+    kernel = "c" if lib is not None else "python"
+    print(f"markov3 ensemble: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, {kernel} kernel")
     report("ensemble", alternate(list(ENSEMBLE_JOBS), args.repeats, ensemble), "ensemble",
            len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
+    print("jobs 2 ensemble shares started their chains on " + share_cpus(
+        switching, "_one_switching_run", lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=2)))
+
+    sessions, runs = SHARE
+
+    def batch(jobs: str) -> float:
+        python_block()
+        t0 = time.perf_counter()
+        montecarlo.run_batch(replace(share_batch, jobs=ENSEMBLE_JOBS[jobs]))
+        return time.perf_counter() - t0
+
+    print(f"reference batch: {sessions} sessions x {runs} runs, {kernel} kernel")
+    report("batch", alternate(list(ENSEMBLE_JOBS), args.repeats, batch), "batch", sessions * runs, "run")
+    print("jobs 2 batch shares started on " + share_cpus(
+        montecarlo, "_run_session_block", lambda: montecarlo.run_batch(replace(share_batch, jobs=2))))
     return 0
 
 

@@ -30,8 +30,8 @@ holds the chain's parameters, the addresses of its scratch buffers and its
 outputs); `switching`'s Python loop stays its specification. Nothing is
 built or loaded at import; the first session that may use the kernel
 resolves it, once per process (`run_batch` and `run_switching_ensemble`
-resolve it before they start their threads, which all run on the one loaded
-library; a call through `ctypes.CDLL` releases the GIL, and the kernel keeps
+resolve it before they hand any task to a share thread, and every share
+thread runs on the one loaded library; a call through `ctypes.CDLL` releases the GIL, and the kernel keeps
 no global state).
 
 The kernel draws through numpy's own C algorithms: it includes numpy's

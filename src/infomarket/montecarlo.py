@@ -22,6 +22,7 @@ the compiled kernel loads and no name in `BLOCK_SPEC` is patched.
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import threading
@@ -94,8 +95,11 @@ def parallel_map(task, items, jobs: int | None, key) -> list:
     """`task` applied to every item, returned sorted by `key`.
 
     With more than one job (jobs None: `default_jobs()`, never more than
-    there are items), `jobs` threads run the shares, share j taking items
-    j, j + jobs, ... . A caller whose tasks hold the GIL passes one job.
+    there are items), share j takes items j, j + jobs, ... and runs on a
+    share thread of its own, which starts it on the j-th CPU of the
+    caller's affinity mask; share threads are kept for the life of the
+    process (see `_on_threads`). A caller whose tasks hold the GIL passes
+    one job, and every item then runs in the calling thread.
     """
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, min(jobs, len(items)))
@@ -104,31 +108,87 @@ def parallel_map(task, items, jobs: int | None, key) -> list:
     return results
 
 
+# The inboxes of the share threads that wait for a share. A forked child has
+# none of these threads, so it forgets them and takes a lock of its own.
+_idle: list[queue.SimpleQueue] = []
+_idle_lock = threading.Lock()
+
+
+def _forget_share_threads() -> None:
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_share_threads)
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A share thread: runs every share put into its inbox, one after another."""
+    while True:
+        inbox.get()()
+
+
+def _idle_inbox() -> queue.SimpleQueue:
+    """An idle share thread's inbox, or a new thread's when none is idle."""
+    with _idle_lock:
+        if _idle:
+            return _idle.pop()
+    inbox = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+    return inbox
+
+
+def _place(cpus: list[int], j: int) -> None:
+    """Move this thread to CPU `cpus[j]` (cycling), then give it all of
+    `cpus` again; nothing where the OS cannot set a thread's affinity."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, {cpus[j % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
 def _on_threads(task, items, jobs: int) -> list:
-    """Every share's results, each share on its own thread; see `parallel_map`.
+    """Every share's results, each share on a share thread; see `parallel_map`.
+
+    A call takes an idle share thread per share, or starts one where none
+    is idle; the thread is idle again as soon as its share ends, before it
+    replies. Share j first moves its thread to the j-th CPU of the mask the
+    caller runs under (on Linux, `sched_setaffinity(0, ...)` acts on the
+    calling thread alone), then restores that mask: a woken thread starts
+    on its waker's CPU, where two shares would take turns while another CPU
+    sat idle.
 
     The first task error to arrive is raised here as it is, and every share
     stops at its next item; a task still running then finishes in the
-    background.
+    background, and its thread is idle again after it.
     """
     replies = queue.SimpleQueue()  # one (ok, results | exception) per share
     stop = threading.Event()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
 
-    def share(j):
+    def share(j, inbox):
         try:
+            _place(cpus, j)
             done = []
             for item in items[j::jobs]:
                 if stop.is_set():
                     break
                 done.append(task(item))
-            replies.put((True, done))
+            reply = (True, done)
         except BaseException as exc:
-            replies.put((False, exc))
+            reply = (False, exc)
+        with _idle_lock:
+            _idle.append(inbox)
+        replies.put(reply)
 
     results = []
     try:
         for j in range(jobs):
-            threading.Thread(target=share, args=(j,), daemon=True).start()
+            inbox = _idle_inbox()
+            inbox.put(functools.partial(share, j, inbox))
         for _ in range(jobs):
             ok, payload = replies.get()
             if not ok:

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import io
 import os
 import pickle
@@ -7,13 +8,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infomarket import _kernel, engine
+from infomarket import _kernel, engine, montecarlo, switching
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import (
     SessionConfig,
@@ -315,11 +317,18 @@ def test_parallel_map_runs_more_than_one_job_off_the_main_thread():
 
 
 def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
-    # The Python loop holds the GIL, so a batch or an ensemble whose blocks
-    # or chains would run it starts no thread at any jobs: where no kernel
-    # resolves, and where a rule is wrapped while the kernel loads.
-    def refuse(*args, **kwargs):
-        pytest.fail("a thread started for the Python loop")
+    # The Python loop holds the GIL, so every block and chain of a batch or
+    # an ensemble that would run it runs in the calling thread at any jobs:
+    # where no kernel resolves, and where a rule is wrapped while the kernel
+    # loads. Share threads kept from earlier calls may wait idle, so the
+    # proof is the thread each task ran on.
+    caller, ran_on = threading.get_ident(), []
+
+    def recorded(task):
+        def run(item):
+            ran_on.append(threading.get_ident())
+            return task(item)
+        return run
 
     def wrapped(*args):
         return decide_random(*args)
@@ -332,10 +341,146 @@ def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
             else:
                 _kernel.resolve()  # loads wherever it can; the wrapped rule still decides
                 m.setattr(engine, "decide_random", wrapped)
-            m.setattr(threading, "Thread", refuse)
+            m.setattr(montecarlo, "_run_session_block", recorded(montecarlo._run_session_block))
+            m.setattr(switching, "_one_switching_run", recorded(switching._one_switching_run))
             for jobs in (2, 3):
+                ran_on.clear()
                 assert run_batch(tiny_batch(jobs=jobs)).rel_returns.shape == (12, 4)
                 assert len(run_switching_ensemble(chains, (1, 4, 8), 5, jobs=jobs)) == 3
+                # one block for the whole batch, then the three chains
+                assert ran_on == [caller] * 4, python_loop
+
+
+def sched_getcpu():
+    """The C library's `sched_getcpu`, or None where it has none."""
+    try:
+        return ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):
+        return None
+
+
+def test_parallel_map_starts_each_share_on_its_own_cpu():
+    # Share j starts on the j-th CPU of the caller's mask. Left to the OS, a
+    # woken share thread starts on its waker's CPU, and two shares took
+    # turns on the caller's CPU while the other CPU sat idle.
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no sched_setaffinity: this OS cannot place a thread")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on one CPU only")
+    getcpu = sched_getcpu()
+    if getcpu is None:
+        pytest.skip("no sched_getcpu in the C library")
+    with deadline(60):
+        started_on = parallel_map(lambda i: (i, getcpu()), [0, 1], 2, key=identity)
+    assert [cpu for _, cpu in started_on] == sorted(os.sched_getaffinity(0))[:2]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+def test_parallel_map_leaves_every_mask_as_the_caller_had_it():
+    # The caller's mask, and every share thread's after its share, are the
+    # mask the caller had; a caller on a narrower mask keeps its shares on it.
+    before = os.sched_getaffinity(0)
+    with deadline(60):
+        tids = parallel_map(lambda i: threading.get_native_id(), [0, 1, 2, 3], 2, key=identity)
+    assert os.sched_getaffinity(0) == before
+    assert len(set(tids)) == 2
+    for tid in set(tids):
+        assert os.sched_getaffinity(tid) == before, tid
+
+    cpu, returned = max(before), []
+
+    def narrowed():
+        os.sched_setaffinity(0, {cpu})
+        returned.append(parallel_map(lambda i: os.sched_getaffinity(0), [0, 1], 2, key=len))
+
+    thread = threading.Thread(target=narrowed)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive() and returned == [[{cpu}, {cpu}]]
+    assert os.sched_getaffinity(0) == before
+
+
+def test_a_second_parallel_map_starts_no_thread(monkeypatch):
+    # The share threads of one call wait idle for the next.
+    def refuse(*args, **kwargs):
+        pytest.fail("a share thread started although two were idle")
+
+    with deadline(60):
+        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+        monkeypatch.setattr(threading, "Thread", refuse)
+        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+
+
+def test_a_share_thread_still_in_an_earlier_task_does_not_delay_the_next_call():
+    # An earlier call left one share thread in a 60-s task: the next call
+    # takes another thread instead of waiting for it.
+    def sleep_or_fail(i):
+        if i == 1:
+            raise ValueError("bad item 1")
+        time.sleep(60)
+
+    with deadline(30), pytest.raises(ValueError, match="bad item 1"):
+        parallel_map(sleep_or_fail, [0, 1], 2, key=identity)
+    t0 = time.perf_counter()
+    with deadline(30):
+        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+    assert time.perf_counter() - t0 < 10
+
+
+def test_parallel_map_from_several_callers_at_once_lists_each_idle_thread_once():
+    # Four callers at once, each with three shares per call, more threads
+    # than CPUs, and a thread switch every microsecond: every call gets all
+    # its items back, and no idle share thread is listed twice (two calls
+    # would then queue their shares on one thread). A share this short may
+    # end before its call has handed out the next one, whose thread it can
+    # then be again.
+    def call(errors):
+        try:
+            for _ in range(30):
+                assert parallel_map(lambda i: i * 3, list(range(6)), 3, key=identity) == list(range(0, 18, 3))
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval, errors = sys.getswitchinterval(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(errors,)) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and errors == []
+    assert len({id(inbox) for inbox in montecarlo._idle}) == len(montecarlo._idle)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this OS")
+def test_a_forked_child_runs_its_shares_on_threads_of_its_own():
+    # A forked child has none of its parent's idle share threads: shares
+    # handed to their inboxes would never run, and the child would hang.
+    with deadline(60):
+        parallel_map(identity, [0, 1], 2, key=identity)  # leaves two idle share threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork() in a process with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3] else 1
+        finally:
+            os._exit(code)
+    end = time.monotonic() + 30
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < end:
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's parallel_map still ran after 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert_no_child_process()
 
 
 def test_a_command_on_threads_prints_its_buffered_lines_once(tmp_path):

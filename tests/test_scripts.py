@@ -29,8 +29,9 @@ def test_profile_session_tiny():
     # lines then, and so are seeding its generators and `write_runs_csv` on
     # 100,000 rows. Where this
     # process resolves the kernel under the same environment, so does the
-    # script. The markov3 ensemble gets one median line per worker count,
-    # whichever kernel ran it.
+    # script. The markov3 ensemble and the reference batch get one median
+    # line per worker count, whichever kernel ran them, and one line with
+    # the CPUs their jobs-2 shares started on.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -63,10 +64,23 @@ def test_profile_session_tiny():
         assert sum(line.startswith(ratio) for line in lines) == compiled
     kernel = "c" if compiled else "python"
     assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
-    for jobs in (1, 2):
-        timed = [line for line in lines if line.startswith(f"jobs {jobs} ensemble, median of 2:")]
-        assert len(timed) == 1
-        assert "ms per ensemble" in timed[0] and "us per period" in timed[0]
+    assert f"reference batch: 6 sessions x 5 runs, {kernel} kernel" in lines
+    for label, per in (("ensemble", "period"), ("batch", "run")):
+        for jobs in (1, 2):
+            timed = [line for line in lines if line.startswith(f"jobs {jobs} {label}, median of 2:")]
+            assert len(timed) == 1
+            assert f"ms per {label}" in timed[0] and f"us per {per}" in timed[0]
+    placed = {"ensemble": "jobs 2 ensemble shares started their chains on ",
+              "batch": "jobs 2 batch shares started on "}
+    for label, head in placed.items():
+        (line,) = [line for line in lines if line.startswith(head)]
+        cpus = line[len(head):]
+        if cpus != "CPUs unknown: no sched_getcpu in the C library":
+            # One group per share thread; a compiled batch or ensemble runs
+            # two shares, the Python loop one, in this thread.
+            groups = cpus.removeprefix("CPUs ").split(" | ")
+            assert len(groups) == (2 if compiled else 1), line
+            assert all(cpu.isdigit() for group in groups for cpu in group.split()), line
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:
