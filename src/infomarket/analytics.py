@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel
-from .csvout import fmt, text_file, write_csv
+from .csvout import fmt, write_csv
 
 
 class DegenerateSeriesError(ValueError):
@@ -337,7 +337,7 @@ def random_trader_sweep(samples_by_count: dict[int, np.ndarray]) -> list[tuple[i
 
 class TickSeries(NamedTuple):
     """A tick file's columns: equal lengths, increasing times and positive
-    prices, as both readers guarantee."""
+    prices, as each of the three readers guarantees."""
 
     times: np.ndarray
     prices: np.ndarray
@@ -346,55 +346,44 @@ class TickSeries(NamedTuple):
 def load_ticks(file) -> TickSeries:
     """Read a `time,price` CSV; any malformed row is rejected with its line number.
 
-    A well-formed file is parsed in bulk and checked with numpy reductions:
-    by the compiled kernel's one-pass parse (`im_parse_ticks`) where the
-    kernel loads and every row has the plain `digits[.digits]` form, and by
-    `np.loadtxt` otherwise. Anything the bulk parse refuses or the checks
-    fail sends the whole input through `_read_tick_rows`, which alone
-    defines what is accepted and words every error. A path is read as bytes
-    once, and a leading UTF-8 byte-order mark skipped; where the rest is
-    ASCII the compiled parse reads it undecoded, and any other path is read
-    as UTF-8 text. A handle that cannot seek is read by `_read_tick_rows`
-    only, since it cannot be reread.
+    The input is read once: a path's bytes, or a handle's text to its end
+    from where it stands, either without a leading UTF-8 byte-order mark.
+    It is kept as bytes where it is ASCII and as text otherwise. A first
+    line with no quote and no CR before its LF is the one row `csv` reads
+    there, so it is split in place; any other header is read by `csv`. The
+    rows after it are parsed in bulk and checked with numpy reductions: by
+    the compiled kernel's one-pass parse (`im_parse_ticks`), which reads
+    ASCII bytes undecoded, where the kernel loads and every row has the
+    plain `digits[.digits]` form, and by `np.loadtxt` otherwise. Anything
+    the bulk parse refuses or the checks fail sends the whole input through
+    `_read_tick_rows`, which alone defines what is accepted and words every
+    error.
     """
     if isinstance(file, (str, os.PathLike)):
         with open(file, "rb") as f:
             data = f.read().removeprefix(codecs.BOM_UTF8)
+        if not data.isascii():
+            data = data.decode("utf-8")
+    else:
+        data = file.read().removeprefix("\ufeff")
         if data.isascii():
-            return _load_ascii_ticks(data)
-    with text_file(file) as f:
-        return _load_tick_text(f)
-
-
-def _load_tick_text(f) -> TickSeries:
-    """`load_ticks` on a text handle, from where it stands."""
-    if not f.seekable():
-        return _read_tick_rows(f)
-    start = f.tell()
-    with _unlimited_csv_fields():
-        _check_tick_header(_csv_rows(f))
-    text = f.read()
-    series = _parse_tick_body(text.encode("ascii") if text.isascii() else text)
+            data = data.encode("ascii")
+    is_bytes = isinstance(data, bytes)
+    end = data.find(b"\n" if is_bytes else "\n")
+    line = data[:max(end, 0)]
+    line = (line.decode("ascii") if is_bytes else line).removesuffix("\r")
+    if end >= 0 and '"' not in line and "\r" not in line:
+        header, start = line.split(","), end + 1
+    else:
+        text = io.StringIO(data.decode("ascii") if is_bytes else data, newline="")
+        with _unlimited_csv_fields():
+            header = next(_csv_rows(text), None)
+        start = text.tell()
+    _check_tick_header(header)
+    series = _parse_tick_body((memoryview(data) if is_bytes else data)[start:])
     if series is not None:
         return series
-    f.seek(start)
-    return _read_tick_rows(f)
-
-
-def _load_ascii_ticks(data: bytes) -> TickSeries:
-    """`load_ticks` on an ASCII file's bytes. A first line with no quote and
-    no CR before its LF is the one row `csv` reads there, so it is split in
-    place and the bytes after it go to the bulk parse undecoded; any other
-    file is read as text."""
-    end = data.find(b"\n")
-    header = data[:max(end, 0)].removesuffix(b"\r")
-    if end < 0 or b'"' in header or b"\r" in header:
-        return _load_tick_text(io.StringIO(data.decode("ascii"), newline=""))
-    _check_tick_header(iter([header.decode("ascii").split(",")]))
-    series = _parse_tick_body(memoryview(data)[end + 1:])
-    if series is not None:
-        return series
-    return _read_tick_rows(io.StringIO(data.decode("ascii"), newline=""))
+    return _read_tick_rows(io.StringIO(data.decode("ascii") if is_bytes else data, newline=""))
 
 
 @contextmanager
@@ -419,13 +408,11 @@ def _csv_rows(f):
         raise TickDataError(f"line {reader.line_num}: {e}") from None
 
 
-def _check_tick_header(reader) -> None:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TickDataError("empty file: expected header 'time,price'") from None
-    if header:  # a handle opened as UTF-8 yields a byte-order mark as text
-        header[0] = header[0].removeprefix("\ufeff")
+def _check_tick_header(header) -> None:
+    """Refuse a file whose first row, the fields in `header` (None for an
+    empty file), does not begin `time,price`."""
+    if header is None:
+        raise TickDataError("empty file: expected header 'time,price'")
     if [h.strip().lower() for h in header[:2]] != ["time", "price"]:
         raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
 
@@ -434,7 +421,7 @@ def _parse_tick_body(body) -> TickSeries | None:
     """The rows after the header parsed in bulk, or None if any row needs
     `_read_tick_rows` to accept it or to word its error.
 
-    `body` is ASCII bytes or, where the rows are not ASCII, text. The
+    `body` is ASCII bytes or, where the input is not ASCII, text. The
     compiled parse reads ASCII bytes where the kernel loads and the body has
     the plain form; `np.loadtxt` reads the text otherwise. `quotechar` makes
     numpy split quoted fields as `csv` does, so an unclosed quote in an
@@ -485,7 +472,7 @@ def _read_tick_rows(f) -> TickSeries:
     """Read a `time,price` CSV row by row: the definition of an accepted tick
     file and of every error message."""
     reader = _csv_rows(f)
-    _check_tick_header(reader)
+    _check_tick_header(next(reader, None))
     # Typed buffers hold 8 bytes a value where a list of floats holds
     # about 32, and numpy reads them without a copy. `prev` spares
     # boxing times[-1] again on every row.

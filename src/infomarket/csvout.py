@@ -1,10 +1,9 @@
-"""The one CSV writer behind every `write_*_csv` function, and the path-or-handle
-opener it shares with the tick reader."""
+"""The one CSV writer behind every `write_*_csv` function."""
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import islice
 
 # Lines joined into one string per write: a write per line costs more than
@@ -22,22 +21,6 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-@contextmanager
-def text_file(file, mode: str = "r"):
-    """Yield a text handle for `file`: a path or an already open handle.
-
-    A path is opened in `mode` as UTF-8, whatever the locale, and closed on
-    exit; a handle is passed through and left open for its owner. Read from
-    a path, a leading UTF-8 byte-order mark, which spreadsheets write, is
-    skipped; writes carry none.
-    """
-    if isinstance(file, (str, os.PathLike)):
-        with open(file, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8") as f:
-            yield f
-    else:
-        yield file
-
-
 def write_csv(file, header, lines) -> None:
     """Write the column names in `header`, then `lines`, to a path or an open
     text handle.
@@ -52,8 +35,13 @@ def write_csv(file, header, lines) -> None:
 
 def write_csv_blocks(file, header, blocks) -> None:
     """Write the column names in `header`, then each of `blocks`, text of
-    whole rows, each row ended in "\\r\\n", to a path or an open text handle."""
-    with text_file(file, "w") as f:
+    whole rows, each row ended in "\\r\\n", to a path or an open text handle.
+
+    A path is opened as UTF-8, whatever the locale, and closed on return; a
+    handle is left open for its owner.
+    """
+    is_path = isinstance(file, (str, os.PathLike))
+    with open(file, "w", newline="", encoding="utf-8") if is_path else nullcontext(file) as f:
         f.write(",".join(header) + "\r\n")
         for block in blocks:
             f.write(block)

@@ -34,7 +34,6 @@ from infomarket.analytics import (
     random_trader_sweep,
     wilcoxon_rank_sum,
 )
-from infomarket.csvout import text_file
 
 
 # --- independent oracles -----------------------------------------------------
@@ -576,14 +575,15 @@ def test_bulk_and_row_readers_agree_on_edge_cases(tmp_path, case):
                               "bare CR after the header", "bare CRs only", "blank header", "header only",
                               "NUL in the header"])
 def test_bulk_and_row_readers_agree_on_headers(tmp_path, text):
-    # From a handle, and from a path, whose ASCII bytes have a header split
-    # by hand where `csv` would read it the same way.
+    # From handles, seekable or not, and from a path: where the first line
+    # has no quote and no CR, its header is split by hand, as `csv` would
+    # read it.
     path = tmp_path / "ticks.csv"
     path.write_bytes(text.encode())
     rows = _outcome(_read_tick_rows, io.StringIO(text, newline=""))
     for patch in BULK_PARSES.values():
         with patch():
-            for source in (io.StringIO(text, newline=""), path):
+            for source in (io.StringIO(text, newline=""), Unseekable(text, newline=""), path):
                 assert _same_outcome(_outcome(load_ticks, source), rows), source
 
 
@@ -632,14 +632,16 @@ def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(analytics, "_read_tick_rows", refuse)
     times = np.cumsum(np.random.default_rng(8).integers(1, 50, 3000)).astype(float)
     prices = np.round(np.random.default_rng(9).uniform(10, 90, 3000), 2)
-    text = "time,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(times.tolist(), prices.tolist()))
-    path = tmp_path / "ticks.csv"
-    path.write_text(text)
-    for patch in BULK_PARSES.values():
-        with patch():
-            for source in (path, io.StringIO(text)):
-                series = load_ticks(source)
-                assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+    rows = "".join(f"{t!r},{p!r}\n" for t, p in zip(times.tolist(), prices.tolist()))
+    # R's write.csv quotes the header names; such a file keeps the bulk parse.
+    for header in ("time,price\n", '"time","price"\n'):
+        path = tmp_path / "ticks.csv"
+        path.write_text(header + rows)
+        for patch in BULK_PARSES.values():
+            with patch():
+                for source in (path, io.StringIO(header + rows)):
+                    series = load_ticks(source)
+                    assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
 
 
 def test_a_plain_file_is_one_compiled_parse_and_no_loadtxt(tmp_path, monkeypatch):
@@ -675,7 +677,7 @@ def test_a_utf8_byte_order_mark_reads_as_the_same_series(tmp_path):
     expected = load_ticks(plain)
 
     def row_reader(path):
-        with text_file(path) as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             return _read_tick_rows(f)
 
     for parse, patch in BULK_PARSES.items():
@@ -701,6 +703,38 @@ class Unseekable(io.StringIO):
 def test_load_ticks_reads_a_handle_that_cannot_seek():
     series = load_ticks(Unseekable("time,price\n1,40\n2,41\n"))
     assert series.times.tolist() == [1.0, 2.0] and series.prices.tolist() == [40.0, 41.0]
+
+
+class ReadOnce(io.StringIO):
+    """A handle that counts its `read()` calls and refuses to be moved or
+    read by line."""
+
+    def __init__(self, text):
+        super().__init__(text, newline="")
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+    def _refuse(self, *args):
+        raise AssertionError("the handle was moved or read by line")
+
+    seek = tell = readline = __iter__ = __next__ = _refuse
+
+
+@pytest.mark.parametrize("text,error", [("time,price\n1,40\n2,41\n", None),
+                                        ('"time","price"\n1,40\n2,41\n', None),
+                                        ("time,price\n1,40\n2,x\n", "line 3: non-numeric field in ['2', 'x']")],
+                         ids=["plain", "quoted header", "bad row"])
+def test_load_ticks_reads_a_handle_once(text, error):
+    rows = _outcome(_read_tick_rows, io.StringIO(text, newline=""))
+    assert rows == (TickDataError, error) if error else rows[0].tolist() == [1.0, 2.0]
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            handle = ReadOnce(text)
+            assert _same_outcome(_outcome(load_ticks, handle), rows), parse
+        assert handle.reads == 1, parse
 
 
 def test_a_byte_order_mark_read_as_text_from_the_callers_handle_is_skipped():
