@@ -10,6 +10,10 @@
  * book and settlement, in the same floating-point operation order, so both
  * produce the same bits. The caller owns every buffer (see _kernel.py,
  * whose Session mirrors `im_session`, Block `im_block` and Chain `im_chain`).
+ * Blocks and chains read the market from the session header: the periods,
+ * the walk's start, scale and extra dividends, the discount rate and its
+ * factors, the endowments and the initial price. engine.lay_out_state
+ * fills it, the factors with Python's `**`, the Python loop's pow.
  *
  * `im_run_periods` runs periods of one session. `im_run_block` runs one
  * share of a batch, montecarlo._run_session_block, whose Python loop stays
@@ -65,6 +69,7 @@ typedef struct {
     int64_t trader;
 } im_order;
 
+/* The header of a session's arena (engine.lay_out_state), the market included. */
 typedef struct {
     /* sizes and constants */
     int64_t n;           /* traders */
@@ -72,6 +77,17 @@ typedef struct {
     int64_t steps;       /* steps per period */
     int64_t clear;       /* clear the book at the period end */
     double growth;       /* 1 + r_f */
+    /* the market: the walk, the discount factors and a fresh session's start */
+    int64_t periods;     /* the periods the state is laid out for */
+    int64_t path_extra;  /* dividends a walk draws beyond its periods */
+    int64_t top;         /* the top information level, 0 when nobody is informed */
+    double r_e;          /* the discount rate */
+    double d0;           /* the dividend walk's start */
+    double sigma;        /* and its step scale */
+    double initial_cash;
+    int64_t initial_shares;
+    double initial_price;
+    const double *powers; /* top: powers[k + 1] = (1 + r_e) ** k, k = -1 .. top - 2 */
     /* per trader, length n */
     const int64_t *level;
     int64_t *strategy;   /* the chain flips it */
@@ -587,24 +603,15 @@ int im_run_periods(im_session *s, bitgen_t *bg, int64_t count)
     return 0;
 }
 
-/* One strategy-switching chain (switching.run_switching_sim): its
- * parameters, its scratch buffers and its outputs. The caller owns every
- * buffer (see _kernel.Chain). */
+/* One strategy-switching chain (switching.run_switching_sim): its length,
+ * its evaluation interval, its scratch buffers and its outputs. The market
+ * is the session header's, whose `periods` is a segment's length. The
+ * caller owns every buffer (see _kernel.Chain). */
 typedef struct {
     int64_t n_periods;    /* the chain's periods */
-    int64_t segment;      /* periods per segment; the last one may be shorter */
     int64_t interval;     /* periods per strategy evaluation */
-    int64_t path_extra;   /* dividends a segment draws beyond its periods */
-    int64_t top;          /* the top information level, which marks shares */
-    double d0;            /* the dividend walk's start */
-    double sigma;         /* and its step scale */
-    double r_e;           /* the discount rate */
-    double initial_cash;
-    int64_t initial_shares;
-    double initial_price;
-    double *walk;         /* segment + path_extra: the segment's dividends */
-    double *marks;        /* segment + 1: the top level's present values, periods 1.. */
-    double *powers;       /* top: powers[k + 1] = (1 + r_e) ** k, k = -1 .. top - 2 */
+    double *walk;         /* periods + path_extra: the segment's dividends */
+    double *marks;        /* periods + 1: the top level's present values, periods 1.. */
     double *returns;      /* n: the interval's returns */
     int64_t *codes;       /* n_periods / interval + 1, codes[0] the initial code */
     int64_t tie_events;
@@ -613,66 +620,57 @@ typedef struct {
 
 int64_t im_chain_size(void) { return (int64_t)sizeof(im_chain); }
 
-/* powers[k + 1] = (1 + r_e) ** k for k = -1 .. top - 2, from pow, as
- * Python's `**`: the discount factors up to the top level. */
-static void fill_powers(double *powers, int64_t top, double r_e)
+/* dividends.conditional_present_value on a dividend walk, with the
+ * header's discount factors: the last readable dividend as a perpetuity,
+ * then the earlier ones discounted one by one, in the same order. */
+static double present_value(const im_session *s, const double *walk, int64_t level, int64_t period)
 {
-    const double growth = 1.0 + r_e;
-    for (int64_t k = -1; k < top - 1; k++)
-        powers[k + 1] = pow(growth, (double)k);
-}
-
-/* dividends.conditional_present_value on a dividend walk: the last
- * readable dividend as a perpetuity, then the earlier ones discounted one by
- * one, in the same order. */
-static double present_value(const double *walk, const double *powers, double r_e, int64_t level,
-                            int64_t period)
-{
-    const double *d = walk; /* d[i - 1] is D(i) */
+    const double *d = walk, *powers = s->powers; /* d[i - 1] is D(i) */
     int64_t last = period + level - 1;
-    double pv = d[last - 1] / (r_e * powers[level - 1]);
+    double pv = d[last - 1] / (s->r_e * powers[level - 1]);
     for (int64_t i = period; i < last; i++)
         pv += d[i - 1] / powers[i - period + 1];
     return pv;
 }
 
-/* dividends.generate_dividend_path: `points` dividends of the reflected
- * walk from d0, on standard_normal(points - 1) from bg. */
-static void draw_walk(double *walk, int64_t points, double d0, double sigma, bitgen_t *bg)
+/* dividends.generate_dividend_path: the `points` = periods + path_extra
+ * dividends of the reflected walk from d0, on standard_normal(points - 1). */
+static void draw_walk(const im_session *s, double *walk, int64_t periods, bitgen_t *bg)
 {
-    double d = d0;
+    const int64_t points = periods + s->path_extra;
+    double d = s->d0;
     walk[0] = d;
     random_standard_normal_fill(bg, points - 1, walk + 1);
     for (int64_t i = 1; i < points; i++) {
-        d = fabs(d + sigma * walk[i]);
+        d = fabs(d + s->sigma * walk[i]);
         walk[i] = d;
     }
 }
 
 /* The session's inputs for `length` periods on a walk: its dividends and
  * engine.present_value_table, 0 for the uninformed. */
-static void fill_table(im_session *s, const double *walk, const double *powers, double r_e, int64_t length)
+static void fill_table(im_session *s, const double *walk, int64_t length)
 {
     const int64_t n = s->n;
     memcpy(s->dividends, walk, (size_t)length * sizeof(double));
     for (int64_t k = 1; k <= length; k++)
         for (int64_t i = 0; i < n; i++)
-            s->pv_table[(k - 1) * n + i] = s->level[i] > 0 ? present_value(walk, powers, r_e, s->level[i], k) : 0.0;
+            s->pv_table[(k - 1) * n + i] = s->level[i] > 0 ? present_value(s, walk, s->level[i], k) : 0.0;
 }
 
-/* The state a fresh MarketSession starts from: the endowments, no holds,
- * an empty book and series, the initial price. The strategies stay. */
-static void reset_session(im_session *s, double cash, int64_t shares, double price)
+/* The state a fresh MarketSession starts from: the header's endowments, no
+ * holds, an empty book and series, the initial price. The strategies stay. */
+static void reset_session(im_session *s)
 {
     for (int64_t i = 0; i < s->n; i++) {
-        s->cash[i] = s->cash_hist[i] = cash;
-        s->shares[i] = s->shares_hist[i] = shares;
+        s->cash[i] = s->cash_hist[i] = s->initial_cash;
+        s->shares[i] = s->shares_hist[i] = s->initial_shares;
         s->held_cash[i] = 0.0;
         s->held_shares[i] = 0;
     }
     s->n_asks = s->n_bids = 0;
     s->seq = s->n_prices = s->n_trades = s->periods_done = 0;
-    s->last_price = price;
+    s->last_price = s->initial_price;
 }
 
 /* np.add.reduce over n doubles, n <= 15, in numpy's order: left to right
@@ -695,11 +693,11 @@ static double numpy_sum(const double *a, int64_t n)
  * session state of a new market. The strategies carry over. */
 static void start_segment(im_session *s, im_chain *c, bitgen_t *bg, int64_t length)
 {
-    draw_walk(c->walk, length + c->path_extra, c->d0, c->sigma, bg);
-    fill_table(s, c->walk, c->powers, c->r_e, length);
+    draw_walk(s, c->walk, length, bg);
+    fill_table(s, c->walk, length);
     for (int64_t k = 1; k <= length + 1; k++)
-        c->marks[k - 1] = present_value(c->walk, c->powers, c->r_e, c->top, k);
-    reset_session(s, c->initial_cash, c->initial_shares, c->initial_price);
+        c->marks[k - 1] = present_value(s, c->walk, s->top, k);
+    reset_session(s);
 }
 
 /* A whole switching chain on one session state, laid out for the longest
@@ -712,14 +710,14 @@ static void start_segment(im_session *s, im_chain *c, bitgen_t *bg, int64_t leng
  * Returns 0, or -1 when a side of the book is full. */
 int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
 {
-    const int64_t n = s->n;
+    const int64_t n = s->n, segment = s->periods, shares = s->initial_shares;
+    const double cash = s->initial_cash;
     double *r = c->returns;
-    fill_powers(c->powers, c->top, c->r_e);
     int64_t code = c->codes[0], recorded = 1, done = 0;
     while (done < c->n_periods) {
-        int64_t length = c->n_periods - done < c->segment ? c->n_periods - done : c->segment;
+        int64_t length = c->n_periods - done < segment ? c->n_periods - done : segment;
         start_segment(s, c, bg, length);
-        double w = c->initial_cash + (double)c->initial_shares * c->marks[0];
+        double w = cash + (double)shares * c->marks[0];
         for (int64_t k = 1; k <= length; k++) {
             if (run_period(s, bg))
                 return -1;
@@ -746,38 +744,28 @@ int im_run_chain(im_session *s, im_chain *c, bitgen_t *bg)
                 c->tie_events++;
             code = c->codes[recorded++] = bits + 1;
             for (int64_t i = 0; i < n; i++) {
-                s->cash[i] = c->initial_cash;
-                s->shares[i] = c->initial_shares;
+                s->cash[i] = cash;
+                s->shares[i] = shares;
             }
-            w = c->initial_cash + (double)c->initial_shares * m;
+            w = cash + (double)shares * m;
         }
     }
     return 0;
 }
 
 /* A share of a batch (montecarlo._run_session_block): the sessions it runs,
- * their parameters, the master seed and domains their streams derive from,
- * a scratch buffer and the batch-wide outputs it writes its sessions' rows
- * of. The caller owns every buffer (see _kernel.Block). */
+ * their runs, the master seed and domains their streams derive from and the
+ * batch-wide outputs it writes its sessions' rows of. The market is the
+ * session header's. The caller owns every buffer (see _kernel.Block). */
 typedef struct {
     int64_t runs;         /* per session */
-    int64_t periods;      /* per run */
-    int64_t path_length;  /* the dividends each session's walk draws */
-    int64_t top;          /* the top information level, 0 when nobody is informed */
-    double d0;            /* the dividend walk's start */
-    double sigma;         /* and its step scale */
-    double r_e;           /* the discount rate */
-    double initial_cash;
-    int64_t initial_shares;
-    double initial_price;
     const uint32_t *master; /* n_master: the master seed's key words */
     int64_t n_master;
     int64_t path_domain;  /* rng.PATH_DOMAIN: a walk's key is (master, path_domain, session) */
     int64_t run_domain;   /* rng.RUN_DOMAIN: a run's key is (master, run_domain, session, run) */
     const int64_t *sessions; /* n_sessions: the share's batch session indices */
     int64_t n_sessions;
-    double *powers;       /* top: as im_chain's */
-    double *walks;        /* batch sessions x path_length: each session's dividends */
+    double *walks;        /* batch sessions x (periods + path_extra): each session's dividends */
     double *wealth;       /* batch runs x n, row session * runs + run: final cash plus shares at the last close */
     double *closes;       /* batch runs x periods: each period's last price */
     uint64_t *states;     /* NULL, or batch sessions x (runs + 1) x 6: the walk's, then each run's final state */
@@ -792,33 +780,32 @@ int64_t im_block_size(void) { return (int64_t)sizeof(im_block); }
  * rng.stream seeds it. Returns 0, or -1 when a side of the book is full. */
 int im_run_block(im_session *s, im_block *b)
 {
-    const int64_t n = s->n, periods = b->periods, runs = b->runs;
+    const int64_t n = s->n, periods = s->periods, runs = b->runs, points = periods + s->path_extra;
     im_seeder master = NEW_SEEDER;
     for (int64_t i = 0; i < b->n_master; i++)
         feed_word(&master, b->master[i]);
     im_seeder path_key = master, run_key = master;
     feed(&path_key, (uint64_t)b->path_domain);
     feed(&run_key, (uint64_t)b->run_domain);
-    fill_powers(b->powers, b->top, b->r_e);
     im_generator gen;
     for (int64_t k = 0; k < b->n_sessions; k++) {
         const int64_t session = b->sessions[k];
-        double *walk = b->walks + session * b->path_length;
+        double *walk = b->walks + session * points;
         uint64_t *states = b->states ? b->states + session * (runs + 1) * 6 : NULL;
         im_seeder key = path_key;
         feed(&key, (uint64_t)session);
         seed_generator(&gen, key);
-        draw_walk(walk, b->path_length, b->d0, b->sigma, &gen.bitgen);
+        draw_walk(s, walk, periods, &gen.bitgen);
         if (states)
             put_state(states, &gen.pcg);
-        fill_table(s, walk, b->powers, b->r_e, periods);
+        fill_table(s, walk, periods);
         im_seeder session_key = run_key;
         feed(&session_key, (uint64_t)session);
         for (int64_t r = 0; r < runs; r++) {
             key = session_key;
             feed(&key, (uint64_t)r);
             seed_generator(&gen, key);
-            reset_session(s, b->initial_cash, b->initial_shares, b->initial_price);
+            reset_session(s);
             if (im_run_periods(s, &gen.bitgen, periods))
                 return -1;
             const int64_t row = session * runs + r;

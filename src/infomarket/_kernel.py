@@ -13,21 +13,22 @@ point to. One call of `im_run_block` runs a whole share of a batch, any
 number of sessions, on one such state: per session it draws the dividend
 walk, fills the present-value table once and runs every run on its own
 generator, writing into the batch-wide outputs (`Block` holds the share's
-parameters, the master seed's key words and the addresses of its session
-indices, its scratch buffer and the outputs); `montecarlo`'s Python block
-stays its specification. The block seeds its generators itself: the
-kernel reproduces numpy's `SeedSequence` (the 4-word pool, `hashmix`, `mix`
-and `generate_state(4, uint64)`) and PCG64 (the 128-bit LCG step, the
-XSL-RR output, the buffered 32-bit halves and `next_double`) behind a
-`bitgen_t` of its own, so it draws `rng.stream`'s streams without a Python
+runs, the master seed's key words and the addresses of its session indices
+and outputs, and the header the market with its discount factors);
+`montecarlo`'s Python block stays its specification. The block seeds its
+generators itself: the kernel reproduces numpy's `SeedSequence` (the
+4-word pool, `hashmix`, `mix` and `generate_state(4, uint64)`) and PCG64
+(the 128-bit LCG step, the XSL-RR output, the buffered 32-bit halves and
+`next_double`) behind a `bitgen_t` of its own, so it draws `rng.stream`'s streams without a Python
 generator. `im_seed_pcg64` seeds generators for given keys and
 `im_pcg64_draw` draws from a given state, for the tests and for the check
 that `_load` makes: a library whose generator for `CHECK_KEY` differs from
 `rng.stream`'s (a numpy whose `SeedSequence` or PCG64 changed) is refused,
 and every batch runs the Python block. One call
 of `im_run_chain` runs a whole switching chain on one such state (`Chain`
-holds the chain's parameters, the addresses of its scratch buffers and its
-outputs); `switching`'s Python loop stays its specification. Nothing is
+holds the chain's length and evaluation interval, the addresses of its
+scratch buffers and its outputs; the market, and a segment's length, are
+the header's); `switching`'s Python loop stays its specification. Nothing is
 built or loaded at import; the first session that may use the kernel
 resolves it, once per process (`run_batch` and `run_switching_ensemble`
 resolve it before they hand any task to a share thread, and every share
@@ -193,10 +194,14 @@ def _fields(ctype, names: str) -> list[tuple[str, type]]:
 
 class Session(ctypes.Structure):
     """`im_session` in _kernel.c, field for field: the first bytes of a
-    session's arena. The pointers hold addresses of the arena's buffers
+    session's arena, with the market and the address of its discount
+    factors. The pointers hold addresses of the arena's buffers
     (`engine.lay_out_state`)."""
 
     _fields_ = [*_fields(ctypes.c_int64, "n m steps clear"), ("growth", ctypes.c_double),
+                *_fields(ctypes.c_int64, "periods path_extra top"),
+                *_fields(ctypes.c_double, "r_e d0 sigma initial_cash"),
+                ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double), ("powers", ctypes.c_void_p),
                 *_fields(ctypes.c_void_p, "level strategy pv_table dividends cash shares held_cash held_shares"),
                 *_fields(ctypes.c_void_p, "perm order u z asks bids"),
                 *_fields(ctypes.c_int64, "book_cap n_asks n_bids seq"), ("prices", ctypes.c_void_p),
@@ -208,27 +213,25 @@ class Session(ctypes.Structure):
 
 
 class Block(ctypes.Structure):
-    """`im_block` in _kernel.c: one share of a batch, its sessions'
-    parameters, the key words their streams derive from, and the addresses
-    of the share's session indices, of its scratch buffer and of the
-    batch-wide outputs."""
+    """`im_block` in _kernel.c: one share of a batch, its runs per session,
+    the key words its streams derive from, and the addresses of the share's
+    session indices and of the batch-wide outputs. The market is the
+    session header's."""
 
-    _fields_ = [*_fields(ctypes.c_int64, "runs periods path_length top"),
-                *_fields(ctypes.c_double, "d0 sigma r_e initial_cash"),
-                ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double),
-                ("master", ctypes.c_void_p), *_fields(ctypes.c_int64, "n_master path_domain run_domain"),
+    _fields_ = [("runs", ctypes.c_int64), ("master", ctypes.c_void_p),
+                *_fields(ctypes.c_int64, "n_master path_domain run_domain"),
                 ("sessions", ctypes.c_void_p), ("n_sessions", ctypes.c_int64),
-                *_fields(ctypes.c_void_p, "powers walks wealth closes states")]
+                *_fields(ctypes.c_void_p, "walks wealth closes states")]
 
 
 class Chain(ctypes.Structure):
-    """`im_chain` in _kernel.c: one switching chain's parameters, the
-    addresses of its scratch buffers and of its codes, and its tie counts."""
+    """`im_chain` in _kernel.c: one switching chain's length and evaluation
+    interval, the addresses of its scratch buffers and of its codes, and its
+    tie counts. The market, and a segment's length, are the session
+    header's."""
 
-    _fields_ = [*_fields(ctypes.c_int64, "n_periods segment interval path_extra top"),
-                *_fields(ctypes.c_double, "d0 sigma r_e initial_cash"),
-                ("initial_shares", ctypes.c_int64), ("initial_price", ctypes.c_double),
-                *_fields(ctypes.c_void_p, "walk marks powers returns codes"),
+    _fields_ = [*_fields(ctypes.c_int64, "n_periods interval"),
+                *_fields(ctypes.c_void_p, "walk marks returns codes"),
                 *_fields(ctypes.c_int64, "tie_events all_equal_events")]
 
 

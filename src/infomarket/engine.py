@@ -249,7 +249,7 @@ def present_value_table(path: DividendPath, levels: tuple[int, ...], n_periods: 
 
 
 @functools.lru_cache(maxsize=64)
-def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
+def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool, top: int):
     """The session arena for one shape: its size in bytes, its book's
     capacity per side, and each buffer as (`im_session` field, attribute,
     shape, dtype, offset)."""
@@ -261,7 +261,7 @@ def _arena_layout(n: int, m: int, steps: int, periods: int, clear: bool):
     # (im_session field, dtype, shape) after the header; every buffer but
     # cash and shares is private, under the field's name with a "_".
     layout = (
-        ("level", i8, n), ("strategy", i8, n), ("pv_table", f8, (periods, n)),
+        ("powers", f8, top), ("level", i8, n), ("strategy", i8, n), ("pv_table", f8, (periods, n)),
         ("dividends", f8, periods), ("cash", f8, n), ("shares", i8, n),
         ("held_cash", f8, n), ("held_shares", i8, n),
         ("perm", i8, n), ("order", i8, steps), ("u", f8, m + steps), ("z", f8, m + steps),
@@ -283,13 +283,15 @@ def lay_out_state(config: SessionConfig) -> dict:
     """A new session state for `config`: its arena's buffers by attribute,
     the arena's `im_session` header (`_session`, a `_kernel.Session`) and
     the arena itself (`_arena`), which the compiled kernel holds raw
-    pointers into. The header's counters are zero and its sizes, pointers
-    and growth set, as are the levels and the strategies; the rest is the
-    caller's to fill."""
-    levels = config.levels
+    pointers into. The header's counters are zero; its sizes, pointers,
+    growth and market (periods, path_extra, top, r_e, d0, sigma, the
+    endowments and the price, which the compiled block and chain read) are
+    set, as are the levels, the strategies and the discount factors
+    `_powers`; the rest is the caller's to fill."""
+    levels, periods, top = config.levels, config.n_periods, config.max_level
     n, m = len(levels), len(levels) - levels.count(0)
     steps, clear = config.steps_per_period, config.clear_book_each_period
-    size, book_cap, buffers = _arena_layout(n, m, steps, config.n_periods, clear)
+    size, book_cap, buffers = _arena_layout(n, m, steps, periods, clear, top)
     arena = np.empty(size, np.uint8)
     state = {attr: np.ndarray(shape, dtype, arena, offset) for _, attr, shape, dtype, offset in buffers}
     state["_arena"] = arena
@@ -301,6 +303,13 @@ def lay_out_state(config: SessionConfig) -> dict:
         setattr(session, name, base + offset)
     session.n, session.m, session.steps, session.clear, session.book_cap = n, m, steps, clear, book_cap
     session.growth = 1.0 + config.rates.r_f
+    session.periods, session.path_extra, session.top = periods, config.path_length - periods, top
+    session.r_e, session.d0, session.sigma = config.rates.r_e, config.dividends.d0, config.dividends.sigma
+    session.initial_cash, session.initial_shares = config.initial_cash, config.initial_shares
+    session.initial_price = session.last_price = config.initial_price
+    # (1 + r_e) ** k, k = -1 .. top - 2, by Python's `**`: libm's pow, as conditional_present_value takes
+    # it (np.power may vectorise).
+    state["_powers"][:] = [(1.0 + config.rates.r_e) ** k for k in range(-1, top - 1)]
     state["_level"][:] = levels
     state["_strategy"][:] = config.strategy_codes
     return state
@@ -329,7 +338,6 @@ class MarketSession:
         self.levels = config.levels
         vars(self).update(lay_out_state(config))
         periods = config.n_periods
-        self._session.last_price = config.initial_price
         self._pv_table[:] = present_value_table(path, self.levels, periods, config.rates.r_e)
         self._dividends[:] = path.values[:periods]
         self.cash[:] = config.initial_cash

@@ -253,13 +253,9 @@ def _run_session_block(share: Share) -> range:
         return share.sessions
     master = _kernel.key_words(share.master)
     sessions = np.array(share.sessions, np.int64)
-    powers = np.empty(cfg.max_level)
     block = _kernel.Block(
-        runs=runs, periods=cfg.n_periods, path_length=cfg.path_length, top=cfg.max_level,
-        d0=cfg.dividends.d0, sigma=cfg.dividends.sigma, r_e=cfg.rates.r_e,
-        initial_cash=cfg.initial_cash, initial_shares=cfg.initial_shares, initial_price=cfg.initial_price,
-        master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN, run_domain=RUN_DOMAIN,
-        sessions=sessions.ctypes.data, n_sessions=len(sessions), powers=powers.ctypes.data,
+        runs=runs, master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN, run_domain=RUN_DOMAIN,
+        sessions=sessions.ctypes.data, n_sessions=len(sessions),
         walks=share.walks.ctypes.data, wealth=share.wealth.ctypes.data, closes=share.closes.ctypes.data,
         states=None if share.states is None else share.states.ctypes.data)
     arena = lay_out_state(cfg)["_arena"]

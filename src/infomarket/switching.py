@@ -58,7 +58,7 @@ class SwitchingConfig:
     n_traders: int = 3
     n_periods: int = 100_000
     interval: int = 1
-    steps_per_period: int = 100
+    steps_per_period: int = SessionConfig.steps_per_period
 
     def __post_init__(self) -> None:
         # The estimates hold dense 2^n x 2^n matrices per run.
@@ -177,16 +177,11 @@ def _compiled_chain(lib, config: SwitchingConfig, initial_code: int, rng: np.ran
     first = min(SEGMENT_PERIODS, config.n_periods)
     scfg = config.session_config(initial_code, first)
     state = lay_out_state(scfg)
-    top, extra = scfg.max_level, scfg.path_length - first
-    walk, marks, powers, returns = (np.empty(k) for k in (first + extra, first + 1, top, config.n_traders))
+    walk, marks, returns = (np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders))
     codes = np.empty(config.n_periods // config.interval + 1, np.int64)
     codes[0] = initial_code
-    chain = _kernel.Chain(
-        n_periods=config.n_periods, segment=SEGMENT_PERIODS, interval=config.interval, path_extra=extra, top=top,
-        d0=scfg.dividends.d0, sigma=scfg.dividends.sigma, r_e=scfg.rates.r_e,
-        initial_cash=scfg.initial_cash, initial_shares=scfg.initial_shares, initial_price=scfg.initial_price,
-        walk=walk.ctypes.data, marks=marks.ctypes.data, powers=powers.ctypes.data, returns=returns.ctypes.data,
-        codes=codes.ctypes.data)
+    chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval, walk=walk.ctypes.data,
+                          marks=marks.ctypes.data, returns=returns.ctypes.data, codes=codes.ctypes.data)
     if lib.im_run_chain(state["_arena"].ctypes.data, chain, _kernel.bitgen_address(rng)):
         raise RuntimeError("order book capacity exceeded")
     return SwitchingRun(initial_code, codes, chain.tie_events, chain.all_equal_events)

@@ -15,6 +15,7 @@ header or Python's header missing), so a broken `_kernel.c` fails them.
 import ctypes
 import io
 import re
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -270,15 +271,22 @@ def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2, j=1):
 @st.composite
 def blocks(draw):
     """1-17 traders as in `strategy_mixes`, clearing on or off, 1-6 periods,
-    1-12 steps, 1-4 runs, and one share of a batch of 1-5 sessions on 1-3
-    jobs."""
+    1-12 steps, any dividend walk, discount rate, endowments and initial
+    price with a positive opening wealth, 1-4 runs, and one share of a batch
+    of 1-5 sessions on 1-3 jobs."""
     n = draw(st.integers(1, 17))
     n_random = draw(st.integers(0, n))
     informed = draw(st.lists(st.integers(1, 20), min_size=n - n_random, max_size=n - n_random, unique=True))
     chartists = draw(st.lists(st.sampled_from(informed), unique=True)) if informed else []
     levels = draw(st.permutations([0] * n_random + informed))
+    dividends = DividendParams(d0=draw(st.floats(0.0, 5.0)), sigma=draw(st.floats(0.0, 1.0)))
+    rates = RateParams(r_f=0.001, r_e=draw(st.floats(1e-4, 0.5)))
+    cash = draw(st.floats(0.0, 2000.0))
+    shares = draw(st.integers(0 if cash > 0 else 1, 60))
     cfg = config(agents=market_with_levels(levels, tuple(chartists)), n_periods=draw(st.integers(1, 6)),
-                 steps_per_period=draw(st.integers(1, 12)), clear_book_each_period=draw(st.booleans()))
+                 steps_per_period=draw(st.integers(1, 12)), clear_book_each_period=draw(st.booleans()),
+                 dividends=dividends, rates=rates, initial_cash=cash, initial_shares=shares,
+                 initial_price=draw(st.floats(0.01, 200.0)))
     n_sessions = draw(st.integers(1, 5))
     jobs = draw(st.integers(1, min(3, n_sessions)))
     return cfg, draw(st.integers(1, 4)), n_sessions, jobs, draw(st.integers(0, jobs - 1))
@@ -637,6 +645,15 @@ def test_missing_numpy_random_files_fall_back_to_python_with_the_same_outputs(
     assert_same_session(compiled, fallback)
 
 
+@needs_toolchain
+def test_the_kernel_source_compiles_without_a_warning(tmp_path):
+    # The build's own command, with every common warning an error: among
+    # others, a parameter left unused after a signature change.
+    build = [_kernel.find_compiler(), *_kernel.command(str(tmp_path / "kernel.so")), "-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(build, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_the_cache_key_covers_the_numpy_version_and_the_command_line(monkeypatch, tmp_path):
     source = _kernel.SOURCE.read_bytes()
     key = _kernel.cache_key(source)
@@ -863,7 +880,7 @@ def test_the_compiled_rows_number_sessions_runs_and_labels():
     assert wide == [f"1,{2**62 - 1},1,-2.2250738585072014e-308"]
 
 
-def test_forced_c_refuses_patched_rules(monkeypatch):
+def test_a_loaded_kernel_leaves_a_patched_rule_to_the_python_loop(monkeypatch):
     # A process whose kernel resolved to a loaded library still runs a
     # session with a patched rule in the Python loop, which calls the rule;
     # the compiled kernel would not.
@@ -886,7 +903,7 @@ def test_forced_c_refuses_patched_rules(monkeypatch):
     assert_same_session(spec, patched)
 
 
-def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
+def test_a_patched_rule_never_builds_or_resolves_the_kernel(fresh_kernel, monkeypatch):
     # A patched rule forces the Python loop, so the session never asks for
     # the compiled kernel: nothing is built and nothing is resolved.
     monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built the kernel for a patched rule"))
@@ -896,7 +913,7 @@ def test_forced_python_never_resolves(fresh_kernel, monkeypatch):
 
 
 @needs_toolchain
-def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatch, tmp_path):
+def test_share_threads_run_the_kernel_the_caller_resolved(fresh_kernel, monkeypatch, tmp_path):
     # The caller resolves before it starts the threads: the build runs once,
     # in the caller's thread, and every share (one call each) and chain went
     # through the library the caller loaded, on the threads and never on the
@@ -943,7 +960,7 @@ def test_workers_inherit_the_kernel_the_parent_resolved(fresh_kernel, monkeypatc
 
 
 @needs_kernel
-def test_the_python_loop_on_threads_matches_one_job(monkeypatch):
+def test_the_python_loop_never_runs_on_share_threads(monkeypatch):
     # A wrapped rule, as the benchmark's tracer installs, sends every block
     # and chain down the Python loop while the kernel loads; the Python loop
     # holds the GIL, so at any jobs every block and chain runs in the

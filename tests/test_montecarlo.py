@@ -316,7 +316,7 @@ def test_parallel_map_runs_more_than_one_job_off_the_main_thread():
     assert_no_child_process()
 
 
-def test_parallel_map_without_the_kernel_starts_no_thread(monkeypatch):
+def test_batches_and_ensembles_on_the_python_loop_run_in_the_calling_thread(monkeypatch):
     # The Python loop holds the GIL, so every block and chain of a batch or
     # an ensemble that would run it runs in the calling thread at any jobs:
     # where no kernel resolves, and where a rule is wrapped while the kernel
