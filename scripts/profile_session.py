@@ -42,9 +42,10 @@ call records the CPU each task started on, and it prints them share by
 share (`CPUs unknown` where the C library has no `sched_getcpu`).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
-it loaded and the numpy version that library was built against) or
-`c kernel unavailable: <reason>`, and the `c chain`, the block, the seeding
-and the `write_runs_csv` lines and the four ratios only with the former.
+it loaded and the numpy version whose draws that library was checked
+against) or `c kernel unavailable: <reason>`, and the `c chain`, the block,
+the seeding and the `write_runs_csv` lines and the four ratios only with
+the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -188,7 +189,7 @@ def main() -> int:
           f"{informed} seeding) = {activations} activations")
     medians = report("kernel", alternate(kernels, args.repeats, session), "session", activations, "activation")
     if lib is not None:
-        print(f"c kernel library: {lib.path}, built against numpy {lib.numpy_version}")
+        print(f"c kernel library: {lib.path}, checked against numpy {lib.numpy_version}")
         print(f"python / c median ratio: {medians['python'] / medians['c']:.2f}")
 
     print(f"markov3 chain: {chain_cfg.n_periods} periods x ({chain_cfg.steps_per_period} steps + "

@@ -19,39 +19,48 @@ and outputs, and the header the market with its discount factors);
 generators itself: the kernel reproduces numpy's `SeedSequence` (the
 4-word pool, `hashmix`, `mix` and `generate_state(4, uint64)`) and PCG64
 (the 128-bit LCG step, the XSL-RR output, the buffered 32-bit halves and
-`next_double`) behind a `bitgen_t` of its own, so it draws `rng.stream`'s streams without a Python
-generator. `im_seed_pcg64` seeds generators for given keys and
-`im_pcg64_draw` draws from a given state, for the tests and for the check
-that `_load` makes: a library whose generator for `CHECK_KEY` differs from
-`rng.stream`'s (a numpy whose `SeedSequence` or PCG64 changed) is refused,
-and every batch runs the Python block. One call
-of `im_run_chain` runs a whole switching chain on one such state (`Chain`
-holds the chain's length and evaluation interval, the addresses of its
-scratch buffers and its outputs; the market, and a segment's length, are
-the header's); `switching`'s Python loop stays its specification. Nothing is
-built or loaded at import; the first session that may use the kernel
-resolves it, once per process (`run_batch` and `run_switching_ensemble`
-resolve it before they hand any task to a share thread, and every share
-thread runs on the one loaded library; a call through `ctypes.CDLL` releases the GIL, and the kernel keeps
-no global state).
+`next_double`), so it draws `rng.stream`'s streams without a Python
+generator. One call of `im_run_chain` runs a whole switching chain on one
+such state (`Chain` holds the chain's length and evaluation interval, the
+addresses of its scratch buffers and its outputs; the market, and a
+segment's length, are the header's); `switching`'s Python loop stays its
+specification. `im_run_periods` and `im_run_chain` draw on a copy of the
+caller's generator: its six state words (`pcg64_words`) go in, and the
+words the kernel leaves go back into the generator (`set_pcg64_words`).
+Nothing is built or loaded at import; the first session that may use the
+kernel resolves it, once per process (`run_batch` and
+`run_switching_ensemble` resolve it before they hand any task to a share
+thread, and every share thread runs on the one loaded library; a call
+through `ctypes.CDLL` releases the GIL, and the kernel keeps no global
+state).
 
-The kernel draws through numpy's own C algorithms: it includes numpy's
-`numpy/random/distributions.h` and links numpy's static `libnpyrandom.a`,
-the library numpy's `Generator` methods are built on, and it draws from the
-generator's `bitgen_t`. So it is tied to the numpy it was built against;
-the cache key holds `numpy.__version__` and the full command line, and a
-missing header or library leaves the session on the Python loop.
+The kernel draws every variate itself, with numpy's algorithms:
+`standard_normal` is numpy's 256-layer ziggurat on numpy's own tables,
+copied into `_kernel.c`; `random` is `next_double`; `integers(0, n)` is
+numpy's Lemire method on buffered 32-bit halves; and `permutation(n)` is
+numpy's Fisher-Yates shuffle on masked rejection draws. NEP 19 lets numpy
+change a distribution between releases, so `_load` checks the library
+against the numpy in this process: `im_seed_pcg64`'s generator for
+`CHECK_KEY`, then each of `CHECK_DRAWS` through `im_pcg64_draw`, against
+`rng.stream` and numpy's `Generator` methods. A library that differs
+anywhere is refused, and every session, batch and chain runs the Python
+loop, which draws through numpy itself. So the build needs no numpy file.
+The check runs at every load, so no cached library is used unchecked; the
+cache key still holds `numpy.__version__`, so each numpy gets its own
+build.
 
-Building: `gcc -O2 -ffp-contract=off -shared -fPIC`, with neither
-`-ffast-math` nor `-march=native`, so every operation rounds as Python's
-does. The library goes to `${XDG_CACHE_HOME:-~/.cache}/infomarket/`, named
-by the sha256 of the source, the command line and the numpy version. It is
-written under a temporary name and renamed into place, so concurrent builds
-never load a partial file.
+Building: `gcc -O2 -ffp-contract=off -shared -fPIC -o <library> _kernel.c
+-lm`, with neither `-ffast-math` nor `-march=native`, so every operation
+rounds as Python's does. The library goes to
+`${XDG_CACHE_HOME:-~/.cache}/infomarket/`, named by the sha256 of the
+source, the command line and the numpy version. It is written under a
+temporary name and renamed into place, so concurrent builds never load a
+partial file.
 
 Sessions, blocks and chains use the compiled kernel whenever it builds and
 loads and nothing they call is patched (`engine.compiled_kernel`), and run
-the Python loop otherwise.
+the Python loop otherwise; so does a session or chain whose generator is
+not a PCG64 (`draws_pcg64`).
 
 The library also parses tick files: `im_parse_ticks`, which draws nothing
 and uses no numpy random code, reads the plain `time,price` rows of a tick
@@ -85,9 +94,6 @@ from .rng import stream
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# numpy's random C library and its header: the kernel's draws are theirs.
-NUMPY_RANDOM_LIB = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-NUMPY_INCLUDE = Path(np.get_include())
 STRATEGY_CODES = {Strategy.RANDOM: 0, Strategy.FUNDAMENTALIST: 1, Strategy.CHARTIST: 2}
 # One resting order, as `im_order` in _kernel.c.
 ORDER = np.dtype([("price", np.float64), ("seq", np.int64), ("trader", np.int64)])
@@ -120,27 +126,9 @@ def resolve():
 
 
 def command(output: str) -> list[str]:
-    """The compile command after the compiler, writing the library to `output`.
-
-    The includes are numpy's (for `numpy/random/distributions.h`) and
-    Python's (which that header includes); numpy's random library is linked
-    in statically.
-    """
-    return [*FLAGS, "-I", str(NUMPY_INCLUDE), "-I", _python_include(),
-            "-o", output, str(SOURCE), str(NUMPY_RANDOM_LIB), "-lm"]
-
-
-def build_inputs() -> tuple[Path, ...]:
-    """The files a build reads besides the source: numpy's random library,
-    its header, and the Python header that header includes."""
-    return (NUMPY_RANDOM_LIB, NUMPY_INCLUDE / "numpy" / "random" / "distributions.h",
-            Path(_python_include(), "Python.h"))
-
-
-def _python_include() -> str:
-    import sysconfig  # only resolving the kernel needs it: importing the package does not load it
-
-    return sysconfig.get_paths()["include"]
+    """The compile command after the compiler, writing the library to
+    `output`: the source and libm, nothing else."""
+    return [*FLAGS, "-o", output, str(SOURCE), "-lm"]
 
 
 def cache_key(source: bytes) -> str:
@@ -155,9 +143,6 @@ def cache_key(source: bytes) -> str:
 
 def _build() -> Path:
     """The cached library for the current source, compiled if it is not there yet."""
-    for needed in build_inputs():
-        if not needed.is_file():
-            raise KernelUnavailable(f"cannot build the kernel: {needed} is missing")
     try:
         source = SOURCE.read_bytes()
     except OSError as e:
@@ -259,27 +244,44 @@ def _load(path: Path):
     lib.im_format_per_run.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 4, *[ctypes.c_void_p] * 4)
     lib.im_format_per_run.restype = ctypes.c_int64
     lib.pow10 = pow10_table()
-    lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured
+    lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured, checked against which numpy
     _check_seeding(lib)
     return lib
 
 
 # A key whose master seed takes three words, and whose run index is odd.
 CHECK_KEY = (2**64 + 5, 1, 3, 7)
-DRAW_RAW, DRAW_INTEGERS, DRAW_RANDOM, DRAW_NORMAL = range(4)  # `im_pcg64_draw`'s kinds
+DRAW_RAW, DRAW_INTEGERS, DRAW_RANDOM, DRAW_NORMAL, DRAW_PERMUTATION = range(5)  # `im_pcg64_draw`'s kinds
+# What `_check_seeding` draws, in this order, from the generator seeded for
+# CHECK_KEY: (name, kind, count, bound, numpy's draw). The normals reach every
+# ziggurat layer, its wedges and its tail; the odd count of integers leaves
+# a buffered 32-bit half for the permutation.
+CHECK_DRAWS = (
+    ("raw draw", DRAW_RAW, 1, 0, lambda rng, n: rng.bit_generator.random_raw(n)),
+    ("standard_normal", DRAW_NORMAL, 4096, 0, lambda rng, n: rng.standard_normal(n)),
+    ("random", DRAW_RANDOM, 64, 0, lambda rng, n: rng.random(n)),
+    ("integers", DRAW_INTEGERS, 63, 7, lambda rng, n: rng.integers(0, 7, n)),
+    ("permutation", DRAW_PERMUTATION, 10, 0, lambda rng, n: rng.permutation(n)),
+)
 
 
 def _check_seeding(lib) -> None:
-    """Refuse a library whose generators are not `rng.stream`'s: the state
-    `im_seed_pcg64` seeds for `CHECK_KEY`, and the first draw from it."""
+    """Refuse a library whose generators or draws are not numpy's: the state
+    `im_seed_pcg64` seeds for `CHECK_KEY`, then each of `CHECK_DRAWS` from it
+    through `im_pcg64_draw` against numpy's `Generator`, then the state they
+    leave. NEP 19 lets numpy change a distribution between releases; the
+    Python loop, which draws through numpy, then stays the only kernel."""
     numpy_rng = stream(*CHECK_KEY)
-    expected = pcg64_words(numpy_rng), numpy_rng.bit_generator.random_raw()
     (state,) = seeded_states(lib, [CHECK_KEY])
-    seeded, first = tuple(state.tolist()), np.empty(1, np.uint64)
-    lib.im_pcg64_draw(state.ctypes.data, DRAW_RAW, 1, 0, first.ctypes.data)
-    if (seeded, int(first[0])) != expected:
-        raise KernelUnavailable(f"the kernel's SeedSequence and PCG64 do not reproduce numpy "
-                                f"{np.__version__}'s streams")
+    checks = [("seeded state", tuple(state.tolist()), pcg64_words(numpy_rng))]
+    for name, kind, count, bound, numpy_draw in CHECK_DRAWS:
+        drawn = np.empty(count, np.uint64)  # every kind draws 8-byte values
+        lib.im_pcg64_draw(state.ctypes.data, kind, count, bound, drawn.ctypes.data)
+        checks.append((name, drawn.tobytes(), numpy_draw(numpy_rng, count).tobytes()))
+    checks.append(("final state", tuple(state.tolist()), pcg64_words(numpy_rng)))
+    for name, kernel, numpy in checks:
+        if kernel != numpy:
+            raise KernelUnavailable(f"the kernel's {name} does not reproduce numpy {np.__version__}'s")
 
 
 def key_words(*key: int) -> np.ndarray:
@@ -299,6 +301,19 @@ def pcg64_words(rng: np.random.Generator) -> tuple[int, ...]:
     state = rng.bit_generator.state
     seed, inc, low = state["state"]["state"], state["state"]["inc"], 2**64 - 1
     return seed >> 64, seed & low, inc >> 64, inc & low, state["has_uint32"], state["uinteger"]
+
+
+def set_pcg64_words(rng: np.random.Generator, words) -> None:
+    """Put six state words, as `pcg64_words` gives them, into `rng`'s PCG64."""
+    high, low, inc_high, inc_low, has_uint32, uinteger = (int(w) for w in words)
+    state = {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": has_uint32,
+                               "uinteger": uinteger}
+
+
+def draws_pcg64(rng: np.random.Generator) -> bool:
+    """Whether the kernel can draw `rng`'s stream: its bit generator is numpy's PCG64."""
+    return type(rng.bit_generator) is np.random.PCG64
 
 
 def key_table(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -333,19 +348,6 @@ def pow10_table() -> np.ndarray:
             g = -(-(1 << (10**-j).bit_length() + 127) // 10**-j)
         table[row] = g >> 64, g & (2**64 - 1)
     return table
-
-
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def bitgen_address(rng: np.random.Generator) -> int:
-    """The address of `rng`'s `bitgen_t`, the struct the kernel draws from.
-
-    It is `rng.bit_generator.ctypes.bit_generator`, read from the bit
-    generator's capsule, which costs a tenth as much per generator.
-    """
-    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
 class BookView:

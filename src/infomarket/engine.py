@@ -39,13 +39,16 @@ the same generator state after them:
   reaches every activation.
 - `_kernel.c`'s `im_run_periods`, the compiled kernel, on the arena itself:
   the same draws and trading for any number of periods in one call. It
-  draws through numpy's own C functions on the generator's `bitgen_t`, so
-  it is tied to the numpy it was built against (see `_kernel`). `run()`
-  hands it all the remaining periods, `run_period()` one.
+  draws with numpy's own algorithms on a copy of the generator's PCG64
+  state, which goes back into the generator after the call; a library
+  whose draws differ from this numpy's is refused when it loads (see
+  `_kernel`). `run()` hands it all the remaining periods, `run_period()`
+  one.
 
 A session picks one at its first period and keeps it: the compiled kernel,
-unless it cannot be built and loaded or a rule or book method is patched
-(`compiled_kernel`, which switching's chains share).
+unless it cannot be built and loaded, a rule or book method is patched
+(`compiled_kernel`, which switching's chains share), or the generator is
+not a PCG64.
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -395,18 +398,24 @@ class MarketSession:
     def _choose_kernel(self):
         """The compiled kernel's `periods(count)` for the whole session, or
         False for the Python loop: the kernel is unavailable or the rules or
-        book methods are patched (`compiled_kernel`)."""
-        lib = compiled_kernel()
+        book methods are patched (`compiled_kernel`), or the generator is not
+        a PCG64, the only one the kernel draws."""
+        lib = compiled_kernel() if _kernel.draws_pcg64(self.rng) else None
         if lib is None:
             self.book = Book()
             m = self._session.m
             self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
             return False
-        run_periods, address = lib.im_run_periods, self._arena.ctypes.data
-        bitgen = _kernel.bitgen_address(self.rng)
+        run_periods, address, rng = lib.im_run_periods, self._arena.ctypes.data, self.rng
+        state = np.empty(6, np.uint64)
 
         def periods(count: int) -> None:
-            if run_periods(address, bitgen, count):
+            # The kernel draws on a copy of the generator's state, and the
+            # generator takes back the state the kernel leaves.
+            state[:] = _kernel.pcg64_words(rng)
+            failed = run_periods(address, state.ctypes.data, count)
+            _kernel.set_pcg64_words(rng, state.tolist())
+            if failed:
                 raise RuntimeError("order book capacity exceeded")
 
         return periods

@@ -125,10 +125,11 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 
     The loop below is the specification. Where the compiled kernel loads
     and nothing in `CHAIN_SPEC` is patched, `_kernel.c`'s `im_run_chain`
-    runs the whole chain in one call instead, with the same bits.
+    runs the whole chain in one call instead, with the same bits, where
+    `rng` is a PCG64, the only generator the kernel draws.
     """
     lib = compiled_kernel(CHAIN_SPEC)
-    if lib is not None:
+    if lib is not None and _kernel.draws_pcg64(rng):
         return _compiled_chain(lib, config, initial_code, rng)
     n = config.n_traders
     codes = [initial_code]  # codes[-1] is the current profile, laid out as in decode_state
@@ -182,7 +183,10 @@ def _compiled_chain(lib, config: SwitchingConfig, initial_code: int, rng: np.ran
     codes[0] = initial_code
     chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval, walk=walk.ctypes.data,
                           marks=marks.ctypes.data, returns=returns.ctypes.data, codes=codes.ctypes.data)
-    if lib.im_run_chain(state["_arena"].ctypes.data, chain, _kernel.bitgen_address(rng)):
+    words = np.array(_kernel.pcg64_words(rng), np.uint64)
+    failed = lib.im_run_chain(state["_arena"].ctypes.data, chain, words.ctypes.data)
+    _kernel.set_pcg64_words(rng, words.tolist())
+    if failed:
         raise RuntimeError("order book capacity exceeded")
     return SwitchingRun(initial_code, codes, chain.tie_events, chain.all_equal_events)
 

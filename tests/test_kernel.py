@@ -8,19 +8,24 @@ the one state a session lays out at construction.
 
 Tests that need a loaded kernel skip, with the reason, where this process
 cannot resolve one; the tests that build into a fresh cache skip only
-where a build cannot even start (no gcc, or numpy's random library, its
-header or Python's header missing), so a broken `_kernel.c` fails them.
+where a build cannot even start (no gcc), so a broken `_kernel.c` fails
+them.
 """
 
 import ctypes
 import io
+import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
+import sysconfig
 import threading
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -50,10 +55,7 @@ def loaded_kernel():
 
 
 needs_kernel = pytest.mark.usefixtures("loaded_kernel")
-missing = [str(p) for p in _kernel.build_inputs() if not p.is_file()]
-if _kernel.find_compiler() is None:
-    missing.insert(0, "gcc")
-needs_toolchain = pytest.mark.skipif(bool(missing), reason=f"cannot build the kernel without {', '.join(missing)}")
+needs_toolchain = pytest.mark.skipif(_kernel.find_compiler() is None, reason="cannot build the kernel without gcc")
 
 SERIES = ("prices", "trade_steps", "trade_prices", "trade_buyers", "trade_sellers",
           "cash_hist", "shares_hist", "period_end_prices")
@@ -418,6 +420,108 @@ def test_a_kernel_that_seeds_other_streams_is_refused(monkeypatch):
     assert montecarlo.compiled_kernel(BLOCK_SPEC) is None
 
 
+def kernel_draws(state, kind, count, bound=0, dtype=np.float64):
+    """`count` draws of `kind` through `im_pcg64_draw` from the generator in
+    `state` (six words, which it advances)."""
+    drawn = np.empty(count, dtype)
+    assert _kernel.resolve().im_pcg64_draw(state.ctypes.data, kind, count, bound, drawn.ctypes.data) == 0
+    return drawn
+
+
+@needs_kernel
+def test_the_kernel_permutes_as_numpy_for_every_length():
+    # Lengths 1-40 one after another on one generator: the masked rejection
+    # draws take buffered 32-bit halves, which carry from one call to the next.
+    (state,), rng = _kernel.seeded_states(_kernel.resolve(), [(4, 2)]), stream(4, 2)
+    for n in range(1, 41):
+        assert kernel_draws(state, _kernel.DRAW_PERMUTATION, n, dtype=np.int64).tolist() == rng.permutation(n).tolist()
+    assert tuple(state.tolist()) == _kernel.pcg64_words(rng)
+
+
+@needs_kernel
+@pytest.mark.parametrize("bounds", [range(1, 41), (2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 3, 2**62 + 1,
+                                                  2**63 - 1)], ids=["small", "large"])
+def test_the_kernel_draws_bounded_integers_as_numpy(bounds):
+    # Bound 1 draws nothing; below 2**32 Lemire's method runs on 32-bit
+    # halves, where 2**31 + 1 rejects about half the draws; 2**32 takes a
+    # bare half, and larger bounds Lemire's method on 64-bit draws. An odd
+    # count leaves a half buffered for the next bound.
+    (state,), rng = _kernel.seeded_states(_kernel.resolve(), [(5, 1)]), stream(5, 1)
+    for bound in bounds:
+        drawn = kernel_draws(state, _kernel.DRAW_INTEGERS, 301, bound, np.int64)
+        assert drawn.tolist() == rng.integers(0, bound, size=301).tolist(), bound
+        assert tuple(state.tolist()) == _kernel.pcg64_words(rng), bound
+
+
+@needs_kernel
+def test_a_million_kernel_normals_are_numpys():
+    # 2**20 draws reach the ziggurat's tail about 280 times and its wedges
+    # about 15,000 times, each through libm's log1p and exp.
+    (state,), rng = _kernel.seeded_states(_kernel.resolve(), [(0,)]), stream(0)
+    drawn = kernel_draws(state, _kernel.DRAW_NORMAL, 2**20)
+    assert drawn.tobytes() == rng.standard_normal(2**20).tobytes()
+    assert tuple(state.tolist()) == _kernel.pcg64_words(rng)
+    assert np.abs(drawn).max() > 3.6541528853610087963519472518  # the tail's start
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", [name for name, *_ in _kernel.CHECK_DRAWS])
+def test_a_kernel_whose_draws_differ_from_numpys_is_refused(monkeypatch, name):
+    # As under a numpy that changed one distribution, which NEP 19 allows:
+    # the library fails its self-check when it loads, naming the kind, and
+    # batches run the Python block.
+    changed = [(n, kind, count, bound, (lambda rng, k, d=draw: d(rng, k) + 1) if n == name else draw)
+               for n, kind, count, bound, draw in _kernel.CHECK_DRAWS]
+    monkeypatch.setattr(_kernel, "CHECK_DRAWS", tuple(changed))
+    monkeypatch.setattr(_kernel, "_resolved", None)
+    assert _kernel.resolve() is None
+    assert f"the kernel's {name} does not reproduce numpy {np.__version__}" in _kernel._resolved[1]
+    assert montecarlo.compiled_kernel(BLOCK_SPEC) is None
+
+
+def c_table(source: str, name: str) -> list:
+    """The 256 values of the ziggurat table `name` in `source`: ki_double's
+    as integers, the others as doubles."""
+    body = re.search(r"static const \w+ " + name + r"\[256\] = \{([^}]*)\};", source).group(1)
+    read = (lambda v: int(v, 16)) if name == "ki_double" else float.fromhex
+    return [read(value.strip()) for value in body.split(",")]
+
+
+NUMPY_RANDOM_LIB = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+TABLE_MEMBER = "src_distributions_distributions.c.o"
+
+
+def numpy_tables(tmp_path) -> dict[str, list]:
+    """The ziggurat tables of the installed numpy: local symbols in the
+    `.rodata` of distributions.c's object in numpy's libnpyrandom.a, read
+    at the offsets `nm` gives them."""
+    for tool in ("ar", "nm"):
+        if shutil.which(tool) is None:
+            pytest.skip(f"cannot read numpy's tables without {tool}")
+    if not NUMPY_RANDOM_LIB.is_file():
+        pytest.skip(f"numpy {np.__version__} ships no {NUMPY_RANDOM_LIB}")
+    obj = tmp_path / TABLE_MEMBER
+    obj.write_bytes(subprocess.run(["ar", "p", str(NUMPY_RANDOM_LIB), TABLE_MEMBER], capture_output=True,
+                                   check=True).stdout)
+    data = obj.read_bytes()
+    # the ELF64 section headers, and the one named .rodata
+    (shoff,), (entsize, count, names) = struct.unpack_from("<Q", data, 0x28), struct.unpack_from("<3H", data, 0x3A)
+    sections = [struct.unpack_from("<2I4Q", data, shoff + i * entsize) for i in range(count)]
+    name_table = sections[names][4]
+    rodata = next(offset for name, _, _, _, offset, _ in sections
+                  if data[name_table + name:].startswith(b".rodata\0"))
+    listing = subprocess.run(["nm", str(obj)], capture_output=True, text=True, check=True).stdout
+    symbols = {parts[2]: int(parts[0], 16) for parts in map(str.split, listing.splitlines()) if len(parts) == 3}
+    formats = {"ki_double": "<256Q", "wi_double": "<256d", "fi_double": "<256d"}
+    return {name: list(struct.unpack_from(fmt, data, rodata + symbols[name])) for name, fmt in formats.items()}
+
+
+def test_the_kernels_ziggurat_tables_are_numpys(tmp_path):
+    source = _kernel.SOURCE.read_text()
+    for name, values in numpy_tables(tmp_path).items():
+        assert c_table(source, name) == values, name
+
+
 def batch_outputs(tmp_path, preset, seed, jobs, names):
     out = tmp_path / f"{preset}-{seed}-{jobs}"
     argv = ["batch", "--preset", preset, "--seed", str(seed), "--sessions", "7", "--runs", "2",
@@ -458,16 +562,14 @@ def test_compiled_period_draws_in_the_documented_layout():
 @pytest.mark.parametrize("levels", [(0,), (2,), (0, 3, 1, 0, 2), tuple(range(8)), (0, 0, 0)],
                          ids=["one uninformed", "one informed", "five", "eight", "none informed"])
 def test_a_compiled_run_draws_each_period_in_the_documented_layout(levels):
-    # The kernel draws in C from the generator's own bitgen_t, through the
-    # functions numpy's methods call: the generator ends where six method
-    # calls per period leave a fresh one, and the last period's buffers hold
-    # that period's draws.
+    # The kernel draws in C on a copy of the generator's state, with the
+    # algorithms numpy's methods run, and hands the state back: the generator
+    # ends where six method calls per period leave a fresh one, and the last
+    # period's buffers hold that period's draws.
     n, m, steps = len(levels), sum(lvl > 0 for lvl in levels), 17
     cfg = config(agents=market_with_levels(levels, chartist_levels=levels[1:2]), steps_per_period=steps)
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(6, 0, 0))
-    rng = stream(6, 1, 0, 0)
-    assert _kernel.bitgen_address(rng) == rng.bit_generator.ctypes.bit_generator.value
-    session = MarketSession(cfg, path, rng)
+    session = MarketSession(cfg, path, stream(6, 1, 0, 0))
     session.run()
     assert ran_compiled(session)
     fresh = stream(6, 1, 0, 0)
@@ -490,9 +592,9 @@ def test_a_compiled_run_is_one_kernel_call(monkeypatch):
     lib, calls = _kernel.resolve(), []
 
     class Counted:
-        def im_run_periods(self, session, bitgen, count):
+        def im_run_periods(self, session, state, count):
             calls.append(count)
-            return lib.im_run_periods(session, bitgen, count)
+            return lib.im_run_periods(session, state, count)
 
     def refuse(*args):
         pytest.fail("a compiled session drew in Python")
@@ -528,6 +630,27 @@ def test_set_strategy_reaches_the_compiled_kernel():
         assert ran_compiled(session) is not python
         results.append((session.result(), session.rng.bit_generator.state, ending(session)))
     assert_same_session(*results)
+
+
+@needs_kernel
+def test_a_generator_other_than_pcg64_runs_the_python_loop():
+    # The kernel draws PCG64's stream only. A session or chain on another
+    # bit generator runs the Python loop, which draws through numpy, with
+    # the bits it gives where no kernel loads.
+    cfg = config()
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(7, 0, 0))
+    chain_cfg = SwitchingConfig(n_traders=3, n_periods=30, interval=5, steps_per_period=20)
+    outcomes = []
+    for python in (True, False):
+        with python_loop() if python else nullcontext():
+            session = MarketSession(cfg, path, np.random.Generator(np.random.PCG64DXSM(7)))
+            result = session.run()
+            rng = np.random.Generator(np.random.PCG64DXSM(8))
+            codes = run_switching_sim(chain_cfg, 3, rng).codes.tolist()
+        assert not ran_compiled(session)
+        outcomes.append((result, session.rng.bit_generator.state, ending(session), codes, rng.bit_generator.state))
+    assert_same_session(*outcomes)
+    assert outcomes[0][3:] == outcomes[1][3:]
 
 
 # -- the one state ----------------------------------------------------------
@@ -630,19 +753,27 @@ def test_unwritable_cache_falls_back_to_python_with_the_same_outputs(fresh_kerne
 
 
 @needs_toolchain
-@pytest.mark.parametrize("attr, moved, missing", [
-    ("NUMPY_RANDOM_LIB", "lib/libnpyrandom.a", "lib/libnpyrandom.a"),
-    ("NUMPY_INCLUDE", "include", "include/numpy/random/distributions.h"),
-], ids=["library", "header"])
-def test_missing_numpy_random_files_fall_back_to_python_with_the_same_outputs(
-        fresh_kernel, monkeypatch, tmp_path, attr, moved, missing):
+def test_the_kernel_builds_from_its_source_and_libm_alone(fresh_kernel, tmp_path):
+    # The command names no include directory and no archive, and the
+    # compiler and linker open nothing of numpy's or Python's (gcc's
+    # dependency list and the linker's trace list every file they read), so
+    # a numpy that ships no static library or headers builds the same
+    # kernel; it still matches the Python loop.
+    command = _kernel.command(str(tmp_path / "kernel.so"))
+    assert not [arg for arg in command if arg.startswith("-I") or arg.endswith(".a")]
+    deps = tmp_path / "kernel.d"
+    proc = subprocess.run([_kernel.find_compiler(), *command, "-MD", "-MF", str(deps), "-Wl,--trace"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    read = deps.read_text() + proc.stdout
+    assert "math.h" in read and "libm" in read
+    for outside in (str(Path(np.__file__).parent), sysconfig.get_paths()["include"], "npyrandom", "Python.h"):
+        assert outside not in read
     compiled = reference_outputs()
-    monkeypatch.setattr(_kernel, "_resolved", None)
-    monkeypatch.setattr(_kernel, attr, tmp_path / moved)
-    fallback = reference_outputs()
-    assert compiled[3] and not fallback[3]
-    assert str(tmp_path / missing) in _kernel._resolved[1]
-    assert_same_session(compiled, fallback)
+    with python_loop():
+        spec = reference_outputs()
+    assert compiled[3] and not spec[3], _kernel._resolved[1]
+    assert_same_session(compiled, spec)
 
 
 @needs_toolchain
@@ -654,14 +785,63 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# What the sanitized kernel runs in its own process: its load-time
+# self-check, the draw comparisons, one block and one chain against the
+# Python loop.
+SANITIZED_RUN = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[2])
+import test_kernel as t
+from infomarket import _kernel, montecarlo
+from infomarket.switching import SwitchingConfig
+
+lib = _kernel._load(Path(sys.argv[1]))
+_kernel._resolved = (lib, None)
+assert montecarlo.compiled_kernel(montecarlo.BLOCK_SPEC) is lib
+t.test_the_kernel_permutes_as_numpy_for_every_length()
+t.test_the_kernel_draws_bounded_integers_as_numpy((*range(1, 41), 2**31 + 1, 2**32, 2**33 + 3))
+t.test_a_million_kernel_normals_are_numpys()
+cfg = t.config(agents=t.market_with_levels((0, 1, 2, 3, 0, 5), chartist_levels=(2,)))
+assert t.block(cfg, 3, 5) == t.block(cfg, 3, 5, python=True)
+chain = SwitchingConfig(n_traders=4, n_periods=45, interval=5, steps_per_period=20)
+assert t.chain(chain, 6, 4) == t.chain(chain, 6, 4, python=True)
+print("sanitized kernel matches")
+"""
+
+
+@needs_toolchain
+def test_the_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # The build's own command at -O1 with ASan and UBSan, which abort on any
+    # out-of-bounds access or undefined operation, loaded into a Python whose
+    # allocator the preloaded runtimes intercept.
+    compiler = _kernel.find_compiler()
+    runtimes = [subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    for runtime in runtimes:
+        if not os.path.isabs(runtime) or not os.path.exists(runtime):
+            pytest.skip(f"{compiler} has no {os.path.basename(runtime)}")
+    library = tmp_path / "kernel-sanitized.so"
+    build = [compiler, *_kernel.command(str(library)), "-O1", "-g", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=undefined"]
+    proc = subprocess.run(build, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    src = str(Path(_kernel.__file__).parents[1])
+    env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library), str(Path(__file__).parent)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "sanitized kernel matches" in proc.stdout
+
+
 def test_the_cache_key_covers_the_numpy_version_and_the_command_line(monkeypatch, tmp_path):
     source = _kernel.SOURCE.read_bytes()
     key = _kernel.cache_key(source)
     assert _kernel.cache_key(source + b"\n") != key
     changes = [(np, "__version__", np.__version__ + ".post1"),
-               (_kernel, "FLAGS", (*_kernel.FLAGS, "-g")),
-               (_kernel, "NUMPY_RANDOM_LIB", tmp_path / "libnpyrandom.a"),
-               (_kernel, "NUMPY_INCLUDE", tmp_path)]
+               (_kernel, "FLAGS", (*_kernel.FLAGS, "-g"))]
     for owner, name, value in changes:
         with monkeypatch.context() as m:
             m.setattr(owner, name, value)

@@ -84,6 +84,6 @@ def test_profile_session_tiny():
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:
-        assert f"built against numpy {np.__version__}" in library[0]
+        assert f"checked against numpy {np.__version__}" in library[0]
     if _kernel.resolve() is not None:
         assert compiled, proc.stdout
