@@ -776,6 +776,64 @@ def test_the_kernel_builds_from_its_source_and_libm_alone(fresh_kernel, tmp_path
     assert_same_session(compiled, spec)
 
 
+def mirror_without(src: Path, dst: Path, omit: Path) -> None:
+    """Make `dst` a tree of symlinks to `src`'s entries, all but `src / omit`."""
+    dst.mkdir()
+    for entry in src.iterdir():
+        if entry.name != omit.parts[0]:
+            (dst / entry.name).symlink_to(entry)
+        elif len(omit.parts) > 1:
+            mirror_without(entry, dst / entry.name, Path(*omit.parts[1:]))
+
+
+# What a process whose numpy lacks one file runs: a session under a kernel
+# built into an empty cache, against the Python loop.
+MISSING_FILE_RUN = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import test_kernel as t
+
+numpy_dir = Path(np.__file__).parent
+assert numpy_dir == Path(sys.argv[2]) and not (numpy_dir / sys.argv[3]).exists(), numpy_dir
+compiled = t.reference_outputs()
+assert compiled[3], t._kernel._resolved[1]
+with t.python_loop():
+    spec = t.reference_outputs()
+t.assert_same_session(compiled, spec)
+print("kernel built and matches")
+"""
+
+
+@needs_toolchain
+@pytest.mark.parametrize("missing", [Path("random/lib/libnpyrandom.a"),
+                                     Path("_core/include/numpy/random/distributions.h")], ids=["library", "header"])
+def test_missing_numpy_random_files_fall_back_to_python_with_the_same_outputs(tmp_path, missing):
+    # A numpy that ships without its random archive or header, the two files
+    # the kernel once built against (and without which it fell back to the
+    # Python loop): the build reads neither now, so in a process importing
+    # that numpy the kernel still builds, and its session still matches the
+    # Python loop's bit for bit.
+    numpy_dir = Path(np.__file__).parent
+    if not (numpy_dir / missing).is_file():
+        pytest.skip(f"numpy {np.__version__} ships no {missing}")
+    (tmp_path / "site").mkdir()
+    mirror_without(numpy_dir, tmp_path / "site" / "numpy", missing)
+    libs = numpy_dir.with_name("numpy.libs")  # a wheel's bundled BLAS, found next to numpy
+    if libs.is_dir():
+        (tmp_path / "site" / libs.name).symlink_to(libs)
+    src = str(Path(_kernel.__file__).parents[1])
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join([str(tmp_path / "site"), src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", MISSING_FILE_RUN, str(Path(__file__).parent),
+                           str(tmp_path / "site" / "numpy"), str(missing)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "kernel built and matches" in proc.stdout
+
+
 @needs_toolchain
 def test_the_kernel_source_compiles_without_a_warning(tmp_path):
     # The build's own command, with every common warning an error: among
