@@ -12,7 +12,14 @@ its seeding pass (one per informed trader) plus its steps.
 Then does the same for one 300-period `markov3` switching chain (initial
 profile 1, switching stream from seed 0): the Python loop of
 `run_switching_sim` on the Python session loop, against the compiled chain,
-one `im_run_chain` call. It prints each kernel's median per chain and per
+one `im_run_chains` call. It prints each kernel's median per chain and per
+period, and the ratio of the medians. Then it times the `markov` command's
+ensemble at that size as one share, the eight `markov3` chains (seed 0) on
+the compiled kernel: one `im_run_chains` call per chain, each on its
+`rng.stream` generator (`switching._one_switching_run`, as the ensemble's
+Python loop runs them), against `run_switching_ensemble` at jobs 1, one
+`im_run_chains` call for the share on generators seeded in one
+`im_seed_pcg64` call. It prints each one's median per share and per
 period, and the ratio of the medians.
 
 Then it times one batch share of the reference market, 6 sessions of 5
@@ -38,14 +45,15 @@ each. Before each of these calls it runs a fixed pure-Python block of about
 20 ms, as a command's own Python work (or perfbench's calibration) comes
 before its batch: back to back, the calls would keep both CPUs busy, and a
 share would find the other CPU already awake. After each, one more jobs-2
-call records the CPU each task started on, and it prints them share by
-share (`CPUs unknown` where the C library has no `sched_getcpu`).
+call records the CPU each share (or, under the Python loop, each chain)
+started on, and it prints them share by share (`CPUs unknown` where the C
+library has no `sched_getcpu`).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
-against) or `c kernel unavailable: <reason>`, and the `c chain`, the block,
-the seeding and the `write_runs_csv` lines and the four ratios only with
-the former.
+against) or `c kernel unavailable: <reason>`, and the `c chain`, the
+share, the block, the seeding and the `write_runs_csv` lines and the five
+ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -101,8 +109,8 @@ def sched_getcpu():
 
 def share_cpus(module, name, call) -> str:
     """The CPUs on which `call()`'s tasks, `module.name`, started, one
-    group per share thread in the order of their first task; `call` runs
-    after `python_block`, as a timed call does."""
+    group per thread in the order of their first task; `call` runs after
+    `python_block`, as a timed call does."""
     getcpu = sched_getcpu()
     if getcpu is None:
         return "CPUs unknown: no sched_getcpu in the C library"
@@ -198,6 +206,23 @@ def main() -> int:
     if lib is not None:
         print(f"python / c chain median ratio: {medians['python'] / medians['c']:.2f}")
 
+    def share(calls: str) -> float:
+        t0 = time.perf_counter()
+        if calls == "per-chain":
+            for code in ENSEMBLE_CODES:
+                switching._one_switching_run((chain_cfg, code, 0))
+        else:
+            run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=1)
+        return time.perf_counter() - t0
+
+    if lib is not None:
+        _kernel._resolved = resolutions["c"]
+        print(f"markov3 share: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, "
+              "im_run_chains per chain against one per share")
+        medians = report("share", alternate(["per-chain", "one-call"], args.repeats, share), "share",
+                         len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
+        print(f"per-chain / one-call share median ratio: {medians['per-chain'] / medians['one-call']:.2f}")
+
     _kernel._resolved = resolutions["c"]
     sessions, runs = SHARE
     share_batch = montecarlo.BatchConfig(session=cfg, n_sessions=sessions, runs_per_session=runs, master_seed=0)
@@ -261,8 +286,9 @@ def main() -> int:
     print(f"markov3 ensemble: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, {kernel} kernel")
     report("ensemble", alternate(list(ENSEMBLE_JOBS), args.repeats, ensemble), "ensemble",
            len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
-    print("jobs 2 ensemble shares started their chains on " + share_cpus(
-        switching, "_one_switching_run", lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=2)))
+    print("jobs 2 ensemble shares started on " + share_cpus(
+        switching, "_run_chain_share" if lib is not None else "_one_switching_run",
+        lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=2)))
 
     sessions, runs = SHARE
 

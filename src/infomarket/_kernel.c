@@ -30,15 +30,20 @@
  * that send a block to the Python loop when patched: the rules, the book
  * methods, the dividend walk, run_session, stream and engine's
  * present-value function.
- * `im_run_chain` runs one chain of switching.run_switching_sim, whose Python
- * loop stays its specification: per segment it draws the dividend walk,
- * fills the present values and marks, resets the state a fresh
- * MarketSession starts from, and trades and evaluates every period, all on
- * one state laid out once per chain. switching.CHAIN_SPEC lists the names
- * that send a chain to the Python loop when patched: the rules, the book
- * methods, the dividend walk, both modules' present-value function,
- * MarketSession and its run_period and set_strategy, and
- * SwitchingConfig.session_config.
+ * `im_run_chains` runs one share of a switching ensemble, any number of
+ * chains of switching.run_switching_sim, whose Python loop stays its
+ * specification: per chain it sets the strategies from the initial code,
+ * as decode_state does, then per segment draws the dividend walk, fills
+ * the present values and marks, resets the state a fresh MarketSession
+ * starts from, and trades and evaluates every period, all on one state
+ * laid out once per share. Each chain draws on its own generator, whose
+ * six state words the caller seeds and the call writes back.
+ * switching.CHAIN_SPEC lists the names that send a chain to the Python
+ * loop when patched: the rules, the book methods, the dividend walk, both
+ * modules' present-value function, MarketSession and its run_period and
+ * set_strategy, and SwitchingConfig.session_config; with
+ * switching.stream, they make switching.ENSEMBLE_SPEC, whose names send
+ * an ensemble to its Python loop, one run_switching_sim per chain.
  *
  * Each side of the book is a binary heap keyed (price, seq), best first.
  * seq is unique, so the pop order equals that of Python's heapq.
@@ -945,19 +950,22 @@ int im_run_periods(im_session *s, uint64_t *state, int64_t count)
     return failed ? -1 : 0;
 }
 
-/* One strategy-switching chain (switching.run_switching_sim): its length,
- * its evaluation interval, its scratch buffers and its outputs. The market
- * is the session header's, whose `periods` is a segment's length. The
- * caller owns every buffer (see _kernel.Chain). */
+/* A share of strategy-switching chains (switching.run_switching_sim): their
+ * length, their evaluation interval, their scratch buffers and their
+ * outputs, one row per chain. The market is the session header's, whose
+ * `periods` is a segment's length. The caller owns every buffer (see
+ * _kernel.Chain). */
 typedef struct {
-    int64_t n_periods;    /* the chain's periods */
+    int64_t n_periods;    /* each chain's periods */
     int64_t interval;     /* periods per strategy evaluation */
     double *walk;         /* periods + path_extra: the segment's dividends */
     double *marks;        /* periods + 1: the top level's present values, periods 1.. */
     double *returns;      /* n: the interval's returns */
-    int64_t *codes;       /* n_periods / interval + 1, codes[0] the initial code */
-    int64_t tie_events;
-    int64_t all_equal_events;
+    int64_t n_chains;
+    uint64_t *states;     /* n_chains x 6: each chain's generator, read and written back */
+    int64_t *codes;       /* n_chains x (n_periods / interval + 1), column 0 the initial codes */
+    int64_t *tie_events;  /* n_chains */
+    int64_t *all_equal_events; /* n_chains */
 } im_chain;
 
 int64_t im_chain_size(void) { return (int64_t)sizeof(im_chain); }
@@ -1045,14 +1053,19 @@ static void start_segment(im_session *s, im_chain *c, im_pcg64 *g, int64_t lengt
  * trader's return is its wealth, shares marked at the top level's value,
  * against the interval's starting wealth; a trader strictly below the
  * cross-trader mean flips between the value and the trend rule; then
- * every endowment is restored. Writes codes[1..] and the tie counts.
- * Returns 0, or -1 when a side of the book is full. */
-static int run_chain(im_session *s, im_chain *c, im_pcg64 *g)
+ * every endowment is restored. The chain starts from the profile in column
+ * 0 of its row of `codes`, and writes the rest of the row and its tie
+ * counts. Returns 0, or -1 when a side of the book is full. */
+static int run_chain(im_session *s, im_chain *c, int64_t chain, im_pcg64 *g)
 {
     const int64_t n = s->n, segment = s->periods, shares = s->initial_shares;
     const double cash = s->initial_cash;
     double *r = c->returns;
-    int64_t code = c->codes[0], recorded = 1, done = 0;
+    int64_t *codes = c->codes + chain * (c->n_periods / c->interval + 1);
+    int64_t code = codes[0], recorded = 1, done = 0;
+    for (int64_t i = 0; i < n; i++) /* decode_state: bit i set makes trader i a chartist */
+        s->strategy[i] = (code - 1) >> i & 1 ? CHARTIST : FUNDAMENTALIST;
+    c->tie_events[chain] = c->all_equal_events[chain] = 0;
     while (done < c->n_periods) {
         int64_t length = c->n_periods - done < segment ? c->n_periods - done : segment;
         start_segment(s, c, g, length);
@@ -1078,10 +1091,10 @@ static int run_chain(im_session *s, im_chain *c, im_pcg64 *g)
                 }
             }
             if (!below)
-                c->all_equal_events++;
+                c->all_equal_events[chain]++;
             else if (tie)
-                c->tie_events++;
-            code = c->codes[recorded++] = bits + 1;
+                c->tie_events[chain]++;
+            code = codes[recorded++] = bits + 1;
             for (int64_t i = 0; i < n; i++) {
                 s->cash[i] = cash;
                 s->shares[i] = shares;
@@ -1092,15 +1105,22 @@ static int run_chain(im_session *s, im_chain *c, im_pcg64 *g)
     return 0;
 }
 
-/* The chain, drawing from the generator in `state` (six words, read and
- * written back, also on failure). */
-int im_run_chain(im_session *s, im_chain *c, uint64_t *state)
+/* Every chain of a share on one session state, one after another, chain k
+ * on the generator in its row of `states` (six words, read, and written
+ * back also on failure). Every initial code must lie in 1..2**n. Returns
+ * 0, or -1 when a side of the book is full (the chains after it are not
+ * run). */
+int im_run_chains(im_session *s, im_chain *c)
 {
-    im_pcg64 g;
-    get_state(&g, state);
-    int failed = run_chain(s, c, &g);
-    put_state(state, &g);
-    return failed;
+    for (int64_t k = 0; k < c->n_chains; k++) {
+        im_pcg64 g;
+        get_state(&g, c->states + k * 6);
+        int failed = run_chain(s, c, k, &g);
+        put_state(c->states + k * 6, &g);
+        if (failed)
+            return -1;
+    }
+    return 0;
 }
 
 /* A share of a batch (montecarlo._run_session_block): the sessions it runs,

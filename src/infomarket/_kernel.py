@@ -20,13 +20,17 @@ generators itself: the kernel reproduces numpy's `SeedSequence` (the
 4-word pool, `hashmix`, `mix` and `generate_state(4, uint64)`) and PCG64
 (the 128-bit LCG step, the XSL-RR output, the buffered 32-bit halves and
 `next_double`), so it draws `rng.stream`'s streams without a Python
-generator. One call of `im_run_chain` runs a whole switching chain on one
-such state (`Chain` holds the chain's length and evaluation interval, the
-addresses of its scratch buffers and its outputs; the market, and a
-segment's length, are the header's); `switching`'s Python loop stays its
-specification. `im_run_periods` and `im_run_chain` draw on a copy of the
-caller's generator: its six state words (`pcg64_words`) go in, and the
-words the kernel leaves go back into the generator (`set_pcg64_words`).
+generator. One call of `im_run_chains` runs a whole share of a switching
+ensemble, any number of chains, on one such state, each chain from its own
+initial code on its own generator (`Chain` holds the chains' length and
+evaluation interval, the addresses of the share's scratch buffers and of
+its rows of the ensemble-wide generator states, codes and tie counts; the
+market, and a segment's length, are the header's); `switching`'s Python
+loop stays its specification. `im_run_periods` and `im_run_chains` draw on
+copies of generators: six state words per generator (`pcg64_words`, or
+`seeded_states` for an ensemble's `rng.stream` keys) go in, and the words
+the kernel leaves come back, which a caller's generator takes
+(`set_pcg64_words`).
 Nothing is built or loaded at import; the first session that may use the
 kernel resolves it, once per process (`run_batch` and
 `run_switching_ensemble` resolve it before they hand any task to a share
@@ -210,14 +214,15 @@ class Block(ctypes.Structure):
 
 
 class Chain(ctypes.Structure):
-    """`im_chain` in _kernel.c: one switching chain's length and evaluation
-    interval, the addresses of its scratch buffers and of its codes, and its
-    tie counts. The market, and a segment's length, are the session
-    header's."""
+    """`im_chain` in _kernel.c: one share of switching chains, their length
+    and evaluation interval, the addresses of the share's scratch buffers,
+    and the addresses of its chains' rows of the generator states (six
+    words each), the codes (initial code first) and the two tie counts. The
+    market, and a segment's length, are the session header's."""
 
     _fields_ = [*_fields(ctypes.c_int64, "n_periods interval"),
-                *_fields(ctypes.c_void_p, "walk marks returns codes"),
-                *_fields(ctypes.c_int64, "tie_events all_equal_events")]
+                *_fields(ctypes.c_void_p, "walk marks returns"), ("n_chains", ctypes.c_int64),
+                *_fields(ctypes.c_void_p, "states codes tie_events all_equal_events")]
 
 
 def _load(path: Path):
@@ -237,8 +242,8 @@ def _load(path: Path):
     lib.im_seed_pcg64.restype = ctypes.c_int
     lib.im_pcg64_draw.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p)
     lib.im_pcg64_draw.restype = ctypes.c_int
-    lib.im_run_chain.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain), ctypes.c_void_p)
-    lib.im_run_chain.restype = ctypes.c_int
+    lib.im_run_chains.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain))
+    lib.im_run_chains.restype = ctypes.c_int
     lib.im_parse_ticks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_parse_ticks.restype = ctypes.c_int64
     lib.im_format_per_run.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 4, *[ctypes.c_void_p] * 4)
@@ -286,7 +291,10 @@ def _check_seeding(lib) -> None:
 
 def key_words(*key: int) -> np.ndarray:
     """The uint32 entropy words `np.random.SeedSequence(key)` hashes: each
-    component's 32-bit words from the lowest, one 0 word for 0."""
+    component's 32-bit words from the lowest, one 0 word for 0. A negative
+    component is refused as `rng.stream` refuses it."""
+    if any(component < 0 for component in key):
+        raise ValueError(f"stream key components must be non-negative, got {key}")
     words = []
     for component in key:
         words.append(component & 0xFFFFFFFF)

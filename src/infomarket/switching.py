@@ -8,10 +8,19 @@ whose transition matrix and state frequencies are estimated from the run.
 A chain runs in one of two forms with the same bits and the same final
 generator state. The Python loop in `run_switching_sim` is the
 specification: a `MarketSession` per segment, run period by period, with
-the evaluation in Python. The compiled chain is one call of `_kernel.c`'s
-`im_run_chain`, on one session state laid out once per chain and reset for
-each segment. A chain takes it where the compiled kernel loads and no name
-in `CHAIN_SPEC` is patched.
+the evaluation in Python. The compiled form is `_kernel.c`'s
+`im_run_chains`, which runs any number of chains in one call, on one
+session state laid out once and reset for each segment. A chain takes it
+where the compiled kernel loads and no name in `CHAIN_SPEC` is patched.
+
+An ensemble, `run_switching_ensemble`, runs one chain per initial code,
+chain c on `stream(master, SWITCH_DOMAIN, c)`. Its Python loop, the
+specification, runs `_one_switching_run` per chain in the calling thread.
+Where the compiled kernel loads and no name in `ENSEMBLE_SPEC` is patched,
+the caller seeds every chain's generator in one call and lays out one
+state per share (share j of `jobs` takes codes j, j + jobs, ...), and each
+share then runs all its chains in one `im_run_chains` call on a share
+thread.
 """
 
 from __future__ import annotations
@@ -22,10 +31,10 @@ import numpy as np
 
 from . import _kernel, engine
 from .agents import Strategy
-from .csvout import fmt, write_csv
+from .csvout import _LINES_PER_WRITE, fmt, write_csv, write_csv_blocks
 from .dividends import conditional_present_value, generate_dividend_path
 from .engine import MarketSession, SessionConfig, compiled_kernel, held, lay_out_state, market_with_levels
-from .montecarlo import parallel_map
+from .montecarlo import default_jobs, parallel_map
 from .rng import SWITCH_DOMAIN, stream
 
 # Periods per segment: the long experiment runs as a chain of reference markets.
@@ -124,13 +133,20 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     only the strategies carry over from one segment to the next.
 
     The loop below is the specification. Where the compiled kernel loads
-    and nothing in `CHAIN_SPEC` is patched, `_kernel.c`'s `im_run_chain`
+    and nothing in `CHAIN_SPEC` is patched, `_kernel.c`'s `im_run_chains`
     runs the whole chain in one call instead, with the same bits, where
-    `rng` is a PCG64, the only generator the kernel draws.
+    `rng` is a PCG64, the only generator the kernel draws; `rng` then takes
+    the state the kernel leaves.
     """
     lib = compiled_kernel(CHAIN_SPEC)
     if lib is not None and _kernel.draws_pcg64(rng):
-        return _compiled_chain(lib, config, initial_code, rng)
+        decode_state(initial_code, config.n_traders)  # the kernel reads the code's bits unchecked
+        states = np.array([_kernel.pcg64_words(rng)], np.uint64)
+        try:
+            (run,) = _compiled_chains(lib, config, [initial_code], states, 1)
+        finally:
+            _kernel.set_pcg64_words(rng, states[0].tolist())
+        return run
     n = config.n_traders
     codes = [initial_code]  # codes[-1] is the current profile, laid out as in decode_state
     tie_events = 0
@@ -172,23 +188,66 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     return SwitchingRun(initial_code, np.array(codes, dtype=np.int64), tie_events, all_equal)
 
 
-def _compiled_chain(lib, config: SwitchingConfig, initial_code: int, rng: np.random.Generator) -> SwitchingRun:
-    """`run_switching_sim` in one `im_run_chain` call, on one session state
-    laid out for the first (the longest) segment and reset for each."""
-    first = min(SEGMENT_PERIODS, config.n_periods)
-    scfg = config.session_config(initial_code, first)
-    state = lay_out_state(scfg)
-    walk, marks, returns = (np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders))
-    codes = np.empty(config.n_periods // config.interval + 1, np.int64)
-    codes[0] = initial_code
-    chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval, walk=walk.ctypes.data,
-                          marks=marks.ctypes.data, returns=returns.ctypes.data, codes=codes.ctypes.data)
-    words = np.array(_kernel.pcg64_words(rng), np.uint64)
-    failed = lib.im_run_chain(state["_arena"].ctypes.data, chain, words.ctypes.data)
-    _kernel.set_pcg64_words(rng, words.tolist())
-    if failed:
+@dataclass(frozen=True)
+class ChainShare:
+    """One share of compiled chains, laid out before any share starts: the
+    library that runs it, the session state its chains run on, and its
+    `im_chain`, which holds the addresses of the share's scratch buffers
+    and of its rows `rows` of the ensemble-wide arrays."""
+
+    lib: object
+    rows: range
+    arena: np.ndarray
+    chain: _kernel.Chain
+    scratch: tuple[np.ndarray, ...]
+
+
+def _run_chain_share(share: ChainShare) -> range:
+    """Run every chain of a share in one `im_run_chains` call; return its rows."""
+    if share.lib.im_run_chains(share.arena.ctypes.data, share.chain):
         raise RuntimeError("order book capacity exceeded")
-    return SwitchingRun(initial_code, codes, chain.tie_events, chain.all_equal_events)
+    return share.rows
+
+
+def _compiled_chains(lib, config: SwitchingConfig, codes, states: np.ndarray, jobs: int) -> list[SwitchingRun]:
+    """The chain from each of `codes`, chain i on the generator whose six
+    state words are row i of `states`, which takes the words it leaves.
+
+    Share j of `jobs` runs chains j, j + jobs, ... in one `im_run_chains`
+    call, on a share thread where `jobs` > 1. Every share's session state
+    and buffers are laid out here, before any share starts, and the shares'
+    rows of the ensemble-wide codes, states and tie counts follow one
+    another. The kernel reads each code's bits unchecked, so the caller
+    checks every code with `decode_state` first.
+    """
+    order = [i for j in range(jobs) for i in range(j, len(codes), jobs)]
+    table = np.empty((len(codes), config.n_periods // config.interval + 1), np.int64)
+    table[:, 0] = [codes[i] for i in order]
+    words, ties = states[order], np.empty((2, len(codes)), np.int64)
+    # One state, laid out for the first (the longest) segment, serves every
+    # chain of a share: the kernel sets each chain's strategies from its code.
+    first = min(SEGMENT_PERIODS, config.n_periods)
+    scfg = config.session_config(1, first)
+    shares, start = [], 0
+    for j in range(jobs):
+        rows = range(start, start + len(range(j, len(codes), jobs)))
+        start = rows.stop
+        scratch = tuple(np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders))
+        chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval,
+                              walk=scratch[0].ctypes.data, marks=scratch[1].ctypes.data,
+                              returns=scratch[2].ctypes.data, n_chains=len(rows),
+                              states=words[rows.start:].ctypes.data, codes=table[rows.start:].ctypes.data,
+                              tie_events=ties[0, rows.start:].ctypes.data,
+                              all_equal_events=ties[1, rows.start:].ctypes.data)
+        shares.append(ChainShare(lib, rows, lay_out_state(scfg)["_arena"], chain, scratch))
+    try:
+        parallel_map(_run_chain_share, shares, jobs, key=lambda rows: rows.start)
+    finally:
+        states[order] = words
+    runs = [None] * len(codes)
+    for row, i in enumerate(order):
+        runs[i] = SwitchingRun(codes[i], table[row], int(ties[0, row]), int(ties[1, row]))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +270,9 @@ def estimate_transition_matrix(codes, n_states: int) -> TransitionEstimate:
         raise ValueError("need at least two recorded states")
     if codes.min() < 1 or codes.max() > n_states:
         raise ValueError("state codes outside 1..n_states")
-    counts = np.zeros((n_states, n_states), dtype=np.int64)
-    np.add.at(counts, (codes[:-1] - 1, codes[1:] - 1), 1)
+    # One count per (from, to) pair, as the cell's flat index.
+    pairs = (codes[:-1] - 1) * n_states + (codes[1:] - 1)
+    counts = np.bincount(pairs, minlength=n_states * n_states).reshape(n_states, n_states)
     row_totals = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         probs = counts / row_totals[:, None]
@@ -283,6 +343,12 @@ def stationarity_gap(pi: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
+# The names the ensemble's Python loop calls besides its chains': the
+# compiled ensemble seeds every chain's generator in C, so an ensemble with
+# any of them patched runs the Python loop.
+ENSEMBLE_SPEC = (*CHAIN_SPEC, *held(globals(), "stream"))
+
+
 def _one_switching_run(args) -> SwitchingRun:
     config, code, master = args
     return run_switching_sim(config, code, stream(master, SWITCH_DOMAIN, code))
@@ -294,11 +360,27 @@ def run_switching_ensemble(
     master_seed: int,
     jobs: int | None = None,
 ) -> list[SwitchingRun]:
-    """Independent runs from several initial states, reproducible for any job count."""
-    tasks = [(config, code, master_seed) for code in initial_codes]
-    # As `montecarlo.run_batch`: chains that run the Python loop hold the GIL, so they run on one thread.
-    jobs = jobs if compiled_kernel(CHAIN_SPEC) is not None else 1
-    return parallel_map(_one_switching_run, tasks, jobs, key=lambda r: r.initial_code)
+    """Independent runs from several initial states, sorted by initial code,
+    reproducible for any job count.
+
+    Chain c draws from `stream(master_seed, SWITCH_DOMAIN, c)`. Where the
+    compiled kernel loads and nothing in `ENSEMBLE_SPEC` is patched, the
+    chains run in `jobs` shares (None: `default_jobs()`) of one
+    `im_run_chains` call each, on generators seeded in one `im_seed_pcg64`
+    call; the Python loop, `_one_switching_run` per chain, is its
+    specification. Either way every code is checked before any chain runs.
+    """
+    codes = list(initial_codes)
+    for code in codes:
+        decode_state(code, config.n_traders)
+    lib = compiled_kernel(ENSEMBLE_SPEC)
+    if lib is None or not codes:
+        # As `montecarlo.run_batch`: the Python loop holds the GIL, so its chains run on one thread.
+        tasks = [(config, code, master_seed) for code in codes]
+        return parallel_map(_one_switching_run, tasks, 1, key=lambda r: r.initial_code)
+    states = _kernel.seeded_states(lib, [(master_seed, SWITCH_DOMAIN, code) for code in codes])
+    jobs = max(1, min(default_jobs() if jobs is None else jobs, len(codes)))
+    return sorted(_compiled_chains(lib, config, codes, states, jobs), key=lambda r: r.initial_code)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +389,19 @@ def run_switching_ensemble(
 
 
 def write_states_csv(runs: list[SwitchingRun], file) -> None:
-    write_csv(file, ["initial", "interval", "code"],
-              (f"{run.initial_code},{idx},{code}" for run in runs for idx, code in enumerate(run.codes.tolist())))
+    write_csv_blocks(file, ["initial", "interval", "code"], _state_blocks(runs))
+
+
+def _state_blocks(runs: list[SwitchingRun]):
+    """The rows initial,interval,code of every run, `_LINES_PER_WRITE` rows
+    (or a run's last rows) per block, each block one %-format."""
+    for run in runs:
+        for start in range(0, len(run.codes), _LINES_PER_WRITE):
+            codes = run.codes[start:start + _LINES_PER_WRITE].tolist()
+            fields = [run.initial_code] * (3 * len(codes))
+            fields[1::3] = range(start, start + len(codes))
+            fields[2::3] = codes
+            yield "%d,%d,%d\r\n" * len(codes) % tuple(fields)
 
 
 def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:

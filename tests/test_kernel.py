@@ -39,7 +39,7 @@ from infomarket.dividends import DividendParams, RateParams, generate_dividend_p
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
 from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch, write_runs_csv
 from infomarket.orderbook import Book
-from infomarket.rng import stream
+from infomarket.rng import SWITCH_DOMAIN, stream
 from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim, write_states_csv
 
 
@@ -202,7 +202,8 @@ def test_compiled_chain_matches_the_python_loop(run, seed):
 @needs_kernel
 def test_a_compiled_chain_is_one_kernel_call(monkeypatch):
     # The chain's segments, periods, evaluations and flips all run in one
-    # call, on a state laid out without a MarketSession.
+    # call, a share of one chain, on a state laid out without a
+    # MarketSession.
     cfg = SwitchingConfig(n_traders=4, n_periods=75, interval=5, steps_per_period=20)
     spec = chain(cfg, 6, 4, python=True)
     lib, calls = _kernel.resolve(), []
@@ -223,7 +224,105 @@ def test_a_compiled_chain_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
     monkeypatch.setattr(MarketSession, "__init__", refuse)
     assert chain(cfg, 6, 4) == spec
-    assert calls == ["im_run_chain"]
+    assert calls == ["im_run_chains"]
+
+
+def ensemble(cfg, codes, seed, jobs):
+    """A whole ensemble, as `run_switching_ensemble` returns it: each run's
+    initial code, codes and tie counts."""
+    return [(run.initial_code, run.codes.tolist(), run.tie_events, run.all_equal_events)
+            for run in run_switching_ensemble(cfg, codes, seed, jobs=jobs)]
+
+
+def chain_share(cfg, codes, seed, jobs, python=False):
+    """The chains of an ensemble in the order of `codes`, chain c on
+    `stream(seed, SWITCH_DOMAIN, c)`: each one's codes, tie counts and
+    generator's final state words. The compiled form runs `jobs` shares of
+    one `im_run_chains` call each, on generators seeded in C, as the
+    ensemble runs them; the Python form runs the Python loop per chain."""
+    if python:
+        found = []
+        for code in codes:
+            rng = stream(seed, SWITCH_DOMAIN, code)
+            with python_loop():
+                run = run_switching_sim(cfg, code, rng)
+            found.append((run.codes.tolist(), run.tie_events, run.all_equal_events, _kernel.pcg64_words(rng)))
+        return found
+    lib = _kernel.resolve()
+    states = _kernel.seeded_states(lib, [(seed, SWITCH_DOMAIN, code) for code in codes])
+    runs = switching._compiled_chains(lib, cfg, codes, states, jobs)
+    return [(run.codes.tolist(), run.tie_events, run.all_equal_events, tuple(words))
+            for run, words in zip(runs, states.tolist())]
+
+
+@st.composite
+def chain_shares(draw):
+    """A chain as in `chains`, 1-20 steps, 2-5 distinct initial profiles in
+    any order (both profiles of one trader), and 1-3 jobs."""
+    n = draw(st.integers(1, 8))
+    interval = draw(st.sampled_from((1, 2, 3, 5, 6, 10, 15, 30)))
+    periods = interval * draw(st.integers(1, 90 // interval))
+    cfg = SwitchingConfig(n_traders=n, n_periods=periods, interval=interval, steps_per_period=draw(st.integers(1, 20)))
+    codes = draw(st.lists(st.integers(1, 1 << n), min_size=2, max_size=min(5, 1 << n), unique=True))
+    return cfg, codes, draw(st.integers(1, 3))
+
+
+@needs_kernel
+@given(share=chain_shares(), seed=st.integers(0, 2**130))
+@example(share=(SwitchingConfig(n_traders=8, n_periods=35, interval=5, steps_per_period=20), [200, 1, 256, 37, 2], 3),
+         seed=3)
+@example(share=(SwitchingConfig(n_traders=1, n_periods=31, interval=1, steps_per_period=2), [2, 1], 1), seed=0)
+@example(share=(SwitchingConfig(n_traders=3, n_periods=60, interval=15, steps_per_period=5), [8, 1, 4], 2),
+         seed=2**64 + 5)
+@settings(max_examples=30, deadline=None)
+def test_a_compiled_share_of_chains_matches_the_python_loop(share, seed):
+    # Each chain of a share starts from its own profile, whatever the
+    # profile of the chain before it left, on its own generator; a run that
+    # the segment does not divide ends on a short segment. The ensemble
+    # returns the same runs, sorted by initial code.
+    cfg, codes, jobs = share
+    spec = chain_share(cfg, codes, seed, jobs, python=True)
+    assert chain_share(cfg, codes, seed, jobs) == spec
+    assert ensemble(cfg, codes, seed, jobs) == sorted((code, *run[:3]) for code, run in zip(codes, spec))
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_an_ensemble_checks_every_code_before_any_chain_runs(monkeypatch, kernel):
+    # The compiled share reads a code's bits unchecked, so a code outside
+    # 1..n_states is refused before any share starts, under both kernels;
+    # an empty ensemble runs nothing.
+    if kernel == "compiled":
+        require_kernel()
+        lib = _kernel.resolve()
+
+        class Refusing:
+            def __getattr__(self, name):
+                if name == "im_run_chains":
+                    pytest.fail("a chain ran before every code was checked")
+                return getattr(lib, name)
+
+        monkeypatch.setattr(_kernel, "_resolved", (Refusing(), None))
+    else:
+        monkeypatch.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
+        monkeypatch.setattr(switching, "_one_switching_run",
+                            lambda task: pytest.fail("a chain ran before every code was checked"))
+    cfg = SwitchingConfig(n_traders=3, n_periods=30, interval=5, steps_per_period=10)
+    for codes, refused in (((1, 9), 9), ((4, 0, 2), 0), ((-1,), -1)):
+        with pytest.raises(ValueError, match=f"code {refused} outside 1..8"):
+            run_switching_ensemble(cfg, codes, 3, jobs=2)
+    with pytest.raises(ValueError, match="code 9 outside 1..8"):
+        run_switching_sim(cfg, 9, stream(3, SWITCH_DOMAIN, 9))
+    assert run_switching_ensemble(cfg, [], 3, jobs=2) == []
+
+
+@needs_kernel
+def test_a_negative_master_seed_is_refused_as_rng_stream_refuses_it():
+    # The compiled ensemble seeds its generators in C from the key's words;
+    # a negative component has none, and is refused as `stream` refuses it.
+    cfg = SwitchingConfig(n_traders=2, n_periods=30, interval=5, steps_per_period=10)
+    for kernel in (nullcontext(), python_loop()):
+        with kernel, pytest.raises(ValueError, match=r"non-negative, got \(-1, 2, 3\)"):
+            run_switching_ensemble(cfg, (3, 4), -1, jobs=2)
 
 
 @needs_kernel
@@ -231,28 +330,40 @@ def test_a_compiled_chain_is_one_kernel_call(monkeypatch):
     (switching, "generate_dividend_path"), (switching, "conditional_present_value"),
     (engine, "conditional_present_value"), (switching, "MarketSession"),
     (MarketSession, "run_period"), (MarketSession, "set_strategy"), (SwitchingConfig, "session_config"),
-    (engine, "decide_chartist"),
+    (engine, "decide_chartist"), (switching, "stream"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, name):
     # The Python loop calls the patched name, and its periods still run
     # compiled where nothing else stops them; the outputs do not change.
+    # `stream` is the ensemble's alone: with it patched, the ensemble runs
+    # its Python loop in the calling thread, whose chains each still run
+    # compiled, one chain per call.
     cfg = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
-    compiled = chain(cfg, 3, 8)
-    original, lib, calls = getattr(owner, name), _kernel.resolve(), []
+    compiled = chain(cfg, 3, 8), ensemble(cfg, (3, 8, 5), 8, 2)
+    original, lib, calls, caller = getattr(owner, name), _kernel.resolve(), [], threading.get_ident()
 
     def traced(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    class NoChain:
+    class NoShare:
         def __getattr__(self, attr):
-            if attr == "im_run_chain":
-                pytest.fail(f"a chain with {name} patched ran the compiled chain")
-            return getattr(lib, attr)
+            function = getattr(lib, attr)
+            if attr != "im_run_chains":
+                return function
 
-    monkeypatch.setattr(_kernel, "_resolved", (NoChain(), None))
+            def one_chain(state, share):
+                if name != "stream":
+                    pytest.fail(f"a chain with {name} patched ran the compiled chain")
+                if share.n_chains != 1 or threading.get_ident() != caller:
+                    pytest.fail("an ensemble with stream patched ran a compiled share")
+                return function(state, share)
+
+            return one_chain
+
+    monkeypatch.setattr(_kernel, "_resolved", (NoShare(), None))
     monkeypatch.setattr(owner, name, traced)
-    assert chain(cfg, 3, 8) == compiled
+    assert (chain(cfg, 3, 8), ensemble(cfg, (3, 8, 5), 8, 2)) == compiled
     assert calls
 
 
@@ -844,8 +955,8 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
 
 
 # What the sanitized kernel runs in its own process: its load-time
-# self-check, the draw comparisons, one block and one chain against the
-# Python loop.
+# self-check, the draw comparisons, one block, one chain and one share of
+# three chains from different profiles against the Python loop.
 SANITIZED_RUN = """
 import sys
 from pathlib import Path
@@ -865,6 +976,7 @@ cfg = t.config(agents=t.market_with_levels((0, 1, 2, 3, 0, 5), chartist_levels=(
 assert t.block(cfg, 3, 5) == t.block(cfg, 3, 5, python=True)
 chain = SwitchingConfig(n_traders=4, n_periods=45, interval=5, steps_per_period=20)
 assert t.chain(chain, 6, 4) == t.chain(chain, 6, 4, python=True)
+assert t.chain_share(chain, [6, 1, 11], 4, 1) == t.chain_share(chain, [6, 1, 11], 4, 1, python=True)
 print("sanitized kernel matches")
 """
 
@@ -1153,9 +1265,9 @@ def test_a_patched_rule_never_builds_or_resolves_the_kernel(fresh_kernel, monkey
 @needs_toolchain
 def test_share_threads_run_the_kernel_the_caller_resolved(fresh_kernel, monkeypatch, tmp_path):
     # The caller resolves before it starts the threads: the build runs once,
-    # in the caller's thread, and every share (one call each) and chain went
-    # through the library the caller loaded, on the threads and never on the
-    # caller's.
+    # in the caller's thread, and every batch and ensemble share (one call
+    # each) went through the library the caller loaded, on the threads and
+    # never on the caller's.
     builds, calls = tmp_path / "builds.log", tmp_path / "calls.log"
     build, load = _kernel._build, _kernel._load
 
@@ -1189,7 +1301,8 @@ def test_share_threads_run_the_kernel_the_caller_resolved(fresh_kernel, monkeypa
     assert calls.is_file(), f"no session or chain ran compiled: {_kernel._resolved[1]}"
     reports = [line.split() for line in calls.read_text().splitlines()]
     assert str(threading.get_ident()) not in {ident for ident, _ in reports}, "a task ran in the caller's thread"
-    assert Counter(name for _, name in reports) == {"im_run_block": 2, "im_run_chain": 3}
+    # One call per share: the batch's 4 sessions and the ensemble's 3 chains each make 2 shares.
+    assert Counter(name for _, name in reports) == {"im_run_block": 2, "im_run_chains": 2}
     with python_loop():
         spec = run_batch(batch), run_switching_ensemble(chains, (1, 4, 8), 6, jobs=2)
     assert np.array_equal(parallel[0].rel_returns, spec[0].rel_returns)

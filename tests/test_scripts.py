@@ -25,9 +25,10 @@ def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
     # lines or the reason it is unavailable, and the ratios only with the
     # timings, for the reference session and for the markov3 chain. The
-    # reference share is timed only with the compiled kernel, both of its
-    # lines then, and so are seeding its generators and `write_runs_csv` on
-    # 100,000 rows. Where this
+    # markov3 share of eight chains (one kernel call per chain against one
+    # per share) and the reference share are timed only with the compiled
+    # kernel, both of their lines then, and so are seeding its generators
+    # and `write_runs_csv` on 100,000 rows. Where this
     # process resolves the kernel under the same environment, so does the
     # script. The markov3 ensemble and the reference batch get one median
     # line per worker count, whichever kernel ran them, and one line with
@@ -47,11 +48,13 @@ def test_profile_session_tiny():
             assert f"ms per {unit}" in line and f"us per {per}" in line
         assert len(timed["python"]) == 1
         assert len(timed["c"]) == compiled
-    for label, per in (("block", "run"), ("seeding", "generator")):
+    for label, per, variants in (("block", "run", ["python", "c"]), ("seeding", "generator", ["python", "c"]),
+                                 ("share", "period", ["per-chain", "one-call"])):
         timed = [line for line in lines if f" {label}, median of 2:" in line]
-        assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
+        assert [line.split()[0] for line in timed] == variants * compiled
         for line in timed:
             assert "ms per share" in line and f"us per {per}" in line
+    assert lines.count("markov3 share: 8 chains x 300 periods, im_run_chains per chain against one per share") == compiled
     assert lines.count("reference share: 6 sessions x 5 runs, python block on c sessions") == compiled
     assert lines.count("seeding: the share's 36 generators, rng.stream against im_seed_pcg64") == compiled
     timed = [line for line in lines if " write_runs_csv, median of 2:" in line]
@@ -60,6 +63,7 @@ def test_profile_session_tiny():
         assert "ms per file" in line and "us per row" in line
     assert lines.count("runs.csv: 10000 runs x 10 levels = 100000 rows") == compiled
     for ratio in ("python / c median ratio: ", "python / c chain median ratio: ",
+                  "per-chain / one-call share median ratio: ",
                   "python / c block median ratio: ", "python / c write_runs_csv median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
     kernel = "c" if compiled else "python"
@@ -70,14 +74,14 @@ def test_profile_session_tiny():
             timed = [line for line in lines if line.startswith(f"jobs {jobs} {label}, median of 2:")]
             assert len(timed) == 1
             assert f"ms per {label}" in timed[0] and f"us per {per}" in timed[0]
-    placed = {"ensemble": "jobs 2 ensemble shares started their chains on ",
+    placed = {"ensemble": "jobs 2 ensemble shares started on ",
               "batch": "jobs 2 batch shares started on "}
     for label, head in placed.items():
         (line,) = [line for line in lines if line.startswith(head)]
         cpus = line[len(head):]
         if cpus != "CPUs unknown: no sched_getcpu in the C library":
-            # One group per share thread; a compiled batch or ensemble runs
-            # two shares, the Python loop one, in this thread.
+            # One group per thread; a compiled batch or ensemble runs two
+            # shares, the Python loop one, in this thread.
             groups = cpus.removeprefix("CPUs ").split(" | ")
             assert len(groups) == (2 if compiled else 1), line
             assert all(cpu.isdigit() for group in groups for cpu in group.split()), line
