@@ -10,11 +10,18 @@ Subcommands:
 Every run writes a manifest.json sufficient for exact replay and prints the
 effective configuration including the master seed. Exit codes: 0 success,
 2 configuration error, 3 data error.
+
+`main` may be called any number of times in one process. The argparse parser
+is built on the first call and reused by every later one, `--config`'s
+re-parse and `replay`'s nested call included; each call parses into a fresh
+namespace, so no call sees another's flags. Help is formatted at the width of
+the terminal when it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,6 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and kept for the process."""
+    return build_parser()
+
+
 def _config_argv(args: argparse.Namespace) -> list[str]:
     """The `--config` file's values as flag tokens, for argparse to check."""
     try:
@@ -213,7 +226,10 @@ def _outdir(args) -> Path:
     if not out:
         raise ConfigError("no output directory: pass --out or set INFOMARKET_OUT")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot use {out} as the output directory: {e.strerror or e}") from None
     return path
 
 
@@ -428,7 +444,7 @@ def cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {

@@ -1,12 +1,26 @@
+import argparse
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from infomarket.cli import main
+from infomarket import cli
+from infomarket.cli import build_parser, main
+from infomarket.presets import presets_for
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def run_cli(*argv):
@@ -259,6 +273,26 @@ def test_out_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "prices.csv").exists()
 
 
+@pytest.mark.parametrize("name, via_env", [
+    pytest.param("taken", False, id="a file"),
+    pytest.param("taken/sub", False, id="a path under a file"),
+    pytest.param("taken", True, id="INFOMARKET_OUT names a file"),
+])
+def test_unusable_out_is_config_error(tmp_path, monkeypatch, capsys, name, via_env):
+    (tmp_path / "taken").write_text("x")
+    out = tmp_path / name
+    argv = ["simulate", "--seed", "1", "--periods", "3", "--steps", "10"]
+    if via_env:
+        monkeypatch.setenv("INFOMARKET_OUT", str(out))
+    else:
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
+    assert (tmp_path / "taken").read_text() == "x"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps({"schema_version": 1, "seed": 11, "periods": 4, "steps": 12}))
@@ -305,6 +339,92 @@ def test_help_lists_presets(capsys):
                    "markov3", "markov5"):
         assert preset in text
     assert "stylized" not in text  # `stats` takes no preset
+
+
+def test_help_follows_the_terminal_after_the_parser_is_built(monkeypatch, capsys):
+    def batch_help():
+        with pytest.raises(SystemExit):
+            main(["batch", "--help"])
+        return capsys.readouterr().out
+
+    def widest_option_line(text):
+        # The usage's --preset choices are one token argparse cannot break,
+        # and the preset epilog is raw text, so only the options are wrapped.
+        return max(map(len, text[text.index("options:"):text.index("presets:")].splitlines()))
+
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = batch_help()  # the parser is built by now
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = batch_help()
+    assert widest_option_line(wide) > 60 >= widest_option_line(narrow)
+    assert all(preset in narrow for preset in presets_for("batch"))
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["batch", "--help"])
+    assert capsys.readouterr().out == narrow
+
+
+def test_in_process_calls_stay_independent(tmp_path, monkeypatch):
+    """Calls in one process share one parser and nothing else: each writes
+    what it writes alone, in a fresh interpreter."""
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": 11, "periods": 5}))
+    simulate = ["simulate", "--seed", "3", "--periods", "4", "--steps", "12"]
+    batch = ["batch", "--seed", "3", "--sessions", "2", "--runs", "2", "--periods", "4", "--steps", "12",
+             "--jobs", "1"]
+    markov = ["markov", "--seed", "3", "--periods", "20", "--steps", "20", "--jobs", "1"]
+    calls = {
+        "batch --no-clearing": [*batch, "--no-clearing"],
+        "batch": batch,
+        "markov --states": [*markov, "--states", "1,2"],
+        "markov": markov,
+        "simulate --config": ["simulate", "--config", str(config), "--steps", "12"],
+        "simulate": simulate,
+    }
+    added = []
+    add_action = argparse._ActionsContainer._add_action
+    monkeypatch.setattr(argparse._ActionsContainer, "_add_action",
+                        lambda self, action: added.append(action) or add_action(self, action))
+    cli._parser.cache_clear()
+    for i, (name, argv) in enumerate(calls.items()):
+        assert main([*argv, "--out", str(tmp_path / "together" / name)]) == 0
+        if i == 0:
+            assert added, "the first call builds the parser"
+            added.clear()
+    replayed = tmp_path / "together" / "replay"
+    assert main(["replay", "--manifest", str(tmp_path / "together" / "batch --no-clearing"),
+                 "--out", str(replayed)]) == 0
+    assert added == []
+
+    for name, argv in calls.items():
+        proc = run_python("-c", "import sys; from infomarket.cli import main; sys.exit(main())",
+                          *argv, "--out", str(tmp_path / "alone" / name))
+        assert proc.returncode == 0, proc.stderr
+    for name, expected in [*((name, name) for name in calls), ("replay", "batch --no-clearing")]:
+        together, alone = tmp_path / "together" / name, tmp_path / "alone" / expected
+        files = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in together.iterdir()) == files
+        for file in files:
+            assert read(together / file) == read(alone / file), (name, file)
+    params = {name: json.loads((tmp_path / "together" / name / "manifest.json").read_text())["params"]
+              for name in calls}
+    assert params["batch --no-clearing"]["no_clearing"] and not params["batch"]["no_clearing"]
+    assert params["markov --states"]["states"] == "1,2" and "states" not in params["markov"]
+    assert (params["simulate --config"]["seed"], params["simulate"]["seed"]) == (11, 3)
+    for name, chains in (("markov --states", 2), ("markov", 8)):
+        rows = (tmp_path / "together" / name / "states.csv").read_text().splitlines()[1:]
+        assert len({row.split(",")[0] for row in rows}) == chains
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built on the first `main` call, so an import stays as
+    # cheap as the modules it loads.
+    code = ("import argparse\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a parser was built at import')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import infomarket.cli, infomarket.presets\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def exit_code(argv):
