@@ -7,7 +7,8 @@ the compiled one, alternating between them in this process after one
 warm-up run of each, so both see the same machine state. Prints each
 kernel's median and quartiles, per session and per activation, and the
 ratio of the medians. An activation is one trader decision: each period has
-its seeding pass (one per informed trader) plus its steps.
+its seeding pass (one per informed trader) plus its steps. Then it does the
+same for that session with no clearing, whose book is kept across periods.
 
 Then does the same for one 300-period `markov3` switching chain (initial
 profile 1, switching stream from seed 0): the Python loop of
@@ -51,9 +52,9 @@ library has no `sched_getcpu`).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
-against) or `c kernel unavailable: <reason>`, and the `c chain`, the
-share, the block, the seeding and the `write_runs_csv` lines and the five
-ratios only with the former.
+against) or `c kernel unavailable: <reason>`, and the `c no-clearing`, the
+`c chain`, the share, the block, the seeding and the `write_runs_csv` lines
+and the six ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -171,11 +172,11 @@ def main() -> int:
     _kernel.resolve()
     resolutions = {"python": (None, "the Python loop"), "c": _kernel._resolved}
 
-    def session(kernel: str) -> float:
+    def session(kernel: str, config: SessionConfig = cfg) -> float:
         _kernel._resolved = resolutions[kernel]
         rng = stream(0, RUN_DOMAIN, 0, 0)
         t0 = time.perf_counter()
-        run_session(cfg, path, rng)
+        run_session(config, path, rng)
         return time.perf_counter() - t0
 
     chain_cfg = replace(switching_for_preset("markov3"), n_periods=CHAIN_PERIODS)
@@ -199,6 +200,13 @@ def main() -> int:
     if lib is not None:
         print(f"c kernel library: {lib.path}, checked against numpy {lib.numpy_version}")
         print(f"python / c median ratio: {medians['python'] / medians['c']:.2f}")
+
+    no_clearing = replace(cfg, clear_book_each_period=False)
+    print("no-clearing reference session: the same session, its book kept across periods")
+    medians = report("no-clearing", alternate(kernels, args.repeats, lambda kernel: session(kernel, no_clearing)),
+                     "session", activations, "activation")
+    if lib is not None:
+        print(f"python / c no-clearing median ratio: {medians['python'] / medians['c']:.2f}")
 
     print(f"markov3 chain: {chain_cfg.n_periods} periods x ({chain_cfg.steps_per_period} steps + "
           f"{chain_cfg.n_traders} seeding), {chain_cfg.n_traders} traders")

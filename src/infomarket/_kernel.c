@@ -45,8 +45,11 @@
  * switching.stream, they make switching.ENSEMBLE_SPEC, whose names send
  * an ensemble to its Python loop, one run_switching_sim per chain.
  *
- * Each side of the book is a binary heap keyed (price, seq), best first.
- * seq is unique, so the pop order equals that of Python's heapq.
+ * Each side of the book is an array sorted by (price, seq) with its best
+ * order last. A new order, whose seq is the highest yet, goes below every
+ * order at its price or a better one, and a market order takes the last
+ * slot. seq is unique, so (price, seq) orders the resting orders strictly,
+ * and both the sides and Python's heapq give them up best first.
  *
  * `im_parse_ticks` is unrelated to sessions and draws nothing: it reads the
  * body of a plain tick file in one pass, for analytics.load_ticks, and
@@ -69,6 +72,11 @@
 
 enum { RANDOM = 0, FUNDAMENTALIST = 1, CHARTIST = 2 };
 enum { NO_ACTION = 0, LIMIT_BID, LIMIT_ASK, MARKET_SELL, MARKET_BUY };
+
+/* The trading step and the draws are inlined into every loop that runs
+ * them, so that the loop keeps its state (the generator's, the price) in
+ * registers. */
+#define INLINE static inline __attribute__((always_inline))
 
 typedef struct {
     double price;
@@ -133,52 +141,23 @@ typedef struct {
 
 int64_t im_session_size(void) { return (int64_t)sizeof(im_session); }
 
-/* asks: lower price first; bids: higher price first; then earlier seq */
-static inline int better(const im_order *a, const im_order *b, int is_bid)
+/* Rests order o on a side sorted with its best order last (asks by falling
+ * price, bids by rising price, one price's orders by falling seq): o's seq
+ * is the highest so far, so the orders at its price or a better one move up
+ * one slot. */
+INLINE void rest(im_order *side, int64_t *len, im_order o, int is_bid)
 {
-    if (a->price != b->price)
-        return is_bid ? a->price > b->price : a->price < b->price;
-    return a->seq < b->seq;
-}
-
-static void heap_push(im_order *heap, int64_t *len, im_order item, int is_bid)
-{
-    int64_t pos = (*len)++;
-    while (pos > 0) {
-        int64_t parent = (pos - 1) >> 1;
-        if (!better(&item, &heap[parent], is_bid))
-            break;
-        heap[pos] = heap[parent];
-        pos = parent;
-    }
-    heap[pos] = item;
-}
-
-static im_order heap_pop(im_order *heap, int64_t *len, int is_bid)
-{
-    im_order top = heap[0];
-    im_order last = heap[--(*len)];
-    int64_t end = *len, pos = 0;
-    if (end == 0)
-        return top;
-    for (;;) {
-        int64_t child = 2 * pos + 1;
-        if (child >= end)
-            break;
-        if (child + 1 < end && better(&heap[child + 1], &heap[child], is_bid))
-            child++;
-        if (!better(&heap[child], &last, is_bid))
-            break;
-        heap[pos] = heap[child];
-        pos = child;
-    }
-    heap[pos] = last;
-    return top;
+    int64_t pos = *len;
+    while (pos > 0 && (is_bid ? side[pos - 1].price >= o.price : side[pos - 1].price <= o.price))
+        pos--;
+    memmove(side + pos + 1, side + pos, (size_t)(*len - pos) * sizeof *side);
+    side[pos] = o;
+    (*len)++;
 }
 
 /* agents._sell and agents._buy: a market order when the price crosses the
  * opposite real best, a limit order when it is positive, else nothing. */
-static inline int sell(double price, int has_bid, double bid, double *out)
+INLINE int sell(double price, int has_bid, double bid, double *out)
 {
     if (has_bid && price < bid)
         return MARKET_SELL;
@@ -189,7 +168,7 @@ static inline int sell(double price, int has_bid, double bid, double *out)
     return NO_ACTION;
 }
 
-static inline int buy(double price, int has_ask, double ask, double *out)
+INLINE int buy(double price, int has_ask, double ask, double *out)
 {
     if (has_ask && price > ask)
         return MARKET_BUY;
@@ -201,7 +180,7 @@ static inline int buy(double price, int has_ask, double ask, double *out)
 }
 
 /* agents._effective_quotes followed by agents._inside_limit */
-static int inside_limit(double anchor, double p, int has_bid, double bid, int has_ask, double ask,
+INLINE int inside_limit(double anchor, double p, int has_bid, double bid, int has_ask, double ask,
                         double z, double *out)
 {
     double eff_bid = has_bid ? bid : 0.0;
@@ -215,7 +194,7 @@ static int inside_limit(double anchor, double p, int has_bid, double bid, int ha
     return price > 0 ? buy(price, has_ask, ask, out) : NO_ACTION;
 }
 
-static int decide(const im_session *s, const double *pv_row, int64_t i, double p, int has_bid, double bid,
+INLINE int decide(const im_session *s, const double *pv_row, int64_t i, double p, int has_bid, double bid,
                   int has_ask, double ask, double u, double z, double *out)
 {
     switch (s->strategy[i]) {
@@ -250,94 +229,99 @@ static int decide(const im_session *s, const double *pv_row, int64_t i, double p
     }
 }
 
-static void record_trade(im_session *s, int64_t step, double price, int64_t buyer, int64_t seller)
+INLINE void record_trade(im_session *s, double price, int64_t buyer, int64_t seller)
 {
     int64_t t = s->n_trades++;
-    s->trade_steps[t] = step;
+    s->trade_steps[t] = s->n_prices + 1;
     s->trade_prices[t] = price;
     s->trade_buyers[t] = buyer;
     s->trade_sellers[t] = seller;
 }
 
-/* MarketSession._trade_period: one period's activations on its draws and
- * its row of present values, then the settlement with dividend d. Returns
- * 0, or -1 when a side of the book is full. */
-static int trade_period(im_session *s, const double *pv_row, double d)
+/* One activation of MarketSession._trade_period: trader i decides on its
+ * uniform u and normal z against the best quotes and the last price *p,
+ * which a trade sets. The trader must afford the intent: no shorting, no
+ * credit, counting what its resting orders already commit. Returns 0, or
+ * -1 when a side of the book is full. */
+INLINE int activate(im_session *s, const double *pv_row, int64_t i, double *p, double u, double z)
 {
-    const int64_t n = s->n;
     double *cash = s->cash, *held_cash = s->held_cash;
     int64_t *shares = s->shares, *held_shares = s->held_shares;
+    const int has_bid = s->n_bids > 0, has_ask = s->n_asks > 0;
+    const double bid = has_bid ? s->bids[s->n_bids - 1].price : 0.0;
+    const double ask = has_ask ? s->asks[s->n_asks - 1].price : 0.0;
+    double price = 0.0;
+    switch (decide(s, pv_row, i, *p, has_bid, bid, has_ask, ask, u, z, &price)) {
+    case LIMIT_BID:
+        if (cash[i] - held_cash[i] >= price) {
+            if (s->n_bids == s->book_cap)
+                return -1;
+            rest(s->bids, &s->n_bids, (im_order){price, s->seq++, i}, 1);
+            held_cash[i] += price;
+        }
+        break;
+    case LIMIT_ASK:
+        if (shares[i] - held_shares[i] >= 1) {
+            if (s->n_asks == s->book_cap)
+                return -1;
+            rest(s->asks, &s->n_asks, (im_order){price, s->seq++, i}, 0);
+            held_shares[i] += 1;
+        }
+        break;
+    case MARKET_SELL:
+        if (shares[i] - held_shares[i] >= 1 && has_bid) {
+            const im_order o = s->bids[--s->n_bids];
+            *p = o.price;
+            cash[o.trader] -= o.price;
+            shares[o.trader] += 1;
+            held_cash[o.trader] -= o.price;
+            cash[i] += o.price;
+            shares[i] -= 1;
+            record_trade(s, o.price, o.trader, i);
+        }
+        break;
+    case MARKET_BUY:
+        if (has_ask && cash[i] - held_cash[i] >= ask) {
+            const im_order o = s->asks[--s->n_asks];
+            *p = o.price;
+            cash[i] -= o.price;
+            shares[i] += 1;
+            cash[o.trader] += o.price;
+            shares[o.trader] -= 1;
+            held_shares[o.trader] -= 1;
+            record_trade(s, o.price, i, o.trader);
+        }
+        break;
+    }
+    return 0;
+}
+
+/* MarketSession._trade_period: one period's activations on its draws and
+ * its row of present values, first the seeding pass over perm's informed
+ * traders, then the steps, each of which records its price; then the
+ * settlement with dividend d. Returns 0, or -1 when a side of the book is
+ * full. */
+static int trade_period(im_session *s, const double *pv_row, double d)
+{
+    const int64_t n = s->n, m = s->m;
+    const double *u = s->u, *z = s->z;
     double p = s->last_price;
-    int64_t j = 0; /* index of the activation's u and z */
-    for (int64_t a = 0; a < n + s->steps; a++) {
-        int stepping = a >= n;
-        int64_t i;
-        if (stepping) {
-            i = s->order[a - n];
-        } else {
-            i = s->perm[a];
-            if (s->level[i] == 0)
-                continue;
-        }
-        double u = s->u[j], z = s->z[j];
+    for (int64_t a = 0, j = 0; a < n; a++) { /* j: the activation's u and z */
+        const int64_t i = s->perm[a];
+        if (s->level[i] == 0)
+            continue;
+        if (activate(s, pv_row, i, &p, u[j], z[j]))
+            return -1;
         j++;
-        int has_bid = s->n_bids > 0, has_ask = s->n_asks > 0;
-        double bid = has_bid ? s->bids[0].price : 0.0;
-        double ask = has_ask ? s->asks[0].price : 0.0;
-        double price = 0.0;
-        int kind = decide(s, pv_row, i, p, has_bid, bid, has_ask, ask, u, z, &price);
-        /* The trader must afford the intent: no shorting, no credit,
-         * counting what its resting orders already commit. */
-        switch (kind) {
-        case LIMIT_BID:
-            if (cash[i] - held_cash[i] >= price) {
-                if (s->n_bids == s->book_cap)
-                    return -1;
-                im_order o = {price, s->seq++, i};
-                heap_push(s->bids, &s->n_bids, o, 1);
-                held_cash[i] += price;
-            }
-            break;
-        case LIMIT_ASK:
-            if (shares[i] - held_shares[i] >= 1) {
-                if (s->n_asks == s->book_cap)
-                    return -1;
-                im_order o = {price, s->seq++, i};
-                heap_push(s->asks, &s->n_asks, o, 0);
-                held_shares[i] += 1;
-            }
-            break;
-        case MARKET_SELL:
-            if (shares[i] - held_shares[i] >= 1 && s->n_bids > 0) {
-                im_order o = heap_pop(s->bids, &s->n_bids, 1);
-                int64_t buyer = o.trader;
-                p = o.price;
-                cash[buyer] -= p;
-                shares[buyer] += 1;
-                held_cash[buyer] -= p;
-                cash[i] += p;
-                shares[i] -= 1;
-                record_trade(s, s->n_prices + 1, p, buyer, i);
-            }
-            break;
-        case MARKET_BUY:
-            if (has_ask && cash[i] - held_cash[i] >= ask) {
-                im_order o = heap_pop(s->asks, &s->n_asks, 0);
-                int64_t seller = o.trader;
-                p = o.price;
-                cash[i] -= p;
-                shares[i] += 1;
-                cash[seller] += p;
-                shares[seller] -= 1;
-                held_shares[seller] -= 1;
-                record_trade(s, s->n_prices + 1, p, i, seller);
-            }
-            break;
-        }
-        if (stepping)
-            s->prices[s->n_prices++] = p;
+    }
+    for (int64_t t = 0; t < s->steps; t++) {
+        if (activate(s, pv_row, s->order[t], &p, u[m + t], z[m + t]))
+            return -1;
+        s->prices[s->n_prices++] = p;
     }
     s->last_price = p;
+    double *cash = s->cash, *held_cash = s->held_cash;
+    int64_t *shares = s->shares, *held_shares = s->held_shares;
     int64_t k = ++s->periods_done;
     for (int64_t i = 0; i < n; i++) {
         cash[i] = cash[i] * s->growth + (double)shares[i] * d;
@@ -434,11 +418,7 @@ typedef struct {
 
 #define PCG_MULT ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL)
 
-/* The draws are inlined into every loop that makes them, so that the loop
- * keeps its generator's state in registers. */
-#define DRAW static inline __attribute__((always_inline))
-
-DRAW uint64_t next64(im_pcg64 *g)
+INLINE uint64_t next64(im_pcg64 *g)
 {
     g->state = g->state * PCG_MULT + g->inc;
     uint64_t folded = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
@@ -446,7 +426,7 @@ DRAW uint64_t next64(im_pcg64 *g)
     return folded >> rot | folded << (-rot & 63);
 }
 
-DRAW uint32_t next32(im_pcg64 *g)
+INLINE uint32_t next32(im_pcg64 *g)
 {
     if (g->has_uint32) {
         g->has_uint32 = 0;
@@ -459,7 +439,7 @@ DRAW uint32_t next32(im_pcg64 *g)
 }
 
 /* random(): the top 53 bits of a 64-bit draw, scaled into [0, 1) */
-DRAW double next_double(im_pcg64 *g)
+INLINE double next_double(im_pcg64 *g)
 {
     return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
 }
@@ -773,7 +753,7 @@ static __attribute__((noinline, cold)) int normal_edge(u128 *state, u128 inc, in
 
 /* standard_normal(): one 64-bit draw gives the layer (its low 8 bits), the
  * sign (bit 8) and a 52-bit abscissa; 99.3 % of draws end at the first test. */
-DRAW double standard_normal(im_pcg64 *g)
+INLINE double standard_normal(im_pcg64 *g)
 {
     for (;;) {
         const uint64_t r = next64(g);
@@ -797,7 +777,7 @@ DRAW double standard_normal(im_pcg64 *g)
 
 /* random_interval: uniform in [0, max], drawing masked values until one is
  * at most max; 32-bit halves while max fits in them. */
-DRAW uint64_t interval(im_pcg64 *g, uint64_t max)
+INLINE uint64_t interval(im_pcg64 *g, uint64_t max)
 {
     if (max == 0)
         return 0;
@@ -819,7 +799,7 @@ DRAW uint64_t interval(im_pcg64 *g, uint64_t max)
 }
 
 /* permutation(n): arange(n), then shuffle's Fisher-Yates from the end */
-DRAW void permutation(im_pcg64 *g, int64_t n, int64_t *out)
+INLINE void permutation(im_pcg64 *g, int64_t n, int64_t *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = i;
@@ -837,7 +817,7 @@ DRAW void permutation(im_pcg64 *g, int64_t n, int64_t *out)
  * (2**32 - rng - 1) mod (rng + 1), that modulus taken only when the low word
  * is below rng + 1; at 2**32 - 1 a bare 32-bit half; above it the same
  * method on 64-bit draws. */
-DRAW void bounded_fill(im_pcg64 *g, uint64_t rng, int64_t count, int64_t *out)
+INLINE void bounded_fill(im_pcg64 *g, uint64_t rng, int64_t count, int64_t *out)
 {
     if (rng == 0) {
         memset(out, 0, (size_t)count * sizeof *out);

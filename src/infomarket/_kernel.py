@@ -359,7 +359,11 @@ def pow10_table() -> np.ndarray:
 
 
 class BookView:
-    """The compiled session's book, read-only: its size and best quotes."""
+    """The compiled session's book, read-only: its size and best quotes.
+
+    Each side is an `ORDER` array sorted with its best order last: the
+    arena's first `n_asks` or `n_bids` slots, asks by falling price, bids
+    by rising price, one price's orders by falling seq."""
 
     __slots__ = ("_session", "_asks", "_bids")
 
@@ -367,10 +371,12 @@ class BookView:
         self._session, self._asks, self._bids = session, asks, bids
 
     def best_bid(self) -> float | None:
-        return float(self._bids[0]["price"]) if self._session.n_bids else None
+        n = self._session.n_bids
+        return float(self._bids[n - 1]["price"]) if n else None
 
     def best_ask(self) -> float | None:
-        return float(self._asks[0]["price"]) if self._session.n_asks else None
+        n = self._session.n_asks
+        return float(self._asks[n - 1]["price"]) if n else None
 
     def __len__(self) -> int:
         return self._session.n_asks + self._session.n_bids

@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,13 +81,28 @@ class ConfigError(Exception):
     pass
 
 
+_PRESET_NAME = 18  # the width of a preset line's name column, after its two-space indent
+
+
 def _preset_help(command: str | None = None) -> str:
     """The preset list for `command`'s help, or every preset for the top level."""
     lines = ["presets:"]
     for name, p in PRESETS.items():
         if command in (None, p.command):
-            lines.append(f"  {name:<18} {p.description}")
+            lines.append(f"  {name:<{_PRESET_NAME}} {p.description}")
     return "\n".join(lines)
+
+
+class _PresetHelpFormatter(argparse.HelpFormatter):
+    """argparse's help, with the description and the preset list kept line
+    by line: each line is wrapped on its own at the width the help is
+    printed at, and a preset line continues under its description."""
+
+    def _fill_text(self, text: str, width: int, indent: str) -> str:
+        hang = indent + " " * (2 + _PRESET_NAME + 1)
+        return "\n".join(textwrap.fill(line, width, initial_indent=indent,
+                                       subsequent_indent=hang if line.startswith("  ") else indent)
+                         for line in text.splitlines())
 
 
 def _state_codes(text: str) -> str:
@@ -126,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="infomarket",
         description="Double-auction market simulator with heterogeneously informed traders.",
         epilog=_preset_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=_PresetHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"infomarket {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -163,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("batch", help="run a Monte Carlo batch or sweep",
                        epilog=_preset_help("batch"),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+                       formatter_class=_PresetHelpFormatter)
     common(p, preset=True, batch=True)
     p = sub.add_parser("stats", help="analytics over a simulated run or tick CSV")
     common(p)
@@ -173,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use per-step prices instead of per-trade prices")
     p = sub.add_parser("markov", help="strategy-switching experiments",
                        epilog=_preset_help("markov"),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+                       formatter_class=_PresetHelpFormatter)
     common(p, preset=True, markov=True)
     p = sub.add_parser("replay", help="re-run a stored manifest bit-exactly")
     p.add_argument("--manifest", required=True, help="path to a manifest.json")

@@ -12,7 +12,7 @@ import pytest
 
 from infomarket import cli
 from infomarket.cli import build_parser, main
-from infomarket.presets import presets_for
+from infomarket.presets import PRESETS, presets_for
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -342,25 +342,37 @@ def test_help_lists_presets(capsys):
 
 
 def test_help_follows_the_terminal_after_the_parser_is_built(monkeypatch, capsys):
-    def batch_help():
+    def help_text(argv):
         with pytest.raises(SystemExit):
-            main(["batch", "--help"])
+            main(argv)
         return capsys.readouterr().out
 
-    def widest_option_line(text):
+    def widest_line(text, start, end=None):
         # The usage's --preset choices are one token argparse cannot break,
-        # and the preset epilog is raw text, so only the options are wrapped.
-        return max(map(len, text[text.index("options:"):text.index("presets:")].splitlines()))
+        # so only the usage may stay wider.
+        return max(map(len, text[text.index(start):end and text.index(end)].splitlines()))
 
-    monkeypatch.setenv("COLUMNS", "200")
-    wide = batch_help()  # the parser is built by now
-    monkeypatch.setenv("COLUMNS", "60")
-    narrow = batch_help()
-    assert widest_option_line(wide) > 60 >= widest_option_line(narrow)
-    assert all(preset in narrow for preset in presets_for("batch"))
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["batch", "--help"])
-    assert capsys.readouterr().out == narrow
+    def listed_presets(text):
+        # A preset's name starts its line; its description's continuations
+        # are indented further.
+        section = text[text.index("presets:"):].splitlines()[1:]
+        return [line.split()[0] for line in section if not line.startswith(" " * 3)]
+
+    for command, presets in (("batch", presets_for("batch")), ("markov", presets_for("markov")),
+                             (None, list(PRESETS))):
+        argv = [command, "--help"] if command else ["--help"]
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = help_text(argv)  # the parser is built by now
+        monkeypatch.setenv("COLUMNS", "60")
+        narrow = help_text(argv)
+        assert widest_line(wide, "presets:") > 60 >= widest_line(narrow, "presets:"), command
+        if command:
+            assert widest_line(wide, "options:", "presets:") > 60 >= widest_line(narrow, "options:", "presets:")
+        assert listed_presets(narrow) == listed_presets(wide), command
+        assert sorted(listed_presets(narrow)) == sorted(presets), command
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr().out == narrow
 
 
 def test_in_process_calls_stay_independent(tmp_path, monkeypatch):

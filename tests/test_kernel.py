@@ -85,10 +85,21 @@ def config(**kw):
     return SessionConfig(**defaults)
 
 
+def resting_orders(book):
+    """Every order on each side of a session's book as (price, seq, trader),
+    best first: the Python loop's `Book` heaps sorted, or the compiled
+    kernel's sides read from their last slot down."""
+    if isinstance(book, _kernel.BookView):
+        n_asks, n_bids = book._session.n_asks, book._session.n_bids
+        return book._asks[:n_asks][::-1].tolist(), book._bids[:n_bids][::-1].tolist()
+    return sorted(book._asks), [(-price, seq, trader) for price, seq, trader in sorted(book._bids)]
+
+
 def ending(session):
-    """What a session leaves besides its series: its book and its state."""
+    """What a session leaves besides its series: its whole book and its state."""
     book = session.book
-    return (len(book), book.best_bid(), book.best_ask(), session.last_price, session.periods_done,
+    return (len(book), book.best_bid(), book.best_ask(), resting_orders(book), session.last_price,
+            session.periods_done,
             *(buffer.tolist() for buffer in (session.cash, session.shares, session._held_cash,
                                              session._held_shares)))
 
@@ -144,6 +155,22 @@ def test_reference_market_sessions_match(clear):
     cfg = SessionConfig(clear_book_each_period=clear)
     for seed in range(3):
         assert_same_session(run(cfg, seed, python=True), run(cfg, seed))
+
+
+# The reference market's levels with every informed trader on the trend
+# rule, rich enough that no check binds, and no clearing: its book ends with
+# thousands of resting orders, so every new order lands on a deep side.
+DEEP_BOOK = SessionConfig(agents=market_with_levels(tuple(range(10)), chartist_levels=tuple(range(1, 10))),
+                          clear_book_each_period=False, initial_cash=1e6, initial_shares=1000)
+
+
+@needs_kernel
+def test_a_deep_book_session_matches():
+    spec, fast = run(DEEP_BOOK, 3, python=True), run(DEEP_BOOK, 3)
+    assert not spec[3] and fast[3]
+    assert_same_session(spec, fast)
+    asks, bids = spec[2][3]  # the ending's resting orders
+    assert len(asks) + len(bids) > 2000
 
 
 @needs_kernel
@@ -972,6 +999,8 @@ assert montecarlo.compiled_kernel(montecarlo.BLOCK_SPEC) is lib
 t.test_the_kernel_permutes_as_numpy_for_every_length()
 t.test_the_kernel_draws_bounded_integers_as_numpy((*range(1, 41), 2**31 + 1, 2**32, 2**33 + 3))
 t.test_a_million_kernel_normals_are_numpys()
+t.test_reference_market_sessions_match(False)
+t.test_a_deep_book_session_matches()
 cfg = t.config(agents=t.market_with_levels((0, 1, 2, 3, 0, 5), chartist_levels=(2,)))
 assert t.block(cfg, 3, 5) == t.block(cfg, 3, 5, python=True)
 chain = SwitchingConfig(n_traders=4, n_periods=45, interval=5, steps_per_period=20)

@@ -24,24 +24,26 @@ def run_script(name, *args):
 def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
     # lines or the reason it is unavailable, and the ratios only with the
-    # timings, for the reference session and for the markov3 chain. The
-    # markov3 share of eight chains (one kernel call per chain against one
-    # per share) and the reference share are timed only with the compiled
-    # kernel, both of their lines then, and so are seeding its generators
-    # and `write_runs_csv` on 100,000 rows. Where this
-    # process resolves the kernel under the same environment, so does the
-    # script. The markov3 ensemble and the reference batch get one median
+    # timings, for the reference session, for that session with no clearing
+    # and for the markov3 chain. The markov3 share of eight chains (one
+    # kernel call per chain against one per share) and the reference share
+    # are timed only with the compiled kernel, both of their lines then,
+    # and so are seeding its generators and `write_runs_csv` on 100,000
+    # rows. Where this process resolves the kernel under the same
+    # environment, so does the script. The markov3 ensemble and the reference batch get one median
     # line per worker count, whichever kernel ran them, and one line with
     # the CPUs their jobs-2 shares started on.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "= 3270 activations" in proc.stdout
+    assert "no-clearing reference session: the same session, its book kept across periods" in lines
     assert "markov3 chain: 300 periods x (100 steps + 3 seeding), 3 traders" in lines
     unavailable = [line for line in lines if line.startswith("c kernel unavailable: ")]
     assert len(unavailable) <= 1
     compiled = not unavailable
-    for label, unit, per in (("kernel", "session", "activation"), ("chain", "chain", "period")):
+    for label, unit, per in (("kernel", "session", "activation"), ("no-clearing", "session", "activation"),
+                             ("chain", "chain", "period")):
         timed = {kernel: [line for line in lines if line.startswith(f"{kernel} {label}, median of 2:")]
                  for kernel in ("python", "c")}
         for line in timed["python"] + timed["c"]:
@@ -62,7 +64,8 @@ def test_profile_session_tiny():
     for line in timed:
         assert "ms per file" in line and "us per row" in line
     assert lines.count("runs.csv: 10000 runs x 10 levels = 100000 rows") == compiled
-    for ratio in ("python / c median ratio: ", "python / c chain median ratio: ",
+    for ratio in ("python / c median ratio: ", "python / c no-clearing median ratio: ",
+                  "python / c chain median ratio: ",
                   "per-chain / one-call share median ratio: ",
                   "python / c block median ratio: ", "python / c write_runs_csv median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
