@@ -1,36 +1,31 @@
 #!/usr/bin/env python3
-"""Time one reference-market session and one markov3 chain under both kernels.
+"""Time one reference-market run and one markov3 chain under both kernels.
 
-Runs the same reference session (`SessionConfig()`, dividend path and run
-stream from seed 0) --repeats times under each kernel, the Python loop and
-the compiled one, alternating between them in this process after one
-warm-up run of each, so both see the same machine state. Prints each
-kernel's median and quartiles, per session and per activation, and the
-ratio of the medians. An activation is one trader decision: each period has
-its seeding pass (one per informed trader) plus its steps. Then it does the
-same for that session with no clearing, whose book is kept across periods.
+Runs the reference session's first run (`first_run(SessionConfig(), 0)`,
+the run `simulate --seed 0` makes: run 0 of session 0 of a batch from
+master seed 0) --repeats times under each kernel, the Python loop and the
+compiled one (a one-run share, one `im_run_block` call), alternating
+between them in this process after one warm-up run of each, so both see
+the same machine state. Prints each kernel's median and quartiles, per run
+and per activation, and the ratio of the medians. An activation is one
+trader decision: each period has its seeding pass (one per informed
+trader) plus its steps. Then it does the same for that run with no
+clearing, whose book is kept across periods.
 
 Then does the same for one 300-period `markov3` switching chain (initial
-profile 1, switching stream from seed 0): the Python loop of
-`run_switching_sim` on the Python session loop, against the compiled chain,
-one `im_run_chains` call. It prints each kernel's median per chain and per
-period, and the ratio of the medians. Then it times the `markov` command's
-ensemble at that size as one share, the eight `markov3` chains (seed 0) on
-the compiled kernel: one `im_run_chains` call per chain, each on its
-`rng.stream` generator (`switching._one_switching_run`, as the ensemble's
-Python loop runs them), against `run_switching_ensemble` at jobs 1, one
-`im_run_chains` call for the share on generators seeded in one
-`im_seed_pcg64` call. It prints each one's median per share and per
-period, and the ratio of the medians.
+profile 1, switching stream from seed 0), run as a one-chain
+`run_switching_ensemble` at jobs 1: the Python loop of `run_switching_sim`
+against the compiled chain, one `im_run_chains` call. It prints each
+kernel's median per chain and per period, and the ratio of the medians.
 
 Then it times one batch share of the reference market, 6 sessions of 5
 runs each (perfbench jcurve's batch, which `--jobs 1` runs as one share;
-master seed 0): the Python block, whose runs are compiled sessions, against
-the compiled block, one `im_run_block` call that also seeds every
-generator. It prints each block's median per share and per run, and the
-ratio of the medians. Then it times seeding that share's 36 generators (6
-walks, 30 runs): `rng.stream` per key against one `im_seed_pcg64` call,
-per share and per generator.
+master seed 0): the Python block against the compiled block, one
+`im_run_block` call that also seeds every generator. It prints each
+block's median per share and per run, and the ratio of the medians. Then
+it times seeding that share's 36 generators (6 walks, 30 runs):
+`rng.stream` per key against one `im_seed_pcg64` call, per share and per
+generator.
 
 Then it times `write_runs_csv` on 100,000 rows, 10,000 runs x 10 levels of
 seeded relative returns, to a file: the Python generator against the
@@ -53,8 +48,8 @@ library has no `sched_getcpu`).
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
 against) or `c kernel unavailable: <reason>`, and the `c no-clearing`, the
-`c chain`, the share, the block, the seeding and the `write_runs_csv` lines
-and the six ratios only with the former.
+`c chain`, the block, the seeding and the `write_runs_csv` lines and the
+five ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -72,11 +67,11 @@ from pathlib import Path
 import numpy as np
 
 from infomarket import _kernel, montecarlo, switching
-from infomarket.dividends import generate_dividend_path
-from infomarket.engine import SessionConfig, run_session
+from infomarket.engine import SessionConfig
+from infomarket.montecarlo import first_run
 from infomarket.presets import switching_for_preset
-from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, SWITCH_DOMAIN, stream
-from infomarket.switching import run_switching_ensemble, run_switching_sim
+from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, stream
+from infomarket.switching import run_switching_ensemble
 
 CHAIN_PERIODS = 300
 ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per initial profile
@@ -84,12 +79,6 @@ ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
 SHARE = (6, 5)  # sessions, runs per session: perfbench jcurve's batch, one share at --jobs 1
 RUNS_CSV_SHAPE = (100, 100, 10)  # sessions, runs per session, levels: 100,000 rows
 PYTHON_BLOCK = 80_000  # iterations of `python_block`, about 20 ms on a 2.1 GHz Xeon vCPU
-
-
-def spec_run_session(*args):
-    """`run_session` under another name: with it in `montecarlo`, a block
-    runs the Python block (see `montecarlo.BLOCK_SPEC`)."""
-    return run_session(*args)
 
 
 def python_block() -> float:
@@ -163,7 +152,6 @@ def main() -> int:
         ap.error("--repeats must be >= 1")
 
     cfg = SessionConfig()
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(0, PATH_DOMAIN, 0))
     informed = sum(1 for a in cfg.agents if a.info_level > 0)
     activations = cfg.n_periods * (cfg.steps_per_period + informed)
 
@@ -174,18 +162,16 @@ def main() -> int:
 
     def session(kernel: str, config: SessionConfig = cfg) -> float:
         _kernel._resolved = resolutions[kernel]
-        rng = stream(0, RUN_DOMAIN, 0, 0)
         t0 = time.perf_counter()
-        run_session(config, path, rng)
+        first_run(config, 0)
         return time.perf_counter() - t0
 
     chain_cfg = replace(switching_for_preset("markov3"), n_periods=CHAIN_PERIODS)
 
     def chain(kernel: str) -> float:
         _kernel._resolved = resolutions[kernel]
-        rng = stream(0, SWITCH_DOMAIN, 1)
         t0 = time.perf_counter()
-        run_switching_sim(chain_cfg, 1, rng)
+        run_switching_ensemble(chain_cfg, [1], 0, jobs=1)
         return time.perf_counter() - t0
 
     lib, reason = resolutions["c"]
@@ -194,17 +180,17 @@ def main() -> int:
         print(f"c kernel unavailable: {reason}")
         kernels.remove("c")
 
-    print(f"reference session: {cfg.n_periods} periods x ({cfg.steps_per_period} steps + "
+    print(f"reference run: {cfg.n_periods} periods x ({cfg.steps_per_period} steps + "
           f"{informed} seeding) = {activations} activations")
-    medians = report("kernel", alternate(kernels, args.repeats, session), "session", activations, "activation")
+    medians = report("kernel", alternate(kernels, args.repeats, session), "run", activations, "activation")
     if lib is not None:
         print(f"c kernel library: {lib.path}, checked against numpy {lib.numpy_version}")
         print(f"python / c median ratio: {medians['python'] / medians['c']:.2f}")
 
     no_clearing = replace(cfg, clear_book_each_period=False)
-    print("no-clearing reference session: the same session, its book kept across periods")
+    print("no-clearing reference run: the same run, its book kept across periods")
     medians = report("no-clearing", alternate(kernels, args.repeats, lambda kernel: session(kernel, no_clearing)),
-                     "session", activations, "activation")
+                     "run", activations, "activation")
     if lib is not None:
         print(f"python / c no-clearing median ratio: {medians['python'] / medians['c']:.2f}")
 
@@ -214,29 +200,12 @@ def main() -> int:
     if lib is not None:
         print(f"python / c chain median ratio: {medians['python'] / medians['c']:.2f}")
 
-    def share(calls: str) -> float:
-        t0 = time.perf_counter()
-        if calls == "per-chain":
-            for code in ENSEMBLE_CODES:
-                switching._one_switching_run((chain_cfg, code, 0))
-        else:
-            run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=1)
-        return time.perf_counter() - t0
-
-    if lib is not None:
-        _kernel._resolved = resolutions["c"]
-        print(f"markov3 share: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, "
-              "im_run_chains per chain against one per share")
-        medians = report("share", alternate(["per-chain", "one-call"], args.repeats, share), "share",
-                         len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
-        print(f"per-chain / one-call share median ratio: {medians['per-chain'] / medians['one-call']:.2f}")
-
     _kernel._resolved = resolutions["c"]
     sessions, runs = SHARE
     share_batch = montecarlo.BatchConfig(session=cfg, n_sessions=sessions, runs_per_session=runs, master_seed=0)
 
     def block(kernel: str) -> float:
-        montecarlo.run_session = spec_run_session if kernel == "python" else run_session
+        _kernel._resolved = resolutions[kernel]
         (share,) = montecarlo.batch_shares(share_batch, 1)
         t0 = time.perf_counter()
         montecarlo._run_session_block(share)
@@ -255,9 +224,9 @@ def main() -> int:
         return time.perf_counter() - t0
 
     if lib is not None:
-        print(f"reference share: {sessions} sessions x {runs} runs, python block on c sessions")
+        print(f"reference share: {sessions} sessions x {runs} runs, python block against c block")
         medians = report("block", alternate(kernels, args.repeats, block), "share", sessions * runs, "run")
-        montecarlo.run_session = run_session
+        _kernel._resolved = resolutions["c"]
         print(f"python / c block median ratio: {medians['python'] / medians['c']:.2f}")
         (words, ends), states = _kernel.key_table(keys), np.empty((len(keys), 6), np.uint64)
         print(f"seeding: the share's {len(keys)} generators, rng.stream against im_seed_pcg64")

@@ -1,35 +1,37 @@
-/* The periods of a market session, on flat buffers, draws included, whole
- * batch sessions and whole strategy-switching chains.
+/* Whole batch sessions and whole strategy-switching chains of market
+ * sessions, on flat buffers, draws included.
  *
- * This is the compiled twin of the Python loop in engine.py: `draw_period`
- * followed by `MarketSession._trade_period`, which stay the specification.
- * It makes the same draws from the session's generator: it steps its own
- * copy of the generator's PCG64 state (six words in, six words out) and
- * runs numpy's own algorithms for each kind of variate, the ziggurat's
- * tables included (see "numpy's variates, drawn here" below), so it needs
- * nothing of numpy to build and the generator ends in the same state. It
- * then runs the same rules, affordability checks, book and settlement, in
- * the same floating-point operation order, so both produce the same bits.
- * The caller owns every buffer (see _kernel.py,
- * whose Session mirrors `im_session`, Block `im_block` and Chain `im_chain`).
- * Blocks and chains read the market from the session header: the periods,
- * the walk's start, scale and extra dividends, the discount rate and its
- * factors, the endowments and the initial price. engine.lay_out_state
- * fills it, the factors with Python's `**`, the Python loop's pow.
+ * Each period is the compiled twin of the Python loop in engine.py:
+ * `draw_period` followed by `MarketSession._trade_period`, which stay the
+ * specification. It makes the same draws from the run's generator: it
+ * steps its own PCG64 state and runs numpy's own algorithms for each kind
+ * of variate, the ziggurat's tables included (see "numpy's variates, drawn
+ * here" below), so it needs nothing of numpy to build and the generator
+ * ends in the same state. It then runs the same rules, affordability
+ * checks, book and settlement, in the same floating-point operation order,
+ * so both produce the same bits. The caller owns every buffer (see
+ * _kernel.py, whose Session mirrors `im_session`, Block `im_block` and
+ * Chain `im_chain`). Blocks and chains read the market from the session
+ * header: the periods, the walk's start, scale and extra dividends, the
+ * discount rate and its factors, the endowments and the initial price.
+ * engine.lay_out_state fills it, the factors with Python's `**`, the
+ * Python loop's pow.
  *
- * `im_run_periods` runs periods of one session. `im_run_block` runs one
- * share of a batch, montecarlo._run_session_block, whose Python loop stays
- * its specification: per session it draws the session's dividend walk and
+ * There are two entry points that trade. `im_run_block` runs one share of
+ * a batch, montecarlo._run_session_block, whose Python loop stays its
+ * specification: per session it draws the session's dividend walk and
  * fills the present-value table once, then per run resets the state a
  * fresh MarketSession starts from and runs every period, all on one state
- * laid out once per share. It seeds every generator itself from the master
- * seed's key words, with numpy's SeedSequence and PCG64 reproduced below,
- * so it draws the streams rng.stream gives; `im_seed_pcg64` and
- * `im_pcg64_draw` expose the seeding and every kind of draw to the tests
- * and to _kernel._load's self-check. montecarlo.BLOCK_SPEC lists the names
- * that send a block to the Python loop when patched: the rules, the book
- * methods, the dividend walk, run_session, stream and engine's
- * present-value function.
+ * laid out once per share. After the call the state holds the share's
+ * last run, series, book and holds included, which montecarlo.first_run
+ * reads back for the one run of `simulate` and `stats`. It seeds every
+ * generator itself from the master seed's key words, with numpy's
+ * SeedSequence and PCG64 reproduced below, so it draws the streams
+ * rng.stream gives; `im_seed_pcg64` and `im_pcg64_draw` expose the seeding
+ * and every kind of draw to the tests and to _kernel._load's self-check.
+ * montecarlo.BLOCK_SPEC lists the names that send a block to the Python
+ * loop when patched: the rules, the book methods, the dividend walk,
+ * run_session, stream and engine's present-value function.
  * `im_run_chains` runs one share of a switching ensemble, any number of
  * chains of switching.run_switching_sim, whose Python loop stays its
  * specification: per chain it sets the strategies from the initial code,
@@ -38,12 +40,11 @@
  * starts from, and trades and evaluates every period, all on one state
  * laid out once per share. Each chain draws on its own generator, whose
  * six state words the caller seeds and the call writes back.
- * switching.CHAIN_SPEC lists the names that send a chain to the Python
- * loop when patched: the rules, the book methods, the dividend walk, both
- * modules' present-value function, MarketSession and its run_period and
- * set_strategy, and SwitchingConfig.session_config; with
- * switching.stream, they make switching.ENSEMBLE_SPEC, whose names send
- * an ensemble to its Python loop, one run_switching_sim per chain.
+ * switching.ENSEMBLE_SPEC lists the names that send an ensemble to its
+ * Python loop, one run_switching_sim per chain, when patched: the rules,
+ * the book methods, the dividend walk, both modules' present-value
+ * function, MarketSession and its run_period and set_strategy,
+ * SwitchingConfig.session_config and stream.
  *
  * Each side of the book is an array sorted by (price, seq) with its best
  * order last. A new order, whose seq is the highest yet, goes below every
@@ -914,20 +915,6 @@ static int run_period(im_session *s, im_pcg64 *g)
     int64_t k = s->periods_done; /* this period's row, 0-based */
     draw_period(s, g);
     return trade_period(s, s->pv_table + k * s->n, s->dividends[k]);
-}
-
-/* The next `count` periods, drawing from the generator in `state` (six
- * words, read and written back, also on failure). Returns 0, or -1 when a
- * side of the book is full (the periods before it are done). */
-int im_run_periods(im_session *s, uint64_t *state, int64_t count)
-{
-    im_pcg64 g;
-    get_state(&g, state);
-    int failed = 0;
-    for (int64_t c = 0; c < count && !failed; c++)
-        failed = run_period(s, &g);
-    put_state(state, &g);
-    return failed ? -1 : 0;
 }
 
 /* A share of strategy-switching chains (switching.run_switching_sim): their

@@ -1,38 +1,37 @@
 """The compiled session kernel: build, cache and load `_kernel.c`, and describe
 the session state it runs on.
 
-`_kernel.c` is the compiled twin of the Python loop, `engine.draw_period`
+`_kernel.c` runs whole batch shares and whole switching ensembles; its
+periods are the compiled twin of the Python loop, `engine.draw_period`
 followed by `MarketSession._trade_period`, which stays the specification
-and the fallback. One call, `im_run_periods`, runs any number of periods:
-it draws each period's variates from the session's generator and trades
-it, reading the period's present values in place from the session's
-table. Both run on the same state: an arena that `engine.lay_out_state`
-lays out, whose first bytes are the kernel's `im_session` (`Session`, read
-and written by field name from Python) and whose buffers those fields
-point to. One call of `im_run_block` runs a whole share of a batch, any
-number of sessions, on one such state: per session it draws the dividend
-walk, fills the present-value table once and runs every run on its own
-generator, writing into the batch-wide outputs (`Block` holds the share's
-runs, the master seed's key words and the addresses of its session indices
-and outputs, and the header the market with its discount factors);
-`montecarlo`'s Python block stays its specification. The block seeds its
-generators itself: the kernel reproduces numpy's `SeedSequence` (the
-4-word pool, `hashmix`, `mix` and `generate_state(4, uint64)`) and PCG64
-(the 128-bit LCG step, the XSL-RR output, the buffered 32-bit halves and
-`next_double`), so it draws `rng.stream`'s streams without a Python
-generator. One call of `im_run_chains` runs a whole share of a switching
-ensemble, any number of chains, on one such state, each chain from its own
-initial code on its own generator (`Chain` holds the chains' length and
-evaluation interval, the addresses of the share's scratch buffers and of
-its rows of the ensemble-wide generator states, codes and tie counts; the
-market, and a segment's length, are the header's); `switching`'s Python
-loop stays its specification. `im_run_periods` and `im_run_chains` draw on
-copies of generators: six state words per generator (`pcg64_words`, or
-`seeded_states` for an ensemble's `rng.stream` keys) go in, and the words
-the kernel leaves come back, which a caller's generator takes
-(`set_pcg64_words`).
-Nothing is built or loaded at import; the first session that may use the
-kernel resolves it, once per process (`run_batch` and
+and the only way a `MarketSession` runs. Both run on the same state: an
+arena that `engine.lay_out_state` lays out, whose first bytes are the
+kernel's `im_session` (`Session`, read and written by field name from
+Python) and whose buffers those fields point to. There are two entry
+points that trade. One call of `im_run_block` runs a whole share of a
+batch, any number of sessions, on one such state: per session it draws the
+dividend walk, fills the present-value table once and runs every run on its
+own generator, writing into the batch-wide outputs (`Block` holds the
+share's runs, the master seed's key words and the addresses of its session
+indices and outputs, and the header the market with its discount factors);
+`montecarlo`'s Python block stays its specification, and
+`montecarlo.first_run` runs a one-run share and reads its series back from
+the state. The block seeds its generators itself: the kernel reproduces
+numpy's `SeedSequence` (the 4-word pool, `hashmix`, `mix` and
+`generate_state(4, uint64)`) and PCG64 (the 128-bit LCG step, the XSL-RR
+output, the buffered 32-bit halves and `next_double`), so it draws
+`rng.stream`'s streams without a Python generator. One call of
+`im_run_chains` runs a whole share of a switching ensemble, any number of
+chains, on one such state, each chain from its own initial code on its own
+generator (`Chain` holds the chains' length and evaluation interval, the
+addresses of the share's scratch buffers and of its rows of the
+ensemble-wide generator states, codes and tie counts; the market, and a
+segment's length, are the header's); `switching`'s Python loop stays its
+specification. Its generators' six state words each (`seeded_states` for
+the ensemble's `rng.stream` keys) go in, and the words the kernel leaves
+come back.
+Nothing is built or loaded at import; the first batch, run or ensemble that
+may use the kernel resolves it, once per process (`run_batch` and
 `run_switching_ensemble` resolve it before they hand any task to a share
 thread, and every share thread runs on the one loaded library; a call
 through `ctypes.CDLL` releases the GIL, and the kernel keeps no global
@@ -47,11 +46,10 @@ change a distribution between releases, so `_load` checks the library
 against the numpy in this process: `im_seed_pcg64`'s generator for
 `CHECK_KEY`, then each of `CHECK_DRAWS` through `im_pcg64_draw`, against
 `rng.stream` and numpy's `Generator` methods. A library that differs
-anywhere is refused, and every session, batch and chain runs the Python
-loop, which draws through numpy itself. So the build needs no numpy file.
-The check runs at every load, so no cached library is used unchecked; the
-cache key still holds `numpy.__version__`, so each numpy gets its own
-build.
+anywhere is refused, and every batch and ensemble runs the Python loop,
+which draws through numpy itself. So the build needs no numpy file. The
+check runs at every load, so no cached library is used unchecked; the cache
+key still holds `numpy.__version__`, so each numpy gets its own build.
 
 Building: `gcc -O2 -ffp-contract=off -shared -fPIC -o <library> _kernel.c
 -lm`, with neither `-ffast-math` nor `-march=native`, so every operation
@@ -61,10 +59,10 @@ source, the command line and the numpy version. It is written under a
 temporary name and renamed into place, so concurrent builds never load a
 partial file.
 
-Sessions, blocks and chains use the compiled kernel whenever it builds and
-loads and nothing they call is patched (`engine.compiled_kernel`), and run
-the Python loop otherwise; so does a session or chain whose generator is
-not a PCG64 (`draws_pcg64`).
+Blocks (`montecarlo.BLOCK_SPEC`, for `batch`, `simulate` and `stats`) and
+ensembles (`switching.ENSEMBLE_SPEC`, for `markov`) use the compiled kernel
+whenever it builds and loads and nothing they call is patched
+(`engine.compiled_kernel`), and run the Python loop otherwise.
 
 The library also parses tick files: `im_parse_ticks`, which draws nothing
 and uses no numpy random code, reads the plain `time,price` rows of a tick
@@ -119,7 +117,7 @@ _resolved: tuple[object, str | None] | None = None  # (library or None, why not)
 
 
 def resolve():
-    """The loaded kernel for this process's sessions, or None for the Python loop."""
+    """The loaded kernel for this process's batches and ensembles, or None for the Python loop."""
     global _resolved
     if _resolved is None:
         try:
@@ -234,8 +232,6 @@ def _load(path: Path):
         size.argtypes, size.restype = (), ctypes.c_int64
         if size() != ctypes.sizeof(mirror):
             raise KernelUnavailable(f"{path} does not match this package's session layout")
-    lib.im_run_periods.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
-    lib.im_run_periods.restype = ctypes.c_int
     lib.im_run_block.argtypes = (ctypes.c_void_p, ctypes.POINTER(Block))
     lib.im_run_block.restype = ctypes.c_int
     lib.im_seed_pcg64.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
@@ -311,19 +307,6 @@ def pcg64_words(rng: np.random.Generator) -> tuple[int, ...]:
     return seed >> 64, seed & low, inc >> 64, inc & low, state["has_uint32"], state["uinteger"]
 
 
-def set_pcg64_words(rng: np.random.Generator, words) -> None:
-    """Put six state words, as `pcg64_words` gives them, into `rng`'s PCG64."""
-    high, low, inc_high, inc_low, has_uint32, uinteger = (int(w) for w in words)
-    state = {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": has_uint32,
-                               "uinteger": uinteger}
-
-
-def draws_pcg64(rng: np.random.Generator) -> bool:
-    """Whether the kernel can draw `rng`'s stream: its bit generator is numpy's PCG64."""
-    return type(rng.bit_generator) is np.random.PCG64
-
-
 def key_table(keys) -> tuple[np.ndarray, np.ndarray]:
     """`im_seed_pcg64`'s keys: the words of every key, one key after
     another, and where each key's words end."""
@@ -357,26 +340,3 @@ def pow10_table() -> np.ndarray:
         table[row] = g >> 64, g & (2**64 - 1)
     return table
 
-
-class BookView:
-    """The compiled session's book, read-only: its size and best quotes.
-
-    Each side is an `ORDER` array sorted with its best order last: the
-    arena's first `n_asks` or `n_bids` slots, asks by falling price, bids
-    by rising price, one price's orders by falling seq."""
-
-    __slots__ = ("_session", "_asks", "_bids")
-
-    def __init__(self, session: Session, asks: np.ndarray, bids: np.ndarray) -> None:
-        self._session, self._asks, self._bids = session, asks, bids
-
-    def best_bid(self) -> float | None:
-        n = self._session.n_bids
-        return float(self._bids[n - 1]["price"]) if n else None
-
-    def best_ask(self) -> float | None:
-        n = self._session.n_asks
-        return float(self._asks[n - 1]["price"]) if n else None
-
-    def __len__(self) -> int:
-        return self._session.n_asks + self._session.n_bids

@@ -49,9 +49,8 @@ from .analytics import (
     write_pvalues_csv,
     write_sweep_csv,
 )
-from .dividends import generate_dividend_path
-from .engine import SessionConfig, default_market, export_session_csv, run_session, session_net_returns
-from .montecarlo import BatchConfig, run_batch, write_efficiency_csv, write_runs_csv
+from .engine import SessionConfig, default_market, export_session_csv, session_net_returns
+from .montecarlo import BatchConfig, first_run, run_batch, write_efficiency_csv, write_runs_csv
 from .presets import (
     PRESETS,
     SWEEP_TRADER_COUNTS,
@@ -59,7 +58,6 @@ from .presets import (
     presets_for,
     switching_for_preset,
 )
-from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
 from .switching import (
     aggregate_runs,
     run_switching_ensemble,
@@ -135,6 +133,7 @@ def _int_at_least(minimum: int, what: str):
 
 # A stream key's components are non-negative, so a master seed is too.
 _seed, _jobs = _int_at_least(0, "a master seed"), _int_at_least(1, "a worker count")
+_lag = _int_at_least(1, "a lag")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="analytics over a simulated run or tick CSV")
     common(p)
     p.add_argument("--ticks", default=None, help="external time,price CSV to analyse")
-    p.add_argument("--max-lag", type=int, default=20, help="autocorrelation horizon (default %(default)s)")
+    p.add_argument("--max-lag", type=_lag, default=20, help="autocorrelation horizon (default %(default)s)")
     p.add_argument("--per-step", action="store_true",
                    help="use per-step prices instead of per-trade prices")
     p = sub.add_parser("markov", help="strategy-switching experiments",
@@ -300,8 +299,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     eff = _effective(args)
     _announce("simulate", eff, out)
-    path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
-    result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
+    result = first_run(scfg, args.seed)
     export_session_csv(result, out)
     _write_manifest(out, "simulate", eff)
     print(f"trades: {len(result.trade_prices)}")
@@ -360,8 +358,7 @@ def cmd_stats(args) -> int:
         scfg = _override_session(SessionConfig(), args)
         if scfg.n_periods < 2:
             raise ConfigError("stats needs --periods >= 2: a net return spans two closing prices")
-        path = generate_dividend_path(scfg.dividends, scfg.path_length, stream(args.seed, PATH_DOMAIN, 0))
-        result = run_session(scfg, path, stream(args.seed, RUN_DOMAIN, 0, 0))
+        result = first_run(scfg, args.seed)
         prices = result.prices if args.per_step else result.trade_prices
         if len(prices) < 3:
             kind = "prices" if args.per_step else "trade prices"
@@ -369,6 +366,10 @@ def cmd_stats(args) -> int:
                               f"{len(prices)}")
         net_returns = session_net_returns(result)
     returns = log_returns(prices)
+    if args.max_lag >= len(returns):
+        source = args.ticks or "the simulated run"
+        raise ConfigError(f"--max-lag {args.max_lag} needs at least {args.max_lag + 1} returns; {source} has "
+                          f"{len(returns)}")
     correlograms = []
     for name, series in (("returns", returns), ("absolute returns", np.abs(returns))):
         try:

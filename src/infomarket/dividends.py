@@ -59,8 +59,9 @@ class DividendPath:
     conditional present values on this path, filled by
     `engine.present_value_table`. Every run of a batch session trades on the
     same path, so each table is computed once per session, not once per run.
-    A compiled batch block draws its path and fills its table in C, once per
-    block, and makes no `DividendPath`.
+    A compiled batch block draws its paths and fills their tables in C, and
+    makes no `DividendPath`; `montecarlo.first_run` wraps its one run's walk
+    in one.
     """
 
     __slots__ = ("values", "present_value_tables")

@@ -17,38 +17,29 @@ cover it.
 A session's state is one arena of flat buffers (cash, shares, the holds,
 the rules, the present-value table, the dividends, the period's draws, the
 book, the price series, the trades and the histories) behind a header, laid
-out at construction as the compiled kernel's `im_session` and read from
+out by `lay_out_state` as the compiled kernel's `im_session` and read from
 Python through its ctypes mirror, `_kernel.Session`. The table (period x
 trader) comes from `present_value_table`, cached on the dividend path, so
 every run of a batch session shares it; each period reads its row in place.
-A compiled batch share (`montecarlo._run_session_block`) lays out one such
-state for all its sessions and runs, and `_kernel.c` fills its table once
-per session.
-There are two ways to run periods on that one state, with the same bits and
-the same generator state after them:
 
-- The Python loop, the specification: per period, `draw_period` fills the
-  draw buffers and `MarketSession._trade_period` runs the activations on
-  them and the period's row of the table, and draws nothing. It binds
-  plain lists from the state once per period, keeps its book in a `Book`
-  of its own, asks it for the best quotes, calls the rules in `agents`
-  with plain arguments, places or executes through the `Book` methods,
-  and writes the period back into the state at its end. The rules and
-  book methods are looked up by name once per period, so patching
-  `engine.decide_*` or a `Book` method (as the benchmark's tracer does)
-  reaches every activation.
-- `_kernel.c`'s `im_run_periods`, the compiled kernel, on the arena itself:
-  the same draws and trading for any number of periods in one call. It
-  draws with numpy's own algorithms on a copy of the generator's PCG64
-  state, which goes back into the generator after the call; a library
-  whose draws differ from this numpy's is refused when it loads (see
-  `_kernel`). `run()` hands it all the remaining periods, `run_period()`
-  one.
+`MarketSession` is the Python loop, the specification, and runs nothing
+else: per period, `draw_period` fills the draw buffers and
+`MarketSession._trade_period` runs the activations on them and the period's
+row of the table, and draws nothing. It binds plain lists from the state
+once per period, keeps its book in a `Book` of its own, asks it for the
+best quotes, calls the rules in `agents` with plain arguments, places or
+executes through the `Book` methods, and writes the period back into the
+state at its end. The rules and book methods are looked up by name once per
+period, so patching `engine.decide_*` or a `Book` method (as the
+benchmark's tracer does) reaches every activation.
 
-A session picks one at its first period and keeps it: the compiled kernel,
-unless it cannot be built and loaded, a rule or book method is patched
-(`compiled_kernel`, which switching's chains share), or the generator is
-not a PCG64.
+The compiled kernel runs the same periods, with the same bits, only inside
+whole batch shares (`montecarlo._run_session_block`, and
+`montecarlo.first_run` for the one run of `simulate` and `stats`) and whole
+switching ensembles (`switching.run_switching_ensemble`), each on one state
+laid out by `lay_out_state`; `session_result` reads a run's series from
+such a state, whichever ran it. `compiled_kernel` decides for a block or an
+ensemble whether the kernel runs it.
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and
@@ -86,15 +77,16 @@ def held(namespace, *names) -> tuple:
     return tuple((namespace, name, namespace[name]) for name in names)
 
 
-# The package's own rules and book methods: a session whose names no longer
-# hold them (a tracer or a test patched them) runs the Python loop.
+# The package's own rules and book methods: a block or an ensemble whose
+# names no longer hold them (a tracer or a test patched them) runs the
+# Python loop, which calls them.
 SESSION_SPEC = (*held(globals(), "decide_random", "decide_fundamentalist", "decide_chartist"),
                 *held(vars(Book), "place_limit", "execute_marketable", "best_bid", "best_ask", "clear"))
 # The rules as the state's `_strategy` codes them.
 _RANDOM, _FUNDAMENTALIST = (_kernel.STRATEGY_CODES[s] for s in (Strategy.RANDOM, Strategy.FUNDAMENTALIST))
 
 
-def compiled_kernel(spec=SESSION_SPEC):
+def compiled_kernel(spec):
     """The loaded compiled kernel, or None for the Python loop: a name in
     `spec` no longer holds what it held at import (it is patched), or the
     kernel cannot be built and loaded. A patched name decides first, so it
@@ -321,12 +313,10 @@ def lay_out_state(config: SessionConfig) -> dict:
 class MarketSession:
     """Mutable session state; drive it period by period or via run().
 
-    The state is one arena of flat buffers, laid out at construction as
-    `_kernel.c`'s `im_session` reads it. `cash` and `shares` are two of its
-    numpy arrays, the same ones for the whole session and writable between
-    periods; `prices` is a view of its price series. `book` is a read-only
-    `_kernel.BookView` of the arena's book under the compiled kernel, and the
-    Python loop's `Book` under the Python loop.
+    The state is one arena of flat buffers, laid out at construction by
+    `lay_out_state`. `cash` and `shares` are two of its numpy arrays, the
+    same ones for the whole session and writable between periods; `prices`
+    is a view of its price series. `book` is the Python loop's `Book`.
     """
 
     def __init__(self, config: SessionConfig, path: DividendPath, rng: np.random.Generator) -> None:
@@ -349,8 +339,9 @@ class MarketSession:
         self._held_shares[:] = 0
         self._cash_hist[0] = self.cash
         self._shares_hist[0] = self.shares
-        self.book = _kernel.BookView(self._session, self._asks, self._bids)
-        self._compiled = None  # the compiled kernel's periods(count), or False: chosen at the first period
+        self.book = Book()
+        m = self._session.m
+        self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
 
     @property
     def periods_done(self) -> int:
@@ -375,50 +366,14 @@ class MarketSession:
     def run_period(self) -> None:
         if self.periods_done >= self.config.n_periods:
             raise RuntimeError("session already complete")
-        if self._compiled is None:
-            self._compiled = self._choose_kernel()
-        if self._compiled:
-            self._compiled(1)
-            return
         draw_period(self.rng, *self._draws)
         self._trade_period(self.path.dividend(self.periods_done + 1))
 
     def run(self) -> SessionResult:
-        """The remaining periods, then the result. The compiled kernel runs
-        them in one call; the Python loop runs them one `run_period` each."""
-        if self._compiled is None:
-            self._compiled = self._choose_kernel()
-        remaining = self.config.n_periods - self.periods_done
-        if self._compiled and remaining:
-            self._compiled(remaining)
+        """The remaining periods, one `run_period` each, then the result."""
         while self.periods_done < self.config.n_periods:
             self.run_period()
         return self.result()
-
-    def _choose_kernel(self):
-        """The compiled kernel's `periods(count)` for the whole session, or
-        False for the Python loop: the kernel is unavailable or the rules or
-        book methods are patched (`compiled_kernel`), or the generator is not
-        a PCG64, the only one the kernel draws."""
-        lib = compiled_kernel() if _kernel.draws_pcg64(self.rng) else None
-        if lib is None:
-            self.book = Book()
-            m = self._session.m
-            self._draws = (self._perm, self._u[:m], self._z[:m], self._order, self._u[m:], self._z[m:])
-            return False
-        run_periods, address, rng = lib.im_run_periods, self._arena.ctypes.data, self.rng
-        state = np.empty(6, np.uint64)
-
-        def periods(count: int) -> None:
-            # The kernel draws on a copy of the generator's state, and the
-            # generator takes back the state the kernel leaves.
-            state[:] = _kernel.pcg64_words(rng)
-            failed = run_periods(address, state.ctypes.data, count)
-            _kernel.set_pcg64_words(rng, state.tolist())
-            if failed:
-                raise RuntimeError("order book capacity exceeded")
-
-        return periods
 
     def _trade_period(self, d: float) -> None:
         """One period's activations on this period's draws, then its settlement.
@@ -532,19 +487,26 @@ class MarketSession:
 
     def result(self) -> SessionResult:
         """Copies of the series so far."""
-        steps, trades, periods = self._session.n_prices, self._session.n_trades, self.periods_done
-        return SessionResult(
-            config=self.config,
-            path=self.path,
-            prices=self._prices[:steps].copy(),
-            trade_steps=self._trade_steps[:trades].copy(),
-            trade_prices=self._trade_prices[:trades].copy(),
-            trade_buyers=self._trade_buyers[:trades].copy(),
-            trade_sellers=self._trade_sellers[:trades].copy(),
-            cash_hist=self._cash_hist[: periods + 1].copy(),
-            shares_hist=self._shares_hist[: periods + 1].copy(),
-            period_end_prices=self._period_end_prices[:periods].copy(),
-        )
+        return session_result(self.config, self.path, vars(self))
+
+
+def session_result(config: SessionConfig, path: DividendPath, state: dict) -> SessionResult:
+    """Copies of the series so far in a session state laid out by
+    `lay_out_state`, which the Python loop or the compiled kernel ran."""
+    header = state["_session"]
+    steps, trades, periods = header.n_prices, header.n_trades, header.periods_done
+    return SessionResult(
+        config=config,
+        path=path,
+        prices=state["_prices"][:steps].copy(),
+        trade_steps=state["_trade_steps"][:trades].copy(),
+        trade_prices=state["_trade_prices"][:trades].copy(),
+        trade_buyers=state["_trade_buyers"][:trades].copy(),
+        trade_sellers=state["_trade_sellers"][:trades].copy(),
+        cash_hist=state["_cash_hist"][: periods + 1].copy(),
+        shares_hist=state["_shares_hist"][: periods + 1].copy(),
+        period_end_prices=state["_period_end_prices"][:periods].copy(),
+    )
 
 
 def run_session(config: SessionConfig, path: DividendPath, rng: np.random.Generator) -> SessionResult:

@@ -11,13 +11,17 @@ closing prices, and their dividend walks, into arrays that span the whole
 batch, from which `run_batch` computes every return once. A share runs in
 one of two forms with the same bits and the same final generator states.
 The Python block is the specification: per session it derives the streams
-with `rng.stream`, draws the path and runs `run_session` per run (each
-session picks its own kernel), and every run shares the present-value table
-cached on the path. The compiled block is one call of `_kernel.c`'s
-`im_run_block` for the whole share, on one session state laid out once: it
-seeds every generator itself, as `rng.stream` does, then per session draws
-the path, fills the table once and runs every run. A share takes it where
-the compiled kernel loads and no name in `BLOCK_SPEC` is patched.
+with `rng.stream`, draws the path and runs `run_session`, the Python loop,
+per run, and every run shares the present-value table cached on the path.
+The compiled block is one call of `_kernel.c`'s `im_run_block` for the
+whole share, on one session state laid out once: it seeds every generator
+itself, as `rng.stream` does, then per session draws the path, fills the
+table once and runs every run. A share takes it where the compiled kernel
+loads and no name in `BLOCK_SPEC` is patched.
+
+`first_run` is run 0 of session 0 of a batch, with all its series: the one
+run of `simulate` and `stats`. It runs a one-run share in the same two
+forms, and the compiled one reads the run back from the block's state.
 """
 
 from __future__ import annotations
@@ -32,8 +36,17 @@ import numpy as np
 
 from . import _kernel, engine
 from .csvout import _LINES_PER_WRITE, write_csv, write_csv_blocks
-from .dividends import generate_dividend_path
-from .engine import SESSION_SPEC, SessionConfig, compiled_kernel, held, lay_out_state, run_session
+from .dividends import DividendPath, generate_dividend_path
+from .engine import (
+    SESSION_SPEC,
+    SessionConfig,
+    SessionResult,
+    compiled_kernel,
+    held,
+    lay_out_state,
+    run_session,
+    session_result,
+)
 from .rng import PATH_DOMAIN, RUN_DOMAIN, stream
 
 
@@ -233,35 +246,77 @@ def _run_session_block(share: Share) -> range:
     `stream(master, PATH_DOMAIN, s)` and `stream(master, RUN_DOMAIN, s, r)`.
     Where the compiled kernel loads and nothing in `BLOCK_SPEC` is patched,
     `_kernel.c`'s `im_run_block` runs the whole share in one call, seeding
-    those streams itself; the Python block, a loop over the sessions that
-    runs `run_session` per run, is its specification.
+    those streams itself; the Python block, `_python_runs`, is its
+    specification.
     """
-    cfg, runs = share.session, share.runs
     lib = compiled_kernel(BLOCK_SPEC)
     if lib is None:
-        for s in share.sessions:
-            path_rng = stream(share.master, PATH_DOMAIN, s)
-            rngs = [stream(share.master, RUN_DOMAIN, s, r) for r in range(runs)]
-            path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
-            share.walks[s] = path.values
-            for r, rng in enumerate(rngs):
-                result = run_session(cfg, path, rng)
-                share.wealth[s * runs + r] = result.final_wealth()
-                share.closes[s * runs + r] = result.period_end_prices
-            if share.states is not None:
-                share.states[s] = [_kernel.pcg64_words(g) for g in (path_rng, *rngs)]
-        return share.sessions
+        for row, result in _python_runs(share):
+            share.wealth[row] = result.final_wealth()
+            share.closes[row] = result.period_end_prices
+    else:
+        _run_compiled_block(lib, share, lay_out_state(share.session)["_arena"])
+    return share.sessions
+
+
+def _python_runs(share: Share):
+    """The Python block: each run of the share's sessions as (its row of the
+    batch-wide arrays, its result), one `run_session` per run. It writes
+    each session's walk before its runs and, where the share asks for them,
+    its generators' final states after them, so a caller takes every run."""
+    cfg, runs = share.session, share.runs
+    for s in share.sessions:
+        path_rng = stream(share.master, PATH_DOMAIN, s)
+        rngs = [stream(share.master, RUN_DOMAIN, s, r) for r in range(runs)]
+        path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
+        share.walks[s] = path.values
+        for r, rng in enumerate(rngs):
+            yield s * runs + r, run_session(cfg, path, rng)
+        if share.states is not None:
+            share.states[s] = [_kernel.pcg64_words(g) for g in (path_rng, *rngs)]
+
+
+def _run_compiled_block(lib, share: Share, arena: np.ndarray) -> None:
+    """The whole share in one `im_run_block` call on the session state
+    `arena`, which then holds the share's last run."""
     master = _kernel.key_words(share.master)
     sessions = np.array(share.sessions, np.int64)
     block = _kernel.Block(
-        runs=runs, master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN, run_domain=RUN_DOMAIN,
-        sessions=sessions.ctypes.data, n_sessions=len(sessions),
+        runs=share.runs, master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN,
+        run_domain=RUN_DOMAIN, sessions=sessions.ctypes.data, n_sessions=len(sessions),
         walks=share.walks.ctypes.data, wealth=share.wealth.ctypes.data, closes=share.closes.ctypes.data,
         states=None if share.states is None else share.states.ctypes.data)
-    arena = lay_out_state(cfg)["_arena"]
     if lib.im_run_block(arena.ctypes.data, block):
         raise RuntimeError("order book capacity exceeded")
-    return share.sessions
+
+
+def first_run(session: SessionConfig, master_seed: int) -> SessionResult:
+    """Run 0 of session 0 of a batch of `session` under `master_seed`, all
+    its series: the run on `stream(master_seed, RUN_DOMAIN, 0, 0)` over the
+    walk on `stream(master_seed, PATH_DOMAIN, 0)`.
+
+    It takes any session `run_session` takes, zero opening wealth included
+    (only a batch's relative returns divide by it)."""
+    return _first_run(_first_share(session, master_seed))
+
+
+def _first_share(session: SessionConfig, master_seed: int) -> Share:
+    """The share of one session of one run that `first_run` runs."""
+    return Share(master_seed, range(1), session, 1, np.empty((1, len(session.agents))),
+                 np.empty((1, session.n_periods)), np.empty((1, session.path_length)))
+
+
+def _first_run(share: Share) -> SessionResult:
+    """The result of a one-run share's run. The compiled block runs it in
+    one `im_run_block` call, and its series come back from the block's
+    state; the Python block runs it with `run_session`."""
+    lib = compiled_kernel(BLOCK_SPEC)
+    if lib is None:
+        ((_, result),) = _python_runs(share)
+        return result
+    state = lay_out_state(share.session)
+    _run_compiled_block(lib, share, state["_arena"])
+    return session_result(share.session, DividendPath(share.walks[0]), state)
 
 
 def batch_shares(config: BatchConfig, jobs: int) -> list[Share]:

@@ -5,22 +5,17 @@ their portfolio return over the evaluation interval falls strictly below the
 cross-trader mean. The realized strategy profiles form a finite-state chain
 whose transition matrix and state frequencies are estimated from the run.
 
-A chain runs in one of two forms with the same bits and the same final
-generator state. The Python loop in `run_switching_sim` is the
-specification: a `MarketSession` per segment, run period by period, with
-the evaluation in Python. The compiled form is `_kernel.c`'s
-`im_run_chains`, which runs any number of chains in one call, on one
-session state laid out once and reset for each segment. A chain takes it
-where the compiled kernel loads and no name in `CHAIN_SPEC` is patched.
-
-An ensemble, `run_switching_ensemble`, runs one chain per initial code,
-chain c on `stream(master, SWITCH_DOMAIN, c)`. Its Python loop, the
-specification, runs `_one_switching_run` per chain in the calling thread.
-Where the compiled kernel loads and no name in `ENSEMBLE_SPEC` is patched,
-the caller seeds every chain's generator in one call and lays out one
-state per share (share j of `jobs` takes codes j, j + jobs, ...), and each
-share then runs all its chains in one `im_run_chains` call on a share
-thread.
+`run_switching_sim` runs one chain in the Python loop, the specification:
+a `MarketSession` per segment, run period by period, with the evaluation in
+Python. An ensemble, `run_switching_ensemble`, runs one chain per initial
+code, chain c on `stream(master, SWITCH_DOMAIN, c)`, in one of two forms
+with the same bits. Its Python loop runs `_one_switching_run` per chain in
+the calling thread. Where the compiled kernel loads and no name in
+`ENSEMBLE_SPEC` is patched, the caller seeds every chain's generator in one
+call and lays out one session state per share (share j of `jobs` takes
+codes j, j + jobs, ...), and each share then runs all its chains in one
+call of `_kernel.c`'s `im_run_chains` on a share thread, resetting the
+state for each segment.
 """
 
 from __future__ import annotations
@@ -110,16 +105,6 @@ class SwitchingRun:
     all_equal_events: int  # intervals with all returns equal (no switch at all)
 
 
-# The names the Python loop of `run_switching_sim` calls besides a session's
-# rules and book. The compiled chain runs all of them in C, so a chain with
-# any of them patched (a tracer or a test) runs the Python loop.
-CHAIN_SPEC = (*engine.SESSION_SPEC,
-              *held(globals(), "generate_dividend_path", "conditional_present_value", "MarketSession"),
-              *held(vars(engine), "conditional_present_value"),
-              *held(vars(MarketSession), "run_period", "set_strategy"),
-              *held(vars(SwitchingConfig), "session_config"))
-
-
 def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random.Generator) -> SwitchingRun:
     """Run the market with periodic strategy updating; record one code per interval.
 
@@ -132,21 +117,9 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     dividend walk from `rng` and restarts the price and the endowments;
     only the strategies carry over from one segment to the next.
 
-    The loop below is the specification. Where the compiled kernel loads
-    and nothing in `CHAIN_SPEC` is patched, `_kernel.c`'s `im_run_chains`
-    runs the whole chain in one call instead, with the same bits, where
-    `rng` is a PCG64, the only generator the kernel draws; `rng` then takes
-    the state the kernel leaves.
+    This is the specification, on any generator; `run_switching_ensemble`
+    runs it compiled (see the module docstring).
     """
-    lib = compiled_kernel(CHAIN_SPEC)
-    if lib is not None and _kernel.draws_pcg64(rng):
-        decode_state(initial_code, config.n_traders)  # the kernel reads the code's bits unchecked
-        states = np.array([_kernel.pcg64_words(rng)], np.uint64)
-        try:
-            (run,) = _compiled_chains(lib, config, [initial_code], states, 1)
-        finally:
-            _kernel.set_pcg64_words(rng, states[0].tolist())
-        return run
     n = config.n_traders
     codes = [initial_code]  # codes[-1] is the current profile, laid out as in decode_state
     tie_events = 0
@@ -343,10 +316,16 @@ def stationarity_gap(pi: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, flo
 # ---------------------------------------------------------------------------
 
 
-# The names the ensemble's Python loop calls besides its chains': the
-# compiled ensemble seeds every chain's generator in C, so an ensemble with
-# any of them patched runs the Python loop.
-ENSEMBLE_SPEC = (*CHAIN_SPEC, *held(globals(), "stream"))
+# The names the ensemble's Python loop calls: the rules and book methods,
+# and what `run_switching_sim` and `_one_switching_run` call besides them.
+# The compiled ensemble seeds every chain's generator and runs every chain
+# in C, so an ensemble with any of them patched (a tracer or a test) runs
+# the Python loop.
+ENSEMBLE_SPEC = (*engine.SESSION_SPEC,
+                 *held(globals(), "generate_dividend_path", "conditional_present_value", "MarketSession", "stream"),
+                 *held(vars(engine), "conditional_present_value"),
+                 *held(vars(MarketSession), "run_period", "set_strategy"),
+                 *held(vars(SwitchingConfig), "session_config"))
 
 
 def _one_switching_run(args) -> SwitchingRun:

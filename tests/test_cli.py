@@ -556,7 +556,14 @@ def test_markov_interval_error_names_the_flag_and_the_segment(tmp_path, capsys):
     pytest.param([*SWEEP, "--agents", "4"], "--agents does not apply to tradercount_sweep", id="sweep --agents"),
     pytest.param([*STATS, "--periods", "0"], "n_periods and steps_per_period must be >= 1",
                  id="stats --periods 0"),
-    pytest.param([*TICKS, "--max-lag", "5"], "max_lag must be in 1..1, got 5", id="stats --ticks --max-lag 5"),
+    pytest.param([*TICKS, "--max-lag", "5"], "error: --max-lag 5 needs at least 6 returns; {ticks} has 2\n",
+                 id="stats --ticks --max-lag 5"),
+    # The flag is checked as argparse reads it, and against the run's returns before the output directory.
+    pytest.param([*STATS, "--max-lag", "0"], "argument --max-lag: expected a lag >= 1, got '0'",
+                 id="stats --max-lag 0"),
+    pytest.param(["stats", "--periods", "2", "--steps", "1"],
+                 "error: --max-lag 20 needs at least 21 returns; the simulated run has 8\n",
+                 id="stats --max-lag over the run's returns"),
     # One trader cannot trade, so the run has only its opening price.
     pytest.param(["stats", "--agents", "1", "--periods", "2", "--steps", "3"],
                  "stats needs at least 3 trade prices, two returns for one lag; the simulated run has 1",
@@ -575,7 +582,7 @@ def test_bad_flags_exit_2_before_the_output_directory(tmp_path, capsys, argv, me
     out = tmp_path / "o"
     assert exit_code([a.format(ticks=ticks) for a in argv] + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert message.format(ticks=ticks) in captured.err
     assert captured.out == ""
     assert not out.exists()
 

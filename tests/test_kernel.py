@@ -1,10 +1,13 @@
-"""The compiled session kernel against the Python loop, and how a session
-picks its kernel.
+"""The compiled kernel against the Python loop, and how a block or an
+ensemble picks its kernel.
 
 The Python loop (`draw_period`, then `MarketSession._trade_period`) is the
 specification: on the same inputs the compiled kernel must leave every
-array bit for bit equal, and the generator in the same state. Both run on
-the one state a session lays out at construction.
+array bit for bit equal, and every generator in the same state. The kernel
+runs only whole batch shares (`im_run_block`, which `first_run` uses for a
+one-run share) and whole ensemble shares (`im_run_chains`); a
+`MarketSession` always runs the Python loop. Both run on states laid out by
+`engine.lay_out_state`.
 
 Tests that need a loaded kernel skip, with the reason, where this process
 cannot resolve one; the tests that build into a fresh cache skip only
@@ -39,8 +42,14 @@ from infomarket.dividends import DividendParams, RateParams, generate_dividend_p
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
 from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch, write_runs_csv
 from infomarket.orderbook import Book
-from infomarket.rng import SWITCH_DOMAIN, stream
-from infomarket.switching import SwitchingConfig, run_switching_ensemble, run_switching_sim, write_states_csv
+from infomarket.rng import PATH_DOMAIN, RUN_DOMAIN, SWITCH_DOMAIN, stream
+from infomarket.switching import (
+    ENSEMBLE_SPEC,
+    SwitchingConfig,
+    run_switching_ensemble,
+    run_switching_sim,
+    write_states_csv,
+)
 
 
 def require_kernel():
@@ -63,14 +72,33 @@ SERIES = ("prices", "trade_steps", "trade_prices", "trade_buyers", "trade_seller
 
 @contextmanager
 def python_loop():
-    """Sessions started inside run the Python loop, as in a process whose
-    kernel resolved to nothing."""
+    """Blocks and ensembles started inside run the Python loop, as in a
+    process whose kernel resolved to nothing."""
     with mock.patch.object(_kernel, "_resolved", (None, "the Python loop, the specification")):
         yield
 
 
-def ran_compiled(session):
-    return isinstance(session.book, _kernel.BookView)
+class Unusable:
+    """A loaded kernel that fails the test on any use."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"used the kernel's {name}")
+
+
+class Counted:
+    """The loaded kernel `lib`, appending the name of each function called to `calls`."""
+
+    def __init__(self, lib, calls):
+        self.lib, self.calls = lib, calls
+
+    def __getattr__(self, name):
+        function = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return function(*args)
+
+        return counted
 
 
 def config(**kw):
@@ -85,43 +113,64 @@ def config(**kw):
     return SessionConfig(**defaults)
 
 
-def resting_orders(book):
-    """Every order on each side of a session's book as (price, seq, trader),
-    best first: the Python loop's `Book` heaps sorted, or the compiled
-    kernel's sides read from their last slot down."""
-    if isinstance(book, _kernel.BookView):
-        n_asks, n_bids = book._session.n_asks, book._session.n_bids
-        return book._asks[:n_asks][::-1].tolist(), book._bids[:n_bids][::-1].tolist()
-    return sorted(book._asks), [(-price, seq, trader) for price, seq, trader in sorted(book._bids)]
+@contextmanager
+def recorded_states():
+    """The states that the runs started inside lay out, in order: each
+    Python-loop `MarketSession` itself, and each compiled block's state."""
+    states, lay_out = [], montecarlo.lay_out_state
+
+    class Recorded(MarketSession):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    def recorded(session):
+        state = lay_out(session)
+        states.append(state)
+        return state
+
+    with mock.patch.object(engine, "MarketSession", Recorded), mock.patch.object(montecarlo, "lay_out_state", recorded):
+        yield states
 
 
-def ending(session):
-    """What a session leaves besides its series: its whole book and its state."""
-    book = session.book
-    return (len(book), book.best_bid(), book.best_ask(), resting_orders(book), session.last_price,
-            session.periods_done,
-            *(buffer.tolist() for buffer in (session.cash, session.shares, session._held_cash,
-                                             session._held_shares)))
+def ending(state):
+    """What a run leaves besides its series: every order on each side of its
+    book as (price, seq, trader), best first, its last price, its periods,
+    its cash and shares and their holds. `state` is a Python-loop
+    `MarketSession`, whose `Book` heaps are sorted, or a compiled block's
+    state, whose sides are read from their last slot down."""
+    if isinstance(state, MarketSession):
+        book, state = state.book, vars(state)
+        asks, bids = sorted(book._asks), [(-price, seq, trader) for price, seq, trader in sorted(book._bids)]
+    else:
+        header = state["_session"]
+        asks, bids = state["_asks"][:header.n_asks][::-1].tolist(), state["_bids"][:header.n_bids][::-1].tolist()
+    header = state["_session"]
+    return (asks, bids, header.last_price, header.periods_done,
+            *(state[name].tolist() for name in ("cash", "shares", "_held_cash", "_held_shares")))
 
 
-def run(cfg, seed, python=False):
-    """A whole session: its result, its generator's final state, its ending
-    and whether it ran compiled. The compiled kernel runs where it is
-    available unless `python` is set."""
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(seed, 0, 0))
-    with python_loop() if python else nullcontext():
-        session = MarketSession(cfg, path, stream(seed, 1, 0, 0))
-        result = session.run()
-    return result, session.rng.bit_generator.state, ending(session), ran_compiled(session)
+def first(cfg, seed, python=False):
+    """Run 0 of session 0 of a batch of `cfg` from master seed `seed`, as
+    `first_run` runs it: its result, the final state words of its walk's and
+    its run's generators (through `Share.states`), its ending, whether it
+    ran compiled, and the state it ran on. The compiled block runs it where
+    the kernel is available unless `python` is set."""
+    share = replace(montecarlo._first_share(cfg, seed), states=np.zeros((1, 2, 6), np.uint64))
+    with python_loop() if python else nullcontext(), recorded_states() as states:
+        result = montecarlo._first_run(share)
+    (state,) = states
+    return result, share.states.tolist(), ending(state), not isinstance(state, MarketSession), state
 
 
 def assert_same_session(a, b):
-    (ra, state_a, end_a), (rb, state_b, end_b) = a[:3], b[:3]
+    (ra, states_a, end_a), (rb, states_b, end_b) = a[:3], b[:3]
     for name in SERIES:
         x, y = getattr(ra, name), getattr(rb, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
-    assert state_a == state_b
+    assert ra.path.values == rb.path.values
+    assert states_a == states_b
     assert end_a == end_b
 
 
@@ -144,9 +193,29 @@ def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shar
     # Small endowments make the no-credit and no-short checks bind.
     cfg = config(agents=agents, n_periods=5, steps_per_period=steps, clear_book_each_period=clear,
                  initial_cash=cash, initial_shares=shares)
-    spec, fast = run(cfg, seed, python=True), run(cfg, seed)
+    spec, fast = first(cfg, seed, python=True), first(cfg, seed)
     assert not spec[3] and fast[3]
     assert_same_session(spec, fast)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_first_run_takes_a_session_of_zero_opening_wealth(kernel):
+    # `run_session` takes it, and so does `first_run`: only a batch's
+    # relative returns divide by the opening wealth, so `first_run` does not
+    # go through `BatchConfig`'s check. Nobody can afford an order.
+    if kernel == "compiled":
+        require_kernel()
+    cfg = config(initial_cash=0.0, initial_shares=0)
+    with pytest.raises(ValueError, match="positive opening wealth"):
+        BatchConfig(session=cfg)
+    with python_loop() if kernel == "python" else nullcontext(), recorded_states() as states:
+        result = montecarlo.first_run(cfg, 2)
+    assert isinstance(states[0], MarketSession) is (kernel == "python")
+    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(2, PATH_DOMAIN, 0))
+    spec = engine.run_session(cfg, path, stream(2, RUN_DOMAIN, 0, 0))
+    for name in SERIES:
+        assert np.array_equal(getattr(result, name), getattr(spec, name)), name
+    assert result.trade_prices.size == 0 and not result.cash_hist.any() and not result.shares_hist.any()
 
 
 @needs_kernel
@@ -154,7 +223,7 @@ def test_compiled_kernel_matches_the_python_loop(agents, clear, seed, cash, shar
 def test_reference_market_sessions_match(clear):
     cfg = SessionConfig(clear_book_each_period=clear)
     for seed in range(3):
-        assert_same_session(run(cfg, seed, python=True), run(cfg, seed))
+        assert_same_session(first(cfg, seed, python=True), first(cfg, seed))
 
 
 # The reference market's levels with every informed trader on the trend
@@ -166,11 +235,35 @@ DEEP_BOOK = SessionConfig(agents=market_with_levels(tuple(range(10)), chartist_l
 
 @needs_kernel
 def test_a_deep_book_session_matches():
-    spec, fast = run(DEEP_BOOK, 3, python=True), run(DEEP_BOOK, 3)
+    spec, fast = first(DEEP_BOOK, 3, python=True), first(DEEP_BOOK, 3)
     assert not spec[3] and fast[3]
     assert_same_session(spec, fast)
-    asks, bids = spec[2][3]  # the ending's resting orders
+    asks, bids = spec[2][:2]  # the ending's resting orders
     assert len(asks) + len(bids) > 2000
+
+
+@needs_kernel
+@pytest.mark.parametrize("command", ["simulate", "stats"])
+def test_simulate_and_stats_make_one_kernel_call(monkeypatch, tmp_path, command):
+    # The command's one run is a one-run share: one `im_run_block` call and
+    # nothing else of the kernel, no `MarketSession`, and the Python loop's
+    # bytes.
+    argv = [command, "--seed", "3", "--periods", "4", "--steps", "40"]
+    with python_loop():
+        assert cli.main([*argv, "--out", str(tmp_path / "python")]) == 0
+    calls = []
+
+    def refuse(*args):
+        pytest.fail(f"a compiled {command} constructed a MarketSession")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(_kernel.resolve(), calls), None))
+    monkeypatch.setattr(MarketSession, "__init__", refuse)
+    assert cli.main([*argv, "--out", str(tmp_path / "c")]) == 0
+    assert calls == ["im_run_block"]
+    written = sorted(path.name for path in (tmp_path / "python").iterdir())
+    assert sorted(path.name for path in (tmp_path / "c").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "python" / name).read_bytes(), name
 
 
 @needs_kernel
@@ -178,25 +271,14 @@ def test_switching_chains_match():
     # The kernel serves switching too: strategies flip and endowments reset
     # between its periods.
     cfg = SwitchingConfig(n_traders=4, n_periods=90, steps_per_period=20)
-    runs = []
-    for python in (True, False):
-        with python_loop() if python else nullcontext():
-            rng = stream(5, 2, 3)
-            runs.append((run_switching_sim(cfg, 3, rng), rng.bit_generator.state))
-    (a, state_a), (b, state_b) = runs
-    assert np.array_equal(a.codes, b.codes)
-    assert (a.tie_events, a.all_equal_events) == (b.tie_events, b.all_equal_events)
-    assert state_a == state_b
+    assert chain(cfg, 3, 5) == chain(cfg, 3, 5, python=True)
 
 
 def chain(cfg, code, seed, python=False):
-    """A whole switching chain: its codes, tie counts and generator's final
-    state. The compiled chain runs where it is available unless `python` is
-    set."""
-    rng = stream(seed, 2, code)
-    with python_loop() if python else nullcontext():
-        run = run_switching_sim(cfg, code, rng)
-    return run.codes.tolist(), run.tie_events, run.all_equal_events, rng.bit_generator.state
+    """A whole switching chain on `stream(seed, SWITCH_DOMAIN, code)`: its
+    codes, tie counts and generator's final state words. The compiled chain,
+    a share of one chain, runs unless `python` is set."""
+    return chain_share(cfg, [code], seed, 1, python)[0]
 
 
 @st.composite
@@ -228,30 +310,21 @@ def test_compiled_chain_matches_the_python_loop(run, seed):
 
 @needs_kernel
 def test_a_compiled_chain_is_one_kernel_call(monkeypatch):
-    # The chain's segments, periods, evaluations and flips all run in one
-    # call, a share of one chain, on a state laid out without a
-    # MarketSession.
+    # A one-chain ensemble seeds its generator in one call, and the chain's
+    # segments, periods, evaluations and flips all run in one more, a share
+    # of one chain, on a state laid out without a MarketSession.
     cfg = SwitchingConfig(n_traders=4, n_periods=75, interval=5, steps_per_period=20)
-    spec = chain(cfg, 6, 4, python=True)
-    lib, calls = _kernel.resolve(), []
-
-    class Counted:
-        def __getattr__(self, name):
-            function = getattr(lib, name)
-
-            def counted(*args):
-                calls.append(name)
-                return function(*args)
-
-            return counted
+    with python_loop():
+        spec = ensemble(cfg, [6], 4, 1)
+    calls = []
 
     def refuse(*args):
         pytest.fail("a compiled chain constructed a MarketSession")
 
-    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(_kernel.resolve(), calls), None))
     monkeypatch.setattr(MarketSession, "__init__", refuse)
-    assert chain(cfg, 6, 4) == spec
-    assert calls == ["im_run_chains"]
+    assert ensemble(cfg, [6], 4, 1) == spec
+    assert calls == ["im_seed_pcg64", "im_run_chains"]
 
 
 def ensemble(cfg, codes, seed, jobs):
@@ -266,13 +339,12 @@ def chain_share(cfg, codes, seed, jobs, python=False):
     `stream(seed, SWITCH_DOMAIN, c)`: each one's codes, tie counts and
     generator's final state words. The compiled form runs `jobs` shares of
     one `im_run_chains` call each, on generators seeded in C, as the
-    ensemble runs them; the Python form runs the Python loop per chain."""
+    ensemble runs them; the Python form runs `run_switching_sim` per chain."""
     if python:
         found = []
         for code in codes:
             rng = stream(seed, SWITCH_DOMAIN, code)
-            with python_loop():
-                run = run_switching_sim(cfg, code, rng)
+            run = run_switching_sim(cfg, code, rng)
             found.append((run.codes.tolist(), run.tie_events, run.all_equal_events, _kernel.pcg64_words(rng)))
         return found
     lib = _kernel.resolve()
@@ -352,46 +424,51 @@ def test_a_negative_master_seed_is_refused_as_rng_stream_refuses_it():
             run_switching_ensemble(cfg, (3, 4), -1, jobs=2)
 
 
-@needs_kernel
-@pytest.mark.parametrize("owner, name", [
-    (switching, "generate_dividend_path"), (switching, "conditional_present_value"),
-    (engine, "conditional_present_value"), (switching, "MarketSession"),
-    (MarketSession, "run_period"), (MarketSession, "set_strategy"), (SwitchingConfig, "session_config"),
-    (engine, "decide_chartist"), (switching, "stream"),
-], ids=lambda x: getattr(x, "__name__", x))
-def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, name):
-    # The Python loop calls the patched name, and its periods still run
-    # compiled where nothing else stops them; the outputs do not change.
-    # `stream` is the ensemble's alone: with it patched, the ensemble runs
-    # its Python loop in the calling thread, whose chains each still run
-    # compiled, one chain per call.
-    cfg = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
-    compiled = chain(cfg, 3, 8), ensemble(cfg, (3, 8, 5), 8, 2)
-    original, lib, calls, caller = getattr(owner, name), _kernel.resolve(), [], threading.get_ident()
+def spec_names(spec):
+    """(owner, name) for each name of a spec: the module or class whose
+    namespace holds it."""
+    owners = (engine, montecarlo, switching, Book, MarketSession, SwitchingConfig)
+    return [(next(owner for owner in owners if vars(owner) == namespace), name) for namespace, name, _ in spec]
+
+
+def trace(monkeypatch, owner, name):
+    """Patch `owner.name` with a wrapper that calls it; the names of its calls."""
+    original, calls = getattr(owner, name), []
 
     def traced(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    class NoShare:
-        def __getattr__(self, attr):
-            function = getattr(lib, attr)
-            if attr != "im_run_chains":
-                return function
-
-            def one_chain(state, share):
-                if name != "stream":
-                    pytest.fail(f"a chain with {name} patched ran the compiled chain")
-                if share.n_chains != 1 or threading.get_ident() != caller:
-                    pytest.fail("an ensemble with stream patched ran a compiled share")
-                return function(state, share)
-
-            return one_chain
-
-    monkeypatch.setattr(_kernel, "_resolved", (NoShare(), None))
     monkeypatch.setattr(owner, name, traced)
-    assert (chain(cfg, 3, 8), ensemble(cfg, (3, 8, 5), 8, 2)) == compiled
-    assert calls
+    return calls
+
+
+class NoTrading:
+    """The loaded kernel, but a test failure on any entry point that trades."""
+
+    def __init__(self, lib, why):
+        self.lib, self.why = lib, why
+
+    def __getattr__(self, attr):
+        if attr.startswith("im_run_"):
+            pytest.fail(f"{self.why} reached the kernel's {attr}")
+        return getattr(self.lib, attr)
+
+
+@needs_kernel
+@pytest.mark.parametrize("owner, name", spec_names(ENSEMBLE_SPEC), ids=lambda x: getattr(x, "__name__", x))
+def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, name):
+    # An ensemble with any name of ENSEMBLE_SPEC patched runs its Python
+    # loop, `run_switching_sim` per chain, which calls the patched name
+    # (chains have no uninformed trader, so none calls the random rule); no
+    # chain reaches the kernel, and the outputs do not change.
+    cfg = SwitchingConfig(n_traders=3, n_periods=45, interval=5, steps_per_period=20)
+    compiled = ensemble(cfg, (3, 8, 5), 8, 2)
+    monkeypatch.setattr(_kernel, "_resolved", (NoTrading(_kernel.resolve(), f"an ensemble with {name} patched"),
+                                               None))
+    calls = trace(monkeypatch, owner, name)
+    assert ensemble(cfg, (3, 8, 5), 8, 2) == compiled
+    assert calls or name == "decide_random"
 
 
 def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2, j=1):
@@ -453,59 +530,32 @@ def test_a_batch_block_is_one_kernel_call(monkeypatch):
     # MarketSession.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
     spec = block(cfg, 4, 3, python=True)
-    lib, calls = _kernel.resolve(), []
-
-    class Counted:
-        def __getattr__(self, name):
-            if name == "im_run_periods":
-                pytest.fail("a compiled block ran its sessions one call each")
-            function = getattr(lib, name)
-
-            def counted(*args):
-                calls.append(name)
-                return function(*args)
-
-            return counted
+    calls = []
 
     def refuse(*args):
         pytest.fail("a compiled block constructed a MarketSession")
 
-    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
+    monkeypatch.setattr(_kernel, "_resolved", (Counted(_kernel.resolve(), calls), None))
     monkeypatch.setattr(MarketSession, "__init__", refuse)
     assert block(cfg, 4, 3) == spec
     assert calls == ["im_run_block"]
 
 
-def spec_names(spec):
-    """(owner, name) for each name of a spec: the module or class whose
-    namespace holds it."""
-    return [(next(owner for owner in (engine, montecarlo, Book) if vars(owner) == namespace), name)
-            for namespace, name, _ in spec]
-
-
 @needs_kernel
 @pytest.mark.parametrize("owner, name", spec_names(BLOCK_SPEC), ids=lambda x: getattr(x, "__name__", x))
 def test_a_patched_name_sends_the_block_to_the_python_loop(monkeypatch, owner, name):
-    # The Python block calls the patched name, and its sessions still run
-    # compiled where nothing else stops them; the outputs do not change.
+    # The Python block and `first_run` call the patched name, and reach no
+    # entry point of the kernel that trades; the outputs do not change.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
-    compiled = block(cfg, 3, 8)
-    original, lib, calls = getattr(owner, name), _kernel.resolve(), []
-
-    def traced(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    class NoBlock:
-        def __getattr__(self, attr):
-            if attr == "im_run_block":
-                pytest.fail(f"a block with {name} patched ran the compiled block")
-            return getattr(lib, attr)
-
-    monkeypatch.setattr(_kernel, "_resolved", (NoBlock(), None))
-    monkeypatch.setattr(owner, name, traced)
-    assert block(cfg, 3, 8) == compiled
+    compiled = block(cfg, 3, 8), first(cfg, 8)
+    monkeypatch.setattr(_kernel, "_resolved", (NoTrading(_kernel.resolve(), f"a block with {name} patched"), None))
+    calls = trace(monkeypatch, owner, name)
+    assert block(cfg, 3, 8) == compiled[0]
     assert calls
+    calls.clear()
+    patched = first(cfg, 8)
+    assert not patched[3] and calls
+    assert_same_session(compiled[1], patched)
 
 
 # -- seeding: numpy's SeedSequence and PCG64 in C ------------------------------
@@ -683,154 +733,98 @@ def test_compiled_shares_write_the_python_loops_bytes_at_any_jobs(tmp_path, pres
 
 @needs_kernel
 def test_compiled_period_draws_in_the_documented_layout():
+    # A one-period run: the walk's generator ends after its normals, and the
+    # run's where the period's six method calls leave a fresh one.
     agents = market_with_levels((0, 3, 1, 0, 2), chartist_levels=(2,))
-    cfg = config(agents=agents, steps_per_period=17)
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(5, 0, 0))
-    session = MarketSession(cfg, path, stream(5, 1, 0, 0))
-    session.run_period()
-    assert ran_compiled(session)
-    fresh = stream(5, 1, 0, 0)
+    cfg = config(agents=agents, n_periods=1, steps_per_period=17)
+    result, (words,), _, compiled, state = first(cfg, 5)
+    assert compiled
+    walk = stream(5, PATH_DOMAIN, 0)
+    walk.standard_normal(cfg.path_length - 1)
+    fresh = stream(5, RUN_DOMAIN, 0, 0)
     fresh.permutation(5), fresh.random(3), fresh.standard_normal(3)
     fresh.integers(0, 5, size=17), fresh.random(17), fresh.standard_normal(17)
-    assert session.rng.bit_generator.state == fresh.bit_generator.state
-    assert len(session.prices) == 17 and session.last_price == session.prices[-1]
+    assert [tuple(w) for w in words] == [_kernel.pcg64_words(walk), _kernel.pcg64_words(fresh)]
+    assert len(result.prices) == 17 and state["_session"].last_price == result.prices[-1]
 
 
 @needs_kernel
 @pytest.mark.parametrize("levels", [(0,), (2,), (0, 3, 1, 0, 2), tuple(range(8)), (0, 0, 0)],
                          ids=["one uninformed", "one informed", "five", "eight", "none informed"])
 def test_a_compiled_run_draws_each_period_in_the_documented_layout(levels):
-    # The kernel draws in C on a copy of the generator's state, with the
-    # algorithms numpy's methods run, and hands the state back: the generator
-    # ends where six method calls per period leave a fresh one, and the last
-    # period's buffers hold that period's draws.
+    # The kernel draws in C with the algorithms numpy's methods run: the
+    # run's generator ends where six method calls per period leave a fresh
+    # one, and the last period's buffers hold that period's draws.
     n, m, steps = len(levels), sum(lvl > 0 for lvl in levels), 17
     cfg = config(agents=market_with_levels(levels, chartist_levels=levels[1:2]), steps_per_period=steps)
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(6, 0, 0))
-    session = MarketSession(cfg, path, stream(6, 1, 0, 0))
-    session.run()
-    assert ran_compiled(session)
-    fresh = stream(6, 1, 0, 0)
+    _, (words,), _, compiled, state = first(cfg, 6)
+    assert compiled
+    fresh = stream(6, RUN_DOMAIN, 0, 0)
     for _ in range(cfg.n_periods):
         last = (fresh.permutation(n), fresh.random(m), fresh.standard_normal(m),
                 fresh.integers(0, n, size=steps), fresh.random(steps), fresh.standard_normal(steps))
-    assert session.rng.bit_generator.state == fresh.bit_generator.state
+    assert tuple(words[1]) == _kernel.pcg64_words(fresh)
     perm, seeding_u, seeding_z, order, steps_u, steps_z = last
-    assert np.array_equal(session._perm, perm) and np.array_equal(session._order, order)
-    assert np.array_equal(session._u, np.concatenate([seeding_u, steps_u]))
-    assert np.array_equal(session._z, np.concatenate([seeding_z, steps_z]))
+    assert np.array_equal(state["_perm"], perm) and np.array_equal(state["_order"], order)
+    assert np.array_equal(state["_u"], np.concatenate([seeding_u, steps_u]))
+    assert np.array_equal(state["_z"], np.concatenate([seeding_z, steps_z]))
 
 
-@needs_kernel
-def test_a_compiled_run_is_one_kernel_call(monkeypatch):
-    # run() hands every remaining period to one call; nothing is drawn in
-    # Python.
-    cfg = config()
-    spec = run(cfg, 2, python=True)
-    lib, calls = _kernel.resolve(), []
-
-    class Counted:
-        def im_run_periods(self, session, state, count):
-            calls.append(count)
-            return lib.im_run_periods(session, state, count)
-
-    def refuse(*args):
-        pytest.fail("a compiled session drew in Python")
-
-    monkeypatch.setattr(_kernel, "_resolved", (Counted(), None))
-    monkeypatch.setattr(engine, "draw_period", refuse)
-    fast = run(cfg, 2)
-    assert fast[3] and calls == [cfg.n_periods]
-    assert_same_session(spec, fast)
-    # Periods run one at a time first leave the rest to one call.
-    calls.clear()
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(2, 0, 0))
-    session = MarketSession(cfg, path, stream(2, 1, 0, 0))
-    session.run_period()
-    session.run_period()
-    session.run()
-    assert calls == [1, 1, cfg.n_periods - 2]
-    assert_same_session(spec, (session.result(), session.rng.bit_generator.state, ending(session)))
-
-
-@needs_kernel
-def test_set_strategy_reaches_the_compiled_kernel():
-    cfg = config(agents=market_with_levels((0, 1, 2, 3)))
-    path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(8, 0, 0))
-    results = []
-    for python in (True, False):
-        with python_loop() if python else nullcontext():
-            session = MarketSession(cfg, path, stream(8, 1, 0, 0))
-            for k in range(cfg.n_periods):
-                if k == 2:
-                    session.set_strategy(2, engine.Strategy.CHARTIST)
-                session.run_period()
-        assert ran_compiled(session) is not python
-        results.append((session.result(), session.rng.bit_generator.state, ending(session)))
-    assert_same_session(*results)
-
-
-@needs_kernel
-def test_a_generator_other_than_pcg64_runs_the_python_loop():
-    # The kernel draws PCG64's stream only. A session or chain on another
-    # bit generator runs the Python loop, which draws through numpy, with
-    # the bits it gives where no kernel loads.
+def test_a_generator_other_than_pcg64_runs_the_python_loop(monkeypatch):
+    # A session or chain takes any generator and runs the Python loop, which
+    # draws through numpy, in a process whose kernel loads too: neither ever
+    # asks for the kernel.
+    monkeypatch.setattr(_kernel, "_resolved", (Unusable(), None))
     cfg = config()
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(7, 0, 0))
     chain_cfg = SwitchingConfig(n_traders=3, n_periods=30, interval=5, steps_per_period=20)
     outcomes = []
-    for python in (True, False):
-        with python_loop() if python else nullcontext():
-            session = MarketSession(cfg, path, np.random.Generator(np.random.PCG64DXSM(7)))
-            result = session.run()
-            rng = np.random.Generator(np.random.PCG64DXSM(8))
-            codes = run_switching_sim(chain_cfg, 3, rng).codes.tolist()
-        assert not ran_compiled(session)
+    for _ in range(2):
+        session = MarketSession(cfg, path, np.random.Generator(np.random.PCG64DXSM(7)))
+        result = session.run()
+        rng = np.random.Generator(np.random.PCG64DXSM(8))
+        codes = run_switching_sim(chain_cfg, 3, rng).codes.tolist()
+        assert isinstance(session.book, Book)
         outcomes.append((result, session.rng.bit_generator.state, ending(session), codes, rng.bit_generator.state))
     assert_same_session(*outcomes)
     assert outcomes[0][3:] == outcomes[1][3:]
+    assert len(outcomes[0][0].trade_prices) and len(outcomes[0][3]) == 7
 
 
 # -- the one state ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("python", [True, False], ids=["python", "compiled"])
-def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(python):
-    if not python:
-        require_kernel()
+def test_cash_and_shares_are_the_same_arrays_for_the_whole_session(monkeypatch, python):
+    # A session runs the Python loop in a process with no kernel and in one
+    # whose kernel loads ("compiled"), which it never asks for.
+    monkeypatch.setattr(_kernel, "_resolved", (None, "no kernel") if python else (Unusable(), None))
     cfg = config()
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(3, 0, 0))
-    with python_loop() if python else nullcontext():
-        session = MarketSession(cfg, path, stream(3, 1, 0, 0))
-        cash, shares = session.cash, session.shares
-        session.run_period()
-        assert session.cash is cash and session.shares is shares
-        session.run()
-    assert ran_compiled(session) is not python
+    session = MarketSession(cfg, path, stream(3, 1, 0, 0))
+    cash, shares = session.cash, session.shares
+    session.run_period()
+    assert session.cash is cash and session.shares is shares
+    session.run()
     assert session.cash is cash and session.shares is shares
     assert cash.tolist() == session.result().cash_hist[-1].tolist()
 
 
-@needs_kernel
-def test_endowments_written_between_periods_reach_both_kernels():
+def test_endowments_written_between_periods_reach_the_python_loop():
     # Written before the first period and again between periods, as
     # switching does after each evaluation.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(3,)), clear_book_each_period=False)
     path = generate_dividend_path(cfg.dividends, cfg.path_length, stream(9, 0, 0))
-    outcomes = []
-    for python in (True, False):
-        with python_loop() if python else nullcontext():
-            session = MarketSession(cfg, path, stream(9, 1, 0, 0))
-            for k in range(cfg.n_periods):
-                if k in (0, 3):
-                    session.cash[:] = [50.0 * (i + 1) for i in range(4)]
-                    session.shares[:] = [i + k for i in range(4)]
-                session.run_period()
-        assert ran_compiled(session) is not python
-        outcomes.append((session.result(), session.rng.bit_generator.state, ending(session)))
-    assert_same_session(*outcomes)
+    session = MarketSession(cfg, path, stream(9, 1, 0, 0))
+    for k in range(cfg.n_periods):
+        if k in (0, 3):
+            session.cash[:] = [50.0 * (i + 1) for i in range(4)]
+            session.shares[:] = [i + k for i in range(4)]
+        session.run_period()
+    result = session.result()
+    assert result.cash_hist[0].tolist() == [cfg.initial_cash] * 4
     # Trades conserve shares, so each period's total is the last one written.
-    totals = outcomes[0][0].shares_hist.sum(axis=1).tolist()
+    totals = result.shares_hist.sum(axis=1).tolist()
     assert totals == [4 * cfg.initial_shares] + [0 + 1 + 2 + 3] * 3 + [3 + 4 + 5 + 6] * 3
 
 
@@ -846,9 +840,9 @@ def fresh_kernel(monkeypatch, tmp_path):
 
 
 def reference_outputs():
-    """A session under the kernel this process resolves: (result, state, ending, compiled)."""
+    """A first run under the kernel this process resolves, as `first` gives it."""
     cfg = config(clear_book_each_period=False, initial_cash=200.0, initial_shares=3)
-    return run(cfg, 4)
+    return first(cfg, 4)
 
 
 @needs_toolchain
@@ -924,7 +918,7 @@ def mirror_without(src: Path, dst: Path, omit: Path) -> None:
             mirror_without(entry, dst / entry.name, Path(*omit.parts[1:]))
 
 
-# What a process whose numpy lacks one file runs: a session under a kernel
+# What a process whose numpy lacks one file runs: a first run under a kernel
 # built into an empty cache, against the Python loop.
 MISSING_FILE_RUN = """
 import sys
@@ -982,8 +976,9 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
 
 
 # What the sanitized kernel runs in its own process: its load-time
-# self-check, the draw comparisons, one block, one chain and one share of
-# three chains from different profiles against the Python loop.
+# self-check, the draw comparisons, the no-clearing reference market's and
+# the deep book's first runs, one block, one chain and one share of three
+# chains from different profiles against the Python loop.
 SANITIZED_RUN = """
 import sys
 from pathlib import Path
@@ -1261,14 +1256,10 @@ def test_the_compiled_rows_number_sessions_runs_and_labels():
 
 def test_a_loaded_kernel_leaves_a_patched_rule_to_the_python_loop(monkeypatch):
     # A process whose kernel resolved to a loaded library still runs a
-    # session with a patched rule in the Python loop, which calls the rule;
-    # the compiled kernel would not.
-    class Unusable:
-        def __getattr__(self, name):
-            pytest.fail(f"a session with a patched rule used the kernel's {name}")
-
+    # first run with a patched rule in the Python loop, which calls the
+    # rule; the compiled kernel would not.
     cfg = config(clear_book_each_period=False, initial_cash=200.0, initial_shares=3)
-    spec = run(cfg, 4, python=True)
+    spec = first(cfg, 4, python=True)
     calls = []
 
     def traced(*args):
@@ -1277,13 +1268,13 @@ def test_a_loaded_kernel_leaves_a_patched_rule_to_the_python_loop(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_resolved", (Unusable(), None))
     monkeypatch.setattr(engine, "decide_random", traced)
-    patched = run(cfg, 4)
+    patched = first(cfg, 4)
     assert not patched[3] and calls
     assert_same_session(spec, patched)
 
 
 def test_a_patched_rule_never_builds_or_resolves_the_kernel(fresh_kernel, monkeypatch):
-    # A patched rule forces the Python loop, so the session never asks for
+    # A patched rule forces the Python loop, so the first run never asks for
     # the compiled kernel: nothing is built and nothing is resolved.
     monkeypatch.setattr(_kernel, "_build", lambda: pytest.fail("built the kernel for a patched rule"))
     monkeypatch.setattr(engine, "decide_random", lambda *args: decide_random(*args))

@@ -24,25 +24,24 @@ def run_script(name, *args):
 def test_profile_session_tiny():
     # The script reports the kernel it resolves: exactly one of its timing
     # lines or the reason it is unavailable, and the ratios only with the
-    # timings, for the reference session, for that session with no clearing
-    # and for the markov3 chain. The markov3 share of eight chains (one
-    # kernel call per chain against one per share) and the reference share
-    # are timed only with the compiled kernel, both of their lines then,
-    # and so are seeding its generators and `write_runs_csv` on 100,000
-    # rows. Where this process resolves the kernel under the same
-    # environment, so does the script. The markov3 ensemble and the reference batch get one median
-    # line per worker count, whichever kernel ran them, and one line with
-    # the CPUs their jobs-2 shares started on.
+    # timings, for the reference run, for that run with no clearing and for
+    # the markov3 chain. The reference share and seeding its generators are
+    # timed only with the compiled kernel, both of their lines then, and so
+    # is `write_runs_csv` on 100,000 rows. Where this process resolves the
+    # kernel under the same environment, so does the script. The markov3
+    # ensemble and the reference batch get one median line per worker
+    # count, whichever kernel ran them, and one line with the CPUs their
+    # jobs-2 shares started on.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "= 3270 activations" in proc.stdout
-    assert "no-clearing reference session: the same session, its book kept across periods" in lines
+    assert "reference run: 30 periods x (100 steps + 9 seeding) = 3270 activations" in lines
+    assert "no-clearing reference run: the same run, its book kept across periods" in lines
     assert "markov3 chain: 300 periods x (100 steps + 3 seeding), 3 traders" in lines
     unavailable = [line for line in lines if line.startswith("c kernel unavailable: ")]
     assert len(unavailable) <= 1
     compiled = not unavailable
-    for label, unit, per in (("kernel", "session", "activation"), ("no-clearing", "session", "activation"),
+    for label, unit, per in (("kernel", "run", "activation"), ("no-clearing", "run", "activation"),
                              ("chain", "chain", "period")):
         timed = {kernel: [line for line in lines if line.startswith(f"{kernel} {label}, median of 2:")]
                  for kernel in ("python", "c")}
@@ -50,14 +49,13 @@ def test_profile_session_tiny():
             assert f"ms per {unit}" in line and f"us per {per}" in line
         assert len(timed["python"]) == 1
         assert len(timed["c"]) == compiled
-    for label, per, variants in (("block", "run", ["python", "c"]), ("seeding", "generator", ["python", "c"]),
-                                 ("share", "period", ["per-chain", "one-call"])):
+    for label, per in (("block", "run"), ("seeding", "generator")):
         timed = [line for line in lines if f" {label}, median of 2:" in line]
-        assert [line.split()[0] for line in timed] == variants * compiled
+        assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
         for line in timed:
             assert "ms per share" in line and f"us per {per}" in line
-    assert lines.count("markov3 share: 8 chains x 300 periods, im_run_chains per chain against one per share") == compiled
-    assert lines.count("reference share: 6 sessions x 5 runs, python block on c sessions") == compiled
+    assert not [line for line in lines if " share, median of 2:" in line or line.startswith("markov3 share")]
+    assert lines.count("reference share: 6 sessions x 5 runs, python block against c block") == compiled
     assert lines.count("seeding: the share's 36 generators, rng.stream against im_seed_pcg64") == compiled
     timed = [line for line in lines if " write_runs_csv, median of 2:" in line]
     assert [line.split()[0] for line in timed] == ["python", "c"] * compiled
@@ -66,9 +64,9 @@ def test_profile_session_tiny():
     assert lines.count("runs.csv: 10000 runs x 10 levels = 100000 rows") == compiled
     for ratio in ("python / c median ratio: ", "python / c no-clearing median ratio: ",
                   "python / c chain median ratio: ",
-                  "per-chain / one-call share median ratio: ",
                   "python / c block median ratio: ", "python / c write_runs_csv median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
+    assert not [line for line in lines if "one-call" in line]
     kernel = "c" if compiled else "python"
     assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
     assert f"reference batch: 6 sessions x 5 runs, {kernel} kernel" in lines
