@@ -32,6 +32,12 @@ seeded relative returns, to a file: the Python generator against the
 compiled formatter, `im_format_per_run`. It prints each one's median per
 file and per row, and the ratio of the medians.
 
+Then it times the `markov` command's post-run on that ensemble's eight
+runs (seed 0): `aggregate_runs` and the three writers, `states.csv`,
+`tmatrix.csv` and `freqs.csv`, to files, under each kernel (the compiled
+one formats `states.csv` with `im_format_states`), per ensemble and per
+`states.csv` row, and the ratio of the medians.
+
 Last, on the kernel this process resolves, it times the `markov`
 command's ensemble at that size, the eight 300-period `markov3` chains of
 `run_switching_ensemble` (seed 0), and then `run_batch` on perfbench
@@ -43,13 +49,15 @@ before its batch: back to back, the calls would keep both CPUs busy, and a
 share would find the other CPU already awake. After each, one more jobs-2
 call records the CPU each share (or, under the Python loop, each chain)
 started on, and it prints them share by share (`CPUs unknown` where the C
-library has no `sched_getcpu`).
+library has no `sched_getcpu`). For the ensemble it also prints, at jobs 1
+and at jobs 2, how many chains each share took from the shared counter
+(under the Python loop every chain runs in this thread).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
 against) or `c kernel unavailable: <reason>`, and the `c no-clearing`, the
-`c chain`, the block, the seeding and the `write_runs_csv` lines and the
-five ratios only with the former.
+`c chain`, the block, the seeding, the `write_runs_csv` and the `c
+post-run` lines and the six ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -67,6 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from infomarket import _kernel, montecarlo, switching
+from infomarket.csvout import _LINES_PER_WRITE
 from infomarket.engine import SessionConfig
 from infomarket.montecarlo import first_run
 from infomarket.presets import switching_for_preset
@@ -117,6 +126,31 @@ def share_cpus(module, name, call) -> str:
     finally:
         setattr(module, name, task)
     return "CPUs " + " | ".join(" ".join(map(str, cpus)) for cpus in started.values())
+
+
+def share_chains(compiled: bool, call) -> str:
+    """How many chains each share of the ensemble that `call()` runs took,
+    one count per thread in the order of their first task: a compiled
+    share's `im_run_chains` call reports its count, and under the Python
+    loop each chain is a task of its own; `call` runs after `python_block`,
+    as a timed call does."""
+    name = "_run_chain_share" if compiled else "_one_switching_run"
+    task, taken = getattr(switching, name), {}
+
+    def counted(item):
+        ident = threading.get_ident()
+        taken.setdefault(ident, 0)
+        result = task(item)
+        taken[ident] += result if compiled else 1
+        return result
+
+    setattr(switching, name, counted)
+    try:
+        python_block()
+        call()
+    finally:
+        setattr(switching, name, task)
+    return " | ".join(map(str, taken.values()))
 
 
 def alternate(variants, repeats, once) -> dict[str, list[float]]:
@@ -253,6 +287,25 @@ def main() -> int:
         _kernel._resolved = resolutions["c"]
         print(f"python / c write_runs_csv median ratio: {medians['python'] / medians['c']:.2f}")
 
+    ensemble_runs = run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=1)
+    rows = sum(len(run.codes) for run in ensemble_runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        def post_run(kernel: str) -> float:
+            _kernel._resolved = resolutions[kernel]
+            t0 = time.perf_counter()
+            est = switching.aggregate_runs(ensemble_runs, chain_cfg.n_states)
+            switching.write_states_csv(ensemble_runs, Path(tmp) / "states.csv")
+            switching.write_tmatrix_csv(est, Path(tmp) / "tmatrix.csv")
+            switching.write_freqs_csv(est, Path(tmp) / "freqs.csv")
+            return time.perf_counter() - t0
+
+        print(f"markov3 post-run: aggregate_runs and the three writers on {len(ensemble_runs)} runs, "
+              f"{rows} states.csv rows ({_LINES_PER_WRITE} per write)")
+        medians = report("post-run", alternate(kernels, args.repeats, post_run), "ensemble", rows, "row")
+    _kernel._resolved = resolutions["c"]
+    if lib is not None:
+        print(f"python / c post-run median ratio: {medians['python'] / medians['c']:.2f}")
+
     def ensemble(jobs: str) -> float:
         python_block()
         t0 = time.perf_counter()
@@ -266,6 +319,9 @@ def main() -> int:
     print("jobs 2 ensemble shares started on " + share_cpus(
         switching, "_run_chain_share" if lib is not None else "_one_switching_run",
         lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=2)))
+    for jobs in ENSEMBLE_JOBS.values():
+        taken = share_chains(lib is not None, lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=jobs))
+        print(f"jobs {jobs} ensemble shares took chains {taken}")
 
     sessions, runs = SHARE
 

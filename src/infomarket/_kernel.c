@@ -32,14 +32,19 @@
  * montecarlo.BLOCK_SPEC lists the names that send a block to the Python
  * loop when patched: the rules, the book methods, the dividend walk,
  * run_session, stream and engine's present-value function.
- * `im_run_chains` runs one share of a switching ensemble, any number of
- * chains of switching.run_switching_sim, whose Python loop stays its
- * specification: per chain it sets the strategies from the initial code,
- * as decode_state does, then per segment draws the dividend walk, fills
- * the present values and marks, resets the state a fresh MarketSession
- * starts from, and trades and evaluates every period, all on one state
- * laid out once per share. Each chain draws on its own generator, whose
- * six state words the caller seeds and the call writes back.
+ * `im_run_chains` runs one share of a switching ensemble, chains of
+ * switching.run_switching_sim, whose Python loop stays its specification.
+ * Every share of the ensemble takes its chains from one shared counter,
+ * the next chain that no share has taken, until none is left, and writes
+ * that chain's rows of the ensemble-wide outputs; so a share that starts
+ * late takes fewer chains, and each chain runs once. Per chain it sets the
+ * strategies from the initial code, as decode_state does, then per
+ * segment draws the dividend walk, fills the present values and marks,
+ * resets the state a fresh MarketSession starts from, and trades and
+ * evaluates every period, all on one state laid out once per share. Each
+ * chain draws on its own generator, whose six state words the caller
+ * seeds and the call writes back, so its bits do not depend on the share
+ * that runs it.
  * switching.ENSEMBLE_SPEC lists the names that send an ensemble to its
  * Python loop, one run_switching_sim per chain, when patched: the rules,
  * the book methods, the dividend walk, both modules' present-value
@@ -48,9 +53,10 @@
  *
  * Each side of the book is an array sorted by (price, seq) with its best
  * order last. A new order, whose seq is the highest yet, goes below every
- * order at its price or a better one, and a market order takes the last
- * slot. seq is unique, so (price, seq) orders the resting orders strictly,
- * and both the sides and Python's heapq give them up best first.
+ * order at its price or a better one, which the scan from the top moves up
+ * a slot as it passes them, and a market order takes the last slot. seq is
+ * unique, so (price, seq) orders the resting orders strictly, and both the
+ * sides and Python's heapq give them up best first.
  *
  * `im_parse_ticks` is unrelated to sessions and draws nothing: it reads the
  * body of a plain tick file in one pass, for analytics.load_ticks, and
@@ -65,6 +71,10 @@
  * included), and zero's sign, nan and the infinities spelled out, so it
  * has no fallback of its own. montecarlo._per_run_lines stays its
  * specification and runs wherever no kernel loads.
+ *
+ * `im_format_states` draws nothing either: it writes a run's states.csv
+ * rows, "initial,interval,code", each number as Python's %d writes it;
+ * switching._state_blocks stays its specification.
  */
 
 #include <math.h>
@@ -145,15 +155,14 @@ int64_t im_session_size(void) { return (int64_t)sizeof(im_session); }
 /* Rests order o on a side sorted with its best order last (asks by falling
  * price, bids by rising price, one price's orders by falling seq): o's seq
  * is the highest so far, so the orders at its price or a better one move up
- * one slot. */
+ * one slot, each as the scan from the top passes it. Most orders rest at or
+ * near the top, so the scan moves few orders and calls nothing. */
 INLINE void rest(im_order *side, int64_t *len, im_order o, int is_bid)
 {
-    int64_t pos = *len;
-    while (pos > 0 && (is_bid ? side[pos - 1].price >= o.price : side[pos - 1].price <= o.price))
-        pos--;
-    memmove(side + pos + 1, side + pos, (size_t)(*len - pos) * sizeof *side);
+    int64_t pos = (*len)++;
+    for (; pos > 0 && (is_bid ? side[pos - 1].price >= o.price : side[pos - 1].price <= o.price); pos--)
+        side[pos] = side[pos - 1];
     side[pos] = o;
-    (*len)++;
 }
 
 /* agents._sell and agents._buy: a market order when the price crosses the
@@ -195,8 +204,8 @@ INLINE int inside_limit(double anchor, double p, int has_bid, double bid, int ha
     return price > 0 ? buy(price, has_ask, ask, out) : NO_ACTION;
 }
 
-INLINE int decide(const im_session *s, const double *pv_row, int64_t i, double p, int has_bid, double bid,
-                  int has_ask, double ask, double u, double z, double *out)
+INLINE int decide(const im_session *s, int64_t n_prices, const double *pv_row, int64_t i, double p, int has_bid,
+                  double bid, int has_ask, double ask, double u, double z, double *out)
 {
     switch (s->strategy[i]) {
     case RANDOM:
@@ -212,7 +221,7 @@ INLINE int decide(const im_session *s, const double *pv_row, int64_t i, double p
         return inside_limit(pv, p, has_bid, bid, has_ask, ask, z, out);
     }
     default: { /* CHARTIST */
-        int64_t n = s->n_prices;
+        const int64_t n = n_prices;
         if (n >= 4) {
             double last = s->prices[n - 1], before = s->prices[n - 2], earlier = s->prices[n - 3];
             if (p < last && last < before && before < earlier)
@@ -230,10 +239,20 @@ INLINE int decide(const im_session *s, const double *pv_row, int64_t i, double p
     }
 }
 
-INLINE void record_trade(im_session *s, double price, int64_t buyer, int64_t seller)
+/* The counters of a session's book and series, which a period keeps in
+ * locals: the session's own fields are written back at its end. */
+typedef struct {
+    int64_t n_asks;
+    int64_t n_bids;
+    int64_t seq;
+    int64_t n_prices;
+    int64_t n_trades;
+} im_counts;
+
+INLINE void record_trade(im_session *s, im_counts *k, double price, int64_t buyer, int64_t seller)
 {
-    int64_t t = s->n_trades++;
-    s->trade_steps[t] = s->n_prices + 1;
+    int64_t t = k->n_trades++;
+    s->trade_steps[t] = k->n_prices + 1;
     s->trade_prices[t] = price;
     s->trade_buyers[t] = buyer;
     s->trade_sellers[t] = seller;
@@ -244,57 +263,67 @@ INLINE void record_trade(im_session *s, double price, int64_t buyer, int64_t sel
  * which a trade sets. The trader must afford the intent: no shorting, no
  * credit, counting what its resting orders already commit. Returns 0, or
  * -1 when a side of the book is full. */
-INLINE int activate(im_session *s, const double *pv_row, int64_t i, double *p, double u, double z)
+INLINE int activate(im_session *s, im_counts *k, const double *pv_row, int64_t i, double *p, double u,
+                    double z)
 {
     double *cash = s->cash, *held_cash = s->held_cash;
     int64_t *shares = s->shares, *held_shares = s->held_shares;
-    const int has_bid = s->n_bids > 0, has_ask = s->n_asks > 0;
-    const double bid = has_bid ? s->bids[s->n_bids - 1].price : 0.0;
-    const double ask = has_ask ? s->asks[s->n_asks - 1].price : 0.0;
+    const int has_bid = k->n_bids > 0, has_ask = k->n_asks > 0;
+    const double bid = has_bid ? s->bids[k->n_bids - 1].price : 0.0;
+    const double ask = has_ask ? s->asks[k->n_asks - 1].price : 0.0;
     double price = 0.0;
-    switch (decide(s, pv_row, i, *p, has_bid, bid, has_ask, ask, u, z, &price)) {
+    switch (decide(s, k->n_prices, pv_row, i, *p, has_bid, bid, has_ask, ask, u, z, &price)) {
     case LIMIT_BID:
         if (cash[i] - held_cash[i] >= price) {
-            if (s->n_bids == s->book_cap)
+            if (k->n_bids == s->book_cap)
                 return -1;
-            rest(s->bids, &s->n_bids, (im_order){price, s->seq++, i}, 1);
+            rest(s->bids, &k->n_bids, (im_order){price, k->seq++, i}, 1);
             held_cash[i] += price;
         }
         break;
     case LIMIT_ASK:
         if (shares[i] - held_shares[i] >= 1) {
-            if (s->n_asks == s->book_cap)
+            if (k->n_asks == s->book_cap)
                 return -1;
-            rest(s->asks, &s->n_asks, (im_order){price, s->seq++, i}, 0);
+            rest(s->asks, &k->n_asks, (im_order){price, k->seq++, i}, 0);
             held_shares[i] += 1;
         }
         break;
     case MARKET_SELL:
         if (shares[i] - held_shares[i] >= 1 && has_bid) {
-            const im_order o = s->bids[--s->n_bids];
+            const im_order o = s->bids[--k->n_bids];
             *p = o.price;
             cash[o.trader] -= o.price;
             shares[o.trader] += 1;
             held_cash[o.trader] -= o.price;
             cash[i] += o.price;
             shares[i] -= 1;
-            record_trade(s, o.price, o.trader, i);
+            record_trade(s, k, o.price, o.trader, i);
         }
         break;
     case MARKET_BUY:
         if (has_ask && cash[i] - held_cash[i] >= ask) {
-            const im_order o = s->asks[--s->n_asks];
+            const im_order o = s->asks[--k->n_asks];
             *p = o.price;
             cash[i] -= o.price;
             shares[i] += 1;
             cash[o.trader] += o.price;
             shares[o.trader] -= 1;
             held_shares[o.trader] -= 1;
-            record_trade(s, o.price, i, o.trader);
+            record_trade(s, k, o.price, i, o.trader);
         }
         break;
     }
     return 0;
+}
+
+static void store_counts(im_session *s, const im_counts *k)
+{
+    s->n_asks = k->n_asks;
+    s->n_bids = k->n_bids;
+    s->seq = k->seq;
+    s->n_prices = k->n_prices;
+    s->n_trades = k->n_trades;
 }
 
 /* MarketSession._trade_period: one period's activations on its draws and
@@ -307,36 +336,42 @@ static int trade_period(im_session *s, const double *pv_row, double d)
     const int64_t n = s->n, m = s->m;
     const double *u = s->u, *z = s->z;
     double p = s->last_price;
+    im_counts k = {s->n_asks, s->n_bids, s->seq, s->n_prices, s->n_trades};
     for (int64_t a = 0, j = 0; a < n; a++) { /* j: the activation's u and z */
         const int64_t i = s->perm[a];
         if (s->level[i] == 0)
             continue;
-        if (activate(s, pv_row, i, &p, u[j], z[j]))
+        if (activate(s, &k, pv_row, i, &p, u[j], z[j])) {
+            store_counts(s, &k);
             return -1;
+        }
         j++;
     }
     for (int64_t t = 0; t < s->steps; t++) {
-        if (activate(s, pv_row, s->order[t], &p, u[m + t], z[m + t]))
+        if (activate(s, &k, pv_row, s->order[t], &p, u[m + t], z[m + t])) {
+            store_counts(s, &k);
             return -1;
-        s->prices[s->n_prices++] = p;
+        }
+        s->prices[k.n_prices++] = p;
     }
     s->last_price = p;
     double *cash = s->cash, *held_cash = s->held_cash;
     int64_t *shares = s->shares, *held_shares = s->held_shares;
-    int64_t k = ++s->periods_done;
+    int64_t done = ++s->periods_done;
     for (int64_t i = 0; i < n; i++) {
         cash[i] = cash[i] * s->growth + (double)shares[i] * d;
-        s->cash_hist[k * n + i] = cash[i];
-        s->shares_hist[k * n + i] = shares[i];
+        s->cash_hist[done * n + i] = cash[i];
+        s->shares_hist[done * n + i] = shares[i];
     }
-    s->period_end_prices[k - 1] = p;
+    s->period_end_prices[done - 1] = p;
     if (s->clear) {
-        s->n_asks = s->n_bids = 0;
+        k.n_asks = k.n_bids = 0;
         for (int64_t i = 0; i < n; i++) {
             held_cash[i] = 0.0;
             held_shares[i] = 0;
         }
     }
+    store_counts(s, &k);
     return 0;
 }
 
@@ -917,18 +952,20 @@ static int run_period(im_session *s, im_pcg64 *g)
     return trade_period(s, s->pv_table + k * s->n, s->dividends[k]);
 }
 
-/* A share of strategy-switching chains (switching.run_switching_sim): their
- * length, their evaluation interval, their scratch buffers and their
- * outputs, one row per chain. The market is the session header's, whose
- * `periods` is a segment's length. The caller owns every buffer (see
- * _kernel.Chain). */
+/* A share of a switching ensemble (switching.run_switching_sim per chain):
+ * the chains' length and evaluation interval, the share's scratch buffers,
+ * the ensemble-wide outputs, one row per chain, and the counter from which
+ * every share of the ensemble takes its next chain. The market is the
+ * session header's, whose `periods` is a segment's length. The caller owns
+ * every buffer (see _kernel.Chain). */
 typedef struct {
     int64_t n_periods;    /* each chain's periods */
     int64_t interval;     /* periods per strategy evaluation */
     double *walk;         /* periods + path_extra: the segment's dividends */
     double *marks;        /* periods + 1: the top level's present values, periods 1.. */
     double *returns;      /* n: the interval's returns */
-    int64_t n_chains;
+    int64_t n_chains;     /* the ensemble's */
+    int64_t *next_chain;  /* shared by every share: the next chain to take, from 0 */
     uint64_t *states;     /* n_chains x 6: each chain's generator, read and written back */
     int64_t *codes;       /* n_chains x (n_periods / interval + 1), column 0 the initial codes */
     int64_t *tie_events;  /* n_chains */
@@ -1072,22 +1109,27 @@ static int run_chain(im_session *s, im_chain *c, int64_t chain, im_pcg64 *g)
     return 0;
 }
 
-/* Every chain of a share on one session state, one after another, chain k
- * on the generator in its row of `states` (six words, read, and written
- * back also on failure). Every initial code must lie in 1..2**n. Returns
- * 0, or -1 when a side of the book is full (the chains after it are not
- * run). */
-int im_run_chains(im_session *s, im_chain *c)
+/* A share's chains on one session state, one after another: each is the
+ * next chain k that no share has taken yet, which the share takes from the
+ * shared counter, and runs on the generator in its row of `states` (six
+ * words, read, and written back also on failure), so a share that starts
+ * late or runs slowly takes fewer chains. Every initial code must lie in
+ * 1..2**n. Returns the number of chains the share ran, or -1 when a side
+ * of the book is full; no share then takes another chain. */
+int64_t im_run_chains(im_session *s, im_chain *c)
 {
-    for (int64_t k = 0; k < c->n_chains; k++) {
+    int64_t ran = 0;
+    for (int64_t k; (k = __atomic_fetch_add(c->next_chain, 1, __ATOMIC_RELAXED)) < c->n_chains; ran++) {
         im_pcg64 g;
         get_state(&g, c->states + k * 6);
         int failed = run_chain(s, c, k, &g);
         put_state(c->states + k * 6, &g);
-        if (failed)
+        if (failed) {
+            __atomic_store_n(c->next_chain, c->n_chains, __ATOMIC_RELAXED);
             return -1;
+        }
     }
-    return 0;
+    return ran;
 }
 
 /* A share of a batch (montecarlo._run_session_block): the sessions it runs,
@@ -1399,6 +1441,34 @@ int64_t im_format_per_run(const double *values, int64_t n, int64_t k, int64_t ru
             memcpy(p, "\r\n", 2);
             p += 2;
         }
+    }
+    return p - out;
+}
+
+/* v's decimal digits at p, after a '-' when it is negative; returns the end. */
+static char *put_int(char *p, int64_t v)
+{
+    if (v < 0)
+        *p++ = '-';
+    return put_uint(p, v < 0 ? -(uint64_t)v : (uint64_t)v);
+}
+
+/* The states.csv rows of a run's codes[0..n), recorded from interval
+ * `first` on: per code the run's head, its initial code and a comma
+ * (head_len bytes), then "first + i,codes[i]\r\n", each number as %d writes
+ * it. out takes at most 42 bytes per row besides the head. Returns the
+ * bytes written. */
+int64_t im_format_states(const int64_t *codes, int64_t n, const char *head, int64_t head_len, int64_t first,
+                         char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        memcpy(p, head, (size_t)head_len);
+        p = put_uint(p + head_len, (uint64_t)(first + i));
+        *p++ = ',';
+        p = put_int(p, codes[i]);
+        memcpy(p, "\r\n", 2);
+        p += 2;
     }
     return p - out;
 }

@@ -21,13 +21,14 @@ numpy's `SeedSequence` (the 4-word pool, `hashmix`, `mix` and
 `generate_state(4, uint64)`) and PCG64 (the 128-bit LCG step, the XSL-RR
 output, the buffered 32-bit halves and `next_double`), so it draws
 `rng.stream`'s streams without a Python generator. One call of
-`im_run_chains` runs a whole share of a switching ensemble, any number of
-chains, on one such state, each chain from its own initial code on its own
-generator (`Chain` holds the chains' length and evaluation interval, the
-addresses of the share's scratch buffers and of its rows of the
-ensemble-wide generator states, codes and tie counts; the market, and a
-segment's length, are the header's); `switching`'s Python loop stays its
-specification. Its generators' six state words each (`seeded_states` for
+`im_run_chains` runs a whole share of a switching ensemble on one such
+state: the share takes the next chain that no share has taken from a
+counter that every share of the ensemble shares, until none is left, and
+runs each from its own initial code on its own generator (`Chain` holds
+the chains' length and evaluation interval, the addresses of the share's
+scratch buffers, of the shared counter and of the ensemble-wide generator
+states, codes and tie counts; the market, and a segment's length, are the
+header's); `switching`'s Python loop stays its specification. Its generators' six state words each (`seeded_states` for
 the ensemble's `rng.stream` keys) go in, and the words the kernel leaves
 come back.
 Nothing is built or loaded at import; the first batch, run or ensemble that
@@ -78,6 +79,9 @@ sign, nan and the infinities included: the shortest digits come from
 Giulietti's Schubfach method, whose power-of-ten table is computed here
 from Python integers. So there is nothing it hands back; where no kernel
 loads, `montecarlo`'s Python generator, its specification, writes the rows.
+`im_format_states` writes `markov`'s `states.csv` rows for
+`switching.write_states_csv` the same way, `switching._state_blocks` being
+their specification.
 """
 
 from __future__ import annotations
@@ -212,15 +216,17 @@ class Block(ctypes.Structure):
 
 
 class Chain(ctypes.Structure):
-    """`im_chain` in _kernel.c: one share of switching chains, their length
-    and evaluation interval, the addresses of the share's scratch buffers,
-    and the addresses of its chains' rows of the generator states (six
-    words each), the codes (initial code first) and the two tie counts. The
-    market, and a segment's length, are the session header's."""
+    """`im_chain` in _kernel.c: one share of a switching ensemble, the
+    chains' length and evaluation interval, the addresses of the share's
+    scratch buffers, the ensemble's chain count, and the addresses of the
+    counter every share takes its next chain from and of the ensemble-wide
+    generator states (six words per chain), codes (initial code first) and
+    two tie counts. The market, and a segment's length, are the session
+    header's."""
 
     _fields_ = [*_fields(ctypes.c_int64, "n_periods interval"),
                 *_fields(ctypes.c_void_p, "walk marks returns"), ("n_chains", ctypes.c_int64),
-                *_fields(ctypes.c_void_p, "states codes tie_events all_equal_events")]
+                *_fields(ctypes.c_void_p, "next_chain states codes tie_events all_equal_events")]
 
 
 def _load(path: Path):
@@ -239,11 +245,14 @@ def _load(path: Path):
     lib.im_pcg64_draw.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p)
     lib.im_pcg64_draw.restype = ctypes.c_int
     lib.im_run_chains.argtypes = (ctypes.c_void_p, ctypes.POINTER(Chain))
-    lib.im_run_chains.restype = ctypes.c_int
+    lib.im_run_chains.restype = ctypes.c_int64
     lib.im_parse_ticks.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)
     lib.im_parse_ticks.restype = ctypes.c_int64
     lib.im_format_per_run.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 4, *[ctypes.c_void_p] * 4)
     lib.im_format_per_run.restype = ctypes.c_int64
+    lib.im_format_states.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_char_p, *[ctypes.c_int64] * 2,
+                                     ctypes.c_void_p)
+    lib.im_format_states.restype = ctypes.c_int64
     lib.pow10 = pow10_table()
     lib.path, lib.numpy_version = path, np.__version__  # which build a profile measured, checked against which numpy
     _check_seeding(lib)
@@ -324,6 +333,7 @@ def seeded_states(lib, keys) -> np.ndarray:
 
 POW10_MIN, POW10_MAX = -292, 324  # 10**-k for every k = floor(log10(ulp)) of a double
 FORMAT_BYTES = 70  # the most bytes `im_format_per_run` writes per value, besides its label
+STATE_ROW_BYTES = 42  # the most bytes `im_format_states` writes per row, besides its head
 
 
 def pow10_table() -> np.ndarray:

@@ -31,7 +31,12 @@ class DividendParams:
     sigma: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        # `not (x >= 0)` refuses NaN too: every comparison with NaN is false.
+        # A compiled block draws the walk in C and makes no `DividendPath`,
+        # so a negative start is refused here, before any run of either kernel.
+        if not self.d0 >= 0:
+            raise ValueError(f"d0 must be >= 0, got {self.d0}")
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -43,9 +48,9 @@ class RateParams:
     r_e: float = 0.005
 
     def __post_init__(self) -> None:
-        if self.r_e <= 0:
+        if not self.r_e > 0:
             raise ValueError(f"r_e must be > 0, got {self.r_e}")
-        if self.r_f < 0:
+        if not self.r_f >= 0:
             raise ValueError(f"r_f must be >= 0, got {self.r_f}")
 
 

@@ -12,10 +12,16 @@ code, chain c on `stream(master, SWITCH_DOMAIN, c)`, in one of two forms
 with the same bits. Its Python loop runs `_one_switching_run` per chain in
 the calling thread. Where the compiled kernel loads and no name in
 `ENSEMBLE_SPEC` is patched, the caller seeds every chain's generator in one
-call and lays out one session state per share (share j of `jobs` takes
-codes j, j + jobs, ...), and each share then runs all its chains in one
-call of `_kernel.c`'s `im_run_chains` on a share thread, resetting the
-state for each segment.
+call and lays out one session state per share, and each share then runs in
+one call of `_kernel.c`'s `im_run_chains` on a share thread, resetting the
+state for each segment. The shares take their chains from one shared
+counter, each the next chain no share has taken, until none is left, so a
+share that starts late takes fewer.
+
+After the chains, `aggregate_runs` counts every run's transitions and
+states in one pass, and `write_states_csv` formats its rows in the kernel
+where one loads; `estimate_transition_matrix`, `frequency_vector` and
+`_state_blocks` stay their specifications.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import _kernel, engine
 from .agents import Strategy
-from .csvout import _LINES_PER_WRITE, fmt, write_csv, write_csv_blocks
+from .csvout import _LINES_PER_WRITE, write_csv, write_csv_blocks
 from .dividends import conditional_present_value, generate_dividend_path
 from .engine import MarketSession, SessionConfig, compiled_kernel, held, lay_out_state, market_with_levels
 from .montecarlo import default_jobs, parallel_map
@@ -165,62 +171,60 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
 class ChainShare:
     """One share of compiled chains, laid out before any share starts: the
     library that runs it, the session state its chains run on, and its
-    `im_chain`, which holds the addresses of the share's scratch buffers
-    and of its rows `rows` of the ensemble-wide arrays."""
+    `im_chain`, which holds the addresses of the share's scratch buffers,
+    of the ensemble-wide arrays and of the counter every share takes its
+    chains from. `buffers` holds all of those arrays, so that they live as
+    long as a share that still runs."""
 
     lib: object
-    rows: range
     arena: np.ndarray
     chain: _kernel.Chain
-    scratch: tuple[np.ndarray, ...]
+    buffers: tuple[np.ndarray, ...]
 
 
-def _run_chain_share(share: ChainShare) -> range:
-    """Run every chain of a share in one `im_run_chains` call; return its rows."""
-    if share.lib.im_run_chains(share.arena.ctypes.data, share.chain):
+def _run_chain_share(share: ChainShare) -> int:
+    """Run a share's chains in one `im_run_chains` call; return how many it took."""
+    ran = share.lib.im_run_chains(share.arena.ctypes.data, share.chain)
+    if ran < 0:
         raise RuntimeError("order book capacity exceeded")
-    return share.rows
+    return ran
 
 
 def _compiled_chains(lib, config: SwitchingConfig, codes, states: np.ndarray, jobs: int) -> list[SwitchingRun]:
     """The chain from each of `codes`, chain i on the generator whose six
-    state words are row i of `states`, which takes the words it leaves.
+    state words are row i of `states` (C-contiguous uint64), which takes the
+    words it leaves.
 
-    Share j of `jobs` runs chains j, j + jobs, ... in one `im_run_chains`
-    call, on a share thread where `jobs` > 1. Every share's session state
-    and buffers are laid out here, before any share starts, and the shares'
-    rows of the ensemble-wide codes, states and tie counts follow one
-    another. The kernel reads each code's bits unchecked, so the caller
-    checks every code with `decode_state` first.
+    `jobs` shares run the chains, each in one `im_run_chains` call, on a
+    share thread where `jobs` > 1: a share takes the next chain that no
+    share has taken from one shared counter until none is left, and writes
+    that chain's rows of the ensemble-wide codes, states and tie counts.
+    Every share's session state and buffers are laid out here, before any
+    share starts. The kernel reads each code's bits unchecked, so the
+    caller checks every code with `decode_state` first.
     """
-    order = [i for j in range(jobs) for i in range(j, len(codes), jobs)]
+    if states.shape != (len(codes), 6) or states.dtype != np.uint64 or not states.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous ({len(codes)}, 6) uint64 array of generator states")
     table = np.empty((len(codes), config.n_periods // config.interval + 1), np.int64)
-    table[:, 0] = [codes[i] for i in order]
-    words, ties = states[order], np.empty((2, len(codes)), np.int64)
+    table[:, 0] = codes
+    ties, next_chain = np.empty((2, len(codes)), np.int64), np.zeros(1, np.int64)
     # One state, laid out for the first (the longest) segment, serves every
     # chain of a share: the kernel sets each chain's strategies from its code.
     first = min(SEGMENT_PERIODS, config.n_periods)
     scfg = config.session_config(1, first)
-    shares, start = [], 0
-    for j in range(jobs):
-        rows = range(start, start + len(range(j, len(codes), jobs)))
-        start = rows.stop
+    shares = []
+    for _ in range(jobs):
         scratch = tuple(np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders))
         chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval,
                               walk=scratch[0].ctypes.data, marks=scratch[1].ctypes.data,
-                              returns=scratch[2].ctypes.data, n_chains=len(rows),
-                              states=words[rows.start:].ctypes.data, codes=table[rows.start:].ctypes.data,
-                              tie_events=ties[0, rows.start:].ctypes.data,
-                              all_equal_events=ties[1, rows.start:].ctypes.data)
-        shares.append(ChainShare(lib, rows, lay_out_state(scfg)["_arena"], chain, scratch))
-    try:
-        parallel_map(_run_chain_share, shares, jobs, key=lambda rows: rows.start)
-    finally:
-        states[order] = words
-    runs = [None] * len(codes)
-    for row, i in enumerate(order):
-        runs[i] = SwitchingRun(codes[i], table[row], int(ties[0, row]), int(ties[1, row]))
-    return runs
+                              returns=scratch[2].ctypes.data, n_chains=len(codes),
+                              next_chain=next_chain.ctypes.data, states=states.ctypes.data,
+                              codes=table.ctypes.data, tie_events=ties[0].ctypes.data,
+                              all_equal_events=ties[1].ctypes.data)
+        shares.append(ChainShare(lib, lay_out_state(scfg)["_arena"], chain,
+                                 (*scratch, next_chain, states, table, ties)))
+    parallel_map(_run_chain_share, shares, jobs, key=lambda ran: ran)
+    return [SwitchingRun(code, row, tie, equal) for code, row, tie, equal in zip(codes, table, *ties.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +274,32 @@ class EnsembleEstimate:
 
 
 def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
-    """Combine runs started from different initial states."""
+    """Combine runs started from different initial states.
+
+    Every run's transition counts come from one `bincount` over all runs'
+    codes, and so do its state counts; each run's rows are then its
+    `estimate_transition_matrix(...).probs` and its `frequency_vector`,
+    which stay the specification, with the same bits.
+    """
     if not runs:
         raise ValueError("no runs to aggregate")
-    mats = []
-    pis = []
-    for run in runs:
-        mats.append(estimate_transition_matrix(run.codes, n_states).probs)
-        pis.append(frequency_vector(run.codes, n_states))
-    mats = np.array(mats)
-    pis = np.array(pis)
-    m = len(runs)
+    m, s = len(runs), n_states
+    lengths = np.array([len(run.codes) for run in runs])
+    if lengths.min() < 2:
+        raise ValueError("need at least two recorded states")
+    codes = np.concatenate([np.asarray(run.codes, dtype=np.int64) for run in runs])
+    if codes.min() < 1 or codes.max() > s:
+        raise ValueError("state codes outside 1..n_states")
+    run_of = np.repeat(np.arange(m), lengths)
+    # A state's flat index in the (runs, n_states) counts, and a transition's,
+    # from it, in the (runs, n_states, n_states) counts; a run's last state
+    # has no transition into the next run's first.
+    cells = run_of * s + (codes - 1)
+    within = run_of[1:] == run_of[:-1]
+    counts = np.bincount((cells[:-1] * s + (codes[1:] - 1))[within], minlength=m * s * s).reshape(m, s, s)
+    with np.errstate(invalid="ignore"):
+        mats = counts / counts.sum(axis=2)[:, :, None]
+    pis = np.bincount(cells, minlength=m * s).reshape(m, s) / lengths[:, None]
     # A cell's estimate averages the runs that visited its row (NaN where
     # none did), so its stderr is their spread over the square root of their
     # count; the spread needs two of them, so fewer leave the stderr NaN.
@@ -368,7 +387,29 @@ def run_switching_ensemble(
 
 
 def write_states_csv(runs: list[SwitchingRun], file) -> None:
-    write_csv_blocks(file, ["initial", "interval", "code"], _state_blocks(runs))
+    """One row per recorded state of every run: initial,interval,code.
+
+    Where the kernel loads, `im_format_states` writes each run's rows, up to
+    `_LINES_PER_WRITE` of them at a time, into one buffer reused for the
+    next; `_state_blocks`, its specification, writes the same bytes
+    wherever no kernel loads.
+    """
+    lib = _kernel.resolve()
+    blocks = _state_blocks(runs) if lib is None else _compiled_state_blocks(lib, runs)
+    write_csv_blocks(file, ["initial", "interval", "code"], blocks)
+
+
+def _compiled_state_blocks(lib, runs: list[SwitchingRun]):
+    # Each run's head, its initial code and a comma, is %d's text, for any int.
+    heads = [b"%d," % run.initial_code for run in runs]
+    rows = min(_LINES_PER_WRITE, max((len(run.codes) for run in runs), default=0))
+    out = np.empty(rows * (max(map(len, heads), default=0) + _kernel.STATE_ROW_BYTES), np.uint8)
+    for run, head in zip(runs, heads):
+        codes = np.ascontiguousarray(run.codes, dtype=np.int64)
+        for start in range(0, len(codes), _LINES_PER_WRITE):
+            size = lib.im_format_states(codes[start:].ctypes.data, min(_LINES_PER_WRITE, len(codes) - start), head,
+                                        len(head), start, out.ctypes.data)
+            yield str(out[:size], "ascii")
 
 
 def _state_blocks(runs: list[SwitchingRun]):
@@ -385,17 +426,20 @@ def _state_blocks(runs: list[SwitchingRun]):
 
 def write_tmatrix_csv(est: EnsembleEstimate, file) -> None:
     # Rows never visited are NaN in the estimate and written as prob 0; a
-    # stderr that fewer than two runs support is written as nan.
-    probs = np.where(np.isnan(est.mean_probs), 0.0, est.mean_probs)
-    stderrs = est.stderr_probs
-    n = probs.shape[0]
+    # stderr that fewer than two runs support is written as nan. `tolist`
+    # gives Python floats, whose repr is `fmt`'s text.
+    probs = np.where(np.isnan(est.mean_probs), 0.0, est.mean_probs).tolist()
+    stderrs = est.stderr_probs.tolist()
     write_csv(file, ["from", "to", "prob", "stderr"],
-              (f"{a + 1},{b + 1},{fmt(probs[a, b])},{fmt(stderrs[a, b])}" for a in range(n) for b in range(n)))
+              (f"{a},{b},{p!r},{se!r}"
+               for a, (row, se_row) in enumerate(zip(probs, stderrs), start=1)
+               for b, (p, se) in enumerate(zip(row, se_row), start=1)))
 
 
 def write_freqs_csv(est: EnsembleEstimate, file) -> None:
     # A one-run ensemble has no spread, so its stderr is written as nan.
     pi_t, _, _ = stationarity_gap(est.mean_pi, est.mean_probs)
     write_csv(file, ["code", "pi", "pi_T", "stderr"],
-              (f"{code},{fmt(p)},{fmt(pt)},{fmt(se)}"
-               for code, (p, pt, se) in enumerate(zip(est.mean_pi, pi_t, est.stderr_pi), start=1)))
+              (f"{code},{p!r},{pt!r},{se!r}"
+               for code, (p, pt, se) in enumerate(zip(est.mean_pi.tolist(), pi_t.tolist(), est.stderr_pi.tolist()),
+                                                   start=1)))

@@ -119,6 +119,13 @@ def test_pv_out_of_range_raises():
 def test_param_validation():
     with pytest.raises(ValueError):
         DividendParams(sigma=-0.1)
+    # NaN fails every comparison, so a check written `x < 0` would let it through.
+    for params, name, value in ((DividendParams, "d0", -0.5), (DividendParams, "d0", float("nan")),
+                                (DividendParams, "sigma", float("nan")), (RateParams, "r_f", float("nan")),
+                                (RateParams, "r_e", float("nan"))):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            params(**{name: value})
+    assert DividendParams(d0=0.0, sigma=0.0).d0 == 0.0
     with pytest.raises(ValueError):
         generate_dividend_path(DividendParams(), 0, stream(1))
     with pytest.raises(ValueError):

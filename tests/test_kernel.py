@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 
 from infomarket import _kernel, cli, engine, montecarlo, switching
 from infomarket.agents import decide_random
+from infomarket.csvout import _LINES_PER_WRITE
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
 from infomarket.engine import MarketSession, SessionConfig, default_market, market_with_levels
 from infomarket.montecarlo import BLOCK_SPEC, BatchConfig, run_batch, write_runs_csv
@@ -218,6 +219,33 @@ def test_first_run_takes_a_session_of_zero_opening_wealth(kernel):
     assert result.trade_prices.size == 0 and not result.cash_hist.any() and not result.shares_hist.any()
 
 
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("params, name, value", [(DividendParams, "d0", -0.5), (DividendParams, "d0", float("nan")),
+                                                 (DividendParams, "sigma", float("nan")),
+                                                 (RateParams, "r_f", float("nan")), (RateParams, "r_e", float("nan"))],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_a_walk_or_rate_out_of_range_is_refused_before_any_run(monkeypatch, kernel, params, name, value):
+    # The compiled block draws the walk in C and makes no `DividendPath`,
+    # whose check on the drawn dividends is the Python block's alone: a
+    # negative start would run compiled and raise in Python, and a NaN
+    # would run in both. The parameters refuse them, before `run_batch` or
+    # `first_run` starts a run under either kernel.
+    if kernel == "compiled":
+        require_kernel()
+        monkeypatch.setattr(_kernel, "_resolved", (NoTrading(_kernel.resolve(), "a refused config"), None))
+    else:
+        monkeypatch.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
+        monkeypatch.setattr(montecarlo, "run_session", lambda *args: pytest.fail("a refused config ran"))
+
+    def session():
+        return config(**{"dividends" if params is DividendParams else "rates": params(**{name: value})})
+
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        run_batch(BatchConfig(session=session(), n_sessions=2, runs_per_session=2, jobs=2))
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        montecarlo.first_run(session(), 0)
+
+
 @needs_kernel
 @pytest.mark.parametrize("clear", [True, False])
 def test_reference_market_sessions_match(clear):
@@ -383,6 +411,39 @@ def test_a_compiled_share_of_chains_matches_the_python_loop(share, seed):
     spec = chain_share(cfg, codes, seed, jobs, python=True)
     assert chain_share(cfg, codes, seed, jobs) == spec
     assert ensemble(cfg, codes, seed, jobs) == sorted((code, *run[:3]) for code, run in zip(codes, spec))
+
+
+@needs_kernel
+def test_a_share_that_starts_late_leaves_its_chains_to_the_other(monkeypatch, tmp_path):
+    # The shares of a jobs-2 ensemble take their chains from one counter.
+    # Share 1 waits in `_place` until share 0 has run, so share 0 takes
+    # every chain and share 1 none; each runs exactly once (a chain run
+    # twice would start again from the generator state it left, and write
+    # other codes), and the command writes the jobs-1 bytes.
+    argv = ["markov", "--preset", "markov3", "--seed", "4", "--periods", "60", "--steps", "20"]
+    assert cli.main([*argv, "--jobs", "1", "--out", str(tmp_path / "jobs1")]) == 0
+    place, run_share = montecarlo._place, switching._run_chain_share
+    share_of, taken, share_0_done = {}, {}, threading.Event()
+
+    def late(cpus, j):
+        share_of[threading.get_ident()] = j
+        if j == 1:
+            assert share_0_done.wait(timeout=60)
+        place(cpus, j)
+
+    def counted(share):
+        j = share_of[threading.get_ident()]
+        taken[j] = run_share(share)
+        if j == 0:
+            share_0_done.set()
+        return taken[j]
+
+    monkeypatch.setattr(montecarlo, "_place", late)
+    monkeypatch.setattr(switching, "_run_chain_share", counted)
+    assert cli.main([*argv, "--jobs", "2", "--out", str(tmp_path / "jobs2")]) == 0
+    assert taken == {0: 8, 1: 0}
+    for name in ("states.csv", "tmatrix.csv", "freqs.csv"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
@@ -977,8 +1038,10 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
 
 # What the sanitized kernel runs in its own process: its load-time
 # self-check, the draw comparisons, the no-clearing reference market's and
-# the deep book's first runs, one block, one chain and one share of three
-# chains from different profiles against the Python loop.
+# the deep book's first runs, one block, one chain, one share of three
+# chains from different profiles and two shares that take four chains from
+# one counter on two threads, against the Python loop, and `states.csv`
+# rows written into buffers of exactly their length.
 SANITIZED_RUN = """
 import sys
 from pathlib import Path
@@ -1001,6 +1064,9 @@ assert t.block(cfg, 3, 5) == t.block(cfg, 3, 5, python=True)
 chain = SwitchingConfig(n_traders=4, n_periods=45, interval=5, steps_per_period=20)
 assert t.chain(chain, 6, 4) == t.chain(chain, 6, 4, python=True)
 assert t.chain_share(chain, [6, 1, 11], 4, 1) == t.chain_share(chain, [6, 1, 11], 4, 1, python=True)
+assert t.chain_share(chain, [6, 1, 11, 16], 4, 2) == t.chain_share(chain, [6, 1, 11, 16], 4, 1, python=True)
+t.exact_state_rows(2**70, [2**63 - 1, -(2**63), 0, -7], 2**62)
+t.exact_state_rows(-3, range(5000), 0)
 print("sanitized kernel matches")
 """
 
@@ -1252,6 +1318,50 @@ def test_the_compiled_rows_number_sessions_runs_and_labels():
     # The widest row the documented room allows for.
     wide = formatted([-2.2250738585072014e-308], labels=(1,), runs=2**62, first=2**63 - 1)
     assert wide == [f"1,{2**62 - 1},1,-2.2250738585072014e-308"]
+
+
+def exact_state_rows(initial, codes, first):
+    """`im_format_states` on `codes`, recorded from interval `first` on,
+    into a buffer of exactly the bytes `%d` writes for its rows: the bytes
+    it wrote, which must be those."""
+    codes = np.asarray(codes, np.int64)
+    expected = "".join("%d,%d,%d\r\n" % (initial, first + i, code) for i, code in enumerate(codes.tolist())).encode()
+    out, head = np.empty(len(expected), np.uint8), b"%d," % initial
+    size = _kernel.resolve().im_format_states(codes.ctypes.data, len(codes), head, len(head), first, out.ctypes.data)
+    assert size == len(expected) and out.tobytes() == expected
+    return out.tobytes()
+
+
+@st.composite
+def recorded_runs(draw):
+    """1-4 runs of unequal lengths, one row to over twice `_LINES_PER_WRITE`,
+    each with any initial code and codes drawn from a range within
+    +-(2**62 + 5), its ends included."""
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.one_of(st.integers(1, 4), st.integers(_LINES_PER_WRITE - 1, 2 * _LINES_PER_WRITE + 2)))
+        low = draw(st.integers(-(2**62 + 5), 2**62 + 5))
+        high = draw(st.integers(low, 2**62 + 5))
+        codes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(low, high, length, endpoint=True)
+        codes[0], codes[-1] = low, high
+        runs.append(switching.SwitchingRun(draw(st.integers(-(2**70), 2**70)), codes, 0, 0))
+    return runs
+
+
+@needs_kernel
+@given(runs=recorded_runs())
+@example(runs=[switching.SwitchingRun(3, np.array([2**63 - 1, -(2**63), 0, -1, 1, 10, 9]), 0, 0)])
+@example(runs=[switching.SwitchingRun(1, np.array([5]), 0, 0), switching.SwitchingRun(8, np.arange(301), 0, 0)])
+@settings(max_examples=40, deadline=None)
+def test_the_compiled_state_rows_are_the_python_rows(runs):
+    # `im_format_states` writes each run's rows in blocks of up to
+    # `_LINES_PER_WRITE`, from the block's first interval on; `_state_blocks`
+    # is its specification.
+    compiled, python = io.StringIO(newline=""), io.StringIO(newline="")
+    write_states_csv(runs, compiled)
+    with python_loop():
+        write_states_csv(runs, python)
+    assert compiled.getvalue() == python.getvalue()
 
 
 def test_a_loaded_kernel_leaves_a_patched_rule_to_the_python_loop(monkeypatch):

@@ -31,7 +31,9 @@ def test_profile_session_tiny():
     # kernel under the same environment, so does the script. The markov3
     # ensemble and the reference batch get one median line per worker
     # count, whichever kernel ran them, and one line with the CPUs their
-    # jobs-2 shares started on.
+    # jobs-2 shares started on. The markov3 post-run is timed under each
+    # kernel, and the chains each ensemble share took are listed at jobs 1
+    # and 2.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -86,6 +88,19 @@ def test_profile_session_tiny():
             groups = cpus.removeprefix("CPUs ").split(" | ")
             assert len(groups) == (2 if compiled else 1), line
             assert all(cpu.isdigit() for group in groups for cpu in group.split()), line
+    assert ("markov3 post-run: aggregate_runs and the three writers on 8 runs, 2408 states.csv rows "
+            "(4096 per write)") in lines
+    timed = [line for line in lines if " post-run, median of 2:" in line]
+    assert [line.split()[0] for line in timed] == ["python", "c"][:1 + compiled]
+    for line in timed:
+        assert "ms per ensemble" in line and "us per row" in line
+    assert sum(line.startswith("python / c post-run median ratio: ") for line in lines) == compiled
+    for jobs in (1, 2):
+        head = f"jobs {jobs} ensemble shares took chains "
+        (line,) = [line for line in lines if line.startswith(head)]
+        # One count per thread: two compiled shares at jobs 2, one thread otherwise.
+        counts = [int(count) for count in line[len(head):].split(" | ")]
+        assert sum(counts) == 8 and len(counts) == (2 if compiled and jobs == 2 else 1), line
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:

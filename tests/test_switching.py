@@ -220,3 +220,50 @@ def test_diagonal_zero_unless_all_equal_logged():
     est = estimate_transition_matrix(run.codes, 8)
     diag = int(np.trace(est.counts))
     assert diag == run.all_equal_events
+
+
+def aggregate_run_by_run(runs, n_states):
+    """`aggregate_runs`' specification: each run's transition matrix and
+    frequencies from `estimate_transition_matrix` and `frequency_vector`,
+    stacked, then combined as `aggregate_runs` combines them."""
+    mats = np.array([estimate_transition_matrix(run.codes, n_states).probs for run in runs])
+    pis = np.array([frequency_vector(run.codes, n_states) for run in runs])
+    m = len(runs)
+    seen = ~np.isnan(mats)
+    contributing = seen.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_probs = np.where(seen, mats, 0.0).sum(axis=0) / contributing
+        dev = np.where(seen, mats - mean_probs, 0.0)
+        spread = np.sqrt((dev * dev).sum(axis=0) / (contributing - 1))
+        stderr_probs = np.where(contributing > 1, spread / np.sqrt(contributing), np.nan)
+    stderr_pi = pis.std(axis=0, ddof=1) / np.sqrt(m) if m > 1 else np.full(n_states, np.nan)
+    return mean_probs, stderr_probs, pis.mean(axis=0), stderr_pi
+
+
+@st.composite
+def recorded_ensembles(draw):
+    """1-6 runs of 2-40 recorded states each, of unequal lengths, over 2-16 states."""
+    n_states = 1 << draw(st.integers(1, 4))
+    runs = [SwitchingRun(1, np.array(draw(st.lists(st.integers(1, n_states), min_size=2, max_size=40))), 0, 0)
+            for _ in range(draw(st.integers(1, 6)))]
+    return runs, n_states
+
+
+@given(ensemble=recorded_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_aggregate_runs_in_one_pass_has_the_run_by_run_bits(ensemble):
+    # One bincount over every run's transitions, and one over its states,
+    # must not let a run's last state count a transition into the next
+    # run's first.
+    runs, n_states = ensemble
+    est = aggregate_runs(runs, n_states)
+    got = (est.mean_probs, est.stderr_probs, est.mean_pi, est.stderr_pi)
+    for a, b in zip(got, aggregate_run_by_run(runs, n_states)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_aggregate_runs_checks_every_run():
+    for codes, message in (([1], "at least two"), ([1, 5], "outside 1..n_states"), ([0, 1], "outside")):
+        with pytest.raises(ValueError, match=message):
+            aggregate_runs([SwitchingRun(1, np.array([1, 2, 1]), 0, 0), SwitchingRun(2, np.array(codes), 0, 0)], 4)
