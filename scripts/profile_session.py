@@ -46,12 +46,13 @@ and jobs 2 (two share threads), alternating, and prints one median line for
 each. Before each of these calls it runs a fixed pure-Python block of about
 20 ms, as a command's own Python work (or perfbench's calibration) comes
 before its batch: back to back, the calls would keep both CPUs busy, and a
-share would find the other CPU already awake. After each, one more jobs-2
-call records the CPU each share (or, under the Python loop, each chain)
-started on, and it prints them share by share (`CPUs unknown` where the C
-library has no `sched_getcpu`). For the ensemble it also prints, at jobs 1
-and at jobs 2, how many chains each share took from the shared counter
-(under the Python loop every chain runs in this thread).
+share would find the other CPU already awake. After each, it makes one more
+call at jobs 1 and one at jobs 2, watching the shares that
+`montecarlo.run_shares` runs, and prints how many chains or sessions each
+share took from the shared counter (under the Python loop, which has no
+shares, every chain or the one block runs in this thread) and, at jobs 2,
+the CPU each share (or, under the Python loop, each chain) started on,
+share by share (`CPUs unknown` where the C library has no `sched_getcpu`).
 
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
@@ -106,51 +107,51 @@ def sched_getcpu():
         return None
 
 
-def share_cpus(module, name, call) -> str:
-    """The CPUs on which `call()`'s tasks, `module.name`, started, one
-    group per thread in the order of their first task; `call` runs after
-    `python_block`, as a timed call does."""
-    getcpu = sched_getcpu()
-    if getcpu is None:
-        return "CPUs unknown: no sched_getcpu in the C library"
-    task, started = getattr(module, name), {}
+def watch_shares(compiled: bool, module, name: str, count: int, call) -> list[tuple[list, int]]:
+    """Per thread, in the order of their first task, the CPUs on which its
+    tasks started (None where the C library has no `sched_getcpu`) and the
+    items they took, for `call()` run after `python_block`, as a timed call
+    runs. A compiled share is a task of `montecarlo.run_shares`, whose
+    result is the number of items its kernel call took; under the Python
+    loop each task is `module.name`, which runs `count` items."""
+    getcpu, shares = sched_getcpu(), {}
 
-    def logged(item):
-        started.setdefault(threading.get_ident(), []).append(getcpu())
-        return task(item)
+    def watched(task, took):
+        def run(item):
+            share = shares.setdefault(threading.get_ident(), ([], [0]))
+            share[0].append(getcpu() if getcpu else None)
+            result = task(item)
+            share[1][0] += took(result)
+            return result
+        return run
 
-    setattr(module, name, logged)
+    if compiled:
+        owner, name, original = montecarlo, "run_shares", montecarlo.run_shares
+
+        def replacement(task, items):
+            return original(watched(task, int), items)
+    else:
+        owner, original = module, getattr(module, name)
+        replacement = watched(original, lambda result: count)
+    setattr(owner, name, replacement)
     try:
         python_block()
         call()
     finally:
-        setattr(module, name, task)
-    return "CPUs " + " | ".join(" ".join(map(str, cpus)) for cpus in started.values())
+        setattr(owner, name, original)
+    return [(cpus, took) for cpus, (took,) in shares.values()]
 
 
-def share_chains(compiled: bool, call) -> str:
-    """How many chains each share of the ensemble that `call()` runs took,
-    one count per thread in the order of their first task: a compiled
-    share's `im_run_chains` call reports its count, and under the Python
-    loop each chain is a task of its own; `call` runs after `python_block`,
-    as a timed call does."""
-    name = "_run_chain_share" if compiled else "_one_switching_run"
-    task, taken = getattr(switching, name), {}
-
-    def counted(item):
-        ident = threading.get_ident()
-        taken.setdefault(ident, 0)
-        result = task(item)
-        taken[ident] += result if compiled else 1
-        return result
-
-    setattr(switching, name, counted)
-    try:
-        python_block()
-        call()
-    finally:
-        setattr(switching, name, task)
-    return " | ".join(map(str, taken.values()))
+def report_shares(label: str, unit: str, compiled: bool, module, name: str, count: int, run) -> None:
+    """At jobs 1 and 2, the `unit` each share of `run(jobs)` took, and at
+    jobs 2 the CPUs its shares started on; see `watch_shares`."""
+    for jobs in ENSEMBLE_JOBS.values():
+        shares = watch_shares(compiled, module, name, count, lambda: run(jobs))
+        if jobs == 2:
+            started = ("CPUs " + " | ".join(" ".join(map(str, cpus)) for cpus, _ in shares) if sched_getcpu()
+                       else "CPUs unknown: no sched_getcpu in the C library")
+            print(f"jobs 2 {label} shares started on {started}")
+        print(f"jobs {jobs} {label} shares took {unit} " + " | ".join(str(took) for _, took in shares))
 
 
 def alternate(variants, repeats, once) -> dict[str, list[float]]:
@@ -240,9 +241,9 @@ def main() -> int:
 
     def block(kernel: str) -> float:
         _kernel._resolved = resolutions[kernel]
-        (share,) = montecarlo.batch_shares(share_batch, 1)
+        share = montecarlo._new_share(cfg, 0, sessions, runs)
         t0 = time.perf_counter()
-        montecarlo._run_session_block(share)
+        montecarlo._run_sessions(share, 1)
         return time.perf_counter() - t0
 
     keys = [(0, PATH_DOMAIN, s) for s in range(sessions)]
@@ -316,12 +317,8 @@ def main() -> int:
     print(f"markov3 ensemble: {len(ENSEMBLE_CODES)} chains x {chain_cfg.n_periods} periods, {kernel} kernel")
     report("ensemble", alternate(list(ENSEMBLE_JOBS), args.repeats, ensemble), "ensemble",
            len(ENSEMBLE_CODES) * chain_cfg.n_periods, "period")
-    print("jobs 2 ensemble shares started on " + share_cpus(
-        switching, "_run_chain_share" if lib is not None else "_one_switching_run",
-        lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=2)))
-    for jobs in ENSEMBLE_JOBS.values():
-        taken = share_chains(lib is not None, lambda: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=jobs))
-        print(f"jobs {jobs} ensemble shares took chains {taken}")
+    report_shares("ensemble", "chains", lib is not None, switching, "_one_switching_run", 1,
+                  lambda jobs: run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=jobs))
 
     sessions, runs = SHARE
 
@@ -333,8 +330,8 @@ def main() -> int:
 
     print(f"reference batch: {sessions} sessions x {runs} runs, {kernel} kernel")
     report("batch", alternate(list(ENSEMBLE_JOBS), args.repeats, batch), "batch", sessions * runs, "run")
-    print("jobs 2 batch shares started on " + share_cpus(
-        montecarlo, "_run_session_block", lambda: montecarlo.run_batch(replace(share_batch, jobs=2))))
+    report_shares("batch", "sessions", lib is not None, montecarlo, "_run_session_block", sessions,
+                  lambda jobs: montecarlo.run_batch(replace(share_batch, jobs=jobs)))
     return 0
 
 

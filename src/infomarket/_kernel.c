@@ -17,14 +17,19 @@
  * engine.lay_out_state fills it, the factors with Python's `**`, the
  * Python loop's pow.
  *
- * There are two entry points that trade. `im_run_block` runs one share of
- * a batch, montecarlo._run_session_block, whose Python loop stays its
- * specification: per session it draws the session's dividend walk and
- * fills the present-value table once, then per run resets the state a
- * fresh MarketSession starts from and runs every period, all on one state
- * laid out once per share. After the call the state holds the share's
- * last run, series, book and holds included, which montecarlo.first_run
- * reads back for the one run of `simulate` and `stats`. It seeds every
+ * There are two entry points that trade. Each call runs one share of a
+ * batch or an ensemble on a session state its caller laid out: it takes the
+ * next session or chain that no share has taken from one counter that
+ * every share shares (`take`), until none is left, and writes that item's
+ * rows of the shared outputs. So a share that starts late takes fewer
+ * items, and each item runs once, with bits that do not depend on its share.
+ * `im_run_block` runs sessions of a batch, whose Python block,
+ * montecarlo._run_session_block, stays its specification: per session it
+ * draws the session's dividend walk and fills the present-value table
+ * once, then per run resets the state a fresh MarketSession starts from
+ * and runs every period. After the call the state holds the share's last
+ * run, series, book and holds included, which montecarlo.first_run reads
+ * back for the one run of `simulate` and `stats`. It seeds every
  * generator itself from the master seed's key words, with numpy's
  * SeedSequence and PCG64 reproduced below, so it draws the streams
  * rng.stream gives; `im_seed_pcg64` and `im_pcg64_draw` expose the seeding
@@ -32,19 +37,13 @@
  * montecarlo.BLOCK_SPEC lists the names that send a block to the Python
  * loop when patched: the rules, the book methods, the dividend walk,
  * run_session, stream and engine's present-value function.
- * `im_run_chains` runs one share of a switching ensemble, chains of
- * switching.run_switching_sim, whose Python loop stays its specification.
- * Every share of the ensemble takes its chains from one shared counter,
- * the next chain that no share has taken, until none is left, and writes
- * that chain's rows of the ensemble-wide outputs; so a share that starts
- * late takes fewer chains, and each chain runs once. Per chain it sets the
- * strategies from the initial code, as decode_state does, then per
+ * `im_run_chains` runs chains of a switching ensemble, whose Python loop,
+ * switching.run_switching_sim, stays its specification. Per chain it sets
+ * the strategies from the initial code, as decode_state does, then per
  * segment draws the dividend walk, fills the present values and marks,
  * resets the state a fresh MarketSession starts from, and trades and
- * evaluates every period, all on one state laid out once per share. Each
- * chain draws on its own generator, whose six state words the caller
- * seeds and the call writes back, so its bits do not depend on the share
- * that runs it.
+ * evaluates every period. Each chain draws on its own generator, whose six
+ * state words the caller seeds and the call writes back.
  * switching.ENSEMBLE_SPEC lists the names that send an ensemble to its
  * Python loop, one run_switching_sim per chain, when patched: the rules,
  * the book methods, the dividend walk, both modules' present-value
@@ -1109,55 +1108,64 @@ static int run_chain(im_session *s, im_chain *c, int64_t chain, im_pcg64 *g)
     return 0;
 }
 
-/* A share's chains on one session state, one after another: each is the
- * next chain k that no share has taken yet, which the share takes from the
- * shared counter, and runs on the generator in its row of `states` (six
- * words, read, and written back also on failure), so a share that starts
- * late or runs slowly takes fewer chains. Every initial code must lie in
- * 1..2**n. Returns the number of chains the share ran, or -1 when a side
- * of the book is full; no share then takes another chain. */
+/* The next of the n items that no share has taken from `next`, the counter
+ * every share shares, or -1 when none is left; after a failure, `stop` leaves
+ * none and returns -1. The caller reads the outputs only after every share
+ * has returned, so the count needs atomicity alone. */
+static int64_t take(int64_t *next, int64_t n)
+{
+    int64_t k = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED);
+    return k < n ? k : -1;
+}
+
+static int64_t stop(int64_t *next, int64_t n)
+{
+    __atomic_store_n(next, n, __ATOMIC_RELAXED);
+    return -1;
+}
+
+/* A share's chains, each the chain k it takes, on one session state and the
+ * generator in row k of `states` (six words, read, and written back also on
+ * failure). Every initial code must lie in 1..2**n. Returns the number of
+ * chains the share ran, or -1 (`stop`) when a side of the book is full. */
 int64_t im_run_chains(im_session *s, im_chain *c)
 {
     int64_t ran = 0;
-    for (int64_t k; (k = __atomic_fetch_add(c->next_chain, 1, __ATOMIC_RELAXED)) < c->n_chains; ran++) {
+    for (int64_t k; (k = take(c->next_chain, c->n_chains)) >= 0; ran++) {
         im_pcg64 g;
         get_state(&g, c->states + k * 6);
         int failed = run_chain(s, c, k, &g);
         put_state(c->states + k * 6, &g);
-        if (failed) {
-            __atomic_store_n(c->next_chain, c->n_chains, __ATOMIC_RELAXED);
-            return -1;
-        }
+        if (failed)
+            return stop(c->next_chain, c->n_chains);
     }
     return ran;
 }
 
-/* A share of a batch (montecarlo._run_session_block): the sessions it runs,
- * their runs, the master seed and domains their streams derive from and the
- * batch-wide outputs it writes its sessions' rows of. The market is the
- * session header's. The caller owns every buffer (see _kernel.Block). */
+/* A share of a batch (montecarlo.run_batch): the batch's sessions and runs,
+ * the master seed and domains their streams derive from, the counter every
+ * share takes its next session from, and the batch-wide outputs. The market
+ * is the session header's. The caller owns every buffer (see _kernel.Block). */
 typedef struct {
     int64_t runs;         /* per session */
     const uint32_t *master; /* n_master: the master seed's key words */
     int64_t n_master;
     int64_t path_domain;  /* rng.PATH_DOMAIN: a walk's key is (master, path_domain, session) */
     int64_t run_domain;   /* rng.RUN_DOMAIN: a run's key is (master, run_domain, session, run) */
-    const int64_t *sessions; /* n_sessions: the share's batch session indices */
-    int64_t n_sessions;
-    double *walks;        /* batch sessions x (periods + path_extra): each session's dividends */
+    int64_t n_sessions;   /* the batch's */
+    int64_t *next_session; /* shared by every share: the next session to take, from 0 */
+    double *walks;        /* n_sessions x (periods + path_extra): each session's dividends */
     double *wealth;       /* batch runs x n, row session * runs + run: final cash plus shares at the last close */
     double *closes;       /* batch runs x periods: each period's last price */
-    uint64_t *states;     /* NULL, or batch sessions x (runs + 1) x 6: the walk's, then each run's final state */
+    uint64_t *states;     /* NULL, or n_sessions x (runs + 1) x 6: the walk's, then each run's final state */
 } im_block;
 
 int64_t im_block_size(void) { return (int64_t)sizeof(im_block); }
 
-/* Every session of a share on one session state: per session its dividend
- * walk from its own generator, its present-value table once, then every run
- * from the state a fresh MarketSession starts from, on its own generator,
- * and its wealth and closing prices. Each generator is seeded here as
- * rng.stream seeds it. Returns 0, or -1 when a side of the book is full. */
-int im_run_block(im_session *s, im_block *b)
+/* A share's sessions, each the session it takes, on one session state (see
+ * the header), and their wealth and closing prices. Returns the number of
+ * sessions the share ran, or -1 (`stop`) when a side of the book is full. */
+int64_t im_run_block(im_session *s, im_block *b)
 {
     const int64_t n = s->n, periods = s->periods, runs = b->runs, points = periods + s->path_extra;
     im_seeder master = NEW_SEEDER;
@@ -1167,8 +1175,8 @@ int im_run_block(im_session *s, im_block *b)
     feed(&path_key, (uint64_t)b->path_domain);
     feed(&run_key, (uint64_t)b->run_domain);
     im_pcg64 g;
-    for (int64_t k = 0; k < b->n_sessions; k++) {
-        const int64_t session = b->sessions[k];
+    int64_t ran = 0;
+    for (int64_t session; (session = take(b->next_session, b->n_sessions)) >= 0; ran++) {
         double *walk = b->walks + session * points;
         uint64_t *states = b->states ? b->states + session * (runs + 1) * 6 : NULL;
         im_seeder key = path_key;
@@ -1187,7 +1195,7 @@ int im_run_block(im_session *s, im_block *b)
             reset_session(s);
             for (int64_t t = 0; t < periods; t++)
                 if (run_period(s, &g))
-                    return -1;
+                    return stop(b->next_session, b->n_sessions);
             const int64_t row = session * runs + r;
             double *wealth = b->wealth + row * n;
             for (int64_t i = 0; i < n; i++)
@@ -1197,7 +1205,7 @@ int im_run_block(im_session *s, im_block *b)
                 put_state(states + (r + 1) * 6, &g);
         }
     }
-    return 0;
+    return ran;
 }
 
 /* The decimal field at `*p`: digits, optionally a '.' and more digits. It

@@ -1,36 +1,34 @@
 """The compiled session kernel: build, cache and load `_kernel.c`, and describe
 the session state it runs on.
 
-`_kernel.c` runs whole batch shares and whole switching ensembles; its
+`_kernel.c` runs the shares of batches and of switching ensembles; its
 periods are the compiled twin of the Python loop, `engine.draw_period`
 followed by `MarketSession._trade_period`, which stays the specification
 and the only way a `MarketSession` runs. Both run on the same state: an
 arena that `engine.lay_out_state` lays out, whose first bytes are the
 kernel's `im_session` (`Session`, read and written by field name from
 Python) and whose buffers those fields point to. There are two entry
-points that trade. One call of `im_run_block` runs a whole share of a
-batch, any number of sessions, on one such state: per session it draws the
-dividend walk, fills the present-value table once and runs every run on its
-own generator, writing into the batch-wide outputs (`Block` holds the
-share's runs, the master seed's key words and the addresses of its session
-indices and outputs, and the header the market with its discount factors);
+points that trade, each of which runs one share of its work on one such
+state: every share of a batch or an ensemble takes the next item (a
+session or a chain) that no share has taken from a counter that all of
+them share, until none is left, writes that item's rows of the outputs and
+returns how many items it ran. One call of `im_run_block` (see `Block`)
+runs a share of a batch: per session it draws the dividend walk, fills the
+present-value table once and runs every run on its own generator;
 `montecarlo`'s Python block stays its specification, and
-`montecarlo.first_run` runs a one-run share and reads its series back from
+`montecarlo.first_run` runs a one-run batch and reads its series back from
 the state. The block seeds its generators itself: the kernel reproduces
 numpy's `SeedSequence` (the 4-word pool, `hashmix`, `mix` and
 `generate_state(4, uint64)`) and PCG64 (the 128-bit LCG step, the XSL-RR
 output, the buffered 32-bit halves and `next_double`), so it draws
 `rng.stream`'s streams without a Python generator. One call of
-`im_run_chains` runs a whole share of a switching ensemble on one such
-state: the share takes the next chain that no share has taken from a
-counter that every share of the ensemble shares, until none is left, and
-runs each from its own initial code on its own generator (`Chain` holds
-the chains' length and evaluation interval, the addresses of the share's
-scratch buffers, of the shared counter and of the ensemble-wide generator
-states, codes and tie counts; the market, and a segment's length, are the
-header's); `switching`'s Python loop stays its specification. Its generators' six state words each (`seeded_states` for
-the ensemble's `rng.stream` keys) go in, and the words the kernel leaves
-come back.
+`im_run_chains` (see `Chain`) runs a share of a switching ensemble, each
+chain from its own initial code on its own generator; `switching`'s Python
+loop stays its specification. Its generators' six state words each
+(`seeded_states` for the ensemble's `rng.stream` keys) go in, and the
+words the kernel leaves come back. Both read the market, with its discount
+factors, from the header. `montecarlo.run_kernel_shares` runs the shares
+of both.
 Nothing is built or loaded at import; the first batch, run or ensemble that
 may use the kernel resolves it, once per process (`run_batch` and
 `run_switching_ensemble` resolve it before they hand any task to a share
@@ -204,15 +202,14 @@ class Session(ctypes.Structure):
 
 
 class Block(ctypes.Structure):
-    """`im_block` in _kernel.c: one share of a batch, its runs per session,
-    the key words its streams derive from, and the addresses of the share's
-    session indices and of the batch-wide outputs. The market is the
-    session header's."""
+    """`im_block` in _kernel.c: a share of a batch, the runs per session,
+    the key words the streams derive from, the batch's session count, and
+    the addresses of the counter every share takes its next session from
+    and of the batch-wide outputs. The market is the session header's."""
 
     _fields_ = [("runs", ctypes.c_int64), ("master", ctypes.c_void_p),
-                *_fields(ctypes.c_int64, "n_master path_domain run_domain"),
-                ("sessions", ctypes.c_void_p), ("n_sessions", ctypes.c_int64),
-                *_fields(ctypes.c_void_p, "walks wealth closes states")]
+                *_fields(ctypes.c_int64, "n_master path_domain run_domain n_sessions"),
+                *_fields(ctypes.c_void_p, "next_session walks wealth closes states")]
 
 
 class Chain(ctypes.Structure):
@@ -239,7 +236,7 @@ def _load(path: Path):
         if size() != ctypes.sizeof(mirror):
             raise KernelUnavailable(f"{path} does not match this package's session layout")
     lib.im_run_block.argtypes = (ctypes.c_void_p, ctypes.POINTER(Block))
-    lib.im_run_block.restype = ctypes.c_int
+    lib.im_run_block.restype = ctypes.c_int64
     lib.im_seed_pcg64.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     lib.im_seed_pcg64.restype = ctypes.c_int
     lib.im_pcg64_draw.argtypes = (ctypes.c_void_p, *[ctypes.c_int64] * 3, ctypes.c_void_p)

@@ -34,12 +34,13 @@ period, so patching `engine.decide_*` or a `Book` method (as the
 benchmark's tracer does) reaches every activation.
 
 The compiled kernel runs the same periods, with the same bits, only inside
-whole batch shares (`montecarlo._run_session_block`, and
-`montecarlo.first_run` for the one run of `simulate` and `stats`) and whole
-switching ensembles (`switching.run_switching_ensemble`), each on one state
-laid out by `lay_out_state`; `session_result` reads a run's series from
-such a state, whichever ran it. `compiled_kernel` decides for a block or an
-ensemble whether the kernel runs it.
+the shares of batches (`montecarlo.run_batch`, and `montecarlo.first_run`
+for the one run of `simulate` and `stats`) and of switching ensembles
+(`switching.run_switching_ensemble`), each share on one state laid out by
+`lay_out_state` before any share starts (`montecarlo.run_kernel_shares`);
+`session_result` reads a run's series from such a state, whichever ran
+it. `compiled_kernel` decides for a block or an ensemble whether the
+kernel runs it.
 
 The session's generator is drawn from in bulk, in this order per period:
 `permutation(n)` for the seeding pass, then `random(m)` and

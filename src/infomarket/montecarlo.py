@@ -2,26 +2,30 @@
 
 A session is a group of runs sharing one dividend path. Every stream is
 derived from (master_seed, domain, session[, run]) keys, so the batch
-decomposes into independent tasks whose results do not depend on worker
+decomposes into independent sessions whose results do not depend on worker
 count or scheduling order.
 
-A task is one share of the batch, `_run_session_block`: share j of `jobs`
-runs sessions j, j + jobs, ... and writes their runs' final wealth and
-closing prices, and their dividend walks, into arrays that span the whole
-batch, from which `run_batch` computes every return once. A share runs in
-one of two forms with the same bits and the same final generator states.
-The Python block is the specification: per session it derives the streams
-with `rng.stream`, draws the path and runs `run_session`, the Python loop,
-per run, and every run shares the present-value table cached on the path.
-The compiled block is one call of `_kernel.c`'s `im_run_block` for the
-whole share, on one session state laid out once: it seeds every generator
-itself, as `rng.stream` does, then per session draws the path, fills the
-table once and runs every run. A share takes it where the compiled kernel
-loads and no name in `BLOCK_SPEC` is patched.
+A batch's runs write their final wealth and closing prices, and its
+sessions their dividend walks, into arrays that span the whole batch (a
+`Share`), from which `run_batch` computes every return once. The sessions
+run in one of two forms with the same bits and the same final generator
+states. The Python block, `_run_session_block`, is the specification: per
+session it derives the streams with `rng.stream`, draws the path and runs
+`run_session`, the Python loop, per run, and every run shares the
+present-value table cached on the path. Where the compiled kernel loads
+and no name in `BLOCK_SPEC` is patched, `jobs` shares run the sessions
+instead, each in one call of `_kernel.c`'s `im_run_block` on a session
+state of its own (`run_kernel_shares`), and each share takes the next
+session that no share has taken from one shared counter, until none is
+left. The kernel seeds every generator itself, as `rng.stream` does, then
+per session draws the path, fills the table once and runs every run.
 
 `first_run` is run 0 of session 0 of a batch, with all its series: the one
-run of `simulate` and `stats`. It runs a one-run share in the same two
-forms, and the compiled one reads the run back from the block's state.
+run of `simulate` and `stats`. It runs a one-run batch in the same two
+forms, and the compiled one reads the run back from its share's state.
+
+`run_shares` runs the shares of a batch or of a switching ensemble, each
+on a share thread of its own.
 """
 
 from __future__ import annotations
@@ -104,20 +108,53 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(task, items, jobs: int | None, key) -> list:
-    """`task` applied to every item, returned sorted by `key`.
+def share_count(jobs: int | None, items: int) -> int:
+    """How many shares run `items` items: `jobs` (None: `default_jobs()`),
+    but never more than there are items, and at least one."""
+    return max(1, min(default_jobs() if jobs is None else jobs, items))
 
-    With more than one job (jobs None: `default_jobs()`, never more than
-    there are items), share j takes items j, j + jobs, ... and runs on a
-    share thread of its own, which starts it on the j-th CPU of the
-    caller's affinity mask; share threads are kept for the life of the
-    process (see `_on_threads`). A caller whose tasks hold the GIL passes
-    one job, and every item then runs in the calling thread.
+
+def run_shares(task, shares: list) -> list:
+    """`task(share)` for every share, in share order.
+
+    A single share runs in the calling thread. Otherwise each share runs on
+    a share thread of its own: a call takes an idle share thread per share,
+    or starts one where none is idle, and the thread is idle again as soon
+    as its share ends, before it replies; share threads are kept for the
+    life of the process. Share j first moves its thread to the j-th CPU of
+    the mask the caller runs under (on Linux, `sched_setaffinity(0, ...)`
+    acts on the calling thread alone), then restores that mask: a woken
+    thread starts on its waker's CPU, where two shares would take turns
+    while another CPU sat idle.
+
+    The first share error to arrive is raised here as it is; a share still
+    running then finishes in the background, and its thread is idle again
+    after it.
     """
-    jobs = jobs if jobs is not None else default_jobs()
-    jobs = max(1, min(jobs, len(items)))
-    results = [task(item) for item in items] if jobs == 1 else _on_threads(task, items, jobs)
-    results.sort(key=key)
+    if len(shares) < 2:
+        return [task(share) for share in shares]
+    replies = queue.SimpleQueue()  # one (j, ok, result | exception) per share
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+    def run(j, inbox):
+        try:
+            _place(cpus, j)
+            reply = (j, True, task(shares[j]))
+        except BaseException as exc:
+            reply = (j, False, exc)
+        with _idle_lock:
+            _idle.append(inbox)
+        replies.put(reply)
+
+    for j in range(len(shares)):
+        inbox = _idle_inbox()
+        inbox.put(functools.partial(run, j, inbox))
+    results = [None] * len(shares)
+    for _ in shares:
+        j, ok, payload = replies.get()
+        if not ok:
+            raise payload
+        results[j] = payload
     return results
 
 
@@ -163,53 +200,23 @@ def _place(cpus: list[int], j: int) -> None:
             pass
 
 
-def _on_threads(task, items, jobs: int) -> list:
-    """Every share's results, each share on a share thread; see `parallel_map`.
+def run_kernel_shares(entry, session: SessionConfig, jobs: list, keep) -> list[dict]:
+    """Run `entry(state, job)`, an entry point of the compiled kernel whose
+    shares take their items from one shared counter, once per job, each on
+    a share of its own (`run_shares`) and a session state of `session`.
 
-    A call takes an idle share thread per share, or starts one where none
-    is idle; the thread is idle again as soon as its share ends, before it
-    replies. Share j first moves its thread to the j-th CPU of the mask the
-    caller runs under (on Linux, `sched_setaffinity(0, ...)` acts on the
-    calling thread alone), then restores that mask: a woken thread starts
-    on its waker's CPU, where two shares would take turns while another CPU
-    sat idle.
-
-    The first task error to arrive is raised here as it is, and every share
-    stops at its next item; a task still running then finishes in the
-    background, and its thread is idle again after it.
+    Every state is laid out here, before any share starts, so no share
+    thread lays one out. Each share holds `keep`, every array the jobs
+    point to, so that a share still running after the caller has raised
+    (a Ctrl-C) never writes into freed memory. Returns the states, each holding its
+    share's last run; raises RuntimeError, once every share has returned,
+    where a share returned -1 (a side of the book full), after which no
+    share takes another item.
     """
-    replies = queue.SimpleQueue()  # one (ok, results | exception) per share
-    stop = threading.Event()
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-
-    def share(j, inbox):
-        try:
-            _place(cpus, j)
-            done = []
-            for item in items[j::jobs]:
-                if stop.is_set():
-                    break
-                done.append(task(item))
-            reply = (True, done)
-        except BaseException as exc:
-            reply = (False, exc)
-        with _idle_lock:
-            _idle.append(inbox)
-        replies.put(reply)
-
-    results = []
-    try:
-        for j in range(jobs):
-            inbox = _idle_inbox()
-            inbox.put(functools.partial(share, j, inbox))
-        for _ in range(jobs):
-            ok, payload = replies.get()
-            if not ok:
-                raise payload
-            results += payload
-    finally:
-        stop.set()
-    return results
+    shares = [(lay_out_state(session), job, keep) for job in jobs]
+    if min(run_shares(lambda share: entry(share[0]["_arena"].ctypes.data, share[1]), shares)) < 0:
+        raise RuntimeError("order book capacity exceeded")
+    return [state for state, _, _ in shares]
 
 
 # The names the Python block calls besides a session's rules and book. The
@@ -221,16 +228,15 @@ BLOCK_SPEC = (*SESSION_SPEC, *held(globals(), "generate_dividend_path", "run_ses
 
 @dataclass(frozen=True)
 class Share:
-    """One job of a batch: the sessions it runs (share j of `jobs` takes
-    sessions j, j + jobs, ...) and the batch-wide arrays it writes their
-    rows of. Row s * runs + r of `wealth` (n_runs x traders) and `closes`
-    (n_runs x periods) is run r of session s; row s of `walks` (n_sessions x
-    path length) is session s's dividend walk. `states`, where given
-    (n_sessions x (runs + 1) x 6 uint64), takes each generator's final state
-    as `_kernel.pcg64_words` gives it, the walk's first."""
+    """The sessions of a batch, which its shares divide, and the batch-wide
+    arrays they write their rows of. Row s * runs + r of `wealth` (n_runs x
+    traders) and `closes` (n_runs x periods) is run r of session s; row s
+    of `walks` (n_sessions x path length) is session s's dividend walk.
+    `states`, where given (n_sessions x (runs + 1) x 6 uint64), takes each
+    generator's final state as `_kernel.pcg64_words` gives it, the walk's
+    first."""
 
     master: int
-    sessions: range
     session: SessionConfig
     runs: int
     wealth: np.ndarray
@@ -239,33 +245,55 @@ class Share:
     states: np.ndarray | None = None
 
 
-def _run_session_block(share: Share) -> range:
-    """Run every session of a share, and return its sessions.
+def _new_share(session: SessionConfig, master: int, n_sessions: int, runs: int) -> Share:
+    """`n_sessions` sessions of `runs` runs of `session` under `master`, over new batch-wide arrays."""
+    n_runs = n_sessions * runs
+    return Share(master, session, runs, np.empty((n_runs, len(session.agents))), np.empty((n_runs, session.n_periods)),
+                 np.empty((n_sessions, session.path_length)))
 
-    Each session's walk and each of its runs draw from their own streams,
-    `stream(master, PATH_DOMAIN, s)` and `stream(master, RUN_DOMAIN, s, r)`.
+
+def _run_sessions(share: Share, jobs: int | None) -> list[dict] | None:
+    """Run every session of `share`.
+
     Where the compiled kernel loads and nothing in `BLOCK_SPEC` is patched,
-    `_kernel.c`'s `im_run_block` runs the whole share in one call, seeding
-    those streams itself; the Python block, `_python_runs`, is its
-    specification.
+    `share_count(jobs, sessions)` shares run them, one `im_run_block` call
+    each, and the states they ran on are returned. Otherwise the Python
+    block, `_run_session_block`, runs them in this thread, since it holds
+    the GIL, and None is returned.
     """
     lib = compiled_kernel(BLOCK_SPEC)
     if lib is None:
-        for row, result in _python_runs(share):
-            share.wealth[row] = result.final_wealth()
-            share.closes[row] = result.period_end_prices
-    else:
-        _run_compiled_block(lib, share, lay_out_state(share.session)["_arena"])
-    return share.sessions
+        _run_session_block(share)
+        return None
+    master, next_session = _kernel.key_words(share.master), np.zeros(1, np.int64)
+    block = _kernel.Block(
+        runs=share.runs, master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN,
+        run_domain=RUN_DOMAIN, n_sessions=len(share.walks), next_session=next_session.ctypes.data,
+        walks=share.walks.ctypes.data, wealth=share.wealth.ctypes.data, closes=share.closes.ctypes.data,
+        states=None if share.states is None else share.states.ctypes.data)
+    jobs = share_count(jobs, len(share.walks))
+    return run_kernel_shares(lib.im_run_block, share.session, [block] * jobs, (master, next_session, share))
+
+
+def _run_session_block(share: Share) -> None:
+    """The Python block: every session of `share`, in this thread.
+
+    Each session's walk and each of its runs draw from their own streams,
+    `stream(master, PATH_DOMAIN, s)` and `stream(master, RUN_DOMAIN, s, r)`.
+    It is the specification of `_kernel.c`'s `im_run_block`.
+    """
+    for row, result in _python_runs(share):
+        share.wealth[row] = result.final_wealth()
+        share.closes[row] = result.period_end_prices
 
 
 def _python_runs(share: Share):
-    """The Python block: each run of the share's sessions as (its row of the
-    batch-wide arrays, its result), one `run_session` per run. It writes
-    each session's walk before its runs and, where the share asks for them,
-    its generators' final states after them, so a caller takes every run."""
+    """Each run of the share's sessions as (its row of the batch-wide
+    arrays, its result), one `run_session` per run. It writes each
+    session's walk before its runs and, where the share asks for them, its
+    generators' final states after them, so a caller takes every run."""
     cfg, runs = share.session, share.runs
-    for s in share.sessions:
+    for s in range(len(share.walks)):
         path_rng = stream(share.master, PATH_DOMAIN, s)
         rngs = [stream(share.master, RUN_DOMAIN, s, r) for r in range(runs)]
         path = generate_dividend_path(cfg.dividends, cfg.path_length, path_rng)
@@ -276,20 +304,6 @@ def _python_runs(share: Share):
             share.states[s] = [_kernel.pcg64_words(g) for g in (path_rng, *rngs)]
 
 
-def _run_compiled_block(lib, share: Share, arena: np.ndarray) -> None:
-    """The whole share in one `im_run_block` call on the session state
-    `arena`, which then holds the share's last run."""
-    master = _kernel.key_words(share.master)
-    sessions = np.array(share.sessions, np.int64)
-    block = _kernel.Block(
-        runs=share.runs, master=master.ctypes.data, n_master=len(master), path_domain=PATH_DOMAIN,
-        run_domain=RUN_DOMAIN, sessions=sessions.ctypes.data, n_sessions=len(sessions),
-        walks=share.walks.ctypes.data, wealth=share.wealth.ctypes.data, closes=share.closes.ctypes.data,
-        states=None if share.states is None else share.states.ctypes.data)
-    if lib.im_run_block(arena.ctypes.data, block):
-        raise RuntimeError("order book capacity exceeded")
-
-
 def first_run(session: SessionConfig, master_seed: int) -> SessionResult:
     """Run 0 of session 0 of a batch of `session` under `master_seed`, all
     its series: the run on `stream(master_seed, RUN_DOMAIN, 0, 0)` over the
@@ -297,47 +311,26 @@ def first_run(session: SessionConfig, master_seed: int) -> SessionResult:
 
     It takes any session `run_session` takes, zero opening wealth included
     (only a batch's relative returns divide by it)."""
-    return _first_run(_first_share(session, master_seed))
-
-
-def _first_share(session: SessionConfig, master_seed: int) -> Share:
-    """The share of one session of one run that `first_run` runs."""
-    return Share(master_seed, range(1), session, 1, np.empty((1, len(session.agents))),
-                 np.empty((1, session.n_periods)), np.empty((1, session.path_length)))
+    return _first_run(_new_share(session, master_seed, 1, 1))
 
 
 def _first_run(share: Share) -> SessionResult:
     """The result of a one-run share's run. The compiled block runs it in
-    one `im_run_block` call, and its series come back from the block's
+    one `im_run_block` call, and its series come back from the share's
     state; the Python block runs it with `run_session`."""
-    lib = compiled_kernel(BLOCK_SPEC)
-    if lib is None:
+    if compiled_kernel(BLOCK_SPEC) is None:
         ((_, result),) = _python_runs(share)
         return result
-    state = lay_out_state(share.session)
-    _run_compiled_block(lib, share, state["_arena"])
+    (state,) = _run_sessions(share, 1)
     return session_result(share.session, DividendPath(share.walks[0]), state)
-
-
-def batch_shares(config: BatchConfig, jobs: int) -> list[Share]:
-    """`jobs` shares of `config`'s sessions, share j taking sessions j,
-    j + jobs, ..., over one set of new batch-wide arrays."""
-    cfg = config.session
-    wealth = np.empty((config.n_runs, len(cfg.agents)))
-    closes = np.empty((config.n_runs, cfg.n_periods))
-    walks = np.empty((config.n_sessions, cfg.path_length))
-    return [Share(config.master_seed, range(j, config.n_sessions, jobs), cfg, config.runs_per_session,
-                  wealth, closes, walks) for j in range(jobs)]
 
 
 def run_batch(config: BatchConfig) -> BatchResult:
     """Run the full batch; identical output for any worker count."""
     cfg, runs = config.session, config.runs_per_session
-    # A compiled share's one kernel call releases the GIL; the Python loop holds it, so it runs on one thread.
-    jobs = 1 if compiled_kernel(BLOCK_SPEC) is None else default_jobs() if config.jobs is None else config.jobs
-    shares = batch_shares(config, max(1, min(jobs, config.n_sessions)))
-    parallel_map(_run_session_block, shares, len(shares), key=lambda sessions: sessions.start)
-    wealth, closes, walks = shares[0].wealth, shares[0].closes, shares[0].walks
+    share = _new_share(cfg, config.master_seed, config.n_sessions, runs)
+    _run_sessions(share, config.jobs)
+    wealth, closes, walks = share.wealth, share.closes, share.walks
     # relative_returns and session_net_returns, row by row
     w0 = cfg.initial_cash + cfg.initial_shares * cfg.initial_price
     r = (wealth - w0) / w0

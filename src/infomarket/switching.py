@@ -12,11 +12,11 @@ code, chain c on `stream(master, SWITCH_DOMAIN, c)`, in one of two forms
 with the same bits. Its Python loop runs `_one_switching_run` per chain in
 the calling thread. Where the compiled kernel loads and no name in
 `ENSEMBLE_SPEC` is patched, the caller seeds every chain's generator in one
-call and lays out one session state per share, and each share then runs in
-one call of `_kernel.c`'s `im_run_chains` on a share thread, resetting the
-state for each segment. The shares take their chains from one shared
-counter, each the next chain no share has taken, until none is left, so a
-share that starts late takes fewer.
+call, and `jobs` shares run the chains, each in one call of `_kernel.c`'s
+`im_run_chains` on a session state of its own (`run_kernel_shares`),
+resetting the state for each segment. The shares take their chains from
+one shared counter, each the next chain no share has taken, until none is
+left, so a share that starts late takes fewer.
 
 After the chains, `aggregate_runs` counts every run's transitions and
 states in one pass, and `write_states_csv` formats its rows in the kernel
@@ -34,8 +34,8 @@ from . import _kernel, engine
 from .agents import Strategy
 from .csvout import _LINES_PER_WRITE, write_csv, write_csv_blocks
 from .dividends import conditional_present_value, generate_dividend_path
-from .engine import MarketSession, SessionConfig, compiled_kernel, held, lay_out_state, market_with_levels
-from .montecarlo import default_jobs, parallel_map
+from .engine import MarketSession, SessionConfig, compiled_kernel, held, market_with_levels
+from .montecarlo import run_kernel_shares, share_count
 from .rng import SWITCH_DOMAIN, stream
 
 # Periods per segment: the long experiment runs as a chain of reference markets.
@@ -167,41 +167,17 @@ def run_switching_sim(config: SwitchingConfig, initial_code: int, rng: np.random
     return SwitchingRun(initial_code, np.array(codes, dtype=np.int64), tie_events, all_equal)
 
 
-@dataclass(frozen=True)
-class ChainShare:
-    """One share of compiled chains, laid out before any share starts: the
-    library that runs it, the session state its chains run on, and its
-    `im_chain`, which holds the addresses of the share's scratch buffers,
-    of the ensemble-wide arrays and of the counter every share takes its
-    chains from. `buffers` holds all of those arrays, so that they live as
-    long as a share that still runs."""
-
-    lib: object
-    arena: np.ndarray
-    chain: _kernel.Chain
-    buffers: tuple[np.ndarray, ...]
-
-
-def _run_chain_share(share: ChainShare) -> int:
-    """Run a share's chains in one `im_run_chains` call; return how many it took."""
-    ran = share.lib.im_run_chains(share.arena.ctypes.data, share.chain)
-    if ran < 0:
-        raise RuntimeError("order book capacity exceeded")
-    return ran
-
-
 def _compiled_chains(lib, config: SwitchingConfig, codes, states: np.ndarray, jobs: int) -> list[SwitchingRun]:
     """The chain from each of `codes`, chain i on the generator whose six
     state words are row i of `states` (C-contiguous uint64), which takes the
     words it leaves.
 
-    `jobs` shares run the chains, each in one `im_run_chains` call, on a
-    share thread where `jobs` > 1: a share takes the next chain that no
-    share has taken from one shared counter until none is left, and writes
-    that chain's rows of the ensemble-wide codes, states and tie counts.
-    Every share's session state and buffers are laid out here, before any
-    share starts. The kernel reads each code's bits unchecked, so the
-    caller checks every code with `decode_state` first.
+    `jobs` shares run the chains (`run_kernel_shares`), each in one
+    `im_run_chains` call with scratch buffers of its own: a share takes the
+    next chain that no share has taken from one shared counter until none
+    is left, and writes that chain's rows of the ensemble-wide codes,
+    states and tie counts. The kernel reads each code's bits unchecked, so
+    the caller checks every code with `decode_state` first.
     """
     if states.shape != (len(codes), 6) or states.dtype != np.uint64 or not states.flags.c_contiguous:
         raise ValueError(f"need a C-contiguous ({len(codes)}, 6) uint64 array of generator states")
@@ -212,18 +188,17 @@ def _compiled_chains(lib, config: SwitchingConfig, codes, states: np.ndarray, jo
     # chain of a share: the kernel sets each chain's strategies from its code.
     first = min(SEGMENT_PERIODS, config.n_periods)
     scfg = config.session_config(1, first)
-    shares = []
+    chains, keep = [], [next_chain, states, table, ties]
     for _ in range(jobs):
-        scratch = tuple(np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders))
-        chain = _kernel.Chain(n_periods=config.n_periods, interval=config.interval,
-                              walk=scratch[0].ctypes.data, marks=scratch[1].ctypes.data,
-                              returns=scratch[2].ctypes.data, n_chains=len(codes),
-                              next_chain=next_chain.ctypes.data, states=states.ctypes.data,
-                              codes=table.ctypes.data, tie_events=ties[0].ctypes.data,
-                              all_equal_events=ties[1].ctypes.data)
-        shares.append(ChainShare(lib, lay_out_state(scfg)["_arena"], chain,
-                                 (*scratch, next_chain, states, table, ties)))
-    parallel_map(_run_chain_share, shares, jobs, key=lambda ran: ran)
+        scratch = [np.empty(k) for k in (scfg.path_length, first + 1, config.n_traders)]
+        chains.append(_kernel.Chain(n_periods=config.n_periods, interval=config.interval,
+                                    walk=scratch[0].ctypes.data, marks=scratch[1].ctypes.data,
+                                    returns=scratch[2].ctypes.data, n_chains=len(codes),
+                                    next_chain=next_chain.ctypes.data, states=states.ctypes.data,
+                                    codes=table.ctypes.data, tie_events=ties[0].ctypes.data,
+                                    all_equal_events=ties[1].ctypes.data))
+        keep += scratch
+    run_kernel_shares(lib.im_run_chains, scfg, chains, keep)
     return [SwitchingRun(code, row, tie, equal) for code, row, tie, equal in zip(codes, table, *ties.tolist())]
 
 
@@ -273,13 +248,19 @@ class EnsembleEstimate:
     stderr_pi: np.ndarray
 
 
+_AGGREGATE_CELLS = 1 << 16  # the matrix cells of a block of runs in `aggregate_runs`
+
+
 def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
     """Combine runs started from different initial states.
 
-    Every run's transition counts come from one `bincount` over all runs'
-    codes, and so do its state counts; each run's rows are then its
-    `estimate_transition_matrix(...).probs` and its `frequency_vector`,
-    which stay the specification, with the same bits.
+    Each run's rows are its `estimate_transition_matrix(...).probs` and its
+    `frequency_vector`, which stay the specification, with the same bits.
+    The runs go in blocks of about `_AGGREGATE_CELLS` matrix cells (at least
+    one run), so the memory held does not grow with the number of runs. One
+    `bincount` counts a block, and a sum over the runs adds each block's
+    matrices to the running sum in run order: numpy sums over axis 0 in
+    order, so the bits are those of one sum over every run.
     """
     if not runs:
         raise ValueError("no runs to aggregate")
@@ -293,22 +274,38 @@ def aggregate_runs(runs: list[SwitchingRun], n_states: int) -> EnsembleEstimate:
     run_of = np.repeat(np.arange(m), lengths)
     # A state's flat index in the (runs, n_states) counts, and a transition's,
     # from it, in the (runs, n_states, n_states) counts; a run's last state
-    # has no transition into the next run's first.
+    # has no transition into the next run's first. The transitions stay in
+    # run order, so a block of runs' transitions is one slice of them.
     cells = run_of * s + (codes - 1)
     within = run_of[1:] == run_of[:-1]
-    counts = np.bincount((cells[:-1] * s + (codes[1:] - 1))[within], minlength=m * s * s).reshape(m, s, s)
-    with np.errstate(invalid="ignore"):
-        mats = counts / counts.sum(axis=2)[:, :, None]
+    pairs = (cells[:-1] * s + (codes[1:] - 1))[within]
     pis = np.bincount(cells, minlength=m * s).reshape(m, s) / lengths[:, None]
+    step = max(1, _AGGREGATE_CELLS // (s * s))
+
+    def blocks():
+        """Each block's (runs, n_states, n_states) matrices, and where they are not NaN."""
+        for lo in range(0, m, step):
+            n = min(step, m - lo)
+            a, b = np.searchsorted(pairs, (lo * s * s, (lo + n) * s * s))
+            counts = np.bincount(pairs[a:b] - lo * s * s, minlength=n * s * s).reshape(n, s, s)
+            with np.errstate(invalid="ignore"):
+                mats = counts / counts.sum(axis=2)[:, :, None]
+            yield mats, ~np.isnan(mats)
+
     # A cell's estimate averages the runs that visited its row (NaN where
     # none did), so its stderr is their spread over the square root of their
     # count; the spread needs two of them, so fewer leave the stderr NaN.
-    seen = ~np.isnan(mats)
-    contributing = seen.sum(axis=0)
+    # Every term is a probability or a square, so the sums can start at 0.0.
+    total, squares, contributing = np.zeros((1, s, s)), np.zeros((1, s, s)), 0
+    for mats, seen in blocks():
+        total = np.concatenate((total, np.where(seen, mats, 0.0))).sum(axis=0, keepdims=True)
+        contributing = contributing + seen.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_probs = np.where(seen, mats, 0.0).sum(axis=0) / contributing
-        dev = np.where(seen, mats - mean_probs, 0.0)
-        spread = np.sqrt((dev * dev).sum(axis=0) / (contributing - 1))
+        mean_probs = total[0] / contributing
+        for mats, seen in blocks():
+            dev = np.where(seen, mats - mean_probs, 0.0)
+            squares = np.concatenate((squares, dev * dev)).sum(axis=0, keepdims=True)
+        spread = np.sqrt(squares[0] / (contributing - 1))
         stderr_probs = np.where(contributing > 1, spread / np.sqrt(contributing), np.nan)
     return EnsembleEstimate(
         mean_probs=mean_probs,
@@ -373,12 +370,12 @@ def run_switching_ensemble(
         decode_state(code, config.n_traders)
     lib = compiled_kernel(ENSEMBLE_SPEC)
     if lib is None or not codes:
-        # As `montecarlo.run_batch`: the Python loop holds the GIL, so its chains run on one thread.
-        tasks = [(config, code, master_seed) for code in codes]
-        return parallel_map(_one_switching_run, tasks, 1, key=lambda r: r.initial_code)
-    states = _kernel.seeded_states(lib, [(master_seed, SWITCH_DOMAIN, code) for code in codes])
-    jobs = max(1, min(default_jobs() if jobs is None else jobs, len(codes)))
-    return sorted(_compiled_chains(lib, config, codes, states, jobs), key=lambda r: r.initial_code)
+        # As `montecarlo.run_batch`: the Python loop holds the GIL, so its chains run in this thread.
+        runs = [_one_switching_run((config, code, master_seed)) for code in codes]
+    else:
+        states = _kernel.seeded_states(lib, [(master_seed, SWITCH_DOMAIN, code) for code in codes])
+        runs = _compiled_chains(lib, config, codes, states, share_count(jobs, len(codes)))
+    return sorted(runs, key=lambda r: r.initial_code)
 
 
 # ---------------------------------------------------------------------------

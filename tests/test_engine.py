@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from infomarket import _kernel, dividends, engine
 from infomarket.agents import Strategy, decide_chartist, decide_fundamentalist, decide_random
 from infomarket.dividends import DividendParams, RateParams, generate_dividend_path
-from infomarket.montecarlo import BatchConfig, _run_session_block, batch_shares
+from infomarket.montecarlo import _new_share, _run_session_block
 from infomarket.engine import (
     MarketSession,
     SessionConfig,
@@ -408,8 +408,7 @@ def test_a_session_block_computes_each_present_value_once(monkeypatch):
 
     monkeypatch.setattr(engine, "conditional_present_value", counted)
     cfg = small_config()
-    (share,) = batch_shares(BatchConfig(session=cfg, n_sessions=1, runs_per_session=4, master_seed=3), 1)
-    _run_session_block(share)
+    _run_session_block(_new_share(cfg, 3, 1, 4))
     (path,) = paths
     assert calls == Counter({(lvl, k): 1 for lvl in range(1, 4) for k in range(1, cfg.n_periods + 1)})
     assert len(path.present_value_tables) == 1

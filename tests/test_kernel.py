@@ -4,9 +4,9 @@ ensemble picks its kernel.
 The Python loop (`draw_period`, then `MarketSession._trade_period`) is the
 specification: on the same inputs the compiled kernel must leave every
 array bit for bit equal, and every generator in the same state. The kernel
-runs only whole batch shares (`im_run_block`, which `first_run` uses for a
-one-run share) and whole ensemble shares (`im_run_chains`); a
-`MarketSession` always runs the Python loop. Both run on states laid out by
+runs only the shares of batches (`im_run_block`, which `first_run` uses for
+a one-run batch) and of ensembles (`im_run_chains`); a `MarketSession`
+always runs the Python loop. Both run on states laid out by
 `engine.lay_out_state`.
 
 Tests that need a loaded kernel skip, with the reason, where this process
@@ -157,7 +157,7 @@ def first(cfg, seed, python=False):
     its run's generators (through `Share.states`), its ending, whether it
     ran compiled, and the state it ran on. The compiled block runs it where
     the kernel is available unless `python` is set."""
-    share = replace(montecarlo._first_share(cfg, seed), states=np.zeros((1, 2, 6), np.uint64))
+    share = replace(montecarlo._new_share(cfg, seed, 1, 1), states=np.zeros((1, 2, 6), np.uint64))
     with python_loop() if python else nullcontext(), recorded_states() as states:
         result = montecarlo._first_run(share)
     (state,) = states
@@ -413,16 +413,11 @@ def test_a_compiled_share_of_chains_matches_the_python_loop(share, seed):
     assert ensemble(cfg, codes, seed, jobs) == sorted((code, *run[:3]) for code, run in zip(codes, spec))
 
 
-@needs_kernel
-def test_a_share_that_starts_late_leaves_its_chains_to_the_other(monkeypatch, tmp_path):
-    # The shares of a jobs-2 ensemble take their chains from one counter.
-    # Share 1 waits in `_place` until share 0 has run, so share 0 takes
-    # every chain and share 1 none; each runs exactly once (a chain run
-    # twice would start again from the generator state it left, and write
-    # other codes), and the command writes the jobs-1 bytes.
-    argv = ["markov", "--preset", "markov3", "--seed", "4", "--periods", "60", "--steps", "20"]
-    assert cli.main([*argv, "--jobs", "1", "--out", str(tmp_path / "jobs1")]) == 0
-    place, run_share = montecarlo._place, switching._run_chain_share
+def late_second_share(monkeypatch, entry):
+    """Make share 1 of every jobs-2 batch or ensemble that follows wait in
+    `_place` until share 0's call of the kernel's `entry` has returned; the
+    items that each share's call ran, by share."""
+    lib, place = _kernel.resolve(), montecarlo._place
     share_of, taken, share_0_done = {}, {}, threading.Event()
 
     def late(cpus, j):
@@ -431,19 +426,57 @@ def test_a_share_that_starts_late_leaves_its_chains_to_the_other(monkeypatch, tm
             assert share_0_done.wait(timeout=60)
         place(cpus, j)
 
-    def counted(share):
-        j = share_of[threading.get_ident()]
-        taken[j] = run_share(share)
-        if j == 0:
-            share_0_done.set()
-        return taken[j]
+    class Counting:
+        def __getattr__(self, name):
+            function = getattr(lib, name)
+
+            def counted(*args):
+                j = share_of[threading.get_ident()]
+                taken[j] = function(*args)
+                if j == 0:
+                    share_0_done.set()
+                return taken[j]
+
+            return counted if name == entry else function
 
     monkeypatch.setattr(montecarlo, "_place", late)
-    monkeypatch.setattr(switching, "_run_chain_share", counted)
+    monkeypatch.setattr(_kernel, "_resolved", (Counting(), None))
+    return taken
+
+
+def assert_late_share_writes_the_jobs1_bytes(monkeypatch, tmp_path, argv, entry, items, outputs):
+    """The command `argv` at jobs 2, its share 1 late (`late_second_share`):
+    share 0 takes all `items` items and share 1 none, and each of `outputs`
+    has the jobs-1 bytes."""
+    assert cli.main([*argv, "--jobs", "1", "--out", str(tmp_path / "jobs1")]) == 0
+    taken = late_second_share(monkeypatch, entry)
     assert cli.main([*argv, "--jobs", "2", "--out", str(tmp_path / "jobs2")]) == 0
-    assert taken == {0: 8, 1: 0}
-    for name in ("states.csv", "tmatrix.csv", "freqs.csv"):
+    assert taken == {0: items, 1: 0}
+    for name in outputs:
         assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes(), name
+
+
+@needs_kernel
+def test_a_share_that_starts_late_leaves_its_chains_to_the_other(monkeypatch, tmp_path):
+    # The shares of a jobs-2 ensemble take their chains from one counter.
+    # Share 1 waits in `_place` until share 0 has run, so share 0 takes
+    # every chain and share 1 none; each runs exactly once (a chain run
+    # twice would start again from the generator state it left, and write
+    # other codes), and the command writes the jobs-1 bytes.
+    argv = ["markov", "--preset", "markov3", "--seed", "4", "--periods", "60", "--steps", "20"]
+    assert_late_share_writes_the_jobs1_bytes(monkeypatch, tmp_path, argv, "im_run_chains", 8,
+                                             ("states.csv", "tmatrix.csv", "freqs.csv"))
+
+
+@needs_kernel
+def test_a_batch_share_that_starts_late_leaves_its_sessions_to_the_other(monkeypatch, tmp_path):
+    # The batch twin: the shares of a jobs-2 batch take their sessions from
+    # one counter, so share 0 runs all five sessions, each exactly once, and
+    # the command writes the jobs-1 bytes.
+    argv = ["batch", "--preset", "jcurve10", "--seed", "4", "--sessions", "5", "--runs", "3", "--periods", "4",
+            "--steps", "20"]
+    assert_late_share_writes_the_jobs1_bytes(monkeypatch, tmp_path, argv, "im_run_block", 5,
+                                             ("runs.csv", "jcurve.csv", "pvalues.csv"))
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
@@ -532,17 +565,17 @@ def test_a_patched_name_sends_the_chain_to_the_python_loop(monkeypatch, owner, n
     assert calls or name == "decide_random"
 
 
-def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2, j=1):
-    """Share j of `jobs` of a batch of `n_sessions` sessions: the batch-wide
-    wealth, closes and walks it leaves (NaN in the other shares' rows), and
-    the final state of each generator of its sessions, the walk's first. The
-    compiled block runs where it is available unless `python` is set."""
-    batch = BatchConfig(session=cfg, n_sessions=n_sessions, runs_per_session=runs, master_seed=seed)
-    share = replace(montecarlo.batch_shares(batch, jobs)[j], states=np.zeros((n_sessions, runs + 1, 6), np.uint64))
+def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2):
+    """A batch of `n_sessions` sessions, as `run_batch` runs it at `jobs`:
+    the batch-wide wealth, closes and walks it leaves, and the final state
+    of each generator of its sessions, the walk's first. The compiled
+    shares run where they are available unless `python` is set."""
+    share = montecarlo._new_share(cfg, seed, n_sessions, runs)
+    share = replace(share, states=np.zeros((n_sessions, runs + 1, 6), np.uint64))
     for output in (share.wealth, share.closes, share.walks):
         output.fill(np.nan)
     with python_loop() if python else nullcontext():
-        assert montecarlo._run_session_block(share) == range(j, n_sessions, jobs)
+        montecarlo._run_sessions(share, jobs)
     return [(a.dtype, a.shape, a.tobytes()) for a in (share.wealth, share.closes, share.walks, share.states)]
 
 
@@ -550,8 +583,8 @@ def block(cfg, runs, seed, python=False, n_sessions=4, jobs=2, j=1):
 def blocks(draw):
     """1-17 traders as in `strategy_mixes`, clearing on or off, 1-6 periods,
     1-12 steps, any dividend walk, discount rate, endowments and initial
-    price with a positive opening wealth, 1-4 runs, and one share of a batch
-    of 1-5 sessions on 1-3 jobs."""
+    price with a positive opening wealth, 1-4 runs, and a batch of 1-5
+    sessions on 1-3 jobs."""
     n = draw(st.integers(1, 17))
     n_random = draw(st.integers(0, n))
     informed = draw(st.lists(st.integers(1, 20), min_size=n - n_random, max_size=n - n_random, unique=True))
@@ -566,31 +599,30 @@ def blocks(draw):
                  dividends=dividends, rates=rates, initial_cash=cash, initial_shares=shares,
                  initial_price=draw(st.floats(0.01, 200.0)))
     n_sessions = draw(st.integers(1, 5))
-    jobs = draw(st.integers(1, min(3, n_sessions)))
-    return cfg, draw(st.integers(1, 4)), n_sessions, jobs, draw(st.integers(0, jobs - 1))
+    return cfg, draw(st.integers(1, 4)), n_sessions, draw(st.integers(1, min(3, n_sessions)))
 
 
 @needs_kernel
 @given(shape=blocks(), seed=st.integers(0, 2**130))
-@example(shape=(config(agents=default_market(17), n_periods=2, steps_per_period=12), 3, 1, 1, 0), seed=0)
-@example(shape=(config(agents=market_with_levels((0, 0, 0)), n_periods=1, steps_per_period=3), 2, 3, 2, 1), seed=1)
-@example(shape=(config(), 2, 5, 3, 2), seed=2**64 + 5)
+@example(shape=(config(agents=default_market(17), n_periods=2, steps_per_period=12), 3, 1, 1), seed=0)
+@example(shape=(config(agents=market_with_levels((0, 0, 0)), n_periods=1, steps_per_period=3), 2, 3, 2), seed=1)
+@example(shape=(config(), 2, 5, 3), seed=2**64 + 5)
 @settings(max_examples=80, deadline=None)
 def test_compiled_block_matches_the_python_block(shape, seed):
     # Above 8 traders the cross-trader mean takes numpy's pairwise order;
     # a market without informed traders has no present values to compute,
     # and a master seed of 2**64 or more takes three key words.
-    cfg, runs, n_sessions, jobs, j = shape
-    assert block(cfg, runs, seed, False, n_sessions, jobs, j) == block(cfg, runs, seed, True, n_sessions, jobs, j)
+    cfg, runs, n_sessions, jobs = shape
+    assert block(cfg, runs, seed, False, n_sessions, jobs) == block(cfg, runs, seed, True, n_sessions, jobs)
 
 
 @needs_kernel
 def test_a_batch_block_is_one_kernel_call(monkeypatch):
-    # Every session of the share, its dividend walk, its present-value table
-    # and every run, runs in one call, on a state laid out without a
-    # MarketSession.
+    # Every session of a one-share batch, its dividend walk, its
+    # present-value table and every run, runs in one call, on a state laid
+    # out without a MarketSession.
     cfg = config(agents=market_with_levels((0, 1, 2, 3), chartist_levels=(2,)))
-    spec = block(cfg, 4, 3, python=True)
+    spec = block(cfg, 4, 3, python=True, jobs=1)
     calls = []
 
     def refuse(*args):
@@ -598,7 +630,7 @@ def test_a_batch_block_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(_kernel, "_resolved", (Counted(_kernel.resolve(), calls), None))
     monkeypatch.setattr(MarketSession, "__init__", refuse)
-    assert block(cfg, 4, 3) == spec
+    assert block(cfg, 4, 3, jobs=1) == spec
     assert calls == ["im_run_block"]
 
 
@@ -1038,9 +1070,10 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
 
 # What the sanitized kernel runs in its own process: its load-time
 # self-check, the draw comparisons, the no-clearing reference market's and
-# the deep book's first runs, one block, one chain, one share of three
-# chains from different profiles and two shares that take four chains from
-# one counter on two threads, against the Python loop, and `states.csv`
+# the deep book's first runs, a one-share batch and a two-share batch whose
+# shares take five sessions from one counter on two threads, one chain, one
+# share of three chains from different profiles and two shares that take
+# four chains from one counter on two threads, against the Python loop, and `states.csv`
 # rows written into buffers of exactly their length.
 SANITIZED_RUN = """
 import sys
@@ -1060,7 +1093,8 @@ t.test_a_million_kernel_normals_are_numpys()
 t.test_reference_market_sessions_match(False)
 t.test_a_deep_book_session_matches()
 cfg = t.config(agents=t.market_with_levels((0, 1, 2, 3, 0, 5), chartist_levels=(2,)))
-assert t.block(cfg, 3, 5) == t.block(cfg, 3, 5, python=True)
+assert t.block(cfg, 3, 5, jobs=1) == t.block(cfg, 3, 5, python=True)
+assert t.block(cfg, 3, 5, n_sessions=5, jobs=2) == t.block(cfg, 3, 5, python=True, n_sessions=5)
 chain = SwitchingConfig(n_traders=4, n_periods=45, interval=5, steps_per_period=20)
 assert t.chain(chain, 6, 4) == t.chain(chain, 6, 4, python=True)
 assert t.chain_share(chain, [6, 1, 11], 4, 1) == t.chain_share(chain, [6, 1, 11], 4, 1, python=True)
@@ -1473,7 +1507,7 @@ def test_the_python_loop_never_runs_on_share_threads(monkeypatch):
 
 @needs_kernel
 def test_the_kernel_is_loaded_so_its_calls_release_the_gil():
-    # ctypes.PyDLL would hold the GIL through every call, and parallel_map's
+    # ctypes.PyDLL would hold the GIL through every call, and run_shares's
     # threads would run one at a time.
     lib = _kernel.resolve()
     assert type(lib) is ctypes.CDLL

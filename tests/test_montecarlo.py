@@ -28,8 +28,8 @@ from infomarket.engine import (
 from infomarket.montecarlo import (
     BatchConfig,
     default_jobs,
-    parallel_map,
     run_batch,
+    run_shares,
     write_efficiency_csv,
     write_runs_csv,
 )
@@ -148,7 +148,7 @@ def test_config_refuses_zero_opening_wealth():
 
 
 # ---------------------------------------------------------------------------
-# parallel_map's threads
+# run_shares's threads
 # ---------------------------------------------------------------------------
 
 
@@ -201,30 +201,6 @@ def test_default_jobs_counts_the_cpus_this_process_may_run_on():
     assert default_jobs() == len(os.sched_getaffinity(0))
 
 
-def test_parallel_map_returns_every_item_in_key_order():
-    items = list(range(20_000))[::-1]
-    with deadline(60):
-        assert parallel_map(lambda i: i * 3, items, 2, key=lambda r: r) == [3 * i for i in range(20_000)]
-    assert_no_child_process()
-
-
-def test_parallel_map_shares_uneven_tasks_between_both_workers():
-    def uneven(i):
-        time.sleep(0.2 if i == 0 else 0.001)
-        return i, threading.get_ident()
-
-    with deadline(60):
-        results = parallel_map(uneven, list(range(6)), 2, key=lambda r: r[0])
-    assert [i for i, _ in results] == list(range(6))
-    # Two threads run the shares, and the caller's thread runs neither.
-    by_thread = {}
-    for i, ident in results:
-        by_thread.setdefault(ident, []).append(i)
-    assert threading.get_ident() not in by_thread
-    assert sorted(by_thread.values()) == [[0, 2, 4], [1, 3, 5]]
-    assert_no_child_process()
-
-
 def test_parallel_map_raises_a_task_error_with_its_own_type():
     def fail_on_three(i):
         if i == 3:
@@ -232,27 +208,42 @@ def test_parallel_map_raises_a_task_error_with_its_own_type():
         return i
 
     with deadline(60), pytest.raises(ValueError, match="bad item 3"):
-        parallel_map(fail_on_three, list(range(8)), 2, key=identity)
+        run_shares(fail_on_three, list(range(4)))
     assert_no_child_process()
+
+
+def test_kernel_shares_raise_once_every_share_has_returned_where_one_found_a_full_book():
+    # A kernel call returns -1 when a side of the book is full; the other
+    # share still returns its count, and then the caller raises.
+    returned = []
+
+    def entry(arena, job):
+        time.sleep(0.2 if job == 0 else 0)
+        returned.append(job)
+        return -1 if job == 1 else 3
+
+    with deadline(60), pytest.raises(RuntimeError, match="order book capacity exceeded"):
+        montecarlo.run_kernel_shares(entry, tiny_session(), [0, 1], ())
+    assert sorted(returned) == [0, 1]
 
 
 def test_parallel_map_raises_ctrl_c_without_waiting_for_its_tasks():
     # SIGALRM runs Python's SIGINT handler in the main thread: a Ctrl-C that
-    # arrives while the threads run their tasks.
+    # arrives while the threads run their shares.
     def hang(i):
         time.sleep(60)
 
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt), deadline(1, signal.default_int_handler):
-        parallel_map(hang, [0, 1], 2, key=identity)
+        run_shares(hang, [0, 1])
     assert time.perf_counter() - t0 < 10
     assert_no_child_process()
 
 
 def test_parallel_map_raises_a_later_items_error_while_an_earlier_item_still_runs():
     # One thread's error reaches the caller while the other thread still
-    # sleeps through its 60-s item: the caller raises at once and does not
-    # wait for that item.
+    # sleeps through its 60-s share: the caller raises at once and does not
+    # wait for that share.
     def sleep_or_fail(i):
         if i == 1:
             raise ValueError("bad item 1")
@@ -260,7 +251,7 @@ def test_parallel_map_raises_a_later_items_error_while_an_earlier_item_still_run
 
     t0 = time.perf_counter()
     with deadline(30), pytest.raises(ValueError, match="bad item 1"):
-        parallel_map(sleep_or_fail, [0, 1], 2, key=identity)
+        run_shares(sleep_or_fail, [0, 1])
     assert time.perf_counter() - t0 < 10
     assert_no_child_process()
 
@@ -273,7 +264,7 @@ def test_parallel_map_raises_the_first_items_error_while_a_later_item_still_runs
 
     t0 = time.perf_counter()
     with deadline(30), pytest.raises(ValueError, match="bad item 0"):
-        parallel_map(fail_or_hang, [0, 1], 2, key=identity)
+        run_shares(fail_or_hang, [0, 1])
     assert time.perf_counter() - t0 < 10
     assert_no_child_process()
 
@@ -296,23 +287,27 @@ def test_parallel_map_reports_a_task_error_pickle_cannot_rebuild():
     with pytest.raises(TypeError):
         pickle.loads(pickle.dumps(TwoArgError("bad", 2)))
     with deadline(60), pytest.raises(TwoArgError, match="bad") as raised:
-        parallel_map(fail, [0, 1], 2, key=identity)
+        run_shares(fail, [0, 1])
     assert raised.value.code == 2
     assert_no_child_process()
 
 
 def test_parallel_map_runs_more_than_one_job_off_the_main_thread():
+    # More than one share runs off the calling thread, and the results come
+    # back in share order; a single share runs in the calling thread.
     returned = []
 
     def run():
-        returned.append(parallel_map(lambda i: (i, threading.get_ident()), [1, 0, 3, 2], 2, key=identity))
+        for shares in ([1, 0, 3, 2], [5]):
+            returned.append(run_shares(lambda i: (i, threading.get_ident()), shares))
 
     thread = threading.Thread(target=run)
     thread.start()
     thread.join(60)
-    assert not thread.is_alive() and len(returned) == 1
-    assert [i for i, _ in returned[0]] == [0, 1, 2, 3]
+    assert not thread.is_alive() and len(returned) == 2
+    assert [i for i, _ in returned[0]] == [1, 0, 3, 2]
     assert thread.ident not in {ident for _, ident in returned[0]}
+    assert returned[1] == [(5, thread.ident)]
     assert_no_child_process()
 
 
@@ -371,7 +366,7 @@ def test_parallel_map_starts_each_share_on_its_own_cpu():
     if getcpu is None:
         pytest.skip("no sched_getcpu in the C library")
     with deadline(60):
-        started_on = parallel_map(lambda i: (i, getcpu()), [0, 1], 2, key=identity)
+        started_on = run_shares(lambda i: (i, getcpu()), [0, 1])
     assert [cpu for _, cpu in started_on] == sorted(os.sched_getaffinity(0))[:2]
 
 
@@ -381,7 +376,7 @@ def test_parallel_map_leaves_every_mask_as_the_caller_had_it():
     # mask the caller had; a caller on a narrower mask keeps its shares on it.
     before = os.sched_getaffinity(0)
     with deadline(60):
-        tids = parallel_map(lambda i: threading.get_native_id(), [0, 1, 2, 3], 2, key=identity)
+        tids = run_shares(lambda i: threading.get_native_id(), [0, 1])
     assert os.sched_getaffinity(0) == before
     assert len(set(tids)) == 2
     for tid in set(tids):
@@ -391,7 +386,7 @@ def test_parallel_map_leaves_every_mask_as_the_caller_had_it():
 
     def narrowed():
         os.sched_setaffinity(0, {cpu})
-        returned.append(parallel_map(lambda i: os.sched_getaffinity(0), [0, 1], 2, key=len))
+        returned.append(run_shares(lambda i: os.sched_getaffinity(0), [0, 1]))
 
     thread = threading.Thread(target=narrowed)
     thread.start()
@@ -406,13 +401,13 @@ def test_a_second_parallel_map_starts_no_thread(monkeypatch):
         pytest.fail("a share thread started although two were idle")
 
     with deadline(60):
-        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+        assert run_shares(identity, [1, 0]) == [1, 0]
         monkeypatch.setattr(threading, "Thread", refuse)
-        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+        assert run_shares(identity, [1, 0]) == [1, 0]
 
 
 def test_a_share_thread_still_in_an_earlier_task_does_not_delay_the_next_call():
-    # An earlier call left one share thread in a 60-s task: the next call
+    # An earlier call left one share thread in a 60-s share: the next call
     # takes another thread instead of waiting for it.
     def sleep_or_fail(i):
         if i == 1:
@@ -420,24 +415,24 @@ def test_a_share_thread_still_in_an_earlier_task_does_not_delay_the_next_call():
         time.sleep(60)
 
     with deadline(30), pytest.raises(ValueError, match="bad item 1"):
-        parallel_map(sleep_or_fail, [0, 1], 2, key=identity)
+        run_shares(sleep_or_fail, [0, 1])
     t0 = time.perf_counter()
     with deadline(30):
-        assert parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3]
+        assert run_shares(identity, [1, 0]) == [1, 0]
     assert time.perf_counter() - t0 < 10
 
 
 def test_parallel_map_from_several_callers_at_once_lists_each_idle_thread_once():
     # Four callers at once, each with three shares per call, more threads
     # than CPUs, and a thread switch every microsecond: every call gets all
-    # its items back, and no idle share thread is listed twice (two calls
+    # its results back, and no idle share thread is listed twice (two calls
     # would then queue their shares on one thread). A share this short may
     # end before its call has handed out the next one, whose thread it can
     # then be again.
     def call(errors):
         try:
             for _ in range(30):
-                assert parallel_map(lambda i: i * 3, list(range(6)), 3, key=identity) == list(range(0, 18, 3))
+                assert run_shares(lambda i: i * 3, [0, 1, 2]) == [0, 3, 6]
         except BaseException as exc:
             errors.append(exc)
 
@@ -460,14 +455,14 @@ def test_a_forked_child_runs_its_shares_on_threads_of_its_own():
     # A forked child has none of its parent's idle share threads: shares
     # handed to their inboxes would never run, and the child would hang.
     with deadline(60):
-        parallel_map(identity, [0, 1], 2, key=identity)  # leaves two idle share threads
+        run_shares(identity, [0, 1])  # leaves two idle share threads
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork() in a process with threads
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if parallel_map(identity, [3, 2, 1, 0], 2, key=identity) == [0, 1, 2, 3] else 1
+            code = 0 if run_shares(identity, [1, 0]) == [1, 0] else 1
         finally:
             os._exit(code)
     end = time.monotonic() + 30
@@ -478,7 +473,7 @@ def test_a_forked_child_runs_its_shares_on_threads_of_its_own():
     if not done:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child's parallel_map still ran after 30 s")
+        pytest.fail("the forked child's run_shares still ran after 30 s")
     assert os.waitstatus_to_exitcode(status) == 0
     assert_no_child_process()
 

@@ -32,8 +32,8 @@ def test_profile_session_tiny():
     # ensemble and the reference batch get one median line per worker
     # count, whichever kernel ran them, and one line with the CPUs their
     # jobs-2 shares started on. The markov3 post-run is timed under each
-    # kernel, and the chains each ensemble share took are listed at jobs 1
-    # and 2.
+    # kernel, and the chains each ensemble share took and the sessions each
+    # batch share took are listed at jobs 1 and 2.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -96,11 +96,12 @@ def test_profile_session_tiny():
         assert "ms per ensemble" in line and "us per row" in line
     assert sum(line.startswith("python / c post-run median ratio: ") for line in lines) == compiled
     for jobs in (1, 2):
-        head = f"jobs {jobs} ensemble shares took chains "
-        (line,) = [line for line in lines if line.startswith(head)]
-        # One count per thread: two compiled shares at jobs 2, one thread otherwise.
-        counts = [int(count) for count in line[len(head):].split(" | ")]
-        assert sum(counts) == 8 and len(counts) == (2 if compiled and jobs == 2 else 1), line
+        for head, items in ((f"jobs {jobs} ensemble shares took chains ", 8),
+                            (f"jobs {jobs} batch shares took sessions ", 6)):
+            (line,) = [line for line in lines if line.startswith(head)]
+            # One count per thread: two compiled shares at jobs 2, one thread otherwise.
+            counts = [int(count) for count in line[len(head):].split(" | ")]
+            assert sum(counts) == items and len(counts) == (2 if compiled and jobs == 2 else 1), line
     library = [line for line in lines if line.startswith("c kernel library: ")]
     assert len(library) == compiled
     if compiled:

@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,25 +244,49 @@ def aggregate_run_by_run(runs, n_states):
 
 @st.composite
 def recorded_ensembles(draw):
-    """1-6 runs of 2-40 recorded states each, of unequal lengths, over 2-16 states."""
+    """1-12 runs of 2-40 recorded states each, of unequal lengths, over 2-16
+    states, aggregated in blocks of 1 to all of the runs."""
     n_states = 1 << draw(st.integers(1, 4))
     runs = [SwitchingRun(1, np.array(draw(st.lists(st.integers(1, n_states), min_size=2, max_size=40))), 0, 0)
-            for _ in range(draw(st.integers(1, 6)))]
-    return runs, n_states
+            for _ in range(draw(st.integers(1, 12)))]
+    return runs, n_states, draw(st.sampled_from((1, n_states * n_states * 3, switching._AGGREGATE_CELLS)))
 
 
 @given(ensemble=recorded_ensembles())
 @settings(max_examples=200, deadline=None)
 def test_aggregate_runs_in_one_pass_has_the_run_by_run_bits(ensemble):
-    # One bincount over every run's transitions, and one over its states,
-    # must not let a run's last state count a transition into the next
-    # run's first.
-    runs, n_states = ensemble
-    est = aggregate_runs(runs, n_states)
+    # The sums that add each block of runs' matrices in turn keep the bits
+    # of numpy's sums over all the stacked matrices, also from 8 runs on,
+    # where a pairwise sum would differ; a run's last state counts no
+    # transition into the next run's first, in a block or across blocks.
+    runs, n_states, cells = ensemble
+    with mock.patch.object(switching, "_AGGREGATE_CELLS", cells):
+        est = aggregate_runs(runs, n_states)
     got = (est.mean_probs, est.stderr_probs, est.mean_pi, est.stderr_pi)
     for a, b in zip(got, aggregate_run_by_run(runs, n_states)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_aggregate_runs_holds_no_matrix_per_run():
+    # 32 runs over 256 states (8 traders) peak less than one 256 x 256
+    # matrix above 4 runs; what grows is the runs' codes and their state
+    # frequencies (runs x states), which the frequencies' stderr needs.
+    # Stacking a matrix per run peaked at 67.6 MiB for 32 runs against 9.8
+    # MiB for 4.
+    rng = np.random.default_rng(0)
+
+    def peak(n_runs):
+        runs = [SwitchingRun(1, rng.integers(1, 257, 13), 0, 0) for _ in range(n_runs)]
+        tracemalloc.start()
+        try:
+            aggregate_runs(runs, 256)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the first call's one-time allocations
+    assert peak(32) < peak(4) + 256 * 256 * 8
 
 
 def test_aggregate_runs_checks_every_run():
