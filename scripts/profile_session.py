@@ -117,10 +117,10 @@ def watch_shares(compiled: bool, module, name: str, count: int, call) -> list[tu
     getcpu, shares = sched_getcpu(), {}
 
     def watched(task, took):
-        def run(item):
+        def run(*args):
             share = shares.setdefault(threading.get_ident(), ([], [0]))
             share[0].append(getcpu() if getcpu else None)
-            result = task(item)
+            result = task(*args)
             share[1][0] += took(result)
             return result
         return run

@@ -59,7 +59,7 @@
  *
  * `im_parse_ticks` is unrelated to sessions and draws nothing: it reads the
  * body of a plain tick file in one pass, for analytics.load_ticks, and
- * refuses every other form, which np.loadtxt and the row reader then read.
+ * refuses every other form, which analytics' row reader then reads.
  *
  * `im_format_per_run` draws nothing either: it writes a chunk of
  * montecarlo's per-run CSV rows (runs.csv, efficiency.csv), reading a
@@ -1245,7 +1245,8 @@ static int parse_decimal(const char **p, const char *end, double *out)
  * fields, optionally followed by ignored columns of printable ASCII or tabs
  * with no '"'; it ends in "\n", "\r\n" or the end of the bytes, and empty
  * lines are skipped. Returns the number of rows, or -1 for any other form,
- * which analytics reads with np.loadtxt or its row reader instead. */
+ * which analytics reads with its row reader instead. It reads no byte
+ * before `text` or from `text + len` on, and writes no row past `cap`. */
 int64_t im_parse_ticks(const char *text, int64_t len, double *times, double *prices, int64_t cap)
 {
     const char *c = text, *end = text + len;

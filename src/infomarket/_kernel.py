@@ -65,8 +65,8 @@ whenever it builds and loads and nothing they call is patched
 
 The library also parses tick files: `im_parse_ticks`, which draws nothing
 and uses no numpy random code, reads the plain `time,price` rows of a tick
-file's body in one pass for `analytics.load_ticks`, which falls back to
-`np.loadtxt` where no kernel loads or the parse refuses the file.
+file's body in one pass for `analytics.load_ticks`, which reads the file
+with its row reader where no kernel loads or the parse refuses the file.
 
 And it writes per-run CSV rows: `im_format_per_run` reads a chunk of a
 C-contiguous (runs x k) float64 array, the k labels' text and

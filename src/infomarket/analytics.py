@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import os
-import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -337,7 +336,7 @@ def random_trader_sweep(samples_by_count: dict[int, np.ndarray]) -> list[tuple[i
 
 class TickSeries(NamedTuple):
     """A tick file's columns: equal lengths, increasing times and positive
-    prices, as each of the three readers guarantees."""
+    prices, as both readers guarantee."""
 
     times: np.ndarray
     prices: np.ndarray
@@ -346,50 +345,47 @@ class TickSeries(NamedTuple):
 def load_ticks(file) -> TickSeries:
     """Read a `time,price` CSV; any malformed row is rejected with its line number.
 
-    The input is read once: a path's bytes, or a handle's text to its end
-    from where it stands, either without a leading UTF-8 byte-order mark.
-    It is kept as bytes where it is ASCII and as text otherwise. A first
-    line with no quote and no CR before its LF is the one row `csv` reads
-    there, so it is split in place; any other header is read by `csv`. The
-    rows after it are parsed in bulk and checked with numpy reductions: by
-    the compiled kernel's one-pass parse (`im_parse_ticks`), which reads
-    ASCII bytes undecoded, where the kernel loads and every row has the
-    plain `digits[.digits]` form, and by `np.loadtxt` otherwise. Anything
-    the bulk parse refuses or the checks fail sends the whole input through
+    The input is read once: a path's bytes, or a handle's bytes or text to
+    its end from where it stands, either without a leading UTF-8 byte-order
+    mark. It then takes one of two routes. Where it is ASCII and the
+    compiled kernel loads, its header is checked (a first line with no
+    quote and no CR before its LF is the one row `csv` reads there, so it is
+    split in place; any other header is read by `csv`), and the rows after
+    it are parsed undecoded in one pass by the kernel's `im_parse_ticks` and
+    checked with numpy reductions. Everything else (input that is not ASCII,
+    no kernel, rows the parse refuses or that fail a check) is read by
     `_read_tick_rows`, which alone defines what is accepted and words every
     error.
     """
     if isinstance(file, (str, os.PathLike)):
         with open(file, "rb") as f:
-            data = f.read().removeprefix(codecs.BOM_UTF8)
-        if not data.isascii():
-            data = data.decode("utf-8")
+            data = f.read()
     else:
-        data = file.read().removeprefix("\ufeff")
-        if data.isascii():
-            data = data.encode("ascii")
-    is_bytes = isinstance(data, bytes)
-    end = data.find(b"\n" if is_bytes else "\n")
-    line = data[:max(end, 0)]
-    line = (line.decode("ascii") if is_bytes else line).removesuffix("\r")
-    if end >= 0 and '"' not in line and "\r" not in line:
-        header, start = line.split(","), end + 1
-    else:
-        text = io.StringIO(data.decode("ascii") if is_bytes else data, newline="")
-        with _unlimited_csv_fields():
-            header = next(_csv_rows(text), None)
-        start = text.tell()
-    _check_tick_header(header)
-    series = _parse_tick_body((memoryview(data) if is_bytes else data)[start:])
-    if series is not None:
-        return series
-    return _read_tick_rows(io.StringIO(data.decode("ascii") if is_bytes else data, newline=""))
+        data = file.read()
+    data = data.removeprefix("\ufeff" if isinstance(data, str) else codecs.BOM_UTF8)
+    lib = _kernel.resolve() if data.isascii() else None
+    if lib is not None:
+        body = data.encode("ascii") if isinstance(data, str) else data
+        end = body.find(b"\n")
+        line = body[:max(end, 0)].decode("ascii").removesuffix("\r")
+        if end >= 0 and '"' not in line and "\r" not in line:
+            header, start = line.split(","), end + 1
+        else:
+            text = io.StringIO(body.decode("ascii"), newline="")
+            with _unlimited_csv_fields():
+                header = next(_csv_rows(text), None)
+            start = text.tell()
+        _check_tick_header(header)
+        series = _parse_tick_body(lib, memoryview(body)[start:])
+        if series is not None:
+            return series
+    return _read_tick_rows(io.StringIO(data if isinstance(data, str) else data.decode("utf-8"), newline=""))
 
 
 @contextmanager
 def _unlimited_csv_fields():
     """`csv`'s 131072-character field limit lifted for the duration, so the
-    row reader accepts every field the bulk parse accepts (a long field in
+    row reader accepts every field the compiled parse accepts (a long field in
     an ignored column included); the caller's limit is restored on exit."""
     old = csv.field_size_limit(2**31 - 1)  # the largest C long on every platform
     try:
@@ -417,54 +413,27 @@ def _check_tick_header(header) -> None:
         raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
 
 
-def _parse_tick_body(body) -> TickSeries | None:
-    """The rows after the header parsed in bulk, or None if any row needs
-    `_read_tick_rows` to accept it or to word its error.
-
-    `body` is ASCII bytes or, where the input is not ASCII, text. The
-    compiled parse reads ASCII bytes where the kernel loads and the body has
-    the plain form; `np.loadtxt` reads the text otherwise. `quotechar` makes
-    numpy split quoted fields as `csv` does, so an unclosed quote in an
-    ignored column swallows the same lines in both readers.
-    """
-    columns = None if isinstance(body, str) else _compiled_tick_columns(body)
-    if columns is None:
-        text = body if isinstance(body, str) else str(body, "ascii")
-        try:
-            with warnings.catch_warnings():
-                # An empty body is an error `_read_tick_rows` words.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None, quotechar='"',
-                                   usecols=(0, 1), ndmin=2)
-        except ValueError:
-            return None
-        columns = np.ascontiguousarray(table.T)
-    if columns.shape[1] < 2 or not np.isfinite(columns).all():
-        return None
-    times, prices = columns
-    if not ((prices > 0).all() and (np.diff(times) > 0).all()):
-        return None
-    return TickSeries(times, prices)
-
-
-def _compiled_tick_columns(body) -> np.ndarray | None:
-    """The body's times and prices as the rows of a (2, n) array, from the
-    kernel's `im_parse_ticks`; None where no kernel loads or it refuses the
-    form.
+def _parse_tick_body(lib, body) -> TickSeries | None:
+    """The rows after the header, ASCII bytes, as `im_parse_ticks` reads
+    them in one pass; None where it refuses their form or they fail a check,
+    so that `_read_tick_rows` reads them or words the error. The parse reads
+    finite values only.
 
     A row takes at least 4 bytes with its line end, 3 at the end of the
     body, so `cap` bounds the rows without counting them. The columns' pages
     past the rows read are never touched and take no memory, so the result
-    is a view of them, not a trimmed copy.
+    holds views of them, not trimmed copies.
     """
-    lib = _kernel.resolve()
-    if lib is None:
-        return None
     data = np.frombuffer(body, np.uint8)
     cap = (len(data) + 1) // 4
     columns = np.empty((2, cap))
     n = lib.im_parse_ticks(data.ctypes.data, len(data), columns[0].ctypes.data, columns[1].ctypes.data, cap)
-    return None if n < 0 else columns[:, :n]
+    if n < 2:
+        return None
+    times, prices = columns[:, :n]
+    if not ((prices > 0).all() and (np.diff(times) > 0).all()):
+        return None
+    return TickSeries(times, prices)
 
 
 @_unlimited_csv_fields()

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,9 +143,13 @@ class SessionConfig:
             raise ValueError(f"one trader per informed level, got {informed}")
         if self.n_periods < 1 or self.steps_per_period < 1:
             raise ValueError("n_periods and steps_per_period must be >= 1")
-        if self.initial_price <= 0:
-            raise ValueError("initial_price must be positive")
-        if self.initial_cash < 0 or self.initial_shares < 0:
+        # A NaN or infinite price or cash would run sessions of NaN marks
+        # under either kernel, so they are refused here, before any run.
+        if not (self.initial_price > 0 and math.isfinite(self.initial_price)):
+            raise ValueError(f"initial_price must be positive and finite, got {self.initial_price}")
+        if not (self.initial_cash >= 0 and math.isfinite(self.initial_cash)):
+            raise ValueError(f"initial_cash must be non-negative and finite, got {self.initial_cash}")
+        if self.initial_shares < 0:
             raise ValueError("initial endowments must be non-negative")
 
     # The cached properties below are computed once per config: every

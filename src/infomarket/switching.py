@@ -344,8 +344,7 @@ ENSEMBLE_SPEC = (*engine.SESSION_SPEC,
                  *held(vars(SwitchingConfig), "session_config"))
 
 
-def _one_switching_run(args) -> SwitchingRun:
-    config, code, master = args
+def _one_switching_run(config: SwitchingConfig, code: int, master: int) -> SwitchingRun:
     return run_switching_sim(config, code, stream(master, SWITCH_DOMAIN, code))
 
 
@@ -371,7 +370,7 @@ def run_switching_ensemble(
     lib = compiled_kernel(ENSEMBLE_SPEC)
     if lib is None or not codes:
         # As `montecarlo.run_batch`: the Python loop holds the GIL, so its chains run in this thread.
-        runs = [_one_switching_run((config, code, master_seed)) for code in codes]
+        runs = [_one_switching_run(config, code, master_seed) for code in codes]
     else:
         states = _kernel.seeded_states(lib, [(master_seed, SWITCH_DOMAIN, code) for code in codes])
         runs = _compiled_chains(lib, config, codes, states, share_count(jobs, len(codes)))

@@ -501,12 +501,12 @@ def _read_rows_from_path(path):
         return _read_tick_rows(f)
 
 
-# The bulk parses `load_ticks` may take, each held to the row reader: the
-# compiled parse where this process loads the kernel, and `np.loadtxt`
-# alone, as in a process whose kernel resolved to nothing.
+# The processes `load_ticks` may run in, each held to the row reader: one
+# that loads the kernel, whose plain rows take the compiled parse, and one
+# whose kernel resolved to nothing, where every file takes the row reader.
 BULK_PARSES = {
     "compiled": nullcontext,
-    "loadtxt": lambda: mock.patch.object(_kernel, "_resolved", (None, "np.loadtxt, as with no kernel")),
+    "no kernel": lambda: mock.patch.object(_kernel, "_resolved", (None, "the row reader, as with no kernel")),
 }
 
 
@@ -625,7 +625,39 @@ def test_bulk_and_row_readers_agree_on_generated_files(text):
         assert _same_outcome(bulk, rows), (parse, bulk, rows)
 
 
+# The characters of plain rows and a few that break their form.
+_FUZZ_ALPHABET = '0123456789.,\r\n\t "xe+-'
+
+
+@st.composite
+def fuzzed_tick_bytes(draw):
+    """A header or none, then lines that are mostly plain rows with times
+    that mostly rise, the others any text of `_FUZZ_ALPHABET`, each ended by
+    LF, CRLF, a bare CR or nothing; the whole is often cut anywhere."""
+    t, lines = 0, []
+    for plain in draw(st.lists(st.sampled_from([True, True, True, False]), max_size=10)):
+        t += draw(st.sampled_from([1, 1, 2, 0, -1]))
+        line = (f"{t},{draw(st.integers(0, 999))}.{draw(st.integers(0, 99))}" if plain
+                else draw(st.text(_FUZZ_ALPHABET, max_size=12)))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r", ""])))
+    text = draw(st.sampled_from(["time,price\n", "time,price\r\n", ""])) + "".join(lines)
+    return text[:draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))].encode("ascii")
+
+
+@settings(max_examples=500, deadline=None)
+@given(fuzzed_tick_bytes())
+def test_load_ticks_and_the_row_reader_agree_on_fuzzed_bytes(data):
+    # The compiled parse is the only bulk route, so whatever it reads must
+    # read as the row reader reads it, and whatever the row reader reads
+    # otherwise or refuses, the parse or its checks must refuse.
+    rows = _outcome(_read_tick_rows, io.StringIO(data.decode("ascii"), newline=""))
+    assert _same_outcome(_outcome(load_ticks, io.BytesIO(data)), rows), (data, rows)
+
+
 def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+
     def refuse(f):
         raise AssertionError("the row reader was called")
 
@@ -633,15 +665,13 @@ def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
     times = np.cumsum(np.random.default_rng(8).integers(1, 50, 3000)).astype(float)
     prices = np.round(np.random.default_rng(9).uniform(10, 90, 3000), 2)
     rows = "".join(f"{t!r},{p!r}\n" for t, p in zip(times.tolist(), prices.tolist()))
-    # R's write.csv quotes the header names; such a file keeps the bulk parse.
+    # R's write.csv quotes the header names; such a file keeps the compiled parse.
     for header in ("time,price\n", '"time","price"\n'):
         path = tmp_path / "ticks.csv"
         path.write_text(header + rows)
-        for patch in BULK_PARSES.values():
-            with patch():
-                for source in (path, io.StringIO(header + rows)):
-                    series = load_ticks(source)
-                    assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
+        for source in (path, io.StringIO(header + rows)):
+            series = load_ticks(source)
+            assert np.array_equal(series.times, times) and np.array_equal(series.prices, prices)
 
 
 def test_a_plain_file_is_one_compiled_parse_and_no_loadtxt(tmp_path, monkeypatch):
@@ -737,6 +767,30 @@ def test_load_ticks_reads_a_handle_once(text, error):
         assert handle.reads == 1, parse
 
 
+@pytest.mark.parametrize("data, expected", [
+    (b"time,price\n1,40\n2,41.5\n", [1, 2]),
+    (b"\xef\xbb\xbftime,price\r\n1,40\r\n2,41.5\r\n", [1, 2]),
+    ("time,price\n1,40,\u00e9\n2,41.5\n".encode(), [1, 2]),
+    (b"time,price\n1,40\n2,x\n", "line 3: non-numeric field in ['2', 'x']"),
+    (b"time,price\n1,40\n2,41\xff\n", "can't decode byte 0xff"),
+], ids=["plain", "byte-order mark", "non-ASCII", "bad row", "not UTF-8"])
+def test_a_binary_handle_reads_as_its_path(tmp_path, data, expected):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(data)
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            from_path = _outcome(load_ticks, path)
+            with open(path, "rb") as f:
+                assert _same_outcome(_outcome(load_ticks, f), from_path), parse
+            handle = io.BytesIO(b"preamble\n" + data)
+            handle.readline()
+            assert _same_outcome(_outcome(load_ticks, handle), from_path), parse
+        if isinstance(expected, list):
+            assert from_path[0].tolist() == expected and from_path[1].tolist() == [40.0, 41.5], parse
+        else:
+            assert expected in from_path[1], parse
+
+
 def test_a_byte_order_mark_read_as_text_from_the_callers_handle_is_skipped():
     text = "\ufefftime,price\n1,40\n2,41\n"
     for parse, patch in BULK_PARSES.items():
@@ -750,8 +804,8 @@ def test_a_byte_order_mark_read_as_text_from_the_callers_handle_is_skipped():
 
 
 def test_every_reader_accepts_a_field_over_the_csv_limit_in_an_ignored_column(tmp_path):
-    # The bulk parse has no field limit; the row reader lifts csv's for its
-    # read and restores it, so all three routes read the same two ticks.
+    # The compiled parse has no field limit; the row reader lifts csv's for
+    # its read and restores it, so both routes read the same two ticks.
     text = "time,price\n1,40," + "x" * 200_000 + "\n2,41\n"
     path = tmp_path / "ticks.csv"
     path.write_text(text)

@@ -230,16 +230,29 @@ def test_a_walk_or_rate_out_of_range_is_refused_before_any_run(monkeypatch, kern
     # negative start would run compiled and raise in Python, and a NaN
     # would run in both. The parameters refuse them, before `run_batch` or
     # `first_run` starts a run under either kernel.
+    assert_refused_before_any_run(monkeypatch, kernel, name, lambda: config(
+        **{"dividends" if params is DividendParams else "rates": params(**{name: value})}))
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("name, value", [("initial_price", float("nan")), ("initial_price", float("inf")),
+                                         ("initial_cash", float("nan")), ("initial_cash", float("inf"))])
+def test_a_nan_or_infinite_opening_price_or_cash_is_refused_before_any_run(monkeypatch, kernel, name, value):
+    # Every comparison with NaN is false, so `x <= 0` let a NaN price run a
+    # zero-trade session of NaN marks under both kernels, and a batch ran to
+    # its end before `jcurve_table` refused its NaN returns.
+    assert_refused_before_any_run(monkeypatch, kernel, name, lambda: config(**{name: value}))
+
+
+def assert_refused_before_any_run(monkeypatch, kernel, name, session):
+    """`run_batch` and `first_run` on `session()` raise the ValueError that
+    names `name`, under `kernel`, before either starts a run."""
     if kernel == "compiled":
         require_kernel()
         monkeypatch.setattr(_kernel, "_resolved", (NoTrading(_kernel.resolve(), "a refused config"), None))
     else:
         monkeypatch.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
         monkeypatch.setattr(montecarlo, "run_session", lambda *args: pytest.fail("a refused config ran"))
-
-    def session():
-        return config(**{"dividends" if params is DividendParams else "rates": params(**{name: value})})
-
     with pytest.raises(ValueError, match=f"{name} must be"):
         run_batch(BatchConfig(session=session(), n_sessions=2, runs_per_session=2, jobs=2))
     with pytest.raises(ValueError, match=f"{name} must be"):
@@ -498,7 +511,7 @@ def test_an_ensemble_checks_every_code_before_any_chain_runs(monkeypatch, kernel
     else:
         monkeypatch.setattr(_kernel, "_resolved", (None, "the Python loop, the specification"))
         monkeypatch.setattr(switching, "_one_switching_run",
-                            lambda task: pytest.fail("a chain ran before every code was checked"))
+                            lambda config, code, master: pytest.fail("a chain ran before every code was checked"))
     cfg = SwitchingConfig(n_traders=3, n_periods=30, interval=5, steps_per_period=10)
     for codes, refused in (((1, 9), 9), ((4, 0, 2), 0), ((-1,), -1)):
         with pytest.raises(ValueError, match=f"code {refused} outside 1..8"):
@@ -1073,8 +1086,9 @@ def test_the_kernel_source_compiles_without_a_warning(tmp_path):
 # the deep book's first runs, a one-share batch and a two-share batch whose
 # shares take five sessions from one counter on two threads, one chain, one
 # share of three chains from different profiles and two shares that take
-# four chains from one counter on two threads, against the Python loop, and `states.csv`
-# rows written into buffers of exactly their length.
+# four chains from one counter on two threads, against the Python loop, `states.csv`
+# rows written into buffers of exactly their length, and every prefix of a
+# few tick bodies parsed from and into buffers of exactly their length.
 SANITIZED_RUN = """
 import sys
 from pathlib import Path
@@ -1101,6 +1115,8 @@ assert t.chain_share(chain, [6, 1, 11], 4, 1) == t.chain_share(chain, [6, 1, 11]
 assert t.chain_share(chain, [6, 1, 11, 16], 4, 2) == t.chain_share(chain, [6, 1, 11, 16], 4, 1, python=True)
 t.exact_state_rows(2**70, [2**63 - 1, -(2**63), 0, -7], 2**62)
 t.exact_state_rows(-3, range(5000), 0)
+for body in t.TICK_BODIES:
+    t.exact_tick_rows(body)
 print("sanitized kernel matches")
 """
 
@@ -1262,6 +1278,37 @@ def test_the_compiled_parse_refuses_every_other_field(field):
 ], ids=repr)
 def test_the_compiled_parse_reads_only_the_plain_row_form(body, rows):
     assert parse_ticks(body.encode())[0] == rows
+
+
+# Tick bodies whose every prefix `exact_tick_rows` parses: plain rows, no
+# final newline, CRLF, a trailing CR (which the parse refuses) and an
+# ignored column.
+TICK_BODIES = (b"1,40\n2,41.25\n10,39.5\n", b"1,40\n2,41.25", b"1,40\r\n\r\n2,41.25\r\n3,42\r\n",
+               b"1,40\r\n2,41\r", b"1,40,buy\n2,41.5,sell x\t1\n3,42,")
+
+
+def exact_tick_rows(body: bytes) -> None:
+    """`im_parse_ticks` on every prefix of `body`, each copied into a buffer
+    of exactly its length, where it must read what it reads from a roomy
+    copy: the rows into buffers of exactly that many rows, and a refusal,
+    its own or one row short of room, writing nothing past them."""
+    parse = _kernel.resolve().im_parse_ticks
+    for end in range(len(body) + 1):
+        n, times, prices = parse_ticks(body[:end])
+        data = np.frombuffer(body[:end], np.uint8).copy()
+        for cap in ([n, n - 1] if n > 0 else [0] if n == 0 else [body[:end].count(b"\n") + 1]):
+            out_times, out_prices = np.empty(cap), np.empty(cap)
+            got = parse(data.ctypes.data, end, out_times.ctypes.data, out_prices.ctypes.data, cap)
+            if cap == n:
+                assert got == n and out_times.tolist() == times.tolist() and out_prices.tolist() == prices.tolist(), end
+            else:
+                assert got == -1, (end, cap)
+
+
+@needs_kernel
+def test_the_compiled_parse_reads_every_prefix_within_its_buffers():
+    for body in TICK_BODIES:
+        exact_tick_rows(body)
 
 
 @needs_kernel

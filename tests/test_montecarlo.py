@@ -320,9 +320,9 @@ def test_batches_and_ensembles_on_the_python_loop_run_in_the_calling_thread(monk
     caller, ran_on = threading.get_ident(), []
 
     def recorded(task):
-        def run(item):
+        def run(*args):
             ran_on.append(threading.get_ident())
-            return task(item)
+            return task(*args)
         return run
 
     def wrapped(*args):
