@@ -28,9 +28,17 @@ it times seeding that share's 36 generators (6 walks, 30 runs):
 generator.
 
 Then it times `write_runs_csv` on 100,000 rows, 10,000 runs x 10 levels of
-seeded relative returns, to a file: the Python generator against the
-compiled formatter, `im_format_per_run`. It prints each one's median per
-file and per row, and the ratio of the medians.
+seeded relative returns, to a file, at jobs 1: the Python generator against
+the compiled formatter, `im_format_per_run`, on one thread. It prints each
+one's median per file and per row, and the ratio of the medians.
+
+Then, with the compiled kernel, it times the two passes that run on share
+threads when their input is large enough: `load_ticks`' parse of 500,000
+ticks (perfbench analytics' count, a seeded walk in cents) and that
+`write_runs_csv`. Each runs at one share against `default_jobs()` shares
+(`montecarlo.SHARE_FLOOR` set out of reach, then to one value),
+alternating, and it prints the medians per pass and per tick or row, and
+the ratio of the medians.
 
 Then it times the `markov` command's post-run on that ensemble's eight
 runs (seed 0): `aggregate_runs` and the three writers, `states.csv`,
@@ -57,8 +65,8 @@ share by share (`CPUs unknown` where the C library has no `sched_getcpu`).
 Prints exactly one of `c kernel, median of ...` (followed by the library
 it loaded and the numpy version whose draws that library was checked
 against) or `c kernel unavailable: <reason>`, and the `c no-clearing`, the
-`c chain`, the block, the seeding, the `write_runs_csv` and the `c
-post-run` lines and the six ratios only with the former.
+`c chain`, the block, the seeding, the `write_runs_csv`, the share-pass
+and the `c post-run` lines and the eight ratios only with the former.
 
     PYTHONPATH=src python scripts/profile_session.py --repeats 50
 """
@@ -75,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from infomarket import _kernel, montecarlo, switching
+from infomarket import _kernel, analytics, montecarlo, switching
 from infomarket.csvout import _LINES_PER_WRITE
 from infomarket.engine import SessionConfig
 from infomarket.montecarlo import first_run
@@ -88,6 +96,7 @@ ENSEMBLE_CODES = range(1, 9)  # the markov command's default: one chain per init
 ENSEMBLE_JOBS = {"jobs 1": 1, "jobs 2": 2}
 SHARE = (6, 5)  # sessions, runs per session: perfbench jcurve's batch, one share at --jobs 1
 RUNS_CSV_SHAPE = (100, 100, 10)  # sessions, runs per session, levels: 100,000 rows
+SHARE_TICKS = 500_000  # perfbench analytics' tick count
 PYTHON_BLOCK = 80_000  # iterations of `python_block`, about 20 ms on a 2.1 GHz Xeon vCPU
 
 
@@ -177,6 +186,43 @@ def report(label, times_ms, unit, per, per_unit) -> dict[str, float]:
         print(f"{variant} {label}, median of {len(samples)}: {median:.3f} ms per {unit} "
               f"(quartiles {q1:.3f}-{q3:.3f}), {median * 1e3 / per:.3f} us per {per_unit}")
     return medians
+
+
+def share_passes(batch, repeats: int) -> None:
+    """Time the two passes that run on share threads once their input is
+    large enough, `load_ticks`' parse of `SHARE_TICKS` ticks and
+    `write_runs_csv` on `batch`, each at one share against `default_jobs()`
+    shares."""
+    batch = replace(batch, config=replace(batch.config, jobs=None))
+    jobs = montecarlo.default_jobs()
+    floors = {"one share": 10**18, "all shares": 1}  # the least input worth a share thread
+    floor = montecarlo.SHARE_FLOOR
+    rng = np.random.default_rng(0)
+    times = np.cumsum(rng.integers(1, 1000, SHARE_TICKS)).tolist()
+    cents = (5000 + np.cumsum(rng.integers(-2, 3, SHARE_TICKS))).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        ticks = Path(tmp) / "ticks.csv"
+        ticks.write_text("time,price\n" + "".join(f"{t},{c // 100}.{c % 100:02d}\n" for t, c in zip(times, cents)))
+        passes = {
+            "tick parse": (lambda: analytics.load_ticks(ticks), SHARE_TICKS, "tick"),
+            "per-run rows": (lambda: montecarlo.write_runs_csv(batch, Path(tmp) / "runs.csv"),
+                             batch.rel_returns.size, "row"),
+        }
+        print(f"share passes: {SHARE_TICKS} ticks, {batch.rel_returns.size} runs.csv rows; one share against "
+              f"all {jobs} of default_jobs()")
+        for label, (call, per, per_unit) in passes.items():
+            def once(variant: str, call=call) -> float:
+                montecarlo.SHARE_FLOOR = floors[variant]
+                t0 = time.perf_counter()
+                call()
+                return time.perf_counter() - t0
+
+            try:
+                medians = report(label, alternate(list(floors), repeats, once), "pass", per, per_unit)
+            finally:
+                montecarlo.SHARE_FLOOR = floor
+            print(f"one share / all shares {label} median ratio: "
+                  f"{medians['one share'] / medians['all shares']:.2f}")
 
 
 def main() -> int:
@@ -270,7 +316,7 @@ def main() -> int:
     if lib is not None:
         sessions, runs, levels = RUNS_CSV_SHAPE
         batch = montecarlo.BatchResult(
-            config=montecarlo.BatchConfig(n_sessions=sessions, runs_per_session=runs),
+            config=montecarlo.BatchConfig(n_sessions=sessions, runs_per_session=runs, jobs=1),
             levels=tuple(range(levels)),
             rel_returns=np.random.default_rng(0).standard_normal((sessions * runs, levels)) * 5.0,
             asset_mean_returns=np.zeros(sessions * runs), period_returns=None)
@@ -287,6 +333,7 @@ def main() -> int:
                              batch.rel_returns.size, "row")
         _kernel._resolved = resolutions["c"]
         print(f"python / c write_runs_csv median ratio: {medians['python'] / medians['c']:.2f}")
+        share_passes(batch, args.repeats)
 
     ensemble_runs = run_switching_ensemble(chain_cfg, ENSEMBLE_CODES, 0, jobs=1)
     rows = sum(len(run.codes) for run in ensemble_runs)

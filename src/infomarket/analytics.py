@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernel
+from . import _kernel, montecarlo
 from .csvout import fmt, write_csv
 
 
@@ -351,11 +351,13 @@ def load_ticks(file) -> TickSeries:
     compiled kernel loads, its header is checked (a first line with no
     quote and no CR before its LF is the one row `csv` reads there, so it is
     split in place; any other header is read by `csv`), and the rows after
-    it are parsed undecoded in one pass by the kernel's `im_parse_ticks` and
-    checked with numpy reductions. Everything else (input that is not ASCII,
-    no kernel, rows the parse refuses or that fail a check) is read by
-    `_read_tick_rows`, which alone defines what is accepted and words every
-    error.
+    it are parsed undecoded by the kernel's `im_parse_ticks` and checked
+    with numpy reductions; a large body is cut after line ends into parts
+    parsed on share threads, one call each, with the rows and the refusals
+    of one call (`_parse_tick_body`). Everything else (input that is not
+    ASCII, no kernel, rows the parse refuses or that fail a check) is read
+    by `_read_tick_rows`, which alone defines what is accepted and words
+    every error.
     """
     if isinstance(file, (str, os.PathLike)):
         with open(file, "rb") as f:
@@ -376,7 +378,7 @@ def load_ticks(file) -> TickSeries:
                 header = next(_csv_rows(text), None)
             start = text.tell()
         _check_tick_header(header)
-        series = _parse_tick_body(lib, memoryview(body)[start:])
+        series = _parse_tick_body(lib, body, start)
         if series is not None:
             return series
     return _read_tick_rows(io.StringIO(data if isinstance(data, str) else data.decode("utf-8"), newline=""))
@@ -413,21 +415,64 @@ def _check_tick_header(header) -> None:
         raise TickDataError(f"line 1: expected header 'time,price', got {','.join(header)}")
 
 
-def _parse_tick_body(lib, body) -> TickSeries | None:
-    """The rows after the header, ASCII bytes, as `im_parse_ticks` reads
-    them in one pass; None where it refuses their form or they fail a check,
-    so that `_read_tick_rows` reads them or words the error. The parse reads
-    finite values only.
+def _parse_tick_body(lib, body: bytes, start: int) -> TickSeries | None:
+    """The rows of `body` from `start` on, the rows after the header, ASCII
+    bytes, as one `im_parse_ticks` call would read them; None where it
+    refuses their form or they fail a check, so that `_read_tick_rows` reads
+    them or words the error. The parse reads finite values only.
 
     A row takes at least 4 bytes with its line end, 3 at the end of the
-    body, so `cap` bounds the rows without counting them. The columns' pages
-    past the rows read are never touched and take no memory, so the result
-    holds views of them, not trimmed copies.
+    body, so `(len + 1) // 4` bounds the rows without counting them, and
+    `montecarlo.input_shares` of `default_jobs()` shares parse that many
+    rows. The body is cut just after the first line end at or past each
+    share's even boundary, and each part is parsed on its own
+    (`_parse_tick_parts`). A part then starts where a line starts, which is
+    all the parse keeps from one line to the next, so the parts refuse
+    exactly where one call would and give its rows in its order.
     """
-    data = np.frombuffer(body, np.uint8)
-    cap = (len(data) + 1) // 4
-    columns = np.empty((2, cap))
-    n = lib.im_parse_ticks(data.ctypes.data, len(data), columns[0].ctypes.data, columns[1].ctypes.data, cap)
+    data = np.frombuffer(body, np.uint8, offset=start)
+    shares = montecarlo.input_shares(None, (len(data) + 1) // 4)
+    cuts = [0]
+    for j in range(1, shares):
+        end = body.find(b"\n", start + max(cuts[-1], j * len(data) // shares))
+        if end < 0:
+            break
+        cuts.append(end + 1 - start)
+    if cuts[-1] < len(data):
+        cuts.append(len(data))
+    return _parse_tick_parts(lib, data, cuts)
+
+
+def _parse_tick_parts(lib, data: np.ndarray, cuts: list[int]) -> TickSeries | None:
+    """The rows of `data`, bytes, parsed as the parts between consecutive
+    `cuts` (from 0 to its length, each part ending just after a line end but
+    the last), one `im_parse_ticks` call each on a share of its own
+    (`montecarlo.run_shares`); None where any part refuses or the rows fail
+    a check.
+
+    Part j parses into its own slice of one pair of columns, as many rows
+    as its bytes can hold, and the later parts' rows are then moved down to
+    follow the earlier ones. The columns' pages that no part writes are
+    never touched and take no memory, so the result holds views of them,
+    not trimmed copies.
+    """
+    parts = list(zip(cuts, cuts[1:]))
+    caps = [(end - begin + 1) // 4 for begin, end in parts]
+    slots = np.cumsum([0, *caps]).tolist()
+    columns = np.empty((2, slots[-1]))
+
+    def parse(j: int) -> int:
+        (begin, end), at = parts[j], slots[j]
+        return lib.im_parse_ticks(data[begin:].ctypes.data, end - begin, columns[0, at:].ctypes.data,
+                                  columns[1, at:].ctypes.data, caps[j])
+
+    n = 0
+    for at, rows in zip(slots, montecarlo.run_shares(parse, list(range(len(parts))))):
+        if rows < 0:
+            return None
+        if at > n:
+            columns[:, n:n + rows] = columns[:, at:at + rows]
+        n += rows
     if n < 2:
         return None
     times, prices = columns[:, :n]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import islice
 
 # Lines joined into one string per write: a write per line costs more than
@@ -35,16 +35,25 @@ def write_csv(file, header, lines) -> None:
 
 def write_csv_blocks(file, header, blocks) -> None:
     """Write the column names in `header`, then each of `blocks`, text of
-    whole rows, each row ended in "\\r\\n", to a path or an open text handle.
+    whole rows, each row ended in "\\r\\n", to a path or an open text handle
+    (`open_csv`)."""
+    with open_csv(file, header) as f:
+        for block in blocks:
+            f.write(block)
 
-    A path is opened as UTF-8, whatever the locale, and closed on return; a
+
+@contextmanager
+def open_csv(file, header):
+    """A path or an open text handle, with the column names in `header`
+    written as its first row, for the caller to write whole rows to.
+
+    A path is opened as UTF-8, whatever the locale, and closed on exit; a
     handle is left open for its owner.
     """
     is_path = isinstance(file, (str, os.PathLike))
     with open(file, "w", newline="", encoding="utf-8") if is_path else nullcontext(file) as f:
         f.write(",".join(header) + "\r\n")
-        for block in blocks:
-            f.write(block)
+        yield f
 
 
 def _blocks(lines):

@@ -55,6 +55,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,6 +119,18 @@ def default_market(n_agents: int = 10) -> tuple[AgentSpec, ...]:
     return market_with_levels(range(n_agents))
 
 
+def require_integers(config, *names: str) -> None:
+    """Refuse a config whose field in `names` is not an integer (as
+    `operator.index` takes one), with a ValueError that names the field: a
+    run would otherwise fail at its start with a bare TypeError."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """One market session; the defaults are the reference market."""
@@ -141,6 +154,7 @@ class SessionConfig:
         informed = [a.info_level for a in self.agents if a.info_level > 0]
         if len(set(informed)) != len(informed):
             raise ValueError(f"one trader per informed level, got {informed}")
+        require_integers(self, "initial_shares", "n_periods", "steps_per_period")
         if self.n_periods < 1 or self.steps_per_period < 1:
             raise ValueError("n_periods and steps_per_period must be >= 1")
         # A NaN or infinite price or cash would run sessions of NaN marks

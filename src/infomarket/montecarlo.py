@@ -25,7 +25,10 @@ run of `simulate` and `stats`. It runs a one-run batch in the same two
 forms, and the compiled one reads the run back from its share's state.
 
 `run_shares` runs the shares of a batch or of a switching ensemble, each
-on a share thread of its own.
+on a share thread of its own, and so do two passes over large inputs whose
+time goes to compiled calls that release the GIL: the tick parse of
+`analytics.load_ticks` and the compiled per-run CSV formatting. How many
+shares such a pass takes follows from its input size (`input_shares`).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel, engine
-from .csvout import _LINES_PER_WRITE, write_csv, write_csv_blocks
+from .csvout import _LINES_PER_WRITE, open_csv, write_csv
 from .dividends import DividendPath, generate_dividend_path
 from .engine import (
     SESSION_SPEC,
@@ -48,6 +51,7 @@ from .engine import (
     compiled_kernel,
     held,
     lay_out_state,
+    require_integers,
     run_session,
     session_result,
 )
@@ -64,6 +68,7 @@ class BatchConfig:
     collect_period_returns: bool = False
 
     def __post_init__(self) -> None:
+        require_integers(self, "n_sessions", "runs_per_session", "master_seed")
         if self.n_sessions < 1 or self.runs_per_session < 1:
             raise ValueError("n_sessions and runs_per_session must be >= 1")
         if self.master_seed < 0:
@@ -114,8 +119,30 @@ def share_count(jobs: int | None, items: int) -> int:
     return max(1, min(default_jobs() if jobs is None else jobs, items))
 
 
+# The least input worth a share thread of its own, in values: a tick row
+# (as `analytics._parse_tick_body` bounds them, one per 4 bytes) or a
+# per-run CSV value. On that many the quicker of the two passes, the parse,
+# takes about 0.3 ms, several times what handing a share to a thread costs.
+SHARE_FLOOR = 50_000
+
+
+def input_shares(jobs: int | None, values: int) -> int:
+    """How many shares run one pass over `values` values: one per
+    `SHARE_FLOOR` of them, as `share_count` bounds them by `jobs`. Below
+    twice the floor that is one share, in the calling thread."""
+    return share_count(jobs, values // SHARE_FLOOR)
+
+
 def run_shares(task, shares: list) -> list:
     """`task(share)` for every share, in share order.
+
+    Its tasks are the compiled shares of a batch or an ensemble, each one
+    kernel call (`run_kernel_shares`), and the parts of two passes, each
+    part a compiled call or a few: `analytics.load_ticks`' parse, one
+    `im_parse_ticks` call per part, and the per-run CSV rows, formatted by
+    `im_format_per_run` (`_write_in_order`). None of them allocates more
+    than a block of rows: memory a share thread frees stays with its
+    thread's allocator for that thread's next allocation.
 
     A single share runs in the calling thread. Otherwise each share runs on
     a share thread of its own: a call takes an idle share thread per share,
@@ -355,10 +382,14 @@ def _write_per_run_csv(file, header, batch: BatchResult, per_run: np.ndarray, la
     """Write `header`, then one row session,run,label,value per value of a
     (n_runs, k) array with its k column labels.
 
-    Where the kernel loads, `im_format_per_run` writes them a block of about
-    `_LINES_PER_WRITE` rows at a time into one buffer, reused for the next;
-    the Python generator `_per_run_lines`, its specification, writes the same
-    bytes wherever no kernel loads.
+    Where the kernel loads, `im_format_per_run` formats the rows a block of
+    about `_LINES_PER_WRITE` rows at a time, on `input_shares(jobs, values)`
+    shares of the batch's `jobs` (`_write_in_order`): each share formats the
+    next block into a buffer of its own and writes it once every earlier
+    block is written, so the memory held is one block per share, whatever
+    the row count. The Python generator `_per_run_lines`, its
+    specification, writes the same bytes in this thread wherever no kernel
+    loads.
     """
     runs = batch.config.runs_per_session
     values = np.asarray(per_run, dtype=float)
@@ -367,21 +398,63 @@ def _write_per_run_csv(file, header, batch: BatchResult, per_run: np.ndarray, la
     lib = _kernel.resolve()
     if lib is None:
         write_csv(file, header, _per_run_lines(values, runs, labels))
-    else:
-        write_csv_blocks(file, header, _compiled_per_run_blocks(lib, values, runs, labels))
-
-
-def _compiled_per_run_blocks(lib, values: np.ndarray, runs: int, labels):
+        return
     n, k = values.shape
     step = max(1, _LINES_PER_WRITE // max(k, 1))
     names = [str(label).encode() for label in labels]
     text, ends = b"".join(names), np.cumsum([len(name) for name in names], dtype=np.int64)
-    out = np.empty(step * (k * _kernel.FORMAT_BYTES + len(text)), np.uint8)
-    for first in range(0, n, step):
-        block = np.ascontiguousarray(values[first:first + step])
-        size = lib.im_format_per_run(block.ctypes.data, len(block), k, runs, first, text, ends.ctypes.data,
+    firsts = range(0, n, step)
+
+    def format_block(out: np.ndarray, i: int) -> str:
+        block = np.ascontiguousarray(values[firsts[i]:firsts[i] + step])
+        size = lib.im_format_per_run(block.ctypes.data, len(block), k, runs, firsts[i], text, ends.ctypes.data,
                                      lib.pow10.ctypes.data, out.ctypes.data)
-        yield str(out[:size], "utf-8")
+        return str(out[:size], "utf-8")
+
+    with open_csv(file, header) as f:
+        _write_in_order(f, len(firsts), format_block, step * (k * _kernel.FORMAT_BYTES + len(text)),
+                        input_shares(batch.config.jobs, values.size))
+
+
+def _write_in_order(f, count: int, format_block, buffer_bytes: int, shares: int) -> None:
+    """Write `format_block(buffer, i)`, text, to `f` for i in 0..count - 1,
+    in that order, on `shares` shares (`run_shares`).
+
+    Each share owns one buffer of `buffer_bytes` bytes. It takes the next
+    block that no share has taken, formats it, waits until every earlier
+    block is written, then writes its own, so one share's write overlaps
+    the others' formatting. Where a share fails, every share stops before
+    its next write, and `run_shares` raises the failure.
+    """
+    turn = threading.Condition()
+    taken = written = 0
+    failed = False
+
+    def share(_) -> None:
+        nonlocal taken, written, failed
+        out = np.empty(buffer_bytes, np.uint8)
+        try:
+            while True:
+                with turn:
+                    i, taken = taken, taken + 1
+                if i >= count:
+                    return
+                block = format_block(out, i)
+                with turn:
+                    turn.wait_for(lambda: written == i or failed)
+                    if failed:
+                        return
+                f.write(block)
+                with turn:
+                    written += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    run_shares(share, [None] * shares)
 
 
 def _per_run_lines(per_run: np.ndarray, runs: int, labels):

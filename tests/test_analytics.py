@@ -9,7 +9,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infomarket
-from infomarket import _kernel, analytics
+from infomarket import _kernel, analytics, montecarlo
 from infomarket.analytics import (
     DegenerateSeriesError,
     TickDataError,
@@ -501,11 +501,22 @@ def _read_rows_from_path(path):
         return _read_tick_rows(f)
 
 
+@contextmanager
+def split_parse():
+    """Any body of 7 bytes or more parsed in two or three parts, each on a
+    share of its own: the least input worth a share thread lowered to one
+    row, and three CPUs to run the shares on."""
+    with mock.patch.object(montecarlo, "SHARE_FLOOR", 1), mock.patch.object(montecarlo, "default_jobs", lambda: 3):
+        yield
+
+
 # The processes `load_ticks` may run in, each held to the row reader: one
-# that loads the kernel, whose plain rows take the compiled parse, and one
-# whose kernel resolved to nothing, where every file takes the row reader.
+# that loads the kernel, whose plain rows take the compiled parse, the same
+# with every body split between shares, and one whose kernel resolved to
+# nothing, where every file takes the row reader.
 BULK_PARSES = {
     "compiled": nullcontext,
+    "split": split_parse,
     "no kernel": lambda: mock.patch.object(_kernel, "_resolved", (None, "the row reader, as with no kernel")),
 }
 
@@ -651,7 +662,9 @@ def test_load_ticks_and_the_row_reader_agree_on_fuzzed_bytes(data):
     # read as the row reader reads it, and whatever the row reader reads
     # otherwise or refuses, the parse or its checks must refuse.
     rows = _outcome(_read_tick_rows, io.StringIO(data.decode("ascii"), newline=""))
-    assert _same_outcome(_outcome(load_ticks, io.BytesIO(data)), rows), (data, rows)
+    for parse, patch in BULK_PARSES.items():
+        with patch():
+            assert _same_outcome(_outcome(load_ticks, io.BytesIO(data)), rows), (parse, data, rows)
 
 
 def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch):
@@ -694,6 +707,73 @@ def test_a_plain_file_is_one_compiled_parse_and_no_loadtxt(tmp_path, monkeypatch
     path.write_text("time,price\n" + "".join(f"{t},{40 + t % 7}.{t % 100:02d}\n" for t in range(1, 1001)))
     series = load_ticks(path)
     assert calls == {"im_parse_ticks": 1}
+    assert series.times.tolist() == list(range(1, 1001))
+    assert series.prices.tolist() == [float(f"{40 + t % 7}.{t % 100:02d}") for t in range(1, 1001)]
+
+
+# Bodies with every line form the parse takes, and some it refuses or whose
+# rows fail a check, each as (body, one call's outcome).
+SPLIT_BODIES = [
+    (b"1,40\n2,41.5\r\n\n3,42,x y\n\r\n4,43\r\n5,44", [1, 2, 3, 4, 5]),
+    (b"1,40\n2,41\n3,42\n", [1, 2, 3]),
+    (b"\n\n1,40\r\n2,41\r\n", [1, 2]),
+    (b"1,40\n2,41\n3,-42\n4,43\n", None),
+    (b"1,40\n2,41\n2,42\n4,43\n", None),
+    (b"1,40\n2,41\n3,42\r4,43\n", None),
+    (b"1,40\n2,41\n3,42\n4,43,\"\n", None),
+    (b"1,40\n\n\n\n", None),
+]
+
+
+@pytest.mark.parametrize("body, expected", SPLIT_BODIES)
+def test_a_body_cut_after_any_line_ends_parses_as_one_call(body, expected):
+    # A part starts where a line starts, the one thing the parse keeps from
+    # line to line; so cut after any one or two line ends, the parts accept
+    # or refuse as the whole does and give its rows in its order.
+    lib = _kernel.resolve()
+    if lib is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+    data = np.frombuffer(body, np.uint8)
+    whole = analytics._parse_tick_parts(lib, data, [0, len(data)])
+    if expected is None:
+        assert whole is None
+    else:
+        assert whole.times.tolist() == expected
+    ends = [i + 1 for i, byte in enumerate(body) if byte == ord("\n") and i + 1 < len(body)]
+    for cuts in [*itertools.combinations(ends, 1), *itertools.combinations(ends, 2)]:
+        split = analytics._parse_tick_parts(lib, data, [0, *cuts, len(data)])
+        if whole is None:
+            assert split is None, cuts
+        else:
+            assert np.array_equal(split.times, whole.times) and np.array_equal(split.prices, whole.prices), cuts
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_split_parse_makes_one_call_per_share_and_never_reaches_the_row_reader(tmp_path, monkeypatch, end):
+    # Were a part cut anywhere but just after a line end, it would refuse
+    # and the row reader would give the same series; so the row reader is
+    # refused here.
+    lib = _kernel.resolve()
+    if lib is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+    calls = Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(lib, name)
+
+    def refuse(f):
+        raise AssertionError("the row reader was called")
+
+    monkeypatch.setattr(_kernel, "_resolved", (Counting(), None))
+    monkeypatch.setattr(analytics, "_read_tick_rows", refuse)
+    path = tmp_path / "ticks.csv"
+    path.write_text(f"time,price{end}" + "".join(f"{t},{40 + t % 7}.{t % 100:02d}{end}" for t in range(1, 1001)),
+                    newline="")
+    with split_parse():
+        series = load_ticks(path)
+    assert calls == {"im_parse_ticks": 3}
     assert series.times.tolist() == list(range(1, 1001))
     assert series.prices.tolist() == [float(f"{40 + t % 7}.{t % 100:02d}") for t in range(1, 1001)]
 

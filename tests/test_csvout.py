@@ -10,12 +10,13 @@ too large for 64 bits.
 import csv
 import io
 import math
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from infomarket import _kernel
+from infomarket import _kernel, montecarlo
 from infomarket.analytics import (
     AcfResult,
     JCurveTable,
@@ -197,8 +198,11 @@ def test_write_csv_to_a_path_ends_every_row_in_crlf(tmp_path, count):
 def test_per_run_writers_give_the_same_bytes_under_both_formatters(tmp_path, monkeypatch, formatter):
     # `im_format_per_run` where the kernel loads, the Python generator where
     # it resolved to nothing. 7 x 391 runs are two whole chunks and a part
-    # of one for both writers, and both arrays are strided slices.
-    calls = Counter()
+    # of one for both writers, and both arrays are strided slices. With the
+    # least input worth a share thread lowered to one value, the compiled
+    # formatter runs on as many shares as the batch has jobs, 1, 2 or 3,
+    # up to one chunk each.
+    calls, counted = Counter(), threading.Lock()
     if formatter == "python":
         monkeypatch.setattr(_kernel, "_resolved", (None, "the Python generator"))
     else:
@@ -208,29 +212,60 @@ def test_per_run_writers_give_the_same_bytes_under_both_formatters(tmp_path, mon
 
         class Counting:
             def __getattr__(self, name):
-                calls[name] += 1
+                with counted:
+                    calls[name] += 1
                 return getattr(lib, name)
 
         monkeypatch.setattr(_kernel, "_resolved", (Counting(), None))
+    monkeypatch.setattr(montecarlo, "SHARE_FLOOR", 1)
     rng = np.random.default_rng(21)
     wide = rng.standard_normal((2 * 2737, 8)) * 10.0 ** rng.integers(-7, 18, (2 * 2737, 8))
     wide[::101] = SPECIAL
-    batch = BatchResult(config=BatchConfig(n_sessions=7, runs_per_session=391), levels=(0, 4, BIG),
-                        rel_returns=wide[::2, 1:7:2], asset_mean_returns=wide[::2, 0],
-                        period_returns=wide[1::2, :4])
-    assert not batch.rel_returns.flags.c_contiguous and not batch.period_returns.flags.c_contiguous
-    for write, header, per_run, labels in (
-            (write_runs_csv, ["session", "run", "agent_level", "relative_return_pp"], batch.rel_returns,
-             batch.levels),
-            (write_efficiency_csv, ["session", "run", "period", "net_simple_return"], batch.period_returns,
-             range(1, 5))):
-        expected = reference(header, per_run_rows(batch, per_run, labels))
-        assert written(write, batch) == expected
-        write(batch, tmp_path / "per_run.csv")
-        assert (tmp_path / "per_run.csv").read_bytes() == expected.encode("utf-8")
+    for shares in (1, 2, 3):
+        batch = BatchResult(config=BatchConfig(n_sessions=7, runs_per_session=391, jobs=shares),
+                            levels=(0, 4, BIG), rel_returns=wide[::2, 1:7:2], asset_mean_returns=wide[::2, 0],
+                            period_returns=wide[1::2, :4])
+        assert not batch.rel_returns.flags.c_contiguous and not batch.period_returns.flags.c_contiguous
+        for write, header, per_run, labels in (
+                (write_runs_csv, ["session", "run", "agent_level", "relative_return_pp"], batch.rel_returns,
+                 batch.levels),
+                (write_efficiency_csv, ["session", "run", "period", "net_simple_return"], batch.period_returns,
+                 range(1, 5))):
+            expected = reference(header, per_run_rows(batch, per_run, labels))
+            assert written(write, batch) == expected, shares
+            write(batch, tmp_path / "per_run.csv")
+            assert (tmp_path / "per_run.csv").read_bytes() == expected.encode("utf-8"), shares
     if formatter == "compiled":
-        # Two writes of each file: 3 chunks of 1365 rows for runs.csv, 3 of 1024 for the periods.
-        assert calls["im_format_per_run"] == 12
+        # Two writes of each file at each share count: 3 chunks of 1365 rows
+        # for runs.csv, 3 of 1024 for the periods.
+        assert calls["im_format_per_run"] == 3 * 12
+
+
+@pytest.mark.parametrize("failing", [0, 1, 4])
+def test_a_failed_write_of_a_shared_per_run_file_stops_every_share(monkeypatch, failing):
+    # Three shares take the file's nine chunks of one row each. The write
+    # of chunk `failing` raises: the writer raises it once every share has
+    # stopped, and the chunks before it were written in order.
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+    monkeypatch.setattr(montecarlo, "SHARE_FLOOR", 1)
+    monkeypatch.setattr(montecarlo, "_LINES_PER_WRITE", 1)
+    values = np.arange(9.0)[:, None]
+    batch = BatchResult(config=BatchConfig(n_sessions=3, runs_per_session=3, jobs=3), levels=(0,),
+                        rel_returns=values, asset_mean_returns=values[:, 0], period_returns=None)
+
+    class Failing(io.StringIO):
+        def write(self, text):
+            if self.tell() and len(self.getvalue().splitlines()) == failing + 1:
+                raise OSError("disk full")
+            return super().write(text)
+
+    f = Failing()
+    with pytest.raises(OSError, match="disk full"):
+        write_runs_csv(batch, f)
+    expected = reference(["session", "run", "agent_level", "relative_return_pp"],
+                         per_run_rows(batch, values, (0,)))
+    assert f.getvalue() == "".join(expected.splitlines(keepends=True)[:failing + 1])
 
 
 def test_runs_csv_refuses_a_level_count_that_is_not_the_column_count():

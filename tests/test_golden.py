@@ -11,12 +11,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infomarket import _kernel
+from infomarket import _kernel, montecarlo
 from infomarket.analytics import moments
 from infomarket.cli import main
 
@@ -117,14 +118,14 @@ def _large_tick_file(path):
     path.write_text("\n".join(rows) + "\n")
 
 
-def _outputs(tmp_path_factory, kernel):
-    """Every run of RUNS in a fresh directory; the caller picks the kernel."""
+def _outputs(tmp_path_factory, kernel, runs=RUNS):
+    """Every run of `runs` in a fresh directory; the caller picks the kernel."""
     root = tmp_path_factory.mktemp(f"golden-{kernel}")
     ticks = root / "ticks.csv"
     _tick_file(ticks)
     ticks_large = root / "ticks_large.csv"
     _large_tick_file(ticks_large)
-    for name, argv in RUNS.items():
+    for name, argv in runs.items():
         argv = [a.format(ticks=ticks, ticks_large=ticks_large) for a in argv]
         assert main(argv + ["--out", str(root / name)]) == 0, name
     return root
@@ -147,6 +148,41 @@ def compiled_outputs(tmp_path_factory):
     return _outputs(tmp_path_factory, "c")
 
 
+def _two_jobs(argv):
+    """`argv` with every worker count made 2."""
+    return [a if prev != "--jobs" else "2" for prev, a in zip([None, *argv], argv)]
+
+
+# Runs whose worker count the forced-share runs raise to 2; a manifest
+# records the count, which changes no other output.
+REJOBBED = {name for name, argv in RUNS.items() if _two_jobs(argv) != argv}
+
+
+@pytest.fixture(scope="module")
+def forced_share_outputs(tmp_path_factory):
+    """Every run of RUNS under the compiled kernel, at two workers where it
+    sets a count, with the least input worth a share thread lowered to one
+    value and two CPUs to run shares on; and, by the first name of each task
+    `run_shares` ran, the most shares it ran at once. (Under the Python loop
+    the tick parse and the per-run rows take no shares.)"""
+    if _kernel.resolve() is None:
+        pytest.skip(f"the compiled kernel is unavailable: {_kernel._resolved[1]}")
+    widest = Counter()
+    run_shares = montecarlo.run_shares
+
+    def watched(task, shares):
+        name = getattr(task, "__qualname__", "").split(".")[0]
+        widest[name] = max(widest[name], len(shares))
+        return run_shares(task, shares)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "run_shares", watched)
+        mp.setattr(montecarlo, "SHARE_FLOOR", 1)
+        mp.setattr(montecarlo, "default_jobs", lambda: 2)
+        runs = {name: _two_jobs(argv) for name, argv in RUNS.items()}
+        return _outputs(tmp_path_factory, "c-forced-shares", runs), widest
+
+
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -161,6 +197,15 @@ def test_golden_digest(outputs, name):
 def test_golden_digest_compiled(compiled_outputs, name):
     # The same digests under the compiled kernel.
     assert _digest(compiled_outputs / name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(DIGESTS) - {f"{name}/manifest.json" for name in REJOBBED}))
+def test_golden_digest_with_two_shares_forced(forced_share_outputs, name):
+    # The tick parse and the compiled per-run rows run on two shares
+    # wherever they run, and give the same bytes.
+    outputs, widest = forced_share_outputs
+    assert widest["_parse_tick_parts"] == widest["_write_in_order"] == 2
+    assert _digest(outputs / name) == DIGESTS[name]
 
 
 # numpy's run-time dispatch targets for x86-64 beyond its X86_V2 baseline:

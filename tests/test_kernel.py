@@ -244,6 +244,23 @@ def test_a_nan_or_infinite_opening_price_or_cash_is_refused_before_any_run(monke
     assert_refused_before_any_run(monkeypatch, kernel, name, lambda: config(**{name: value}))
 
 
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+@pytest.mark.parametrize("name, value", [("initial_shares", 1.5), ("n_periods", 3.5), ("steps_per_period", 10.5),
+                                         ("n_periods", "6")])
+def test_a_non_integer_share_count_or_session_size_is_refused_before_any_run(monkeypatch, kernel, name, value):
+    # A float that passed the range checks reached the first run, where both
+    # kernels raised a bare TypeError from laying out the session's state.
+    assert_refused_before_any_run(monkeypatch, kernel, name, lambda: config(**{name: value}))
+
+
+@pytest.mark.parametrize("name, value", [("n_sessions", 2.5), ("runs_per_session", 2.5), ("master_seed", 1.5)])
+def test_a_non_integer_batch_size_or_master_seed_is_refused_at_construction(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        BatchConfig(session=config(), **{name: value})
+    # Integers of any kind are taken, as `operator.index` takes them.
+    assert getattr(BatchConfig(session=config(), **{name: np.int64(2)}), name) == 2
+
+
 def assert_refused_before_any_run(monkeypatch, kernel, name, session):
     """`run_batch` and `first_run` on `session()` raise the ValueError that
     names `name`, under `kernel`, before either starts a run."""

@@ -33,7 +33,9 @@ def test_profile_session_tiny():
     # count, whichever kernel ran them, and one line with the CPUs their
     # jobs-2 shares started on. The markov3 post-run is timed under each
     # kernel, and the chains each ensemble share took and the sessions each
-    # batch share took are listed at jobs 1 and 2.
+    # batch share took are listed at jobs 1 and 2. With the compiled kernel,
+    # the two passes that run on share threads are timed at one share and at
+    # all of them.
     proc = run_script("profile_session.py", "--repeats", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -68,6 +70,17 @@ def test_profile_session_tiny():
                   "python / c chain median ratio: ",
                   "python / c block median ratio: ", "python / c write_runs_csv median ratio: "):
         assert sum(line.startswith(ratio) for line in lines) == compiled
+    # The tick parse and the per-run rows at one share and at all of
+    # default_jobs(), with the compiled kernel.
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert lines.count(f"share passes: 500000 ticks, 100000 runs.csv rows; one share against all {jobs} of "
+                       "default_jobs()") == compiled
+    for label, per in (("tick parse", "tick"), ("per-run rows", "row")):
+        timed = [line for line in lines if f" {label}, median of 2:" in line]
+        assert [line.split(" share")[0] for line in timed] == ["one", "all"] * compiled
+        for line in timed:
+            assert "ms per pass" in line and f"us per {per}" in line
+        assert sum(line.startswith(f"one share / all shares {label} median ratio: ") for line in lines) == compiled
     assert not [line for line in lines if "one-call" in line]
     kernel = "c" if compiled else "python"
     assert f"markov3 ensemble: 8 chains x 300 periods, {kernel} kernel" in lines
